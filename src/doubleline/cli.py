@@ -56,10 +56,6 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(text)
 
 
-def format_rational(value: Fraction) -> str:
-    return str(value)
-
-
 # decomposition documents
 
 
@@ -130,11 +126,11 @@ def parse_document(text: str) -> DecompositionDocument:
 def render_document(doc: DecompositionDocument) -> str:
     payload = {
         "variables": list(doc.variables),
-        "line": [format_rational(c) for c in doc.line],
+        "line": [str(c) for c in doc.line],
         "terms": [
             {
-                "alpha": format_rational(alpha),
-                "linear": [format_rational(c) for c in linear],
+                "alpha": str(alpha),
+                "linear": [str(c) for c in linear],
             }
             for alpha, linear in doc.terms
         ],
@@ -210,7 +206,7 @@ class RunReport:
 
 
 def _format_vector(values) -> str:
-    return " ".join(format_rational(Fraction(v)) for v in values)
+    return " ".join(str(Fraction(v)) for v in values)
 
 
 def _add_analysis(report: RunReport, analysis: AnalysisReport, line: HomogeneousForm) -> None:
@@ -223,7 +219,7 @@ def _add_analysis(report: RunReport, analysis: AnalysisReport, line: Homogeneous
     report.add("cofactor", render_form(cofactor))
     factor, primitive = content_normalize(cofactor)
     if factor != 1 and not cofactor.is_zero():
-        report.add("cofactor-normalized", f"{format_rational(factor)} * ({render_form(primitive)})")
+        report.add("cofactor-normalized", f"{factor} * ({render_form(primitive)})")
     report.add("conic-rank", analysis.conic_rank)
     if analysis.tangent is None:
         report.add("tangent", "undefined (zero cofactor)")
@@ -344,7 +340,7 @@ def cmd_theorem_check(args) -> RunReport:
 
 def cmd_identity_check(args) -> RunReport:
     report = RunReport(command="identity-check")
-    report.add("h", ",".join(format_rational(h) for h in args.h))
+    report.add("h", ",".join(str(h) for h in args.h))
     try:
         slice_report = verify_identity_slice(args.h)
     except DegenerateNodesError as exc:
@@ -354,7 +350,7 @@ def cmd_identity_check(args) -> RunReport:
     report.add("alpha-dim", slice_report.alpha_dim)
     report.add("beta-dim", slice_report.beta_dim)
     report.add("expanded-monomials", slice_report.expanded_monomials)
-    report.add("node-difference-product", format_rational(slice_report.node_difference_product))
+    report.add("node-difference-product", slice_report.node_difference_product)
     report.check("zero-polynomial", slice_report.is_zero)
     return report
 
@@ -362,7 +358,7 @@ def cmd_identity_check(args) -> RunReport:
 def cmd_claim_check(args) -> RunReport:
     report = RunReport(command="claim-check", seed=args.seed if args.random else None)
     if args.h is not None:
-        report.add("h", ",".join(format_rational(h) for h in args.h))
+        report.add("h", ",".join(str(h) for h in args.h))
         try:
             result = six_term_vanishing_check(args.h)
         except DegenerateNodesError as exc:
@@ -479,17 +475,26 @@ _COMMANDS = {
 }
 
 
+def _attach_list_values(argv: Sequence[str]) -> list[str]:
+    """Rewrite ``--h -1,0,...`` as ``--h=-1,0,...``: argparse takes a separate
+    value with a leading minus for an option unless it is a plain number."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in ("--h", "--line") and re.match(r"-\d", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Sequence[str] | None = None, out: TextIO | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_list_values(sys.argv[1:] if argv is None else argv))
     stream = out if out is not None else sys.stdout
     started = time.perf_counter()
     try:
         report = _COMMANDS[args.command](args)
-    except (OSError, DocumentError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (InvalidInputError, ValueError) as exc:
+    except (OSError, InvalidInputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TheoremViolationError as exc:

@@ -22,6 +22,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from . import sympoly
@@ -91,10 +92,18 @@ class WaringDecomposition:
         return tuple(f for _, f in self.terms)
 
     def value(self) -> HomogeneousForm:
-        total = HomogeneousForm.zero(3, 4)
+        """The quartic sum_i weight_i * l_i^4, computed once per instance."""
+        return self._value
+
+    @cached_property
+    def _value(self) -> HomogeneousForm:
+        terms: dict[tuple[int, ...], Fraction] = {}
         for weight, form in self.terms:
-            total = total + weight * form**4
-        return total
+            for mono, c in (form**4).terms.items():
+                acc = terms.pop(mono, 0) + weight * c
+                if acc:
+                    terms[mono] = acc
+        return HomogeneousForm._trusted(3, 4, terms)
 
 
 @dataclass(frozen=True)
@@ -119,6 +128,11 @@ class CoordinateInstance:
         return len(self.slopes)
 
     def to_decomposition(self) -> WaringDecomposition:
+        """The decomposition of this instance, built once so its value is shared."""
+        return self._decomposition
+
+    @cached_property
+    def _decomposition(self) -> WaringDecomposition:
         return WaringDecomposition(
             tuple(
                 (w, HomogeneousForm.linear((1, h, k)))
@@ -318,7 +332,15 @@ def tangency_certificate(dec: WaringDecomposition, line: HomogeneousForm) -> Tan
         raise PreconditionError("cofactor conic is zero")
     restricted = _restricted_tuple(dec, line)
     _require_distinct_restrictions(restricted)
+    return _build_certificate(dec, line, cofactor, restricted)
 
+
+def _build_certificate(
+    dec: WaringDecomposition, line: HomogeneousForm,
+    cofactor: HomogeneousForm, restricted: FormTuple,
+) -> TangencyCertificate:
+    """``tangency_certificate`` on checked inputs: seven terms, value line^2 * cofactor
+    with cofactor nonzero, ``restricted`` the lines on ``line = 0``, pairwise distinct."""
     kernel5 = power_kernel(restricted, 5)
     if kernel5.dimension != 1:
         raise TheoremViolationError("degree-5 kernel is not one-dimensional")
@@ -559,10 +581,6 @@ class TwoValueReport:
     conic_rank: int
     tangent: bool | None
 
-    @property
-    def passed(self) -> bool:
-        return True  # violations raise instead of reporting
-
 
 def two_value_collapse_check(inst: CoordinateInstance) -> TwoValueReport:
     """For a nondegenerate non-tangent six-term value, slopes form two triples.
@@ -742,7 +760,7 @@ def analyze(dec: WaringDecomposition, line: HomogeneousForm) -> AnalysisReport:
         except PreconditionError:
             pass
         else:
-            certificate = tangency_certificate(dec, line)
+            certificate = _build_certificate(dec, line, cofactor, restricted)
             if tangent is not True:
                 raise TheoremViolationError("certificate exists but discriminant test disagrees")
             if point is not None and certificate.tangency_point != point:

@@ -85,6 +85,18 @@ class HomogeneousForm:
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "terms", clean)
 
+    @classmethod
+    def _trusted(
+        cls, num_vars: int, degree: int, terms: dict[Monomial, Fraction]
+    ) -> "HomogeneousForm":
+        """Unchecked constructor: ``terms`` (kept, not copied) must map monomials
+        of the given shape to nonzero Fractions."""
+        form = object.__new__(cls)
+        object.__setattr__(form, "num_vars", num_vars)
+        object.__setattr__(form, "degree", degree)
+        object.__setattr__(form, "terms", terms)
+        return form
+
     def __setattr__(self, name, value):
         raise AttributeError("HomogeneousForm is immutable")
 
@@ -145,11 +157,15 @@ class HomogeneousForm:
         self._check_compatible(other, same_degree=True)
         terms = dict(self.terms)
         for mono, c in other.terms.items():
-            terms[mono] = terms.get(mono, Fraction(0)) + c
-        return HomogeneousForm(self.num_vars, self.degree, terms)
+            acc = terms.pop(mono, 0) + c
+            if acc:
+                terms[mono] = acc
+        return HomogeneousForm._trusted(self.num_vars, self.degree, terms)
 
     def __neg__(self) -> "HomogeneousForm":
-        return HomogeneousForm(self.num_vars, self.degree, {m: -c for m, c in self.terms.items()})
+        return HomogeneousForm._trusted(
+            self.num_vars, self.degree, {m: -c for m, c in self.terms.items()}
+        )
 
     def __sub__(self, other: "HomogeneousForm") -> "HomogeneousForm":
         return self + (-other)
@@ -157,9 +173,8 @@ class HomogeneousForm:
     def __mul__(self, other: "HomogeneousForm | Fraction | int") -> "HomogeneousForm":
         if isinstance(other, (Fraction, int)):
             c = Fraction(other)
-            return HomogeneousForm(
-                self.num_vars, self.degree, {m: c * v for m, v in self.terms.items()}
-            )
+            terms = {m: c * v for m, v in self.terms.items()} if c else {}
+            return HomogeneousForm._trusted(self.num_vars, self.degree, terms)
         self._check_compatible(other, same_degree=False)
         terms: dict[Monomial, Fraction] = {}
         for m1, c1 in self.terms.items():
@@ -170,7 +185,7 @@ class HomogeneousForm:
                     terms[mono] = acc
                 else:
                     terms.pop(mono, None)
-        return HomogeneousForm(self.num_vars, self.degree + other.degree, terms)
+        return HomogeneousForm._trusted(self.num_vars, self.degree + other.degree, terms)
 
     def __rmul__(self, other: "Fraction | int") -> "HomogeneousForm":
         return self * other
@@ -188,7 +203,7 @@ class HomogeneousForm:
                     c *= base**e
                 if c:
                     terms[mono] = c
-            return HomogeneousForm(self.num_vars, exponent, terms)
+            return HomogeneousForm._trusted(self.num_vars, exponent, terms)
         result = HomogeneousForm.constant(self.num_vars, 1)
         for _ in range(exponent):
             result = result * self
@@ -304,14 +319,6 @@ class FormTuple:
 
     def values_at(self, point: Point) -> tuple[Fraction, ...]:
         return tuple(f.evaluate(point) for f in self.entries)
-
-
-def hadamard(f: FormTuple, g: FormTuple) -> FormTuple:
-    return f.hadamard(g)
-
-
-def dot(f: FormTuple, g: FormTuple) -> HomogeneousForm:
-    return f.dot(g)
 
 
 # text rendering and parsing
@@ -497,6 +504,11 @@ def line_kernel_basis(line: HomogeneousForm) -> tuple[tuple[Fraction, ...], tupl
 def restrict(f: HomogeneousForm, line: HomogeneousForm) -> HomogeneousForm:
     """Restriction of a three-variable form to the plane ``line = 0``."""
     b0, b1 = line_kernel_basis(line)
+    if f.degree == 1 and f.num_vars == 3:
+        # a linear form maps to its coefficients paired with the basis
+        c = f.linear_coefficients()
+        ys = [sum(ci * bi for ci, bi in zip(c, b)) for b in (b0, b1)]
+        return HomogeneousForm._trusted(2, 1, {m: y for m, y in zip(((1, 0), (0, 1)), ys) if y})
     images = [
         HomogeneousForm.linear((b0[i], b1[i]))
         for i in range(3)

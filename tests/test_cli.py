@@ -200,6 +200,27 @@ class TestCommands:
         code, _, _ = run_cli(["frobnicate"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["identity-check", "--h", "-1,0,1,2,3,4,5"], "h: -1,0,1,2,3,4,5"),
+            (["claim-check", "--h", "-1/2,0,1,2,3,4"], "h: -1/2,0,1,2,3,4"),
+            (["verify", str(FIXTURES / "example.json"), "--line", "-1,0,0"], "line: -1 0 0"),
+        ],
+        ids=["identity-check", "claim-check", "verify"],
+    )
+    def test_list_with_leading_minus(self, argv, expected):
+        code, out, err = run_cli(argv)
+        assert code != 2, err
+        assert expected in out.splitlines()
+        joined = [argv[0], *argv[1:-2], f"{argv[-2]}={argv[-1]}"]
+        assert run_cli(joined)[:2] == (code, out)
+
+    def test_list_option_still_needs_a_value(self):
+        code, _, err = run_cli(["identity-check", "--h", "--json"])
+        assert code == 2
+        assert "expected one argument" in err
+
 
 class TestDeterminismAndJson:
     COMMANDS = [

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 from conftest import random_fraction, sample_nodes
+from hypothesis import given
+from hypothesis import strategies as st
 
 from doubleline import sympoly
 from doubleline.engine import (
@@ -105,6 +107,36 @@ class TestValue:
         l = HomogeneousForm.linear((1, 0, 0))
         dec = WaringDecomposition(((Fraction(1), l), (Fraction(-1), l)))
         assert dec.value().is_zero()
+
+
+    # small pools, so that repeated lines and cancelling weights are common
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([-2, -1, 0, Fraction(1, 2), 1, 3]),
+                st.tuples(*[st.sampled_from([-1, 0, Fraction(2, 3), 1])] * 3),
+            ),
+            min_size=1,
+            max_size=7,
+        )
+    )
+    def test_memoized_value_matches_public_operators(self, terms):
+        dec = WaringDecomposition(
+            tuple((Fraction(w), HomogeneousForm.linear(c)) for w, c in terms)
+        )
+        expected = HomogeneousForm.zero(3, 4)
+        for w, c in terms:
+            expected = expected + w * HomogeneousForm.linear(c) ** 4
+        value = dec.value()
+        assert value == expected
+        assert dec.value() is value
+        assert HomogeneousForm(3, 4, value.terms) == value
+
+    def test_instance_shares_one_decomposition(self):
+        inst = CoordinateInstance((0, 1, 2, 3, 4, 5), (1,) * 6, (1,) * 6)
+        dec = inst.to_decomposition()
+        assert inst.to_decomposition() is dec
+        assert dec == CoordinateInstance(inst.slopes, inst.lifts, inst.weights).to_decomposition()
 
 
 class TestExtractCofactor:
@@ -445,6 +477,10 @@ class TestAnalyze:
         assert report.divisible and report.tangent is True
         assert isinstance(report.certificate, TangencyCertificate)
         assert report.tangency_point == report.certificate.tangency_point
+        # analyze hands its cofactor and restrictions to the same builder that
+        # the public entry point reaches from scratch
+        fresh = WaringDecomposition(generated.instance.to_decomposition().terms)
+        assert tangency_certificate(fresh, line_x2()) == report.certificate
 
     def test_not_double_line_reported(self):
         dec = WaringDecomposition(((Fraction(1), HomogeneousForm.linear((1, 0, 0))),))

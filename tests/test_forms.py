@@ -14,8 +14,6 @@ from doubleline.forms import (
     conic_rank,
     content_normalize,
     divide_by_linear,
-    dot,
-    hadamard,
     line_kernel_basis,
     line_tangent_to_conic,
     monomials_of_degree,
@@ -111,6 +109,46 @@ class TestPow:
         assert l**4 == square * square
 
 
+def assert_canonical(f: HomogeneousForm) -> None:
+    """Only nonzero Fractions on monomials of the declared shape, and equal to
+    the same terms passed through the validating constructor."""
+    for mono, c in f.terms.items():
+        assert type(mono) is tuple and len(mono) == f.num_vars
+        assert min(mono) >= 0 and sum(mono) == f.degree
+        assert type(c) is Fraction and c != 0
+    rebuilt = HomogeneousForm(f.num_vars, f.degree, f.terms)
+    assert rebuilt == f and rebuilt.terms == f.terms
+
+
+class TestTrustedArithmetic:
+    """The operators build their results without re-validation; check that
+    every result is still a canonical form."""
+
+    @given(form_st(3, 2), form_st(3, 2))
+    def test_add_sub_neg(self, f, g):
+        for result in (f + g, f - g, -f, f + (-f), (f + g) - g):
+            assert_canonical(result)
+        assert (f + g) - g == f
+        assert (f + (-f)).terms == {}
+
+    @given(form_st(3, 2), st.one_of(fractions_st, st.integers(-3, 3)))
+    def test_scalar_mul(self, f, c):
+        for result in (f * c, c * f, f * 0):
+            assert_canonical(result)
+        assert (f * 0).is_zero()
+
+    @given(form_st(3, 2), form_st(3, 1), form_st(2, 1), form_st(2, 2))
+    def test_form_mul(self, f, g, h, k):
+        assert_canonical(f * g)
+        assert_canonical(h * k)
+        assert_canonical(HomogeneousForm.constant(3, 0) * f)
+
+    @given(linear_st(3), st.integers(0, 5))
+    def test_linear_pow(self, l, e):
+        assert_canonical(l**e)
+        assert l**e == HomogeneousForm(3, e, (l**e).terms)
+
+
 class TestTuples:
     def test_dot_of_ones_with_fourth_powers(self):
         lines = [
@@ -122,21 +160,23 @@ class TestTuples:
         total = HomogeneousForm.zero(3, 4)
         for f in lines:
             total = total + f**4
-        assert dot(ones, tup) == total
+        assert ones.dot(tup) == total
 
     def test_hadamard_scalars(self):
-        t = hadamard(FormTuple.scalars([2, 3], 2), FormTuple((HomogeneousForm.variable(2, 0), HomogeneousForm.variable(2, 1))))
+        t = FormTuple.scalars([2, 3], 2).hadamard(FormTuple((HomogeneousForm.variable(2, 0), HomogeneousForm.variable(2, 1))))
         assert t[0] == 2 * HomogeneousForm.variable(2, 0)
         assert t[1] == 3 * HomogeneousForm.variable(2, 1)
 
     def test_dot_cancellation(self):
         f = FormTuple.scalars([1, -1], 3)
         g = FormTuple((X0**4, X0**4))
-        assert dot(f, g).is_zero()
+        assert f.dot(g).is_zero()
 
     def test_length_mismatch(self):
         with pytest.raises(StructuralError):
-            dot(FormTuple.scalars([1, 2], 3), FormTuple.scalars([1, 2, 3], 3))
+            FormTuple.scalars([1, 2], 3).dot(FormTuple.scalars([1, 2, 3], 3))
+        with pytest.raises(StructuralError):
+            FormTuple.scalars([1, 2], 3).hadamard(FormTuple.scalars([1, 2, 3], 3))
 
     @given(
         st.lists(fractions_st, min_size=3, max_size=3),
@@ -147,7 +187,8 @@ class TestTuples:
         f = FormTuple.scalars(scalars, 2)
         g = FormTuple(tuple(gs))
         h = FormTuple(tuple(hs))
-        assert dot(hadamard(f, g), h) == dot(f, hadamard(g, h))
+        assert f.hadamard(g).dot(h) == f.dot(g.hadamard(h))
+        assert f * g == f.hadamard(g)
 
 
 class TestEvaluate:
@@ -194,6 +235,19 @@ class TestRestrict:
             b0, b1 = line_kernel_basis(line)
             assert line.evaluate(b0) == 0
             assert line.evaluate(b1) == 0
+
+    @pytest.mark.parametrize("pivot", [0, 1, 2])
+    @given(linear_st(3), st.data())
+    def test_linear_fast_path_matches_substitution(self, pivot, l, data):
+        # the kernel basis is built on the last nonzero coefficient of the line
+        coeffs = [data.draw(fractions_st) for _ in range(pivot)]
+        coeffs.append(data.draw(fractions_st.filter(bool)))
+        line = HomogeneousForm.linear(coeffs + [0] * (2 - pivot))
+        b0, b1 = line_kernel_basis(line)
+        images = [HomogeneousForm.linear((b0[i], b1[i])) for i in range(3)]
+        restricted = restrict(l, line)
+        assert restricted == l.substitute(images)
+        assert_canonical(restricted)
 
     @given(form_st(3, 2), form_st(3, 2), nonzero_linear_st(3))
     def test_ring_homomorphism(self, f, g, line):
