@@ -33,7 +33,6 @@ from .forms import (
     conic_rank,
     line_tangent_to_conic,
     parse_form,
-    polarization_matrix,
     render_form,
     restrict,
 )

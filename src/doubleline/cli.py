@@ -91,11 +91,17 @@ def parse_document(text: str) -> DecompositionDocument:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise DocumentError("invalid JSON: nested too deeply") from exc
     if not isinstance(raw, dict):
         raise DocumentError("document must be a JSON object")
-    for key in ("variables", "line", "terms"):
+    fields = ("variables", "line", "terms")
+    for key in fields:
         if key not in raw:
             raise DocumentError(f"missing field {key!r}")
+    unknown = sorted(set(raw) - set(fields))
+    if unknown:
+        raise DocumentError(f"unknown field {unknown[0]!r}")
     variables = raw["variables"]
     if (
         not isinstance(variables, list)
@@ -117,7 +123,10 @@ def parse_document(text: str) -> DecompositionDocument:
             alpha = parse_rational(term["alpha"])
         except ValueError as exc:
             raise DocumentError(str(exc)) from exc
-        terms.append((alpha, _rational_triple(term["linear"], f"term {i} linear")))
+        linear = _rational_triple(term["linear"], f"term {i} linear")
+        if not any(linear):
+            raise DocumentError(f"term {i}: linear must be a nonzero form")
+        terms.append((alpha, linear))
     return DecompositionDocument(
         variables=tuple(variables), line=line, terms=tuple(terms)
     )

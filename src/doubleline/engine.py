@@ -222,12 +222,12 @@ def power_kernel(restricted: FormTuple, degree: int) -> KernelBasis:
 
 
 def kernel_descend(a: Sequence[Fraction | int], restricted: FormTuple, tensor: HomogeneousForm) -> Vector:
-    """Entrywise product of a with the evaluations L_i(tensor).
+    """Entrywise product of a with the values of ``tensor`` at the L_i.
 
-    L_i(tensor) is the contraction evaluation of the symmetric tensor at the
-    coefficient vector of L_i; for tensor = u^d it equals L_i(u)^d.  When a
-    kills the degree (d + deg tensor) powers, the output kills the degree-d
-    powers, which is what makes the certificate construction descend.
+    Each value is the binary form ``tensor`` evaluated at the coefficient
+    vector of L_i; for tensor = u^d it equals L_i(u)^d.  When a kills the
+    degree (d + deg tensor) powers, the output kills the degree-d powers,
+    which is what makes the certificate construction descend.
     """
     if tensor.num_vars != 2:
         raise StructuralError("tensor must live on the kernel plane")
@@ -461,14 +461,12 @@ def verify_identity_slice(
     for i in range(7):
         alphas.append(
             sympoly.linear_combination(
-                nvars,
                 [vec[i] for vec in alpha_basis],
                 [sympoly.variable(nvars, j) for j in range(len(alpha_basis))],
             )
         )
         betas.append(
             sympoly.linear_combination(
-                nvars,
                 [vec[i] for vec in beta_basis],
                 [sympoly.variable(nvars, len(alpha_basis) + j) for j in range(len(beta_basis))],
             )

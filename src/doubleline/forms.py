@@ -4,25 +4,6 @@ Forms are sparse maps from exponent tuples to Fractions; zero coefficients
 are never stored, so two forms are equal exactly when their term maps (and
 declared shape) agree.  All monomial indexing, matrix layouts and text
 rendering use graded lexicographic order with x0 > x1 > x2.
-
-The same data structure carries both polynomial functions on the underlying
-space and elements of its symmetric powers (used as arguments of the
-contraction pairing below); which role an object plays is determined by how
-it is used.
-
-Contraction convention
-----------------------
-The pairing between degree-d forms and degree-d symmetric tensors is scaled
-so that a power of a linear form pairs by evaluation::
-
-    pair(l**d, t) == evaluate(t, coefficients of l)
-
-Concretely ``pair(f, t) = sum_m f[m] * t[m] / multinomial(d, m)``.  Under
-this scaling a partial contraction of ``l**D`` has rank one with image
-spanned by the coefficient vector of ``l**(D - delta)``, and the full
-polarization of f evaluated on the diagonal reproduces f itself.  These are
-the normalizations under which the tangency formulas in the engine hold with
-their stated constants.
 """
 
 from __future__ import annotations
@@ -262,7 +243,7 @@ class HomogeneousForm:
 
 @dataclass(frozen=True)
 class FormTuple:
-    """Tuple of forms of one shared shape, with entrywise and dot products.
+    """Tuple of forms of one shared shape, with a dot product and entrywise powers.
 
     Scalar tuples are represented as tuples of degree-0 forms, so ordinary
     vectors participate in the same calculus.
@@ -300,13 +281,6 @@ class FormTuple:
     def degree(self) -> int:
         return self.entries[0].degree
 
-    def hadamard(self, other: "FormTuple") -> "FormTuple":
-        if len(self) != len(other):
-            raise StructuralError("tuple lengths differ")
-        return FormTuple(tuple(f * g for f, g in zip(self.entries, other.entries)))
-
-    __mul__ = hadamard
-
     def dot(self, other: "FormTuple") -> HomogeneousForm:
         if len(self) != len(other):
             raise StructuralError("tuple lengths differ")
@@ -316,9 +290,6 @@ class FormTuple:
 
     def power(self, d: int) -> "FormTuple":
         return FormTuple(tuple(f**d for f in self.entries))
-
-    def values_at(self, point: Point) -> tuple[Fraction, ...]:
-        return tuple(f.evaluate(point) for f in self.entries)
 
 
 # text rendering and parsing
@@ -523,103 +494,24 @@ def embed_in_plane(line: HomogeneousForm, point: Point) -> tuple[Fraction, ...]:
     return tuple(t0 * a + t1 * b for a, b in zip(b0, b1))
 
 
-# contraction pairing and partial polarization matrices
-
-
-def pair(f: HomogeneousForm, tensor: HomogeneousForm) -> Fraction:
-    """Contraction of a degree-d form with a degree-d symmetric tensor."""
-    if f.num_vars != tensor.num_vars or f.degree != tensor.degree:
-        raise StructuralError("pairing requires equal shapes")
-    total = Fraction(0)
-    for mono, c in f.terms.items():
-        t = tensor.terms.get(mono)
-        if t is not None:
-            total += c * t / multinomial(f.degree, mono)
-    return total
-
-
-def polar_value(f: HomogeneousForm, vectors: Sequence[Point]) -> Fraction:
-    """Full polarization of f evaluated at degree-many vectors.
-
-    On the diagonal (all vectors equal to v) this returns f(v) exactly.
-    """
-    if len(vectors) != f.degree:
-        raise StructuralError("need exactly degree-many vectors")
-    product = HomogeneousForm.constant(f.num_vars, 1)
-    for v in vectors:
-        product = product * HomogeneousForm.linear(tuple(Fraction(x) for x in v))
-    return pair(f, product)
-
-
-@dataclass(frozen=True)
-class PolarizationMatrix:
-    """Matrix of a partial contraction in graded-lex monomial bases.
-
-    Rows are indexed by target-degree monomials, columns by source-degree
-    monomials.  Applied to a symmetric tensor of the source degree it yields
-    a form of the target degree.
-    """
-
-    source_degree: int
-    target_degree: int
-    row_monomials: tuple[Monomial, ...]
-    col_monomials: tuple[Monomial, ...]
-    matrix: RationalMatrix
-
-    def rank(self) -> int:
-        return rref(self.matrix)[1]
-
-    def apply(self, tensor: HomogeneousForm) -> HomogeneousForm:
-        if tensor.degree != self.source_degree:
-            raise StructuralError("tensor degree does not match source degree")
-        coords = [tensor.terms.get(m, Fraction(0)) for m in self.col_monomials]
-        image = self.matrix.matvec(coords)
-        n = len(self.row_monomials[0]) if self.row_monomials else tensor.num_vars
-        return HomogeneousForm(
-            n, self.target_degree,
-            {m: v for m, v in zip(self.row_monomials, image)},
-        )
-
-
-def polarization_matrix(f: HomogeneousForm, delta: int) -> PolarizationMatrix:
-    """Partial contraction of f taking degree-delta tensors to forms.
-
-    Entry at (row s, column u) is multinomial(d-delta, s) / multinomial(d, u+s)
-    times the coefficient of f at u+s; this is the unique scaling for which a
-    power of a linear form contracts to evaluation times the lower power.
-    """
-    if not 0 <= delta <= f.degree:
-        raise StructuralError(f"delta {delta} out of range for degree {f.degree}")
-    d = f.degree
-    rows = tuple(monomials_of_degree(f.num_vars, d - delta))
-    cols = tuple(monomials_of_degree(f.num_vars, delta))
-    entries: list[Fraction] = []
-    for s in rows:
-        ws = Fraction(multinomial(d - delta, s))
-        for u in cols:
-            total = tuple(a + b for a, b in zip(s, u))
-            c = f.terms.get(total)
-            if c is None:
-                entries.append(Fraction(0))
-            else:
-                entries.append(ws * c / multinomial(d, total))
-    return PolarizationMatrix(
-        source_degree=delta,
-        target_degree=d - delta,
-        row_monomials=rows,
-        col_monomials=cols,
-        matrix=RationalMatrix(len(rows), len(cols), entries),
-    )
-
-
 # conics and tangency
 
 
 def conic_rank(q: HomogeneousForm) -> int:
-    """Rank of the symmetric matrix of a three-variable quadratic."""
+    """Rank of the symmetric matrix of a three-variable quadratic.
+
+    The matrix is taken doubled, 2*q_ii on the diagonal and q_ij off it, so it
+    has no halves; scaling does not change the rank.
+    """
     if q.num_vars != 3 or q.degree != 2:
         raise StructuralError("expected a quadratic form in three variables")
-    return polarization_matrix(q, 1).rank()
+    rows = [[Fraction(0)] * 3 for _ in range(3)]
+    for mono, c in q.terms.items():
+        # the two variable indices of the monomial; equal for a square
+        i, j = (k for k in range(3) for _ in range(mono[k]))
+        rows[i][j] += c
+        rows[j][i] += c
+    return rref(RationalMatrix.from_rows(rows))[1]
 
 
 @dataclass(frozen=True)

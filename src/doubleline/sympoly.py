@@ -71,7 +71,7 @@ def power(p: Poly, exponent: int) -> Poly:
     return out
 
 
-def linear_combination(nvars: int, coeffs, polys) -> Poly:
+def linear_combination(coeffs, polys) -> Poly:
     out: Poly = {}
     for c, p in zip(coeffs, polys):
         out = add(out, scale(p, c))
@@ -81,14 +81,3 @@ def linear_combination(nvars: int, coeffs, polys) -> Poly:
 def is_zero(p: Poly) -> bool:
     return not p
 
-
-def render(p: Poly, names: list[str]) -> str:
-    if not p:
-        return "0"
-    pieces = []
-    for term in sorted(p, reverse=True):
-        c = p[term]
-        factors = [f"{n}^{e}" if e > 1 else n for n, e in zip(names, term) if e]
-        body = "*".join(factors)
-        pieces.append(f"{c}" + (f"*{body}" if body else ""))
-    return " + ".join(pieces)

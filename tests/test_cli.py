@@ -103,6 +103,34 @@ class TestVerify:
         assert code == 2
         assert out == ""
 
+    def test_deeply_nested_json(self, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run_cli(["verify", str(deep)])
+        assert code == 2
+        assert out == ""
+        assert err == "error: invalid JSON: nested too deeply\n"
+
+    def test_zero_linear_term_rejected(self, tmp_path):
+        doc = json.loads((FIXTURES / "tangent7.json").read_text())
+        doc["terms"].append({"alpha": "1", "linear": ["0", "0", "0"]})
+        path = tmp_path / "zero-term.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(["verify", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err == "error: term 7: linear must be a nonzero form\n"
+
+    def test_unknown_top_level_field_rejected(self, tmp_path):
+        doc = json.loads((FIXTURES / "tangent7.json").read_text())
+        doc["comment"] = "tangent at the origin"
+        path = tmp_path / "extra-field.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(["verify", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err == "error: unknown field 'comment'\n"
+
     def test_missing_file(self):
         code, _, _ = run_cli(["verify", "no-such-file.json"])
         assert code == 2
