@@ -86,9 +86,18 @@ def _rational_triple(values, what: str) -> tuple[Fraction, Fraction, Fraction]:
     return tuple(out)
 
 
+def _unique_fields(pairs: list[tuple[str, object]]) -> dict:
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise DocumentError(f"duplicate field {key!r}")
+        out[key] = value
+    return out
+
+
 def parse_document(text: str) -> DecompositionDocument:
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_unique_fields)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"invalid JSON: {exc}") from exc
     except RecursionError as exc:
@@ -148,6 +157,11 @@ def render_document(doc: DecompositionDocument) -> str:
 
 
 def document_to_parts(doc: DecompositionDocument) -> tuple[WaringDecomposition, HomogeneousForm]:
+    # a zero weight still parses, so that every document renders and parses
+    # back, but it is not a term of a decomposition
+    for i, (alpha, _) in enumerate(doc.terms):
+        if not alpha:
+            raise DocumentError(f"term {i}: alpha must be nonzero")
     dec = WaringDecomposition(
         tuple((alpha, HomogeneousForm.linear(linear)) for alpha, linear in doc.terms)
     )

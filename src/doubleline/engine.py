@@ -23,6 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Sequence
 
 from . import sympoly
@@ -436,6 +437,12 @@ class IdentitySliceReport:
         return sympoly.is_zero(self.residue)
 
 
+def _clear_denominators(v: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """The lcm D of the denominators of ``v``, and the integer vector D * v."""
+    den = lcm(*(x.denominator for x in v))
+    return den, [x.numerator * (den // x.denominator) for x in v]
+
+
 def verify_identity_slice(
     slopes: Sequence[Fraction | int], perturb: bool = False
 ) -> IdentitySliceReport:
@@ -448,12 +455,27 @@ def verify_identity_slice(
     five variables; this expands it exactly and reports whether it is
     identically zero.  ``perturb`` adds 1 to the defect before clearing
     denominators, a control that must make the check fail.
+
+    The expansion runs on integers.  Each kernel basis vector is multiplied
+    by the lcm of its denominators, which replaces free coordinate j by c_j
+    times itself, and the slopes h_i by H_i = D * h_i with D the lcm of their
+    denominators, which multiplies s_p by D**p and the residue by D**2 (the
+    perturbation is scaled by D**2 to match).  Both are diagonal rescalings:
+    every monomial's coefficient is multiplied by one nonzero constant, so
+    the residue's support, the ``expanded_monomials`` count and the zero
+    test are exactly those of the expansion over the Fraction data.  The
+    residue itself is the rescaled polynomial.
     """
     hs = tuple(Fraction(h) for h in slopes)
     if len(hs) != 7:
         raise StructuralError(f"expected 7 slopes, got {len(hs)}")
-    alpha_basis = vandermonde_nullspace(VandermondeSystem(hs, 4))
-    beta_basis = vandermonde_nullspace(VandermondeSystem(hs, 3))
+    alpha_basis = [
+        _clear_denominators(v)[1] for v in vandermonde_nullspace(VandermondeSystem(hs, 4))
+    ]
+    beta_basis = [
+        _clear_denominators(v)[1] for v in vandermonde_nullspace(VandermondeSystem(hs, 3))
+    ]
+    den, nodes = _clear_denominators(hs)
     nvars = len(alpha_basis) + len(beta_basis)
 
     alphas = []
@@ -487,14 +509,16 @@ def verify_identity_slice(
         acc: sympoly.Poly = {}
         for i in range(7):
             term = sympoly.mul(sympoly.mul(betas[i], betas[i]), cleared[i])
-            acc = sympoly.add(acc, sympoly.scale(term, hs[i] ** p))
+            acc = sympoly.add(acc, sympoly.scale(term, nodes[i] ** p))
         sums.append(acc)
 
     minuend = sympoly.mul(sums[1], sums[1])
     subtrahend = sympoly.mul(sums[0], sums[2])
     residue = sympoly.sub(minuend, subtrahend)
     if perturb:
-        residue = sympoly.add(residue, sympoly.mul(prefix[7], prefix[7]))
+        residue = sympoly.add(
+            residue, sympoly.scale(sympoly.mul(prefix[7], prefix[7]), den * den)
+        )
 
     product = Fraction(1)
     for i in range(7):
@@ -550,10 +574,15 @@ def six_term_vanishing_check(slopes: Sequence[Fraction | int]) -> SixTermVanishi
     span_found = RationalMatrix.from_rows([list(v) for v in lift_basis])
     family_matches = rref(span_found)[0] == rref(span_expected)[0]
 
-    # symbolic quartic in (x0, x1, x2, t0, t1) with lifts t0 + t1*slope
+    # symbolic quartic in (x0, x1, x2, t0, t1) with lifts t0 + t1*slope, on
+    # integers: with H = D*h (D the lcm of the slopes' denominators) the line
+    # x0 + H*x1 + (t0 + H*t1)*x2 is the line through h after x1 -> D*x1 and
+    # t1 -> D*t1, and the annihilator times the lcm of its denominators is an
+    # integer vector; a diagonal rescaling and one nonzero factor keep the
+    # zero test of the quartic over the Fraction data
     x0, x1, x2, t0, t1 = (sympoly.variable(5, i) for i in range(5))
     quartic: sympoly.Poly = {}
-    for h, a in zip(hs, alpha):
+    for h, a in zip(_clear_denominators(hs)[1], _clear_denominators(alpha)[1]):
         lift = sympoly.add(t0, sympoly.scale(t1, h))
         line = sympoly.add(
             sympoly.add(x0, sympoly.scale(x1, h)), sympoly.mul(lift, x2)

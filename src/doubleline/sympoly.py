@@ -1,35 +1,52 @@
-"""Sparse multivariate polynomials over the rationals for symbolic zero tests.
+"""Sparse multivariate polynomials with exact coefficients for symbolic zero tests.
 
-A polynomial is a dict mapping exponent tuples to nonzero Fractions; the
+A polynomial is a dict mapping packed monomials to nonzero coefficients; the
 zero polynomial is the empty dict.  This deliberately tiny representation is
 what the engine's symbolic identity checks expand into: the question there
 is always "is this polynomial identically zero", decided by exact expansion
 and cancellation.
+
+A monomial is one nonnegative int: variable i owns bits
+``BITS*i .. BITS*i + BITS - 1`` and holds its exponent there, so the product
+of two monomials is the sum of their keys and the constant monomial is 0.
+The top bit of each field is a guard bit: exponents stay below
+``2**(BITS - 1)``, so the sum of two valid keys never carries into the next
+field, and ``mul`` rejects any result whose guard bit is set.  At most
+``MAX_VARS`` variables exist.  Coefficients are ints or Fractions, mixed
+freely; arithmetic is exact, and on int inputs every coefficient stays an
+int, which is much cheaper than Fraction arithmetic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-Term = tuple[int, ...]
-Poly = dict[Term, Fraction]
+from .errors import StructuralError
+
+BITS = 16
+MAX_VARS = 32
+MAX_EXPONENT = (1 << (BITS - 1)) - 1
+_GUARD = sum(1 << (BITS * i + BITS - 1) for i in range(MAX_VARS))
+
+Term = int
+Coefficient = int | Fraction
+Poly = dict[Term, Coefficient]
 
 
-def const(nvars: int, value: Fraction | int) -> Poly:
-    c = Fraction(value)
-    return {(0,) * nvars: c} if c else {}
+def const(nvars: int, value: Coefficient) -> Poly:
+    return {0: value} if value else {}
 
 
 def variable(nvars: int, index: int) -> Poly:
-    exp = [0] * nvars
-    exp[index] = 1
-    return {tuple(exp): Fraction(1)}
+    if not 0 <= index < min(nvars, MAX_VARS):
+        raise StructuralError(f"variable {index} outside 0..{min(nvars, MAX_VARS) - 1}")
+    return {1 << (BITS * index): 1}
 
 
 def add(p: Poly, q: Poly) -> Poly:
     out = dict(p)
     for term, c in q.items():
-        acc = out.get(term, Fraction(0)) + c
+        acc = out.get(term, 0) + c
         if acc:
             out[term] = acc
         else:
@@ -41,31 +58,29 @@ def sub(p: Poly, q: Poly) -> Poly:
     return add(p, {t: -c for t, c in q.items()})
 
 
-def scale(p: Poly, value: Fraction | int) -> Poly:
-    c = Fraction(value)
-    if not c:
+def scale(p: Poly, value: Coefficient) -> Poly:
+    if not value:
         return {}
-    return {t: c * v for t, v in p.items()}
+    return {t: value * v for t, v in p.items()}
 
 
 def mul(p: Poly, q: Poly) -> Poly:
     out: Poly = {}
+    get = out.get
+    q_terms = list(q.items())
     for t1, c1 in p.items():
-        for t2, c2 in q.items():
-            term = tuple(a + b for a, b in zip(t1, t2))
-            acc = out.get(term, Fraction(0)) + c1 * c2
-            if acc:
-                out[term] = acc
-            else:
-                out.pop(term, None)
-    return out
+        for t2, c2 in q_terms:
+            term = t1 + t2
+            out[term] = get(term, 0) + c1 * c2
+    if any(term & _GUARD for term in out):
+        raise StructuralError(f"exponent above {MAX_EXPONENT} in a product")
+    return {t: c for t, c in out.items() if c}
 
 
 def power(p: Poly, exponent: int) -> Poly:
-    if not p:
-        return {} if exponent else const(0, 1)
-    nvars = len(next(iter(p)))
-    out = const(nvars, 1)
+    if exponent < 0:
+        raise StructuralError(f"negative exponent {exponent}")
+    out = const(0, 1)
     for _ in range(exponent):
         out = mul(out, p)
     return out
@@ -80,4 +95,3 @@ def linear_combination(coeffs, polys) -> Poly:
 
 def is_zero(p: Poly) -> bool:
     return not p
-

@@ -50,3 +50,44 @@ def sample_nodes(rng: random.Random, count: int) -> tuple[Fraction, ...]:
 
 def random_fraction(rng: random.Random, max_abs: int = 9, max_den: int = 5) -> Fraction:
     return Fraction(rng.randint(-max_abs, max_abs), rng.randint(1, max_den))
+
+
+# Reference sparse polynomials: exponent tuples to Fractions, the layout the
+# symbolic kernel used before it packed monomials into ints.
+
+
+def ref_variable(nvars: int, index: int) -> dict:
+    return {tuple(int(i == index) for i in range(nvars)): Fraction(1)}
+
+
+def ref_add(p: dict, q: dict) -> dict:
+    out = dict(p)
+    for term, c in q.items():
+        out[term] = out.get(term, Fraction(0)) + c
+    return {t: c for t, c in out.items() if c}
+
+
+def ref_scale(p: dict, value) -> dict:
+    return {t: Fraction(value) * c for t, c in p.items() if value}
+
+
+def ref_mul(p: dict, q: dict) -> dict:
+    out: dict = {}
+    for t1, c1 in p.items():
+        for t2, c2 in q.items():
+            term = tuple(a + b for a, b in zip(t1, t2))
+            out[term] = out.get(term, Fraction(0)) + Fraction(c1) * c2
+    return {t: c for t, c in out.items() if c}
+
+
+def ref_product(factors, nvars: int) -> dict:
+    out = {(0,) * nvars: Fraction(1)}
+    for f in factors:
+        out = ref_mul(out, f)
+    return out
+
+
+def unpack(poly: dict, nvars: int, bits: int) -> dict:
+    """A packed-monomial polynomial in the reference layout."""
+    mask = (1 << bits) - 1
+    return {tuple((t >> (bits * i)) & mask for i in range(nvars)): c for t, c in poly.items()}

@@ -22,6 +22,7 @@ EXPECTED_SPANS = {
     "linalg.vandermonde_nullspace",
     "engine.WaringDecomposition.value",
     "sympoly.add",
+    "sympoly.mul",
 }
 
 
@@ -31,8 +32,14 @@ def test_traced_commands_record_the_bench_spans(monkeypatch):
     recorder = spans.Recorder()
     modules = {"cli": cli, "engine": engine, "forms": forms, "linalg": linalg, "sympoly": sympoly}
     with spans.installed(recorder, modules):
-        for argv in (["theorem-check", "--trials", "1"], ["claim-check", "--h=0,1,2,3,4,5"]):
+        for argv in (
+            ["theorem-check", "--trials", "1"],
+            ["claim-check", "--h=0,1,2,3,4,5"],
+            ["identity-check", "--h=0,1,2,3,4,5,6"],
+        ):
             with redirect_stderr(io.StringIO()):
                 assert cli.main(argv, out=io.StringIO()) == 0
     _, _, calls = recorder.summary()
     assert EXPECTED_SPANS <= set(calls), EXPECTED_SPANS - set(calls)
+    # the bench tallies a product's work as len(p) * len(q) over packed keys
+    assert recorder.counts["sympoly.mul.term_pairs"] > 0

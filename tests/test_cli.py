@@ -121,6 +121,34 @@ class TestVerify:
         assert out == ""
         assert err == "error: term 7: linear must be a nonzero form\n"
 
+    def test_zero_weight_term_rejected(self, tmp_path):
+        doc = json.loads((FIXTURES / "tangent7.json").read_text())
+        doc["terms"].append({"alpha": "0", "linear": ["1", "2", "3"]})
+        path = tmp_path / "zero-weight.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(["verify", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err == "error: term 7: alpha must be nonzero\n"
+
+    @pytest.mark.parametrize("nested", [False, True])
+    def test_duplicate_field_rejected(self, tmp_path, nested):
+        text = (FIXTURES / "tangent7.json").read_text()
+        if nested:
+            # a second alpha inside the first term
+            text = text.replace('"alpha": ', '"alpha": "5", "alpha": ', 1)
+            key = "alpha"
+        else:
+            # an earlier line that json.loads would let the real one overwrite
+            text = text.replace("{", '{"line": ["1", "0", "0"], ', 1)
+            key = "line"
+        path = tmp_path / "duplicate.json"
+        path.write_text(text)
+        code, out, err = run_cli(["verify", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: duplicate field '{key}'\n"
+
     def test_unknown_top_level_field_rejected(self, tmp_path):
         doc = json.loads((FIXTURES / "tangent7.json").read_text())
         doc["comment"] = "tangent at the origin"

@@ -1,8 +1,18 @@
 import random
 from fractions import Fraction
+from math import lcm, prod
 
 import pytest
-from conftest import random_fraction, sample_nodes
+from conftest import (
+    random_fraction,
+    ref_add,
+    ref_mul,
+    ref_product,
+    ref_scale,
+    ref_variable,
+    sample_nodes,
+    unpack,
+)
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -93,6 +103,58 @@ def moment_solution(rng: random.Random, slopes) -> CoordinateInstance:
     )
     lifts = tuple(b / w for b, w in zip(beta, weights))
     return CoordinateInstance(tuple(slopes), lifts, weights)
+
+
+ACCEPTANCE_SLICES = [
+    tuple(range(7)),
+    (0, 1, 2, 3, 4, 5, -1),
+    (0, 1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2)),
+]
+
+
+def fraction_identity_expansion(slopes):
+    """The identity-slice expansion over the Fraction kernel data, term by term.
+
+    Returns the expanded-monomial count, the residue and the residue of the
+    perturbed control, with exponent-tuple keys.
+    """
+    hs = tuple(Fraction(h) for h in slopes)
+    alpha_basis = vandermonde_nullspace(VandermondeSystem(hs, 4))
+    beta_basis = vandermonde_nullspace(VandermondeSystem(hs, 3))
+    nvars = len(alpha_basis) + len(beta_basis)
+    symbols = [ref_variable(nvars, j) for j in range(nvars)]
+
+    def combination(basis, syms, i):
+        out: dict = {}
+        for vec, sym in zip(basis, syms):
+            out = ref_add(out, ref_scale(sym, vec[i]))
+        return out
+
+    alphas = [combination(alpha_basis, symbols, i) for i in range(7)]
+    betas = [combination(beta_basis, symbols[len(alpha_basis) :], i) for i in range(7)]
+    sums: list[dict] = [{}, {}, {}]
+    for i in range(7):
+        cleared = ref_product([a for k, a in enumerate(alphas) if k != i], nvars)
+        term = ref_mul(ref_mul(betas[i], betas[i]), cleared)
+        for p in range(3):
+            sums[p] = ref_add(sums[p], ref_scale(term, hs[i] ** p))
+    minuend = ref_mul(sums[1], sums[1])
+    subtrahend = ref_mul(sums[0], sums[2])
+    residue = ref_add(minuend, ref_scale(subtrahend, -1))
+    full = ref_product(alphas, nvars)
+    return len(minuend) + len(subtrahend), residue, ref_add(residue, ref_mul(full, full))
+
+
+def fraction_six_term_quartic(slopes):
+    """The six-term quartic over the Fraction slopes and annihilator."""
+    hs = tuple(Fraction(h) for h in slopes)
+    (alpha,) = vandermonde_nullspace(VandermondeSystem(hs, 4))
+    x0, x1, x2, t0, t1 = (ref_variable(5, i) for i in range(5))
+    quartic: dict = {}
+    for h, a in zip(hs, alpha):
+        line = ref_add(ref_add(x0, ref_scale(x1, h)), ref_mul(ref_add(t0, ref_scale(t1, h)), x2))
+        quartic = ref_add(quartic, ref_scale(ref_product([line] * 4, 5), a))
+    return quartic
 
 
 class TestValue:
@@ -361,6 +423,32 @@ class TestIdentitySlice:
         with pytest.raises(DegenerateNodesError):
             verify_identity_slice((0, 1, 2, 3, 4, 5, 5))
 
+    @pytest.mark.parametrize(
+        "slopes",
+        ACCEPTANCE_SLICES + [sample_nodes(random.Random(1000 + k), 7) for k in range(12)],
+    )
+    def test_integer_expansion_rescales_fraction_expansion(self, slopes):
+        count, residue, perturbed = fraction_identity_expansion(slopes)
+        report = verify_identity_slice(slopes)
+        control = verify_identity_slice(slopes, perturb=True)
+        assert report.expanded_monomials == control.expanded_monomials == count
+        assert report.is_zero and not residue
+        assert not control.is_zero and perturbed
+        # coordinate j scaled by c_j and slopes by den: the residue is
+        # den^2 * prod c_j^e_j times the Fraction coefficient, monomial by monomial
+        hs = [Fraction(h) for h in slopes]
+        den = lcm(*(h.denominator for h in hs))
+        scales = [
+            lcm(*(x.denominator for x in vec))
+            for degree in (4, 3)
+            for vec in vandermonde_nullspace(VandermondeSystem(hs, degree))
+        ]
+        expected = {
+            term: den**2 * prod(c**e for c, e in zip(scales, term)) * coeff
+            for term, coeff in perturbed.items()
+        }
+        assert unpack(control.residue, len(scales), sympoly.BITS) == expected
+
 
 class TestSixTermVanishing:
     def test_consecutive_slopes(self):
@@ -377,6 +465,12 @@ class TestSixTermVanishing:
         rng = random.Random(59)
         for _ in range(10):
             assert six_term_vanishing_check(sample_nodes(rng, 6)).passed
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_integer_expansion_agrees_with_fraction_expansion(self, seed):
+        slopes = sample_nodes(random.Random(2000 + seed), 6)
+        report = six_term_vanishing_check(slopes)
+        assert report.quartic_vanishes == (not fraction_six_term_quartic(slopes))
 
 
 class TestTwoValueCollapse:
