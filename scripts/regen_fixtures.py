@@ -16,7 +16,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SEED = 11
 
 
-def main() -> None:
+def render_fixture() -> str:
+    """The text of fixtures/tangent7.json, rebuilt from the generator."""
     slopes = tuple(Fraction(v) for v in (0, 1, 2, 3, 4, 5, 6))
     generated = generate_tangent_instance(slopes, (1, 0, 0), seed=SEED)
     inst = generated.instance
@@ -30,11 +31,13 @@ def main() -> None:
             for h, k, w in zip(inst.slopes, inst.lifts, inst.weights)
         ),
     )
+    return render_document(doc)
+
+
+def main() -> None:
     target = ROOT / "fixtures" / "tangent7.json"
-    target.write_text(render_document(doc), encoding="utf-8")
+    target.write_text(render_fixture(), encoding="utf-8")
     print(f"wrote {target}")
-    print(f"weights: {' '.join(str(w) for w in inst.weights)}")
-    print(f"lifts:   {' '.join(str(k) for k in inst.lifts)}")
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 """Exact power-sum decompositions of double-line plane quartics.
 
 Public surface: exact homogeneous forms and tuple calculus (``forms``),
-fraction-free rational linear algebra and moment systems (``linalg``), the
+rational linear algebra and closed-form moment kernels (``linalg``), the
 decomposition engine with tangency certificates and symbolic identity checks
 (``engine``), and the ``doubleline`` command-line driver (``cli``).
 """
@@ -39,7 +39,7 @@ from .forms import (
 from .linalg import (
     RationalMatrix,
     VandermondeSystem,
-    nullspace,
+    moment_kernel,
     rref,
     vandermonde_nullspace,
     weighted_moment_kernel,

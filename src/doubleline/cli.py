@@ -47,8 +47,15 @@ from .forms import (
 
 RATIONAL_PATTERN = r"-?\d+(/\d+)?"
 
+# input caps, enforced while parsing (exit 2)
+MAX_RATIONAL_CHARS = 1_000  # one rational string, in argv or in a document
+MAX_NODES_RANGE = 1_000  # theorem-check --nodes-range (a pool of about 6N slopes)
+MAX_TRIALS = 100_000  # theorem-check --trials and claim-check --random
+
 
 def parse_rational(text: str) -> Fraction:
+    if len(text) > MAX_RATIONAL_CHARS:
+        raise ValueError(f"rational string longer than {MAX_RATIONAL_CHARS} characters")
     if not re.fullmatch(RATIONAL_PATTERN, text):
         raise ValueError(f"not a rational string: {text!r}")
     if "/" in text and int(text.split("/")[1]) == 0:
@@ -440,11 +447,14 @@ def _rational_list(text: str, count: int) -> tuple[Fraction, ...]:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1")
-    return value
+def _positive_int(cap: int):
+    def positive_int(text: str) -> int:
+        value = int(text)
+        if not 1 <= value <= cap:
+            raise argparse.ArgumentTypeError(f"must be between 1 and {cap}")
+        return value
+
+    return positive_int
 
 
 def _seed(text: str) -> int:
@@ -467,9 +477,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--json", action="store_true")
 
     p_theorem = sub.add_parser("theorem-check", help="randomized seven-term tangency suite")
-    p_theorem.add_argument("--trials", type=_positive_int, default=20)
+    p_theorem.add_argument("--trials", type=_positive_int(MAX_TRIALS), default=20)
     p_theorem.add_argument("--seed", type=_seed, default=0)
-    p_theorem.add_argument("--nodes-range", type=_positive_int, default=9)
+    p_theorem.add_argument("--nodes-range", type=_positive_int(MAX_NODES_RANGE), default=9)
     p_theorem.add_argument("--json", action="store_true")
 
     p_identity = sub.add_parser("identity-check", help="symbolic identity on a slope slice")
@@ -479,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_claim = sub.add_parser("claim-check", help="six-term collapse checks")
     group = p_claim.add_mutually_exclusive_group(required=True)
     group.add_argument("--h", type=lambda s: _rational_list(s, 6), default=None)
-    group.add_argument("--random", type=_positive_int, default=None)
+    group.add_argument("--random", type=_positive_int(MAX_TRIALS), default=None)
     p_claim.add_argument("--seed", type=_seed, default=0)
     p_claim.add_argument("--json", action="store_true")
 

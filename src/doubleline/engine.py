@@ -42,14 +42,13 @@ from .forms import (
     conic_rank,
     divide_by_linear,
     line_tangent_to_conic,
-    monomials_of_degree,
     restrict,
 )
 from .linalg import (
     RationalMatrix,
     VandermondeSystem,
+    moment_kernel,
     normalize_vector,
-    nullspace,
     rref,
     solve,
     vandermonde_nullspace,
@@ -206,20 +205,17 @@ class KernelBasis:
 def power_kernel(restricted: FormTuple, degree: int) -> KernelBasis:
     """Exact kernel basis of a |-> sum_i a_i * L_i^degree for binary linear L_i.
 
-    For seven pairwise non-proportional entries the dimension is 6 - degree
-    for 0 <= degree <= 6.
+    The entries must be nonzero and pairwise non-proportional; otherwise
+    DegenerateNodesError is raised.  For n such entries the dimension is
+    max(n - 1 - degree, 0), and the basis is the closed-form RREF basis of
+    ``linalg.moment_kernel``.
     """
     if restricted.num_vars != 2 or restricted.degree != 1:
         raise StructuralError("expected a tuple of binary linear forms")
     if degree < 0:
         raise StructuralError("degree must be non-negative")
-    powers = restricted.power(degree)
-    rows = [
-        [f.coefficient(mono) for f in powers]
-        for mono in monomials_of_degree(2, degree)
-    ]
-    matrix = RationalMatrix.from_rows(rows)
-    return KernelBasis(degree=degree, forms=restricted, vectors=tuple(nullspace(matrix)))
+    vectors = moment_kernel([f.linear_coefficients() for f in restricted], degree)
+    return KernelBasis(degree=degree, forms=restricted, vectors=tuple(vectors))
 
 
 def kernel_descend(a: Sequence[Fraction | int], restricted: FormTuple, tensor: HomogeneousForm) -> Vector:

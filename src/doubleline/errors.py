@@ -12,7 +12,7 @@ class InvalidInputError(ValueError):
 
 
 class DegenerateNodesError(InvalidInputError):
-    """A node list that must be pairwise distinct contains a repeat."""
+    """Nodes that must be distinct repeat, or binary points are zero or proportional."""
 
 
 class ZeroEntryError(ZeroDivisionError):

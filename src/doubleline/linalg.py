@@ -1,10 +1,21 @@
 """Exact dense linear algebra over the rationals.
 
-Elimination is done fraction-free: rows are cleared to integers and reduced
-with the Bareiss two-step recurrence (every division is exact), then a final
+Elimination is used only for rank and for solving linear systems.  It is
+done fraction-free: rows are cleared to integers and reduced with the
+Bareiss two-step recurrence (every division is exact), then a final
 normalization pass produces the reduced row echelon form with Fraction
 entries.  Pivots are chosen among the nonzero candidates of a column by
 smallest bit size, which keeps intermediate integers from blowing up.
+
+Kernels of the power maps c |-> sum_i c_i (a_i x + b_i y)^d, moment maps
+included, are computed in closed form.  With P_i = (a_i, b_i) pairwise
+independent and [P, Q] the 2x2 determinant, any d + 1 of the powers are
+independent (a Vandermonde determinant, a product of brackets), so the RREF
+pivots are 0..d and the kernel vector of a free index f is the one supported
+on S = {0..d, f}.  It is c_i = 1 / prod_{j in S, j != i} [P_j, P_i]: at
+P_i = (1, h_i) the pairing of sum_i c_i l_i^d with a degree-d polynomial g is
+the divided difference g[h_S], zero as deg g < |S| - 1, and the general case
+is its homogenization.  ``normalize_vector`` fixes the scale.
 
 Matrices are immutable values; all functions return fresh objects.
 """
@@ -13,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Sequence
 
 from .errors import DegenerateNodesError, StructuralError, ZeroEntryError
@@ -48,32 +59,12 @@ class RationalMatrix:
             flat.extend(row)
         return cls(nrows, ncols, flat)
 
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls(n, n, [Fraction(int(i == j)) for i in range(n) for j in range(n)])
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "RationalMatrix":
-        return cls(rows, cols, [Fraction(0)] * (rows * cols))
-
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         i, j = key
         return self.entries[i * self.cols + j]
 
     def row(self, i: int) -> list[Fraction]:
         return list(self.entries[i * self.cols : (i + 1) * self.cols])
-
-    def row_list(self) -> list[list[Fraction]]:
-        return [self.row(i) for i in range(self.rows)]
-
-    def matvec(self, v: Sequence[Fraction | int]) -> Vector:
-        if len(v) != self.cols:
-            raise StructuralError("vector length does not match column count")
-        vv = [Fraction(x) for x in v]
-        return tuple(
-            sum((self[i, j] * vv[j] for j in range(self.cols)), Fraction(0))
-            for i in range(self.rows)
-        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalMatrix):
@@ -85,11 +76,6 @@ class RationalMatrix:
 
     def __repr__(self) -> str:
         return f"RationalMatrix({self.rows}, {self.cols}, {list(self.entries)!r})"
-
-    def render(self) -> str:
-        return "\n".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows))
-
-    __str__ = render
 
 
 def _integer_rows(m: RationalMatrix) -> list[list[int]]:
@@ -166,38 +152,52 @@ def normalize_vector(v: Sequence[Fraction | int]) -> Vector:
     return tuple(Fraction(x) for x in ints)
 
 
-def nullspace(m: RationalMatrix) -> list[Vector]:
-    """Exact basis of the right kernel, one vector per free column."""
-    reduced, rank, pivot_cols = rref(m)
-    pivots = set(pivot_cols)
-    basis: list[Vector] = []
-    for fc in range(m.cols):
-        if fc in pivots:
-            continue
-        vec = [Fraction(0)] * m.cols
-        vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivot_cols):
-            vec[pc] = -reduced[i, fc]
-        basis.append(normalize_vector(vec))
-    return basis
-
-
 def solve(m: RationalMatrix, rhs: Sequence[Fraction | int]) -> list[Fraction] | None:
     """One exact solution of ``m x = rhs`` (free variables 0), or None."""
     if len(rhs) != m.rows:
         raise StructuralError("right-hand side length does not match row count")
-    aug_rows = [m.row(i) + [Fraction(rhs[i])] for i in range(m.rows)]
-    if aug_rows:
-        aug = RationalMatrix.from_rows(aug_rows)
-    else:
-        aug = RationalMatrix(0, m.cols + 1, [])
-    reduced, _, pivot_cols = rref(aug)
+    entries = [x for i in range(m.rows) for x in m.row(i) + [rhs[i]]]
+    reduced, _, pivot_cols = rref(RationalMatrix(m.rows, m.cols + 1, entries))
     if m.cols in pivot_cols:
         return None
     x = [Fraction(0)] * m.cols
     for i, pc in enumerate(pivot_cols):
         x[pc] = reduced[i, m.cols]
     return x
+
+
+def moment_kernel(
+    points: Sequence[tuple[Fraction | int, Fraction | int]], degree: int
+) -> list[Vector]:
+    """RREF kernel basis of c |-> sum_i c_i (a_i x + b_i y)^degree, in closed form.
+
+    The points (a_i, b_i) must be nonzero and pairwise non-proportional, else
+    DegenerateNodesError.  Degree -1 imposes no constraint (identity basis).
+    The formula and why it is the RREF basis are in the module docstring.
+    """
+    if degree < -1:
+        raise StructuralError("degree must be at least -1")
+    # scaling every point by one integer scales every entry by one constant
+    den = lcm(*(Fraction(x).denominator for p in points for x in p))
+    pts = [(int(a * den), int(b * den)) for a, b in points]
+    n = len(pts)
+    det = [[0] * n for _ in range(n)]  # det[j][i] = [P_j, P_i]
+    for i, (ai, bi) in enumerate(pts):
+        if not (ai or bi):
+            raise DegenerateNodesError(f"point {i} is zero")
+        for j, (aj, bj) in enumerate(pts[:i]):
+            det[j][i] = aj * bi - bj * ai
+            det[i][j] = -det[j][i]
+            if not det[j][i]:
+                raise DegenerateNodesError(f"points {j} and {i} are proportional")
+    basis: list[Vector] = []
+    for f in range(degree + 1, n):
+        support = [*range(degree + 1), f]
+        vec = [0] * n
+        for i in support:
+            vec[i] = Fraction(1, prod(det[j][i] for j in support if j != i))
+        basis.append(normalize_vector(vec))
+    return basis
 
 
 @dataclass(frozen=True)
@@ -209,13 +209,6 @@ class VandermondeSystem:
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple(Fraction(h) for h in self.nodes))
-
-    def matrix(self) -> RationalMatrix:
-        n = len(self.nodes)
-        rows = [[h**d for h in self.nodes] for d in range(self.max_power + 1)]
-        if not rows:
-            return RationalMatrix(0, n, [])
-        return RationalMatrix.from_rows(rows)
 
 
 def _require_distinct(nodes: Sequence[Fraction]) -> None:
@@ -232,7 +225,7 @@ def vandermonde_nullspace(system: VandermondeSystem) -> list[Vector]:
     _require_distinct(system.nodes)
     if system.max_power > n - 1:
         raise StructuralError(f"max_power {system.max_power} exceeds n-1 = {n - 1}")
-    return nullspace(system.matrix())
+    return moment_kernel([(1, h) for h in system.nodes], system.max_power)
 
 
 @dataclass(frozen=True)

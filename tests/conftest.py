@@ -5,8 +5,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 from hypothesis import settings
+
+from doubleline.linalg import RationalMatrix, normalize_vector, rref
 
 settings.register_profile("exact", deadline=None)
 settings.load_profile("exact")
@@ -37,6 +40,42 @@ def minor_rank(rows: list[list[Fraction]]) -> int:
                 if determinant(sub) != 0:
                     return k
     return 0
+
+
+def power_map_rows(points, degree: int) -> list[list[Fraction]]:
+    """Matrix of c |-> sum_i c_i (a_i x + b_i y)^degree: row e holds the
+    coefficients of x^(degree - e) y^e, one column per point."""
+    return [
+        [comb(degree, e) * Fraction(a) ** (degree - e) * Fraction(b) ** e for a, b in points]
+        for e in range(degree + 1)
+    ]
+
+
+def vandermonde_rows(nodes, max_power: int) -> list[list[Fraction]]:
+    """Moment matrix: row d holds h_i^d for 0 <= d <= max_power."""
+    return [[Fraction(h) ** d for h in nodes] for d in range(max_power + 1)]
+
+
+def reference_kernel(rows: list[list[Fraction]], ncols: int) -> list[tuple[Fraction, ...]]:
+    """Right-kernel basis of an explicit matrix by elimination: ``linalg.rref``,
+    then one normalized vector per free column, the basis the closed forms
+    must reproduce."""
+    m = RationalMatrix(len(rows), ncols, [x for row in rows for x in row])
+    reduced, _, pivot_cols = rref(m)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivot_cols:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for i, pc in enumerate(pivot_cols):
+            vec[pc] = -reduced[i, fc]
+        basis.append(normalize_vector(vec))
+    return basis
+
+
+def kills(rows: list[list[Fraction]], vec) -> bool:
+    return all(sum(x * v for x, v in zip(row, vec)) == 0 for row in rows)
 
 
 def node_pool(max_abs: int = 12, denominators=(1, 2, 3, 5)) -> list[Fraction]:

@@ -26,20 +26,35 @@ EXPECTED_SPANS = {
 }
 
 
-def test_traced_commands_record_the_bench_spans(monkeypatch):
+MODULES = {"cli": cli, "engine": engine, "forms": forms, "linalg": linalg, "sympoly": sympoly}
+
+
+def _traced_calls(monkeypatch, *argvs):
+    """Recorder and per-span call counts of running ``argvs`` under the bench spans."""
     monkeypatch.syspath_prepend(str(BENCH))
     spans = importlib.import_module("spans")
     recorder = spans.Recorder()
-    modules = {"cli": cli, "engine": engine, "forms": forms, "linalg": linalg, "sympoly": sympoly}
-    with spans.installed(recorder, modules):
-        for argv in (
-            ["theorem-check", "--trials", "1"],
-            ["claim-check", "--h=0,1,2,3,4,5"],
-            ["identity-check", "--h=0,1,2,3,4,5,6"],
-        ):
+    with spans.installed(recorder, MODULES):
+        for argv in argvs:
             with redirect_stderr(io.StringIO()):
                 assert cli.main(argv, out=io.StringIO()) == 0
-    _, _, calls = recorder.summary()
+    return recorder, recorder.summary()[2]
+
+
+def test_traced_commands_record_the_bench_spans(monkeypatch):
+    recorder, calls = _traced_calls(
+        monkeypatch,
+        ["theorem-check", "--trials", "1"],
+        ["claim-check", "--h=0,1,2,3,4,5"],
+        ["identity-check", "--h=0,1,2,3,4,5,6"],
+    )
     assert EXPECTED_SPANS <= set(calls), EXPECTED_SPANS - set(calls)
     # the bench tallies a product's work as len(p) * len(q) over packed keys
     assert recorder.counts["sympoly.mul.term_pairs"] > 0
+
+
+def test_certificate_kernel_is_attributed_to_linalg(monkeypatch):
+    # power_kernel calls the closed form through its import, so its time is
+    # a linalg span rather than engine self time
+    _, calls = _traced_calls(monkeypatch, ["theorem-check", "--trials", "1"])
+    assert calls["linalg.moment_kernel"] >= 1

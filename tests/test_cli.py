@@ -11,6 +11,9 @@ import pytest
 from conftest import random_fraction
 
 from doubleline.cli import (
+    MAX_NODES_RANGE,
+    MAX_RATIONAL_CHARS,
+    MAX_TRIALS,
     DecompositionDocument,
     DocumentError,
     document_to_parts,
@@ -276,6 +279,48 @@ class TestCommands:
         code, _, err = run_cli(["identity-check", "--h", "--json"])
         assert code == 2
         assert "expected one argument" in err
+
+
+class TestInputCaps:
+    """Each cap is probed only at cap + 1, which parsing rejects before any work."""
+
+    @pytest.mark.parametrize(
+        "command, option, cap",
+        [
+            ("theorem-check", "--trials", MAX_TRIALS),
+            ("theorem-check", "--nodes-range", MAX_NODES_RANGE),
+            ("claim-check", "--random", MAX_TRIALS),
+        ],
+        ids=["trials", "nodes-range", "random"],
+    )
+    def test_count_above_cap_is_a_usage_error(self, command, option, cap):
+        code, out, err = run_cli([command, option, str(cap + 1)])
+        assert code == 2
+        assert out == ""
+        assert f"must be between 1 and {cap}" in err
+
+    def test_long_rational_rejected(self):
+        long = "1" * (MAX_RATIONAL_CHARS + 1)
+        with pytest.raises(ValueError, match="longer than"):
+            parse_rational(long)
+        assert parse_rational(long[1:]) == int(long[1:])
+
+    def test_long_rational_in_argv_is_a_usage_error(self):
+        long = "1" * (MAX_RATIONAL_CHARS + 1)
+        code, out, err = run_cli(["claim-check", f"--h=0,1,2,3,4,{long}"])
+        assert code == 2
+        assert out == ""
+        assert "longer than" in err
+
+    def test_long_rational_in_document_is_a_usage_error(self, tmp_path):
+        doc = json.loads((FIXTURES / "tangent7.json").read_text())
+        doc["terms"][0]["alpha"] = "1" * (MAX_RATIONAL_CHARS + 1)
+        path = tmp_path / "long-alpha.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(["verify", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: rational string longer than {MAX_RATIONAL_CHARS} characters\n"
 
 
 class TestDeterminismAndJson:

@@ -4,12 +4,15 @@ from math import lcm, prod
 
 import pytest
 from conftest import (
+    kills,
+    power_map_rows,
     random_fraction,
     ref_add,
     ref_mul,
     ref_product,
     ref_scale,
     ref_variable,
+    reference_kernel,
     sample_nodes,
     unpack,
 )
@@ -229,6 +232,40 @@ class TestPowerKernel:
     def test_single_entry_injective(self):
         L = FormTuple((HomogeneousForm.linear((1, 0)),))
         assert power_kernel(L, 0).dimension == 0
+
+    def test_proportional_entries_rejected(self):
+        L = FormTuple(tuple(HomogeneousForm.linear(c) for c in ((1, 1), (1, 0), (2, 2))))
+        with pytest.raises(DegenerateNodesError, match="points 0 and 2 are proportional"):
+            power_kernel(L, 1)
+
+    @given(
+        st.lists(
+            st.fractions(min_value=-9, max_value=9, max_denominator=6),
+            min_size=1, max_size=8, unique=True,
+        ).flatmap(
+            lambda hs: st.tuples(
+                st.just(hs),
+                st.lists(
+                    st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool),
+                    min_size=len(hs), max_size=len(hs),
+                ),
+                st.none() | st.integers(0, len(hs) - 1),
+                st.integers(0, len(hs) + 1),
+            )
+        )
+    )
+    def test_matches_elimination_on_generic_points(self, case):
+        # a_i x + b_i y = scale_i * (x + h_i y), or scale_i * y at one index
+        hs, scales, infinity, degree = case
+        points = [(s, s * h) for s, h in zip(scales, hs)]
+        if infinity is not None:
+            points[infinity] = (0, scales[infinity])
+        L = FormTuple(tuple(HomogeneousForm.linear(p) for p in points))
+        rows = power_map_rows(points, degree)
+        basis = power_kernel(L, degree)
+        assert list(basis.vectors) == reference_kernel(rows, len(points))
+        assert basis.dimension == max(len(points) - 1 - degree, 0)
+        assert all(kills(rows, vec) for vec in basis.vectors)
 
     def test_vectors_kill_the_powers(self):
         rng = random.Random(41)

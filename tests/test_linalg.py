@@ -3,7 +3,14 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from conftest import minor_rank, random_fraction, sample_nodes
+from conftest import (
+    kills,
+    minor_rank,
+    random_fraction,
+    reference_kernel,
+    sample_nodes,
+    vandermonde_rows,
+)
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -11,8 +18,8 @@ from doubleline.errors import DegenerateNodesError, StructuralError, ZeroEntryEr
 from doubleline.linalg import (
     RationalMatrix,
     VandermondeSystem,
+    moment_kernel,
     normalize_vector,
-    nullspace,
     rref,
     solve,
     vandermonde_nullspace,
@@ -46,7 +53,7 @@ def proportional(u, v):
 
 class TestRref:
     def test_identity(self):
-        m = RationalMatrix.identity(3)
+        m = RationalMatrix.from_rows([[int(i == j) for j in range(3)] for i in range(3)])
         reduced, rank, pivots = rref(m)
         assert reduced == m and rank == 3 and pivots == (0, 1, 2)
 
@@ -60,9 +67,8 @@ class TestRref:
         rng = random.Random(23)
         for _ in range(10):
             rows = [[random_fraction(rng, 6, 4) for _ in range(7)] for _ in range(5)]
-            m = RationalMatrix.from_rows(rows)
-            _, rank, _ = rref(m)
-            assert rank == minor_rank(m.row_list())
+            _, rank, _ = rref(RationalMatrix.from_rows(rows))
+            assert rank == minor_rank(rows)
 
     def test_rref_shape_properties(self):
         rng = random.Random(29)
@@ -80,42 +86,45 @@ class TestRref:
         assert rank == 0 and pivots == ()
 
 
-class TestNullspace:
-    def test_zero_matrix(self):
-        basis = nullspace(RationalMatrix.zero(2, 3))
-        assert len(basis) == 3
-        assert basis == [
-            (1, 0, 0),
-            (0, 1, 0),
-            (0, 0, 1),
-        ]
+class TestMomentKernel:
+    def test_no_constraints_gives_identity_basis(self):
+        points = [(1, 0), (1, 2), (0, 1)]
+        assert moment_kernel(points, -1) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
-    def test_fifth_difference_oracle_first(self):
+    def test_fifth_difference_oracle(self):
         # independent oracle: the 5th finite difference kills powers d <= 4
         vec = [comb(5, i) * (-1) ** i for i in range(6)]
-        for d in range(5):
-            assert sum(c * i**d for i, c in enumerate(vec)) == 0
-        m = VandermondeSystem(tuple(Fraction(i) for i in range(6)), 4).matrix()
-        basis = nullspace(m)
-        assert len(basis) == 1
-        assert all(x == 0 for x in m.matvec(vec))
-        assert proportional(basis[0], vec)
+        rows = vandermonde_rows(range(6), 4)
+        assert kills(rows, vec)
+        basis = moment_kernel([(1, i) for i in range(6)], 4)
+        assert basis == [tuple(vec)]
 
-    def test_seven_distinct_nodes_dimension_one(self):
-        m = VandermondeSystem(tuple(Fraction(i) for i in range(7)), 5).matrix()
-        assert len(nullspace(m)) == 1
+    def test_point_at_infinity(self):
+        # y, x and x + y: the one relation is x + y - (x + y) = 0
+        assert moment_kernel([(0, 1), (1, 0), (1, 1)], 1) == [(1, 1, -1)]
+
+    def test_degenerate_points_rejected(self):
+        with pytest.raises(DegenerateNodesError, match="points 0 and 2"):
+            moment_kernel([(1, 2), (1, 3), (2, 4)], 1)
+        with pytest.raises(DegenerateNodesError, match="point 1 is zero"):
+            moment_kernel([(1, 2), (0, 0)], 0)
+
+    def test_degree_below_minus_one_rejected(self):
+        with pytest.raises(StructuralError):
+            moment_kernel([(1, 0), (1, 1)], -2)
 
     @given(
-        st.lists(
-            st.lists(fractions_st, min_size=4, max_size=4), min_size=2, max_size=5
+        st.lists(fractions_st, min_size=1, max_size=8, unique=True).flatmap(
+            lambda nodes: st.tuples(st.just(nodes), st.integers(-1, len(nodes) - 1))
         )
     )
-    def test_members_are_killed_exactly(self, rows):
-        m = RationalMatrix.from_rows(rows)
-        for vec in nullspace(m):
-            assert all(x == 0 for x in m.matvec(vec))
-        reduced, rank, _ = rref(m)
-        assert len(nullspace(m)) == m.cols - rank
+    def test_vandermonde_matches_reference(self, case):
+        nodes, max_power = case
+        rows = vandermonde_rows(nodes, max_power)
+        basis = vandermonde_nullspace(VandermondeSystem(tuple(nodes), max_power))
+        assert basis == reference_kernel(rows, len(nodes))
+        assert len(basis) == len(nodes) - max_power - 1
+        assert all(kills(rows, vec) for vec in basis)
 
 
 class TestVandermonde:
@@ -213,7 +222,3 @@ class TestSolveAndNormalize:
         assert normalize_vector((Fraction(-1, 120), Fraction(1, 24))) == (1, -5)
         assert normalize_vector((0, Fraction(-2, 3), Fraction(4, 3))) == (0, 1, -2)
         assert normalize_vector((0, 0)) == (0, 0)
-
-    def test_render(self):
-        m = RationalMatrix.from_rows([[Fraction(1, 2), 3], [-2, Fraction(0)]])
-        assert m.render() == "1/2 3\n-2 0"
