@@ -1,6 +1,7 @@
 """Exact power-sum decompositions of double-line plane quartics.
 
-Public surface: exact homogeneous forms and tuple calculus (``forms``),
+Public surface: exact homogeneous forms, conic rank and tangency
+(``forms``, shape-checked views over the one polynomial core ``sympoly``),
 rational linear algebra and closed-form moment kernels (``linalg``), the
 decomposition engine with tangency certificates and symbolic identity checks
 (``engine``), and the ``doubleline`` command-line driver (``cli``).

@@ -17,7 +17,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence, TextIO
+from typing import NoReturn, Sequence, TextIO
 
 from .engine import (
     AnalysisReport,
@@ -464,8 +464,16 @@ def _seed(text: str) -> int:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one stderr line, ``error: <message>``, and
+    exits 2; subparsers are built with the same class."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="doubleline",
         description="Exact decomposition checks for double-line plane quartics.",
     )

@@ -23,7 +23,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from typing import Sequence
 
 from . import sympoly
@@ -97,13 +96,7 @@ class WaringDecomposition:
 
     @cached_property
     def _value(self) -> HomogeneousForm:
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for weight, form in self.terms:
-            for mono, c in (form**4).terms.items():
-                acc = terms.pop(mono, 0) + weight * c
-                if acc:
-                    terms[mono] = acc
-        return HomogeneousForm._trusted(3, 4, terms)
+        return sum((w * f**4 for w, f in self.terms), HomogeneousForm.zero(3, 4))
 
 
 @dataclass(frozen=True)
@@ -264,7 +257,7 @@ class TangencyCertificate:
         """Re-check every certified identity; raises TheoremViolationError."""
         L = self.restricted
         a = self.annihilator
-        if not FormTuple.scalars(a, 2).dot(L.power(5)).is_zero():
+        if not sum((ai * f**5 for ai, f in zip(a, L)), HomogeneousForm.zero(2, 5)).is_zero():
             raise TheoremViolationError("annihilator does not kill the degree-5 powers")
         w_form = HomogeneousForm.linear(self.contact_vector)
         if kernel_descend(a, L, w_form) != self.weights:
@@ -433,12 +426,6 @@ class IdentitySliceReport:
         return sympoly.is_zero(self.residue)
 
 
-def _clear_denominators(v: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """The lcm D of the denominators of ``v``, and the integer vector D * v."""
-    den = lcm(*(x.denominator for x in v))
-    return den, [x.numerator * (den // x.denominator) for x in v]
-
-
 def verify_identity_slice(
     slopes: Sequence[Fraction | int], perturb: bool = False
 ) -> IdentitySliceReport:
@@ -466,12 +453,12 @@ def verify_identity_slice(
     if len(hs) != 7:
         raise StructuralError(f"expected 7 slopes, got {len(hs)}")
     alpha_basis = [
-        _clear_denominators(v)[1] for v in vandermonde_nullspace(VandermondeSystem(hs, 4))
+        sympoly.clear_denominators(v)[1] for v in vandermonde_nullspace(VandermondeSystem(hs, 4))
     ]
     beta_basis = [
-        _clear_denominators(v)[1] for v in vandermonde_nullspace(VandermondeSystem(hs, 3))
+        sympoly.clear_denominators(v)[1] for v in vandermonde_nullspace(VandermondeSystem(hs, 3))
     ]
-    den, nodes = _clear_denominators(hs)
+    den, nodes = sympoly.clear_denominators(hs)
     nvars = len(alpha_basis) + len(beta_basis)
 
     alphas = []
@@ -578,7 +565,7 @@ def six_term_vanishing_check(slopes: Sequence[Fraction | int]) -> SixTermVanishi
     # zero test of the quartic over the Fraction data
     x0, x1, x2, t0, t1 = (sympoly.variable(5, i) for i in range(5))
     quartic: sympoly.Poly = {}
-    for h, a in zip(_clear_denominators(hs)[1], _clear_denominators(alpha)[1]):
+    for h, a in zip(sympoly.clear_denominators(hs)[1], sympoly.clear_denominators(alpha)[1]):
         lift = sympoly.add(t0, sympoly.scale(t1, h))
         line = sympoly.add(
             sympoly.add(x0, sympoly.scale(x1, h)), sympoly.mul(lift, x2)

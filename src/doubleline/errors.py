@@ -15,14 +15,6 @@ class DegenerateNodesError(InvalidInputError):
     """Nodes that must be distinct repeat, or binary points are zero or proportional."""
 
 
-class ZeroEntryError(ZeroDivisionError):
-    """Entrywise division hit an exactly-zero entry."""
-
-    def __init__(self, index: int, message: str | None = None):
-        self.index = index
-        super().__init__(message or f"entry {index} is zero")
-
-
 class NotDoubleLineError(ValueError):
     """The quartic is not divisible by the squared line.
 

@@ -1,9 +1,13 @@
 """Exact homogeneous polynomial arithmetic in two or three variables.
 
-Forms are sparse maps from exponent tuples to Fractions; zero coefficients
-are never stored, so two forms are equal exactly when their term maps (and
-declared shape) agree.  All monomial indexing, matrix layouts and text
-rendering use graded lexicographic order with x0 > x1 > x2.
+A form is its shape, the variable count and the degree, over a
+``sympoly.Poly``: packed monomial keys mapping to nonzero Fractions.  All
+arithmetic runs through ``sympoly``, the package's one polynomial core; this
+module adds the shape checks and the degree bookkeeping.  Two forms are
+equal exactly when their shapes and term maps agree.  ``terms`` shows the
+same map keyed by exponent tuples, and all monomial indexing, matrix layouts
+and text rendering use graded lexicographic order on those tuples with
+x0 > x1 > x2; packed keys compare x2 first, so only the tuples are sorted.
 """
 
 from __future__ import annotations
@@ -11,32 +15,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from math import factorial
 from typing import Iterator, Mapping, Sequence
 
+from . import sympoly
 from .errors import InvalidInputError, StructuralError
 from .linalg import RationalMatrix, normalize_vector, rref
 
 Monomial = tuple[int, ...]
 Point = Sequence[Fraction | int]
-
-
-def monomials_of_degree(num_vars: int, degree: int) -> list[Monomial]:
-    """All exponent tuples of the given total degree, graded-lex descending."""
-    if num_vars == 1:
-        return [(degree,)]
-    out: list[Monomial] = []
-    for e in range(degree, -1, -1):
-        out.extend((e, *rest) for rest in monomials_of_degree(num_vars - 1, degree - e))
-    return out
-
-
-def multinomial(degree: int, exponents: Monomial) -> int:
-    den = 1
-    for e in exponents:
-        den *= factorial(e)
-    return factorial(degree) // den
 
 
 class HomogeneousForm:
@@ -45,37 +31,37 @@ class HomogeneousForm:
     Instances are immutable values; every operation returns a new form.
     """
 
-    __slots__ = ("num_vars", "degree", "terms")
+    __slots__ = ("num_vars", "degree", "poly")
 
     def __init__(self, num_vars: int, degree: int, terms: Mapping[Monomial, Fraction | int]):
         if num_vars not in (2, 3):
             raise StructuralError(f"num_vars must be 2 or 3, got {num_vars}")
         if degree < 0:
             raise StructuralError(f"degree must be non-negative, got {degree}")
-        clean: dict[Monomial, Fraction] = {}
+        poly: sympoly.Poly = {}
         for mono, coeff in terms.items():
             mono = tuple(mono)
-            if len(mono) != num_vars or any(e < 0 for e in mono):
+            if len(mono) != num_vars:
                 raise StructuralError(f"bad monomial {mono} for {num_vars} variables")
             if sum(mono) != degree:
                 raise StructuralError(f"monomial {mono} does not have degree {degree}")
+            # rejects a negative exponent, and one too large for its packed field
+            key = sympoly.monomial(mono)
             c = Fraction(coeff)
             if c:
-                clean[mono] = c
+                poly[key] = c
         object.__setattr__(self, "num_vars", num_vars)
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "poly", poly)
 
     @classmethod
-    def _trusted(
-        cls, num_vars: int, degree: int, terms: dict[Monomial, Fraction]
-    ) -> "HomogeneousForm":
-        """Unchecked constructor: ``terms`` (kept, not copied) must map monomials
-        of the given shape to nonzero Fractions."""
+    def _trusted(cls, num_vars: int, degree: int, poly: sympoly.Poly) -> "HomogeneousForm":
+        """Unchecked constructor: ``poly`` (kept, not copied) must map packed
+        monomials of the given shape to nonzero Fractions."""
         form = object.__new__(cls)
         object.__setattr__(form, "num_vars", num_vars)
         object.__setattr__(form, "degree", degree)
-        object.__setattr__(form, "terms", terms)
+        object.__setattr__(form, "poly", poly)
         return form
 
     def __setattr__(self, name, value):
@@ -101,19 +87,20 @@ class HomogeneousForm:
     @classmethod
     def linear(cls, coeffs: Point) -> "HomogeneousForm":
         n = len(coeffs)
-        terms = {}
-        for i, c in enumerate(coeffs):
-            mono = tuple(int(j == i) for j in range(n))
-            terms[mono] = Fraction(c)
-        return cls(n, 1, terms)
+        return cls(n, 1, {tuple(int(j == i) for j in range(n)): c for i, c in enumerate(coeffs)})
 
     # basic accessors
 
+    @property
+    def terms(self) -> dict[Monomial, Fraction]:
+        """The term map keyed by exponent tuples, as a fresh dict."""
+        return {sympoly.exponents(t, self.num_vars): c for t, c in self.poly.items()}
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.poly
 
     def coefficient(self, mono: Monomial) -> Fraction:
-        return self.terms.get(tuple(mono), Fraction(0))
+        return self.poly.get(sympoly.monomial(tuple(mono)), Fraction(0))
 
     def linear_coefficients(self) -> tuple[Fraction, ...]:
         if self.degree != 1:
@@ -126,7 +113,7 @@ class HomogeneousForm:
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
 
-    # arithmetic
+    # arithmetic, all of it in sympoly
 
     def _check_compatible(self, other: "HomogeneousForm", same_degree: bool) -> None:
         if self.num_vars != other.num_vars:
@@ -136,59 +123,44 @@ class HomogeneousForm:
 
     def __add__(self, other: "HomogeneousForm") -> "HomogeneousForm":
         self._check_compatible(other, same_degree=True)
-        terms = dict(self.terms)
-        for mono, c in other.terms.items():
-            acc = terms.pop(mono, 0) + c
-            if acc:
-                terms[mono] = acc
-        return HomogeneousForm._trusted(self.num_vars, self.degree, terms)
-
-    def __neg__(self) -> "HomogeneousForm":
         return HomogeneousForm._trusted(
-            self.num_vars, self.degree, {m: -c for m, c in self.terms.items()}
+            self.num_vars, self.degree, sympoly.add(self.poly, other.poly)
         )
 
+    def __neg__(self) -> "HomogeneousForm":
+        return HomogeneousForm._trusted(self.num_vars, self.degree, sympoly.scale(self.poly, -1))
+
     def __sub__(self, other: "HomogeneousForm") -> "HomogeneousForm":
-        return self + (-other)
+        self._check_compatible(other, same_degree=True)
+        return HomogeneousForm._trusted(
+            self.num_vars, self.degree, sympoly.sub(self.poly, other.poly)
+        )
 
     def __mul__(self, other: "HomogeneousForm | Fraction | int") -> "HomogeneousForm":
         if isinstance(other, (Fraction, int)):
-            c = Fraction(other)
-            terms = {m: c * v for m, v in self.terms.items()} if c else {}
-            return HomogeneousForm._trusted(self.num_vars, self.degree, terms)
+            return HomogeneousForm._trusted(
+                self.num_vars, self.degree, sympoly.scale(self.poly, Fraction(other))
+            )
         self._check_compatible(other, same_degree=False)
-        terms: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = tuple(a + b for a, b in zip(m1, m2))
-                acc = terms.get(mono, Fraction(0)) + c1 * c2
-                if acc:
-                    terms[mono] = acc
-                else:
-                    terms.pop(mono, None)
-        return HomogeneousForm._trusted(self.num_vars, self.degree + other.degree, terms)
+        return HomogeneousForm._trusted(
+            self.num_vars, self.degree + other.degree, sympoly.mul(self.poly, other.poly)
+        )
 
     def __rmul__(self, other: "Fraction | int") -> "HomogeneousForm":
         return self * other
 
     def __pow__(self, exponent: int) -> "HomogeneousForm":
+        """The power on integers: with D the lcm of the coefficient denominators,
+        (D * self)**exponent scaled once by 1 / D**exponent."""
         if exponent < 0:
             raise StructuralError("negative power of a form")
-        if self.degree == 1:
-            # multinomial expansion; exact and independent of repeated mul
-            coeffs = self.linear_coefficients()
-            terms: dict[Monomial, Fraction] = {}
-            for mono in monomials_of_degree(self.num_vars, exponent):
-                c = Fraction(multinomial(exponent, mono))
-                for base, e in zip(coeffs, mono):
-                    c *= base**e
-                if c:
-                    terms[mono] = c
-            return HomogeneousForm._trusted(self.num_vars, exponent, terms)
-        result = HomogeneousForm.constant(self.num_vars, 1)
-        for _ in range(exponent):
-            result = result * self
-        return result
+        den, nums = sympoly.clear_denominators(self.poly.values())
+        powered = sympoly.power(dict(zip(self.poly, nums)), exponent)
+        return HomogeneousForm._trusted(
+            self.num_vars,
+            self.degree * exponent,
+            sympoly.scale(powered, Fraction(1, den**exponent)),
+        )
 
     def evaluate(self, point: Point) -> Fraction:
         if len(point) != self.num_vars:
@@ -211,16 +183,13 @@ class HomogeneousForm:
         for img in images:
             if img.num_vars != m or img.degree != k:
                 raise StructuralError("images must share variable count and degree")
-        result = HomogeneousForm.zero(m, self.degree * k)
-        powers: list[list[HomogeneousForm]] = [[HomogeneousForm.constant(m, 1)] for _ in images]
+        result: sympoly.Poly = {}
         for mono, c in self.terms.items():
-            part = HomogeneousForm.constant(m, c)
-            for i, e in enumerate(mono):
-                while len(powers[i]) <= e:
-                    powers[i].append(powers[i][-1] * images[i])
-                part = part * powers[i][e]
-            result = result + part
-        return result
+            part = sympoly.const(m, c)
+            for img, e in zip(images, mono):
+                part = sympoly.mul(part, sympoly.power(img.poly, e))
+            result = sympoly.add(result, part)
+        return HomogeneousForm._trusted(m, self.degree * k, result)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HomogeneousForm):
@@ -228,11 +197,11 @@ class HomogeneousForm:
         return (
             self.num_vars == other.num_vars
             and self.degree == other.degree
-            and self.terms == other.terms
+            and self.poly == other.poly
         )
 
     def __hash__(self) -> int:
-        return hash((self.num_vars, self.degree, frozenset(self.terms.items())))
+        return hash((self.num_vars, self.degree, frozenset(self.poly.items())))
 
     def __repr__(self) -> str:
         return f"HomogeneousForm({self.num_vars}, {self.degree}, {self.terms!r})"
@@ -243,11 +212,8 @@ class HomogeneousForm:
 
 @dataclass(frozen=True)
 class FormTuple:
-    """Tuple of forms of one shared shape, with a dot product and entrywise powers.
-
-    Scalar tuples are represented as tuples of degree-0 forms, so ordinary
-    vectors participate in the same calculus.
-    """
+    """Nonempty tuple of forms of one shared shape, such as the seven lines
+    restricted to a base line; sums over it are plain sums of forms."""
 
     entries: tuple[HomogeneousForm, ...]
 
@@ -259,10 +225,6 @@ class FormTuple:
         for f in self.entries:
             if f.num_vars != n or f.degree != d:
                 raise StructuralError("tuple entries must share variable count and degree")
-
-    @classmethod
-    def scalars(cls, values: Point, num_vars: int) -> "FormTuple":
-        return cls(tuple(HomogeneousForm.constant(num_vars, v) for v in values))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -280,16 +242,6 @@ class FormTuple:
     @property
     def degree(self) -> int:
         return self.entries[0].degree
-
-    def dot(self, other: "FormTuple") -> HomogeneousForm:
-        if len(self) != len(other):
-            raise StructuralError("tuple lengths differ")
-        return reduce(
-            lambda a, b: a + b, (f * g for f, g in zip(self.entries, other.entries))
-        )
-
-    def power(self, d: int) -> "FormTuple":
-        return FormTuple(tuple(f**d for f in self.entries))
 
 
 # text rendering and parsing
@@ -478,8 +430,7 @@ def restrict(f: HomogeneousForm, line: HomogeneousForm) -> HomogeneousForm:
     if f.degree == 1 and f.num_vars == 3:
         # a linear form maps to its coefficients paired with the basis
         c = f.linear_coefficients()
-        ys = [sum(ci * bi for ci, bi in zip(c, b)) for b in (b0, b1)]
-        return HomogeneousForm._trusted(2, 1, {m: y for m, y in zip(((1, 0), (0, 1)), ys) if y})
+        return HomogeneousForm.linear([sum(ci * bi for ci, bi in zip(c, b)) for b in (b0, b1)])
     images = [
         HomogeneousForm.linear((b0[i], b1[i]))
         for i in range(3)

@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Sequence
 
-from .errors import DegenerateNodesError, StructuralError, ZeroEntryError
+from .errors import DegenerateNodesError, InvalidInputError, StructuralError
 
 Vector = tuple[Fraction, ...]
 
@@ -254,7 +254,7 @@ def weighted_moment_kernel(
     _require_distinct(hs)
     for i, a in enumerate(ws):
         if a == 0:
-            raise ZeroEntryError(i, f"weight {i} is zero")
+            raise InvalidInputError(f"weight {i} is zero")
     raw = vandermonde_nullspace(VandermondeSystem(hs, max_power))
     basis = tuple(tuple(b / a for b, a in zip(vec, ws)) for vec in raw)
     return WeightedMomentKernel(weights=ws, basis=basis)

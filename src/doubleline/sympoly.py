@@ -1,9 +1,10 @@
-"""Sparse multivariate polynomials with exact coefficients for symbolic zero tests.
+"""Sparse multivariate polynomials with exact coefficients: the package's one core.
 
 A polynomial is a dict mapping packed monomials to nonzero coefficients; the
-zero polynomial is the empty dict.  This deliberately tiny representation is
-what the engine's symbolic identity checks expand into: the question there
-is always "is this polynomial identically zero", decided by exact expansion
+zero polynomial is the empty dict.  ``forms.HomogeneousForm`` is a shape
+(variable count and degree) over one of these dicts, and the engine's
+symbolic identity checks expand into them directly; there the question is
+always "is this polynomial identically zero", decided by exact expansion
 and cancellation.
 
 A monomial is one nonnegative int: variable i owns bits
@@ -20,6 +21,8 @@ int, which is much cheaper than Fraction arithmetic.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from typing import Collection
 
 from .errors import StructuralError
 
@@ -27,10 +30,30 @@ BITS = 16
 MAX_VARS = 32
 MAX_EXPONENT = (1 << (BITS - 1)) - 1
 _GUARD = sum(1 << (BITS * i + BITS - 1) for i in range(MAX_VARS))
+_FIELD = (1 << BITS) - 1
 
 Term = int
 Coefficient = int | Fraction
 Poly = dict[Term, Coefficient]
+
+
+def monomial(mono: tuple[int, ...]) -> Term:
+    """The packed key of an exponent tuple; each exponent must be in 0..MAX_EXPONENT."""
+    for e in mono:
+        if not 0 <= e <= MAX_EXPONENT:
+            raise StructuralError(f"exponent {e} outside 0..{MAX_EXPONENT}")
+    return sum(e << (BITS * i) for i, e in enumerate(mono))
+
+
+def exponents(term: Term, nvars: int) -> tuple[int, ...]:
+    """The exponent tuple of a packed key, for its first ``nvars`` variables."""
+    return tuple((term >> (BITS * i)) & _FIELD for i in range(nvars))
+
+
+def clear_denominators(values: Collection[Coefficient]) -> tuple[int, list[int]]:
+    """The lcm D of the denominators of ``values``, and the integers D * value."""
+    den = lcm(*(x.denominator for x in values))
+    return den, [x.numerator * (den // x.denominator) for x in values]
 
 
 def const(nvars: int, value: Coefficient) -> Poly:

@@ -126,6 +126,24 @@ def ref_product(factors, nvars: int) -> dict:
     return out
 
 
+def ref_substitute(p: dict, images: list, nvars: int) -> dict:
+    """Compose p with one reference polynomial per variable, term by term."""
+    out: dict = {}
+    for mono, c in p.items():
+        factors = [image for image, e in zip(images, mono) for _ in range(e)]
+        out = ref_add(out, ref_scale(ref_product(factors, nvars), c))
+    return out
+
+
+def monomials(num_vars: int, degree: int) -> list[tuple[int, ...]]:
+    """All exponent tuples of the given total degree, graded-lex descending."""
+    if num_vars == 1:
+        return [(degree,)]
+    return [
+        (e, *rest) for e in range(degree, -1, -1) for rest in monomials(num_vars - 1, degree - e)
+    ]
+
+
 def unpack(poly: dict, nvars: int, bits: int) -> dict:
     """A packed-monomial polynomial in the reference layout."""
     mask = (1 << bits) - 1

@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 from conftest import random_fraction
 
+import doubleline
 from doubleline.cli import (
     MAX_NODES_RANGE,
     MAX_RATIONAL_CHARS,
@@ -260,6 +262,23 @@ class TestCommands:
         assert code == 2
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["identity-check", "--h=0,1,2,3,4,5"],
+            ["theorem-check", "--seed", "-1"],
+            ["claim-check", "--h=1/0,1,2,3,4,5"],
+            ["frobnicate"],
+        ],
+        ids=["slope-count", "negative-seed", "zero-denominator", "unknown-command"],
+    )
+    def test_usage_error_is_one_line(self, argv):
+        code, out, err = run_cli(argv)
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), err
+
+    @pytest.mark.parametrize(
         "argv, expected",
         [
             (["identity-check", "--h", "-1,0,1,2,3,4,5"], "h: -1,0,1,2,3,4,5"),
@@ -362,10 +381,14 @@ class TestDeterminismAndJson:
 
 
 def test_module_entry_point():
+    # the child imports the same package as this process, installed or not
+    package_root = str(Path(doubleline.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "doubleline", "example"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 0
     assert "result: pass" in result.stdout

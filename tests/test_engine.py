@@ -274,7 +274,7 @@ class TestPowerKernel:
             basis = power_kernel(L, d)
             assert basis.dimension == 6 - d
             for vec in basis.vectors:
-                assert FormTuple.scalars(vec, 2).dot(L.power(d)).is_zero()
+                assert sum((v * f**d for v, f in zip(vec, L)), HomogeneousForm.zero(2, d)).is_zero()
 
 
 class TestKernelDescend:
@@ -326,7 +326,8 @@ class TestTangencyCertificate:
         assert cert.annihilator == (1, -6, 15, -20, 15, -6, 1)
         assert all(a != 0 for a in cert.annihilator)
         # annihilator kills the degree-5 powers
-        assert FormTuple.scalars(cert.annihilator, 2).dot(cert.restricted.power(5)).is_zero()
+        powers = (a * f**5 for a, f in zip(cert.annihilator, cert.restricted))
+        assert sum(powers, HomogeneousForm.zero(2, 5)).is_zero()
 
     def test_repeated_intersection_points_rejected(self):
         slopes = (0, 0, 1, 2, 3, 4, 5)

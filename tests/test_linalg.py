@@ -14,7 +14,7 @@ from conftest import (
 from hypothesis import given
 from hypothesis import strategies as st
 
-from doubleline.errors import DegenerateNodesError, StructuralError, ZeroEntryError
+from doubleline.errors import DegenerateNodesError, InvalidInputError, StructuralError
 from doubleline.linalg import (
     RationalMatrix,
     VandermondeSystem,
@@ -204,9 +204,8 @@ class TestWeightedMomentKernel:
 
     def test_zero_weight_reports_index(self):
         nodes = tuple(Fraction(i) for i in range(6))
-        with pytest.raises(ZeroEntryError) as err:
+        with pytest.raises(InvalidInputError, match="weight 2 is zero"):
             weighted_moment_kernel(nodes, (1, 1, 0, 1, 1, 1), 3)
-        assert err.value.index == 2
 
 
 class TestSolveAndNormalize:
