@@ -1,7 +1,8 @@
 """Command-line driver: verify, theorem-check, identity-check, claim-check, example.
 
 Exit codes: 0 all checks pass, 1 a mathematical check failed, 2 usage or
-parse error.  Reports are deterministic functions of flags, files and seed;
+parse error (``_EXIT_TABLE``); any other exception is a bug and propagates.
+Reports are deterministic functions of flags, files and seed;
 wall time is printed to stderr so that stdout is byte-identical across runs.
 Rationals are serialized as strings of the shape ``p`` or ``p/q`` and never
 as floating-point numbers.
@@ -457,6 +458,13 @@ def _positive_int(cap: int):
     return positive_int
 
 
+def _file_name(text: str) -> str:
+    # open() raises ValueError, not OSError, on a NUL byte
+    if "\0" in text:
+        raise argparse.ArgumentTypeError("file name contains a NUL character")
+    return text
+
+
 def _seed(text: str) -> int:
     value = int(text)
     if not 0 <= value < 2**64:
@@ -464,12 +472,18 @@ def _seed(text: str) -> int:
     return value
 
 
+# every character at which str.splitlines breaks, mapped to its escape, so
+# that an error message quoting raw input (argparse's "unrecognized
+# arguments" does) stays on one line
+_LINE_BREAKS = {ord(c): repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as one stderr line, ``error: <message>``, and
     exits 2; subparsers are built with the same class."""
 
     def error(self, message: str) -> NoReturn:
-        self.exit(2, f"error: {message}\n")
+        self.exit(2, f"error: {message.translate(_LINE_BREAKS)}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -480,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="verify a decomposition document")
-    p_verify.add_argument("file")
+    p_verify.add_argument("file", type=_file_name)
     p_verify.add_argument("--line", type=lambda s: _rational_list(s, 3), default=None)
     p_verify.add_argument("--json", action="store_true")
 
@@ -528,6 +542,17 @@ def _attach_list_values(argv: Sequence[str]) -> list[str]:
     return out
 
 
+# exception -> (exit code, stderr prefix), first match wins; an exception not
+# listed is a bug and propagates with its traceback
+_EXIT_TABLE: dict[type[BaseException], tuple[int, str]] = {
+    OSError: (2, "error"),
+    UnicodeDecodeError: (2, "error"),
+    InvalidInputError: (2, "error"),
+    DocumentError: (2, "error"),
+    TheoremViolationError: (1, "internal consistency failure"),
+}
+
+
 def main(argv: Sequence[str] | None = None, out: TextIO | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_attach_list_values(sys.argv[1:] if argv is None else argv))
@@ -535,12 +560,10 @@ def main(argv: Sequence[str] | None = None, out: TextIO | None = None) -> int:
     started = time.perf_counter()
     try:
         report = _COMMANDS[args.command](args)
-    except (OSError, InvalidInputError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except TheoremViolationError as exc:
-        print(f"internal consistency failure: {exc}", file=sys.stderr)
-        return 1
+    except tuple(_EXIT_TABLE) as exc:
+        code, prefix = next(v for t, v in _EXIT_TABLE.items() if isinstance(exc, t))
+        print(f"{prefix}: {str(exc).translate(_LINE_BREAKS)}", file=sys.stderr)
+        return code
     stream.write(report.render(as_json=getattr(args, "json", False)))
     print(f"wall-time: {time.perf_counter() - started:.3f}s", file=sys.stderr)
     return report.exit_code

@@ -27,6 +27,7 @@ from typing import Sequence
 
 from . import sympoly
 from .errors import (
+    DegenerateNodesError,
     GenerationFailureError,
     InvalidInputError,
     NotDoubleLineError,
@@ -40,7 +41,6 @@ from .forms import (
     HomogeneousForm,
     conic_rank,
     divide_by_linear,
-    line_tangent_to_conic,
     restrict,
 )
 from .linalg import (
@@ -160,10 +160,6 @@ class DoubleLineQuartic:
         if self.line**2 * self.cofactor != self.target:
             raise StructuralError("target is not line^2 * cofactor")
 
-    @classmethod
-    def of(cls, line: HomogeneousForm, cofactor: HomogeneousForm) -> "DoubleLineQuartic":
-        return cls(line=line, cofactor=cofactor, target=line**2 * cofactor)
-
 
 def extract_cofactor(quartic: HomogeneousForm, line: HomogeneousForm) -> HomogeneousForm:
     """The conic q with quartic = line^2 * q, or NotDoubleLineError.
@@ -186,8 +182,6 @@ def extract_cofactor(quartic: HomogeneousForm, line: HomogeneousForm) -> Homogen
 class KernelBasis:
     """Kernel of the map sending coefficient vectors a to sum_i a_i * L_i^d."""
 
-    degree: int
-    forms: FormTuple
     vectors: tuple[Vector, ...]
 
     @property
@@ -208,7 +202,7 @@ def power_kernel(restricted: FormTuple, degree: int) -> KernelBasis:
     if degree < 0:
         raise StructuralError("degree must be non-negative")
     vectors = moment_kernel([f.linear_coefficients() for f in restricted], degree)
-    return KernelBasis(degree=degree, forms=restricted, vectors=tuple(vectors))
+    return KernelBasis(vectors=tuple(vectors))
 
 
 def kernel_descend(a: Sequence[Fraction | int], restricted: FormTuple, tensor: HomogeneousForm) -> Vector:
@@ -237,10 +231,15 @@ class TangencyCertificate:
       zero entry;
     * ``annihilator_i * L_i(contact_vector) == alpha_i`` for every i;
     * ``annihilator_i * L_i(bridge) == alpha_i * line_values_i`` for every i;
-    * ``restricted_conic == 6 * sum_i alpha_i * line_values_i^2 * L_i^2`` and
-      equals the restriction of the cofactor to the line;
+    * ``restricted_conic == 6 * sum_i alpha_i * line_values_i^2 * L_i^2``;
     * the polarization of ``restricted_conic`` kills ``contact_vector``, so
       the line touches the conic at ``tangency_point``.
+
+    ``restricted_conic`` is the cofactor's restriction to the line, computed
+    by ``analyze`` from the cofactor alone; ``verify`` builds the power sum
+    from the weights, the lines and the transversal point and checks that it
+    equals this restriction.  ``verify`` is the only checker of these
+    identities.
     """
 
     restricted: FormTuple
@@ -254,7 +253,7 @@ class TangencyCertificate:
     tangency_point: tuple[Fraction, Fraction]
 
     def verify(self) -> None:
-        """Re-check every certified identity; raises TheoremViolationError."""
+        """Check every certified identity; raises TheoremViolationError."""
         L = self.restricted
         a = self.annihilator
         if not sum((ai * f**5 for ai, f in zip(a, L)), HomogeneousForm.zero(2, 5)).is_zero():
@@ -276,20 +275,6 @@ class TangencyCertificate:
                 raise TheoremViolationError("contact vector is not in the polar kernel")
 
 
-def _restricted_tuple(dec: WaringDecomposition, line: HomogeneousForm) -> FormTuple:
-    return FormTuple(tuple(restrict(f, line) for f in dec.lines()))
-
-
-def _require_distinct_restrictions(restricted: FormTuple) -> None:
-    coeffs = [f.linear_coefficients() for f in restricted]
-    for i in range(len(coeffs)):
-        for j in range(i + 1, len(coeffs)):
-            if coeffs[i][0] * coeffs[j][1] - coeffs[i][1] * coeffs[j][0] == 0:
-                raise PreconditionError(
-                    f"lines {i} and {j} meet the base line in the same point"
-                )
-
-
 def _transversal_point(line: HomogeneousForm) -> tuple[Fraction, Fraction, Fraction]:
     # scaled coordinate vector on the largest-index nonzero coefficient
     coeffs = line.linear_coefficients()
@@ -306,32 +291,34 @@ def tangency_certificate(dec: WaringDecomposition, line: HomogeneousForm) -> Tan
     seven lines to meet the base line in seven distinct points.  Pure
     (weight-1) decompositions are the classical statement; general weights
     use the same construction with the weight vector in place of the all-ones
-    vector.  Every identity is re-verified before returning; a verification
-    failure raises TheoremViolationError and indicates an implementation bug.
+    vector.  This is the certificate that ``analyze`` attaches; a failed
+    precondition raises PreconditionError, and a failed identity raises
+    TheoremViolationError, which indicates an implementation bug.
     """
     if dec.n != 7:
         raise PreconditionError(f"expected 7 terms, got {dec.n}")
-    if line.degree != 1 or line.is_zero():
-        raise InvalidInputError("line must be a nonzero linear form")
-    value = dec.value()
-    try:
-        cofactor = extract_cofactor(value, line)
-    except NotDoubleLineError as exc:
-        raise PreconditionError("value is not divisible by the squared line") from exc
-    if cofactor.is_zero():
+    report = analyze(dec, line)
+    if not report.divisible:
+        raise PreconditionError("value is not divisible by the squared line")
+    if report.cofactor.is_zero():
         raise PreconditionError("cofactor conic is zero")
-    restricted = _restricted_tuple(dec, line)
-    _require_distinct_restrictions(restricted)
-    return _build_certificate(dec, line, cofactor, restricted)
+    if report.certificate is None:
+        raise PreconditionError("the lines do not meet the base line in seven distinct points")
+    return report.certificate
 
 
 def _build_certificate(
-    dec: WaringDecomposition, line: HomogeneousForm,
-    cofactor: HomogeneousForm, restricted: FormTuple,
-) -> TangencyCertificate:
-    """``tangency_certificate`` on checked inputs: seven terms, value line^2 * cofactor
-    with cofactor nonzero, ``restricted`` the lines on ``line = 0``, pairwise distinct."""
-    kernel5 = power_kernel(restricted, 5)
+    dec: WaringDecomposition, line: HomogeneousForm, restricted_conic: BinaryQuadratic
+) -> TangencyCertificate | None:
+    """The certificate witnesses for seven terms whose value is line^2 * cofactor
+    with cofactor nonzero and ``restricted_conic`` the cofactor's restriction,
+    or None when the lines do not meet ``line = 0`` in seven distinct points.
+    The identities are checked by ``verify`` alone."""
+    restricted = FormTuple(tuple(restrict(f, line) for f in dec.lines()))
+    try:
+        kernel5 = power_kernel(restricted, 5)
+    except DegenerateNodesError:
+        return None  # a line restricts to zero, or two meet the base line in one point
     if kernel5.dimension != 1:
         raise TheoremViolationError("degree-5 kernel is not one-dimensional")
     annihilator = kernel5.vectors[0]
@@ -347,9 +334,6 @@ def _build_certificate(
     if w is None:
         raise TheoremViolationError("contact system is singular")
     contact = (w[0], w[1])
-    for i in range(7):
-        if annihilator[i] * (coeffs[i][0] * contact[0] + coeffs[i][1] * contact[1]) != weights[i]:
-            raise TheoremViolationError("contact vector fails on a later line")
 
     transversal = _transversal_point(line)
     line_values = tuple(f.evaluate(transversal) for f in dec.lines())
@@ -368,13 +352,6 @@ def _build_certificate(
     if b is None:
         raise TheoremViolationError("bridge system is inconsistent")
     bridge = HomogeneousForm(2, 2, {(2, 0): b[0], (1, 1): b[1], (0, 2): b[2]})
-
-    conic_form = HomogeneousForm.zero(2, 2)
-    for al, lv, f in zip(weights, line_values, restricted):
-        conic_form = conic_form + (6 * al * lv * lv) * (f * f)
-    restricted_conic = BinaryQuadratic.from_form(conic_form)
-    if conic_form != restrict(cofactor, line):
-        raise TheoremViolationError("restricted conic does not match the cofactor restriction")
 
     point = normalize_vector(contact)
     certificate = TangencyCertificate(
@@ -602,17 +579,11 @@ def two_value_collapse_check(inst: CoordinateInstance) -> TwoValueReport:
     """
     if inst.n != 6:
         raise PreconditionError(f"expected a 6-term instance, got {inst.n}")
-    value = inst.to_decomposition().value()
-    try:
-        cofactor = extract_cofactor(value, line_x2())
-    except NotDoubleLineError as exc:
-        raise PreconditionError("value is not of double-line shape") from exc
-    rank = conic_rank(cofactor)
-    tangent: bool | None
-    if cofactor.is_zero():
-        tangent = None
-    else:
-        tangent = line_tangent_to_conic(line_x2(), cofactor)[0]
+    report = analyze(inst.to_decomposition(), line_x2())
+    if not report.divisible:
+        raise PreconditionError("value is not of double-line shape")
+    rank = report.conic_rank
+    tangent = report.tangent
     applicable = rank == 3 and tangent is False
     counts = tuple(sorted(Counter(inst.slopes).items()))
     if applicable:
@@ -735,9 +706,12 @@ class AnalysisReport:
 def analyze(dec: WaringDecomposition, line: HomogeneousForm) -> AnalysisReport:
     """Divisibility, conic rank, tangency, and (when available) a certificate.
 
-    The certificate is attached for seven-term values with nonzero cofactor
-    whose lines meet the base line in distinct points; its contact point is
-    cross-checked against the independent discriminant test.
+    This is the one path from a decomposition and a line to the cofactor,
+    its rank, its restriction to the line and the certificate: the restricted
+    conic is computed once, read by the discriminant test and stored in the
+    certificate.  The certificate is attached for seven-term values with
+    nonzero cofactor whose lines meet the base line in distinct points; its
+    contact point is cross-checked against the independent discriminant test.
     """
     if line.degree != 1 or line.is_zero():
         raise InvalidInputError("line must be a nonzero linear form")
@@ -760,21 +734,17 @@ def analyze(dec: WaringDecomposition, line: HomogeneousForm) -> AnalysisReport:
     rank = conic_rank(cofactor)
     tangent: bool | None = None
     point = None
-    if not cofactor.is_zero():
-        tangent, point = line_tangent_to_conic(line, cofactor)
     certificate = None
-    if dec.n == 7 and not cofactor.is_zero():
-        restricted = _restricted_tuple(dec, line)
-        try:
-            _require_distinct_restrictions(restricted)
-        except PreconditionError:
-            pass
-        else:
-            certificate = _build_certificate(dec, line, cofactor, restricted)
-            if tangent is not True:
-                raise TheoremViolationError("certificate exists but discriminant test disagrees")
-            if point is not None and certificate.tangency_point != point:
-                raise TheoremViolationError("certificate contact point disagrees with kernel point")
+    if not cofactor.is_zero():
+        restricted_conic = BinaryQuadratic.from_form(restrict(cofactor, line))
+        tangent, point = restricted_conic.tangency()
+        if dec.n == 7:
+            certificate = _build_certificate(dec, line, restricted_conic)
+    if certificate is not None:
+        if tangent is not True:
+            raise TheoremViolationError("certificate exists but discriminant test disagrees")
+        if point is not None and certificate.tangency_point != point:
+            raise TheoremViolationError("certificate contact point disagrees with kernel point")
     return AnalysisReport(
         summary=summary,
         divisible=True,

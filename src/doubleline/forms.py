@@ -74,10 +74,6 @@ class HomogeneousForm:
         return cls(num_vars, degree, {})
 
     @classmethod
-    def constant(cls, num_vars: int, value: Fraction | int) -> "HomogeneousForm":
-        return cls(num_vars, 0, {(0,) * num_vars: Fraction(value)})
-
-    @classmethod
     def variable(cls, num_vars: int, index: int) -> "HomogeneousForm":
         if not 0 <= index < num_vars:
             raise StructuralError(f"variable index {index} out of range")
@@ -509,6 +505,12 @@ class BinaryQuadratic:
             w = (Fraction(1), Fraction(0))
         return normalize_vector(w)  # type: ignore[return-value]
 
+    def tangency(self) -> tuple[bool, tuple[Fraction, Fraction] | None]:
+        """The tangency rule on a restricted conic: the flag is true exactly
+        when the quadratic is zero or a square, and the point is its polar
+        kernel point (None for the zero quadratic and for a nonsquare)."""
+        return self.is_zero() or self.discriminant() == 0, self.polar_kernel_point()
+
 
 def line_tangent_to_conic(
     line: HomogeneousForm, q: HomogeneousForm
@@ -526,9 +528,4 @@ def line_tangent_to_conic(
         raise InvalidInputError("line must be nonzero")
     if q.is_zero():
         raise InvalidInputError("conic must be nonzero")
-    restricted = BinaryQuadratic.from_form(restrict(q, line))
-    if restricted.is_zero():
-        return True, None
-    if restricted.discriminant() != 0:
-        return False, None
-    return True, restricted.polar_kernel_point()
+    return BinaryQuadratic.from_form(restrict(q, line)).tangency()

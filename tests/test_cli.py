@@ -10,8 +10,11 @@ from pathlib import Path
 
 import pytest
 from conftest import random_fraction
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import doubleline
+from doubleline import cli
 from doubleline.cli import (
     MAX_NODES_RANGE,
     MAX_RATIONAL_CHARS,
@@ -24,6 +27,7 @@ from doubleline.cli import (
     parse_rational,
     render_document,
 )
+from doubleline.errors import StructuralError
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -268,8 +272,15 @@ class TestCommands:
             ["theorem-check", "--seed", "-1"],
             ["claim-check", "--h=1/0,1,2,3,4,5"],
             ["frobnicate"],
+            # argparse quotes unrecognized arguments raw; the line breaks are escaped
+            ["example", "a\fb\nc"],
+            # open() would raise ValueError, not OSError, on a NUL
+            ["verify", "tangent7\0.json"],
         ],
-        ids=["slope-count", "negative-seed", "zero-denominator", "unknown-command"],
+        ids=[
+            "slope-count", "negative-seed", "zero-denominator", "unknown-command",
+            "line-break-in-argument", "nul-in-file-name",
+        ],
     )
     def test_usage_error_is_one_line(self, argv):
         code, out, err = run_cli(argv)
@@ -340,6 +351,76 @@ class TestInputCaps:
         assert code == 2
         assert out == ""
         assert err == f"error: rational string longer than {MAX_RATIONAL_CHARS} characters\n"
+
+
+class TestExitTable:
+    def test_bug_exception_propagates(self, monkeypatch):
+        # a StructuralError from the engine is a bug, not bad input
+        def broken(args):
+            raise StructuralError("target is not line^2 * cofactor")
+
+        monkeypatch.setitem(cli._COMMANDS, "example", broken)
+        with pytest.raises(StructuralError, match="target is not line"):
+            main(["example"], out=io.StringIO())
+
+    def test_document_not_utf8(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes((FIXTURES / "tangent7.json").read_bytes().replace(b'"x0"', b'"x\xe9"'))
+        code, out, err = run_cli(["verify", str(path)])
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
+# argv tokens for the fuzz test.  theorem-check and claim-check are left out,
+# and random tokens (at most 6 characters) can neither spell them nor name a
+# device file such as /dev/zero, so no case can ask for a long run.
+FUZZ_TOKENS = [
+    "verify", "example", "identity-check", "{doc}", "--json", "--line", "--h", "--",
+    "-h", "0,0,1", "1,0,0", "0,0,0", "-1,0,1", "1/0,0,1", "0,1,2,3,4,5,6", "0,1,2,3,4,5,5",
+]
+_fuzz_token = st.one_of(st.sampled_from(FUZZ_TOKENS), st.text(max_size=6))
+# any byte, or one that keeps a rational string a rational string
+_byte = st.one_of(st.integers(0, 255), st.sampled_from(b"0123456789/-"))
+_byte_edit = st.tuples(
+    st.sampled_from(["replace", "insert", "delete"]), st.integers(0, 10**6), _byte
+)
+_fuzz_argv = st.one_of(
+    st.sampled_from([["verify", "{doc}"], ["verify", "{doc}", "--json"]]),
+    st.lists(_fuzz_token, max_size=3).map(lambda extra: ["verify", "{doc}", *extra]),
+    st.lists(_fuzz_token, max_size=5),
+)
+
+
+def _mutate(data: bytes, edits) -> bytes:
+    buf = bytearray(data)
+    for kind, pos, byte in edits:
+        if kind == "insert":
+            buf.insert(pos % (len(buf) + 1), byte)
+        elif buf and kind == "replace":
+            buf[pos % len(buf)] = byte
+        elif buf:
+            del buf[pos % len(buf)]
+    return bytes(buf)
+
+
+class TestFuzz:
+    @settings(max_examples=200)
+    @given(edits=st.lists(_byte_edit, max_size=6), argv=_fuzz_argv)
+    def test_mutated_document_and_argv(self, tmp_path_factory, edits, argv):
+        """Any mutation of ``tangent7.json`` (bytes that are not UTF-8 included)
+        and of argv exits 0, 1 or 2 in process, with at most one stderr line
+        besides ``wall-time:``, and exactly one ``error:`` line on exit 2."""
+        path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+        path.write_bytes(_mutate((FIXTURES / "tangent7.json").read_bytes(), edits))
+        code, _, err = run_cli([str(path) if a == "{doc}" else a for a in argv])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        others = [line for line in err.splitlines() if not line.startswith("wall-time:")]
+        assert len(others) <= 1, err
+        if code == 2:
+            assert len(others) == 1 and others[0].startswith("error: "), err
 
 
 class TestDeterminismAndJson:

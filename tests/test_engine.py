@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from math import lcm, prod
@@ -44,6 +45,7 @@ from doubleline.errors import (
     NotDoubleLineError,
     PreconditionError,
     StructuralError,
+    TheoremViolationError,
 )
 from doubleline.forms import (
     BinaryQuadratic,
@@ -356,6 +358,26 @@ class TestTangencyCertificate:
         with pytest.raises(PreconditionError):
             tangency_certificate(reference_decomposition(), line_x2())
 
+    def test_base_line_as_a_term_rejected(self):
+        # six distinct slopes with their degree-4 annihilator as weights and
+        # lifts on the translation family sum to zero (six_term_vanishing_check),
+        # so adding 1 * x2^4 makes the value x2^4 and the cofactor x2^2; the
+        # seventh line x2 restricts to zero on x2 = 0
+        slopes = tuple(Fraction(h) for h in (0, 1, 3, -2, Fraction(1, 2), 5))
+        (alpha,) = vandermonde_nullspace(VandermondeSystem(slopes, 4))
+        t0, t1 = Fraction(2), Fraction(-3, 2)
+        terms = tuple(
+            (a, HomogeneousForm.linear((1, h, t0 + t1 * h))) for a, h in zip(alpha, slopes)
+        )
+        dec = WaringDecomposition(terms + ((Fraction(1), X2),))
+        assert dec.value() == X2**4
+        report = analyze(dec, line_x2())
+        assert report.cofactor == X2**2
+        assert report.tangent is True and report.tangency_point is None
+        assert report.certificate is None
+        with pytest.raises(PreconditionError, match="in seven distinct points"):
+            tangency_certificate(dec, line_x2())
+
     def test_random_generated_instances(self):
         rng = random.Random(47)
         checked = 0
@@ -372,6 +394,55 @@ class TestTangencyCertificate:
             flag, point = line_tangent_to_conic(line_x2(), generated.quartic.cofactor)
             assert flag is True and point == cert.tangency_point
             checked += 1
+
+
+class TestCertificateTampering:
+    """``verify`` is the only checker of the certificate identities; each
+    tampered field below fails the first identity that reads it, and the
+    error names that identity.
+
+    The polar-kernel identity cannot be broken on its own: it follows from
+    the other four, which is the theorem, so no tampering reaches it alone.
+    """
+
+    @pytest.fixture(scope="class")
+    def certificate(self):
+        return tangency_certificate(flagship_instance().to_decomposition(), line_x2())
+
+    @staticmethod
+    def assert_fails(tampered, message):
+        with pytest.raises(TheoremViolationError) as info:
+            tampered.verify()
+        assert str(info.value) == message
+
+    def test_annihilator_entry(self, certificate):
+        a = list(certificate.annihilator)
+        a[3] += 1
+        self.assert_fails(
+            dataclasses.replace(certificate, annihilator=tuple(a)),
+            "annihilator does not kill the degree-5 powers",
+        )
+
+    def test_contact_vector(self, certificate):
+        w0, w1 = certificate.contact_vector
+        self.assert_fails(
+            dataclasses.replace(certificate, contact_vector=(w0 + 1, w1)),
+            "contact vector does not reproduce the weights",
+        )
+
+    def test_bridge_coefficient(self, certificate):
+        bridge = certificate.bridge + HomogeneousForm(2, 2, {(1, 1): 1})
+        self.assert_fails(
+            dataclasses.replace(certificate, bridge=bridge),
+            "bridge tensor does not reproduce the line values",
+        )
+
+    def test_restricted_conic(self, certificate):
+        q = certificate.restricted_conic
+        self.assert_fails(
+            dataclasses.replace(certificate, restricted_conic=BinaryQuadratic(q.a + 1, q.b, q.c)),
+            "restricted conic does not match its power-sum expression",
+        )
 
 
 class TestTangencyDefect:
@@ -609,8 +680,8 @@ class TestAnalyze:
         assert report.divisible and report.tangent is True
         assert isinstance(report.certificate, TangencyCertificate)
         assert report.tangency_point == report.certificate.tangency_point
-        # analyze hands its cofactor and restrictions to the same builder that
-        # the public entry point reaches from scratch
+        # the public entry point runs the same analysis on a fresh decomposition,
+        # so it rebuilds this certificate from scratch
         fresh = WaringDecomposition(generated.instance.to_decomposition().terms)
         assert tangency_certificate(fresh, line_x2()) == report.certificate
 
@@ -651,7 +722,8 @@ class TestRoundTrips:
 class TestDoubleLineQuartic:
     def test_of_constructor(self):
         q = parse_form("x0^2 + x1^2", 3)
-        dl = DoubleLineQuartic.of(X2, q)
+        target = parse_form("x0^2*x2^2 + x1^2*x2^2", 3)
+        dl = DoubleLineQuartic(line=X2, cofactor=q, target=target)
         assert dl.target == X2**2 * q
 
     def test_mismatch_rejected(self):

@@ -85,7 +85,7 @@ class TestAddMul:
 
     def test_unit_and_plain_product(self):
         f = parse_form("x0^2 + 2*x1*x2", 3)
-        assert HomogeneousForm.constant(3, 1) * f == f
+        assert HomogeneousForm(3, 0, {(0, 0, 0): 1}) * f == f
         assert X0 * X1 == parse_form("x0*x1", 3)
 
     @given(form_st(3, 2), form_st(3, 2), form_st(3, 1))
@@ -173,7 +173,7 @@ class TestTrustedArithmetic:
     def test_form_mul(self, f, g, h, k):
         assert_canonical(f * g)
         assert_canonical(h * k)
-        assert_canonical(HomogeneousForm.constant(3, 0) * f)
+        assert_canonical(HomogeneousForm(3, 0, {(0, 0, 0): 0}) * f)
 
     @given(linear_st(3), st.integers(0, 5))
     def test_linear_pow(self, l, e):
