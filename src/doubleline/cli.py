@@ -1,7 +1,7 @@
 """Command-line driver: verify, theorem-check, identity-check, claim-check, example.
 
 Exit codes: 0 all checks pass, 1 a mathematical check failed, 2 usage or
-parse error (``_EXIT_TABLE``); any other exception is a bug and propagates.
+parse error (``_INPUT_ERRORS``); any other exception is a bug and propagates.
 Reports are deterministic functions of flags, files and seed;
 wall time is printed to stderr so that stdout is byte-identical across runs.
 Rationals are serialized as strings of the shape ``p`` or ``p/q`` and never
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import re
 import sys
@@ -106,7 +107,10 @@ def _unique_fields(pairs: list[tuple[str, object]]) -> dict:
 def parse_document(text: str) -> DecompositionDocument:
     try:
         raw = json.loads(text, object_pairs_hook=_unique_fields)
-    except json.JSONDecodeError as exc:
+    except DocumentError:  # a duplicate field, from _unique_fields
+        raise
+    except ValueError as exc:
+        # JSONDecodeError, or an integer literal past int's digit limit
         raise DocumentError(f"invalid JSON: {exc}") from exc
     except RecursionError as exc:
         raise DocumentError("invalid JSON: nested too deeply") from exc
@@ -459,9 +463,14 @@ def _positive_int(cap: int):
 
 
 def _file_name(text: str) -> str:
-    # open() raises ValueError, not OSError, on a NUL byte
+    # open() raises ValueError, not OSError, on a NUL byte or on a name that
+    # the file system encoding cannot encode (a lone surrogate)
     if "\0" in text:
         raise argparse.ArgumentTypeError("file name contains a NUL character")
+    try:
+        os.fsencode(text)
+    except UnicodeEncodeError as exc:
+        raise argparse.ArgumentTypeError(f"file name cannot be encoded: {text!r}") from exc
     return text
 
 
@@ -542,15 +551,9 @@ def _attach_list_values(argv: Sequence[str]) -> list[str]:
     return out
 
 
-# exception -> (exit code, stderr prefix), first match wins; an exception not
-# listed is a bug and propagates with its traceback
-_EXIT_TABLE: dict[type[BaseException], tuple[int, str]] = {
-    OSError: (2, "error"),
-    UnicodeDecodeError: (2, "error"),
-    InvalidInputError: (2, "error"),
-    DocumentError: (2, "error"),
-    TheoremViolationError: (1, "internal consistency failure"),
-}
+# exceptions that mean bad input (exit 2); TheoremViolationError exits 1 and
+# any other exception is a bug and propagates with its traceback
+_INPUT_ERRORS = (OSError, UnicodeDecodeError, InvalidInputError, DocumentError)
 
 
 def main(argv: Sequence[str] | None = None, out: TextIO | None = None) -> int:
@@ -560,10 +563,12 @@ def main(argv: Sequence[str] | None = None, out: TextIO | None = None) -> int:
     started = time.perf_counter()
     try:
         report = _COMMANDS[args.command](args)
-    except tuple(_EXIT_TABLE) as exc:
-        code, prefix = next(v for t, v in _EXIT_TABLE.items() if isinstance(exc, t))
-        print(f"{prefix}: {str(exc).translate(_LINE_BREAKS)}", file=sys.stderr)
-        return code
+    except _INPUT_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except TheoremViolationError as exc:
+        print(f"internal consistency failure: {exc}", file=sys.stderr)
+        return 1
     stream.write(report.render(as_json=getattr(args, "json", False)))
     print(f"wall-time: {time.perf_counter() - started:.3f}s", file=sys.stderr)
     return report.exit_code

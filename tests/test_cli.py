@@ -274,12 +274,13 @@ class TestCommands:
             ["frobnicate"],
             # argparse quotes unrecognized arguments raw; the line breaks are escaped
             ["example", "a\fb\nc"],
-            # open() would raise ValueError, not OSError, on a NUL
+            # open() would raise ValueError, not OSError, on a NUL or a lone surrogate
             ["verify", "tangent7\0.json"],
+            ["verify", "tangent7\ud800.json"],
         ],
         ids=[
             "slope-count", "negative-seed", "zero-denominator", "unknown-command",
-            "line-break-in-argument", "nul-in-file-name",
+            "line-break-in-argument", "nul-in-file-name", "unencodable-file-name",
         ],
     )
     def test_usage_error_is_one_line(self, argv):
@@ -371,6 +372,24 @@ class TestExitTable:
         assert out == ""
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
+    @pytest.mark.parametrize("field", ["line", "alpha"])
+    def test_document_integer_past_digit_limit(self, tmp_path, field):
+        # json.loads raises a plain ValueError, not JSONDecodeError, on an
+        # integer literal longer than int's string-conversion limit
+        doc = json.loads((FIXTURES / "tangent7.json").read_text())
+        if field == "line":
+            doc["line"][0] = "BIG"
+        else:
+            doc["terms"][0]["alpha"] = "BIG"
+        path = tmp_path / "bigint.json"
+        path.write_text(json.dumps(doc).replace('"BIG"', "7" * 5000))
+        code, out, err = run_cli(["verify", str(path)])
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: invalid JSON:"), err
 
 
 # argv tokens for the fuzz test.  theorem-check and claim-check are left out,
