@@ -47,7 +47,8 @@ from .forms import (
     render_form,
 )
 
-RATIONAL_PATTERN = r"-?\d+(/\d+)?"
+# [0-9], not \d: \d and Fraction also accept the other Unicode decimal digits
+RATIONAL_PATTERN = r"-?[0-9]+(/[0-9]+)?"
 
 # input caps, enforced while parsing (exit 2)
 MAX_RATIONAL_CHARS = 1_000  # one rational string, in argv or in a document
@@ -348,11 +349,11 @@ def cmd_theorem_check(args) -> RunReport:
             failures.append(f"trial {trial}: weight sampling exhausted")
             continue
         retries += generated.weight_retries
-        if generated.quartic.cofactor.is_zero():
+        analysis = analyze(generated.instance.to_decomposition(), line_x2())
+        if analysis.cofactor.is_zero():
             degenerate += 1
             continue
         defect = tangency_defect(generated.instance)
-        analysis = analyze(generated.instance.to_decomposition(), line_x2())
         ok = (
             defect == 0
             and analysis.tangent is True
@@ -544,7 +545,7 @@ def _attach_list_values(argv: Sequence[str]) -> list[str]:
     value with a leading minus for an option unless it is a plain number."""
     out: list[str] = []
     for arg in argv:
-        if out and out[-1] in ("--h", "--line") and re.match(r"-\d", arg):
+        if out and out[-1] in ("--h", "--line") and re.match(r"-[0-9]", arg):
             out[-1] += "=" + arg
         else:
             out.append(arg)

@@ -49,7 +49,6 @@ from .linalg import (
     moment_kernel,
     normalize_vector,
     rref,
-    solve,
     vandermonde_nullspace,
     weighted_moment_kernel,
 )
@@ -307,13 +306,34 @@ def tangency_certificate(dec: WaringDecomposition, line: HomogeneousForm) -> Tan
     return report.certificate
 
 
+def _interpolate(
+    points: Sequence[tuple[Fraction, Fraction]], values: Sequence[Fraction]
+) -> list[Fraction]:
+    """Coefficients on y0^d, y0^(d-1)*y1, ..., y1^d of the binary form of degree
+    d = len(points) - 1 taking ``values[k]`` at ``points[k]`` (pairwise
+    independent): sum_k values[k] * prod_{m != k} [P_m, y] / [P_m, P_k], with
+    [P, y] = a*y1 - b*y0 for P = (a, b)."""
+    coeffs = [Fraction(0)] * len(points)
+    for k, (ak, bk) in enumerate(points):
+        term: list[Fraction | int] = [1]
+        den = 1
+        for m, (am, bm) in enumerate(points):
+            if m != k:
+                # multiply by [P_m, y]; index e holds the y1^e coefficient
+                term = [-bm * x + am * y for x, y in zip([*term, 0], [0, *term])]
+                den *= am * bk - bm * ak
+        coeffs = [c + values[k] / den * t for c, t in zip(coeffs, term)]
+    return coeffs
+
+
 def _build_certificate(
     dec: WaringDecomposition, line: HomogeneousForm, restricted_conic: BinaryQuadratic
 ) -> TangencyCertificate | None:
     """The certificate witnesses for seven terms whose value is line^2 * cofactor
     with cofactor nonzero and ``restricted_conic`` the cofactor's restriction,
     or None when the lines do not meet ``line = 0`` in seven distinct points.
-    The identities are checked by ``verify`` alone."""
+    The contact vector and the bridge interpolate their identities at the
+    first two and three points; ``verify`` alone checks all seven."""
     restricted = FormTuple(tuple(restrict(f, line) for f in dec.lines()))
     try:
         kernel5 = power_kernel(restricted, 5)
@@ -326,31 +346,13 @@ def _build_certificate(
         raise TheoremViolationError("degree-5 kernel generator has a zero entry")
 
     weights = dec.weights()
-    coeffs = [f.linear_coefficients() for f in restricted]
-    two_rows = RationalMatrix.from_rows(
-        [[annihilator[i] * coeffs[i][0], annihilator[i] * coeffs[i][1]] for i in range(2)]
-    )
-    w = solve(two_rows, [weights[0], weights[1]])
-    if w is None:
-        raise TheoremViolationError("contact system is singular")
-    contact = (w[0], w[1])
+    points = [f.linear_coefficients() for f in restricted]
+    scaled = [w / a for w, a in zip(weights, annihilator)]
+    contact = tuple(_interpolate(points[:2], scaled[:2]))
 
     transversal = _transversal_point(line)
     line_values = tuple(f.evaluate(transversal) for f in dec.lines())
-
-    bridge_rows = RationalMatrix.from_rows(
-        [
-            [
-                annihilator[i] * coeffs[i][0] ** 2,
-                annihilator[i] * coeffs[i][0] * coeffs[i][1],
-                annihilator[i] * coeffs[i][1] ** 2,
-            ]
-            for i in range(7)
-        ]
-    )
-    b = solve(bridge_rows, [weights[i] * line_values[i] for i in range(7)])
-    if b is None:
-        raise TheoremViolationError("bridge system is inconsistent")
+    b = _interpolate(points[:3], [s * lv for s, lv in zip(scaled[:3], line_values)])
     bridge = HomogeneousForm(2, 2, {(2, 0): b[0], (1, 1): b[1], (0, 2): b[2]})
 
     point = normalize_vector(contact)
@@ -603,7 +605,8 @@ def generate_six_term_family(
 
     Within each triple the lifts are (0, c, -c) and the weights
     (2*s, -s, -s), which forces the value to be a double line times a
-    nondegenerate conic.  Seed 0 is the canonical member with c = s = 1.
+    nondegenerate conic; ``two_value_collapse_check`` derives that conic and
+    its rank.  Seed 0 is the canonical member with c = s = 1.
     """
     ha, hb = Fraction(slope_pair[0]), Fraction(slope_pair[1])
     if ha == hb:
@@ -623,35 +626,42 @@ def generate_six_term_family(
         2 * scales[0], -scales[0], -scales[0],
         2 * scales[1], -scales[1], -scales[1],
     )
-    inst = CoordinateInstance(slopes, lifts, weights)
-    cofactor = extract_cofactor(inst.to_decomposition().value(), line_x2())
-    if conic_rank(cofactor) != 3:
-        raise TheoremViolationError("generated six-term conic is degenerate")
-    return inst
+    return CoordinateInstance(slopes, lifts, weights)
 
 
 @dataclass(frozen=True)
 class TangentInstance:
-    """A generated seven-term instance with its double-line value."""
+    """A generated seven-term instance and its rejected weight samples;
+    ``quartic``, an extraction separate from ``analyze``, is built when read."""
 
     instance: CoordinateInstance
-    quartic: DoubleLineQuartic
     weight_retries: int
+
+    @cached_property
+    def quartic(self) -> DoubleLineQuartic:
+        value = self.instance.to_decomposition().value()
+        return DoubleLineQuartic(
+            line=line_x2(), cofactor=extract_cofactor(value, line_x2()), target=value
+        )
+
+
+# weight samples drawn before generate_tangent_instance gives up
+MAX_WEIGHT_SAMPLES = 64
 
 
 def generate_tangent_instance(
     slopes: Sequence[Fraction | int],
     lift_params: Sequence[Fraction | int],
     seed: int,
-    max_retries: int = 64,
 ) -> TangentInstance:
     """Seven-term double-line instance from the moment systems.
 
     Weights are a seeded integer combination of the degree-4 annihilator
     basis, resampled (bounded) until no entry vanishes; lifts are the given
     three coordinates in the degree-3 annihilator basis divided entrywise by
-    the weights.  The value is then line^2 * conic by construction; the
-    conic may be zero for special parameters and is returned as-is.
+    the weights.  Only the instance is built: its value is x2^2 * conic by
+    construction, and the conic, which may be zero for special parameters,
+    is derived by ``analyze`` (or read from ``TangentInstance.quartic``).
     """
     hs = tuple(Fraction(h) for h in slopes)
     if len(hs) != 7:
@@ -663,7 +673,7 @@ def generate_tangent_instance(
     rng = random.Random(f"tangent-instance:{seed}")
     retries = 0
     weights: Vector | None = None
-    for _ in range(max_retries):
+    for _ in range(MAX_WEIGHT_SAMPLES):
         s, t = rng.randint(-9, 9), rng.randint(-9, 9)
         if (s, t) == (0, 0):
             retries += 1
@@ -683,10 +693,7 @@ def generate_tangent_instance(
     )
     lifts = tuple(b / w for b, w in zip(beta, weights))
     inst = CoordinateInstance(hs, lifts, weights)
-    value = inst.to_decomposition().value()
-    cofactor = extract_cofactor(value, line_x2())
-    quartic = DoubleLineQuartic(line=line_x2(), cofactor=cofactor, target=value)
-    return TangentInstance(instance=inst, quartic=quartic, weight_retries=retries)
+    return TangentInstance(instance=inst, weight_retries=retries)
 
 
 @dataclass(frozen=True)

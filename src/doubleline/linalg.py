@@ -1,6 +1,6 @@
 """Exact dense linear algebra over the rationals.
 
-Elimination is used only for rank and for solving linear systems.  It is
+Elimination is used only for ranks and for comparing row spaces.  It is
 done fraction-free: rows are cleared to integers and reduced with the
 Bareiss two-step recurrence (every division is exact), then a final
 normalization pass produces the reduced row echelon form with Fraction
@@ -150,20 +150,6 @@ def normalize_vector(v: Sequence[Fraction | int]) -> Vector:
     if lead < 0:
         ints = [-x for x in ints]
     return tuple(Fraction(x) for x in ints)
-
-
-def solve(m: RationalMatrix, rhs: Sequence[Fraction | int]) -> list[Fraction] | None:
-    """One exact solution of ``m x = rhs`` (free variables 0), or None."""
-    if len(rhs) != m.rows:
-        raise StructuralError("right-hand side length does not match row count")
-    entries = [x for i in range(m.rows) for x in m.row(i) + [rhs[i]]]
-    reduced, _, pivot_cols = rref(RationalMatrix(m.rows, m.cols + 1, entries))
-    if m.cols in pivot_cols:
-        return None
-    x = [Fraction(0)] * m.cols
-    for i, pc in enumerate(pivot_cols):
-        x[pc] = reduced[i, m.cols]
-    return x
 
 
 def moment_kernel(

@@ -74,6 +74,36 @@ def reference_kernel(rows: list[list[Fraction]], ncols: int) -> list[tuple[Fract
     return basis
 
 
+def reference_solve(rows: list[list[Fraction]], rhs) -> tuple[Fraction, ...] | None:
+    """One solution of ``rows x = rhs`` by elimination (free variables 0), or
+    None when the system is inconsistent: ``linalg.rref`` of the augmented
+    matrix, read off at the pivot columns."""
+    ncols = len(rows[0])
+    augmented = [[*row, Fraction(b)] for row, b in zip(rows, rhs)]
+    m = RationalMatrix(len(rows), ncols + 1, [x for row in augmented for x in row])
+    reduced, _, pivot_cols = rref(m)
+    if ncols in pivot_cols:
+        return None
+    x = [Fraction(0)] * ncols
+    for i, pc in enumerate(pivot_cols):
+        x[pc] = reduced[i, ncols]
+    return tuple(x)
+
+
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Replace ``module.name`` by a wrapper that appends to the returned list
+    on every call."""
+    calls: list = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
 def kills(rows: list[list[Fraction]], vec) -> bool:
     return all(sum(x * v for x, v in zip(row, vec)) == 0 for row in rows)
 
@@ -89,6 +119,15 @@ def sample_nodes(rng: random.Random, count: int) -> tuple[Fraction, ...]:
 
 def random_fraction(rng: random.Random, max_abs: int = 9, max_den: int = 5) -> Fraction:
     return Fraction(rng.randint(-max_abs, max_abs), rng.randint(1, max_den))
+
+
+def random_invertible_3x3(rng: random.Random, max_den: int = 3) -> list[list[Fraction]]:
+    """Rows of a random invertible 3x3 matrix, entries p/q with |p| <= 4 and
+    q <= max_den (integers for max_den = 1)."""
+    while True:
+        rows = [[random_fraction(rng, 4, max_den) for _ in range(3)] for _ in range(3)]
+        if determinant([row[:] for row in rows]) != 0:
+            return rows
 
 
 # Reference sparse polynomials: exponent tuples to Fractions, the layout the

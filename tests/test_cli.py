@@ -9,12 +9,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from conftest import random_fraction
+from conftest import count_calls, random_fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import doubleline
-from doubleline import cli
+from doubleline import cli, engine
 from doubleline.cli import (
     MAX_NODES_RANGE,
     MAX_RATIONAL_CHARS,
@@ -67,7 +67,8 @@ class TestDocuments:
     def test_rational_grammar(self):
         assert parse_rational("-3/4") == Fraction(-3, 4)
         assert parse_rational("17") == 17
-        for bad in ("1.5", "+3", "3/-4", "1/0", "", "x"):
+        # the last three use Arabic-Indic and fullwidth digits, not ASCII ones
+        for bad in ("1.5", "+3", "3/-4", "1/0", "", "x", "\u0663", "\u0661/\u0662", "\uff13"):
             with pytest.raises(ValueError):
                 parse_rational(bad)
 
@@ -310,6 +311,60 @@ class TestCommands:
         code, _, err = run_cli(["identity-check", "--h", "--json"])
         assert code == 2
         assert "expected one argument" in err
+
+
+class TestAsciiDigits:
+    """A rational is ``p`` or ``p/q`` in ASCII digits; other Unicode decimal
+    digits, which ``Fraction`` and ``\\d`` accept, are bad input."""
+
+    def test_arabic_indic_digits_in_argv(self):
+        h = ",".join(chr(0x0660 + i) for i in range(7))
+        code, out, err = run_cli(["identity-check", f"--h={h}"])
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), err
+
+    def test_fullwidth_digit_in_line(self):
+        code, out, err = run_cli(["verify", str(FIXTURES / "example.json"), "--line=0,0,\uff11"])
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), err
+
+    def test_non_ascii_digit_in_document(self, tmp_path):
+        doc = json.loads((FIXTURES / "tangent7.json").read_text())
+        doc["terms"][0]["alpha"] = "\u0663"
+        path = tmp_path / "arabic-indic.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(["verify", str(path)])
+        assert code == 2 and out == ""
+        assert err == "error: not a rational string: '\u0663'\n"
+
+
+class TestOneDerivationPerTrial:
+    """The generators only build instances; ``analyze`` derives each trial's
+    cofactor and its rank once."""
+
+    def test_theorem_check(self, monkeypatch):
+        extractions = count_calls(monkeypatch, engine, "extract_cofactor")
+        code, out, _ = run_cli(["theorem-check", "--trials", "20", "--seed", "1"])
+        assert code == 0 and "tangent: 20" in out.splitlines()
+        assert len(extractions) == 20
+
+    def test_claim_check_random(self, monkeypatch):
+        extractions = count_calls(monkeypatch, engine, "extract_cofactor")
+        ranks = count_calls(monkeypatch, engine, "conic_rank")
+        code, out, _ = run_cli(["claim-check", "--random", "20", "--seed", "3"])
+        assert code == 0 and "two-value-pass: 20" in out.splitlines()
+        assert len(extractions) == 20 and len(ranks) == 20
+
+    def test_weight_sampling_exhausted(self, monkeypatch):
+        monkeypatch.setattr(engine, "MAX_WEIGHT_SAMPLES", 0)
+        code, out, _ = run_cli(["theorem-check", "--trials", "2"])
+        assert code == 1
+        assert (
+            "check all-nonzero-cofactors-tangent-with-certificate: fail "
+            "(trial 0: weight sampling exhausted; trial 1: weight sampling exhausted)"
+        ) in out.splitlines()
 
 
 class TestInputCaps:

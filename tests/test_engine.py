@@ -5,22 +5,25 @@ from math import lcm, prod
 
 import pytest
 from conftest import (
+    count_calls,
     kills,
     power_map_rows,
     random_fraction,
+    random_invertible_3x3,
     ref_add,
     ref_mul,
     ref_product,
     ref_scale,
     ref_variable,
     reference_kernel,
+    reference_solve,
     sample_nodes,
     unpack,
 )
 from hypothesis import given
 from hypothesis import strategies as st
 
-from doubleline import sympoly
+from doubleline import engine, sympoly
 from doubleline.engine import (
     CoordinateInstance,
     DoubleLineQuartic,
@@ -41,6 +44,7 @@ from doubleline.engine import (
 )
 from doubleline.errors import (
     DegenerateNodesError,
+    GenerationFailureError,
     InvalidInputError,
     NotDoubleLineError,
     PreconditionError,
@@ -395,6 +399,52 @@ class TestTangencyCertificate:
             assert flag is True and point == cert.tangency_point
             checked += 1
 
+    def test_non_coordinate_base_line(self):
+        # criterion-5 instances moved by x_j -> sum_i rows[i][j] * x_i, so the
+        # base line is no longer x2 and the restricted points are not (1, h);
+        # the interpolated witnesses must equal the unique solutions of the
+        # contact (2x2) and bridge (7x3) systems
+        rng = random.Random(109)
+        checked = 0
+        trial = 0
+        while checked < 20:
+            trial += 1
+            slopes = sample_nodes(rng, 7)
+            params = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(3))
+            generated = generate_tangent_instance(slopes, params, seed=trial)
+            if generated.quartic.cofactor.is_zero():
+                continue
+            rows = random_invertible_3x3(rng, max_den=1)
+
+            def move(coeffs):
+                return HomogeneousForm.linear(
+                    tuple(sum(rows[i][j] * coeffs[j] for j in range(3)) for i in range(3))
+                )
+
+            line = move((0, 0, 1))
+            terms = generated.instance.to_decomposition().terms
+            dec = WaringDecomposition(tuple((w, move(f.linear_coefficients())) for w, f in terms))
+            report = analyze(dec, line)
+            cert = report.certificate
+            assert cert is not None
+            cert.verify()
+
+            points = [f.linear_coefficients() for f in cert.restricted]
+            assert any(a != 1 for a, _ in points)
+            c = cert.annihilator
+            contact_rows = [[c[i] * a, c[i] * b] for i, (a, b) in enumerate(points[:2])]
+            assert cert.contact_vector == reference_solve(contact_rows, cert.weights[:2])
+            bridge_rows = [
+                [c[i] * a * a, c[i] * a * b, c[i] * b * b] for i, (a, b) in enumerate(points)
+            ]
+            rhs = [al * lv for al, lv in zip(cert.weights, cert.line_values)]
+            bridge = tuple(cert.bridge.terms.get(m, 0) for m in ((2, 0), (1, 1), (0, 2)))
+            assert bridge == reference_solve(bridge_rows, rhs)
+
+            flag, point = line_tangent_to_conic(line, report.cofactor)
+            assert flag is True and point == cert.tangency_point
+            checked += 1
+
 
 class TestCertificateTampering:
     """``verify`` is the only checker of the certificate identities; each
@@ -662,6 +712,30 @@ class TestGenerators:
         a = generate_tangent_instance(slopes, (1, 2, 3), seed=9)
         b = generate_tangent_instance(slopes, (1, 2, 3), seed=9)
         assert a.instance == b.instance and a.weight_retries == b.weight_retries
+
+    def test_generators_derive_nothing(self, monkeypatch):
+        extractions = count_calls(monkeypatch, engine, "extract_cofactor")
+        ranks = count_calls(monkeypatch, engine, "conic_rank")
+        generate_tangent_instance(tuple(range(7)), (1, 2, 3), seed=9)
+        generate_six_term_family((0, 2), seed=3)
+        assert extractions == [] and ranks == []
+
+    def test_tangent_instance_quartic_is_read_once(self, monkeypatch):
+        generated = generate_tangent_instance(tuple(range(7)), (1, 2, 3), seed=9)
+        extractions = count_calls(monkeypatch, engine, "extract_cofactor")
+        first = generated.quartic
+        assert generated.quartic is first
+        assert len(extractions) == 1
+        value = generated.instance.to_decomposition().value()
+        direct = DoubleLineQuartic(
+            line=line_x2(), cofactor=extract_cofactor(value, line_x2()), target=value
+        )
+        assert first == direct and not first.cofactor.is_zero()
+
+    def test_weight_sampling_exhausted(self, monkeypatch):
+        monkeypatch.setattr(engine, "MAX_WEIGHT_SAMPLES", 0)
+        with pytest.raises(GenerationFailureError, match="could not sample weights"):
+            generate_tangent_instance(tuple(range(7)), (1, 2, 3), seed=9)
 
 
 class TestAnalyze:

@@ -6,6 +6,7 @@ from conftest import (
     minor_rank,
     monomials,
     random_fraction,
+    random_invertible_3x3,
     ref_add,
     ref_mul,
     ref_product,
@@ -331,15 +332,6 @@ class TestRestrict:
     @given(form_st(3, 2), form_st(3, 2), nonzero_linear_st(3))
     def test_ring_homomorphism(self, f, g, line):
         assert restrict(f * g, line) == restrict(f, line) * restrict(g, line)
-
-
-def random_invertible_3x3(rng):
-    from conftest import determinant
-
-    while True:
-        rows = [[random_fraction(rng, 4, 3) for _ in range(3)] for _ in range(3)]
-        if determinant([row[:] for row in rows]) != 0:
-            return rows
 
 
 def apply_change(q, rows):

@@ -21,7 +21,6 @@ from doubleline.linalg import (
     moment_kernel,
     normalize_vector,
     rref,
-    solve,
     vandermonde_nullspace,
     weighted_moment_kernel,
 )
@@ -209,14 +208,6 @@ class TestWeightedMomentKernel:
 
 
 class TestSolveAndNormalize:
-    def test_unique_solution(self):
-        m = RationalMatrix.from_rows([[1, 2], [3, 4]])
-        assert solve(m, [5, 6]) == [Fraction(-4), Fraction(9, 2)]
-
-    def test_inconsistent(self):
-        m = RationalMatrix.from_rows([[1, 2], [2, 4]])
-        assert solve(m, [1, 3]) is None
-
     def test_normalize_vector(self):
         assert normalize_vector((Fraction(-1, 120), Fraction(1, 24))) == (1, -5)
         assert normalize_vector((0, Fraction(-2, 3), Fraction(4, 3))) == (0, 1, -2)
