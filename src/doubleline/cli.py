@@ -11,6 +11,7 @@ as floating-point numbers.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -47,8 +48,9 @@ from .forms import (
     render_form,
 )
 
-# [0-9], not \d: \d and Fraction also accept the other Unicode decimal digits
-RATIONAL_PATTERN = r"-?[0-9]+(/[0-9]+)?"
+# [0-9], not \d: \d, int and Fraction also accept the other Unicode digits
+INTEGER_PATTERN = r"-?[0-9]+"
+RATIONAL_PATTERN = INTEGER_PATTERN + r"(/[0-9]+)?"
 
 # input caps, enforced while parsing (exit 2)
 MAX_RATIONAL_CHARS = 1_000  # one rational string, in argv or in a document
@@ -323,9 +325,11 @@ def cmd_example(args) -> RunReport:
     return report
 
 
-def _node_pool(max_abs: int) -> list[Fraction]:
+# kept per process: claim-check uses 6, theorem-check its --nodes-range (9)
+@functools.lru_cache(maxsize=4)
+def _node_pool(max_abs: int) -> tuple[Fraction, ...]:
     pool = {Fraction(n, d) for d in (1, 2, 3) for n in range(-max_abs, max_abs + 1)}
-    return sorted(pool)
+    return tuple(sorted(pool))
 
 
 def cmd_theorem_check(args) -> RunReport:
@@ -453,9 +457,15 @@ def _rational_list(text: str, count: int) -> tuple[Fraction, ...]:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+def _ascii_int(text: str) -> int:
+    if not re.fullmatch(INTEGER_PATTERN, text):
+        raise ValueError(f"not an integer: {text!r}")  # argparse: "invalid ... value"
+    return int(text)
+
+
 def _positive_int(cap: int):
     def positive_int(text: str) -> int:
-        value = int(text)
+        value = _ascii_int(text)
         if not 1 <= value <= cap:
             raise argparse.ArgumentTypeError(f"must be between 1 and {cap}")
         return value
@@ -476,7 +486,7 @@ def _file_name(text: str) -> str:
 
 
 def _seed(text: str) -> int:
-    value = int(text)
+    value = _ascii_int(text)
     if not 0 <= value < 2**64:
         raise argparse.ArgumentTypeError("seed must fit in an unsigned 64-bit integer")
     return value
@@ -496,6 +506,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message.translate(_LINE_BREAKS)}\n")
 
 
+# built on the first main() call and reused: parse_args keeps no state between calls
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="doubleline",
@@ -558,8 +570,7 @@ _INPUT_ERRORS = (OSError, UnicodeDecodeError, InvalidInputError, DocumentError)
 
 
 def main(argv: Sequence[str] | None = None, out: TextIO | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_attach_list_values(sys.argv[1:] if argv is None else argv))
+    args = build_parser().parse_args(_attach_list_values(sys.argv[1:] if argv is None else argv))
     stream = out if out is not None else sys.stdout
     started = time.perf_counter()
     try:

@@ -41,6 +41,7 @@ from .forms import (
     HomogeneousForm,
     conic_rank,
     divide_by_linear,
+    power_sum,
     restrict,
 )
 from .linalg import (
@@ -95,7 +96,9 @@ class WaringDecomposition:
 
     @cached_property
     def _value(self) -> HomogeneousForm:
-        return sum((w * f**4 for w, f in self.terms), HomogeneousForm.zero(3, 4))
+        if not self.terms:
+            return HomogeneousForm.zero(3, 4)
+        return power_sum(self.weights(), FormTuple(self.lines()), 4)
 
 
 @dataclass(frozen=True)
@@ -255,7 +258,7 @@ class TangencyCertificate:
         """Check every certified identity; raises TheoremViolationError."""
         L = self.restricted
         a = self.annihilator
-        if not sum((ai * f**5 for ai, f in zip(a, L)), HomogeneousForm.zero(2, 5)).is_zero():
+        if not power_sum(a, L, 5).is_zero():
             raise TheoremViolationError("annihilator does not kill the degree-5 powers")
         w_form = HomogeneousForm.linear(self.contact_vector)
         if kernel_descend(a, L, w_form) != self.weights:
@@ -263,10 +266,8 @@ class TangencyCertificate:
         expected = tuple(al * lv for al, lv in zip(self.weights, self.line_values))
         if kernel_descend(a, L, self.bridge) != expected:
             raise TheoremViolationError("bridge tensor does not reproduce the line values")
-        acc = HomogeneousForm.zero(2, 2)
-        for al, lv, f in zip(self.weights, self.line_values, L):
-            acc = acc + (6 * al * lv * lv) * (f * f)
-        if BinaryQuadratic.from_form(acc) != self.restricted_conic:
+        conic = power_sum([6 * w * v * v for w, v in zip(self.weights, self.line_values)], L, 2)
+        if BinaryQuadratic.from_form(conic) != self.restricted_conic:
             raise TheoremViolationError("restricted conic does not match its power-sum expression")
         q = self.restricted_conic
         for u in ((1, 0), (0, 1)):

@@ -77,13 +77,14 @@ class HomogeneousForm:
     def variable(cls, num_vars: int, index: int) -> "HomogeneousForm":
         if not 0 <= index < num_vars:
             raise StructuralError(f"variable index {index} out of range")
-        mono = tuple(int(i == index) for i in range(num_vars))
-        return cls(num_vars, 1, {mono: Fraction(1)})
+        return cls.linear([int(i == index) for i in range(num_vars)])
 
     @classmethod
     def linear(cls, coeffs: Point) -> "HomogeneousForm":
-        n = len(coeffs)
-        return cls(n, 1, {tuple(int(j == i) for j in range(n)): c for i, c in enumerate(coeffs)})
+        if len(coeffs) not in (2, 3):
+            raise StructuralError(f"num_vars must be 2 or 3, got {len(coeffs)}")
+        poly = {1 << (sympoly.BITS * i): Fraction(c) for i, c in enumerate(coeffs) if c}
+        return cls._trusted(len(coeffs), 1, poly)
 
     # basic accessors
 
@@ -101,10 +102,8 @@ class HomogeneousForm:
     def linear_coefficients(self) -> tuple[Fraction, ...]:
         if self.degree != 1:
             raise StructuralError("linear_coefficients requires a degree-1 form")
-        return tuple(
-            self.coefficient(tuple(int(j == i) for j in range(self.num_vars)))
-            for i in range(self.num_vars)
-        )
+        zero = Fraction(0)
+        return tuple(self.poly.get(1 << (sympoly.BITS * i), zero) for i in range(self.num_vars))
 
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
@@ -146,29 +145,22 @@ class HomogeneousForm:
         return self * other
 
     def __pow__(self, exponent: int) -> "HomogeneousForm":
-        """The power on integers: with D the lcm of the coefficient denominators,
-        (D * self)**exponent scaled once by 1 / D**exponent."""
-        if exponent < 0:
-            raise StructuralError("negative power of a form")
-        den, nums = sympoly.clear_denominators(self.poly.values())
-        powered = sympoly.power(dict(zip(self.poly, nums)), exponent)
-        return HomogeneousForm._trusted(
-            self.num_vars,
-            self.degree * exponent,
-            sympoly.scale(powered, Fraction(1, den**exponent)),
-        )
+        return power_sum((1,), FormTuple((self,)), exponent)
 
     def evaluate(self, point: Point) -> Fraction:
+        """The value at ``point``, on integers: with the point cleared to N / Q
+        and the coefficients to C / D, it is sum_t C_t * N**t / (D * Q**degree)."""
         if len(point) != self.num_vars:
             raise StructuralError("point length does not match variable count")
-        pt = [Fraction(x) for x in point]
-        total = Fraction(0)
-        for mono, c in self.terms.items():
-            v = c
-            for base, e in zip(pt, mono):
-                v *= base**e
-            total += v
-        return total
+        q, nums = sympoly.clear_denominators([Fraction(x) for x in point])
+        d, coeffs = sympoly.clear_denominators(self.poly.values())
+        total = 0
+        for key, c in zip(self.poly, coeffs):
+            for n in nums:
+                c *= n ** (key & sympoly.FIELD)
+                key >>= sympoly.BITS
+            total += c
+        return Fraction(total, d * q**self.degree)
 
     def substitute(self, images: Sequence["HomogeneousForm"]) -> "HomogeneousForm":
         """Compose with one form per variable (all images of equal shape)."""
@@ -209,7 +201,7 @@ class HomogeneousForm:
 @dataclass(frozen=True)
 class FormTuple:
     """Nonempty tuple of forms of one shared shape, such as the seven lines
-    restricted to a base line; sums over it are plain sums of forms."""
+    restricted to a base line; ``power_sum`` sums their weighted powers."""
 
     entries: tuple[HomogeneousForm, ...]
 
@@ -228,9 +220,6 @@ class FormTuple:
     def __iter__(self) -> Iterator[HomogeneousForm]:
         return iter(self.entries)
 
-    def __getitem__(self, i: int) -> HomogeneousForm:
-        return self.entries[i]
-
     @property
     def num_vars(self) -> int:
         return self.entries[0].num_vars
@@ -238,6 +227,24 @@ class FormTuple:
     @property
     def degree(self) -> int:
         return self.entries[0].degree
+
+
+def power_sum(weights: Sequence[Fraction | int], forms: FormTuple, exponent: int) -> HomogeneousForm:
+    """sum_i weights[i] * forms[i]**exponent, on integers: each form is cleared
+    once to D_i * f_i and raised by ``sympoly.power``, the weights w_i / D_i**exponent
+    are brought to one common denominator E, and the sum is scaled by 1 / E once."""
+    if exponent < 0:
+        raise StructuralError("negative power of a form")
+    if len(weights) != len(forms):
+        raise StructuralError("a power sum needs one weight per form")
+    powers, scales = [], []
+    for w, f in zip(weights, forms):
+        den, nums = sympoly.clear_denominators(f.poly.values())
+        powers.append(sympoly.power(dict(zip(f.poly, nums)), exponent))
+        scales.append(Fraction(w) / den**exponent)
+    common, ints = sympoly.clear_denominators(scales)
+    total = sympoly.scale(sympoly.linear_combination(ints, powers), Fraction(1, common))
+    return HomogeneousForm._trusted(forms.num_vars, forms.degree * exponent, total)
 
 
 # text rendering and parsing

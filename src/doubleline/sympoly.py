@@ -30,7 +30,7 @@ BITS = 16
 MAX_VARS = 32
 MAX_EXPONENT = (1 << (BITS - 1)) - 1
 _GUARD = sum(1 << (BITS * i + BITS - 1) for i in range(MAX_VARS))
-_FIELD = (1 << BITS) - 1
+FIELD = (1 << BITS) - 1
 
 Term = int
 Coefficient = int | Fraction
@@ -47,7 +47,7 @@ def monomial(mono: tuple[int, ...]) -> Term:
 
 def exponents(term: Term, nvars: int) -> tuple[int, ...]:
     """The exponent tuple of a packed key, for its first ``nvars`` variables."""
-    return tuple((term >> (BITS * i)) & _FIELD for i in range(nvars))
+    return tuple((term >> (BITS * i)) & FIELD for i in range(nvars))
 
 
 def clear_denominators(values: Collection[Coefficient]) -> tuple[int, list[int]]:

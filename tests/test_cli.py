@@ -278,10 +278,15 @@ class TestCommands:
             # open() would raise ValueError, not OSError, on a NUL or a lone surrogate
             ["verify", "tangent7\0.json"],
             ["verify", "tangent7\ud800.json"],
+            # int() alone takes other Unicode digits, underscores and whitespace
+            ["theorem-check", "--trials", "\u0662"],
+            ["theorem-check", "--seed", " 1_0 "],
+            ["claim-check", "--random", "\uff11"],
         ],
         ids=[
             "slope-count", "negative-seed", "zero-denominator", "unknown-command",
             "line-break-in-argument", "nul-in-file-name", "unencodable-file-name",
+            "arabic-indic-trials", "underscore-and-spaces-seed", "fullwidth-random",
         ],
     )
     def test_usage_error_is_one_line(self, argv):
@@ -311,6 +316,38 @@ class TestCommands:
         code, _, err = run_cli(["identity-check", "--h", "--json"])
         assert code == 2
         assert "expected one argument" in err
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; parsing leaves no state
+    behind that a later call could see."""
+
+    SEQUENCE = [
+        ["claim-check", "--h=0,1,2,3,4,5"],
+        ["claim-check", "--random", "1"],
+        ["claim-check", "--h=0,1,2,3,4,5", "--random", "1"],  # mutually exclusive
+        ["theorem-check", "--trials", "1"],
+        ["identity-check", "--h=0,1,2,3,4,5,6"],
+    ]
+
+    def test_reused_parser_keeps_no_state(self, monkeypatch):
+        built = []
+
+        class CountingParser(cli._Parser):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs.get("prog"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_Parser", CountingParser)
+        cli.build_parser.cache_clear()
+        try:
+            rounds = [[run_cli(argv)[:2] for argv in self.SEQUENCE] for _ in range(2)]
+        finally:
+            cli.build_parser.cache_clear()
+        assert rounds[0] == rounds[1]
+        assert [code for code, _ in rounds[0]] == [0, 0, 2, 0, 0]
+        # subparsers are built with the parser's own class, once each
+        assert built.count("doubleline") == 1
 
 
 class TestAsciiDigits:

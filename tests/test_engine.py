@@ -7,6 +7,7 @@ import pytest
 from conftest import (
     count_calls,
     kills,
+    monomials,
     power_map_rows,
     random_fraction,
     random_invertible_3x3,
@@ -20,7 +21,7 @@ from conftest import (
     sample_nodes,
     unpack,
 )
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from doubleline import engine, sympoly
@@ -57,6 +58,7 @@ from doubleline.forms import (
     HomogeneousForm,
     line_tangent_to_conic,
     parse_form,
+    power_sum,
     restrict,
 )
 from doubleline.linalg import VandermondeSystem, vandermonde_nullspace
@@ -202,6 +204,33 @@ class TestValue:
         assert value == expected
         assert dec.value() is value
         assert HomogeneousForm(3, 4, value.terms) == value
+
+    @given(
+        st.sampled_from([2, 3]).flatmap(
+            lambda n: st.lists(
+                st.tuples(
+                    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+                    st.tuples(*[st.fractions(min_value=-3, max_value=3, max_denominator=5)] * n),
+                ),
+                min_size=1,
+                max_size=4,
+            )
+        ),
+        st.integers(0, 5),
+    )
+    @example([(Fraction(2, 3), (Fraction(1, 2), 0, Fraction(-3, 4)))], 4)  # one term
+    @example([(Fraction(1, 2), (1, 2)), (Fraction(-5, 3), (0, 0))], 0)  # the zero form, e = 0
+    def test_power_sum_matches_reference(self, terms, exponent):
+        n = len(terms[0][1])
+        lines = FormTuple(tuple(HomogeneousForm.linear(c) for _, c in terms))
+        total = power_sum([w for w, _ in terms], lines, exponent)
+        expected: dict = {}
+        for w, c in terms:
+            line = {m: Fraction(x) for m, x in zip(monomials(n, 1), c) if x}
+            expected = ref_add(expected, ref_scale(ref_product([line] * exponent, n), w))
+        assert (total.num_vars, total.degree) == (n, exponent)
+        assert total.terms == expected
+        assert all(type(c) is Fraction for c in total.terms.values())
 
     def test_instance_shares_one_decomposition(self):
         inst = CoordinateInstance((0, 1, 2, 3, 4, 5), (1,) * 6, (1,) * 6)

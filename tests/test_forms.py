@@ -176,6 +176,20 @@ class TestTrustedArithmetic:
         assert_canonical(h * k)
         assert_canonical(HomogeneousForm(3, 0, {(0, 0, 0): 0}) * f)
 
+    @given(st.sampled_from([2, 3]).flatmap(lambda n: st.tuples(*[fractions_st] * n)))
+    def test_linear_round_trip(self, coeffs):
+        l = HomogeneousForm.linear(coeffs)
+        assert_canonical(l)
+        assert l.terms == ref(dict(zip(monomials(len(coeffs), 1), coeffs)))
+        assert l.linear_coefficients() == coeffs
+        assert all(type(c) is Fraction for c in l.linear_coefficients())
+        assert HomogeneousForm.linear(HomogeneousForm(l.num_vars, 1, l.terms).linear_coefficients()) == l
+
+    @pytest.mark.parametrize("count", [0, 1, 4])
+    def test_linear_needs_two_or_three_coefficients(self, count):
+        with pytest.raises(StructuralError):
+            HomogeneousForm.linear([1] * count)
+
     @given(linear_st(3), st.integers(0, 5))
     def test_linear_pow(self, l, e):
         assert_canonical(l**e)
@@ -289,6 +303,19 @@ class TestEvaluate:
 
     def test_zero_form(self):
         assert HomogeneousForm.zero(3, 4).evaluate((5, 7, 9)) == 0
+
+    @given(
+        st.tuples(st.sampled_from([2, 3]), st.integers(0, 4)).flatmap(
+            lambda s: st.tuples(st.just(s), terms_st(*s), st.tuples(*[fractions_st] * s[0]))
+        )
+    )
+    def test_matches_substitution(self, case):
+        # the value is the substitution of the point's coordinates as constants
+        (n, d), p, point = case
+        value = HomogeneousForm(n, d, p).evaluate(point)
+        constant = ref_substitute(ref(p), [ref({(0,): x}) for x in point], 1)
+        assert value == constant.get((0,), 0)
+        assert type(value) is Fraction
 
 
 class TestRestrict:
