@@ -83,7 +83,7 @@ class HomogeneousForm:
     def linear(cls, coeffs: Point) -> "HomogeneousForm":
         if len(coeffs) not in (2, 3):
             raise StructuralError(f"num_vars must be 2 or 3, got {len(coeffs)}")
-        poly = {1 << (sympoly.BITS * i): Fraction(c) for i, c in enumerate(coeffs) if c}
+        poly = {1 << (sympoly.BITS * i): c for i, c in enumerate(map(Fraction, coeffs)) if c}
         return cls._trusted(len(coeffs), 1, poly)
 
     # basic accessors
