@@ -39,8 +39,10 @@ from .forms import (
     BinaryQuadratic,
     FormTuple,
     HomogeneousForm,
+    Point,
     conic_rank,
     divide_by_linear,
+    line_kernel_basis,
     power_sum,
     restrict,
 )
@@ -207,20 +209,26 @@ def power_kernel(restricted: FormTuple, degree: int) -> KernelBasis:
     return KernelBasis(vectors=tuple(vectors))
 
 
-def kernel_descend(a: Sequence[Fraction | int], restricted: FormTuple, tensor: HomogeneousForm) -> Vector:
-    """Entrywise product of a with the values of ``tensor`` at the L_i.
+def kernel_descend(a: Sequence[Fraction | int], points: Sequence[Point], tensor: HomogeneousForm) -> Vector:
+    """Entrywise product of a with the values of ``tensor`` at the points.
 
-    Each value is the binary form ``tensor`` evaluated at the coefficient
-    vector of L_i; for tensor = u^d it equals L_i(u)^d.  When a kills the
+    The points are the coefficient vectors of binary linear forms L_i, and
+    the value of tensor = u^d at the i-th is L_i(u)^d.  When a kills the
     degree (d + deg tensor) powers, the output kills the degree-d powers,
     which is what makes the certificate construction descend.
     """
     if tensor.num_vars != 2:
         raise StructuralError("tensor must live on the kernel plane")
-    values = [tensor.evaluate(f.linear_coefficients()) for f in restricted]
-    if len(values) != len(a):
-        raise StructuralError("vector length does not match tuple length")
-    return tuple(Fraction(x) * v for x, v in zip(a, values))
+    if len(points) != len(a):
+        raise StructuralError("vector length does not match point count")
+    return tuple(x * tensor.evaluate(p) for x, p in zip(a, points))
+
+
+def _clear_points(pairs: Sequence[Point]) -> tuple[int, list[tuple[int, int]]]:
+    """The common denominator D of the coordinates of ``pairs`` and the
+    integer points D * pair."""
+    den, flat = sympoly.clear_denominators([x for p in pairs for x in p])
+    return den, list(zip(flat[::2], flat[1::2]))
 
 
 @dataclass(frozen=True)
@@ -241,7 +249,8 @@ class TangencyCertificate:
     by ``analyze`` from the cofactor alone; ``verify`` builds the power sum
     from the weights, the lines and the transversal point and checks that it
     equals this restriction.  ``verify`` is the only checker of these
-    identities.
+    identities.  It reads the contact and bridge values at the integer points
+    D * L_i, D the lines' common denominator, so those degree-d sides carry D**d.
     """
 
     restricted: FormTuple
@@ -260,11 +269,12 @@ class TangencyCertificate:
         a = self.annihilator
         if not power_sum(a, L, 5).is_zero():
             raise TheoremViolationError("annihilator does not kill the degree-5 powers")
+        den, points = _clear_points([f.linear_coefficients() for f in L])
         w_form = HomogeneousForm.linear(self.contact_vector)
-        if kernel_descend(a, L, w_form) != self.weights:
+        if kernel_descend(a, points, w_form) != tuple(den * al for al in self.weights):
             raise TheoremViolationError("contact vector does not reproduce the weights")
-        expected = tuple(al * lv for al, lv in zip(self.weights, self.line_values))
-        if kernel_descend(a, L, self.bridge) != expected:
+        expected = tuple(den**2 * al * lv for al, lv in zip(self.weights, self.line_values))
+        if kernel_descend(a, points, self.bridge) != expected:
             raise TheoremViolationError("bridge tensor does not reproduce the line values")
         conic = power_sum([6 * w * v * v for w, v in zip(self.weights, self.line_values)], L, 2)
         if BinaryQuadratic.from_form(conic) != self.restricted_conic:
@@ -307,24 +317,24 @@ def tangency_certificate(dec: WaringDecomposition, line: HomogeneousForm) -> Tan
     return report.certificate
 
 
-def _interpolate(
-    points: Sequence[tuple[Fraction, Fraction]], values: Sequence[Fraction]
-) -> list[Fraction]:
+def _interpolate(points: Sequence[tuple[int, int]], values: Sequence[Fraction]) -> list[Fraction]:
     """Coefficients on y0^d, y0^(d-1)*y1, ..., y1^d of the binary form of degree
-    d = len(points) - 1 taking ``values[k]`` at ``points[k]`` (pairwise
-    independent): sum_k values[k] * prod_{m != k} [P_m, y] / [P_m, P_k], with
-    [P, y] = a*y1 - b*y0 for P = (a, b)."""
-    coeffs = [Fraction(0)] * len(points)
+    d = len(points) - 1 taking ``values[k]`` at the integer ``points[k]``
+    (pairwise independent): sum_k values[k] * prod_{m != k} [P_m, y] / [P_m, P_k],
+    with [P, y] = a*y1 - b*y0 for P = (a, b), summed on integers over one denominator."""
+    scales, terms = [], []
     for k, (ak, bk) in enumerate(points):
-        term: list[Fraction | int] = [1]
+        term = [1]
         den = 1
         for m, (am, bm) in enumerate(points):
             if m != k:
                 # multiply by [P_m, y]; index e holds the y1^e coefficient
                 term = [-bm * x + am * y for x, y in zip([*term, 0], [0, *term])]
                 den *= am * bk - bm * ak
-        coeffs = [c + values[k] / den * t for c, t in zip(coeffs, term)]
-    return coeffs
+        scales.append(Fraction(values[k], den))
+        terms.append(term)
+    common, nums = sympoly.clear_denominators(scales)
+    return [Fraction(sum(n * t[e] for n, t in zip(nums, terms)), common) for e in range(len(points))]
 
 
 def _build_certificate(
@@ -333,27 +343,32 @@ def _build_certificate(
     """The certificate witnesses for seven terms whose value is line^2 * cofactor
     with cofactor nonzero and ``restricted_conic`` the cofactor's restriction,
     or None when the lines do not meet ``line = 0`` in seven distinct points.
-    The contact vector and the bridge interpolate their identities at the
-    first two and three points; ``verify`` alone checks all seven."""
-    restricted = FormTuple(tuple(restrict(f, line) for f in dec.lines()))
+    The annihilator and the contact vector and bridge, which interpolate their
+    identities at the first two and three points (degree-d values times D**d),
+    are built at the integer points D * L_i; ``verify`` alone checks all seven."""
+    b0, b1 = line_kernel_basis(line)
+    coeffs = [f.linear_coefficients() for f in dec.lines()]
+    # a linear form restricts to its coefficients paired with the kernel basis
+    pairs = [tuple(sum(c * b for c, b in zip(cf, v) if b) for v in (b0, b1)) for cf in coeffs]
+    restricted = FormTuple(tuple(HomogeneousForm.linear(p) for p in pairs))
+    den, points = _clear_points(pairs)
     try:
-        kernel5 = power_kernel(restricted, 5)
+        kernel5 = moment_kernel(points, 5)
     except DegenerateNodesError:
         return None  # a line restricts to zero, or two meet the base line in one point
-    if kernel5.dimension != 1:
+    if len(kernel5) != 1:
         raise TheoremViolationError("degree-5 kernel is not one-dimensional")
-    annihilator = kernel5.vectors[0]
+    annihilator = kernel5[0]
     if any(a == 0 for a in annihilator):
         raise TheoremViolationError("degree-5 kernel generator has a zero entry")
 
     weights = dec.weights()
-    points = [f.linear_coefficients() for f in restricted]
-    scaled = [w / a for w, a in zip(weights, annihilator)]
-    contact = tuple(_interpolate(points[:2], scaled[:2]))
+    scaled = [w / a for w, a in zip(weights[:3], annihilator)]
+    contact = tuple(_interpolate(points[:2], [den * s for s in scaled[:2]]))
 
     transversal = _transversal_point(line)
-    line_values = tuple(f.evaluate(transversal) for f in dec.lines())
-    b = _interpolate(points[:3], [s * lv for s, lv in zip(scaled[:3], line_values)])
+    line_values = tuple(sum(c * t for c, t in zip(cf, transversal) if t) for cf in coeffs)
+    b = _interpolate(points[:3], [den * den * s * lv for s, lv in zip(scaled, line_values)])
     bridge = HomogeneousForm(2, 2, {(2, 0): b[0], (1, 1): b[1], (0, 2): b[2]})
 
     point = normalize_vector(contact)
@@ -467,13 +482,9 @@ def verify_identity_slice(
         suffix.append(sympoly.mul(suffix[-1], a))
     cleared = [sympoly.mul(prefix[i], suffix[6 - i]) for i in range(7)]
 
-    sums = []
-    for p in range(3):
-        acc: sympoly.Poly = {}
-        for i in range(7):
-            term = sympoly.mul(sympoly.mul(betas[i], betas[i]), cleared[i])
-            acc = sympoly.add(acc, sympoly.scale(term, nodes[i] ** p))
-        sums.append(acc)
+    # beta_i^2 times the product of the other weights, built once for all moments
+    terms = [sympoly.mul(sympoly.mul(b, b), c) for b, c in zip(betas, cleared)]
+    sums = [sympoly.linear_combination([h**p for h in nodes], terms) for p in range(3)]
 
     minuend = sympoly.mul(sums[1], sums[1])
     subtrahend = sympoly.mul(sums[0], sums[2])

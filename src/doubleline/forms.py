@@ -19,7 +19,7 @@ from typing import Iterator, Mapping, Sequence
 
 from . import sympoly
 from .errors import InvalidInputError, StructuralError
-from .linalg import RationalMatrix, normalize_vector, rref
+from .linalg import normalize_vector, rank
 
 Monomial = tuple[int, ...]
 Point = Sequence[Fraction | int]
@@ -315,7 +315,10 @@ def parse_form(text: str, num_vars: int, degree: int | None = None) -> Homogeneo
         coeff = Fraction(1)
         factors = ""
         if m.group("coeff") is not None:
-            coeff = Fraction(m.group("coeff"))
+            text = m.group("coeff")
+            if "/" in text and int(text.partition("/")[2]) == 0:
+                raise InvalidInputError(f"zero denominator in {chunk!r}")
+            coeff = Fraction(text)
             factors = m.group("tail") or ""
         else:
             factors = m.group("mono")
@@ -430,10 +433,6 @@ def line_kernel_basis(line: HomogeneousForm) -> tuple[tuple[Fraction, ...], tupl
 def restrict(f: HomogeneousForm, line: HomogeneousForm) -> HomogeneousForm:
     """Restriction of a three-variable form to the plane ``line = 0``."""
     b0, b1 = line_kernel_basis(line)
-    if f.degree == 1 and f.num_vars == 3:
-        # a linear form maps to its coefficients paired with the basis
-        c = f.linear_coefficients()
-        return HomogeneousForm.linear([sum(ci * bi for ci, bi in zip(c, b)) for b in (b0, b1)])
     images = [
         HomogeneousForm.linear((b0[i], b1[i]))
         for i in range(3)
@@ -455,17 +454,18 @@ def conic_rank(q: HomogeneousForm) -> int:
     """Rank of the symmetric matrix of a three-variable quadratic.
 
     The matrix is taken doubled, 2*q_ii on the diagonal and q_ij off it, so it
-    has no halves; scaling does not change the rank.
+    has no halves, and cleared of the coefficients' common denominator, so its
+    rank is read by ``linalg.rank`` on integers; scaling does not change it.
     """
     if q.num_vars != 3 or q.degree != 2:
         raise StructuralError("expected a quadratic form in three variables")
-    rows = [[Fraction(0)] * 3 for _ in range(3)]
-    for mono, c in q.terms.items():
+    rows = [[0] * 3 for _ in range(3)]
+    for key, c in zip(q.poly, sympoly.clear_denominators(q.poly.values())[1]):
         # the two variable indices of the monomial; equal for a square
-        i, j = (k for k in range(3) for _ in range(mono[k]))
+        i, j = (k for k, e in enumerate(sympoly.exponents(key, 3)) for _ in range(e))
         rows[i][j] += c
         rows[j][i] += c
-    return rref(RationalMatrix.from_rows(rows))[1]
+    return rank(rows)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,12 @@
 """Exact dense linear algebra over the rationals.
 
 Elimination is used only for ranks and for comparing row spaces.  It is
-done fraction-free: rows are cleared to integers and reduced with the
-Bareiss two-step recurrence (every division is exact), then a final
-normalization pass produces the reduced row echelon form with Fraction
-entries.  Pivots are chosen among the nonzero candidates of a column by
-smallest bit size, which keeps intermediate integers from blowing up.
+done fraction-free, in one loop: rows are cleared to integers and reduced
+with the Bareiss two-step recurrence (every division is exact).  ``rank``
+reads the rank of an integer matrix from that loop alone; ``rref`` follows
+it with a normalization pass that produces the reduced row echelon form with
+Fraction entries.  Pivots are chosen among the nonzero candidates of a column
+by smallest bit size, which keeps intermediate integers from blowing up.
 
 Kernels of the power maps c |-> sum_i c_i (a_i x + b_i y)^d, moment maps
 included, are computed in closed form.  With P_i = (a_i, b_i) pairwise
@@ -15,7 +16,9 @@ pivots are 0..d and the kernel vector of a free index f is the one supported
 on S = {0..d, f}.  It is c_i = 1 / prod_{j in S, j != i} [P_j, P_i]: at
 P_i = (1, h_i) the pairing of sum_i c_i l_i^d with a degree-d polynomial g is
 the divided difference g[h_S], zero as deg g < |S| - 1, and the general case
-is its homogenization.  ``normalize_vector`` fixes the scale.
+is its homogenization.  The vector is built on integers, as M / prod_i with
+M the lcm of the bracket products, then divided by its content with the sign
+of its leading entry; only the final entries become Fractions.
 
 Matrices are immutable values; all functions return fresh objects.
 """
@@ -87,10 +90,10 @@ def _integer_rows(m: RationalMatrix) -> list[list[int]]:
     return out
 
 
-def rref(m: RationalMatrix) -> tuple[RationalMatrix, int, tuple[int, ...]]:
-    """Reduced row echelon form, rank, and pivot columns of ``m``."""
-    work = _integer_rows(m)
-    nrows, ncols = m.rows, m.cols
+def _bareiss(work: list[list[int]], ncols: int) -> list[int]:
+    """Reduce integer rows in place to a fraction-free echelon form (Bareiss);
+    the pivot columns, one per nonzero row, are returned."""
+    nrows = len(work)
     pivot_cols: list[int] = []
     prev = 1
     r = 0
@@ -118,8 +121,21 @@ def rref(m: RationalMatrix) -> tuple[RationalMatrix, int, tuple[int, ...]]:
         prev = pivot
         pivot_cols.append(c)
         r += 1
+    return pivot_cols
 
-    rank = r
+
+def rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank of the integer matrix with these rows (all of one length)."""
+    work = [list(row) for row in rows]
+    return len(_bareiss(work, len(work[0]) if work else 0))
+
+
+def rref(m: RationalMatrix) -> tuple[RationalMatrix, int, tuple[int, ...]]:
+    """Reduced row echelon form, rank, and pivot columns of ``m``."""
+    work = _integer_rows(m)
+    nrows, ncols = m.rows, m.cols
+    pivot_cols = _bareiss(work, ncols)
+    rank = len(pivot_cols)
     reduced = [[Fraction(x) for x in work[i]] for i in range(rank)]
     for idx in range(rank - 1, -1, -1):
         pc = pivot_cols[idx]
@@ -157,15 +173,17 @@ def moment_kernel(
 ) -> list[Vector]:
     """RREF kernel basis of c |-> sum_i c_i (a_i x + b_i y)^degree, in closed form.
 
-    The points (a_i, b_i) must be nonzero and pairwise non-proportional, else
-    DegenerateNodesError.  Degree -1 imposes no constraint (identity basis).
-    The formula and why it is the RREF basis are in the module docstring.
+    The points (a_i, b_i), ints or Fractions, must be nonzero and pairwise
+    non-proportional, else DegenerateNodesError.  Degree -1 imposes no
+    constraint (identity basis).  Each vector has content 1 and a positive
+    leading entry, its entries Fractions.  The formula and why it is the RREF
+    basis are in the module docstring.
     """
     if degree < -1:
         raise StructuralError("degree must be at least -1")
     # scaling every point by one integer scales every entry by one constant
-    den = lcm(*(Fraction(x).denominator for p in points for x in p))
-    pts = [(int(a * den), int(b * den)) for a, b in points]
+    den = lcm(*(x.denominator for p in points for x in p))
+    pts = [tuple(x.numerator * (den // x.denominator) for x in p) for p in points]
     n = len(pts)
     det = [[0] * n for _ in range(n)]  # det[j][i] = [P_j, P_i]
     for i, (ai, bi) in enumerate(pts):
@@ -176,13 +194,19 @@ def moment_kernel(
             det[i][j] = -det[j][i]
             if not det[j][i]:
                 raise DegenerateNodesError(f"points {j} and {i} are proportional")
+    zero = Fraction(0)
     basis: list[Vector] = []
     for f in range(degree + 1, n):
         support = [*range(degree + 1), f]
-        vec = [0] * n
-        for i in support:
-            vec[i] = Fraction(1, prod(det[j][i] for j in support if j != i))
-        basis.append(normalize_vector(vec))
+        prods = [prod(det[j][i] for j in support if j != i) for i in support]
+        # M / prod_i is the integer vector; its content g gets the lead's sign
+        m = lcm(*prods)
+        ints = [m // p for p in prods]
+        g = gcd(*ints) if ints[0] > 0 else -gcd(*ints)
+        vec = [zero] * n
+        for i, x in zip(support, ints):
+            vec[i] = Fraction(x // g)
+        basis.append(tuple(vec))
     return basis
 
 

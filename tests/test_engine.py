@@ -316,7 +316,7 @@ class TestKernelDescend:
     def test_zero_tensor(self):
         L = FormTuple(tuple(HomogeneousForm.linear((1, i)) for i in range(7)))
         a = power_kernel(L, 5).vectors[0]
-        out = kernel_descend(a, L, HomogeneousForm.zero(2, 1))
+        out = kernel_descend(a, [f.linear_coefficients() for f in L], HomogeneousForm.zero(2, 1))
         assert out == (0,) * 7
 
     def test_contact_vector_reproduces_weights(self):
@@ -324,7 +324,8 @@ class TestKernelDescend:
         dec = inst.to_decomposition()
         cert = tangency_certificate(dec, line_x2())
         w_form = HomogeneousForm.linear(cert.contact_vector)
-        assert kernel_descend(cert.annihilator, cert.restricted, w_form) == inst.weights
+        points = [f.linear_coefficients() for f in cert.restricted]
+        assert kernel_descend(cert.annihilator, points, w_form) == inst.weights
         # the weights land in the degree-4 kernel: all moments d <= 4 vanish
         for d in range(5):
             assert sum(w * h**d for w, h in zip(inst.weights, inst.slopes)) == 0
@@ -341,7 +342,7 @@ class TestKernelDescend:
                 for i in range(7)
             )
             u = (random_fraction(rng), random_fraction(rng))
-            out = kernel_descend(a, L, HomogeneousForm.linear(u))
+            out = kernel_descend(a, [(1, h) for h in slopes], HomogeneousForm.linear(u))
             for d in range(4):
                 assert sum(o * h**d for o, h in zip(out, slopes)) == 0
 
@@ -522,6 +523,31 @@ class TestCertificateTampering:
             dataclasses.replace(certificate, restricted_conic=BinaryQuadratic(q.a + 1, q.b, q.c)),
             "restricted conic does not match its power-sum expression",
         )
+
+
+class TestCertificateTamperingFractionalPoints(TestCertificateTampering):
+    """The same tamperings on a certificate whose restricted points have
+    common denominator D = 3, where ``verify`` scales each degree-d identity
+    by D**d; on the flagship D = 1, so a dropped or misplaced factor shows
+    only here."""
+
+    @pytest.fixture(scope="class")
+    def certificate(self):
+        # a criterion-5 instance on slopes k/3, moved as in
+        # test_non_coordinate_base_line: the base line becomes x1 + x2
+        generated = generate_tangent_instance([Fraction(k, 3) for k in range(-3, 4)], (1, 2, -1), seed=1)
+        rows = [[2, 1, 0], [1, 1, 1], [0, 3, 1]]
+
+        def move(coeffs):
+            return HomogeneousForm.linear(
+                tuple(sum(rows[i][j] * coeffs[j] for j in range(3)) for i in range(3))
+            )
+
+        terms = generated.instance.to_decomposition().terms
+        dec = WaringDecomposition(tuple((w, move(f.linear_coefficients())) for w, f in terms))
+        cert = tangency_certificate(dec, move((0, 0, 1)))
+        assert lcm(*(x.denominator for f in cert.restricted for x in f.linear_coefficients())) == 3
+        return cert
 
 
 class TestTangencyDefect:

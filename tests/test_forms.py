@@ -488,6 +488,11 @@ class TestRendering:
             "6*x0^2 + 6*x0*x1 + 3*x1^2 + x2^2", 3
         )
 
+    @pytest.mark.parametrize("text", ["1/0*x0", "x0 - 3/00*x1", "2/0"])
+    def test_zero_denominator_rejected(self, text):
+        with pytest.raises(InvalidInputError, match="zero denominator"):
+            parse_form(text, 3, degree=1)
+
     @given(form_st(3, 3))
     def test_round_trip(self, f):
         assert parse_form(render_form(f), 3, degree=3) == f

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 from conftest import (
@@ -20,6 +20,7 @@ from doubleline.linalg import (
     VandermondeSystem,
     moment_kernel,
     normalize_vector,
+    rank,
     rref,
     vandermonde_nullspace,
     weighted_moment_kernel,
@@ -85,6 +86,27 @@ class TestRref:
         assert rank == 0 and pivots == ()
 
 
+class TestRank:
+    def test_against_minor_oracle_and_rref(self):
+        rng = random.Random(31)
+        for _ in range(60):
+            nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
+            rows = [[rng.randint(-4, 4) for _ in range(ncols)] for _ in range(nrows)]
+            shape = rng.randrange(3)
+            if shape == 1:
+                rows[rng.randrange(nrows)] = [0] * ncols
+            elif shape == 2:
+                rows.insert(rng.randrange(nrows + 1), list(rng.choice(rows)))
+            before = [list(row) for row in rows]
+            assert rank(rows) == minor_rank(rows) == rref(RationalMatrix.from_rows(rows))[1]
+            assert rows == before
+
+    def test_empty_and_zero_matrices(self):
+        assert rank([]) == 0
+        assert rank([[], []]) == 0
+        assert rank([[0, 0, 0], [0, 0, 0]]) == 0
+
+
 class TestMomentKernel:
     def test_no_constraints_gives_identity_basis(self):
         points = [(1, 0), (1, 2), (0, 1)]
@@ -101,6 +123,20 @@ class TestMomentKernel:
     def test_point_at_infinity(self):
         # y, x and x + y: the one relation is x + y - (x + y) = 0
         assert moment_kernel([(0, 1), (1, 0), (1, 1)], 1) == [(1, 1, -1)]
+
+    def test_vectors_are_primitive_fraction_vectors(self):
+        rng = random.Random(37)
+        for trial in range(20):
+            nodes = sample_nodes(rng, 7)
+            scale = random_fraction(rng) or Fraction(1)
+            points = [(scale, scale * h) for h in nodes]
+            if trial % 2:
+                points = [(h.denominator, h.numerator) for h in nodes]  # int points
+            for degree in range(-1, 6):
+                for vec in moment_kernel(points, degree):
+                    assert all(type(x) is Fraction and x.denominator == 1 for x in vec)
+                    ints = [x.numerator for x in vec]
+                    assert gcd(*ints) == 1 and next(x for x in ints if x) > 0
 
     def test_degenerate_points_rejected(self):
         with pytest.raises(DegenerateNodesError, match="points 0 and 2"):
