@@ -368,7 +368,7 @@ def _build_certificate(
 
     transversal = _transversal_point(line)
     line_values = tuple(sum(c * t for c, t in zip(cf, transversal) if t) for cf in coeffs)
-    b = _interpolate(points[:3], [den * den * s * lv for s, lv in zip(scaled, line_values)])
+    b = _interpolate(points[:3], [den**2 * s * lv for s, lv in zip(scaled, line_values)])
     bridge = HomogeneousForm(2, 2, {(2, 0): b[0], (1, 1): b[1], (0, 2): b[2]})
 
     point = normalize_vector(contact)

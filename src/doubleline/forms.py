@@ -315,10 +315,10 @@ def parse_form(text: str, num_vars: int, degree: int | None = None) -> Homogeneo
         coeff = Fraction(1)
         factors = ""
         if m.group("coeff") is not None:
-            text = m.group("coeff")
-            if "/" in text and int(text.partition("/")[2]) == 0:
+            literal = m.group("coeff")
+            if "/" in literal and int(literal.partition("/")[2]) == 0:
                 raise InvalidInputError(f"zero denominator in {chunk!r}")
-            coeff = Fraction(text)
+            coeff = Fraction(literal)
             factors = m.group("tail") or ""
         else:
             factors = m.group("mono")
