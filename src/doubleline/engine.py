@@ -42,6 +42,7 @@ from .forms import (
     Point,
     conic_rank,
     divide_by_linear,
+    interpolate,
     line_kernel_basis,
     power_sum,
     restrict,
@@ -246,11 +247,13 @@ class TangencyCertificate:
       the line touches the conic at ``tangency_point``.
 
     ``restricted_conic`` is the cofactor's restriction to the line, computed
-    by ``analyze`` from the cofactor alone; ``verify`` builds the power sum
-    from the weights, the lines and the transversal point and checks that it
-    equals this restriction.  ``verify`` is the only checker of these
-    identities.  It reads the contact and bridge values at the integer points
-    D * L_i, D the lines' common denominator, so those degree-d sides carry D**d.
+    by ``analyze`` from the cofactor alone.  ``verify``, the only checker of
+    these identities, works on ints at the points D * L_i = (p_i, r_i), D the
+    lines' common denominator, where a degree-d form takes D**d times its value:
+    sum_i a_i * L_i^5 = 0 runs as the six moments sum_i a_i * p_i^(5-k) * r_i^k,
+    the power-sum conic as the three moments of 6 * alpha_i * line_values_i^2
+    (the middle one doubled) against D**2 times ``restricted_conic``, and the
+    contact and bridge values against D * alpha_i and D**2 * alpha_i * line_values_i.
     """
 
     restricted: FormTuple
@@ -265,21 +268,25 @@ class TangencyCertificate:
 
     def verify(self) -> None:
         """Check every certified identity; raises TheoremViolationError."""
-        L = self.restricted
+        den, points = _clear_points([f.linear_coefficients() for f in self.restricted])
         a = self.annihilator
-        if not power_sum(a, L, 5).is_zero():
+        ints = sympoly.clear_denominators(a)[1]
+        if any(sum(c * p ** (5 - k) * r**k for c, (p, r) in zip(ints, points)) for k in range(6)):
             raise TheoremViolationError("annihilator does not kill the degree-5 powers")
-        den, points = _clear_points([f.linear_coefficients() for f in L])
         w_form = HomogeneousForm.linear(self.contact_vector)
         if kernel_descend(a, points, w_form) != tuple(den * al for al in self.weights):
             raise TheoremViolationError("contact vector does not reproduce the weights")
         expected = tuple(den**2 * al * lv for al, lv in zip(self.weights, self.line_values))
         if kernel_descend(a, points, self.bridge) != expected:
             raise TheoremViolationError("bridge tensor does not reproduce the line values")
-        conic = power_sum([6 * w * v * v for w, v in zip(self.weights, self.line_values)], L, 2)
-        if BinaryQuadratic.from_form(conic) != self.restricted_conic:
-            raise TheoremViolationError("restricted conic does not match its power-sum expression")
+        w_den, alphas = sympoly.clear_denominators(self.weights)
+        v_den, values = sympoly.clear_denominators(self.line_values)
+        scale = w_den * v_den**2 * den**2
         q = self.restricted_conic
+        for k, (binom, target) in enumerate(zip((1, 2, 1), (q.a, q.b, q.c))):
+            moment = sum(x * v * v * p ** (2 - k) * r**k for x, v, (p, r) in zip(alphas, values, points))
+            if 6 * binom * moment * target.denominator != target.numerator * scale:
+                raise TheoremViolationError("restricted conic does not match its power-sum expression")
         for u in ((1, 0), (0, 1)):
             if q.polar(self.contact_vector, u) != 0:
                 raise TheoremViolationError("contact vector is not in the polar kernel")
@@ -317,26 +324,6 @@ def tangency_certificate(dec: WaringDecomposition, line: HomogeneousForm) -> Tan
     return report.certificate
 
 
-def _interpolate(points: Sequence[tuple[int, int]], values: Sequence[Fraction]) -> list[Fraction]:
-    """Coefficients on y0^d, y0^(d-1)*y1, ..., y1^d of the binary form of degree
-    d = len(points) - 1 taking ``values[k]`` at the integer ``points[k]``
-    (pairwise independent): sum_k values[k] * prod_{m != k} [P_m, y] / [P_m, P_k],
-    with [P, y] = a*y1 - b*y0 for P = (a, b), summed on integers over one denominator."""
-    scales, terms = [], []
-    for k, (ak, bk) in enumerate(points):
-        term = [1]
-        den = 1
-        for m, (am, bm) in enumerate(points):
-            if m != k:
-                # multiply by [P_m, y]; index e holds the y1^e coefficient
-                term = [-bm * x + am * y for x, y in zip([*term, 0], [0, *term])]
-                den *= am * bk - bm * ak
-        scales.append(Fraction(values[k], den))
-        terms.append(term)
-    common, nums = sympoly.clear_denominators(scales)
-    return [Fraction(sum(n * t[e] for n, t in zip(nums, terms)), common) for e in range(len(points))]
-
-
 def _build_certificate(
     dec: WaringDecomposition, line: HomogeneousForm, restricted_conic: BinaryQuadratic
 ) -> TangencyCertificate | None:
@@ -364,11 +351,11 @@ def _build_certificate(
 
     weights = dec.weights()
     scaled = [w / a for w, a in zip(weights[:3], annihilator)]
-    contact = tuple(_interpolate(points[:2], [den * s for s in scaled[:2]]))
+    contact = tuple(interpolate(points[:2], [den * s for s in scaled[:2]]))
 
     transversal = _transversal_point(line)
     line_values = tuple(sum(c * t for c, t in zip(cf, transversal) if t) for cf in coeffs)
-    b = _interpolate(points[:3], [den**2 * s * lv for s, lv in zip(scaled, line_values)])
+    b = interpolate(points[:3], [den**2 * s * lv for s, lv in zip(scaled, line_values)])
     bridge = HomogeneousForm(2, 2, {(2, 0): b[0], (1, 1): b[1], (0, 2): b[2]})
 
     point = normalize_vector(contact)

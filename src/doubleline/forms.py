@@ -8,6 +8,8 @@ equal exactly when their shapes and term maps agree.  ``terms`` shows the
 same map keyed by exponent tuples, and all monomial indexing, matrix layouts
 and text rendering use graded lexicographic order on those tuples with
 x0 > x1 > x2; packed keys compare x2 first, so only the tuples are sorted.
+Evaluation, division and restriction work on the packed keys; evaluation and
+restriction, which interpolates values at integer points, sum on integers.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterator, Mapping, Sequence
 
 from . import sympoly
@@ -162,23 +165,6 @@ class HomogeneousForm:
             total += c
         return Fraction(total, d * q**self.degree)
 
-    def substitute(self, images: Sequence["HomogeneousForm"]) -> "HomogeneousForm":
-        """Compose with one form per variable (all images of equal shape)."""
-        if len(images) != self.num_vars:
-            raise StructuralError("one image per variable required")
-        m = images[0].num_vars
-        k = images[0].degree
-        for img in images:
-            if img.num_vars != m or img.degree != k:
-                raise StructuralError("images must share variable count and degree")
-        result: sympoly.Poly = {}
-        for mono, c in self.terms.items():
-            part = sympoly.const(m, c)
-            for img, e in zip(images, mono):
-                part = sympoly.mul(part, sympoly.power(img.poly, e))
-            result = sympoly.add(result, part)
-        return HomogeneousForm._trusted(m, self.degree * k, result)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HomogeneousForm):
             return NotImplemented
@@ -245,6 +231,28 @@ def power_sum(weights: Sequence[Fraction | int], forms: FormTuple, exponent: int
     common, ints = sympoly.clear_denominators(scales)
     total = sympoly.scale(sympoly.linear_combination(ints, powers), Fraction(1, common))
     return HomogeneousForm._trusted(forms.num_vars, forms.degree * exponent, total)
+
+
+def interpolate(points: Sequence[tuple[int, int]], values: Sequence[Fraction | int]) -> list[Fraction]:
+    """Coefficients on y0^d, y0^(d-1)*y1, ..., y1^d of the binary form of degree
+    d = len(points) - 1 taking ``values[k]`` at the integer ``points[k]``
+    (pairwise independent): sum_k values[k] * prod_{m != k} [P_m, y] / [P_m, P_k],
+    with [P, y] = a*y1 - b*y0 for P = (a, b), summed on integers over one
+    denominator, the lcm of the values' denominators times their brackets."""
+    dens, terms = [], []
+    for k, (ak, bk) in enumerate(points):
+        term = [1]
+        den = values[k].denominator
+        for m, (am, bm) in enumerate(points):
+            if m != k:
+                # multiply by [P_m, y]; index e holds the y1^e coefficient
+                term = [-bm * x + am * y for x, y in zip([*term, 0], [0, *term])]
+                den *= am * bk - bm * ak
+        dens.append(den)
+        terms.append(term)
+    common = lcm(*dens)
+    nums = [v.numerator * (common // den) for v, den in zip(values, dens)]
+    return [Fraction(sum(n * t[e] for n, t in zip(nums, terms)), common) for e in range(len(points))]
 
 
 # text rendering and parsing
@@ -366,7 +374,8 @@ def divide_by_linear(f: HomogeneousForm, line: HomogeneousForm) -> tuple[Homogen
     """Exact division f = line * quotient + remainder.
 
     The remainder is free of the leading variable of ``line`` (graded-lex),
-    so it vanishes exactly when ``line`` divides f.
+    so it vanishes exactly when ``line`` divides f.  The packed keys are
+    divided by descending exponent of that variable, one exponent at a time.
     """
     if line.degree != 1 or line.num_vars != f.num_vars:
         raise StructuralError("divisor must be a linear form in the same variables")
@@ -376,31 +385,23 @@ def divide_by_linear(f: HomogeneousForm, line: HomogeneousForm) -> tuple[Homogen
         raise StructuralError("dividend degree must be at least 1")
     coeffs = line.linear_coefficients()
     pivot = next(i for i, c in enumerate(coeffs) if c != 0)
-    cp = coeffs[pivot]
-    work = dict(f.terms)
-    quot: dict[Monomial, Fraction] = {}
-    rem: dict[Monomial, Fraction] = {}
-    while work:
-        mono = max(work)
-        c = work.pop(mono)
-        if mono[pivot] == 0:
-            rem[mono] = c
-            continue
-        base = tuple(e - int(i == pivot) for i, e in enumerate(mono))
-        factor = c / cp
-        quot[base] = quot.get(base, Fraction(0)) + factor
-        for i, ci in enumerate(coeffs):
-            if ci == 0 or i == pivot:
-                continue
-            m2 = tuple(e + int(j == i) for j, e in enumerate(base))
-            acc = work.get(m2, Fraction(0)) - factor * ci
-            if acc:
-                work[m2] = acc
-            else:
-                work.pop(m2, None)
+    shift = sympoly.BITS * pivot
+    unit = 1 << shift
+    others = [(1 << (sympoly.BITS * i), c) for i, c in enumerate(coeffs) if c and i != pivot]
+    work = dict(f.poly)
+    quot: sympoly.Poly = {}
+    for e in range(f.degree, 0, -1):
+        for key in [k for k in work if (k >> shift) & sympoly.FIELD == e]:
+            base = key - unit
+            factor = quot[base] = work.pop(key) / coeffs[pivot]
+            for unit_i, ci in others:
+                m2 = base + unit_i
+                acc = work[m2] = work.get(m2, 0) - factor * ci
+                if not acc:
+                    del work[m2]
     return (
-        HomogeneousForm(f.num_vars, f.degree - 1, quot),
-        HomogeneousForm(f.num_vars, f.degree, rem),
+        HomogeneousForm._trusted(f.num_vars, f.degree - 1, quot),
+        HomogeneousForm._trusted(f.num_vars, f.degree, work),
     )
 
 
@@ -431,13 +432,18 @@ def line_kernel_basis(line: HomogeneousForm) -> tuple[tuple[Fraction, ...], tupl
 
 
 def restrict(f: HomogeneousForm, line: HomogeneousForm) -> HomogeneousForm:
-    """Restriction of a three-variable form to the plane ``line = 0``."""
+    """Restriction g(y) = f(y0 * b0 + y1 * b1) of a three-variable form to the
+    plane ``line = 0`` with kernel basis b0, b1.  With the basis cleared once to
+    integer vectors D * b0 and D * b1, g is the interpolant of f's values there
+    at the plane points (1, 0), (1, 1), ..., (1, d - 1), (0, 1), scaled by 1 / D**d."""
     b0, b1 = line_kernel_basis(line)
-    images = [
-        HomogeneousForm.linear((b0[i], b1[i]))
-        for i in range(3)
-    ]
-    return f.substitute(images)
+    den, flat = sympoly.clear_denominators([*b0, *b1])
+    d = f.degree
+    plane = [*((1, t) for t in range(d)), (0, 1)]
+    values = [f.evaluate([s * u + t * v for u, v in zip(flat[:3], flat[3:])]) for s, t in plane]
+    scale = Fraction(1, den**d)
+    poly = {(d - e) + (e << sympoly.BITS): scale * c for e, c in enumerate(interpolate(plane, values)) if c}
+    return HomogeneousForm._trusted(2, d, poly)
 
 
 def embed_in_plane(line: HomogeneousForm, point: Point) -> tuple[Fraction, ...]:

@@ -101,10 +101,11 @@ def mul(p: Poly, q: Poly) -> Poly:
 
 
 def power(p: Poly, exponent: int) -> Poly:
+    """p**exponent in a new dict: a copy of p times p, exponent - 1 times (1 for 0)."""
     if exponent < 0:
         raise StructuralError(f"negative exponent {exponent}")
-    out = const(0, 1)
-    for _ in range(exponent):
+    out = dict(p) if exponent else const(0, 1)
+    for _ in range(exponent - 1):
         out = mul(out, p)
     return out
 

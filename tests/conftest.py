@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import warnings
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -13,6 +14,17 @@ from doubleline.linalg import RationalMatrix, normalize_vector, rref
 
 settings.register_profile("exact", deadline=None)
 settings.load_profile("exact")
+
+# When a @given test fails, Hypothesis's pytest plugin imports its patch
+# writer, whose libcst import warns that mypy_extensions.TypedDict is
+# deprecated; under filterwarnings = error that warning would end the session
+# as INTERNALERROR before the falsifying example is shown.  Import it once
+# here with only that warning silenced, so a failure is reported as one.
+with warnings.catch_warnings():
+    warnings.filterwarnings(
+        "ignore", message="mypy_extensions.TypedDict is deprecated", category=DeprecationWarning
+    )
+    import hypothesis.extra._patching  # noqa: F401
 
 
 def determinant(rows: list[list[Fraction]]) -> Fraction:

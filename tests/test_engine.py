@@ -517,10 +517,29 @@ class TestCertificateTampering:
             "bridge tensor does not reproduce the line values",
         )
 
-    def test_restricted_conic(self, certificate):
-        q = certificate.restricted_conic
+    @pytest.mark.parametrize("moments", [range(5), range(1, 6)], ids=["0-4", "1-5"])
+    def test_annihilator_kills_only_some_moments(self, certificate, moments):
+        # v kills the degree-5 moments sum_i v_i * p_i^(5-k) * r_i^k for k in
+        # ``moments`` but not the sixth, so a + v fails on that one moment alone
+        points = [f.linear_coefficients() for f in certificate.restricted]
+        rows = [[p ** (5 - k) * r**k for p, r in points] for k in range(6)]
+        (missed,) = set(range(6)) - set(moments)
+        v = next(
+            v for v in reference_kernel([rows[k] for k in moments], 7)
+            if sum(x * y for x, y in zip(rows[missed], v))
+        )
+        a = tuple(x + y for x, y in zip(certificate.annihilator, v))
         self.assert_fails(
-            dataclasses.replace(certificate, restricted_conic=BinaryQuadratic(q.a + 1, q.b, q.c)),
+            dataclasses.replace(certificate, annihilator=a),
+            "annihilator does not kill the degree-5 powers",
+        )
+
+    @pytest.mark.parametrize("field", ["a", "b", "c"])
+    def test_restricted_conic(self, certificate, field):
+        q = certificate.restricted_conic
+        tampered = dataclasses.replace(q, **{field: getattr(q, field) + 1})
+        self.assert_fails(
+            dataclasses.replace(certificate, restricted_conic=tampered),
             "restricted conic does not match its power-sum expression",
         )
 

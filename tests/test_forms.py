@@ -25,6 +25,7 @@ from doubleline.forms import (
     conic_rank,
     content_normalize,
     divide_by_linear,
+    interpolate,
     line_kernel_basis,
     line_tangent_to_conic,
     parse_form,
@@ -251,7 +252,7 @@ class TestAgainstReference:
         assert power.terms == ref_product([ref(p)] * exponent, n)
 
     @pytest.mark.parametrize("pivot", [0, 1, 2])
-    @given(st.integers(0, 3).flatmap(lambda d: st.tuples(st.just(d), terms_st(3, d))), st.data())
+    @given(st.integers(0, 5).flatmap(lambda d: st.tuples(st.just(d), terms_st(3, d))), st.data())
     def test_restrict(self, pivot, case, data):
         d, p = case
         line = pivot_line(data, pivot)
@@ -350,11 +351,12 @@ class TestRestrict:
     @pytest.mark.parametrize("pivot", [0, 1, 2])
     @given(linear_st(3), st.data())
     def test_linear_fast_path_matches_substitution(self, pivot, l, data):
+        # a linear form restricts to its coefficients paired with the kernel basis
         line = pivot_line(data, pivot)
         b0, b1 = line_kernel_basis(line)
-        images = [HomogeneousForm.linear((b0[i], b1[i])) for i in range(3)]
+        images = [ref({(1, 0): b0[i], (0, 1): b1[i]}) for i in range(3)]
         restricted = restrict(l, line)
-        assert restricted == l.substitute(images)
+        assert restricted.terms == ref_substitute(l.terms, images, 2)
         assert_canonical(restricted)
 
     @given(form_st(3, 2), form_st(3, 2), nonzero_linear_st(3))
@@ -363,11 +365,48 @@ class TestRestrict:
 
 
 def apply_change(q, rows):
-    images = [
-        HomogeneousForm.linear(tuple(rows[i][j] for i in range(3)))
-        for j in range(3)
-    ]
-    return q.substitute(images)
+    """q after x_j -> sum_i rows[i][j] * x_i, by the reference substitution."""
+    images = [ref(dict(zip(monomials(3, 1), (row[j] for row in rows)))) for j in range(3)]
+    return HomogeneousForm(3, q.degree, ref_substitute(q.terms, images, 3))
+
+
+def independent_points_st(count: int):
+    """``count`` pairwise independent integer points: distinct slopes b/a, the
+    vertical one included, each scaled by a nonzero integer."""
+    direction = st.one_of(st.none(), st.fractions(min_value=-6, max_value=6, max_denominator=4))
+    return st.tuples(
+        st.lists(direction, min_size=count, max_size=count, unique=True),
+        st.lists(st.integers(-3, 3).filter(bool), min_size=count, max_size=count),
+    ).map(
+        lambda dc: [
+            (0, s) if h is None else (s * h.denominator, s * h.numerator) for h, s in zip(*dc)
+        ]
+    )
+
+
+class TestInterpolate:
+    @given(
+        st.integers(0, 6).flatmap(
+            lambda d: st.tuples(
+                independent_points_st(d + 1),
+                st.lists(fractions_st, min_size=d + 1, max_size=d + 1),
+            )
+        )
+    )
+    def test_interpolant_takes_the_values(self, case):
+        points, values = case
+        d = len(points) - 1
+        coeffs = interpolate(points, values)
+        assert len(coeffs) == d + 1 and all(type(c) is Fraction for c in coeffs)
+        g = HomogeneousForm(2, d, {(d - e, e): c for e, c in enumerate(coeffs)})
+        assert [g.evaluate(p) for p in points] == values
+
+    def test_integer_values(self):
+        # y0^2 - y1^2 from (1, 0), (1, 1), (1, -1), and a linear form from (1, 2), (3, 1)
+        assert interpolate([(1, 0), (1, 1), (1, -1)], [1, 0, 0]) == [1, 0, -1]
+        assert interpolate([(1, 2), (3, 1)], [Fraction(1, 2), 3]) == [
+            Fraction(11, 10), Fraction(-3, 10)
+        ]
 
 
 class TestConics:

@@ -46,6 +46,14 @@ class TestAgainstReference:
         expected = ref_product([ref(p)] * exponent, NVARS)
         assert unpack(sympoly.power(pack(p), exponent), NVARS, sympoly.BITS) == expected
 
+    @given(tuple_polys_st)
+    def test_power_starts_from_p(self, p):
+        # the first power is p itself, in a new dict: changing it leaves p alone
+        packed = pack(p)
+        first = sympoly.power(packed, 1)
+        assert first == packed and first is not packed
+        assert sympoly.power(packed, 0) == {0: 1}
+
     @given(st.lists(coefficients_st, min_size=NVARS, max_size=NVARS))
     def test_linear_combination(self, coeffs):
         got = sympoly.linear_combination(coeffs, [sympoly.variable(NVARS, i) for i in range(NVARS)])
