@@ -4,7 +4,8 @@
 For each slice the five-parameter family of moment-system solutions is
 expanded symbolically and the cleared tangency defect is tested for exact
 cancellation; the perturbed control (defect + 1) must fail.  Slices mix
-integer, negative and fractional slopes.
+integer, negative and fractional slopes.  The exit status is 1 when a slice
+is not zero or its control does not fail, else 0.
 """
 
 import random
@@ -27,20 +28,23 @@ def random_slice(rng: random.Random):
     return tuple(rng.sample(pool, 7))
 
 
-def main() -> None:
+def main() -> int:
     rng = random.Random(2024)
     slices = FIXED_SLICES + [random_slice(rng) for _ in range(8)]
     width = max(len(format_slice(s)) for s in slices)
     print(f"{'slice':<{width}}  monomials  zero  control-fails  seconds")
+    ok = True
     for slopes in slices:
         started = time.perf_counter()
         report = verify_identity_slice(slopes)
         control = verify_identity_slice(slopes, perturb=True)
         elapsed = time.perf_counter() - started
+        ok = ok and report.is_zero and not control.is_zero
         print(
             f"{format_slice(slopes):<{width}}  {report.expanded_monomials:>9}  "
             f"{str(report.is_zero).lower():<5} {str(not control.is_zero).lower():<14} {elapsed:.3f}"
         )
+    return 0 if ok else 1
 
 
 def format_slice(slopes) -> str:
@@ -48,4 +52,4 @@ def format_slice(slopes) -> str:
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -18,7 +18,6 @@ from .engine import (
     extract_cofactor,
     generate_six_term_family,
     generate_tangent_instance,
-    kernel_descend,
     line_x2,
     power_kernel,
     six_term_vanishing_check,
@@ -32,7 +31,6 @@ from .forms import (
     FormTuple,
     HomogeneousForm,
     conic_rank,
-    line_tangent_to_conic,
     parse_form,
     render_form,
     restrict,

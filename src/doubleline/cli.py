@@ -275,7 +275,7 @@ def _add_analysis(report: RunReport, analysis: AnalysisReport, line: Homogeneous
         report.add("certificate-contact-vector", _format_vector(cert.contact_vector))
         report.add("certificate-transversal-point", _format_vector(cert.transversal_point))
         report.add("certificate-line-values", _format_vector(cert.line_values))
-        report.add("certificate-bridge", render_form(cert.bridge))
+        report.add("certificate-bridge", render_form(cert.bridge.to_form()))
         report.add("certificate-restricted-conic", render_form(cert.restricted_conic.to_form()))
         report.check("certificate-verified", True)
 

@@ -138,18 +138,6 @@ class CoordinateInstance:
             )
         )
 
-    @classmethod
-    def from_decomposition(cls, dec: WaringDecomposition) -> "CoordinateInstance":
-        slopes, lifts, weights = [], [], []
-        for w, form in dec.terms:
-            c0, c1, c2 = form.linear_coefficients()
-            if c0 != 1:
-                raise InvalidInputError("coordinate form requires x0-coefficient 1 in every line")
-            slopes.append(c1)
-            lifts.append(c2)
-            weights.append(w)
-        return cls(tuple(slopes), tuple(lifts), tuple(weights))
-
 
 @dataclass(frozen=True)
 class DoubleLineQuartic:
@@ -210,21 +198,6 @@ def power_kernel(restricted: FormTuple, degree: int) -> KernelBasis:
     return KernelBasis(vectors=tuple(vectors))
 
 
-def kernel_descend(a: Sequence[Fraction | int], points: Sequence[Point], tensor: HomogeneousForm) -> Vector:
-    """Entrywise product of a with the values of ``tensor`` at the points.
-
-    The points are the coefficient vectors of binary linear forms L_i, and
-    the value of tensor = u^d at the i-th is L_i(u)^d.  When a kills the
-    degree (d + deg tensor) powers, the output kills the degree-d powers,
-    which is what makes the certificate construction descend.
-    """
-    if tensor.num_vars != 2:
-        raise StructuralError("tensor must live on the kernel plane")
-    if len(points) != len(a):
-        raise StructuralError("vector length does not match point count")
-    return tuple(x * tensor.evaluate(p) for x, p in zip(a, points))
-
-
 def _clear_points(pairs: Sequence[Point]) -> tuple[int, list[tuple[int, int]]]:
     """The common denominator D of the coordinates of ``pairs`` and the
     integer points D * pair."""
@@ -246,14 +219,18 @@ class TangencyCertificate:
     * the polarization of ``restricted_conic`` kills ``contact_vector``, so
       the line touches the conic at ``tangency_point``.
 
-    ``restricted_conic`` is the cofactor's restriction to the line, computed
-    by ``analyze`` from the cofactor alone.  ``verify``, the only checker of
-    these identities, works on ints at the points D * L_i = (p_i, r_i), D the
-    lines' common denominator, where a degree-d form takes D**d times its value:
+    ``bridge`` and ``restricted_conic`` are ``BinaryQuadratic``s; the latter is
+    the cofactor's restriction to the line, computed by ``analyze`` from the
+    cofactor alone.  ``verify``, the only checker of these identities, clears
+    the points, the annihilator, the weights, the line values, the contact
+    vector, the bridge and the conic of their denominators once each and checks
+    every identity on ints at the points D * L_i = (p_i, r_i), D the lines' common
+    denominator, where a degree-d form takes D**d times its value:
     sum_i a_i * L_i^5 = 0 runs as the six moments sum_i a_i * p_i^(5-k) * r_i^k,
     the power-sum conic as the three moments of 6 * alpha_i * line_values_i^2
     (the middle one doubled) against D**2 times ``restricted_conic``, and the
-    contact and bridge values against D * alpha_i and D**2 * alpha_i * line_values_i.
+    contact and bridge values against D * alpha_i and
+    D**2 * alpha_i * line_values_i, each side times the other side's denominators.
     """
 
     restricted: FormTuple
@@ -262,34 +239,41 @@ class TangencyCertificate:
     contact_vector: tuple[Fraction, Fraction]
     transversal_point: tuple[Fraction, Fraction, Fraction]
     line_values: Vector
-    bridge: HomogeneousForm
+    bridge: BinaryQuadratic
     restricted_conic: BinaryQuadratic
     tangency_point: tuple[Fraction, Fraction]
 
     def verify(self) -> None:
         """Check every certified identity; raises TheoremViolationError."""
         den, points = _clear_points([f.linear_coefficients() for f in self.restricted])
-        a = self.annihilator
-        ints = sympoly.clear_denominators(a)[1]
-        if any(sum(c * p ** (5 - k) * r**k for c, (p, r) in zip(ints, points)) for k in range(6)):
+        if {len(self.annihilator), len(self.weights), len(self.line_values)} != {len(points)}:
+            raise StructuralError("certificate vectors do not match the point count")
+        a_den, ann = sympoly.clear_denominators(self.annihilator)
+        if any(sum(x * p ** (5 - k) * r**k for x, (p, r) in zip(ann, points)) for k in range(6)):
             raise TheoremViolationError("annihilator does not kill the degree-5 powers")
-        w_form = HomogeneousForm.linear(self.contact_vector)
-        if kernel_descend(a, points, w_form) != tuple(den * al for al in self.weights):
-            raise TheoremViolationError("contact vector does not reproduce the weights")
-        expected = tuple(den**2 * al * lv for al, lv in zip(self.weights, self.line_values))
-        if kernel_descend(a, points, self.bridge) != expected:
-            raise TheoremViolationError("bridge tensor does not reproduce the line values")
         w_den, alphas = sympoly.clear_denominators(self.weights)
+        c_den, (c0, c1) = sympoly.clear_denominators(self.contact_vector)
+        scale = a_den * c_den * den
+        if any(x * (c0 * p + c1 * r) * w_den != al * scale for x, al, (p, r) in zip(ann, alphas, points)):
+            raise TheoremViolationError("contact vector does not reproduce the weights")
         v_den, values = sympoly.clear_denominators(self.line_values)
-        scale = w_den * v_den**2 * den**2
+        b_den, (b0, b1, b2) = sympoly.clear_denominators((self.bridge.a, self.bridge.b, self.bridge.c))
+        scale = a_den * b_den * den**2
+        if any(
+            x * (b0 * p * p + b1 * p * r + b2 * r * r) * w_den * v_den != al * v * scale
+            for x, al, v, (p, r) in zip(ann, alphas, values, points)
+        ):
+            raise TheoremViolationError("bridge tensor does not reproduce the line values")
         q = self.restricted_conic
-        for k, (binom, target) in enumerate(zip((1, 2, 1), (q.a, q.b, q.c))):
+        q_den, (qa, qb, qc) = sympoly.clear_denominators((q.a, q.b, q.c))
+        scale = w_den * v_den**2 * den**2
+        for k, (binom, target) in enumerate(zip((1, 2, 1), (qa, qb, qc))):
             moment = sum(x * v * v * p ** (2 - k) * r**k for x, v, (p, r) in zip(alphas, values, points))
-            if 6 * binom * moment * target.denominator != target.numerator * scale:
+            if 6 * binom * moment * q_den != target * scale:
                 raise TheoremViolationError("restricted conic does not match its power-sum expression")
-        for u in ((1, 0), (0, 1)):
-            if q.polar(self.contact_vector, u) != 0:
-                raise TheoremViolationError("contact vector is not in the polar kernel")
+        # the polarization at the contact vector, against (1, 0) and (0, 1), times 2 * q_den * c_den
+        if 2 * qa * c0 + qb * c1 or qb * c0 + 2 * qc * c1:
+            raise TheoremViolationError("contact vector is not in the polar kernel")
 
 
 def _transversal_point(line: HomogeneousForm) -> tuple[Fraction, Fraction, Fraction]:
@@ -356,7 +340,6 @@ def _build_certificate(
     transversal = _transversal_point(line)
     line_values = tuple(sum(c * t for c, t in zip(cf, transversal) if t) for cf in coeffs)
     b = interpolate(points[:3], [den**2 * s * lv for s, lv in zip(scaled, line_values)])
-    bridge = HomogeneousForm(2, 2, {(2, 0): b[0], (1, 1): b[1], (0, 2): b[2]})
 
     point = normalize_vector(contact)
     certificate = TangencyCertificate(
@@ -366,7 +349,7 @@ def _build_certificate(
         contact_vector=contact,
         transversal_point=transversal,
         line_values=line_values,
-        bridge=bridge,
+        bridge=BinaryQuadratic(*b),
         restricted_conic=restricted_conic,
         tangency_point=(point[0], point[1]),
     )

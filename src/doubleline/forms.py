@@ -291,10 +291,11 @@ def render_form(f: HomogeneousForm) -> str:
     return "".join(pieces)
 
 
+# [0-9], not \d: \d, int and Fraction also accept the other Unicode digits
 _TERM_RE = re.compile(
-    r"^(?:(?P<coeff>\d+(?:/\d+)?)(?:\*(?P<tail>.*))?|(?P<mono>x\d+.*))$"
+    r"^(?:(?P<coeff>[0-9]+(?:/[0-9]+)?)(?:\*(?P<tail>.*))?|(?P<mono>x[0-9]+.*))$"
 )
-_FACTOR_RE = re.compile(r"^x(?P<idx>\d+)(?:\^(?P<exp>\d+))?$")
+_FACTOR_RE = re.compile(r"^x(?P<idx>[0-9]+)(?:\^(?P<exp>[0-9]+))?$")
 
 
 def parse_form(text: str, num_vars: int, degree: int | None = None) -> HomogeneousForm:
@@ -524,21 +525,3 @@ class BinaryQuadratic:
         kernel point (None for the zero quadratic and for a nonsquare)."""
         return self.is_zero() or self.discriminant() == 0, self.polar_kernel_point()
 
-
-def line_tangent_to_conic(
-    line: HomogeneousForm, q: HomogeneousForm
-) -> tuple[bool, tuple[Fraction, Fraction] | None]:
-    """Tangency (possibly improper) of a line and a conic, with contact point.
-
-    The flag is true exactly when the restriction of q to the line's kernel
-    plane has vanishing discriminant; this covers degenerate conics and the
-    case where the line divides q (restriction identically zero, no single
-    contact point).  The point is given in kernel-plane coordinates.
-    """
-    if q.num_vars != 3 or q.degree != 2:
-        raise StructuralError("expected a quadratic form in three variables")
-    if line.is_zero():
-        raise InvalidInputError("line must be nonzero")
-    if q.is_zero():
-        raise InvalidInputError("conic must be nonzero")
-    return BinaryQuadratic.from_form(restrict(q, line)).tangency()

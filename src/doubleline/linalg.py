@@ -30,6 +30,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Sequence
 
+from . import sympoly
 from .errors import DegenerateNodesError, InvalidInputError, StructuralError
 
 Vector = tuple[Fraction, ...]
@@ -82,12 +83,7 @@ class RationalMatrix:
 
 
 def _integer_rows(m: RationalMatrix) -> list[list[int]]:
-    out = []
-    for i in range(m.rows):
-        row = m.row(i)
-        den = lcm(*(x.denominator for x in row)) if row else 1
-        out.append([int(x * den) for x in row])
-    return out
+    return [sympoly.clear_denominators(m.row(i))[1] for i in range(m.rows)]
 
 
 def _bareiss(work: list[list[int]], ncols: int) -> list[int]:
@@ -158,8 +154,7 @@ def normalize_vector(v: Sequence[Fraction | int]) -> Vector:
     vv = [Fraction(x) for x in v]
     if all(x == 0 for x in vv):
         return tuple(vv)
-    den = lcm(*(x.denominator for x in vv))
-    ints = [int(x * den) for x in vv]
+    ints = sympoly.clear_denominators(vv)[1]
     g = gcd(*ints)
     ints = [x // g for x in ints]
     lead = next(x for x in ints if x != 0)
@@ -182,8 +177,8 @@ def moment_kernel(
     if degree < -1:
         raise StructuralError("degree must be at least -1")
     # scaling every point by one integer scales every entry by one constant
-    den = lcm(*(x.denominator for p in points for x in p))
-    pts = [tuple(x.numerator * (den // x.denominator) for x in p) for p in points]
+    flat = sympoly.clear_denominators([x for p in points for x in p])[1]
+    pts = list(zip(flat[::2], flat[1::2]))
     n = len(pts)
     det = [[0] * n for _ in range(n)]  # det[j][i] = [P_j, P_i]
     for i, (ai, bi) in enumerate(pts):
@@ -242,7 +237,6 @@ def vandermonde_nullspace(system: VandermondeSystem) -> list[Vector]:
 class WeightedMomentKernel:
     """Solutions k of sum_i weights_i k_i h_i^d = 0 over a range of d."""
 
-    weights: tuple[Fraction, ...]
     basis: tuple[Vector, ...]
 
 
@@ -267,4 +261,4 @@ def weighted_moment_kernel(
             raise InvalidInputError(f"weight {i} is zero")
     raw = vandermonde_nullspace(VandermondeSystem(hs, max_power))
     basis = tuple(tuple(b / a for b, a in zip(vec, ws)) for vec in raw)
-    return WeightedMomentKernel(weights=ws, basis=basis)
+    return WeightedMomentKernel(basis=basis)

@@ -34,7 +34,6 @@ from doubleline.engine import (
     extract_cofactor,
     generate_six_term_family,
     generate_tangent_instance,
-    kernel_descend,
     line_x2,
     power_kernel,
     six_term_vanishing_check,
@@ -56,7 +55,6 @@ from doubleline.forms import (
     BinaryQuadratic,
     FormTuple,
     HomogeneousForm,
-    line_tangent_to_conic,
     parse_form,
     power_sum,
     restrict,
@@ -313,11 +311,9 @@ class TestPowerKernel:
 
 
 class TestKernelDescend:
-    def test_zero_tensor(self):
-        L = FormTuple(tuple(HomogeneousForm.linear((1, i)) for i in range(7)))
-        a = power_kernel(L, 5).vectors[0]
-        out = kernel_descend(a, [f.linear_coefficients() for f in L], HomogeneousForm.zero(2, 1))
-        assert out == (0,) * 7
+    """The descent the certificate's witnesses rest on: for a binary form T,
+    when a kills the powers L_i^(d + deg T), the products a_i * T(L_i) kill
+    the powers L_i^d."""
 
     def test_contact_vector_reproduces_weights(self):
         inst = flagship_instance()
@@ -325,7 +321,8 @@ class TestKernelDescend:
         cert = tangency_certificate(dec, line_x2())
         w_form = HomogeneousForm.linear(cert.contact_vector)
         points = [f.linear_coefficients() for f in cert.restricted]
-        assert kernel_descend(cert.annihilator, points, w_form) == inst.weights
+        descended = tuple(a * w_form.evaluate(p) for a, p in zip(cert.annihilator, points))
+        assert descended == inst.weights
         # the weights land in the degree-4 kernel: all moments d <= 4 vanish
         for d in range(5):
             assert sum(w * h**d for w, h in zip(inst.weights, inst.slopes)) == 0
@@ -341,8 +338,8 @@ class TestKernelDescend:
                 sum((c * vec[i] for c, vec in zip(coords, basis4)), Fraction(0))
                 for i in range(7)
             )
-            u = (random_fraction(rng), random_fraction(rng))
-            out = kernel_descend(a, [(1, h) for h in slopes], HomogeneousForm.linear(u))
+            u = HomogeneousForm.linear((random_fraction(rng), random_fraction(rng)))
+            out = [x * u.evaluate((1, h)) for x, h in zip(a, slopes)]
             for d in range(4):
                 assert sum(o * h**d for o, h in zip(out, slopes)) == 0
 
@@ -355,7 +352,7 @@ class TestTangencyCertificate:
         cert = tangency_certificate(dec, line_x2())
         cert.verify()
         # independent tangency test agrees
-        flag, point = line_tangent_to_conic(line_x2(), cofactor)
+        flag, point = BinaryQuadratic.from_form(restrict(cofactor, line_x2())).tangency()
         assert flag is True
         assert point == cert.tangency_point
         assert BinaryQuadratic.from_form(restrict(cofactor, line_x2())) == cert.restricted_conic
@@ -425,7 +422,8 @@ class TestTangencyCertificate:
                 continue
             cert = tangency_certificate(generated.instance.to_decomposition(), line_x2())
             cert.verify()
-            flag, point = line_tangent_to_conic(line_x2(), generated.quartic.cofactor)
+            restricted = restrict(generated.quartic.cofactor, line_x2())
+            flag, point = BinaryQuadratic.from_form(restricted).tangency()
             assert flag is True and point == cert.tangency_point
             checked += 1
 
@@ -468,10 +466,10 @@ class TestTangencyCertificate:
                 [c[i] * a * a, c[i] * a * b, c[i] * b * b] for i, (a, b) in enumerate(points)
             ]
             rhs = [al * lv for al, lv in zip(cert.weights, cert.line_values)]
-            bridge = tuple(cert.bridge.terms.get(m, 0) for m in ((2, 0), (1, 1), (0, 2)))
+            bridge = (cert.bridge.a, cert.bridge.b, cert.bridge.c)
             assert bridge == reference_solve(bridge_rows, rhs)
 
-            flag, point = line_tangent_to_conic(line, report.cofactor)
+            flag, point = BinaryQuadratic.from_form(restrict(report.cofactor, line)).tangency()
             assert flag is True and point == cert.tangency_point
             checked += 1
 
@@ -511,7 +509,7 @@ class TestCertificateTampering:
         )
 
     def test_bridge_coefficient(self, certificate):
-        bridge = certificate.bridge + HomogeneousForm(2, 2, {(1, 1): 1})
+        bridge = dataclasses.replace(certificate.bridge, b=certificate.bridge.b + 1)
         self.assert_fails(
             dataclasses.replace(certificate, bridge=bridge),
             "bridge tensor does not reproduce the line values",
@@ -533,6 +531,18 @@ class TestCertificateTampering:
             dataclasses.replace(certificate, annihilator=a),
             "annihilator does not kill the degree-5 powers",
         )
+
+    def test_rescaled_witnesses_verify(self, certificate):
+        # every identity is invariant under a -> t * a, contact -> contact / t
+        # and bridge -> bridge / t, which moves the denominators verify clears
+        t = Fraction(2, 3)
+        g = certificate.bridge
+        dataclasses.replace(
+            certificate,
+            annihilator=tuple(t * a for a in certificate.annihilator),
+            contact_vector=tuple(c / t for c in certificate.contact_vector),
+            bridge=BinaryQuadratic(g.a / t, g.b / t, g.c / t),
+        ).verify()
 
     @pytest.mark.parametrize("field", ["a", "b", "c"])
     def test_restricted_conic(self, certificate, field):
@@ -566,6 +576,20 @@ class TestCertificateTamperingFractionalPoints(TestCertificateTampering):
         dec = WaringDecomposition(tuple((w, move(f.linear_coefficients())) for w, f in terms))
         cert = tangency_certificate(dec, move((0, 0, 1)))
         assert lcm(*(x.denominator for f in cert.restricted for x in f.linear_coefficients())) == 3
+        return cert
+
+
+class TestCertificateTamperingFractionalWeights(TestCertificateTampering):
+    """The same tamperings on the flagship with every weight divided by 7, so
+    the weights have common denominator 7; every other certificate here has
+    integer weights, where a dropped weight denominator does not show."""
+
+    @pytest.fixture(scope="class")
+    def certificate(self):
+        inst = flagship_instance()
+        scaled = CoordinateInstance(inst.slopes, inst.lifts, tuple(w / 7 for w in inst.weights))
+        cert = tangency_certificate(scaled.to_decomposition(), line_x2())
+        assert lcm(*(w.denominator for w in cert.weights)) == 7
         return cert
 
 
@@ -768,7 +792,8 @@ class TestGenerators:
         inst = generated.instance
         assert tangency_defect(inst) == 0
         if not generated.quartic.cofactor.is_zero():
-            flag, _ = line_tangent_to_conic(line_x2(), generated.quartic.cofactor)
+            restricted = restrict(generated.quartic.cofactor, line_x2())
+            flag, _ = BinaryQuadratic.from_form(restricted).tangency()
             assert flag is True
 
     def test_tangent_instance_zero_params(self):
@@ -848,17 +873,12 @@ class TestRoundTrips:
             n = 6 if trial % 2 == 0 else 7
             inst = moment_solution(rng, sample_nodes(rng, n))
             dec = inst.to_decomposition()
-            assert CoordinateInstance.from_decomposition(dec) == inst
+            assert dec.weights() == inst.weights
+            lines = [f.linear_coefficients() for f in dec.lines()]
+            assert lines == [(1, h, k) for h, k in zip(inst.slopes, inst.lifts)]
             value = dec.value()
             q = extract_cofactor(value, line_x2())
             assert line_x2() ** 2 * q == value
-
-    def test_from_decomposition_requires_unit_leading_coefficient(self):
-        dec = WaringDecomposition(
-            tuple((Fraction(1), HomogeneousForm.linear((2, i, 0))) for i in range(6))
-        )
-        with pytest.raises(InvalidInputError):
-            CoordinateInstance.from_decomposition(dec)
 
     def test_instance_size_validation(self):
         with pytest.raises(StructuralError):

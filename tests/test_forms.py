@@ -27,7 +27,6 @@ from doubleline.forms import (
     divide_by_linear,
     interpolate,
     line_kernel_basis,
-    line_tangent_to_conic,
     parse_form,
     render_form,
     restrict,
@@ -449,33 +448,30 @@ class TestConics:
 
     def test_not_tangent_reference(self):
         q = parse_form("6*x0^2 + 6*x0*x1 + 3*x1^2 + x2^2", 3)
-        flag, point = line_tangent_to_conic(X2, q)
-        assert flag is False and point is None
         restricted = BinaryQuadratic.from_form(restrict(q, X2))
+        flag, point = restricted.tangency()
+        assert flag is False and point is None
         assert restricted.discriminant() == 6 * 6 - 4 * 6 * 3 == -36
 
     def test_tangent_with_contact_point(self):
         q = X0 * X2 - X1 * X1
-        flag, point = line_tangent_to_conic(X2, q)
+        flag, point = tangency(X2, q)
         assert flag is True
         assert point == (1, 0)
 
     def test_line_divides_conic(self):
-        flag, point = line_tangent_to_conic(X2, X2 * X0)
+        flag, point = tangency(X2, X2 * X0)
         assert flag is True and point is None
 
     def test_invalid_inputs(self):
-        q = X0 * X2
         with pytest.raises(InvalidInputError):
-            line_tangent_to_conic(HomogeneousForm.zero(3, 1), q)
-        with pytest.raises(InvalidInputError):
-            line_tangent_to_conic(X2, HomogeneousForm.zero(3, 2))
+            tangency(HomogeneousForm.zero(3, 1), X0 * X2)
 
     def test_flag_invariant_under_line_preserving_changes(self):
         rng = random.Random(13)
         for q_text in ["6*x0^2 + 6*x0*x1 + 3*x1^2 + x2^2", "x0*x2 - x1^2"]:
             q = parse_form(q_text, 3)
-            expected = line_tangent_to_conic(X2, q)[0]
+            expected = tangency(X2, q)[0]
             count = 0
             while count < 10:
                 rows = random_invertible_3x3(rng)
@@ -485,8 +481,12 @@ class TestConics:
                 if rows[2][2] == 0 or minor_rank_2x2(rows) == 0:
                     continue
                 changed = apply_change(q, rows)
-                assert line_tangent_to_conic(X2, changed)[0] is expected
+                assert tangency(X2, changed)[0] is expected
                 count += 1
+
+
+def tangency(line, q):
+    return BinaryQuadratic.from_form(restrict(q, line)).tangency()
 
 
 def minor_rank_2x2(rows):
@@ -531,6 +531,12 @@ class TestRendering:
     def test_zero_denominator_rejected(self, text):
         with pytest.raises(InvalidInputError, match="zero denominator"):
             parse_form(text, 3, degree=1)
+
+    # Arabic-Indic digits, which \d, int and Fraction accept and the grammar does not
+    @pytest.mark.parametrize("text", ["x\u0662", "\u0663*x0", "1/\u0663*x1", "x0^\u0662"])
+    def test_non_ascii_digits_rejected(self, text):
+        with pytest.raises(InvalidInputError):
+            parse_form(text, 3)
 
     @given(form_st(3, 3))
     def test_round_trip(self, f):
