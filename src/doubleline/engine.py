@@ -39,7 +39,6 @@ from .forms import (
     BinaryQuadratic,
     FormTuple,
     HomogeneousForm,
-    Point,
     conic_rank,
     divide_by_linear,
     interpolate,
@@ -50,6 +49,7 @@ from .forms import (
 from .linalg import (
     RationalMatrix,
     VandermondeSystem,
+    clear_rows,
     moment_kernel,
     normalize_vector,
     rref,
@@ -198,13 +198,6 @@ def power_kernel(restricted: FormTuple, degree: int) -> KernelBasis:
     return KernelBasis(vectors=tuple(vectors))
 
 
-def _clear_points(pairs: Sequence[Point]) -> tuple[int, list[tuple[int, int]]]:
-    """The common denominator D of the coordinates of ``pairs`` and the
-    integer points D * pair."""
-    den, flat = sympoly.clear_denominators([x for p in pairs for x in p])
-    return den, list(zip(flat[::2], flat[1::2]))
-
-
 @dataclass(frozen=True)
 class TangencyCertificate:
     """Exact witnesses that the line is tangent to the cofactor conic.
@@ -245,7 +238,7 @@ class TangencyCertificate:
 
     def verify(self) -> None:
         """Check every certified identity; raises TheoremViolationError."""
-        den, points = _clear_points([f.linear_coefficients() for f in self.restricted])
+        den, points = clear_rows([f.linear_coefficients() for f in self.restricted])
         if {len(self.annihilator), len(self.weights), len(self.line_values)} != {len(points)}:
             raise StructuralError("certificate vectors do not match the point count")
         a_den, ann = sympoly.clear_denominators(self.annihilator)
@@ -322,7 +315,7 @@ def _build_certificate(
     # a linear form restricts to its coefficients paired with the kernel basis
     pairs = [tuple(sum(c * b for c, b in zip(cf, v) if b) for v in (b0, b1)) for cf in coeffs]
     restricted = FormTuple(tuple(HomogeneousForm.linear(p) for p in pairs))
-    den, points = _clear_points(pairs)
+    den, points = clear_rows(pairs)
     try:
         kernel5 = moment_kernel(points, 5)
     except DegenerateNodesError:
@@ -366,13 +359,17 @@ def tangency_defect(inst: CoordinateInstance) -> Fraction:
     the defect vanishes exactly when the instance's conic is tangent to the
     coordinate line.
     """
-    s0 = s1 = s2 = Fraction(0)
-    for h, k, w in zip(inst.slopes, inst.lifts, inst.weights):
+    hd, hs = sympoly.clear_denominators(inst.slopes)
+    kd, ks = sympoly.clear_denominators(inst.lifts)
+    wd, ws = sympoly.clear_denominators(inst.weights)
+    # s_p = S_p / (wd * kd**2 * hd**p) with S_p = sum_i W_i * K_i**2 * H_i**p on ints
+    s0 = s1 = s2 = 0
+    for h, k, w in zip(hs, ks, ws):
         base = w * k * k
         s0 += base
         s1 += base * h
         s2 += base * h * h
-    return s1 * s1 - s0 * s2
+    return Fraction(s1 * s1 - s0 * s2, (wd * kd * kd * hd) ** 2)
 
 
 @dataclass(frozen=True)
@@ -651,30 +648,25 @@ def generate_tangent_instance(
     params = tuple(Fraction(p) for p in lift_params)
     if len(params) != 3:
         raise StructuralError("expected 3 lift parameters")
-    alpha_basis = vandermonde_nullspace(VandermondeSystem(hs, 4))
+    # on ints: with the kernel bases cleared to (U, V) / ad and B_j / bd, weight i
+    # is (s * U_i + t * V_i) / ad and lift i sum_j P_j * B_j[i] / (pd * bd) over it
+    ad, (us, vs) = clear_rows(vandermonde_nullspace(VandermondeSystem(hs, 4)))
     rng = random.Random(f"tangent-instance:{seed}")
     retries = 0
-    weights: Vector | None = None
     for _ in range(MAX_WEIGHT_SAMPLES):
         s, t = rng.randint(-9, 9), rng.randint(-9, 9)
-        if (s, t) == (0, 0):
-            retries += 1
-            continue
-        candidate = tuple(s * u + t * v for u, v in zip(alpha_basis[0], alpha_basis[1]))
-        if all(c != 0 for c in candidate):
-            weights = candidate
+        weights = [s * u + t * v for u, v in zip(us, vs)]
+        if (s, t) != (0, 0) and all(weights):
             break
         retries += 1
-    if weights is None:
+    else:
         raise GenerationFailureError("could not sample weights with all entries nonzero")
 
-    beta_basis = vandermonde_nullspace(VandermondeSystem(hs, 3))
-    beta = tuple(
-        sum((p * vec[i] for p, vec in zip(params, beta_basis)), Fraction(0))
-        for i in range(7)
-    )
-    lifts = tuple(b / w for b, w in zip(beta, weights))
-    inst = CoordinateInstance(hs, lifts, weights)
+    bd, beta_basis = clear_rows(vandermonde_nullspace(VandermondeSystem(hs, 3)))
+    pd, ps = sympoly.clear_denominators(params)
+    betas = [sum(p * b for p, b in zip(ps, column)) for column in zip(*beta_basis)]
+    lifts = [Fraction(ad * b, pd * bd * w) for b, w in zip(betas, weights)]
+    inst = CoordinateInstance(hs, lifts, [Fraction(w, ad) for w in weights])
     return TangentInstance(instance=inst, weight_retries=retries)
 
 

@@ -1,7 +1,7 @@
 """Exact homogeneous polynomial arithmetic in two or three variables.
 
 A form is its shape, the variable count and the degree, over a
-``sympoly.Poly``: packed monomial keys mapping to nonzero Fractions.  All
+``sympoly.Poly``: packed monomial keys mapping to nonzero Fractions.  Form
 arithmetic runs through ``sympoly``, the package's one polynomial core; this
 module adds the shape checks and the degree bookkeeping.  Two forms are
 equal exactly when their shapes and term maps agree.  ``terms`` shows the
@@ -10,6 +10,8 @@ and text rendering use graded lexicographic order on those tuples with
 x0 > x1 > x2; packed keys compare x2 first, so only the tuples are sorted.
 Evaluation, division and restriction work on the packed keys; evaluation and
 restriction, which interpolates values at integer points, sum on integers.
+``power_sum``, the weighted sum of powers of linear forms, expands nothing:
+each coefficient is one weighted moment of the forms' integer coefficients.
 """
 
 from __future__ import annotations
@@ -17,12 +19,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from itertools import combinations_with_replacement
+from math import factorial, lcm, prod
+from operator import getitem
 from typing import Iterator, Mapping, Sequence
 
 from . import sympoly
 from .errors import InvalidInputError, StructuralError
-from .linalg import normalize_vector, rank
+from .linalg import clear_rows, normalize_vector, rank
 
 Monomial = tuple[int, ...]
 Point = Sequence[Fraction | int]
@@ -148,7 +152,12 @@ class HomogeneousForm:
         return self * other
 
     def __pow__(self, exponent: int) -> "HomogeneousForm":
-        return power_sum((1,), FormTuple((self,)), exponent)
+        """(D * f)**exponent by ``sympoly.power`` on ints, scaled by 1 / D**exponent."""
+        den, nums = sympoly.clear_denominators(self.poly.values())
+        power = sympoly.power(dict(zip(self.poly, nums)), exponent)
+        return HomogeneousForm._trusted(
+            self.num_vars, self.degree * exponent, sympoly.scale(power, Fraction(1, den**exponent))
+        )
 
     def evaluate(self, point: Point) -> Fraction:
         """The value at ``point``, on integers: with the point cleared to N / Q
@@ -187,7 +196,8 @@ class HomogeneousForm:
 @dataclass(frozen=True)
 class FormTuple:
     """Nonempty tuple of forms of one shared shape, such as the seven lines
-    restricted to a base line; ``power_sum`` sums their weighted powers."""
+    restricted to a base line; ``power_sum`` sums weighted powers of a tuple
+    of linear forms."""
 
     entries: tuple[HomogeneousForm, ...]
 
@@ -216,21 +226,33 @@ class FormTuple:
 
 
 def power_sum(weights: Sequence[Fraction | int], forms: FormTuple, exponent: int) -> HomogeneousForm:
-    """sum_i weights[i] * forms[i]**exponent, on integers: each form is cleared
-    once to D_i * f_i and raised by ``sympoly.power``, the weights w_i / D_i**exponent
-    are brought to one common denominator E, and the sum is scaled by 1 / E once."""
-    if exponent < 0:
-        raise StructuralError("negative power of a form")
+    """sum_i weights[i] * forms[i]**exponent for linear forms, as weighted moments.
+
+    With each form cleared once to D_i * l_i = (c_i0, c_i1, ...) and the weights
+    w_i / D_i**exponent brought to one denominator E as ints W_i, the coefficient
+    of x**m is multinomial(exponent; m) * sum_i W_i * prod_j c_ij**m_j / E, one
+    Fraction per coefficient.  Forms of degree other than 1 raise StructuralError.
+    """
+    if forms.degree != 1 or not 0 <= exponent <= sympoly.MAX_EXPONENT:
+        raise StructuralError(f"a power sum needs linear forms and a power in 0..{sympoly.MAX_EXPONENT}")
     if len(weights) != len(forms):
         raise StructuralError("a power sum needs one weight per form")
-    powers, scales = [], []
-    for w, f in zip(weights, forms):
-        den, nums = sympoly.clear_denominators(f.poly.values())
-        powers.append(sympoly.power(dict(zip(f.poly, nums)), exponent))
-        scales.append(Fraction(w) / den**exponent)
-    common, ints = sympoly.clear_denominators(scales)
-    total = sympoly.scale(sympoly.linear_combination(ints, powers), Fraction(1, common))
-    return HomogeneousForm._trusted(forms.num_vars, forms.degree * exponent, total)
+    wd, ws = sympoly.clear_denominators(weights)
+    tables, dens = [], []
+    for f in forms:
+        den, coeffs = sympoly.clear_denominators(f.linear_coefficients())
+        tables.append([[c**k for k in range(exponent + 1)] for c in coeffs])
+        dens.append(wd * den**exponent)
+    common = lcm(*dens)
+    ints = [w * (common // d) for w, d in zip(ws, dens)]
+    poly: sympoly.Poly = {}
+    for combo in combinations_with_replacement(range(forms.num_vars), exponent):
+        m = [combo.count(j) for j in range(forms.num_vars)]
+        moment = sum(wi * prod(map(getitem, table, m)) for wi, table in zip(ints, tables))
+        if moment:
+            key = sum(e << (sympoly.BITS * j) for j, e in enumerate(m))
+            poly[key] = Fraction(factorial(exponent) // prod(map(factorial, m)) * moment, common)
+    return HomogeneousForm._trusted(forms.num_vars, exponent, poly)
 
 
 def interpolate(points: Sequence[tuple[int, int]], values: Sequence[Fraction | int]) -> list[Fraction]:
@@ -437,11 +459,10 @@ def restrict(f: HomogeneousForm, line: HomogeneousForm) -> HomogeneousForm:
     plane ``line = 0`` with kernel basis b0, b1.  With the basis cleared once to
     integer vectors D * b0 and D * b1, g is the interpolant of f's values there
     at the plane points (1, 0), (1, 1), ..., (1, d - 1), (0, 1), scaled by 1 / D**d."""
-    b0, b1 = line_kernel_basis(line)
-    den, flat = sympoly.clear_denominators([*b0, *b1])
+    den, (b0, b1) = clear_rows(line_kernel_basis(line))
     d = f.degree
     plane = [*((1, t) for t in range(d)), (0, 1)]
-    values = [f.evaluate([s * u + t * v for u, v in zip(flat[:3], flat[3:])]) for s, t in plane]
+    values = [f.evaluate([s * u + t * v for u, v in zip(b0, b1)]) for s, t in plane]
     scale = Fraction(1, den**d)
     poly = {(d - e) + (e << sympoly.BITS): scale * c for e, c in enumerate(interpolate(plane, values)) if c}
     return HomogeneousForm._trusted(2, d, poly)

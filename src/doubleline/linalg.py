@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import gcd, lcm, prod
 from typing import Sequence
 
@@ -163,6 +164,14 @@ def normalize_vector(v: Sequence[Fraction | int]) -> Vector:
     return tuple(Fraction(x) for x in ints)
 
 
+def clear_rows(rows: Sequence[Sequence[Fraction | int]]) -> tuple[int, list[tuple[int, ...]]]:
+    """The common denominator D of every entry of ``rows`` and the integer rows
+    D * row; the one place where points and kernel vectors are cleared."""
+    den, flat = sympoly.clear_denominators([x for row in rows for x in row])
+    entries = iter(flat)
+    return den, [tuple(islice(entries, len(row))) for row in rows]
+
+
 def moment_kernel(
     points: Sequence[tuple[Fraction | int, Fraction | int]], degree: int
 ) -> list[Vector]:
@@ -177,8 +186,7 @@ def moment_kernel(
     if degree < -1:
         raise StructuralError("degree must be at least -1")
     # scaling every point by one integer scales every entry by one constant
-    flat = sympoly.clear_denominators([x for p in points for x in p])[1]
-    pts = list(zip(flat[::2], flat[1::2]))
+    pts = clear_rows(points)[1]
     n = len(pts)
     det = [[0] * n for _ in range(n)]  # det[j][i] = [P_j, P_i]
     for i, (ai, bi) in enumerate(pts):

@@ -10,7 +10,15 @@ from math import comb
 
 from hypothesis import settings
 
-from doubleline.linalg import RationalMatrix, normalize_vector, rref
+from doubleline import engine
+from doubleline.errors import GenerationFailureError
+from doubleline.linalg import (
+    RationalMatrix,
+    VandermondeSystem,
+    normalize_vector,
+    rref,
+    vandermonde_nullspace,
+)
 
 settings.register_profile("exact", deadline=None)
 settings.load_profile("exact")
@@ -100,6 +108,42 @@ def reference_solve(rows: list[list[Fraction]], rhs) -> tuple[Fraction, ...] | N
     for i, pc in enumerate(pivot_cols):
         x[pc] = reduced[i, ncols]
     return tuple(x)
+
+
+def reference_tangency_defect(inst) -> Fraction:
+    """The tangency defect s_1^2 - s_0 * s_2, with s_p = sum_i w_i * k_i^2 * h_i^p
+    summed term by term in Fractions."""
+    s0 = s1 = s2 = Fraction(0)
+    for h, k, w in zip(inst.slopes, inst.lifts, inst.weights):
+        base = w * k * k
+        s0 += base
+        s1 += base * h
+        s2 += base * h * h
+    return s1 * s1 - s0 * s2
+
+
+def reference_tangent_instance(slopes, lift_params, seed: int):
+    """The instance and weight-retry count of ``generate_tangent_instance``,
+    built in Fractions: the same seeded samples, each weight vector an
+    integer combination of the degree-4 kernel vectors, each lift the
+    parameters' combination of the degree-3 kernel vectors over its weight."""
+    hs = tuple(Fraction(h) for h in slopes)
+    params = tuple(Fraction(p) for p in lift_params)
+    alpha_basis = vandermonde_nullspace(VandermondeSystem(hs, 4))
+    rng = random.Random(f"tangent-instance:{seed}")
+    retries = 0
+    for _ in range(engine.MAX_WEIGHT_SAMPLES):
+        s, t = rng.randint(-9, 9), rng.randint(-9, 9)
+        weights = tuple(s * u + t * v for u, v in zip(alpha_basis[0], alpha_basis[1]))
+        if (s, t) != (0, 0) and all(w != 0 for w in weights):
+            break
+        retries += 1
+    else:
+        raise GenerationFailureError("could not sample weights with all entries nonzero")
+    beta_basis = vandermonde_nullspace(VandermondeSystem(hs, 3))
+    beta = [sum((p * vec[i] for p, vec in zip(params, beta_basis)), Fraction(0)) for i in range(7)]
+    lifts = tuple(b / w for b, w in zip(beta, weights))
+    return engine.CoordinateInstance(hs, lifts, weights), retries
 
 
 def count_calls(monkeypatch, module, name: str) -> list:

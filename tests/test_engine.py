@@ -18,6 +18,8 @@ from conftest import (
     ref_variable,
     reference_kernel,
     reference_solve,
+    reference_tangency_defect,
+    reference_tangent_instance,
     sample_nodes,
     unpack,
 )
@@ -229,6 +231,22 @@ class TestValue:
         assert (total.num_vars, total.degree) == (n, exponent)
         assert total.terms == expected
         assert all(type(c) is Fraction for c in total.terms.values())
+
+    def test_power_sum_rejects_nonlinear_forms(self):
+        x0 = HomogeneousForm.variable(3, 0)
+        for forms in (FormTuple((x0 * x0,)), FormTuple((HomogeneousForm.zero(3, 0),) * 2)):
+            with pytest.raises(StructuralError, match="linear forms"):
+                power_sum([1] * len(forms), forms, 2)
+
+    def test_value_expands_no_polynomial(self, monkeypatch):
+        expected = reference_value()
+
+        def refuse(*args):
+            raise AssertionError("value() expanded a polynomial")
+
+        monkeypatch.setattr(sympoly, "power", refuse)
+        monkeypatch.setattr(sympoly, "mul", refuse)
+        assert reference_decomposition().value() == expected
 
     def test_instance_shares_one_decomposition(self):
         inst = CoordinateInstance((0, 1, 2, 3, 4, 5), (1,) * 6, (1,) * 6)
@@ -619,6 +637,29 @@ class TestTangencyDefect:
         )
         assert tangency_defect(inst) == (1 + 2) ** 2 - 2 * (1 + 4) == -1
 
+    def test_matches_fraction_oracle(self):
+        # slope denominators 1, 2, 3 and 5, fractional lifts and weights, and
+        # zero lifts and weights: every cleared denominator is exercised
+        rng = random.Random(613)
+        nonzero = 0
+        for trial in range(200):
+            n = 6 + trial % 2
+            slopes = sample_nodes(rng, n)
+            lifts = [random_fraction(rng, 9, 7) for _ in range(n)]
+            weights = [random_fraction(rng, 9, 7) for _ in range(n)]
+            if trial % 5 == 0:
+                lifts[rng.randrange(n)] = weights[rng.randrange(n)] = Fraction(0)
+            if trial % 50 == 1:
+                lifts = [Fraction(0)] * n
+            if trial % 50 == 2:
+                weights = [Fraction(0)] * n
+            inst = CoordinateInstance(slopes, lifts, weights)
+            defect = tangency_defect(inst)
+            assert type(defect) is Fraction
+            assert defect == reference_tangency_defect(inst)
+            nonzero += defect != 0
+        assert nonzero > 150
+
 
 class TestDiscriminantBridge:
     def test_symbolic_identity(self):
@@ -811,6 +852,19 @@ class TestGenerators:
         a = generate_tangent_instance(slopes, (1, 2, 3), seed=9)
         b = generate_tangent_instance(slopes, (1, 2, 3), seed=9)
         assert a.instance == b.instance and a.weight_retries == b.weight_retries
+
+    def test_tangent_instance_matches_fraction_oracle(self):
+        rng = random.Random(769)
+        retried = 0
+        for seed in range(100):
+            slopes = sample_nodes(rng, 7)
+            params = [random_fraction(rng, 6, 4) for _ in range(3)]
+            generated = generate_tangent_instance(slopes, params, seed=seed)
+            instance, retries = reference_tangent_instance(slopes, params, seed)
+            assert generated.instance == instance
+            assert generated.weight_retries == retries
+            retried += retries > 0
+        assert retried > 0
 
     def test_generators_derive_nothing(self, monkeypatch):
         extractions = count_calls(monkeypatch, engine, "extract_cofactor")
