@@ -648,8 +648,8 @@ def generate_tangent_instance(
     params = tuple(Fraction(p) for p in lift_params)
     if len(params) != 3:
         raise StructuralError("expected 3 lift parameters")
-    # on ints: with the kernel bases cleared to (U, V) / ad and B_j / bd, weight i
-    # is (s * U_i + t * V_i) / ad and lift i sum_j P_j * B_j[i] / (pd * bd) over it
+    # on ints: kernel bases cleared to (U, V) / ad and B_j / bd, parameters to P_j / pd;
+    # weight i is (s*U_i + t*V_i) / ad, lift i is sum_j P_j*B_j[i] / (pd*bd) / weight i
     ad, (us, vs) = clear_rows(vandermonde_nullspace(VandermondeSystem(hs, 4)))
     rng = random.Random(f"tangent-instance:{seed}")
     retries = 0
