@@ -47,6 +47,7 @@ from .forms import (
     restrict,
 )
 from .linalg import (
+    IntVector,
     RationalMatrix,
     VandermondeSystem,
     clear_rows,
@@ -76,7 +77,7 @@ class WaringDecomposition:
         for weight, form in self.terms:
             if form.num_vars != 3 or form.degree != 1:
                 raise StructuralError("decomposition terms must be linear forms in three variables")
-            coerced.append((Fraction(weight), form))
+            coerced.append((Fraction(weight), form))  # w / a stays exact for int annihilators a
         object.__setattr__(self, "terms", tuple(coerced))
 
     @property
@@ -175,7 +176,7 @@ def extract_cofactor(quartic: HomogeneousForm, line: HomogeneousForm) -> Homogen
 class KernelBasis:
     """Kernel of the map sending coefficient vectors a to sum_i a_i * L_i^d."""
 
-    vectors: tuple[Vector, ...]
+    vectors: tuple[IntVector, ...]
 
     @property
     def dimension(self) -> int:
@@ -202,7 +203,7 @@ def power_kernel(restricted: FormTuple, degree: int) -> KernelBasis:
 class TangencyCertificate:
     """Exact witnesses that the line is tangent to the cofactor conic.
 
-    The fields satisfy, with L the restricted lines and alpha the weights:
+    The fields satisfy, with L_i the line ``restricted[i]`` and alpha the weights:
 
     * ``annihilator`` spans the kernel of the degree-5 power map and has no
       zero entry;
@@ -226,19 +227,19 @@ class TangencyCertificate:
     D**2 * alpha_i * line_values_i, each side times the other side's denominators.
     """
 
-    restricted: FormTuple
+    restricted: tuple[tuple[Fraction, Fraction], ...]
     weights: Vector
-    annihilator: Vector
+    annihilator: IntVector
     contact_vector: tuple[Fraction, Fraction]
     transversal_point: tuple[Fraction, Fraction, Fraction]
     line_values: Vector
     bridge: BinaryQuadratic
     restricted_conic: BinaryQuadratic
-    tangency_point: tuple[Fraction, Fraction]
+    tangency_point: IntVector
 
     def verify(self) -> None:
         """Check every certified identity; raises TheoremViolationError."""
-        den, points = clear_rows([f.linear_coefficients() for f in self.restricted])
+        den, points = clear_rows(self.restricted)
         if {len(self.annihilator), len(self.weights), len(self.line_values)} != {len(points)}:
             raise StructuralError("certificate vectors do not match the point count")
         a_den, ann = sympoly.clear_denominators(self.annihilator)
@@ -313,9 +314,8 @@ def _build_certificate(
     b0, b1 = line_kernel_basis(line)
     coeffs = [f.linear_coefficients() for f in dec.lines()]
     # a linear form restricts to its coefficients paired with the kernel basis
-    pairs = [tuple(sum(c * b for c, b in zip(cf, v) if b) for v in (b0, b1)) for cf in coeffs]
-    restricted = FormTuple(tuple(HomogeneousForm.linear(p) for p in pairs))
-    den, points = clear_rows(pairs)
+    restricted = tuple(tuple(sum(c * b for c, b in zip(cf, v) if b) for v in (b0, b1)) for cf in coeffs)
+    den, points = clear_rows(restricted)
     try:
         kernel5 = moment_kernel(points, 5)
     except DegenerateNodesError:
@@ -334,7 +334,6 @@ def _build_certificate(
     line_values = tuple(sum(c * t for c, t in zip(cf, transversal) if t) for cf in coeffs)
     b = interpolate(points[:3], [den**2 * s * lv for s, lv in zip(scaled, line_values)])
 
-    point = normalize_vector(contact)
     certificate = TangencyCertificate(
         restricted=restricted,
         weights=weights,
@@ -344,7 +343,7 @@ def _build_certificate(
         line_values=line_values,
         bridge=BinaryQuadratic(*b),
         restricted_conic=restricted_conic,
-        tangency_point=(point[0], point[1]),
+        tangency_point=normalize_vector(contact),
     )
     certificate.verify()
     return certificate
@@ -401,25 +400,20 @@ def verify_identity_slice(
     identically zero.  ``perturb`` adds 1 to the defect before clearing
     denominators, a control that must make the check fail.
 
-    The expansion runs on integers.  Each kernel basis vector is multiplied
-    by the lcm of its denominators, which replaces free coordinate j by c_j
-    times itself, and the slopes h_i by H_i = D * h_i with D the lcm of their
-    denominators, which multiplies s_p by D**p and the residue by D**2 (the
-    perturbation is scaled by D**2 to match).  Both are diagonal rescalings:
-    every monomial's coefficient is multiplied by one nonzero constant, so
-    the residue's support, the ``expanded_monomials`` count and the zero
-    test are exactly those of the expansion over the Fraction data.  The
-    residue itself is the rescaled polynomial.
+    The expansion runs on integers.  The kernel basis vectors are integer
+    already (``linalg.moment_kernel``), and the slopes h_i are replaced by
+    H_i = D * h_i with D the lcm of their denominators, which multiplies s_p
+    by D**p and the residue by D**2 (the perturbation is scaled by D**2 to
+    match).  Every monomial's coefficient is multiplied by that one nonzero
+    constant, so the residue's support, the ``expanded_monomials`` count and
+    the zero test are exactly those of the expansion over the Fraction
+    slopes.  The residue itself is the rescaled polynomial.
     """
     hs = tuple(Fraction(h) for h in slopes)
     if len(hs) != 7:
         raise StructuralError(f"expected 7 slopes, got {len(hs)}")
-    alpha_basis = [
-        sympoly.clear_denominators(v)[1] for v in vandermonde_nullspace(VandermondeSystem(hs, 4))
-    ]
-    beta_basis = [
-        sympoly.clear_denominators(v)[1] for v in vandermonde_nullspace(VandermondeSystem(hs, 3))
-    ]
+    alpha_basis = vandermonde_nullspace(VandermondeSystem(hs, 4))
+    beta_basis = vandermonde_nullspace(VandermondeSystem(hs, 3))
     den, nodes = sympoly.clear_denominators(hs)
     nvars = len(alpha_basis) + len(beta_basis)
 
@@ -481,7 +475,7 @@ class SixTermVanishingReport:
     """Outcome of the six-term collapse check for distinct slopes."""
 
     slopes: Vector
-    annihilator: Vector
+    annihilator: IntVector
     lift_basis: tuple[Vector, ...]
     all_weights_nonzero: bool
     family_is_translations: bool
@@ -518,12 +512,11 @@ def six_term_vanishing_check(slopes: Sequence[Fraction | int]) -> SixTermVanishi
     # symbolic quartic in (x0, x1, x2, t0, t1) with lifts t0 + t1*slope, on
     # integers: with H = D*h (D the lcm of the slopes' denominators) the line
     # x0 + H*x1 + (t0 + H*t1)*x2 is the line through h after x1 -> D*x1 and
-    # t1 -> D*t1, and the annihilator times the lcm of its denominators is an
-    # integer vector; a diagonal rescaling and one nonzero factor keep the
-    # zero test of the quartic over the Fraction data
+    # t1 -> D*t1, and the annihilator is an integer vector; a diagonal
+    # rescaling keeps the zero test of the quartic over the Fraction slopes
     x0, x1, x2, t0, t1 = (sympoly.variable(5, i) for i in range(5))
     quartic: sympoly.Poly = {}
-    for h, a in zip(sympoly.clear_denominators(hs)[1], sympoly.clear_denominators(alpha)[1]):
+    for h, a in zip(sympoly.clear_denominators(hs)[1], alpha):
         lift = sympoly.add(t0, sympoly.scale(t1, h))
         line = sympoly.add(
             sympoly.add(x0, sympoly.scale(x1, h)), sympoly.mul(lift, x2)
@@ -648,9 +641,9 @@ def generate_tangent_instance(
     params = tuple(Fraction(p) for p in lift_params)
     if len(params) != 3:
         raise StructuralError("expected 3 lift parameters")
-    # on ints: kernel bases cleared to (U, V) / ad and B_j / bd, parameters to P_j / pd;
-    # weight i is (s*U_i + t*V_i) / ad, lift i is sum_j P_j*B_j[i] / (pd*bd) / weight i
-    ad, (us, vs) = clear_rows(vandermonde_nullspace(VandermondeSystem(hs, 4)))
+    # on ints: the kernel bases (U, V) and B_j are integer, parameters cleared to P_j / pd;
+    # weight i is s*U_i + t*V_i, lift i is sum_j P_j*B_j[i] / pd / weight i
+    us, vs = vandermonde_nullspace(VandermondeSystem(hs, 4))
     rng = random.Random(f"tangent-instance:{seed}")
     retries = 0
     for _ in range(MAX_WEIGHT_SAMPLES):
@@ -662,11 +655,11 @@ def generate_tangent_instance(
     else:
         raise GenerationFailureError("could not sample weights with all entries nonzero")
 
-    bd, beta_basis = clear_rows(vandermonde_nullspace(VandermondeSystem(hs, 3)))
+    beta_basis = vandermonde_nullspace(VandermondeSystem(hs, 3))
     pd, ps = sympoly.clear_denominators(params)
     betas = [sum(p * b for p, b in zip(ps, column)) for column in zip(*beta_basis)]
-    lifts = [Fraction(ad * b, pd * bd * w) for b, w in zip(betas, weights)]
-    inst = CoordinateInstance(hs, lifts, [Fraction(w, ad) for w in weights])
+    lifts = [Fraction(b, pd * w) for b, w in zip(betas, weights)]
+    inst = CoordinateInstance(hs, lifts, weights)
     return TangentInstance(instance=inst, weight_retries=retries)
 
 
@@ -680,7 +673,7 @@ class AnalysisReport:
     cofactor: HomogeneousForm | None
     conic_rank: int | None
     tangent: bool | None
-    tangency_point: tuple[Fraction, Fraction] | None
+    tangency_point: IntVector | None
     certificate: TangencyCertificate | None
 
 

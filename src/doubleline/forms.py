@@ -26,7 +26,7 @@ from typing import Iterator, Mapping, Sequence
 
 from . import sympoly
 from .errors import InvalidInputError, StructuralError
-from .linalg import clear_rows, normalize_vector, rank
+from .linalg import IntVector, clear_rows, normalize_vector, rank
 
 Monomial = tuple[int, ...]
 Point = Sequence[Fraction | int]
@@ -529,7 +529,7 @@ class BinaryQuadratic:
         u0, u1 = (Fraction(x) for x in u)
         return self.a * w0 * u0 + self.b / 2 * (w0 * u1 + w1 * u0) + self.c * u1 * w1
 
-    def polar_kernel_point(self) -> tuple[Fraction, Fraction] | None:
+    def polar_kernel_point(self) -> IntVector | None:
         """Projective kernel of the polarization, for a nonzero square quadratic."""
         if self.is_zero() or self.discriminant() != 0:
             return None
@@ -537,10 +537,10 @@ class BinaryQuadratic:
             w = (self.b, -2 * self.a)
         else:
             # discriminant 0 with a = 0 forces b = 0, leaving c*y1^2
-            w = (Fraction(1), Fraction(0))
-        return normalize_vector(w)  # type: ignore[return-value]
+            w = (1, 0)
+        return normalize_vector(w)
 
-    def tangency(self) -> tuple[bool, tuple[Fraction, Fraction] | None]:
+    def tangency(self) -> tuple[bool, IntVector | None]:
         """The tangency rule on a restricted conic: the flag is true exactly
         when the quadratic is zero or a square, and the point is its polar
         kernel point (None for the zero quadratic and for a nonsquare)."""

@@ -18,7 +18,8 @@ P_i = (1, h_i) the pairing of sum_i c_i l_i^d with a degree-d polynomial g is
 the divided difference g[h_S], zero as deg g < |S| - 1, and the general case
 is its homogenization.  The vector is built on integers, as M / prod_i with
 M the lcm of the bracket products, then divided by its content with the sign
-of its leading entry; only the final entries become Fractions.
+of its leading entry (``normalize_vector``): every kernel vector is a
+primitive integer tuple, and no entry becomes a Fraction.
 
 Matrices are immutable values; all functions return fresh objects.
 """
@@ -35,6 +36,7 @@ from . import sympoly
 from .errors import DegenerateNodesError, InvalidInputError, StructuralError
 
 Vector = tuple[Fraction, ...]
+IntVector = tuple[int, ...]
 
 
 class RationalMatrix:
@@ -150,18 +152,15 @@ def rref(m: RationalMatrix) -> tuple[RationalMatrix, int, tuple[int, ...]]:
     return RationalMatrix(nrows, ncols, flat), rank, tuple(pivot_cols)
 
 
-def normalize_vector(v: Sequence[Fraction | int]) -> Vector:
-    """Scale to integer entries with content 1 and positive leading entry."""
-    vv = [Fraction(x) for x in v]
-    if all(x == 0 for x in vv):
-        return tuple(vv)
-    ints = sympoly.clear_denominators(vv)[1]
+def normalize_vector(v: Sequence[Fraction | int]) -> IntVector:
+    """Scale to ints with content 1 and positive leading entry (zeros stay 0)."""
+    ints = sympoly.clear_denominators(v)[1]
     g = gcd(*ints)
-    ints = [x // g for x in ints]
-    lead = next(x for x in ints if x != 0)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return tuple(Fraction(x) for x in ints)
+    if not g:
+        return tuple(ints)
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return tuple(x // g for x in ints)
 
 
 def clear_rows(rows: Sequence[Sequence[Fraction | int]]) -> tuple[int, list[tuple[int, ...]]]:
@@ -174,14 +173,14 @@ def clear_rows(rows: Sequence[Sequence[Fraction | int]]) -> tuple[int, list[tupl
 
 def moment_kernel(
     points: Sequence[tuple[Fraction | int, Fraction | int]], degree: int
-) -> list[Vector]:
+) -> list[IntVector]:
     """RREF kernel basis of c |-> sum_i c_i (a_i x + b_i y)^degree, in closed form.
 
     The points (a_i, b_i), ints or Fractions, must be nonzero and pairwise
     non-proportional, else DegenerateNodesError.  Degree -1 imposes no
-    constraint (identity basis).  Each vector has content 1 and a positive
-    leading entry, its entries Fractions.  The formula and why it is the RREF
-    basis are in the module docstring.
+    constraint (identity basis).  Each vector is a tuple of ints with content
+    1 and a positive leading entry.  The formula and why it is the RREF basis
+    are in the module docstring.
     """
     if degree < -1:
         raise StructuralError("degree must be at least -1")
@@ -197,19 +196,16 @@ def moment_kernel(
             det[i][j] = -det[j][i]
             if not det[j][i]:
                 raise DegenerateNodesError(f"points {j} and {i} are proportional")
-    zero = Fraction(0)
-    basis: list[Vector] = []
+    basis: list[IntVector] = []
     for f in range(degree + 1, n):
         support = [*range(degree + 1), f]
         prods = [prod(det[j][i] for j in support if j != i) for i in support]
-        # M / prod_i is the integer vector; its content g gets the lead's sign
+        # M / prod_i is the integer vector, before its content is divided out
         m = lcm(*prods)
-        ints = [m // p for p in prods]
-        g = gcd(*ints) if ints[0] > 0 else -gcd(*ints)
-        vec = [zero] * n
-        for i, x in zip(support, ints):
-            vec[i] = Fraction(x // g)
-        basis.append(tuple(vec))
+        vec = [0] * n
+        for i, p in zip(support, prods):
+            vec[i] = m // p
+        basis.append(normalize_vector(vec))
     return basis
 
 
@@ -217,22 +213,19 @@ def moment_kernel(
 class VandermondeSystem:
     """Moment constraints sum_i c_i h_i^d = 0 for 0 <= d <= max_power."""
 
-    nodes: tuple[Fraction, ...]
+    nodes: tuple[Fraction | int, ...]
     max_power: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "nodes", tuple(Fraction(h) for h in self.nodes))
 
-
-def _require_distinct(nodes: Sequence[Fraction]) -> None:
-    seen: set[Fraction] = set()
+def _require_distinct(nodes: Sequence[Fraction | int]) -> None:
+    seen: set[Fraction | int] = set()
     for h in nodes:
         if h in seen:
             raise DegenerateNodesError(f"repeated node {h}")
         seen.add(h)
 
 
-def vandermonde_nullspace(system: VandermondeSystem) -> list[Vector]:
+def vandermonde_nullspace(system: VandermondeSystem) -> list[IntVector]:
     """Basis of moment annihilators; dimension n - max_power - 1 for distinct nodes."""
     n = len(system.nodes)
     _require_distinct(system.nodes)
@@ -260,7 +253,7 @@ def weighted_moment_kernel(
     be nonzero.
     """
     hs = tuple(Fraction(h) for h in nodes)
-    ws = tuple(Fraction(a) for a in weights)
+    ws = tuple(Fraction(a) for a in weights)  # b / a stays exact for int kernel vectors b
     if len(hs) != len(ws):
         raise StructuralError("nodes and weights must have equal length")
     _require_distinct(hs)

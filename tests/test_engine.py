@@ -338,7 +338,7 @@ class TestKernelDescend:
         dec = inst.to_decomposition()
         cert = tangency_certificate(dec, line_x2())
         w_form = HomogeneousForm.linear(cert.contact_vector)
-        points = [f.linear_coefficients() for f in cert.restricted]
+        points = cert.restricted
         descended = tuple(a * w_form.evaluate(p) for a, p in zip(cert.annihilator, points))
         assert descended == inst.weights
         # the weights land in the degree-4 kernel: all moments d <= 4 vanish
@@ -377,7 +377,7 @@ class TestTangencyCertificate:
         assert cert.annihilator == (1, -6, 15, -20, 15, -6, 1)
         assert all(a != 0 for a in cert.annihilator)
         # annihilator kills the degree-5 powers
-        powers = (a * f**5 for a, f in zip(cert.annihilator, cert.restricted))
+        powers = (a * HomogeneousForm.linear(p) ** 5 for a, p in zip(cert.annihilator, cert.restricted))
         assert sum(powers, HomogeneousForm.zero(2, 5)).is_zero()
 
     def test_repeated_intersection_points_rejected(self):
@@ -475,7 +475,7 @@ class TestTangencyCertificate:
             assert cert is not None
             cert.verify()
 
-            points = [f.linear_coefficients() for f in cert.restricted]
+            points = cert.restricted
             assert any(a != 1 for a, _ in points)
             c = cert.annihilator
             contact_rows = [[c[i] * a, c[i] * b] for i, (a, b) in enumerate(points[:2])]
@@ -537,7 +537,7 @@ class TestCertificateTampering:
     def test_annihilator_kills_only_some_moments(self, certificate, moments):
         # v kills the degree-5 moments sum_i v_i * p_i^(5-k) * r_i^k for k in
         # ``moments`` but not the sixth, so a + v fails on that one moment alone
-        points = [f.linear_coefficients() for f in certificate.restricted]
+        points = certificate.restricted
         rows = [[p ** (5 - k) * r**k for p, r in points] for k in range(6)]
         (missed,) = set(range(6)) - set(moments)
         v = next(
@@ -593,7 +593,7 @@ class TestCertificateTamperingFractionalPoints(TestCertificateTampering):
         terms = generated.instance.to_decomposition().terms
         dec = WaringDecomposition(tuple((w, move(f.linear_coefficients())) for w, f in terms))
         cert = tangency_certificate(dec, move((0, 0, 1)))
-        assert lcm(*(x.denominator for f in cert.restricted for x in f.linear_coefficients())) == 3
+        assert lcm(*(x.denominator for p in cert.restricted for x in p)) == 3
         return cert
 
 
@@ -609,6 +609,35 @@ class TestCertificateTamperingFractionalWeights(TestCertificateTampering):
         cert = tangency_certificate(scaled.to_decomposition(), line_x2())
         assert lcm(*(w.denominator for w in cert.weights)) == 7
         return cert
+
+
+class TestIntegerInputs:
+    """Kernel vectors leave ``linalg`` as ints, so the certificate's quotients
+    weight / annihilator are exact only because ``WaringDecomposition``
+    coerces int weights to Fractions; every certificate entry must stay an
+    int or a Fraction."""
+
+    def test_int_weights_give_an_exact_certificate(self):
+        inst = generate_tangent_instance(range(7), (1, 2, -1), seed=1).instance
+        assert all(w.denominator == 1 for w in inst.weights)
+        terms = tuple(
+            (int(w), HomogeneousForm.linear((1, h, k)))
+            for h, k, w in zip(inst.slopes, inst.lifts, inst.weights)
+        )
+        cert = analyze(WaringDecomposition(terms), line_x2()).certificate
+        assert cert is not None
+        bridge, conic = cert.bridge, cert.restricted_conic
+        for field in (
+            cert.annihilator,
+            cert.contact_vector,
+            cert.transversal_point,
+            cert.line_values,
+            (bridge.a, bridge.b, bridge.c),
+            (conic.a, conic.b, conic.c),
+            cert.tangency_point,
+        ):
+            assert all(type(x) in (int, Fraction) for x in field)
+        assert cert == analyze(inst.to_decomposition(), line_x2()).certificate
 
 
 class TestTangencyDefect:

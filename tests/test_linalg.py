@@ -14,6 +14,7 @@ from conftest import (
 from hypothesis import given
 from hypothesis import strategies as st
 
+from doubleline import linalg
 from doubleline.errors import DegenerateNodesError, InvalidInputError, StructuralError
 from doubleline.linalg import (
     RationalMatrix,
@@ -124,7 +125,7 @@ class TestMomentKernel:
         # y, x and x + y: the one relation is x + y - (x + y) = 0
         assert moment_kernel([(0, 1), (1, 0), (1, 1)], 1) == [(1, 1, -1)]
 
-    def test_vectors_are_primitive_fraction_vectors(self):
+    def test_vectors_are_primitive_integer_vectors(self):
         rng = random.Random(37)
         for trial in range(20):
             nodes = sample_nodes(rng, 7)
@@ -134,9 +135,25 @@ class TestMomentKernel:
                 points = [(h.denominator, h.numerator) for h in nodes]  # int points
             for degree in range(-1, 6):
                 for vec in moment_kernel(points, degree):
-                    assert all(type(x) is Fraction and x.denominator == 1 for x in vec)
-                    ints = [x.numerator for x in vec]
-                    assert gcd(*ints) == 1 and next(x for x in ints if x) > 0
+                    assert all(type(x) is int for x in vec)
+                    assert gcd(*vec) == 1 and next(x for x in vec if x) > 0
+
+    def test_kernels_construct_no_fraction(self, monkeypatch):
+        # a kernel vector leaves linalg as ints: no entry is built as a Fraction
+        nodes = tuple(Fraction(k, 3) for k in range(-3, 4))
+        int_points = [(3, k) for k in range(-3, 4)]
+        expected = {d: moment_kernel(int_points, d) for d in range(-1, 6)}
+
+        def refuse(*args):
+            raise AssertionError("linalg constructed a Fraction")
+
+        monkeypatch.setattr(linalg, "Fraction", refuse)
+        for d in range(-1, 6):
+            assert moment_kernel(int_points, d) == expected[d]
+            assert moment_kernel([(1, h) for h in nodes], d) == expected[d]
+            assert vandermonde_nullspace(VandermondeSystem(nodes, d)) == expected[d]
+        assert normalize_vector((Fraction(-1, 120), Fraction(1, 24))) == (1, -5)
+        assert normalize_vector((Fraction(0), Fraction(0))) == (0, 0)
 
     def test_degenerate_points_rejected(self):
         with pytest.raises(DegenerateNodesError, match="points 0 and 2"):
@@ -237,6 +254,19 @@ class TestWeightedMomentKernel:
         kernel = weighted_moment_kernel(nodes, (1, 1, 1), -1)
         assert len(kernel.basis) == 3
 
+    def test_int_nodes_and_weights_stay_exact(self):
+        # the kernel vectors are ints, so b / weight is exact only because the
+        # weights are coerced to Fractions
+        nodes = tuple(range(6))
+        (alpha,) = vandermonde_nullspace(VandermondeSystem(nodes, 4))
+        assert all(type(a) is int for a in alpha)
+        kernel = weighted_moment_kernel(nodes, alpha, 3)
+        assert len(kernel.basis) == 2
+        for vec in kernel.basis:
+            assert all(type(k) in (int, Fraction) for k in vec)
+            for d in range(4):
+                assert sum(a * k * h**d for a, k, h in zip(alpha, vec, nodes)) == 0
+
     def test_zero_weight_reports_index(self):
         nodes = tuple(Fraction(i) for i in range(6))
         with pytest.raises(InvalidInputError, match="weight 2 is zero"):
@@ -248,3 +278,5 @@ class TestSolveAndNormalize:
         assert normalize_vector((Fraction(-1, 120), Fraction(1, 24))) == (1, -5)
         assert normalize_vector((0, Fraction(-2, 3), Fraction(4, 3))) == (0, 1, -2)
         assert normalize_vector((0, 0)) == (0, 0)
+        zeros = normalize_vector((Fraction(0), Fraction(0), Fraction(0)))
+        assert zeros == (0, 0, 0) and all(type(x) is int for x in zeros)
