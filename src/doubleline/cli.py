@@ -47,6 +47,7 @@ from .forms import (
     parse_form,
     render_form,
 )
+from .sympoly import format_rational
 
 # [0-9], not \d: \d, int and Fraction also accept the other Unicode digits
 INTEGER_PATTERN = r"-?[0-9]+"
@@ -56,6 +57,7 @@ RATIONAL_PATTERN = INTEGER_PATTERN + r"(/[0-9]+)?"
 MAX_RATIONAL_CHARS = 1_000  # one rational string, in argv or in a document
 MAX_NODES_RANGE = 1_000  # theorem-check --nodes-range (a pool of about 6N slopes)
 MAX_TRIALS = 100_000  # theorem-check --trials and claim-check --random
+MAX_DOCUMENT_BYTES = 1_000_000  # one verify document (fixtures/tangent7.json is about 2 KB)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -159,11 +161,11 @@ def parse_document(text: str) -> DecompositionDocument:
 def render_document(doc: DecompositionDocument) -> str:
     payload = {
         "variables": list(doc.variables),
-        "line": [str(c) for c in doc.line],
+        "line": [format_rational(c) for c in doc.line],
         "terms": [
             {
-                "alpha": str(alpha),
-                "linear": [str(c) for c in linear],
+                "alpha": format_rational(alpha),
+                "linear": [format_rational(c) for c in linear],
             }
             for alpha, linear in doc.terms
         ],
@@ -193,21 +195,15 @@ class RunReport:
     fields: list[tuple[str, str]] = field(default_factory=list)
     checks: list[tuple[str, str, str | None]] = field(default_factory=list)
 
-    def add(self, key: str, value) -> None:
-        self.fields.append((key, str(value)))
+    def add(self, key: str, value: str | int | Fraction) -> None:
+        self.fields.append((key, value if isinstance(value, str) else format_rational(value)))
 
     def check(self, name: str, ok: bool, witness: str | None = None) -> None:
         self.checks.append((name, "pass" if ok else "fail", witness))
 
-    def error(self, name: str, witness: str | None = None) -> None:
-        self.checks.append((name, "error", witness))
-
     @property
     def result(self) -> str:
-        statuses = [status for _, status, _ in self.checks]
-        if "error" in statuses:
-            return "error"
-        if "fail" in statuses:
+        if any(status == "fail" for _, status, _ in self.checks):
             return "fail"
         return "pass"
 
@@ -244,7 +240,7 @@ class RunReport:
 
 
 def _format_vector(values) -> str:
-    return " ".join(str(Fraction(v)) for v in values)
+    return " ".join(map(format_rational, values))
 
 
 def _add_analysis(report: RunReport, analysis: AnalysisReport, line: HomogeneousForm) -> None:
@@ -257,7 +253,7 @@ def _add_analysis(report: RunReport, analysis: AnalysisReport, line: Homogeneous
     report.add("cofactor", render_form(cofactor))
     factor, primitive = content_normalize(cofactor)
     if factor != 1 and not cofactor.is_zero():
-        report.add("cofactor-normalized", f"{factor} * ({render_form(primitive)})")
+        report.add("cofactor-normalized", f"{format_rational(factor)} * ({render_form(primitive)})")
     report.add("conic-rank", analysis.conic_rank)
     if analysis.tangent is None:
         report.add("tangent", "undefined (zero cofactor)")
@@ -286,17 +282,14 @@ def _add_analysis(report: RunReport, analysis: AnalysisReport, line: Homogeneous
 def cmd_verify(args) -> RunReport:
     report = RunReport(command="verify")
     report.add("file", args.file)
-    with open(args.file, encoding="utf-8") as handle:
-        doc = parse_document(handle.read())
-    dec, doc_line = document_to_parts(doc)
+    with open(args.file, "rb") as handle:
+        data = handle.read(MAX_DOCUMENT_BYTES + 1)
+    if len(data) > MAX_DOCUMENT_BYTES:
+        raise DocumentError(f"document longer than {MAX_DOCUMENT_BYTES} bytes")
+    dec, doc_line = document_to_parts(parse_document(data.decode("utf-8")))
     line = HomogeneousForm.linear(args.line) if args.line else doc_line
     report.add("line", _format_vector(line.linear_coefficients()))
-    try:
-        analysis = analyze(dec, line)
-    except TheoremViolationError as exc:
-        report.error("internal-consistency", str(exc))
-        return report
-    _add_analysis(report, analysis, line)
+    _add_analysis(report, analyze(dec, line), line)
     return report
 
 
@@ -366,7 +359,7 @@ def cmd_theorem_check(args) -> RunReport:
         if ok:
             tangent += 1
         else:
-            failures.append(f"trial {trial}: defect={defect}")
+            failures.append(f"trial {trial}: defect={format_rational(defect)}")
     report.add("tangent", tangent)
     report.add("q-zero-degenerate", degenerate)
     report.add("weight-retries", retries)
@@ -380,7 +373,7 @@ def cmd_theorem_check(args) -> RunReport:
 
 def cmd_identity_check(args) -> RunReport:
     report = RunReport(command="identity-check")
-    report.add("h", ",".join(str(h) for h in args.h))
+    report.add("h", ",".join(map(format_rational, args.h)))
     try:
         slice_report = verify_identity_slice(args.h)
     except DegenerateNodesError as exc:
@@ -398,7 +391,7 @@ def cmd_identity_check(args) -> RunReport:
 def cmd_claim_check(args) -> RunReport:
     report = RunReport(command="claim-check", seed=args.seed if args.random else None)
     if args.h is not None:
-        report.add("h", ",".join(str(h) for h in args.h))
+        report.add("h", ",".join(map(format_rational, args.h)))
         try:
             result = six_term_vanishing_check(args.h)
         except DegenerateNodesError as exc:

@@ -95,11 +95,7 @@ class WaringDecomposition:
         return tuple(f for _, f in self.terms)
 
     def value(self) -> HomogeneousForm:
-        """The quartic sum_i weight_i * l_i^4, computed once per instance."""
-        return self._value
-
-    @cached_property
-    def _value(self) -> HomogeneousForm:
+        """The quartic sum_i weight_i * l_i^4, computed on every call."""
         if not self.terms:
             return HomogeneousForm.zero(3, 4)
         return power_sum(self.weights(), FormTuple(self.lines()), 4)
@@ -127,11 +123,7 @@ class CoordinateInstance:
         return len(self.slopes)
 
     def to_decomposition(self) -> WaringDecomposition:
-        """The decomposition of this instance, built once so its value is shared."""
-        return self._decomposition
-
-    @cached_property
-    def _decomposition(self) -> WaringDecomposition:
+        """The decomposition of this instance, built on every call."""
         return WaringDecomposition(
             tuple(
                 (w, HomogeneousForm.linear((1, h, k)))
@@ -166,10 +158,10 @@ def extract_cofactor(quartic: HomogeneousForm, line: HomogeneousForm) -> Homogen
         raise InvalidInputError("line must be a nonzero linear form")
     q1, r1 = divide_by_linear(quartic, line)
     q2, r2 = divide_by_linear(q1, line)
-    remainder = line * r2 + r1
-    if not remainder.is_zero():
-        raise NotDoubleLineError(remainder)
-    return q2
+    # r1 and r2 lack the line's pivot variable: line * r2 + r1 is 0 iff both are
+    if r1.is_zero() and r2.is_zero():
+        return q2
+    raise NotDoubleLineError(line * r2 + r1)
 
 
 @dataclass(frozen=True)
@@ -669,12 +661,12 @@ class AnalysisReport:
 
     summary: str
     divisible: bool
-    remainder: HomogeneousForm | None
-    cofactor: HomogeneousForm | None
-    conic_rank: int | None
-    tangent: bool | None
-    tangency_point: IntVector | None
-    certificate: TangencyCertificate | None
+    remainder: HomogeneousForm | None = None
+    cofactor: HomogeneousForm | None = None
+    conic_rank: int | None = None
+    tangent: bool | None = None
+    tangency_point: IntVector | None = None
+    certificate: TangencyCertificate | None = None
 
 
 def analyze(dec: WaringDecomposition, line: HomogeneousForm) -> AnalysisReport:
@@ -695,16 +687,7 @@ def analyze(dec: WaringDecomposition, line: HomogeneousForm) -> AnalysisReport:
     try:
         cofactor = extract_cofactor(value, line)
     except NotDoubleLineError as exc:
-        return AnalysisReport(
-            summary=summary,
-            divisible=False,
-            remainder=exc.remainder,
-            cofactor=None,
-            conic_rank=None,
-            tangent=None,
-            tangency_point=None,
-            certificate=None,
-        )
+        return AnalysisReport(summary=summary, divisible=False, remainder=exc.remainder)
     rank = conic_rank(cofactor)
     tangent: bool | None = None
     point = None
@@ -722,7 +705,6 @@ def analyze(dec: WaringDecomposition, line: HomogeneousForm) -> AnalysisReport:
     return AnalysisReport(
         summary=summary,
         divisible=True,
-        remainder=None,
         cofactor=cofactor,
         conic_rank=rank,
         tangent=tangent,

@@ -301,11 +301,11 @@ def render_form(f: HomogeneousForm) -> str:
         mag = -coeff if coeff < 0 else coeff
         mono_str = _render_monomial(mono)
         if not mono_str:
-            body = str(mag)
+            body = sympoly.format_rational(mag)
         elif mag == 1:
             body = mono_str
         else:
-            body = f"{mag}*{mono_str}"
+            body = f"{sympoly.format_rational(mag)}*{mono_str}"
         if idx == 0:
             pieces.append(body if sign == "+" else f"-{body}")
         else:

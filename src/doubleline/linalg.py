@@ -5,8 +5,7 @@ done fraction-free, in one loop: rows are cleared to integers and reduced
 with the Bareiss two-step recurrence (every division is exact).  ``rank``
 reads the rank of an integer matrix from that loop alone; ``rref`` follows
 it with a normalization pass that produces the reduced row echelon form with
-Fraction entries.  Pivots are chosen among the nonzero candidates of a column
-by smallest bit size, which keeps intermediate integers from blowing up.
+Fraction entries.
 
 Kernels of the power maps c |-> sum_i c_i (a_i x + b_i y)^d, moment maps
 included, are computed in closed form.  With P_i = (a_i, b_i) pairwise
@@ -99,17 +98,11 @@ def _bareiss(work: list[list[int]], ncols: int) -> list[int]:
     for c in range(ncols):
         if r == nrows:
             break
-        best = None
-        for i in range(r, nrows):
-            v = work[i][c]
-            if v:
-                size = abs(v).bit_length()
-                if best is None or size < best[0]:
-                    best = (size, i)
-        if best is None:
+        # the first nonzero candidate: every Bareiss entry is a minor of the input
+        p = next((i for i in range(r, nrows) if work[i][c]), None)
+        if p is None:
             continue
-        if best[1] != r:
-            work[r], work[best[1]] = work[best[1]], work[r]
+        work[r], work[p] = work[p], work[r]
         pivot = work[r][c]
         for i in range(r + 1, nrows):
             vi = work[i][c]
@@ -217,18 +210,14 @@ class VandermondeSystem:
     max_power: int
 
 
-def _require_distinct(nodes: Sequence[Fraction | int]) -> None:
-    seen: set[Fraction | int] = set()
-    for h in nodes:
-        if h in seen:
-            raise DegenerateNodesError(f"repeated node {h}")
-        seen.add(h)
-
-
 def vandermonde_nullspace(system: VandermondeSystem) -> list[IntVector]:
     """Basis of moment annihilators; dimension n - max_power - 1 for distinct nodes."""
     n = len(system.nodes)
-    _require_distinct(system.nodes)
+    seen: set[Fraction | int] = set()
+    for h in system.nodes:
+        if h in seen:
+            raise DegenerateNodesError(f"repeated node {h}")
+        seen.add(h)
     if system.max_power > n - 1:
         raise StructuralError(f"max_power {system.max_power} exceeds n-1 = {n - 1}")
     return moment_kernel([(1, h) for h in system.nodes], system.max_power)
@@ -256,10 +245,9 @@ def weighted_moment_kernel(
     ws = tuple(Fraction(a) for a in weights)  # b / a stays exact for int kernel vectors b
     if len(hs) != len(ws):
         raise StructuralError("nodes and weights must have equal length")
-    _require_distinct(hs)
+    raw = vandermonde_nullspace(VandermondeSystem(hs, max_power))  # rejects repeated nodes first
     for i, a in enumerate(ws):
         if a == 0:
             raise InvalidInputError(f"weight {i} is zero")
-    raw = vandermonde_nullspace(VandermondeSystem(hs, max_power))
     basis = tuple(tuple(b / a for b, a in zip(vec, ws)) for vec in raw)
     return WeightedMomentKernel(basis=basis)

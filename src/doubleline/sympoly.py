@@ -20,6 +20,7 @@ int, which is much cheaper than Fraction arithmetic.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from math import lcm
 from typing import Collection
@@ -54,6 +55,12 @@ def clear_denominators(values: Collection[Coefficient]) -> tuple[int, list[int]]
     """The lcm D of the denominators of ``values``, and the integers D * value."""
     den = lcm(*(x.denominator for x in values))
     return den, [x.numerator * (den // x.denominator) for x in values]
+
+
+def format_rational(x: Coefficient) -> str:
+    """``p`` or ``p/q`` at any size: unlike an int's, a Decimal's str has no digit limit."""
+    num = str(Decimal(x.numerator))
+    return num if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"
 
 
 def const(nvars: int, value: Coefficient) -> Poly:

@@ -5,7 +5,10 @@ import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from decimal import Decimal
 from fractions import Fraction
+from itertools import combinations
+from math import gcd, prod
 from pathlib import Path
 
 import pytest
@@ -16,6 +19,7 @@ from hypothesis import strategies as st
 import doubleline
 from doubleline import cli, engine
 from doubleline.cli import (
+    MAX_DOCUMENT_BYTES,
     MAX_NODES_RANGE,
     MAX_RATIONAL_CHARS,
     MAX_TRIALS,
@@ -27,7 +31,7 @@ from doubleline.cli import (
     parse_rational,
     render_document,
 )
-from doubleline.errors import StructuralError
+from doubleline.errors import StructuralError, TheoremViolationError
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -445,6 +449,83 @@ class TestInputCaps:
         assert out == ""
         assert err == f"error: rational string longer than {MAX_RATIONAL_CHARS} characters\n"
 
+    def test_document_size_cap(self, tmp_path):
+        data = (FIXTURES / "tangent7.json").read_bytes()
+        path = tmp_path / "padded.json"
+        path.write_bytes(data + b" " * (MAX_DOCUMENT_BYTES - len(data)))
+        assert run_cli(["verify", str(path)])[0] == 0
+        path.write_bytes(data + b" " * (MAX_DOCUMENT_BYTES + 1 - len(data)))
+        code, out, err = run_cli(["verify", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: document longer than {MAX_DOCUMENT_BYTES} bytes\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+    def test_endless_file_is_a_usage_error(self):
+        code, out, err = run_cli(["verify", "/dev/zero"])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: document longer than {MAX_DOCUMENT_BYTES} bytes\n"
+
+
+def _exact(text: str) -> Fraction:
+    """``p`` or ``p/q`` at any size (``int`` of a str refuses more than 4,300
+    digits, ``int`` of a Decimal does not)."""
+    num, _, den = text.partition("/")
+    return Fraction(int(Decimal(num)), int(Decimal(den or "1")))
+
+
+def _fields(out: str) -> dict[str, str]:
+    return dict(line.split(": ", 1) for line in out.splitlines())
+
+
+class TestLargeNumbers:
+    """Numbers past the 4,300-digit limit of ``str`` on an int print exactly,
+    and ``main()`` leaves that process-wide limit as it found it."""
+
+    def run_checked(self, argv) -> dict[str, str]:
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run_cli(argv)
+        assert sys.get_int_max_str_digits() == limit
+        assert code == 0, err
+        assert "Traceback" not in err
+        return _fields(out)
+
+    def test_identity_check_node_difference_product(self):
+        rng = random.Random(5)
+        hs = [rng.randrange(10**219, 10**220) for _ in range(7)]
+        fields = self.run_checked(["identity-check", "--h=" + ",".join(map(str, hs))])
+        product = prod(a - b for a, b in combinations(hs, 2))
+        assert abs(product) >= 10**4300
+        assert _exact(fields["node-difference-product"]) == product
+
+    def test_claim_check_annihilator(self):
+        rng = random.Random(6)
+        hs = [rng.randrange(10**998, 10**999) for _ in range(6)]
+        fields = self.run_checked(["claim-check", "--h=" + ",".join(map(str, hs))])
+        annihilator = [_exact(a) for a in fields["annihilator"].split()]
+        assert max(map(abs, annihilator)) >= 10**4300
+        assert annihilator[0] > 0 and gcd(*map(int, annihilator)) == 1
+        for d in range(5):
+            assert sum(a * h**d for a, h in zip(annihilator, hs)) == 0
+
+    def test_verify_scaled_document(self, tmp_path):
+        doc = json.loads((FIXTURES / "example.json").read_text())
+        alpha_scale, linear_scale = 10**998 + 7, 10**900 + 3
+        for term in doc["terms"]:
+            term["alpha"] = str(int(term["alpha"]) * alpha_scale)
+            term["linear"] = [str(int(c) * linear_scale) for c in term["linear"]]
+        path = tmp_path / "scaled.json"
+        path.write_text(json.dumps(doc))
+        fields = self.run_checked(["verify", str(path)])
+        scale = alpha_scale * linear_scale**4
+        assert scale >= 10**4300
+        terms = fields["cofactor"].replace(" - ", " + -").split(" + ")
+        assert [_exact(t.split("*")[0]) for t in terms] == [c * scale for c in (-24, -24, -12, -4)]
+        factor, primitive = fields["cofactor-normalized"].split(" * ", 1)
+        assert _exact(factor) == -4 * scale
+        assert primitive == "(6*x0^2 + 6*x0*x1 + 3*x1^2 + x2^2)"
+
 
 class TestExitTable:
     def test_bug_exception_propagates(self, monkeypatch):
@@ -455,6 +536,28 @@ class TestExitTable:
         monkeypatch.setitem(cli._COMMANDS, "example", broken)
         with pytest.raises(StructuralError, match="target is not line"):
             main(["example"], out=io.StringIO())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", str(FIXTURES / "tangent7.json")],
+            ["example"],
+            ["theorem-check", "--trials", "1"],
+        ],
+        ids=["verify", "example", "theorem-check"],
+    )
+    def test_violation_is_one_stderr_line(self, monkeypatch, argv):
+        # every command reports a violation the same way: no report, one line
+        message = "certificate contact point disagrees with kernel point"
+
+        def violated(*args):
+            raise TheoremViolationError(message)
+
+        monkeypatch.setattr(cli, "analyze", violated)
+        code, out, err = run_cli(argv)
+        assert code == 1
+        assert out == ""
+        assert err == f"internal consistency failure: {message}\n"
 
     def test_document_not_utf8(self, tmp_path):
         path = tmp_path / "latin1.json"

@@ -193,7 +193,7 @@ class TestValue:
             max_size=7,
         )
     )
-    def test_memoized_value_matches_public_operators(self, terms):
+    def test_value_matches_public_operators(self, terms):
         dec = WaringDecomposition(
             tuple((Fraction(w), HomogeneousForm.linear(c)) for w, c in terms)
         )
@@ -202,7 +202,6 @@ class TestValue:
             expected = expected + w * HomogeneousForm.linear(c) ** 4
         value = dec.value()
         assert value == expected
-        assert dec.value() is value
         assert HomogeneousForm(3, 4, value.terms) == value
 
     @given(
@@ -248,10 +247,10 @@ class TestValue:
         monkeypatch.setattr(sympoly, "mul", refuse)
         assert reference_decomposition().value() == expected
 
-    def test_instance_shares_one_decomposition(self):
+    def test_instance_builds_equal_decompositions(self):
         inst = CoordinateInstance((0, 1, 2, 3, 4, 5), (1,) * 6, (1,) * 6)
         dec = inst.to_decomposition()
-        assert inst.to_decomposition() is dec
+        assert inst.to_decomposition() == dec
         assert dec == CoordinateInstance(inst.slopes, inst.lifts, inst.weights).to_decomposition()
 
 
@@ -261,9 +260,38 @@ class TestExtractCofactor:
         assert q == Fraction(-4) * parse_form("6*x0^2 + 6*x0*x1 + 3*x1^2 + x2^2", 3)
 
     def test_not_divisible(self):
+        # x0^3*x2 is divisible by the line once: r1 = 0, r2 = x0^3, remainder line * r2
+        for text in ("x0^4", "x0^3*x2"):
+            with pytest.raises(NotDoubleLineError) as err:
+                extract_cofactor(parse_form(text, 3), X2)
+            assert err.value.remainder == parse_form(text, 3)
+
+    def test_divisible_quartic_multiplies_no_polynomial(self, monkeypatch):
+        value = reference_value()
+
+        def refuse(*args):
+            raise AssertionError("extract_cofactor multiplied polynomials")
+
+        monkeypatch.setattr(sympoly, "mul", refuse)
+        assert extract_cofactor(value, X2) == Fraction(-4) * parse_form(
+            "6*x0^2 + 6*x0*x1 + 3*x1^2 + x2^2", 3
+        )
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_remainder_on_a_general_line(self, seed):
+        # f = line^2 * q + line * r2 + r1 with r1, r2 nonzero and free of x0,
+        # the pivot of a line with every coefficient nonzero
+        rng = random.Random(seed)
+        coeffs = tuple(random_fraction(rng) or 1 for _ in range(3))
+        line = {m: Fraction(c) for m, c in zip(monomials(3, 1), coeffs)}
+        q = {m: random_fraction(rng) for m in monomials(3, 2)}
+        r2 = {(0, *m): random_fraction(rng) or 1 for m in monomials(2, 3)}
+        r1 = {(0, *m): random_fraction(rng) or 1 for m in monomials(2, 4)}
+        squared = ref_mul(ref_mul(line, line), q)
+        f = ref_add(ref_add(squared, ref_mul(line, r2)), r1)
         with pytest.raises(NotDoubleLineError) as err:
-            extract_cofactor(parse_form("x0^4", 3), X2)
-        assert err.value.remainder == parse_form("x0^4", 3)
+            extract_cofactor(HomogeneousForm(3, 4, f), HomogeneousForm.linear(coeffs))
+        assert err.value.remainder.terms == ref_add(f, ref_scale(squared, -1))
 
     def test_rank_one_quartic(self):
         assert extract_cofactor(parse_form("x2^4", 3), X2) == parse_form("x2^2", 3)

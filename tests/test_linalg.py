@@ -272,6 +272,11 @@ class TestWeightedMomentKernel:
         with pytest.raises(InvalidInputError, match="weight 2 is zero"):
             weighted_moment_kernel(nodes, (1, 1, 0, 1, 1, 1), 3)
 
+    def test_repeated_node_is_reported_before_a_zero_weight(self):
+        nodes = (0, 1, 2, 2, 4, 5)
+        with pytest.raises(DegenerateNodesError, match="repeated node 2"):
+            weighted_moment_kernel(nodes, (1, 1, 0, 1, 1, 1), 3)
+
 
 class TestSolveAndNormalize:
     def test_normalize_vector(self):
