@@ -422,12 +422,7 @@ def cmd_claim_check(args) -> RunReport:
             failures.append(f"trial {trial}: vanishing failed")
         pair = tuple(rng.sample(pool, 2))
         inst = generate_six_term_family(pair, seed=args.seed * 1_000_003 + trial + 1)
-        try:
-            two_value = two_value_collapse_check(inst)
-        except TheoremViolationError as exc:
-            failures.append(f"trial {trial}: {exc}")
-            continue
-        if two_value.applicable:
+        if two_value_collapse_check(inst).applicable:
             families_ok += 1
         else:
             failures.append(f"trial {trial}: generated family not applicable")

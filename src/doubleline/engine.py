@@ -48,14 +48,12 @@ from .forms import (
 )
 from .linalg import (
     IntVector,
-    RationalMatrix,
     VandermondeSystem,
     clear_rows,
     moment_kernel,
     normalize_vector,
-    rref,
+    rank,
     vandermonde_nullspace,
-    weighted_moment_kernel,
 )
 
 Vector = tuple[Fraction, ...]
@@ -468,7 +466,6 @@ class SixTermVanishingReport:
 
     slopes: Vector
     annihilator: IntVector
-    lift_basis: tuple[Vector, ...]
     all_weights_nonzero: bool
     family_is_translations: bool
     quartic_vanishes: bool
@@ -495,11 +492,15 @@ def six_term_vanishing_check(slopes: Sequence[Fraction | int]) -> SixTermVanishi
     alpha = alpha_vectors[0]
     all_nonzero = all(a != 0 for a in alpha)
 
-    kernel = weighted_moment_kernel(hs, alpha, 3)
-    lift_basis = kernel.basis
-    span_expected = RationalMatrix.from_rows([[Fraction(1)] * 6, list(hs)])
-    span_found = RationalMatrix.from_rows([list(v) for v in lift_basis])
-    family_matches = rref(span_found)[0] == rref(span_expected)[0]
+    # the lifts are b / alpha for b in the degree-3 kernel B; with no zero
+    # alpha_i (only a bug makes one) that scaling is invertible and takes
+    # span{1, h} to the span of T = [alpha, alpha*H], H = D*h the cleared
+    # slopes, so the family is the translations exactly when B, T and B with
+    # T appended have one rank
+    _, nodes = sympoly.clear_denominators(hs)
+    lifts = vandermonde_nullspace(VandermondeSystem(hs, 3))
+    shifts = [alpha, [a * h for a, h in zip(alpha, nodes)]]
+    family_matches = all_nonzero and rank(lifts) == rank(shifts) == rank([*lifts, *shifts])
 
     # symbolic quartic in (x0, x1, x2, t0, t1) with lifts t0 + t1*slope, on
     # integers: with H = D*h (D the lcm of the slopes' denominators) the line
@@ -508,7 +509,7 @@ def six_term_vanishing_check(slopes: Sequence[Fraction | int]) -> SixTermVanishi
     # rescaling keeps the zero test of the quartic over the Fraction slopes
     x0, x1, x2, t0, t1 = (sympoly.variable(5, i) for i in range(5))
     quartic: sympoly.Poly = {}
-    for h, a in zip(sympoly.clear_denominators(hs)[1], alpha):
+    for h, a in zip(nodes, alpha):
         lift = sympoly.add(t0, sympoly.scale(t1, h))
         line = sympoly.add(
             sympoly.add(x0, sympoly.scale(x1, h)), sympoly.mul(lift, x2)
@@ -518,7 +519,6 @@ def six_term_vanishing_check(slopes: Sequence[Fraction | int]) -> SixTermVanishi
     return SixTermVanishingReport(
         slopes=hs,
         annihilator=alpha,
-        lift_basis=lift_basis,
         all_weights_nonzero=all_nonzero,
         family_is_translations=family_matches,
         quartic_vanishes=sympoly.is_zero(quartic),

@@ -1,11 +1,11 @@
 """Exact dense linear algebra over the rationals.
 
-Elimination is used only for ranks and for comparing row spaces.  It is
+Elimination is used only for ranks, which also compare row spaces.  It is
 done fraction-free, in one loop: rows are cleared to integers and reduced
 with the Bareiss two-step recurrence (every division is exact).  ``rank``
-reads the rank of an integer matrix from that loop alone; ``rref`` follows
-it with a normalization pass that produces the reduced row echelon form with
-Fraction entries.
+reads the rank of an integer matrix from that loop alone; ``rref``, which no
+command calls, follows it with a normalization pass that produces the
+reduced row echelon form with Fraction entries.
 
 Kernels of the power maps c |-> sum_i c_i (a_i x + b_i y)^d, moment maps
 included, are computed in closed form.  With P_i = (a_i, b_i) pairwise

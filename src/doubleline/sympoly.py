@@ -108,12 +108,14 @@ def mul(p: Poly, q: Poly) -> Poly:
 
 
 def power(p: Poly, exponent: int) -> Poly:
-    """p**exponent in a new dict: a copy of p times p, exponent - 1 times (1 for 0)."""
+    """p**exponent in a new dict, by squaring from the top bit down (1 for 0)."""
     if exponent < 0:
         raise StructuralError(f"negative exponent {exponent}")
     out = dict(p) if exponent else const(0, 1)
-    for _ in range(exponent - 1):
-        out = mul(out, p)
+    for bit in bin(exponent)[3:]:
+        out = mul(out, out)
+        if bit == "1":
+            out = mul(out, p)
     return out
 
 

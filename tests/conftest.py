@@ -10,7 +10,7 @@ from math import comb
 
 from hypothesis import settings
 
-from doubleline import engine
+from doubleline import engine, linalg
 from doubleline.errors import GenerationFailureError
 from doubleline.linalg import (
     RationalMatrix,
@@ -144,6 +144,45 @@ def reference_tangent_instance(slopes, lift_params, seed: int):
     beta = [sum((p * vec[i] for p, vec in zip(params, beta_basis)), Fraction(0)) for i in range(7)]
     lifts = tuple(b / w for b, w in zip(beta, weights))
     return engine.CoordinateInstance(hs, lifts, weights), retries
+
+
+def reference_family_is_translations(slopes) -> bool:
+    """Whether the six-term lift family is span{1, h}, decided in Fractions:
+    the lifts b / alpha from ``weighted_moment_kernel``, then ``rref``
+    equality against [1 ... 1; h].  Every kernel is looked up through
+    ``linalg`` when called, so a patched ``linalg.vandermonde_nullspace``
+    reaches this comparison too."""
+    hs = [Fraction(h) for h in slopes]
+    (alpha,) = linalg.vandermonde_nullspace(VandermondeSystem(hs, 4))
+    found = linalg.weighted_moment_kernel(hs, alpha, 3).basis
+    expected = [[Fraction(1)] * len(hs), hs]
+    return (
+        rref(RationalMatrix.from_rows([list(v) for v in found]))[0]
+        == rref(RationalMatrix.from_rows(expected))[0]
+    )
+
+
+def wrong_kernel(monkeypatch, fault: str) -> None:
+    """Patch ``vandermonde_nullspace`` in ``engine`` and ``linalg`` with one fault:
+    ``"degree-2"`` answers the degree-3 call with the degree-2 kernel (three
+    rows), ``"one-entry"`` answers it with its own basis after adding 1 to
+    one entry (two rows, but e_0 is not in span{alpha, alpha*h}, so the span
+    is wrong), and ``"zero-annihilator"`` sets the first entry of the degree-4
+    annihilator to 0."""
+    original = linalg.vandermonde_nullspace
+
+    def faulty(system):
+        if fault == "degree-2" and system.max_power == 3:
+            return original(VandermondeSystem(system.nodes, 2))
+        basis = original(system)
+        if fault == "one-entry" and system.max_power == 3:
+            return [(basis[0][0] + 1, *basis[0][1:]), *basis[1:]]
+        if fault == "zero-annihilator" and system.max_power == 4:
+            return [(0, *vec[1:]) for vec in basis]
+        return basis
+
+    monkeypatch.setattr(engine, "vandermonde_nullspace", faulty)
+    monkeypatch.setattr(linalg, "vandermonde_nullspace", faulty)
 
 
 def count_calls(monkeypatch, module, name: str) -> list:

@@ -12,7 +12,7 @@ from math import gcd, prod
 from pathlib import Path
 
 import pytest
-from conftest import count_calls, random_fraction
+from conftest import count_calls, random_fraction, wrong_kernel
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -538,26 +538,44 @@ class TestExitTable:
             main(["example"], out=io.StringIO())
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, check",
         [
-            ["verify", str(FIXTURES / "tangent7.json")],
-            ["example"],
-            ["theorem-check", "--trials", "1"],
+            (["verify", str(FIXTURES / "tangent7.json")], "analyze"),
+            (["example"], "analyze"),
+            (["theorem-check", "--trials", "1"], "analyze"),
+            (["claim-check", "--random", "1"], "two_value_collapse_check"),
         ],
-        ids=["verify", "example", "theorem-check"],
+        ids=["verify", "example", "theorem-check", "claim-check"],
     )
-    def test_violation_is_one_stderr_line(self, monkeypatch, argv):
+    def test_violation_is_one_stderr_line(self, monkeypatch, argv, check):
         # every command reports a violation the same way: no report, one line
         message = "certificate contact point disagrees with kernel point"
 
         def violated(*args):
             raise TheoremViolationError(message)
 
-        monkeypatch.setattr(cli, "analyze", violated)
+        monkeypatch.setattr(cli, check, violated)
         code, out, err = run_cli(argv)
         assert code == 1
         assert out == ""
         assert err == f"internal consistency failure: {message}\n"
+
+    @pytest.mark.parametrize(
+        "fault, failed",
+        [
+            ("degree-2", "lift-family-is-translations"),
+            ("one-entry", "lift-family-is-translations"),
+            ("zero-annihilator", "annihilator-nonzero"),
+        ],
+    )
+    def test_six_term_check_fires(self, monkeypatch, fault, failed):
+        # a wrong kernel is a failed check (exit 1), never bad input (exit 2)
+        wrong_kernel(monkeypatch, fault)
+        code, out, err = run_cli(["claim-check", "--h=0,1,2,3,4,5"])
+        assert code == 1
+        assert f"check {failed}: fail\n" in out
+        assert out.endswith("result: fail\n")
+        assert err.startswith("wall-time: ") and "error:" not in err
 
     def test_document_not_utf8(self, tmp_path):
         path = tmp_path / "latin1.json"

@@ -16,12 +16,14 @@ from conftest import (
     ref_product,
     ref_scale,
     ref_variable,
+    reference_family_is_translations,
     reference_kernel,
     reference_solve,
     reference_tangency_defect,
     reference_tangent_instance,
     sample_nodes,
     unpack,
+    wrong_kernel,
 )
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -826,6 +828,28 @@ class TestSixTermVanishing:
         slopes = sample_nodes(random.Random(2000 + seed), 6)
         report = six_term_vanishing_check(slopes)
         assert report.quartic_vanishes == (not fraction_six_term_quartic(slopes))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_integer_rank_agrees_with_fraction_rref(self, seed):
+        slopes = sample_nodes(random.Random(3000 + seed), 6)
+        assert any(h.denominator > 1 for h in slopes)
+        report = six_term_vanishing_check(slopes)
+        assert report.family_is_translations is reference_family_is_translations(slopes) is True
+
+    @pytest.mark.parametrize("fault", ["degree-2", "one-entry"])
+    def test_wrong_family_fails_both_comparisons(self, monkeypatch, fault):
+        wrong_kernel(monkeypatch, fault)
+        slopes = (Fraction(-1, 2), 0, Fraction(1, 3), 1, 2, Fraction(7, 5))
+        report = six_term_vanishing_check(slopes)
+        assert report.family_is_translations is reference_family_is_translations(slopes) is False
+        assert report.all_weights_nonzero and not report.passed
+
+    def test_zero_annihilator_entry_is_no_match(self, monkeypatch):
+        # a zero weight leaves b / alpha undefined: reported, not raised
+        wrong_kernel(monkeypatch, "zero-annihilator")
+        report = six_term_vanishing_check(range(6))
+        assert report.annihilator[0] == 0
+        assert not report.all_weights_nonzero and not report.family_is_translations
 
 
 class TestTwoValueCollapse:

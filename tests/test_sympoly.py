@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from conftest import ref_add, ref_mul, ref_product, ref_scale, ref_variable, unpack
+from conftest import count_calls, ref_add, ref_mul, ref_product, ref_scale, ref_variable, unpack
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -41,7 +41,7 @@ class TestAgainstReference:
     def test_mul(self, p, q):
         assert unpack(sympoly.mul(pack(p), pack(q)), NVARS, sympoly.BITS) == ref_mul(ref(p), ref(q))
 
-    @given(tuple_polys_st, st.integers(min_value=0, max_value=4))
+    @given(tuple_polys_st, st.integers(min_value=0, max_value=9))
     def test_power(self, p, exponent):
         expected = ref_product([ref(p)] * exponent, NVARS)
         assert unpack(sympoly.power(pack(p), exponent), NVARS, sympoly.BITS) == expected
@@ -66,6 +66,19 @@ class TestAgainstReference:
     def test_integer_coefficients_stay_integers(self, p, q):
         product = sympoly.mul(pack(p), pack(q))
         assert all(type(c) is int for c in sympoly.add(product, pack(p)).values())
+
+
+class TestPowerBySquaring:
+    def test_fourth_power_of_linear_form_squares_twice(self, monkeypatch):
+        # p*p then its square: 4*4 + 10*10 = 116 term pairs, where three
+        # products by p take 4*4 + 10*4 + 20*4 = 136
+        calls = count_calls(monkeypatch, sympoly, "mul")
+        form = sympoly.linear_combination(
+            [1, 2, 3, 5], [sympoly.variable(NVARS, i) for i in range(NVARS)]
+        )
+        fourth = sympoly.power(form, 4)
+        assert sum(len(p) * len(q) for p, q in calls) == 116
+        assert len(calls) == 2 and len(fourth) == 35
 
 
 class TestExponentLimits:
