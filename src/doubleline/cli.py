@@ -58,6 +58,7 @@ MAX_RATIONAL_CHARS = 1_000  # one rational string, in argv or in a document
 MAX_NODES_RANGE = 1_000  # theorem-check --nodes-range (a pool of about 6N slopes)
 MAX_TRIALS = 100_000  # theorem-check --trials and claim-check --random
 MAX_DOCUMENT_BYTES = 1_000_000  # one verify document (fixtures/tangent7.json is about 2 KB)
+MAX_SLOPES_CHARS = 1_000  # identity-check --h: its expansion's cost grows with the slopes' digits
 
 
 def parse_rational(text: str) -> Fraction:
@@ -435,7 +436,9 @@ def cmd_claim_check(args) -> RunReport:
 # argument parsing
 
 
-def _rational_list(text: str, count: int) -> tuple[Fraction, ...]:
+def _rational_list(text: str, count: int, max_chars: int | None = None) -> tuple[Fraction, ...]:
+    if max_chars is not None and len(text) > max_chars:
+        raise argparse.ArgumentTypeError(f"slope list longer than {max_chars} characters")
     parts = text.split(",")
     if len(parts) != count:
         raise argparse.ArgumentTypeError(f"expected {count} comma-separated rationals")
@@ -515,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_theorem.add_argument("--json", action="store_true")
 
     p_identity = sub.add_parser("identity-check", help="symbolic identity on a slope slice")
-    p_identity.add_argument("--h", type=lambda s: _rational_list(s, 7), required=True)
+    p_identity.add_argument("--h", type=lambda s: _rational_list(s, 7, MAX_SLOPES_CHARS), required=True)
     p_identity.add_argument("--json", action="store_true")
 
     p_claim = sub.add_parser("claim-check", help="six-term collapse checks")

@@ -479,9 +479,15 @@ def six_term_vanishing_check(slopes: Sequence[Fraction | int]) -> SixTermVanishi
     """With six distinct slopes, every double-line value degenerates to zero.
 
     The weight vector solving the degree-4 moment system is unique up to
-    scale; the admissible lifts form the two-parameter translation family
-    span{(1,...,1), slopes}, and the resulting quartic vanishes identically
-    as a polynomial in the two translation parameters.
+    scale, and the admissible lifts form the translation family
+    span{(1,...,1), slopes}.  With H = D*h the cleared slopes (x1 -> D*x1,
+    t1 -> D*t1 rescale diagonally), u = x0 + t0*x2 and v = x1 + t1*x2, the
+    quartic sum_i alpha_i * (x0 + H_i*x1 + (t0 + H_i*t1)*x2)**4 equals
+    sum_p C(4,p) * u**(4-p) * v**p * M_p with M_p = sum_i alpha_i * H_i**p.
+    Each u**(4-p) * v**p alone has the monomial x0**(4-p) * x1**p, and no
+    C(4,p) is zero, so the quartic vanishes identically exactly when the
+    integer moments M_0..M_4 do.  They share no code with
+    ``moment_kernel``'s closed-form bracket products.
     """
     hs = tuple(Fraction(h) for h in slopes)
     if len(hs) != 6:
@@ -502,26 +508,12 @@ def six_term_vanishing_check(slopes: Sequence[Fraction | int]) -> SixTermVanishi
     shifts = [alpha, [a * h for a, h in zip(alpha, nodes)]]
     family_matches = all_nonzero and rank(lifts) == rank(shifts) == rank([*lifts, *shifts])
 
-    # symbolic quartic in (x0, x1, x2, t0, t1) with lifts t0 + t1*slope, on
-    # integers: with H = D*h (D the lcm of the slopes' denominators) the line
-    # x0 + H*x1 + (t0 + H*t1)*x2 is the line through h after x1 -> D*x1 and
-    # t1 -> D*t1, and the annihilator is an integer vector; a diagonal
-    # rescaling keeps the zero test of the quartic over the Fraction slopes
-    x0, x1, x2, t0, t1 = (sympoly.variable(5, i) for i in range(5))
-    quartic: sympoly.Poly = {}
-    for h, a in zip(nodes, alpha):
-        lift = sympoly.add(t0, sympoly.scale(t1, h))
-        line = sympoly.add(
-            sympoly.add(x0, sympoly.scale(x1, h)), sympoly.mul(lift, x2)
-        )
-        quartic = sympoly.add(quartic, sympoly.scale(sympoly.power(line, 4), a))
-
     return SixTermVanishingReport(
         slopes=hs,
         annihilator=alpha,
         all_weights_nonzero=all_nonzero,
         family_is_translations=family_matches,
-        quartic_vanishes=sympoly.is_zero(quartic),
+        quartic_vanishes=not any(sum(a * h**p for a, h in zip(alpha, nodes)) for p in range(5)),
     )
 
 

@@ -167,8 +167,11 @@ def wrong_kernel(monkeypatch, fault: str) -> None:
     ``"degree-2"`` answers the degree-3 call with the degree-2 kernel (three
     rows), ``"one-entry"`` answers it with its own basis after adding 1 to
     one entry (two rows, but e_0 is not in span{alpha, alpha*h}, so the span
-    is wrong), and ``"zero-annihilator"`` sets the first entry of the degree-4
-    annihilator to 0."""
+    is wrong), ``"zero-annihilator"`` sets the first entry of the degree-4
+    annihilator to 0, and ``"off-kernel"`` answers the degree-4 call with
+    alpha + b_0, b_0 the first degree-3 kernel vector (on slopes 0..5 that is
+    (2, -9, 16, -14, 6, -1): its moments are 0, 0, 0, 0, 24 and no entry is
+    zero)."""
     original = linalg.vandermonde_nullspace
 
     def faulty(system):
@@ -179,6 +182,9 @@ def wrong_kernel(monkeypatch, fault: str) -> None:
             return [(basis[0][0] + 1, *basis[0][1:]), *basis[1:]]
         if fault == "zero-annihilator" and system.max_power == 4:
             return [(0, *vec[1:]) for vec in basis]
+        if fault == "off-kernel" and system.max_power == 4:
+            lift = original(VandermondeSystem(system.nodes, 3))[0]
+            return [tuple(a + b for a, b in zip(basis[0], lift))]
         return basis
 
     monkeypatch.setattr(engine, "vandermonde_nullspace", faulty)

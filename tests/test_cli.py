@@ -22,6 +22,7 @@ from doubleline.cli import (
     MAX_DOCUMENT_BYTES,
     MAX_NODES_RANGE,
     MAX_RATIONAL_CHARS,
+    MAX_SLOPES_CHARS,
     MAX_TRIALS,
     DecompositionDocument,
     DocumentError,
@@ -31,7 +32,10 @@ from doubleline.cli import (
     parse_rational,
     render_document,
 )
+from doubleline.engine import verify_identity_slice
 from doubleline.errors import StructuralError, TheoremViolationError
+from doubleline.forms import BinaryQuadratic
+from doubleline.sympoly import format_rational
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -439,6 +443,21 @@ class TestInputCaps:
         assert out == ""
         assert "longer than" in err
 
+    def test_identity_check_slope_list_cap(self):
+        # zero-padded slopes 0..6 keep the list at the cap as cheap as 0,...,6
+        slopes = [str(k).zfill((MAX_SLOPES_CHARS - 6) // 7) for k in range(7)]
+        at_cap = "--h=" + ",".join(slopes)
+        assert len(at_cap) == len("--h=") + MAX_SLOPES_CHARS
+        code, out, err = run_cli(["identity-check", at_cap])
+        assert code == 0, err
+        assert out == run_cli(["identity-check", "--h=0,1,2,3,4,5,6"])[1]
+        code, out, err = run_cli(["identity-check", at_cap.replace("=", "=0", 1)])
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: argument --h: slope list longer than {MAX_SLOPES_CHARS} characters\n"
+        )
+
     def test_long_rational_in_document_is_a_usage_error(self, tmp_path):
         doc = json.loads((FIXTURES / "tangent7.json").read_text())
         doc["terms"][0]["alpha"] = "1" * (MAX_RATIONAL_CHARS + 1)
@@ -492,12 +511,14 @@ class TestLargeNumbers:
         return _fields(out)
 
     def test_identity_check_node_difference_product(self):
+        # 220-digit slopes are past MAX_SLOPES_CHARS, so the slice is checked
+        # in process and its product printed as identity-check prints it
         rng = random.Random(5)
         hs = [rng.randrange(10**219, 10**220) for _ in range(7)]
-        fields = self.run_checked(["identity-check", "--h=" + ",".join(map(str, hs))])
+        report = verify_identity_slice(hs)
         product = prod(a - b for a, b in combinations(hs, 2))
         assert abs(product) >= 10**4300
-        assert _exact(fields["node-difference-product"]) == product
+        assert _exact(format_rational(report.node_difference_product)) == product
 
     def test_claim_check_annihilator(self):
         rng = random.Random(6)
@@ -566,6 +587,7 @@ class TestExitTable:
             ("degree-2", "lift-family-is-translations"),
             ("one-entry", "lift-family-is-translations"),
             ("zero-annihilator", "annihilator-nonzero"),
+            ("off-kernel", "quartic-identically-zero"),
         ],
     )
     def test_six_term_check_fires(self, monkeypatch, fault, failed):
@@ -576,6 +598,36 @@ class TestExitTable:
         assert f"check {failed}: fail\n" in out
         assert out.endswith("result: fail\n")
         assert err.startswith("wall-time: ") and "error:" not in err
+
+    def test_theorem_check_defect_fires(self, monkeypatch):
+        # seed 0, trial 0 is tangent with a certificate: only the defect fails
+        monkeypatch.setattr(cli, "tangency_defect", lambda inst: Fraction(1))
+        code, out, err = run_cli(["theorem-check", "--trials", "1"])
+        assert code == 1
+        assert (
+            "check all-nonzero-cofactors-tangent-with-certificate: fail (trial 0: defect=1)\n"
+        ) in out
+        assert err.startswith("wall-time: ") and "error:" not in err
+
+    @pytest.mark.parametrize(
+        "wrong, message",
+        [
+            (lambda tangent, point: (False, None), "certificate exists but discriminant test disagrees"),
+            (
+                lambda tangent, point: (True, (point[0] + 1, point[1])),
+                "certificate contact point disagrees with kernel point",
+            ),
+        ],
+        ids=["discriminant", "contact-point"],
+    )
+    def test_theorem_check_cross_check_fires(self, monkeypatch, wrong, message):
+        # the discriminant test disagreeing with a certificate is a violation
+        original = BinaryQuadratic.tangency
+        monkeypatch.setattr(BinaryQuadratic, "tangency", lambda self: wrong(*original(self)))
+        code, out, err = run_cli(["theorem-check", "--trials", "1"])
+        assert code == 1
+        assert out == ""
+        assert err == f"internal consistency failure: {message}\n"
 
     def test_document_not_utf8(self, tmp_path):
         path = tmp_path / "latin1.json"

@@ -158,10 +158,12 @@ def fraction_identity_expansion(slopes):
     return len(minuend) + len(subtrahend), residue, ref_add(residue, ref_mul(full, full))
 
 
-def fraction_six_term_quartic(slopes):
-    """The six-term quartic over the Fraction slopes and annihilator."""
+def fraction_six_term_quartic(slopes, alpha=None):
+    """The six-term quartic over the Fraction slopes and an annihilator, by
+    default the degree-4 kernel vector."""
     hs = tuple(Fraction(h) for h in slopes)
-    (alpha,) = vandermonde_nullspace(VandermondeSystem(hs, 4))
+    if alpha is None:
+        (alpha,) = vandermonde_nullspace(VandermondeSystem(hs, 4))
     x0, x1, x2, t0, t1 = (ref_variable(5, i) for i in range(5))
     quartic: dict = {}
     for h, a in zip(hs, alpha):
@@ -825,9 +827,19 @@ class TestSixTermVanishing:
 
     @pytest.mark.parametrize("seed", range(12))
     def test_integer_expansion_agrees_with_fraction_expansion(self, seed):
+        # the five integer moments decide what the Fraction expansion decides
         slopes = sample_nodes(random.Random(2000 + seed), 6)
         report = six_term_vanishing_check(slopes)
         assert report.quartic_vanishes == (not fraction_six_term_quartic(slopes))
+
+    def test_off_kernel_annihilator_leaves_a_quartic(self, monkeypatch):
+        # M_0..M_3 vanish and M_4 = 24 does not: only the degree-4 moment
+        # tells this vector from a kernel vector
+        wrong_kernel(monkeypatch, "off-kernel")
+        report = six_term_vanishing_check(range(6))
+        assert report.annihilator == (2, -9, 16, -14, 6, -1)
+        assert report.all_weights_nonzero and not report.quartic_vanishes
+        assert fraction_six_term_quartic(range(6), report.annihilator)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_integer_rank_agrees_with_fraction_rref(self, seed):
