@@ -612,7 +612,10 @@ class TestExitTable:
     @pytest.mark.parametrize(
         "wrong, message",
         [
-            (lambda tangent, point: (False, None), "certificate exists but discriminant test disagrees"),
+            (
+                lambda tangent, point: (False, None),
+                "certificate exists but discriminant test disagrees",
+            ),
             (
                 lambda tangent, point: (True, (point[0] + 1, point[1])),
                 "certificate contact point disagrees with kernel point",
