@@ -21,7 +21,6 @@ from .engine import (
     line_x2,
     power_kernel,
     six_term_vanishing_check,
-    tangency_certificate,
     tangency_defect,
     two_value_collapse_check,
     verify_identity_slice,
@@ -36,10 +35,8 @@ from .forms import (
     restrict,
 )
 from .linalg import (
-    RationalMatrix,
     VandermondeSystem,
     moment_kernel,
-    rref,
     vandermonde_nullspace,
     weighted_moment_kernel,
 )

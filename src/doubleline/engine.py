@@ -228,7 +228,13 @@ class TangencyCertificate:
     tangency_point: IntVector
 
     def verify(self) -> None:
-        """Check every certified identity; raises TheoremViolationError."""
+        """Check every certified identity; raises TheoremViolationError.
+
+        The polar-kernel check cannot fail alone: given L_i(c) = alpha_i / a_i
+        and a_i * B(L_i) = alpha_i * lv_i (c the contact vector, B the bridge),
+        the conic's polarization at c against u is
+        6 * sum_i a_i * B(L_i)^2 * L_i(u), a degree-5 moment of a, so 0.  It
+        stays as the certificate's conclusion."""
         den, points = clear_rows(self.restricted)
         if {len(self.annihilator), len(self.weights), len(self.line_values)} != {len(points)}:
             raise StructuralError("certificate vectors do not match the point count")
@@ -300,19 +306,20 @@ def _build_certificate(
     or None when the lines do not meet ``line = 0`` in seven distinct points.
     The annihilator and the contact vector and bridge, which interpolate their
     identities at the first two and three points (degree-d values times D**d),
-    are built at the integer points D * L_i; ``verify`` alone checks all seven."""
+    are built at the integer points D * L_i; ``verify`` alone checks all seven.
+    The annihilator's zero-entry check cannot fire: entry i is M over the
+    product of the brackets [L_j, L_i], j != i, nonzero for distinct points.
+    It stays because the witnesses divide by the entries."""
     b0, b1 = line_kernel_basis(line)
     coeffs = [f.linear_coefficients() for f in dec.lines()]
     # a linear form restricts to its coefficients paired with the kernel basis
     restricted = tuple(tuple(sum(c * b for c, b in zip(cf, v) if b) for v in (b0, b1)) for cf in coeffs)
     den, points = clear_rows(restricted)
     try:
-        kernel5 = moment_kernel(points, 5)
+        # seven points at degree 5 leave one free index, so one kernel vector
+        (annihilator,) = moment_kernel(points, 5)
     except DegenerateNodesError:
         return None  # a line restricts to zero, or two meet the base line in one point
-    if len(kernel5) != 1:
-        raise TheoremViolationError("degree-5 kernel is not one-dimensional")
-    annihilator = kernel5[0]
     if any(a == 0 for a in annihilator):
         raise TheoremViolationError("degree-5 kernel generator has a zero entry")
 
@@ -492,10 +499,8 @@ def six_term_vanishing_check(slopes: Sequence[Fraction | int]) -> SixTermVanishi
     hs = tuple(Fraction(h) for h in slopes)
     if len(hs) != 6:
         raise StructuralError(f"expected 6 slopes, got {len(hs)}")
-    alpha_vectors = vandermonde_nullspace(VandermondeSystem(hs, 4))
-    if len(alpha_vectors) != 1:
-        raise TheoremViolationError("degree-4 annihilator is not one-dimensional")
-    alpha = alpha_vectors[0]
+    # six nodes at degree 4 leave one free index, so one annihilator
+    (alpha,) = vandermonde_nullspace(VandermondeSystem(hs, 4))
     all_nonzero = all(a != 0 for a in alpha)
 
     # the lifts are b / alpha for b in the degree-3 kernel B; with no zero

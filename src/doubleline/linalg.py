@@ -3,9 +3,10 @@
 Elimination is used only for ranks, which also compare row spaces.  It is
 done fraction-free, in one loop: rows are cleared to integers and reduced
 with the Bareiss two-step recurrence (every division is exact).  ``rank``
-reads the rank of an integer matrix from that loop alone; ``rref``, which no
-command calls, follows it with a normalization pass that produces the
-reduced row echelon form with Fraction entries.
+reads the rank of an integer matrix from that loop alone; ``rref``, kept
+only because ``bench/spans.py`` wraps it by name, follows it with a
+normalization pass that produces the reduced row echelon form with Fraction
+entries.
 
 Kernels of the power maps c |-> sum_i c_i (a_i x + b_i y)^d, moment maps
 included, are computed in closed form.  With P_i = (a_i, b_i) pairwise
@@ -54,38 +55,8 @@ class RationalMatrix:
         self.cols = cols
         self.entries = tuple(Fraction(e) for e in entries)
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[Fraction | int]]) -> "RationalMatrix":
-        nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 0
-        flat: list[Fraction | int] = []
-        for row in rows:
-            if len(row) != ncols:
-                raise StructuralError("ragged rows")
-            flat.extend(row)
-        return cls(nrows, ncols, flat)
-
-    def __getitem__(self, key: tuple[int, int]) -> Fraction:
-        i, j = key
-        return self.entries[i * self.cols + j]
-
     def row(self, i: int) -> list[Fraction]:
         return list(self.entries[i * self.cols : (i + 1) * self.cols])
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RationalMatrix):
-            return NotImplemented
-        return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.entries))
-
-    def __repr__(self) -> str:
-        return f"RationalMatrix({self.rows}, {self.cols}, {list(self.entries)!r})"
-
-
-def _integer_rows(m: RationalMatrix) -> list[list[int]]:
-    return [sympoly.clear_denominators(m.row(i))[1] for i in range(m.rows)]
 
 
 def _bareiss(work: list[list[int]], ncols: int) -> list[int]:
@@ -124,7 +95,7 @@ def rank(rows: Sequence[Sequence[int]]) -> int:
 
 def rref(m: RationalMatrix) -> tuple[RationalMatrix, int, tuple[int, ...]]:
     """Reduced row echelon form, rank, and pivot columns of ``m``."""
-    work = _integer_rows(m)
+    work = [sympoly.clear_denominators(m.row(i))[1] for i in range(m.rows)]
     nrows, ncols = m.rows, m.cols
     pivot_cols = _bareiss(work, ncols)
     rank = len(pivot_cols)

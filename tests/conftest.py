@@ -6,19 +6,13 @@ import random
 import warnings
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, gcd, lcm
 
 from hypothesis import settings
 
 from doubleline import engine, linalg
 from doubleline.errors import GenerationFailureError
-from doubleline.linalg import (
-    RationalMatrix,
-    VandermondeSystem,
-    normalize_vector,
-    rref,
-    vandermonde_nullspace,
-)
+from doubleline.linalg import VandermondeSystem, vandermonde_nullspace
 
 settings.register_profile("exact", deadline=None)
 settings.load_profile("exact")
@@ -76,12 +70,43 @@ def vandermonde_rows(nodes, max_power: int) -> list[list[Fraction]]:
     return [[Fraction(h) ** d for h in nodes] for d in range(max_power + 1)]
 
 
-def reference_kernel(rows: list[list[Fraction]], ncols: int) -> list[tuple[Fraction, ...]]:
-    """Right-kernel basis of an explicit matrix by elimination: ``linalg.rref``,
-    then one normalized vector per free column, the basis the closed forms
+def gauss_jordan(rows) -> tuple[list[list[Fraction]], int, tuple[int, ...]]:
+    """Reduced row echelon form (all rows, zero rows last), rank and pivot
+    columns by plain Gauss-Jordan elimination on Fractions: each pivot row is
+    divided by its pivot and cleared from every other row.  It shares no code
+    with ``linalg``'s fraction-free Bareiss loop."""
+    work = [[Fraction(x) for x in row] for row in rows]
+    pivots: list[int] = []
+    for c in range(len(work[0]) if work else 0):
+        r = len(pivots)
+        p = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if p is None:
+            continue
+        work[r], work[p] = work[p], work[r]
+        work[r] = [x / work[r][c] for x in work[r]]
+        for i, row in enumerate(work):
+            if i != r and row[c]:
+                work[i] = [a - row[c] * b for a, b in zip(row, work[r])]
+        pivots.append(c)
+    return work, len(pivots), tuple(pivots)
+
+
+def primitive(vec) -> tuple[int, ...]:
+    """``vec`` scaled to ints with content 1 and a positive leading entry (a
+    zero vector stays zero), the normalization the kernels promise."""
+    den = lcm(*(Fraction(x).denominator for x in vec))
+    ints = [int(Fraction(x) * den) for x in vec]
+    g = gcd(*ints)
+    if g and next(x for x in ints if x) < 0:
+        g = -g
+    return tuple(x // g for x in ints) if g else tuple(ints)
+
+
+def reference_kernel(rows: list[list[Fraction]], ncols: int) -> list[tuple[int, ...]]:
+    """Right-kernel basis of an explicit matrix by elimination: ``gauss_jordan``,
+    then one ``primitive`` vector per free column, the basis the closed forms
     must reproduce."""
-    m = RationalMatrix(len(rows), ncols, [x for row in rows for x in row])
-    reduced, _, pivot_cols = rref(m)
+    reduced, _, pivot_cols = gauss_jordan(rows)
     basis = []
     for fc in range(ncols):
         if fc in pivot_cols:
@@ -89,24 +114,22 @@ def reference_kernel(rows: list[list[Fraction]], ncols: int) -> list[tuple[Fract
         vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
         for i, pc in enumerate(pivot_cols):
-            vec[pc] = -reduced[i, fc]
-        basis.append(normalize_vector(vec))
+            vec[pc] = -reduced[i][fc]
+        basis.append(primitive(vec))
     return basis
 
 
 def reference_solve(rows: list[list[Fraction]], rhs) -> tuple[Fraction, ...] | None:
     """One solution of ``rows x = rhs`` by elimination (free variables 0), or
-    None when the system is inconsistent: ``linalg.rref`` of the augmented
+    None when the system is inconsistent: ``gauss_jordan`` of the augmented
     matrix, read off at the pivot columns."""
     ncols = len(rows[0])
-    augmented = [[*row, Fraction(b)] for row, b in zip(rows, rhs)]
-    m = RationalMatrix(len(rows), ncols + 1, [x for row in augmented for x in row])
-    reduced, _, pivot_cols = rref(m)
+    reduced, _, pivot_cols = gauss_jordan([[*row, b] for row, b in zip(rows, rhs)])
     if ncols in pivot_cols:
         return None
     x = [Fraction(0)] * ncols
     for i, pc in enumerate(pivot_cols):
-        x[pc] = reduced[i, ncols]
+        x[pc] = reduced[i][ncols]
     return tuple(x)
 
 
@@ -148,7 +171,7 @@ def reference_tangent_instance(slopes, lift_params, seed: int):
 
 def reference_family_is_translations(slopes) -> bool:
     """Whether the six-term lift family is span{1, h}, decided in Fractions:
-    the lifts b / alpha from ``weighted_moment_kernel``, then ``rref``
+    the lifts b / alpha from ``weighted_moment_kernel``, then ``gauss_jordan``
     equality against [1 ... 1; h].  Every kernel is looked up through
     ``linalg`` when called, so a patched ``linalg.vandermonde_nullspace``
     reaches this comparison too."""
@@ -156,10 +179,7 @@ def reference_family_is_translations(slopes) -> bool:
     (alpha,) = linalg.vandermonde_nullspace(VandermondeSystem(hs, 4))
     found = linalg.weighted_moment_kernel(hs, alpha, 3).basis
     expected = [[Fraction(1)] * len(hs), hs]
-    return (
-        rref(RationalMatrix.from_rows([list(v) for v in found]))[0]
-        == rref(RationalMatrix.from_rows(expected))[0]
-    )
+    return gauss_jordan(found)[0] == gauss_jordan(expected)[0]
 
 
 def wrong_kernel(monkeypatch, fault: str) -> None:
@@ -189,6 +209,21 @@ def wrong_kernel(monkeypatch, fault: str) -> None:
 
     monkeypatch.setattr(engine, "vandermonde_nullspace", faulty)
     monkeypatch.setattr(linalg, "vandermonde_nullspace", faulty)
+
+
+# two slope triples with the lifts and weights of ``generate_six_term_family``,
+# except a zero weight at index 3
+ZERO_WEIGHT_TRIPLES = engine.CoordinateInstance(
+    (0, 0, 0, 1, 1, 1), (0, 1, -1, 0, 1, -1), (2, -1, -1, 0, -1, -1)
+)
+
+
+def nondegenerate_analysis(monkeypatch) -> None:
+    """Patch ``engine.analyze`` to report a divisible, rank-3, non-tangent
+    conic for every input, the case in which ``two_value_collapse_check``
+    must find two slope triples and no zero weight."""
+    report = engine.AnalysisReport(summary="patched", divisible=True, conic_rank=3, tangent=False)
+    monkeypatch.setattr(engine, "analyze", lambda dec, line: report)
 
 
 def count_calls(monkeypatch, module, name: str) -> list:

@@ -12,7 +12,13 @@ from math import gcd, prod
 from pathlib import Path
 
 import pytest
-from conftest import count_calls, random_fraction, wrong_kernel
+from conftest import (
+    ZERO_WEIGHT_TRIPLES,
+    count_calls,
+    nondegenerate_analysis,
+    random_fraction,
+    wrong_kernel,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -511,10 +517,13 @@ class TestLargeNumbers:
         return _fields(out)
 
     def test_identity_check_node_difference_product(self):
-        # 220-digit slopes are past MAX_SLOPES_CHARS, so the slice is checked
-        # in process and its product printed as identity-check prints it
-        rng = random.Random(5)
-        hs = [rng.randrange(10**219, 10**220) for _ in range(7)]
+        # slopes of 220 digits and more are past MAX_SLOPES_CHARS, so the
+        # slice is checked in process and its product printed as
+        # identity-check prints it; the multiples k * n of one n keep the
+        # kernels small, so the expansion is quick, while the product
+        # n**21 * prod(k_i - k_j) has 4,615 digits
+        n = random.Random(5).randrange(10**219, 10**220)
+        hs = [k * n for k in range(1, 8)]
         report = verify_identity_slice(hs)
         product = prod(a - b for a, b in combinations(hs, 2))
         assert abs(product) >= 10**4300
@@ -598,6 +607,15 @@ class TestExitTable:
         assert f"check {failed}: fail\n" in out
         assert out.endswith("result: fail\n")
         assert err.startswith("wall-time: ") and "error:" not in err
+
+    def test_claim_check_two_value_violation_fires(self, monkeypatch):
+        # a generated family with a zero weight, reported nondegenerate
+        nondegenerate_analysis(monkeypatch)
+        monkeypatch.setattr(cli, "generate_six_term_family", lambda pair, seed: ZERO_WEIGHT_TRIPLES)
+        code, out, err = run_cli(["claim-check", "--random", "1"])
+        assert code == 1
+        assert out == ""
+        assert err == "internal consistency failure: a weight vanishes on a nondegenerate instance\n"
 
     def test_theorem_check_defect_fires(self, monkeypatch):
         # seed 0, trial 0 is tangent with a certificate: only the defect fails

@@ -5,9 +5,11 @@ from math import lcm, prod
 
 import pytest
 from conftest import (
+    ZERO_WEIGHT_TRIPLES,
     count_calls,
     kills,
     monomials,
+    nondegenerate_analysis,
     power_map_rows,
     random_fraction,
     random_invertible_3x3,
@@ -367,8 +369,7 @@ class TestKernelDescend:
 
     def test_contact_vector_reproduces_weights(self):
         inst = flagship_instance()
-        dec = inst.to_decomposition()
-        cert = tangency_certificate(dec, line_x2())
+        cert = analyze(inst.to_decomposition(), line_x2()).certificate
         w_form = HomogeneousForm.linear(cert.contact_vector)
         points = cert.restricted
         descended = tuple(a * w_form.evaluate(p) for a, p in zip(cert.annihilator, points))
@@ -399,7 +400,7 @@ class TestTangencyCertificate:
         inst = flagship_instance()
         dec = inst.to_decomposition()
         cofactor = extract_cofactor(dec.value(), line_x2())
-        cert = tangency_certificate(dec, line_x2())
+        cert = analyze(dec, line_x2()).certificate
         cert.verify()
         # independent tangency test agrees
         flag, point = BinaryQuadratic.from_form(restrict(cofactor, line_x2())).tangency()
@@ -413,11 +414,18 @@ class TestTangencyCertificate:
         assert sum(powers, HomogeneousForm.zero(2, 5)).is_zero()
 
     def test_repeated_intersection_points_rejected(self):
-        slopes = (0, 0, 1, 2, 3, 4, 5)
-        weights = tuple(Fraction(1) for _ in range(7))
-        lifts = tuple(Fraction(i) for i in range(7))
+        # four lines on slope 0 and three on slope 1 meet x2 = 0 in two
+        # points; each group is divisible by x2^2 (its weights and weighted
+        # lifts sum to 0), and without seven distinct points the rank-3
+        # cofactor need not be tangent
+        slopes = (0, 0, 0, 0, 1, 1, 1)
+        lifts = (0, 1, -1, 2, 0, 1, -1)
+        weights = (-5, 1, 3, 1, 2, -1, -1)
         dec = CoordinateInstance(slopes, lifts, weights).to_decomposition()
-        with pytest.raises(PreconditionError):
+        report = analyze(dec, line_x2())
+        assert report.divisible and report.conic_rank == 3 and report.tangent is False
+        assert report.certificate is None
+        with pytest.raises(PreconditionError, match="in seven distinct points"):
             tangency_certificate(dec, line_x2())
 
     def test_zero_cofactor_rejected(self):
@@ -425,18 +433,26 @@ class TestTangencyCertificate:
         alpha = vandermonde_nullspace(VandermondeSystem(slopes, 4))
         weights = tuple(2 * u - v for u, v in zip(alpha[0], alpha[1]))
         inst = CoordinateInstance(slopes, (0,) * 7, weights)
-        with pytest.raises(PreconditionError):
+        report = analyze(inst.to_decomposition(), line_x2())
+        assert report.divisible and report.cofactor.is_zero()
+        assert report.tangent is None and report.certificate is None
+        with pytest.raises(PreconditionError, match="cofactor conic is zero"):
             tangency_certificate(inst.to_decomposition(), line_x2())
 
     def test_not_double_line_rejected(self):
         terms = tuple(
             (Fraction(1), HomogeneousForm.linear((1, i, 0))) for i in range(7)
         )
-        with pytest.raises(PreconditionError):
+        report = analyze(WaringDecomposition(terms), line_x2())
+        assert not report.divisible and report.certificate is None
+        with pytest.raises(PreconditionError, match="not divisible"):
             tangency_certificate(WaringDecomposition(terms), line_x2())
 
     def test_six_terms_rejected(self):
-        with pytest.raises(PreconditionError):
+        report = analyze(reference_decomposition(), line_x2())
+        assert report.divisible and report.conic_rank == 3
+        assert report.certificate is None
+        with pytest.raises(PreconditionError, match="expected 7 terms, got 6"):
             tangency_certificate(reference_decomposition(), line_x2())
 
     def test_base_line_as_a_term_rejected(self):
@@ -470,7 +486,7 @@ class TestTangencyCertificate:
             generated = generate_tangent_instance(slopes, params, seed=trial)
             if generated.quartic.cofactor.is_zero():
                 continue
-            cert = tangency_certificate(generated.instance.to_decomposition(), line_x2())
+            cert = analyze(generated.instance.to_decomposition(), line_x2()).certificate
             cert.verify()
             restricted = restrict(generated.quartic.cofactor, line_x2())
             flag, point = BinaryQuadratic.from_form(restricted).tangency()
@@ -535,7 +551,7 @@ class TestCertificateTampering:
 
     @pytest.fixture(scope="class")
     def certificate(self):
-        return tangency_certificate(flagship_instance().to_decomposition(), line_x2())
+        return analyze(flagship_instance().to_decomposition(), line_x2()).certificate
 
     @staticmethod
     def assert_fails(tampered, message):
@@ -624,7 +640,7 @@ class TestCertificateTamperingFractionalPoints(TestCertificateTampering):
 
         terms = generated.instance.to_decomposition().terms
         dec = WaringDecomposition(tuple((w, move(f.linear_coefficients())) for w, f in terms))
-        cert = tangency_certificate(dec, move((0, 0, 1)))
+        cert = analyze(dec, move((0, 0, 1))).certificate
         assert lcm(*(x.denominator for p in cert.restricted for x in p)) == 3
         return cert
 
@@ -638,7 +654,7 @@ class TestCertificateTamperingFractionalWeights(TestCertificateTampering):
     def certificate(self):
         inst = flagship_instance()
         scaled = CoordinateInstance(inst.slopes, inst.lifts, tuple(w / 7 for w in inst.weights))
-        cert = tangency_certificate(scaled.to_decomposition(), line_x2())
+        cert = analyze(scaled.to_decomposition(), line_x2()).certificate
         assert lcm(*(w.denominator for w in cert.weights)) == 7
         return cert
 
@@ -896,6 +912,24 @@ class TestTwoValueCollapse:
             (0, 1, 2, 3, 4, 5), (0,) * 6, (1, 1, 1, 1, 1, 1)
         )
         with pytest.raises(PreconditionError):
+            two_value_collapse_check(inst)
+
+    @pytest.mark.parametrize(
+        "inst, message",
+        [
+            (ZERO_WEIGHT_TRIPLES, "a weight vanishes on a nondegenerate instance"),
+            (
+                CoordinateInstance((0, 0, 1, 1, 1, 1), (0, 1, -1, 0, 1, -1), (2, -1, -1, 2, -1, -1)),
+                "slopes do not collapse to two triples",
+            ),
+        ],
+        ids=["zero-weight", "not-two-triples"],
+    )
+    def test_violation_fires(self, monkeypatch, inst, message):
+        # no genuine instance reaches either raise, so analyze reports the
+        # nondegenerate case for instances that are not in it
+        nondegenerate_analysis(monkeypatch)
+        with pytest.raises(TheoremViolationError, match=message):
             two_value_collapse_check(inst)
 
 

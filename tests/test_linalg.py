@@ -4,6 +4,7 @@ from math import comb, gcd
 
 import pytest
 from conftest import (
+    gauss_jordan,
     kills,
     minor_rank,
     random_fraction,
@@ -52,39 +53,50 @@ def proportional(u, v):
     return all(a * b0 == b * a0 for a, b in pairs)
 
 
+def rref_rows(rows, ncols):
+    """``rref`` of the matrix with these rows, as lists of rows, its rank and
+    its pivots: the layout of ``gauss_jordan``."""
+    reduced, rank, pivots = rref(RationalMatrix(len(rows), ncols, [x for row in rows for x in row]))
+    return [reduced.row(i) for i in range(reduced.rows)], rank, pivots
+
+
 class TestRref:
+    """The Gauss-Jordan properties hold for the ``gauss_jordan`` oracle, and
+    ``rref`` agrees with the oracle on reduced rows, rank and pivots."""
+
     def test_identity(self):
-        m = RationalMatrix.from_rows([[int(i == j) for j in range(3)] for i in range(3)])
-        reduced, rank, pivots = rref(m)
-        assert reduced == m and rank == 3 and pivots == (0, 1, 2)
+        rows = [[int(i == j) for j in range(3)] for i in range(3)]
+        assert gauss_jordan(rows) == (rows, 3, (0, 1, 2))
+        assert rref_rows(rows, 3) == gauss_jordan(rows)
 
     def test_proportional_rows(self):
-        m = RationalMatrix.from_rows([[1, 2], [2, 4]])
-        reduced, rank, pivots = rref(m)
-        assert reduced == RationalMatrix.from_rows([[1, 2], [0, 0]])
-        assert rank == 1 and pivots == (0,)
+        rows = [[1, 2], [2, 4]]
+        assert gauss_jordan(rows) == ([[1, 2], [0, 0]], 1, (0,))
+        assert rref_rows(rows, 2) == gauss_jordan(rows)
 
     def test_rank_against_minor_oracle(self):
         rng = random.Random(23)
         for _ in range(10):
             rows = [[random_fraction(rng, 6, 4) for _ in range(7)] for _ in range(5)]
-            _, rank, _ = rref(RationalMatrix.from_rows(rows))
-            assert rank == minor_rank(rows)
+            assert gauss_jordan(rows)[1] == minor_rank(rows)
+            assert rref_rows(rows, 7) == gauss_jordan(rows)
 
     def test_rref_shape_properties(self):
         rng = random.Random(29)
         for _ in range(20):
             rows = [[random_fraction(rng, 5, 3) for _ in range(5)] for _ in range(4)]
-            reduced, rank, pivots = rref(RationalMatrix.from_rows(rows))
+            reduced, rank, pivots = gauss_jordan(rows)
+            assert rank == len(pivots)
             for i, pc in enumerate(pivots):
-                assert reduced[i, pc] == 1
-                for k in range(reduced.rows):
+                assert reduced[i][pc] == 1
+                for k in range(len(reduced)):
                     if k != i:
-                        assert reduced[k, pc] == 0
+                        assert reduced[k][pc] == 0
+            assert rref_rows(rows, 5) == (reduced, rank, pivots)
 
     def test_empty_matrix(self):
-        reduced, rank, pivots = rref(RationalMatrix(0, 4, []))
-        assert rank == 0 and pivots == ()
+        assert gauss_jordan([]) == ([], 0, ())
+        assert rref_rows([], 4) == ([], 0, ())
 
 
 class TestRank:
@@ -99,7 +111,7 @@ class TestRank:
             elif shape == 2:
                 rows.insert(rng.randrange(nrows + 1), list(rng.choice(rows)))
             before = [list(row) for row in rows]
-            assert rank(rows) == minor_rank(rows) == rref(RationalMatrix.from_rows(rows))[1]
+            assert rank(rows) == minor_rank(rows) == gauss_jordan(rows)[1]
             assert rows == before
 
     def test_empty_and_zero_matrices(self):
@@ -192,8 +204,7 @@ class TestVandermonde:
         basis = vandermonde_nullspace(VandermondeSystem(tuple(Fraction(i) for i in range(7)), 4))
         assert len(basis) == 2
         member = (1, -5, 10, -10, 5, -1, 0)
-        stacked = RationalMatrix.from_rows([list(v) for v in basis] + [list(member)])
-        assert rref(stacked)[1] == 2
+        assert gauss_jordan([*basis, member])[1] == 2
 
     def test_repeated_nodes_rejected(self):
         with pytest.raises(DegenerateNodesError):
@@ -229,9 +240,7 @@ class TestWeightedMomentKernel:
         alpha = vandermonde_nullspace(VandermondeSystem(nodes, 4))[0]
         kernel = weighted_moment_kernel(nodes, alpha, 3)
         assert len(kernel.basis) == 2
-        found = RationalMatrix.from_rows([list(v) for v in kernel.basis])
-        expected = RationalMatrix.from_rows([[1] * 6, list(nodes)])
-        assert rref(found)[0] == rref(expected)[0]
+        assert gauss_jordan(kernel.basis)[0] == gauss_jordan([[1] * 6, nodes])[0]
 
     def test_membership(self):
         nodes = tuple(Fraction(i) for i in range(6))
