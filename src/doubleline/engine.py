@@ -23,6 +23,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
+from math import gcd, prod
 from typing import Sequence
 
 from . import sympoly
@@ -185,7 +187,7 @@ def power_kernel(restricted: FormTuple, degree: int) -> KernelBasis:
         raise StructuralError("expected a tuple of binary linear forms")
     if degree < 0:
         raise StructuralError("degree must be non-negative")
-    vectors = moment_kernel([f.linear_coefficients() for f in restricted], degree)
+    (vectors,) = moment_kernel([f.linear_coefficients() for f in restricted], (degree,))
     return KernelBasis(vectors=tuple(vectors))
 
 
@@ -317,7 +319,7 @@ def _build_certificate(
     den, points = clear_rows(restricted)
     try:
         # seven points at degree 5 leave one free index, so one kernel vector
-        (annihilator,) = moment_kernel(points, 5)
+        [(annihilator,)] = moment_kernel(points, (5,))
     except DegenerateNodesError:
         return None  # a line restricts to zero, or two meet the base line in one point
     if any(a == 0 for a in annihilator):
@@ -405,64 +407,66 @@ def verify_identity_slice(
     constant, so the residue's support, the ``expanded_monomials`` count and
     the zero test are exactly those of the expansion over the Fraction
     slopes.  The residue itself is the rescaled polynomial.
+
+    The two big products multiply primitive parts.  With g_p the gcd of
+    s_p's coefficients and S_p = s_p / g_p, s_1 * s_1 is built as
+    g_1**2 * (S_1 * S_1) and s_0 * s_2 as g_0 * g_2 * (S_0 * S_2): the same
+    ints, so the residue and ``expanded_monomials`` are exactly those of the
+    direct products, while the factors multiplied term by term are much
+    shorter (by Gauss's lemma their products are primitive too).
     """
     hs = tuple(Fraction(h) for h in slopes)
     if len(hs) != 7:
         raise StructuralError(f"expected 7 slopes, got {len(hs)}")
-    alpha_basis = vandermonde_nullspace(VandermondeSystem(hs, 4))
-    beta_basis = vandermonde_nullspace(VandermondeSystem(hs, 3))
+    alpha_basis, beta_basis = vandermonde_nullspace(VandermondeSystem(hs, (4, 3)))
     den, nodes = sympoly.clear_denominators(hs)
-    nvars = len(alpha_basis) + len(beta_basis)
+    na = len(alpha_basis)
+    keys = [sympoly.monomial((0,) * j + (1,)) for j in range(na + len(beta_basis))]
 
-    alphas = []
-    betas = []
-    for i in range(7):
-        alphas.append(
-            sympoly.linear_combination(
-                [vec[i] for vec in alpha_basis],
-                [sympoly.variable(nvars, j) for j in range(len(alpha_basis))],
-            )
-        )
-        betas.append(
-            sympoly.linear_combination(
-                [vec[i] for vec in beta_basis],
-                [sympoly.variable(nvars, len(alpha_basis) + j) for j in range(len(beta_basis))],
-            )
-        )
+    # alpha_i and beta_i, straight from the kernel vectors' entries at index i
+    alphas = [{k: vec[i] for k, vec in zip(keys, alpha_basis) if vec[i]} for i in range(7)]
+    betas = [{k: vec[i] for k, vec in zip(keys[na:], beta_basis) if vec[i]} for i in range(7)]
 
     # products of all weight polynomials except one, via prefix/suffix arrays
-    one = sympoly.const(nvars, 1)
+    one = sympoly.const(0, 1)
     prefix = [one]
     for a in alphas:
         prefix.append(sympoly.mul(prefix[-1], a))
     suffix = [one]
     for a in reversed(alphas):
         suffix.append(sympoly.mul(suffix[-1], a))
-    cleared = [sympoly.mul(prefix[i], suffix[6 - i]) for i in range(7)]
 
-    # beta_i^2 times the product of the other weights, built once for all moments
-    terms = [sympoly.mul(sympoly.mul(b, b), c) for b, c in zip(betas, cleared)]
-    sums = [sympoly.linear_combination([h**p for h in nodes], terms) for p in range(3)]
+    # s_p = sum_i H_i**p * beta_i**2 * prod_{j != i} alpha_j, all three in one pass
+    s0: sympoly.Poly = {}
+    s1: sympoly.Poly = {}
+    s2: sympoly.Poly = {}
+    for i, (h, b) in enumerate(zip(nodes, betas)):
+        others = sympoly.mul(prefix[i], suffix[6 - i])
+        for t, c in sympoly.mul(sympoly.mul(b, b), others).items():
+            ch = c * h
+            s0[t] = s0.get(t, 0) + c
+            s1[t] = s1.get(t, 0) + ch
+            s2[t] = s2.get(t, 0) + ch * h
 
-    minuend = sympoly.mul(sums[1], sums[1])
-    subtrahend = sympoly.mul(sums[0], sums[2])
+    # each s_p as g_p times its primitive part (g_p = 1 for a zero s_p)
+    sums = (s0, s1, s2)
+    g0, g1, g2 = gcds = [gcd(*s.values()) or 1 for s in sums]
+    p0, p1, p2 = ({t: c // g for t, c in s.items() if c} for s, g in zip(sums, gcds))
+    minuend = sympoly.scale(sympoly.mul(p1, p1), g1 * g1)
+    subtrahend = sympoly.scale(sympoly.mul(p0, p2), g0 * g2)
     residue = sympoly.sub(minuend, subtrahend)
     if perturb:
         residue = sympoly.add(
             residue, sympoly.scale(sympoly.mul(prefix[7], prefix[7]), den * den)
         )
 
-    product = Fraction(1)
-    for i in range(7):
-        for j in range(i + 1, 7):
-            product *= hs[i] - hs[j]
-
     return IdentitySliceReport(
         slopes=hs,
-        alpha_dim=len(alpha_basis),
+        alpha_dim=na,
         beta_dim=len(beta_basis),
         expanded_monomials=len(minuend) + len(subtrahend),
-        node_difference_product=product,
+        # each of the 21 differences H_i - H_j is D times h_i - h_j
+        node_difference_product=Fraction(prod(a - b for a, b in combinations(nodes, 2)), den**21),
         residue=residue,
     )
 
@@ -500,7 +504,7 @@ def six_term_vanishing_check(slopes: Sequence[Fraction | int]) -> SixTermVanishi
     if len(hs) != 6:
         raise StructuralError(f"expected 6 slopes, got {len(hs)}")
     # six nodes at degree 4 leave one free index, so one annihilator
-    (alpha,) = vandermonde_nullspace(VandermondeSystem(hs, 4))
+    (alpha,), lifts = vandermonde_nullspace(VandermondeSystem(hs, (4, 3)))
     all_nonzero = all(a != 0 for a in alpha)
 
     # the lifts are b / alpha for b in the degree-3 kernel B; with no zero
@@ -509,7 +513,6 @@ def six_term_vanishing_check(slopes: Sequence[Fraction | int]) -> SixTermVanishi
     # slopes, so the family is the translations exactly when B, T and B with
     # T appended have one rank
     _, nodes = sympoly.clear_denominators(hs)
-    lifts = vandermonde_nullspace(VandermondeSystem(hs, 3))
     shifts = [alpha, [a * h for a, h in zip(alpha, nodes)]]
     family_matches = all_nonzero and rank(lifts) == rank(shifts) == rank([*lifts, *shifts])
 
@@ -632,7 +635,7 @@ def generate_tangent_instance(
         raise StructuralError("expected 3 lift parameters")
     # on ints: the kernel bases (U, V) and B_j are integer, parameters cleared to P_j / pd;
     # weight i is s*U_i + t*V_i, lift i is sum_j P_j*B_j[i] / pd / weight i
-    us, vs = vandermonde_nullspace(VandermondeSystem(hs, 4))
+    (us, vs), beta_basis = vandermonde_nullspace(VandermondeSystem(hs, (4, 3)))
     rng = random.Random(f"tangent-instance:{seed}")
     retries = 0
     for _ in range(MAX_WEIGHT_SAMPLES):
@@ -644,7 +647,6 @@ def generate_tangent_instance(
     else:
         raise GenerationFailureError("could not sample weights with all entries nonzero")
 
-    beta_basis = vandermonde_nullspace(VandermondeSystem(hs, 3))
     pd, ps = sympoly.clear_denominators(params)
     betas = [sum(p * b for p, b in zip(ps, column)) for column in zip(*beta_basis)]
     lifts = [Fraction(b, pd * w) for b, w in zip(betas, weights)]

@@ -136,17 +136,19 @@ def clear_rows(rows: Sequence[Sequence[Fraction | int]]) -> tuple[int, list[tupl
 
 
 def moment_kernel(
-    points: Sequence[tuple[Fraction | int, Fraction | int]], degree: int
-) -> list[IntVector]:
-    """RREF kernel basis of c |-> sum_i c_i (a_i x + b_i y)^degree, in closed form.
+    points: Sequence[tuple[Fraction | int, Fraction | int]], degrees: Sequence[int]
+) -> list[list[IntVector]]:
+    """RREF kernel bases of c |-> sum_i c_i (a_i x + b_i y)^d in closed form,
+    one basis for each degree d in ``degrees``, in order.
 
     The points (a_i, b_i), ints or Fractions, must be nonzero and pairwise
     non-proportional, else DegenerateNodesError.  Degree -1 imposes no
     constraint (identity basis).  Each vector is a tuple of ints with content
-    1 and a positive leading entry.  The formula and why it is the RREF basis
-    are in the module docstring.
+    1 and a positive leading entry.  The points are cleared and their
+    brackets tabled once for all the degrees.  The formula and why it is the
+    RREF basis are in the module docstring.
     """
-    if degree < -1:
+    if any(degree < -1 for degree in degrees):
         raise StructuralError("degree must be at least -1")
     # scaling every point by one integer scales every entry by one constant
     pts = clear_rows(points)[1]
@@ -160,38 +162,44 @@ def moment_kernel(
             det[i][j] = -det[j][i]
             if not det[j][i]:
                 raise DegenerateNodesError(f"points {j} and {i} are proportional")
-    basis: list[IntVector] = []
-    for f in range(degree + 1, n):
-        support = [*range(degree + 1), f]
-        prods = [prod(det[j][i] for j in support if j != i) for i in support]
-        # M / prod_i is the integer vector, before its content is divided out
-        m = lcm(*prods)
-        vec = [0] * n
-        for i, p in zip(support, prods):
-            vec[i] = m // p
-        basis.append(normalize_vector(vec))
-    return basis
+    bases: list[list[IntVector]] = []
+    for degree in degrees:
+        basis: list[IntVector] = []
+        for f in range(degree + 1, n):
+            support = [*range(degree + 1), f]
+            prods = [prod(det[j][i] for j in support if j != i) for i in support]
+            # M / prod_i is the integer vector, before its content is divided out
+            m = lcm(*prods)
+            vec = [0] * n
+            for i, p in zip(support, prods):
+                vec[i] = m // p
+            basis.append(normalize_vector(vec))
+        bases.append(basis)
+    return bases
 
 
 @dataclass(frozen=True)
 class VandermondeSystem:
-    """Moment constraints sum_i c_i h_i^d = 0 for 0 <= d <= max_power."""
+    """Moment constraints sum_i c_i h_i^d = 0 for 0 <= d <= p, one system for
+    each p in ``max_powers``, all on the same nodes."""
 
     nodes: tuple[Fraction | int, ...]
-    max_power: int
+    max_powers: tuple[int, ...]
 
 
-def vandermonde_nullspace(system: VandermondeSystem) -> list[IntVector]:
-    """Basis of moment annihilators; dimension n - max_power - 1 for distinct nodes."""
+def vandermonde_nullspace(system: VandermondeSystem) -> list[list[IntVector]]:
+    """Bases of moment annihilators, one per max power p in order; dimension
+    n - p - 1 for distinct nodes."""
     n = len(system.nodes)
     seen: set[Fraction | int] = set()
     for h in system.nodes:
         if h in seen:
             raise DegenerateNodesError(f"repeated node {h}")
         seen.add(h)
-    if system.max_power > n - 1:
-        raise StructuralError(f"max_power {system.max_power} exceeds n-1 = {n - 1}")
-    return moment_kernel([(1, h) for h in system.nodes], system.max_power)
+    for max_power in system.max_powers:
+        if max_power > n - 1:
+            raise StructuralError(f"max_power {max_power} exceeds n-1 = {n - 1}")
+    return moment_kernel([(1, h) for h in system.nodes], system.max_powers)
 
 
 @dataclass(frozen=True)
@@ -216,7 +224,7 @@ def weighted_moment_kernel(
     ws = tuple(Fraction(a) for a in weights)  # b / a stays exact for int kernel vectors b
     if len(hs) != len(ws):
         raise StructuralError("nodes and weights must have equal length")
-    raw = vandermonde_nullspace(VandermondeSystem(hs, max_power))  # rejects repeated nodes first
+    (raw,) = vandermonde_nullspace(VandermondeSystem(hs, (max_power,)))  # rejects repeated nodes first
     for i, a in enumerate(ws):
         if a == 0:
             raise InvalidInputError(f"weight {i} is zero")

@@ -95,13 +95,25 @@ def scale(p: Poly, value: Coefficient) -> Poly:
 
 
 def mul(p: Poly, q: Poly) -> Poly:
+    """p*q in a new dict.  A square (``q is p``) visits each unordered pair of
+    terms once: c*c on the diagonal and 2*c1*c2 off it."""
     out: Poly = {}
     get = out.get
-    q_terms = list(q.items())
-    for t1, c1 in p.items():
-        for t2, c2 in q_terms:
-            term = t1 + t2
-            out[term] = get(term, 0) + c1 * c2
+    if q is p:
+        terms = list(p.items())
+        for k, (t1, c1) in enumerate(terms):
+            term = t1 + t1
+            out[term] = get(term, 0) + c1 * c1
+            c1 += c1  # each cross term t1 + t2 stands for two ordered pairs
+            for t2, c2 in terms[k + 1 :]:
+                term = t1 + t2
+                out[term] = get(term, 0) + c1 * c2
+    else:
+        q_terms = list(q.items())
+        for t1, c1 in p.items():
+            for t2, c2 in q_terms:
+                term = t1 + t2
+                out[term] = get(term, 0) + c1 * c2
     if any(term & _GUARD for term in out):
         raise StructuralError(f"exponent above {MAX_EXPONENT} in a product")
     return {t: c for t, c in out.items() if c}
@@ -116,13 +128,6 @@ def power(p: Poly, exponent: int) -> Poly:
         out = mul(out, out)
         if bit == "1":
             out = mul(out, p)
-    return out
-
-
-def linear_combination(coeffs, polys) -> Poly:
-    out: Poly = {}
-    for c, p in zip(coeffs, polys):
-        out = add(out, scale(p, c))
     return out
 
 

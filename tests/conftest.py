@@ -152,7 +152,7 @@ def reference_tangent_instance(slopes, lift_params, seed: int):
     parameters' combination of the degree-3 kernel vectors over its weight."""
     hs = tuple(Fraction(h) for h in slopes)
     params = tuple(Fraction(p) for p in lift_params)
-    alpha_basis = vandermonde_nullspace(VandermondeSystem(hs, 4))
+    alpha_basis, beta_basis = vandermonde_nullspace(VandermondeSystem(hs, (4, 3)))
     rng = random.Random(f"tangent-instance:{seed}")
     retries = 0
     for _ in range(engine.MAX_WEIGHT_SAMPLES):
@@ -163,7 +163,6 @@ def reference_tangent_instance(slopes, lift_params, seed: int):
         retries += 1
     else:
         raise GenerationFailureError("could not sample weights with all entries nonzero")
-    beta_basis = vandermonde_nullspace(VandermondeSystem(hs, 3))
     beta = [sum((p * vec[i] for p, vec in zip(params, beta_basis)), Fraction(0)) for i in range(7)]
     lifts = tuple(b / w for b, w in zip(beta, weights))
     return engine.CoordinateInstance(hs, lifts, weights), retries
@@ -176,7 +175,7 @@ def reference_family_is_translations(slopes) -> bool:
     ``linalg`` when called, so a patched ``linalg.vandermonde_nullspace``
     reaches this comparison too."""
     hs = [Fraction(h) for h in slopes]
-    (alpha,) = linalg.vandermonde_nullspace(VandermondeSystem(hs, 4))
+    (alpha,) = linalg.vandermonde_nullspace(VandermondeSystem(hs, (4,)))[0]
     found = linalg.weighted_moment_kernel(hs, alpha, 3).basis
     expected = [[Fraction(1)] * len(hs), hs]
     return gauss_jordan(found)[0] == gauss_jordan(expected)[0]
@@ -194,18 +193,21 @@ def wrong_kernel(monkeypatch, fault: str) -> None:
     zero)."""
     original = linalg.vandermonde_nullspace
 
-    def faulty(system):
-        if fault == "degree-2" and system.max_power == 3:
-            return original(VandermondeSystem(system.nodes, 2))
-        basis = original(system)
-        if fault == "one-entry" and system.max_power == 3:
+    def answer(nodes, max_power, basis):
+        if fault == "degree-2" and max_power == 3:
+            return original(VandermondeSystem(nodes, (2,)))[0]
+        if fault == "one-entry" and max_power == 3:
             return [(basis[0][0] + 1, *basis[0][1:]), *basis[1:]]
-        if fault == "zero-annihilator" and system.max_power == 4:
+        if fault == "zero-annihilator" and max_power == 4:
             return [(0, *vec[1:]) for vec in basis]
-        if fault == "off-kernel" and system.max_power == 4:
-            lift = original(VandermondeSystem(system.nodes, 3))[0]
+        if fault == "off-kernel" and max_power == 4:
+            lift = original(VandermondeSystem(nodes, (3,)))[0][0]
             return [tuple(a + b for a, b in zip(basis[0], lift))]
         return basis
+
+    def faulty(system):
+        bases = original(system)
+        return [answer(system.nodes, p, b) for p, b in zip(system.max_powers, bases)]
 
     monkeypatch.setattr(engine, "vandermonde_nullspace", faulty)
     monkeypatch.setattr(linalg, "vandermonde_nullspace", faulty)

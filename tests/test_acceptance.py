@@ -108,7 +108,7 @@ def test_criterion_3_vandermonde_closed_form():
         for trial in range(100):
             n = 6 if trial % 2 == 0 else 7
             nodes = sample_nodes(rng, n)
-            basis = vandermonde_nullspace(VandermondeSystem(nodes, n - 2))
+            basis = vandermonde_nullspace(VandermondeSystem(nodes, (n - 2,)))[0]
             assert len(basis) == 1
             closed = []
             for h in nodes:
@@ -187,7 +187,7 @@ def test_criterion_7_discriminant_bridge():
             slopes = sample_nodes(rng, 7)
             if trial % 2 == 0:
                 # genuine moment-system solution
-                alpha_basis = vandermonde_nullspace(VandermondeSystem(slopes, 4))
+                alpha_basis = vandermonde_nullspace(VandermondeSystem(slopes, (4,)))[0]
                 weights = None
                 while weights is None or any(w == 0 for w in weights):
                     weights = tuple(

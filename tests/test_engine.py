@@ -101,7 +101,7 @@ def flagship_instance() -> CoordinateInstance:
 
 def moment_solution(rng: random.Random, slopes) -> CoordinateInstance:
     """Random exact solution of both moment systems on the given slopes."""
-    alpha_basis = vandermonde_nullspace(VandermondeSystem(slopes, 4))
+    alpha_basis, beta_basis = vandermonde_nullspace(VandermondeSystem(slopes, (4, 3)))
     while True:
         coords = [Fraction(rng.randint(-9, 9)) for _ in alpha_basis]
         weights = tuple(
@@ -110,7 +110,6 @@ def moment_solution(rng: random.Random, slopes) -> CoordinateInstance:
         )
         if all(w != 0 for w in weights):
             break
-    beta_basis = vandermonde_nullspace(VandermondeSystem(slopes, 3))
     coords = [random_fraction(rng, 6, 3) for _ in beta_basis]
     beta = tuple(
         sum((c * vec[i] for c, vec in zip(coords, beta_basis)), Fraction(0))
@@ -127,6 +126,14 @@ ACCEPTANCE_SLICES = [
 ]
 
 
+# sampled slices that each hold a negative and a fractional slope
+MIXED_SIGN_FRACTION_SLICES = [
+    hs
+    for hs in (sample_nodes(random.Random(2000 + k), 7) for k in range(12))
+    if any(h < 0 for h in hs) and any(h.denominator > 1 for h in hs)
+][:8]
+
+
 def fraction_identity_expansion(slopes):
     """The identity-slice expansion over the Fraction kernel data, term by term.
 
@@ -134,8 +141,7 @@ def fraction_identity_expansion(slopes):
     perturbed control, with exponent-tuple keys.
     """
     hs = tuple(Fraction(h) for h in slopes)
-    alpha_basis = vandermonde_nullspace(VandermondeSystem(hs, 4))
-    beta_basis = vandermonde_nullspace(VandermondeSystem(hs, 3))
+    alpha_basis, beta_basis = vandermonde_nullspace(VandermondeSystem(hs, (4, 3)))
     nvars = len(alpha_basis) + len(beta_basis)
     symbols = [ref_variable(nvars, j) for j in range(nvars)]
 
@@ -165,7 +171,7 @@ def fraction_six_term_quartic(slopes, alpha=None):
     default the degree-4 kernel vector."""
     hs = tuple(Fraction(h) for h in slopes)
     if alpha is None:
-        (alpha,) = vandermonde_nullspace(VandermondeSystem(hs, 4))
+        (alpha,) = vandermonde_nullspace(VandermondeSystem(hs, (4,)))[0]
     x0, x1, x2, t0, t1 = (ref_variable(5, i) for i in range(5))
     quartic: dict = {}
     for h, a in zip(hs, alpha):
@@ -430,7 +436,7 @@ class TestTangencyCertificate:
 
     def test_zero_cofactor_rejected(self):
         slopes = tuple(Fraction(i) for i in range(7))
-        alpha = vandermonde_nullspace(VandermondeSystem(slopes, 4))
+        alpha = vandermonde_nullspace(VandermondeSystem(slopes, (4,)))[0]
         weights = tuple(2 * u - v for u, v in zip(alpha[0], alpha[1]))
         inst = CoordinateInstance(slopes, (0,) * 7, weights)
         report = analyze(inst.to_decomposition(), line_x2())
@@ -461,7 +467,7 @@ class TestTangencyCertificate:
         # so adding 1 * x2^4 makes the value x2^4 and the cofactor x2^2; the
         # seventh line x2 restricts to zero on x2 = 0
         slopes = tuple(Fraction(h) for h in (0, 1, 3, -2, Fraction(1, 2), 5))
-        (alpha,) = vandermonde_nullspace(VandermondeSystem(slopes, 4))
+        (alpha,) = vandermonde_nullspace(VandermondeSystem(slopes, (4,)))[0]
         t0, t1 = Fraction(2), Fraction(-3, 2)
         terms = tuple(
             (a, HomogeneousForm.linear((1, h, t0 + t1 * h))) for a, h in zip(alpha, slopes)
@@ -798,6 +804,17 @@ class TestIdentitySlice:
         with pytest.raises(DegenerateNodesError):
             verify_identity_slice((0, 1, 2, 3, 4, 5, 5))
 
+    @pytest.mark.parametrize("slopes", ACCEPTANCE_SLICES + MIXED_SIGN_FRACTION_SLICES)
+    def test_node_difference_product_is_the_fraction_product(self, slopes):
+        # the product is taken on the cleared nodes D * h_i over D**21; the
+        # oracle multiplies the 21 Fraction differences h_i - h_j, i < j
+        hs = [Fraction(h) for h in slopes]
+        expected = Fraction(1)
+        for i in range(7):
+            for j in range(i + 1, 7):
+                expected *= hs[i] - hs[j]
+        assert verify_identity_slice(slopes).node_difference_product == expected
+
     @pytest.mark.parametrize(
         "slopes",
         ACCEPTANCE_SLICES + [sample_nodes(random.Random(1000 + k), 7) for k in range(12)],
@@ -815,8 +832,8 @@ class TestIdentitySlice:
         den = lcm(*(h.denominator for h in hs))
         scales = [
             lcm(*(x.denominator for x in vec))
-            for degree in (4, 3)
-            for vec in vandermonde_nullspace(VandermondeSystem(hs, degree))
+            for basis in vandermonde_nullspace(VandermondeSystem(hs, (4, 3)))
+            for vec in basis
         ]
         expected = {
             term: den**2 * prod(c**e for c, e in zip(scales, term)) * coeff

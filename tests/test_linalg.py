@@ -4,6 +4,7 @@ from math import comb, gcd
 
 import pytest
 from conftest import (
+    count_calls,
     gauss_jordan,
     kills,
     minor_rank,
@@ -123,19 +124,19 @@ class TestRank:
 class TestMomentKernel:
     def test_no_constraints_gives_identity_basis(self):
         points = [(1, 0), (1, 2), (0, 1)]
-        assert moment_kernel(points, -1) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        assert moment_kernel(points, (-1,))[0] == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
     def test_fifth_difference_oracle(self):
         # independent oracle: the 5th finite difference kills powers d <= 4
         vec = [comb(5, i) * (-1) ** i for i in range(6)]
         rows = vandermonde_rows(range(6), 4)
         assert kills(rows, vec)
-        basis = moment_kernel([(1, i) for i in range(6)], 4)
+        basis = moment_kernel([(1, i) for i in range(6)], (4,))[0]
         assert basis == [tuple(vec)]
 
     def test_point_at_infinity(self):
         # y, x and x + y: the one relation is x + y - (x + y) = 0
-        assert moment_kernel([(0, 1), (1, 0), (1, 1)], 1) == [(1, 1, -1)]
+        assert moment_kernel([(0, 1), (1, 0), (1, 1)], (1,))[0] == [(1, 1, -1)]
 
     def test_vectors_are_primitive_integer_vectors(self):
         rng = random.Random(37)
@@ -146,7 +147,7 @@ class TestMomentKernel:
             if trial % 2:
                 points = [(h.denominator, h.numerator) for h in nodes]  # int points
             for degree in range(-1, 6):
-                for vec in moment_kernel(points, degree):
+                for vec in moment_kernel(points, (degree,))[0]:
                     assert all(type(x) is int for x in vec)
                     assert gcd(*vec) == 1 and next(x for x in vec if x) > 0
 
@@ -154,28 +155,56 @@ class TestMomentKernel:
         # a kernel vector leaves linalg as ints: no entry is built as a Fraction
         nodes = tuple(Fraction(k, 3) for k in range(-3, 4))
         int_points = [(3, k) for k in range(-3, 4)]
-        expected = {d: moment_kernel(int_points, d) for d in range(-1, 6)}
+        expected = {d: moment_kernel(int_points, (d,))[0] for d in range(-1, 6)}
+        degrees = tuple(range(-1, 6))
 
         def refuse(*args):
             raise AssertionError("linalg constructed a Fraction")
 
         monkeypatch.setattr(linalg, "Fraction", refuse)
         for d in range(-1, 6):
-            assert moment_kernel(int_points, d) == expected[d]
-            assert moment_kernel([(1, h) for h in nodes], d) == expected[d]
-            assert vandermonde_nullspace(VandermondeSystem(nodes, d)) == expected[d]
+            assert moment_kernel(int_points, (d,))[0] == expected[d]
+            assert moment_kernel([(1, h) for h in nodes], (d,))[0] == expected[d]
+            assert vandermonde_nullspace(VandermondeSystem(nodes, (d,)))[0] == expected[d]
+        assert vandermonde_nullspace(VandermondeSystem(nodes, degrees)) == [*expected.values()]
         assert normalize_vector((Fraction(-1, 120), Fraction(1, 24))) == (1, -5)
         assert normalize_vector((Fraction(0), Fraction(0))) == (0, 0)
 
     def test_degenerate_points_rejected(self):
         with pytest.raises(DegenerateNodesError, match="points 0 and 2"):
-            moment_kernel([(1, 2), (1, 3), (2, 4)], 1)
+            moment_kernel([(1, 2), (1, 3), (2, 4)], (1,))
         with pytest.raises(DegenerateNodesError, match="point 1 is zero"):
-            moment_kernel([(1, 2), (0, 0)], 0)
+            moment_kernel([(1, 2), (0, 0)], (0,))
 
     def test_degree_below_minus_one_rejected(self):
         with pytest.raises(StructuralError):
-            moment_kernel([(1, 0), (1, 1)], -2)
+            moment_kernel([(1, 0), (1, 1)], (-2,))
+        with pytest.raises(StructuralError, match="degree must be at least -1"):
+            moment_kernel([(1, 0), (1, 1)], (0, -2))
+
+    def test_several_degrees_share_one_clearing(self, monkeypatch):
+        # one basis per degree, in the order asked, each equal to the basis
+        # of its own call, from one clearing of the points
+        rng = random.Random(41)
+        calls = count_calls(monkeypatch, linalg, "clear_rows")
+        for _ in range(10):
+            scale = random_fraction(rng) or Fraction(1)
+            points = [(scale, scale * h) for h in sample_nodes(rng, 7)]
+            single = {d: moment_kernel(points, (d,))[0] for d in range(-1, 6)}
+            before = len(calls)
+            for degrees in [(4, 3), (5, -1, 2, 5), ()]:
+                assert moment_kernel(points, degrees) == [single[d] for d in degrees]
+            assert len(calls) - before == 3
+
+    def test_several_degrees_keep_the_error_messages(self):
+        with pytest.raises(DegenerateNodesError, match="points 0 and 2 are proportional"):
+            moment_kernel([(1, 2), (1, 3), (2, 4)], (1, 0))
+        with pytest.raises(DegenerateNodesError, match="point 1 is zero"):
+            moment_kernel([(1, 2), (0, 0)], (0, -1))
+        with pytest.raises(DegenerateNodesError, match="repeated node 3"):
+            vandermonde_nullspace(VandermondeSystem((0, 3, 1, 3, 4, 5, 6), (4, 3)))
+        with pytest.raises(StructuralError, match="max_power 7 exceeds n-1 = 6"):
+            vandermonde_nullspace(VandermondeSystem(tuple(range(7)), (4, 7)))
 
     @given(
         st.lists(fractions_st, min_size=1, max_size=8, unique=True).flatmap(
@@ -185,7 +214,7 @@ class TestMomentKernel:
     def test_vandermonde_matches_reference(self, case):
         nodes, max_power = case
         rows = vandermonde_rows(nodes, max_power)
-        basis = vandermonde_nullspace(VandermondeSystem(tuple(nodes), max_power))
+        basis = vandermonde_nullspace(VandermondeSystem(tuple(nodes), (max_power,)))[0]
         assert basis == reference_kernel(rows, len(nodes))
         assert len(basis) == len(nodes) - max_power - 1
         assert all(kills(rows, vec) for vec in basis)
@@ -193,33 +222,33 @@ class TestMomentKernel:
 
 class TestVandermonde:
     def test_closed_form_six_nodes(self):
-        basis = vandermonde_nullspace(VandermondeSystem(tuple(Fraction(i) for i in range(6)), 4))
+        basis = vandermonde_nullspace(VandermondeSystem(tuple(Fraction(i) for i in range(6)), (4,)))[0]
         assert basis == [(1, -5, 10, -10, 5, -1)]
 
     def test_closed_form_seven_nodes(self):
-        basis = vandermonde_nullspace(VandermondeSystem(tuple(Fraction(i) for i in range(7)), 5))
+        basis = vandermonde_nullspace(VandermondeSystem(tuple(Fraction(i) for i in range(7)), (5,)))[0]
         assert basis == [(1, -6, 15, -20, 15, -6, 1)]
 
     def test_two_dimensional_contains_shifted_differences(self):
-        basis = vandermonde_nullspace(VandermondeSystem(tuple(Fraction(i) for i in range(7)), 4))
+        basis = vandermonde_nullspace(VandermondeSystem(tuple(Fraction(i) for i in range(7)), (4,)))[0]
         assert len(basis) == 2
         member = (1, -5, 10, -10, 5, -1, 0)
         assert gauss_jordan([*basis, member])[1] == 2
 
     def test_repeated_nodes_rejected(self):
         with pytest.raises(DegenerateNodesError):
-            vandermonde_nullspace(VandermondeSystem((Fraction(0), Fraction(0), Fraction(1)), 1))
+            vandermonde_nullspace(VandermondeSystem((Fraction(0), Fraction(0), Fraction(1)), (1,)))
 
     def test_max_power_out_of_range(self):
         with pytest.raises(StructuralError):
-            vandermonde_nullspace(VandermondeSystem((Fraction(0), Fraction(1)), 2))
+            vandermonde_nullspace(VandermondeSystem((Fraction(0), Fraction(1)), (2,)))
 
     def test_closed_form_on_random_node_sets(self):
         rng = random.Random(31)
         for trial in range(100):
             n = 6 if trial % 2 == 0 else 7
             nodes = sample_nodes(rng, n)
-            basis = vandermonde_nullspace(VandermondeSystem(nodes, n - 2))
+            basis = vandermonde_nullspace(VandermondeSystem(nodes, (n - 2,)))[0]
             assert len(basis) == 1
             assert proportional(basis[0], closed_form_annihilator(nodes))
 
@@ -228,23 +257,23 @@ class TestVandermonde:
         for _ in range(25):
             nodes = sample_nodes(rng, 7)
             for d in range(6):
-                basis = vandermonde_nullspace(VandermondeSystem(nodes, d))
+                basis = vandermonde_nullspace(VandermondeSystem(nodes, (d,)))[0]
                 assert len(basis) == 6 - d
-            generator = vandermonde_nullspace(VandermondeSystem(nodes, 5))[0]
+            generator = vandermonde_nullspace(VandermondeSystem(nodes, (5,)))[0][0]
             assert all(x != 0 for x in generator)
 
 
 class TestWeightedMomentKernel:
     def test_translation_family(self):
         nodes = tuple(Fraction(i) for i in range(6))
-        alpha = vandermonde_nullspace(VandermondeSystem(nodes, 4))[0]
+        alpha = vandermonde_nullspace(VandermondeSystem(nodes, (4,)))[0][0]
         kernel = weighted_moment_kernel(nodes, alpha, 3)
         assert len(kernel.basis) == 2
         assert gauss_jordan(kernel.basis)[0] == gauss_jordan([[1] * 6, nodes])[0]
 
     def test_membership(self):
         nodes = tuple(Fraction(i) for i in range(6))
-        alpha = vandermonde_nullspace(VandermondeSystem(nodes, 4))[0]
+        alpha = vandermonde_nullspace(VandermondeSystem(nodes, (4,)))[0][0]
         kernel = weighted_moment_kernel(nodes, alpha, 3)
         for vec in kernel.basis:
             for d in range(4):
@@ -267,7 +296,7 @@ class TestWeightedMomentKernel:
         # the kernel vectors are ints, so b / weight is exact only because the
         # weights are coerced to Fractions
         nodes = tuple(range(6))
-        (alpha,) = vandermonde_nullspace(VandermondeSystem(nodes, 4))
+        (alpha,) = vandermonde_nullspace(VandermondeSystem(nodes, (4,)))[0]
         assert all(type(a) is int for a in alpha)
         kernel = weighted_moment_kernel(nodes, alpha, 3)
         assert len(kernel.basis) == 2

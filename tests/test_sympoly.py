@@ -29,6 +29,18 @@ def ref(poly: dict) -> dict:
     return {t: Fraction(c) for t, c in poly.items()}
 
 
+def linear_combination(coeffs, polys) -> sympoly.Poly:
+    """sum_i coeffs_i * polys_i, built with ``sympoly.add`` and ``sympoly.scale``."""
+    out: sympoly.Poly = {}
+    for c, p in zip(coeffs, polys):
+        out = sympoly.add(out, sympoly.scale(p, c))
+    return out
+
+
+def variables() -> list[sympoly.Poly]:
+    return [sympoly.variable(NVARS, i) for i in range(NVARS)]
+
+
 class TestAgainstReference:
     @given(tuple_polys_st, tuple_polys_st)
     def test_add_sub(self, p, q):
@@ -40,6 +52,16 @@ class TestAgainstReference:
     @given(tuple_polys_st, tuple_polys_st)
     def test_mul(self, p, q):
         assert unpack(sympoly.mul(pack(p), pack(q)), NVARS, sympoly.BITS) == ref_mul(ref(p), ref(q))
+
+    @given(st.one_of(tuple_polys_st, int_polys_st))
+    def test_square_visits_each_pair_once(self, p):
+        # mul(p, p) takes the square path; a copy of p takes the general one
+        packed = pack(p)
+        square = sympoly.mul(packed, packed)
+        assert square == sympoly.mul(packed, dict(packed))
+        assert unpack(square, NVARS, sympoly.BITS) == ref_mul(ref(p), ref(p))
+        if all(type(c) is int for c in p.values()):
+            assert all(type(c) is int for c in square.values())
 
     @given(tuple_polys_st, st.integers(min_value=0, max_value=9))
     def test_power(self, p, exponent):
@@ -56,7 +78,7 @@ class TestAgainstReference:
 
     @given(st.lists(coefficients_st, min_size=NVARS, max_size=NVARS))
     def test_linear_combination(self, coeffs):
-        got = sympoly.linear_combination(coeffs, [sympoly.variable(NVARS, i) for i in range(NVARS)])
+        got = linear_combination(coeffs, variables())
         expected: dict = {}
         for i, c in enumerate(coeffs):
             expected = ref_add(expected, ref_scale(ref_variable(NVARS, i), c))
@@ -73,9 +95,7 @@ class TestPowerBySquaring:
         # p*p then its square: 4*4 + 10*10 = 116 term pairs, where three
         # products by p take 4*4 + 10*4 + 20*4 = 136
         calls = count_calls(monkeypatch, sympoly, "mul")
-        form = sympoly.linear_combination(
-            [1, 2, 3, 5], [sympoly.variable(NVARS, i) for i in range(NVARS)]
-        )
+        form = linear_combination([1, 2, 3, 5], variables())
         fourth = sympoly.power(form, 4)
         assert sum(len(p) * len(q) for p, q in calls) == 116
         assert len(calls) == 2 and len(fourth) == 35
@@ -92,6 +112,16 @@ class TestExponentLimits:
     def test_guard_bit_overflow_raises(self):
         with pytest.raises(StructuralError):
             sympoly.power(sympoly.variable(2, 0), 2**15)
+
+    def test_direct_square_checks_the_guard_bit(self):
+        # x1**(2**14) squared reaches 2**15 in x1's field, alone or beside a
+        # term whose square stays in range
+        high = sympoly.monomial((0, 2**14))
+        for p in ({high: 1}, {high: 3, sympoly.monomial((5, 7)): Fraction(1, 2)}):
+            with pytest.raises(StructuralError):
+                sympoly.mul(p, p)
+        low = sympoly.monomial((0, 2**14 - 1))
+        assert sympoly.mul({low: 2}, {low: 2}) == {2 * low: 4}
 
     def test_negative_exponent_raises(self):
         with pytest.raises(StructuralError):
