@@ -222,15 +222,18 @@ class TestMomentKernel:
 
 class TestVandermonde:
     def test_closed_form_six_nodes(self):
-        basis = vandermonde_nullspace(VandermondeSystem(tuple(Fraction(i) for i in range(6)), (4,)))[0]
+        nodes = tuple(Fraction(i) for i in range(6))
+        basis = vandermonde_nullspace(VandermondeSystem(nodes, (4,)))[0]
         assert basis == [(1, -5, 10, -10, 5, -1)]
 
     def test_closed_form_seven_nodes(self):
-        basis = vandermonde_nullspace(VandermondeSystem(tuple(Fraction(i) for i in range(7)), (5,)))[0]
+        nodes = tuple(Fraction(i) for i in range(7))
+        basis = vandermonde_nullspace(VandermondeSystem(nodes, (5,)))[0]
         assert basis == [(1, -6, 15, -20, 15, -6, 1)]
 
     def test_two_dimensional_contains_shifted_differences(self):
-        basis = vandermonde_nullspace(VandermondeSystem(tuple(Fraction(i) for i in range(7)), (4,)))[0]
+        nodes = tuple(Fraction(i) for i in range(7))
+        basis = vandermonde_nullspace(VandermondeSystem(nodes, (4,)))[0]
         assert len(basis) == 2
         member = (1, -5, 10, -10, 5, -1, 0)
         assert gauss_jordan([*basis, member])[1] == 2

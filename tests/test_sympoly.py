@@ -54,7 +54,7 @@ class TestAgainstReference:
         assert unpack(sympoly.mul(pack(p), pack(q)), NVARS, sympoly.BITS) == ref_mul(ref(p), ref(q))
 
     @given(st.one_of(tuple_polys_st, int_polys_st))
-    def test_square_visits_each_pair_once(self, p):
+    def test_square_matches_the_general_product(self, p):
         # mul(p, p) takes the square path; a copy of p takes the general one
         packed = pack(p)
         square = sympoly.mul(packed, packed)
@@ -120,8 +120,8 @@ class TestExponentLimits:
         for p in ({high: 1}, {high: 3, sympoly.monomial((5, 7)): Fraction(1, 2)}):
             with pytest.raises(StructuralError):
                 sympoly.mul(p, p)
-        low = sympoly.monomial((0, 2**14 - 1))
-        assert sympoly.mul({low: 2}, {low: 2}) == {2 * low: 4}
+        low = {sympoly.monomial((0, 2**14 - 1)): 2}
+        assert sympoly.mul(low, low) == {2 * sympoly.monomial((0, 2**14 - 1)): 4}
 
     def test_negative_exponent_raises(self):
         with pytest.raises(StructuralError):
