@@ -25,6 +25,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import gcd, prod
+from operator import mul
 from typing import Sequence
 
 from . import sympoly
@@ -77,7 +78,7 @@ class WaringDecomposition:
         for weight, form in self.terms:
             if form.num_vars != 3 or form.degree != 1:
                 raise StructuralError("decomposition terms must be linear forms in three variables")
-            coerced.append((Fraction(weight), form))  # w / a stays exact for int annihilators a
+            coerced.append((weight if isinstance(weight, Fraction) else Fraction(weight), form))
         object.__setattr__(self, "terms", tuple(coerced))
 
     @property
@@ -111,7 +112,8 @@ class CoordinateInstance:
 
     def __post_init__(self):
         for name in ("slopes", "lifts", "weights"):
-            object.__setattr__(self, name, tuple(Fraction(v) for v in getattr(self, name)))
+            exact = (v if isinstance(v, Fraction) else Fraction(v) for v in getattr(self, name))
+            object.__setattr__(self, name, tuple(exact))
         n = len(self.slopes)
         if n not in (6, 7):
             raise StructuralError(f"coordinate instances have 6 or 7 terms, got {n}")
@@ -306,17 +308,20 @@ def _build_certificate(
     """The certificate witnesses for seven terms whose value is line^2 * cofactor
     with cofactor nonzero and ``restricted_conic`` the cofactor's restriction,
     or None when the lines do not meet ``line = 0`` in seven distinct points.
-    The annihilator and the contact vector and bridge, which interpolate their
-    identities at the first two and three points (degree-d values times D**d),
-    are built at the integer points D * L_i; ``verify`` alone checks all seven.
+    The points D * L_i are the cleared line rows times the cleared kernel basis
+    (D the product of their denominators), and the line values are the rows at
+    the cleared transversal point.  The annihilator, the contact vector and the
+    bridge, which interpolate their identities at the first two and three points
+    (degree-d values times D**d), are built on these ints, with Fractions only
+    for the stored fields; ``verify`` alone checks all seven points.
     The annihilator's zero-entry check cannot fire: entry i is M over the
     product of the brackets [L_j, L_i], j != i, nonzero for distinct points.
     It stays because the witnesses divide by the entries."""
-    b0, b1 = line_kernel_basis(line)
-    coeffs = [f.linear_coefficients() for f in dec.lines()]
+    bd, (b0, b1) = clear_rows(line_kernel_basis(line))
+    ld, rows = clear_rows([f.linear_coefficients() for f in dec.lines()])
+    den = ld * bd
     # a linear form restricts to its coefficients paired with the kernel basis
-    restricted = tuple(tuple(sum(c * b for c, b in zip(cf, v) if b) for v in (b0, b1)) for cf in coeffs)
-    den, points = clear_rows(restricted)
+    points = [(sum(map(mul, row, b0)), sum(map(mul, row, b1))) for row in rows]
     try:
         # seven points at degree 5 leave one free index, so one kernel vector
         [(annihilator,)] = moment_kernel(points, (5,))
@@ -325,21 +330,25 @@ def _build_certificate(
     if any(a == 0 for a in annihilator):
         raise TheoremViolationError("degree-5 kernel generator has a zero entry")
 
+    # weight_k / annihilator_k for k < 3 is scaled[k] / (wd * a), a the product of the three
     weights = dec.weights()
-    scaled = [w / a for w, a in zip(weights[:3], annihilator)]
-    contact = tuple(interpolate(points[:2], [den * s for s in scaled[:2]]))
+    wd, ws = sympoly.clear_denominators(weights[:3])
+    a = prod(annihilator[:3])
+    scaled = [w * (a // x) for w, x in zip(ws, annihilator)]
+    contact = tuple(interpolate(points[:2], [den * s for s in scaled[:2]], wd * a))
 
     transversal = _transversal_point(line)
-    line_values = tuple(sum(c * t for c, t in zip(cf, transversal) if t) for cf in coeffs)
-    b = interpolate(points[:3], [den**2 * s * lv for s, lv in zip(scaled, line_values)])
+    td, t = sympoly.clear_denominators(transversal)
+    lvs = [sum(map(mul, row, t)) for row in rows]  # ld * td times the line values
+    b = interpolate(points[:3], [den * den * s * v for s, v in zip(scaled, lvs)], wd * ld * td * a)
 
     certificate = TangencyCertificate(
-        restricted=restricted,
+        restricted=tuple((Fraction(p, den), Fraction(r, den)) for p, r in points),
         weights=weights,
         annihilator=annihilator,
         contact_vector=contact,
         transversal_point=transversal,
-        line_values=line_values,
+        line_values=tuple(Fraction(v, ld * td) for v in lvs),
         bridge=BinaryQuadratic(*b),
         restricted_conic=restricted_conic,
         tangency_point=normalize_vector(contact),
@@ -427,14 +436,12 @@ def verify_identity_slice(
     alphas = [{k: vec[i] for k, vec in zip(keys, alpha_basis) if vec[i]} for i in range(7)]
     betas = [{k: vec[i] for k, vec in zip(keys[na:], beta_basis) if vec[i]} for i in range(7)]
 
-    # products of all weight polynomials except one, via prefix/suffix arrays
+    # products of all weight polynomials except one, via prefix/suffix arrays of at most six
     one = sympoly.const(0, 1)
-    prefix = [one]
-    for a in alphas:
+    prefix, suffix = [one], [one]
+    for a, z in zip(alphas[:6], reversed(alphas[1:])):
         prefix.append(sympoly.mul(prefix[-1], a))
-    suffix = [one]
-    for a in reversed(alphas):
-        suffix.append(sympoly.mul(suffix[-1], a))
+        suffix.append(sympoly.mul(suffix[-1], z))
 
     # s_p = sum_i H_i**p * beta_i**2 * prod_{j != i} alpha_j, all three in one pass
     s0: sympoly.Poly = {}
@@ -456,9 +463,8 @@ def verify_identity_slice(
     subtrahend = sympoly.scale(sympoly.mul(p0, p2), g0 * g2)
     residue = sympoly.sub(minuend, subtrahend)
     if perturb:
-        residue = sympoly.add(
-            residue, sympoly.scale(sympoly.mul(prefix[7], prefix[7]), den * den)
-        )
+        full = sympoly.mul(prefix[6], alphas[6])  # the product of all seven weight polynomials
+        residue = sympoly.add(residue, sympoly.scale(sympoly.mul(full, full), den * den))
 
     return IdentitySliceReport(
         slopes=hs,

@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import factorial, lcm, prod
 from operator import getitem
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import sympoly
 from .errors import InvalidInputError, StructuralError
@@ -30,6 +31,7 @@ from .linalg import IntVector, clear_rows, normalize_vector, rank
 
 Monomial = tuple[int, ...]
 Point = Sequence[Fraction | int]
+_ZERO = Fraction(0)
 
 
 class HomogeneousForm:
@@ -90,7 +92,8 @@ class HomogeneousForm:
     def linear(cls, coeffs: Point) -> "HomogeneousForm":
         if len(coeffs) not in (2, 3):
             raise StructuralError(f"num_vars must be 2 or 3, got {len(coeffs)}")
-        poly = {1 << (sympoly.BITS * i): c for i, c in enumerate(map(Fraction, coeffs)) if c}
+        exact = (c if isinstance(c, Fraction) else Fraction(c) for c in coeffs)
+        poly = {1 << (sympoly.BITS * i): c for i, c in enumerate(exact) if c}
         return cls._trusted(len(coeffs), 1, poly)
 
     # basic accessors
@@ -104,13 +107,12 @@ class HomogeneousForm:
         return not self.poly
 
     def coefficient(self, mono: Monomial) -> Fraction:
-        return self.poly.get(sympoly.monomial(tuple(mono)), Fraction(0))
+        return self.poly.get(sympoly.monomial(tuple(mono)), _ZERO)
 
     def linear_coefficients(self) -> tuple[Fraction, ...]:
         if self.degree != 1:
             raise StructuralError("linear_coefficients requires a degree-1 form")
-        zero = Fraction(0)
-        return tuple(self.poly.get(1 << (sympoly.BITS * i), zero) for i in range(self.num_vars))
+        return tuple(self.poly.get(1 << (sympoly.BITS * i), _ZERO) for i in range(self.num_vars))
 
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
@@ -166,13 +168,7 @@ class HomogeneousForm:
             raise StructuralError("point length does not match variable count")
         q, nums = sympoly.clear_denominators([Fraction(x) for x in point])
         d, coeffs = sympoly.clear_denominators(self.poly.values())
-        total = 0
-        for key, c in zip(self.poly, coeffs):
-            for n in nums:
-                c *= n ** (key & sympoly.FIELD)
-                key >>= sympoly.BITS
-            total += c
-        return Fraction(total, d * q**self.degree)
+        return Fraction(_int_value(self.poly, coeffs, nums), d * q**self.degree)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HomogeneousForm):
@@ -191,6 +187,17 @@ class HomogeneousForm:
 
     def __str__(self) -> str:
         return render_form(self)
+
+
+def _int_value(poly: sympoly.Poly, coeffs: Iterable[int], point: Sequence[int]) -> int:
+    """sum_t C_t * point**t over the packed keys t of ``poly``, C_t the ints ``coeffs`` in key order."""
+    total = 0
+    for key, c in zip(poly, coeffs):
+        for n in point:
+            c *= n ** (key & sympoly.FIELD)
+            key >>= sympoly.BITS
+        total += c
+    return total
 
 
 @dataclass(frozen=True)
@@ -225,56 +232,60 @@ class FormTuple:
         return self.entries[0].degree
 
 
+@lru_cache(maxsize=8)
+def _monomial_table(num_vars: int, degree: int) -> tuple[tuple[Monomial, int, int], ...]:
+    """(exponent tuple, packed key, multinomial coefficient) of every monomial of the shape."""
+    combos = combinations_with_replacement(range(num_vars), degree)
+    monos = [tuple(combo.count(j) for j in range(num_vars)) for combo in combos]
+    return tuple((m, sympoly.monomial(m), factorial(degree) // prod(map(factorial, m))) for m in monos)
+
+
 def power_sum(weights: Sequence[Fraction | int], forms: FormTuple, exponent: int) -> HomogeneousForm:
     """sum_i weights[i] * forms[i]**exponent for linear forms, as weighted moments.
 
-    With each form cleared once to D_i * l_i = (c_i0, c_i1, ...) and the weights
-    w_i / D_i**exponent brought to one denominator E as ints W_i, the coefficient
-    of x**m is multinomial(exponent; m) * sum_i W_i * prod_j c_ij**m_j / E, one
-    Fraction per coefficient.  Forms of degree other than 1 raise StructuralError.
+    With the coefficient matrix cleared once to D * l_i = (c_i0, c_i1, ...) and
+    the weights to W_i / E, the coefficient of x**m is
+    multinomial(exponent; m) * sum_i W_i * prod_j c_ij**m_j / (E * D**exponent),
+    one Fraction per coefficient.  Forms of degree other than 1 raise StructuralError.
     """
     if forms.degree != 1 or not 0 <= exponent <= sympoly.MAX_EXPONENT:
         raise StructuralError(f"a power sum needs linear forms and a power in 0..{sympoly.MAX_EXPONENT}")
     if len(weights) != len(forms):
         raise StructuralError("a power sum needs one weight per form")
     wd, ws = sympoly.clear_denominators(weights)
-    tables, dens = [], []
-    for f in forms:
-        den, coeffs = sympoly.clear_denominators(f.linear_coefficients())
-        tables.append([[c**k for k in range(exponent + 1)] for c in coeffs])
-        dens.append(wd * den**exponent)
-    common = lcm(*dens)
-    ints = [w * (common // d) for w, d in zip(ws, dens)]
+    ld, rows = clear_rows([f.linear_coefficients() for f in forms])
+    tables = [[[c**k for k in range(exponent + 1)] for c in row] for row in rows]
+    den = wd * ld**exponent
     poly: sympoly.Poly = {}
-    for combo in combinations_with_replacement(range(forms.num_vars), exponent):
-        m = [combo.count(j) for j in range(forms.num_vars)]
-        moment = sum(wi * prod(map(getitem, table, m)) for wi, table in zip(ints, tables))
+    for m, key, multinomial in _monomial_table(forms.num_vars, exponent):
+        moment = sum(w * prod(map(getitem, table, m)) for w, table in zip(ws, tables))
         if moment:
-            key = sum(e << (sympoly.BITS * j) for j, e in enumerate(m))
-            poly[key] = Fraction(factorial(exponent) // prod(map(factorial, m)) * moment, common)
+            poly[key] = Fraction(multinomial * moment, den)
     return HomogeneousForm._trusted(forms.num_vars, exponent, poly)
 
 
-def interpolate(points: Sequence[tuple[int, int]], values: Sequence[Fraction | int]) -> list[Fraction]:
+def interpolate(
+    points: Sequence[tuple[int, int]], values: Sequence[Fraction | int], den: int = 1
+) -> list[Fraction]:
     """Coefficients on y0^d, y0^(d-1)*y1, ..., y1^d of the binary form of degree
-    d = len(points) - 1 taking ``values[k]`` at the integer ``points[k]``
-    (pairwise independent): sum_k values[k] * prod_{m != k} [P_m, y] / [P_m, P_k],
+    d = len(points) - 1 taking ``values[k] / den`` at the integer ``points[k]``
+    (pairwise independent): sum_k values[k] * prod_{m != k} [P_m, y] / [P_m, P_k] / den,
     with [P, y] = a*y1 - b*y0 for P = (a, b), summed on integers over one
-    denominator, the lcm of the values' denominators times their brackets."""
+    denominator, the lcm of the values' denominators times their brackets, times den."""
     dens, terms = [], []
     for k, (ak, bk) in enumerate(points):
         term = [1]
-        den = values[k].denominator
+        dk = values[k].denominator
         for m, (am, bm) in enumerate(points):
             if m != k:
                 # multiply by [P_m, y]; index e holds the y1^e coefficient
                 term = [-bm * x + am * y for x, y in zip([*term, 0], [0, *term])]
-                den *= am * bk - bm * ak
-        dens.append(den)
+                dk *= am * bk - bm * ak
+        dens.append(dk)
         terms.append(term)
     common = lcm(*dens)
-    nums = [v.numerator * (common // den) for v, den in zip(values, dens)]
-    return [Fraction(sum(n * t[e] for n, t in zip(nums, terms)), common) for e in range(len(points))]
+    nums = [v.numerator * (common // dk) for v, dk in zip(values, dens)]
+    return [Fraction(sum(n * t[e] for n, t in zip(nums, terms)), common * den) for e in range(len(points))]
 
 
 # text rendering and parsing
@@ -457,14 +468,16 @@ def line_kernel_basis(line: HomogeneousForm) -> tuple[tuple[Fraction, ...], tupl
 def restrict(f: HomogeneousForm, line: HomogeneousForm) -> HomogeneousForm:
     """Restriction g(y) = f(y0 * b0 + y1 * b1) of a three-variable form to the
     plane ``line = 0`` with kernel basis b0, b1.  With the basis cleared once to
-    integer vectors D * b0 and D * b1, g is the interpolant of f's values there
-    at the plane points (1, 0), (1, 1), ..., (1, d - 1), (0, 1), scaled by 1 / D**d."""
+    integer vectors D * b0 and D * b1 and f to the integer form E * f, g is the
+    interpolant of E * f's integer values there at the plane points
+    (1, 0), (1, 1), ..., (1, d - 1), (0, 1), divided by E * D**d."""
     den, (b0, b1) = clear_rows(line_kernel_basis(line))
     d = f.degree
+    e, coeffs = sympoly.clear_denominators(f.poly.values())
     plane = [*((1, t) for t in range(d)), (0, 1)]
-    values = [f.evaluate([s * u + t * v for u, v in zip(b0, b1)]) for s, t in plane]
-    scale = Fraction(1, den**d)
-    poly = {(d - e) + (e << sympoly.BITS): scale * c for e, c in enumerate(interpolate(plane, values)) if c}
+    values = [_int_value(f.poly, coeffs, [s * u + t * v for u, v in zip(b0, b1)]) for s, t in plane]
+    g = interpolate(plane, values, e * den**d)
+    poly = {(d - k) + (k << sympoly.BITS): c for k, c in enumerate(g) if c}
     return HomogeneousForm._trusted(2, d, poly)
 
 
@@ -505,9 +518,9 @@ class BinaryQuadratic:
     c: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
-        object.__setattr__(self, "c", Fraction(self.c))
+        for name in ("a", "b", "c"):
+            if not isinstance(getattr(self, name), Fraction):
+                object.__setattr__(self, name, Fraction(getattr(self, name)))
 
     @classmethod
     def from_form(cls, q: HomogeneousForm) -> "BinaryQuadratic":

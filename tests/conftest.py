@@ -11,7 +11,8 @@ from math import comb, gcd, lcm
 from hypothesis import settings
 
 from doubleline import engine, linalg
-from doubleline.errors import GenerationFailureError
+from doubleline.errors import DegenerateNodesError, GenerationFailureError
+from doubleline.forms import BinaryQuadratic, interpolate, line_kernel_basis
 from doubleline.linalg import VandermondeSystem, vandermonde_nullspace
 
 settings.register_profile("exact", deadline=None)
@@ -211,6 +212,49 @@ def wrong_kernel(monkeypatch, fault: str) -> None:
 
     monkeypatch.setattr(engine, "vandermonde_nullspace", faulty)
     monkeypatch.setattr(linalg, "vandermonde_nullspace", faulty)
+
+
+def reference_certificate(dec, line):
+    """The certificate ``analyze`` attaches for a seven-term double-line value
+    with nonzero cofactor, built by the Fraction formulas the builder used
+    before it ran on ints: each restricted point a Fraction sum of a line's
+    coefficients against ``line_kernel_basis``, the line values Fraction sums
+    at ``_transversal_point``, and the contact vector and bridge
+    ``interpolate``d from the Fraction values weight / annihilator (times the
+    line value for the bridge) at the points cleared by ``clear_rows``.  The
+    restricted conic is the cofactor's restriction by the reference
+    substitution.  None when the lines do not meet the base line in seven
+    distinct points."""
+    b0, b1 = line_kernel_basis(line)
+    coeffs = [f.linear_coefficients() for f in dec.lines()]
+    restricted = tuple(
+        tuple(sum((c * b for c, b in zip(cf, v)), Fraction(0)) for v in (b0, b1)) for cf in coeffs
+    )
+    den, points = linalg.clear_rows(restricted)
+    try:
+        [(annihilator,)] = linalg.moment_kernel(points, (5,))
+    except DegenerateNodesError:
+        return None
+    weights = dec.weights()
+    scaled = [w / a for w, a in zip(weights[:3], annihilator)]
+    contact = tuple(interpolate(points[:2], [den * s for s in scaled[:2]]))
+    transversal = engine._transversal_point(line)
+    line_values = tuple(sum((c * t for c, t in zip(cf, transversal)), Fraction(0)) for cf in coeffs)
+    bridge = interpolate(points[:3], [den**2 * s * lv for s, lv in zip(scaled, line_values)])
+    cofactor = engine.extract_cofactor(dec.value(), line)
+    images = [ref_add({(1, 0): b0[i]}, {(0, 1): b1[i]}) for i in range(3)]
+    conic = ref_substitute(cofactor.terms, images, 2)
+    return engine.TangencyCertificate(
+        restricted=restricted,
+        weights=weights,
+        annihilator=annihilator,
+        contact_vector=contact,
+        transversal_point=transversal,
+        line_values=line_values,
+        bridge=BinaryQuadratic(*bridge),
+        restricted_conic=BinaryQuadratic(*(conic.get(m, Fraction(0)) for m in ((2, 0), (1, 1), (0, 2)))),
+        tangency_point=linalg.normalize_vector(contact),
+    )
 
 
 # two slope triples with the lifts and weights of ``generate_six_term_family``,

@@ -7,6 +7,7 @@ import pytest
 from conftest import (
     ZERO_WEIGHT_TRIPLES,
     count_calls,
+    determinant,
     kills,
     monomials,
     nondegenerate_analysis,
@@ -18,6 +19,7 @@ from conftest import (
     ref_product,
     ref_scale,
     ref_variable,
+    reference_certificate,
     reference_family_is_translations,
     reference_kernel,
     reference_solve,
@@ -61,6 +63,7 @@ from doubleline.forms import (
     BinaryQuadratic,
     FormTuple,
     HomogeneousForm,
+    line_kernel_basis,
     parse_form,
     power_sum,
     restrict,
@@ -694,6 +697,116 @@ class TestIntegerInputs:
         assert cert == analyze(inst.to_decomposition(), line_x2()).certificate
 
 
+def pivot_change(rng: random.Random, pivot: int) -> list[list[Fraction]]:
+    """Rows of an invertible 3x3 matrix with entries of denominator up to 3
+    that moves the base line x2 = 0 to a line whose last nonzero coefficient,
+    the one its kernel basis divides by, is at ``pivot``.  For pivot 1 and 2
+    some coefficient before the pivot is not an integer multiple of it, so
+    the kernel basis has a denominator above 1; for pivot 0 the line is c*x0,
+    whose kernel basis is e1, e2."""
+    while True:
+        rows = random_invertible_3x3(rng, max_den=3)
+        for i in range(pivot + 1, 3):
+            rows[i][2] = Fraction(0)
+        column = [row[2] for row in rows]
+        if column[pivot] and determinant(rows) and (
+            pivot == 0 or any((c / column[pivot]).denominator > 1 for c in column[:pivot])
+        ):
+            return rows
+
+
+def moved(dec: WaringDecomposition, rows) -> tuple[WaringDecomposition, HomogeneousForm]:
+    """``dec`` and the base line x2 after x_j -> sum_i rows[i][j] * x_i."""
+
+    def move(coeffs):
+        return HomogeneousForm.linear(
+            tuple(sum(rows[i][j] * coeffs[j] for j in range(3)) for i in range(3))
+        )
+
+    terms = tuple((w, move(f.linear_coefficients())) for w, f in dec.terms)
+    return WaringDecomposition(terms), move((0, 0, 1))
+
+
+class TestCertificateOracle:
+    """``analyze`` builds the certificate on ints; ``conftest.reference_certificate``
+    keeps the Fraction formulas it replaced, and both must give equal fields."""
+
+    @pytest.mark.parametrize("pivot", [0, 1, 2])
+    def test_matches_reference_on_moved_instances(self, pivot):
+        rng = random.Random(2000 + pivot)
+        checked = trial = 0
+        while checked < 6:
+            trial += 1
+            slopes = sample_nodes(rng, 7)
+            params = tuple(random_fraction(rng) for _ in range(3))
+            inst = generate_tangent_instance(slopes, params, seed=trial).instance
+            if trial % 2:  # weights of denominator up to 5
+                scale = random_fraction(rng) or Fraction(1, 5)
+                inst = CoordinateInstance(inst.slopes, inst.lifts, tuple(w * scale for w in inst.weights))
+            dec, line = moved(inst.to_decomposition(), pivot_change(rng, pivot))
+            coeffs = line.linear_coefficients()
+            assert max(i for i, c in enumerate(coeffs) if c) == pivot
+            assert lcm(*(c.denominator for f in dec.lines() for c in f.linear_coefficients())) > 1
+            basis_den = lcm(*(x.denominator for v in line_kernel_basis(line) for x in v))
+            assert basis_den > 1 or pivot == 0
+            cert = analyze(dec, line).certificate
+            assert cert == reference_certificate(dec, line)
+            if cert is not None:
+                checked += 1
+
+    @pytest.mark.parametrize("pivot", [0, 1, 2])
+    @pytest.mark.parametrize("case", ["line restricts to zero", "two lines meet at one point"])
+    def test_no_certificate_without_seven_points(self, pivot, case):
+        if case == "line restricts to zero":
+            # six lines summing to zero (six_term_vanishing_check) plus the base line itself
+            slopes = (0, 1, 3, -2, Fraction(1, 2), 5)
+            (alpha,) = vandermonde_nullspace(VandermondeSystem(slopes, (4,)))[0]
+            lifts = tuple(2 - Fraction(3, 2) * h for h in slopes)
+            terms = tuple(
+                (a, HomogeneousForm.linear((1, h, k))) for a, h, k in zip(alpha, slopes, lifts)
+            )
+            dec = WaringDecomposition(terms + ((Fraction(1), X2),))
+        else:
+            # four lines on slope 0 and three on slope 1, as in
+            # TestTangencyCertificate.test_repeated_intersection_points_rejected
+            dec = CoordinateInstance(
+                (0, 0, 0, 0, 1, 1, 1), (0, 1, -1, 2, 0, 1, -1), (-5, 1, 3, 1, 2, -1, -1)
+            ).to_decomposition()
+        dec, line = moved(dec, pivot_change(random.Random(pivot), pivot))
+        report = analyze(dec, line)
+        assert report.divisible and not report.cofactor.is_zero()
+        assert report.certificate is None
+        assert reference_certificate(dec, line) is None
+
+
+class TestCoercion:
+    """Weights, slopes and lifts are Fractions whatever numbers they are
+    given as, and a Fraction given is kept, not copied."""
+
+    VALUES = (
+        [3, -1, 0, 2, 5, -4, 1],
+        [Fraction(x) for x in (3, -1, 0, 2, 5, -4, 1)],
+        [3, Fraction(-1), 0, Fraction(2), 5, Fraction(-4), 1],
+    )
+
+    def test_coordinate_instance(self):
+        built = [CoordinateInstance(v, v[::-1], v) for v in self.VALUES]
+        assert built[0] == built[1] == built[2]
+        for inst in built:
+            for field in (inst.slopes, inst.lifts, inst.weights):
+                assert all(type(x) is Fraction for x in field)
+        given = Fraction(7, 3)
+        assert CoordinateInstance((given,) * 7, (0,) * 7, (1,) * 7).slopes[0] is given
+
+    def test_waring_decomposition(self):
+        line = HomogeneousForm.linear((1, 2, 3))
+        built = [WaringDecomposition(tuple((w, line) for w in v)) for v in self.VALUES]
+        assert built[0] == built[1] == built[2]
+        assert all(type(w) is Fraction for dec in built for w in dec.weights())
+        given = Fraction(-5, 2)
+        assert WaringDecomposition(((given, line),)).weights()[0] is given
+
+
 class TestTangencyDefect:
     def test_flagship_is_zero(self):
         assert tangency_defect(flagship_instance()) == 0
@@ -803,6 +916,21 @@ class TestIdentitySlice:
     def test_repeated_nodes(self):
         with pytest.raises(DegenerateNodesError):
             verify_identity_slice((0, 1, 2, 3, 4, 5, 5))
+
+    def test_builds_only_the_products_it_reads(self, monkeypatch):
+        # six prefix and six suffix products, three per term and the two big
+        # products: 35; the perturbed control adds the product of all seven
+        # weight polynomials and its square
+        count, residue, perturbed = fraction_identity_expansion(range(7))
+        calls = count_calls(monkeypatch, sympoly, "mul")
+        report = verify_identity_slice(tuple(range(7)))
+        assert len(calls) == 35
+        assert report.is_zero and not residue
+        assert report.expanded_monomials == count
+        control = verify_identity_slice(tuple(range(7)), perturb=True)
+        assert len(calls) == 35 + 37
+        assert not control.is_zero and perturbed
+        assert control.expanded_monomials == count
 
     @pytest.mark.parametrize("slopes", ACCEPTANCE_SLICES + MIXED_SIGN_FRACTION_SLICES)
     def test_node_difference_product_is_the_fraction_product(self, slopes):

@@ -28,6 +28,7 @@ from doubleline.forms import (
     interpolate,
     line_kernel_basis,
     parse_form,
+    power_sum,
     render_form,
     restrict,
 )
@@ -292,6 +293,22 @@ class TestTuples:
         tup = FormTuple((X0**4, X0**4))
         assert sum((a * f for a, f in zip([1, -1], tup)), HomogeneousForm.zero(3, 4)).is_zero()
 
+    def test_power_sum_clears_the_matrix_once(self):
+        # weights and lines of denominators 2, 3 and 7 and one zero line: the
+        # matrix's denominator D = 42 enters every coefficient as D**exponent
+        h, t, f = Fraction(1, 2), Fraction(2, 3), Fraction(5, 7)
+        weights = [h, t, f, Fraction(-3)]
+        rows = [(h, 1, -t), (t, -f, 2), (0, 0, 0), (f, h, t)]
+        lines = FormTuple(tuple(HomogeneousForm.linear(r) for r in rows))
+        for exponent in range(6):
+            expected: dict = {}
+            for w, r in zip(weights, rows):
+                line = ref(dict(zip(monomials(3, 1), r)))
+                expected = ref_add(expected, ref_scale(ref_product([line] * exponent, 3), w))
+            total = power_sum(weights, lines, exponent)
+            assert total.terms == expected
+            assert all(type(c) is Fraction for c in total.terms.values())
+
 
 class TestEvaluate:
     def test_monomial(self):
@@ -358,6 +375,26 @@ class TestRestrict:
         assert restricted.terms == ref_substitute(l.terms, images, 2)
         assert_canonical(restricted)
 
+    def test_degree_edges_on_a_fractional_kernel_basis(self):
+        # the kernel basis of 2*x0 + 3*x1 + 7*x2 has denominator D = 7, which
+        # enters each restriction as D**degree; the forms are the zero form,
+        # a constant and a quintic, each with coefficients of several denominators
+        line = HomogeneousForm.linear((2, 3, 7))
+        b0, b1 = line_kernel_basis(line)
+        assert max(x.denominator for x in (*b0, *b1)) == 7
+        images = [ref({(1, 0): b0[i], (0, 1): b1[i]}) for i in range(3)]
+        quintic = {m: Fraction(k - 7, 1 + k % 4) for k, m in enumerate(monomials(3, 5)) if k % 3}
+        forms = [
+            HomogeneousForm.zero(3, 3),
+            HomogeneousForm(3, 0, {(0, 0, 0): Fraction(-5, 3)}),
+            HomogeneousForm(3, 5, quintic),
+        ]
+        for f in forms:
+            restricted = restrict(f, line)
+            assert (restricted.num_vars, restricted.degree) == (2, f.degree)
+            assert restricted.terms == ref_substitute(ref(f.terms), images, 2)
+            assert_canonical(restricted)
+
     @given(form_st(3, 2), form_st(3, 2), nonzero_linear_st(3))
     def test_ring_homomorphism(self, f, g, line):
         assert restrict(f * g, line) == restrict(f, line) * restrict(g, line)
@@ -400,12 +437,54 @@ class TestInterpolate:
         g = HomogeneousForm(2, d, {(d - e, e): c for e, c in enumerate(coeffs)})
         assert [g.evaluate(p) for p in points] == values
 
+    @given(
+        st.integers(0, 4).flatmap(
+            lambda d: st.tuples(
+                independent_points_st(d + 1),
+                st.lists(st.integers(-50, 50), min_size=d + 1, max_size=d + 1),
+                st.integers(-9, 9).filter(bool),
+            )
+        )
+    )
+    def test_int_and_fraction_values_agree(self, case):
+        # int values, the same values as Fractions, and the values times den
+        # with the divisor den all give one interpolant, as Fractions
+        points, values, den = case
+        coeffs = interpolate(points, values)
+        assert coeffs == interpolate(points, [Fraction(v) for v in values])
+        assert coeffs == interpolate(points, [v * den for v in values], den)
+        assert all(type(c) is Fraction for c in coeffs)
+
     def test_integer_values(self):
         # y0^2 - y1^2 from (1, 0), (1, 1), (1, -1), and a linear form from (1, 2), (3, 1)
         assert interpolate([(1, 0), (1, 1), (1, -1)], [1, 0, 0]) == [1, 0, -1]
         assert interpolate([(1, 2), (3, 1)], [Fraction(1, 2), 3]) == [
             Fraction(11, 10), Fraction(-3, 10)
         ]
+
+
+class TestCoercion:
+    """Coefficients are Fractions whatever numbers they are given as, and a
+    Fraction given is kept, not copied."""
+
+    VALUES = ([3, -1, 0], [Fraction(3), Fraction(-1), Fraction(0)], [3, Fraction(-1), 0])
+
+    def test_linear(self):
+        built = [HomogeneousForm.linear(v) for v in self.VALUES]
+        assert built[0] == built[1] == built[2]
+        for f in built:
+            assert all(type(c) is Fraction for c in f.linear_coefficients())
+            assert f.poly.keys() == {sympoly.monomial((1, 0, 0)), sympoly.monomial((0, 1, 0))}
+        given = Fraction(2, 9)
+        assert HomogeneousForm.linear((given, 1)).linear_coefficients()[0] is given
+
+    def test_binary_quadratic(self):
+        built = [BinaryQuadratic(*v) for v in self.VALUES]
+        assert built[0] == built[1] == built[2]
+        for q in built:
+            assert all(type(c) is Fraction for c in (q.a, q.b, q.c))
+        given = Fraction(-4, 5)
+        assert BinaryQuadratic(1, given, 0).b is given
 
 
 class TestConics:
