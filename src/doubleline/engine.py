@@ -46,6 +46,7 @@ from .forms import (
     divide_by_linear,
     interpolate,
     line_kernel_basis,
+    linear_rows,
     power_sum,
     restrict,
 )
@@ -60,6 +61,7 @@ from .linalg import (
 )
 
 Vector = tuple[Fraction, ...]
+_ZERO = Fraction(0)
 
 
 def line_x2() -> HomogeneousForm:
@@ -189,7 +191,7 @@ def power_kernel(restricted: FormTuple, degree: int) -> KernelBasis:
         raise StructuralError("expected a tuple of binary linear forms")
     if degree < 0:
         raise StructuralError("degree must be non-negative")
-    (vectors,) = moment_kernel([f.linear_coefficients() for f in restricted], (degree,))
+    (vectors,) = moment_kernel(linear_rows(restricted)[1], (degree,))
     return KernelBasis(vectors=tuple(vectors))
 
 
@@ -270,15 +272,6 @@ class TangencyCertificate:
             raise TheoremViolationError("contact vector is not in the polar kernel")
 
 
-def _transversal_point(line: HomogeneousForm) -> tuple[Fraction, Fraction, Fraction]:
-    # scaled coordinate vector on the largest-index nonzero coefficient
-    coeffs = line.linear_coefficients()
-    j = max(i for i, c in enumerate(coeffs) if c != 0)
-    point = [Fraction(0)] * 3
-    point[j] = 1 / coeffs[j]
-    return tuple(point)
-
-
 def tangency_certificate(dec: WaringDecomposition, line: HomogeneousForm) -> TangencyCertificate:
     """Constructive tangency witnesses for a seven-term double-line value.
 
@@ -308,7 +301,7 @@ def _build_certificate(
     """The certificate witnesses for seven terms whose value is line^2 * cofactor
     with cofactor nonzero and ``restricted_conic`` the cofactor's restriction,
     or None when the lines do not meet ``line = 0`` in seven distinct points.
-    The points D * L_i are the cleared line rows times the cleared kernel basis
+    The points D * L_i are the lines' int rows times the cleared kernel basis
     (D the product of their denominators), and the line values are the rows at
     the cleared transversal point.  The annihilator, the contact vector and the
     bridge, which interpolate their identities at the first two and three points
@@ -317,8 +310,8 @@ def _build_certificate(
     The annihilator's zero-entry check cannot fire: entry i is M over the
     product of the brackets [L_j, L_i], j != i, nonzero for distinct points.
     It stays because the witnesses divide by the entries."""
-    bd, (b0, b1) = clear_rows(line_kernel_basis(line))
-    ld, rows = clear_rows([f.linear_coefficients() for f in dec.lines()])
+    bd, (b0, b1) = line_kernel_basis(line)
+    ld, rows = linear_rows(dec.lines())
     den = ld * bd
     # a linear form restricts to its coefficients paired with the kernel basis
     points = [(sum(map(mul, row, b0)), sum(map(mul, row, b1))) for row in rows]
@@ -335,21 +328,23 @@ def _build_certificate(
     wd, ws = sympoly.clear_denominators(weights[:3])
     a = prod(annihilator[:3])
     scaled = [w * (a // x) for w, x in zip(ws, annihilator)]
-    contact = tuple(interpolate(points[:2], [den * s for s in scaled[:2]], wd * a))
+    c_den, contact = interpolate(points[:2], [den * s for s in scaled[:2]], wd * a)
 
-    transversal = _transversal_point(line)
-    td, t = sympoly.clear_denominators(transversal)
+    # the transversal point e_j / c_j, c_j the line's last nonzero coefficient, is t / td
+    lc = line.linear_ints()
+    j = max(i for i, c in enumerate(lc) if c)
+    td, t = abs(lc[j]), tuple(line.den * lc[j] // abs(lc[j]) if i == j else 0 for i in range(3))
     lvs = [sum(map(mul, row, t)) for row in rows]  # ld * td times the line values
-    b = interpolate(points[:3], [den * den * s * v for s, v in zip(scaled, lvs)], wd * ld * td * a)
+    b_den, b = interpolate(points[:3], [den * den * s * v for s, v in zip(scaled, lvs)], wd * ld * td * a)
 
     certificate = TangencyCertificate(
         restricted=tuple((Fraction(p, den), Fraction(r, den)) for p, r in points),
         weights=weights,
         annihilator=annihilator,
-        contact_vector=contact,
-        transversal_point=transversal,
+        contact_vector=tuple(Fraction(x, c_den) for x in contact),
+        transversal_point=tuple(Fraction(x, td) if x else _ZERO for x in t),
         line_values=tuple(Fraction(v, ld * td) for v in lvs),
-        bridge=BinaryQuadratic(*b),
+        bridge=BinaryQuadratic(*(Fraction(x, b_den) for x in b)),
         restricted_conic=restricted_conic,
         tangency_point=normalize_vector(contact),
     )
@@ -633,10 +628,10 @@ def generate_tangent_instance(
     construction, and the conic, which may be zero for special parameters,
     is derived by ``analyze`` (or read from ``TangentInstance.quartic``).
     """
-    hs = tuple(Fraction(h) for h in slopes)
+    hs = tuple(h if isinstance(h, Fraction) else Fraction(h) for h in slopes)
     if len(hs) != 7:
         raise StructuralError(f"expected 7 slopes, got {len(hs)}")
-    params = tuple(Fraction(p) for p in lift_params)
+    params = tuple(p if isinstance(p, Fraction) else Fraction(p) for p in lift_params)
     if len(params) != 3:
         raise StructuralError("expected 3 lift parameters")
     # on ints: the kernel bases (U, V) and B_j are integer, parameters cleared to P_j / pd;

@@ -1,17 +1,16 @@
 """Exact homogeneous polynomial arithmetic in two or three variables.
 
-A form is its shape, the variable count and the degree, over a
-``sympoly.Poly``: packed monomial keys mapping to nonzero Fractions.  Form
-arithmetic runs through ``sympoly``, the package's one polynomial core; this
-module adds the shape checks and the degree bookkeeping.  Two forms are
-equal exactly when their shapes and term maps agree.  ``terms`` shows the
-same map keyed by exponent tuples, and all monomial indexing, matrix layouts
-and text rendering use graded lexicographic order on those tuples with
-x0 > x1 > x2; packed keys compare x2 first, so only the tuples are sorted.
-Evaluation, division and restriction work on the packed keys; evaluation and
-restriction, which interpolates values at integer points, sum on integers.
-``power_sum``, the weighted sum of powers of linear forms, expands nothing:
-each coefficient is one weighted moment of the forms' integer coefficients.
+A form is its shape, the variable count and the degree, over its cleared
+coefficients: a ``sympoly.Poly`` mapping packed monomial keys to nonzero
+ints, over one positive ``den`` coprime to their content.  That pair is
+canonical, so two forms are equal exactly when shapes, ``den`` and int maps
+agree.  Arithmetic runs on the ints through ``sympoly``, the package's one
+polynomial core, and every consumer here (division, restriction, conic
+ranks, ``power_sum``) reads the ints; ``terms``, ``coefficient`` and
+``linear_coefficients`` build Fractions only when read.  ``terms`` is keyed
+by exponent tuples, and all monomial indexing and text rendering use graded
+lexicographic order on them with x0 > x1 > x2; packed keys compare x2 first,
+so only the tuples are sorted.
 """
 
 from __future__ import annotations
@@ -21,33 +20,33 @@ from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import factorial, lcm, prod
-from operator import getitem
+from math import factorial, gcd, lcm, prod
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import sympoly
 from .errors import InvalidInputError, StructuralError
-from .linalg import IntVector, clear_rows, normalize_vector, rank
+from .linalg import IntVector, normalize_vector, rank
 
 Monomial = tuple[int, ...]
 Point = Sequence[Fraction | int]
-_ZERO = Fraction(0)
+_UNITS = tuple(1 << (sympoly.BITS * i) for i in range(3))  # the packed keys of x0, x1, x2
 
 
 class HomogeneousForm:
-    """Homogeneous polynomial with exact rational coefficients.
+    """Homogeneous polynomial with exact rational coefficients, held as the
+    ints ``poly`` over the positive ``den`` coprime to their content.
 
     Instances are immutable values; every operation returns a new form.
     """
 
-    __slots__ = ("num_vars", "degree", "poly")
+    __slots__ = ("num_vars", "degree", "den", "poly")
 
     def __init__(self, num_vars: int, degree: int, terms: Mapping[Monomial, Fraction | int]):
         if num_vars not in (2, 3):
             raise StructuralError(f"num_vars must be 2 or 3, got {num_vars}")
         if degree < 0:
             raise StructuralError(f"degree must be non-negative, got {degree}")
-        poly: sympoly.Poly = {}
+        exact: dict[int, Fraction | int] = {}
         for mono, coeff in terms.items():
             mono = tuple(mono)
             if len(mono) != num_vars:
@@ -56,20 +55,30 @@ class HomogeneousForm:
                 raise StructuralError(f"monomial {mono} does not have degree {degree}")
             # rejects a negative exponent, and one too large for its packed field
             key = sympoly.monomial(mono)
-            c = Fraction(coeff)
+            c = coeff if isinstance(coeff, (int, Fraction)) else Fraction(coeff)
             if c:
-                poly[key] = c
+                exact[key] = c
+        # the lcm of reduced denominators is coprime to the cleared content
+        den, nums = sympoly.clear_denominators(exact.values())
         object.__setattr__(self, "num_vars", num_vars)
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "poly", poly)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "poly", dict(zip(exact, nums)))
 
     @classmethod
-    def _trusted(cls, num_vars: int, degree: int, poly: sympoly.Poly) -> "HomogeneousForm":
-        """Unchecked constructor: ``poly`` (kept, not copied) must map packed
-        monomials of the given shape to nonzero Fractions."""
+    def _trusted(cls, num_vars: int, degree: int, den: int, poly: sympoly.Poly) -> "HomogeneousForm":
+        """Unchecked constructor: ``poly`` (kept unless reduced) maps packed monomials
+        of the shape to nonzero ints over the nonzero ``den``; the pair is made canonical."""
+        g = gcd(den, *poly.values())
+        if den < 0:
+            g = -g
+        if g != 1:
+            den //= g
+            poly = {t: c // g for t, c in poly.items()}
         form = object.__new__(cls)
         object.__setattr__(form, "num_vars", num_vars)
         object.__setattr__(form, "degree", degree)
+        object.__setattr__(form, "den", den)
         object.__setattr__(form, "poly", poly)
         return form
 
@@ -92,32 +101,33 @@ class HomogeneousForm:
     def linear(cls, coeffs: Point) -> "HomogeneousForm":
         if len(coeffs) not in (2, 3):
             raise StructuralError(f"num_vars must be 2 or 3, got {len(coeffs)}")
-        exact = (c if isinstance(c, Fraction) else Fraction(c) for c in coeffs)
-        poly = {1 << (sympoly.BITS * i): c for i, c in enumerate(exact) if c}
-        return cls._trusted(len(coeffs), 1, poly)
+        exact = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+        den, nums = sympoly.clear_denominators(exact)
+        return cls._trusted(len(coeffs), 1, den, {u: c for u, c in zip(_UNITS, nums) if c})
 
     # basic accessors
 
     @property
     def terms(self) -> dict[Monomial, Fraction]:
-        """The term map keyed by exponent tuples, as a fresh dict."""
-        return {sympoly.exponents(t, self.num_vars): c for t, c in self.poly.items()}
+        """The term map keyed by exponent tuples, as a fresh dict of Fractions."""
+        return {sympoly.exponents(t, self.num_vars): Fraction(c, self.den) for t, c in self.poly.items()}
 
     def is_zero(self) -> bool:
         return not self.poly
 
     def coefficient(self, mono: Monomial) -> Fraction:
-        return self.poly.get(sympoly.monomial(tuple(mono)), _ZERO)
+        return Fraction(self.poly.get(sympoly.monomial(tuple(mono)), 0), self.den)
 
     def linear_coefficients(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.den) for c in self.linear_ints())
+
+    def linear_ints(self) -> IntVector:
+        """The coefficients of a linear form times ``den``, zeros included."""
         if self.degree != 1:
-            raise StructuralError("linear_coefficients requires a degree-1 form")
-        return tuple(self.poly.get(1 << (sympoly.BITS * i), _ZERO) for i in range(self.num_vars))
+            raise StructuralError("linear coefficients require a degree-1 form")
+        return tuple(map(self.poly.get, _UNITS[: self.num_vars], (0, 0, 0)))
 
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
-        return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
-
-    # arithmetic, all of it in sympoly
+    # arithmetic, all of it in sympoly on the ints
 
     def _check_compatible(self, other: "HomogeneousForm", same_degree: bool) -> None:
         if self.num_vars != other.num_vars:
@@ -127,48 +137,33 @@ class HomogeneousForm:
 
     def __add__(self, other: "HomogeneousForm") -> "HomogeneousForm":
         self._check_compatible(other, same_degree=True)
-        return HomogeneousForm._trusted(
-            self.num_vars, self.degree, sympoly.add(self.poly, other.poly)
+        den = lcm(self.den, other.den)
+        poly = sympoly.add(
+            sympoly.scale(self.poly, den // self.den), sympoly.scale(other.poly, den // other.den)
         )
+        return HomogeneousForm._trusted(self.num_vars, self.degree, den, poly)
 
     def __neg__(self) -> "HomogeneousForm":
-        return HomogeneousForm._trusted(self.num_vars, self.degree, sympoly.scale(self.poly, -1))
+        return HomogeneousForm._trusted(self.num_vars, self.degree, self.den, sympoly.scale(self.poly, -1))
 
     def __sub__(self, other: "HomogeneousForm") -> "HomogeneousForm":
-        self._check_compatible(other, same_degree=True)
-        return HomogeneousForm._trusted(
-            self.num_vars, self.degree, sympoly.sub(self.poly, other.poly)
-        )
+        return self + -other
 
     def __mul__(self, other: "HomogeneousForm | Fraction | int") -> "HomogeneousForm":
         if isinstance(other, (Fraction, int)):
-            return HomogeneousForm._trusted(
-                self.num_vars, self.degree, sympoly.scale(self.poly, Fraction(other))
-            )
+            poly, den = sympoly.scale(self.poly, other.numerator), self.den * other.denominator
+            return HomogeneousForm._trusted(self.num_vars, self.degree, den, poly)
         self._check_compatible(other, same_degree=False)
-        return HomogeneousForm._trusted(
-            self.num_vars, self.degree + other.degree, sympoly.mul(self.poly, other.poly)
-        )
+        poly, den = sympoly.mul(self.poly, other.poly), self.den * other.den
+        return HomogeneousForm._trusted(self.num_vars, self.degree + other.degree, den, poly)
 
     def __rmul__(self, other: "Fraction | int") -> "HomogeneousForm":
         return self * other
 
     def __pow__(self, exponent: int) -> "HomogeneousForm":
-        """(D * f)**exponent by ``sympoly.power`` on ints, scaled by 1 / D**exponent."""
-        den, nums = sympoly.clear_denominators(self.poly.values())
-        power = sympoly.power(dict(zip(self.poly, nums)), exponent)
-        return HomogeneousForm._trusted(
-            self.num_vars, self.degree * exponent, sympoly.scale(power, Fraction(1, den**exponent))
-        )
-
-    def evaluate(self, point: Point) -> Fraction:
-        """The value at ``point``, on integers: with the point cleared to N / Q
-        and the coefficients to C / D, it is sum_t C_t * N**t / (D * Q**degree)."""
-        if len(point) != self.num_vars:
-            raise StructuralError("point length does not match variable count")
-        q, nums = sympoly.clear_denominators([Fraction(x) for x in point])
-        d, coeffs = sympoly.clear_denominators(self.poly.values())
-        return Fraction(_int_value(self.poly, coeffs, nums), d * q**self.degree)
+        """``sympoly.power`` of the ints over den**exponent."""
+        power = sympoly.power(self.poly, exponent)
+        return HomogeneousForm._trusted(self.num_vars, self.degree * exponent, self.den**exponent, power)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HomogeneousForm):
@@ -176,11 +171,12 @@ class HomogeneousForm:
         return (
             self.num_vars == other.num_vars
             and self.degree == other.degree
+            and self.den == other.den
             and self.poly == other.poly
         )
 
     def __hash__(self) -> int:
-        return hash((self.num_vars, self.degree, frozenset(self.poly.items())))
+        return hash((self.num_vars, self.degree, self.den, frozenset(self.poly.items())))
 
     def __repr__(self) -> str:
         return f"HomogeneousForm({self.num_vars}, {self.degree}, {self.terms!r})"
@@ -189,10 +185,10 @@ class HomogeneousForm:
         return render_form(self)
 
 
-def _int_value(poly: sympoly.Poly, coeffs: Iterable[int], point: Sequence[int]) -> int:
-    """sum_t C_t * point**t over the packed keys t of ``poly``, C_t the ints ``coeffs`` in key order."""
+def _int_value(poly: sympoly.Poly, point: Sequence[int]) -> int:
+    """sum_t C_t * point**t over the packed keys t of ``poly`` with int coefficients C_t."""
     total = 0
-    for key, c in zip(poly, coeffs):
+    for key, c in poly.items():
         for n in point:
             c *= n ** (key & sympoly.FIELD)
             key >>= sympoly.BITS
@@ -234,44 +230,56 @@ class FormTuple:
 
 @lru_cache(maxsize=8)
 def _monomial_table(num_vars: int, degree: int) -> tuple[tuple[Monomial, int, int], ...]:
-    """(exponent tuple, packed key, multinomial coefficient) of every monomial of the shape."""
+    """(exponents of x0, x1, x2, packed key, multinomial coefficient) of every
+    monomial of the shape; a binary monomial has x2's exponent 0."""
     combos = combinations_with_replacement(range(num_vars), degree)
-    monos = [tuple(combo.count(j) for j in range(num_vars)) for combo in combos]
+    monos = [tuple(combo.count(j) for j in range(3)) for combo in combos]
     return tuple((m, sympoly.monomial(m), factorial(degree) // prod(map(factorial, m))) for m in monos)
+
+
+def linear_rows(forms: Iterable[HomogeneousForm]) -> tuple[int, list[IntVector]]:
+    """The common denominator D of linear forms and their coefficient rows times D."""
+    forms = list(forms)
+    den = lcm(*(f.den for f in forms))
+    return den, [tuple(c * (den // f.den) for c in f.linear_ints()) for f in forms]
 
 
 def power_sum(weights: Sequence[Fraction | int], forms: FormTuple, exponent: int) -> HomogeneousForm:
     """sum_i weights[i] * forms[i]**exponent for linear forms, as weighted moments.
 
-    With the coefficient matrix cleared once to D * l_i = (c_i0, c_i1, ...) and
-    the weights to W_i / E, the coefficient of x**m is
-    multinomial(exponent; m) * sum_i W_i * prod_j c_ij**m_j / (E * D**exponent),
-    one Fraction per coefficient.  Forms of degree other than 1 raise StructuralError.
+    With the coefficient rows cleared to D * l_i = (c_i0, c_i1, ...) and the
+    weights to W_i / E, the coefficient of x**m is
+    multinomial(exponent; m) * sum_i W_i * prod_j c_ij**m_j / (E * D**exponent).
+    Each term adds its products of coefficient powers to every moment in one
+    pass over the monomials; a binary form is a ternary one free of x2.
+    Forms of degree other than 1 raise StructuralError.
     """
     if forms.degree != 1 or not 0 <= exponent <= sympoly.MAX_EXPONENT:
         raise StructuralError(f"a power sum needs linear forms and a power in 0..{sympoly.MAX_EXPONENT}")
     if len(weights) != len(forms):
         raise StructuralError("a power sum needs one weight per form")
     wd, ws = sympoly.clear_denominators(weights)
-    ld, rows = clear_rows([f.linear_coefficients() for f in forms])
-    tables = [[[c**k for k in range(exponent + 1)] for c in row] for row in rows]
-    den = wd * ld**exponent
-    poly: sympoly.Poly = {}
-    for m, key, multinomial in _monomial_table(forms.num_vars, exponent):
-        moment = sum(w * prod(map(getitem, table, m)) for w, table in zip(ws, tables))
-        if moment:
-            poly[key] = Fraction(multinomial * moment, den)
-    return HomogeneousForm._trusted(forms.num_vars, exponent, poly)
+    ld, rows = linear_rows(forms)
+    table = _monomial_table(forms.num_vars, exponent)
+    moments = [0] * len(table)
+    ks = range(exponent + 1)
+    for w, (c0, c1, c2) in zip(ws, (row + (0, 0)[: 3 - len(row)] for row in rows)):
+        if w:
+            p0, p1, p2 = [w * c0**k for k in ks], [c1**k for k in ks], [c2**k for k in ks]
+            moments = [s + p0[a] * p1[b] * p2[c] for s, ((a, b, c), _, _) in zip(moments, table)]
+    poly = {key: multinomial * s for (_, key, multinomial), s in zip(table, moments) if s}
+    return HomogeneousForm._trusted(forms.num_vars, exponent, wd * ld**exponent, poly)
 
 
 def interpolate(
     points: Sequence[tuple[int, int]], values: Sequence[Fraction | int], den: int = 1
-) -> list[Fraction]:
+) -> tuple[int, list[int]]:
     """Coefficients on y0^d, y0^(d-1)*y1, ..., y1^d of the binary form of degree
     d = len(points) - 1 taking ``values[k] / den`` at the integer ``points[k]``
     (pairwise independent): sum_k values[k] * prod_{m != k} [P_m, y] / [P_m, P_k] / den,
-    with [P, y] = a*y1 - b*y0 for P = (a, b), summed on integers over one
-    denominator, the lcm of the values' denominators times their brackets, times den."""
+    with [P, y] = a*y1 - b*y0 for P = (a, b), summed on integers.  It returns
+    one denominator, the lcm of the values' denominators times their
+    brackets, times den, and the ints over it."""
     dens, terms = [], []
     for k, (ak, bk) in enumerate(points):
         term = [1]
@@ -285,7 +293,7 @@ def interpolate(
         terms.append(term)
     common = lcm(*dens)
     nums = [v.numerator * (common // dk) for v, dk in zip(values, dens)]
-    return [Fraction(sum(n * t[e] for n, t in zip(nums, terms)), common * den) for e in range(len(points))]
+    return common * den, [sum(n * t[e] for n, t in zip(nums, terms)) for e in range(len(points))]
 
 
 # text rendering and parsing
@@ -303,7 +311,7 @@ def _render_monomial(mono: Monomial) -> str:
 
 def render_form(f: HomogeneousForm) -> str:
     """Terms in graded-lex order; coefficients as p or p/q."""
-    items = f.sorted_terms()
+    items = sorted(f.terms.items(), reverse=True)
     if not items:
         return "0"
     pieces = []
@@ -392,13 +400,12 @@ def content_normalize(f: HomogeneousForm) -> tuple[Fraction, HomogeneousForm]:
     """
     if f.is_zero():
         return Fraction(1), f
-    items = f.sorted_terms()
-    vec = normalize_vector([c for _, c in items])
-    factor = items[0][1] / vec[0]
-    primitive = HomogeneousForm(
-        f.num_vars, f.degree, {m: c for (m, _), c in zip(items, vec)}
-    )
-    return factor, primitive
+    lead = max(f.poly, key=lambda t: sympoly.exponents(t, f.num_vars))
+    g = gcd(*f.poly.values())
+    if f.poly[lead] < 0:
+        g = -g
+    primitive = HomogeneousForm._trusted(f.num_vars, f.degree, 1, {t: c // g for t, c in f.poly.items()})
+    return Fraction(g, f.den), primitive
 
 
 # division by a linear form
@@ -408,8 +415,10 @@ def divide_by_linear(f: HomogeneousForm, line: HomogeneousForm) -> tuple[Homogen
     """Exact division f = line * quotient + remainder.
 
     The remainder is free of the leading variable of ``line`` (graded-lex),
-    so it vanishes exactly when ``line`` divides f.  The packed keys are
-    divided by descending exponent of that variable, one exponent at a time.
+    so it vanishes exactly when ``line`` divides f.  Pseudo-division on the
+    ints: scaling f's ints by p**degree, p the line's int pivot coefficient
+    (not at all for p = 1), makes every division by p exact; the packed keys
+    are divided by descending exponent of the pivot variable.
     """
     if line.degree != 1 or line.num_vars != f.num_vars:
         raise StructuralError("divisor must be a linear form in the same variables")
@@ -417,75 +426,78 @@ def divide_by_linear(f: HomogeneousForm, line: HomogeneousForm) -> tuple[Homogen
         raise InvalidInputError("division by the zero form")
     if f.degree < 1:
         raise StructuralError("dividend degree must be at least 1")
-    coeffs = line.linear_coefficients()
-    pivot = next(i for i, c in enumerate(coeffs) if c != 0)
+    coeffs = line.linear_ints()
+    pivot = next(i for i, c in enumerate(coeffs) if c)
+    lp = coeffs[pivot]
     shift = sympoly.BITS * pivot
     unit = 1 << shift
-    others = [(1 << (sympoly.BITS * i), c) for i, c in enumerate(coeffs) if c and i != pivot]
-    work = dict(f.poly)
+    others = [(u, c) for i, (u, c) in enumerate(zip(_UNITS, coeffs)) if c and i != pivot]
+    scale = lp**f.degree
+    work = sympoly.scale(f.poly, scale) if scale != 1 else dict(f.poly)
     quot: sympoly.Poly = {}
     for e in range(f.degree, 0, -1):
         for key in [k for k in work if (k >> shift) & sympoly.FIELD == e]:
             base = key - unit
-            factor = quot[base] = work.pop(key) / coeffs[pivot]
+            factor = quot[base] = work.pop(key) // lp
             for unit_i, ci in others:
                 m2 = base + unit_i
                 acc = work[m2] = work.get(m2, 0) - factor * ci
                 if not acc:
                     del work[m2]
+    # f = (line.den * line) * quotient + remainder over f.den * scale
+    den = f.den * scale
     return (
-        HomogeneousForm._trusted(f.num_vars, f.degree - 1, quot),
-        HomogeneousForm._trusted(f.num_vars, f.degree, work),
+        HomogeneousForm._trusted(f.num_vars, f.degree - 1, den, sympoly.scale(quot, line.den)),
+        HomogeneousForm._trusted(f.num_vars, f.degree, den, work),
     )
 
 
 # restriction to the kernel of a line
 
 
-def line_kernel_basis(line: HomogeneousForm) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """Deterministic basis of the plane where ``line`` vanishes.
+def line_kernel_basis(line: HomogeneousForm) -> tuple[int, tuple[IntVector, IntVector]]:
+    """Deterministic basis of the plane where ``line`` vanishes, as its least
+    positive denominator D and the int vectors D * b0, D * b1.
 
     With j the largest index carrying a nonzero coefficient, the basis
     vectors are the remaining coordinate vectors corrected by -(c_i/c_j) e_j.
-    For line = x2 this is (e0, e1), so restriction is substitution x2 := 0.
+    For line = x2 this is (1, (e0, e1)): restriction is substitution x2 := 0.
     """
     if line.degree != 1 or line.num_vars != 3:
         raise StructuralError("expected a linear form in three variables")
-    coeffs = line.linear_coefficients()
-    if all(c == 0 for c in coeffs):
+    if line.is_zero():
         raise InvalidInputError("zero line has no kernel plane")
-    j = max(i for i, c in enumerate(coeffs) if c != 0)
-    others = [i for i in range(3) if i != j]
-    basis = []
-    for i in others:
-        vec = [Fraction(0)] * 3
-        vec[i] = Fraction(1)
-        vec[j] = -coeffs[i] / coeffs[j]
-        basis.append(tuple(vec))
-    return basis[0], basis[1]
+    coeffs = line.linear_ints()
+    g = gcd(*coeffs)
+    j = max(i for i, c in enumerate(coeffs) if c)
+    if coeffs[j] < 0:
+        g = -g
+    # c_j * (e_i - (c_i/c_j) e_j) = c_j e_i - c_i e_j, all divided by the content
+    den, cs = coeffs[j] // g, [c // g for c in coeffs]
+    b0, b1 = (tuple(den * (k == i) - cs[i] * (k == j) for k in range(3)) for i in range(3) if i != j)
+    return den, (b0, b1)
 
 
 def restrict(f: HomogeneousForm, line: HomogeneousForm) -> HomogeneousForm:
     """Restriction g(y) = f(y0 * b0 + y1 * b1) of a three-variable form to the
-    plane ``line = 0`` with kernel basis b0, b1.  With the basis cleared once to
-    integer vectors D * b0 and D * b1 and f to the integer form E * f, g is the
-    interpolant of E * f's integer values there at the plane points
+    plane ``line = 0`` with kernel basis b0, b1.  With the basis cleared to
+    integer vectors D * b0 and D * b1 and f held as ints over E, g is the
+    interpolant of the ints' values there at the plane points
     (1, 0), (1, 1), ..., (1, d - 1), (0, 1), divided by E * D**d."""
-    den, (b0, b1) = clear_rows(line_kernel_basis(line))
+    den, (b0, b1) = line_kernel_basis(line)
     d = f.degree
-    e, coeffs = sympoly.clear_denominators(f.poly.values())
     plane = [*((1, t) for t in range(d)), (0, 1)]
-    values = [_int_value(f.poly, coeffs, [s * u + t * v for u, v in zip(b0, b1)]) for s, t in plane]
-    g = interpolate(plane, values, e * den**d)
+    values = [_int_value(f.poly, [s * u + t * v for u, v in zip(b0, b1)]) for s, t in plane]
+    g_den, g = interpolate(plane, values, f.den * den**d)
     poly = {(d - k) + (k << sympoly.BITS): c for k, c in enumerate(g) if c}
-    return HomogeneousForm._trusted(2, d, poly)
+    return HomogeneousForm._trusted(2, d, g_den, poly)
 
 
 def embed_in_plane(line: HomogeneousForm, point: Point) -> tuple[Fraction, ...]:
     """Lift a point given in kernel-plane coordinates back to 3-space."""
-    b0, b1 = line_kernel_basis(line)
+    den, (b0, b1) = line_kernel_basis(line)
     t0, t1 = (Fraction(x) for x in point)
-    return tuple(t0 * a + t1 * b for a, b in zip(b0, b1))
+    return tuple((t0 * a + t1 * b) / den for a, b in zip(b0, b1))
 
 
 # conics and tangency
@@ -495,13 +507,13 @@ def conic_rank(q: HomogeneousForm) -> int:
     """Rank of the symmetric matrix of a three-variable quadratic.
 
     The matrix is taken doubled, 2*q_ii on the diagonal and q_ij off it, so it
-    has no halves, and cleared of the coefficients' common denominator, so its
-    rank is read by ``linalg.rank`` on integers; scaling does not change it.
+    has no halves, and on the form's ints, so its rank is read by
+    ``linalg.rank`` on integers; scaling does not change it.
     """
     if q.num_vars != 3 or q.degree != 2:
         raise StructuralError("expected a quadratic form in three variables")
     rows = [[0] * 3 for _ in range(3)]
-    for key, c in zip(q.poly, sympoly.clear_denominators(q.poly.values())[1]):
+    for key, c in q.poly.items():
         # the two variable indices of the monomial; equal for a square
         i, j = (k for k, e in enumerate(sympoly.exponents(key, 3)) for _ in range(e))
         rows[i][j] += c
@@ -531,9 +543,6 @@ class BinaryQuadratic:
     def to_form(self) -> HomogeneousForm:
         return HomogeneousForm(2, 2, {(2, 0): self.a, (1, 1): self.b, (0, 2): self.c})
 
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0 and self.c == 0
-
     def discriminant(self) -> Fraction:
         return self.b * self.b - 4 * self.a * self.c
 
@@ -542,20 +551,15 @@ class BinaryQuadratic:
         u0, u1 = (Fraction(x) for x in u)
         return self.a * w0 * u0 + self.b / 2 * (w0 * u1 + w1 * u0) + self.c * u1 * w1
 
-    def polar_kernel_point(self) -> IntVector | None:
-        """Projective kernel of the polarization, for a nonzero square quadratic."""
-        if self.is_zero() or self.discriminant() != 0:
-            return None
-        if self.a != 0:
-            w = (self.b, -2 * self.a)
-        else:
-            # discriminant 0 with a = 0 forces b = 0, leaving c*y1^2
-            w = (1, 0)
-        return normalize_vector(w)
-
     def tangency(self) -> tuple[bool, IntVector | None]:
         """The tangency rule on a restricted conic: the flag is true exactly
-        when the quadratic is zero or a square, and the point is its polar
-        kernel point (None for the zero quadratic and for a nonsquare)."""
-        return self.is_zero() or self.discriminant() == 0, self.polar_kernel_point()
-
+        when the quadratic is zero or a square, and the point is the projective
+        kernel of its polarization (None for the zero quadratic and for a
+        nonsquare).  Both are decided once, on the cleared ints a, b, c."""
+        _, (a, b, c) = sympoly.clear_denominators((self.a, self.b, self.c))
+        if not (a or b or c):
+            return True, None
+        if b * b != 4 * a * c:
+            return False, None
+        # discriminant 0 with a = 0 forces b = 0, leaving c*y1^2
+        return True, normalize_vector((b, -2 * a) if a else (1, 0))

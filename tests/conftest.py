@@ -6,13 +6,13 @@ import random
 import warnings
 from fractions import Fraction
 from itertools import combinations
-from math import comb, gcd, lcm
+from math import comb, gcd, lcm, prod
 
 from hypothesis import settings
 
 from doubleline import engine, linalg
 from doubleline.errors import DegenerateNodesError, GenerationFailureError
-from doubleline.forms import BinaryQuadratic, interpolate, line_kernel_basis
+from doubleline.forms import BinaryQuadratic
 from doubleline.linalg import VandermondeSystem, vandermonde_nullspace
 
 settings.register_profile("exact", deadline=None)
@@ -214,18 +214,56 @@ def wrong_kernel(monkeypatch, fault: str) -> None:
     monkeypatch.setattr(linalg, "vandermonde_nullspace", faulty)
 
 
+def reference_kernel_basis(line) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """The basis e_i - (c_i / c_j) * e_j, i != j, of the plane where ``line``
+    vanishes, c its coefficients and j the largest index with c_j != 0, in
+    plain Fractions."""
+    c = line.linear_coefficients()
+    j = max(i for i, x in enumerate(c) if x)
+    b0, b1 = (
+        tuple(Fraction(k == i) - (c[i] / c[j] if k == j else 0) for k in range(3)) for i in range(3) if i != j
+    )
+    return b0, b1
+
+
+def reference_interpolate(points, values) -> list[Fraction]:
+    """Coefficients on y0^d, y0^(d-1)*y1, ..., y1^d of the binary form of degree
+    d = len(points) - 1 taking values[k] at points[k], by Lagrange's formula
+    on reference polynomials: sum_k values[k] * prod_{m != k} [P_m, y] / [P_m, P_k]
+    with [P, y] = a*y1 - b*y0 for P = (a, b)."""
+    d = len(points) - 1
+    total: dict = {}
+    for k, (ak, bk) in enumerate(points):
+        others = [(am, bm) for m, (am, bm) in enumerate(points) if m != k]
+        factors = [ref_add({(1, 0): Fraction(-bm)}, {(0, 1): Fraction(am)}) for am, bm in others]
+        brackets = prod(Fraction(am * bk - bm * ak) for am, bm in others)
+        total = ref_add(total, ref_scale(ref_product(factors, 2), Fraction(values[k]) / brackets))
+    return [total.get((d - e, e), Fraction(0)) for e in range(d + 1)]
+
+
+def evaluate(form, point) -> Fraction:
+    """The value of ``form`` at ``point``, summed term by term over ``terms`` in Fractions."""
+    total = Fraction(0)
+    for mono, c in form.terms.items():
+        for x, e in zip(point, mono):
+            c *= Fraction(x) ** e
+        total += c
+    return total
+
+
 def reference_certificate(dec, line):
     """The certificate ``analyze`` attaches for a seven-term double-line value
-    with nonzero cofactor, built by the Fraction formulas the builder used
-    before it ran on ints: each restricted point a Fraction sum of a line's
-    coefficients against ``line_kernel_basis``, the line values Fraction sums
-    at ``_transversal_point``, and the contact vector and bridge
-    ``interpolate``d from the Fraction values weight / annihilator (times the
-    line value for the bridge) at the points cleared by ``clear_rows``.  The
-    restricted conic is the cofactor's restriction by the reference
-    substitution.  None when the lines do not meet the base line in seven
-    distinct points."""
-    b0, b1 = line_kernel_basis(line)
+    with nonzero cofactor, built by Fraction formulas that share no code with
+    the builder: each restricted point a Fraction sum of a line's
+    coefficients against ``reference_kernel_basis``, the line values Fraction
+    sums at the transversal point e_j / c_j (c_j the line's last nonzero
+    coefficient), and the contact vector and bridge interpolated by
+    ``reference_interpolate`` from the Fraction values weight / annihilator
+    (times the line value for the bridge) at the points cleared by
+    ``clear_rows``.  The restricted conic is the cofactor's restriction by
+    the reference substitution.  None when the lines do not meet the base
+    line in seven distinct points."""
+    b0, b1 = reference_kernel_basis(line)
     coeffs = [f.linear_coefficients() for f in dec.lines()]
     restricted = tuple(
         tuple(sum((c * b for c, b in zip(cf, v)), Fraction(0)) for v in (b0, b1)) for cf in coeffs
@@ -237,10 +275,12 @@ def reference_certificate(dec, line):
         return None
     weights = dec.weights()
     scaled = [w / a for w, a in zip(weights[:3], annihilator)]
-    contact = tuple(interpolate(points[:2], [den * s for s in scaled[:2]]))
-    transversal = engine._transversal_point(line)
+    contact = tuple(reference_interpolate(points[:2], [den * s for s in scaled[:2]]))
+    lc = line.linear_coefficients()
+    j = max(i for i, x in enumerate(lc) if x)
+    transversal = tuple(1 / lc[j] if i == j else Fraction(0) for i in range(3))
     line_values = tuple(sum((c * t for c, t in zip(cf, transversal)), Fraction(0)) for cf in coeffs)
-    bridge = interpolate(points[:3], [den**2 * s * lv for s, lv in zip(scaled, line_values)])
+    bridge = reference_interpolate(points[:3], [den**2 * s * lv for s, lv in zip(scaled, line_values)])
     cofactor = engine.extract_cofactor(dec.value(), line)
     images = [ref_add({(1, 0): b0[i]}, {(0, 1): b1[i]}) for i in range(3)]
     conic = ref_substitute(cofactor.terms, images, 2)

@@ -418,6 +418,27 @@ class TestOneDerivationPerTrial:
         ) in out.splitlines()
 
 
+class TestFractionBudget:
+    """``theorem-check`` stays on ints from ``power_sum`` to the certificate;
+    the Fractions it builds are its inputs and the certificates' stored
+    fields, about 49 a trial, counted through ``Fraction.__new__``."""
+
+    def test_theorem_check_hundred_trials(self, monkeypatch):
+        original = Fraction.__new__
+        made = [0]
+
+        def counting(cls, *args, **kwargs):
+            made[0] += 1
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+        with redirect_stderr(io.StringIO()):
+            code = main(["theorem-check", "--trials", "100", "--seed", "1"], out=io.StringIO())
+        monkeypatch.undo()
+        assert code == 0
+        assert 0 < made[0] <= 5000
+
+
 class TestInputCaps:
     """Each cap is probed only at cap + 1, which parsing rejects before any work."""
 

@@ -8,6 +8,7 @@ from conftest import (
     ZERO_WEIGHT_TRIPLES,
     count_calls,
     determinant,
+    evaluate,
     kills,
     monomials,
     nondegenerate_analysis,
@@ -381,7 +382,7 @@ class TestKernelDescend:
         cert = analyze(inst.to_decomposition(), line_x2()).certificate
         w_form = HomogeneousForm.linear(cert.contact_vector)
         points = cert.restricted
-        descended = tuple(a * w_form.evaluate(p) for a, p in zip(cert.annihilator, points))
+        descended = tuple(a * evaluate(w_form, p) for a, p in zip(cert.annihilator, points))
         assert descended == inst.weights
         # the weights land in the degree-4 kernel: all moments d <= 4 vanish
         for d in range(5):
@@ -399,7 +400,7 @@ class TestKernelDescend:
                 for i in range(7)
             )
             u = HomogeneousForm.linear((random_fraction(rng), random_fraction(rng)))
-            out = [x * u.evaluate((1, h)) for x, h in zip(a, slopes)]
+            out = [x * evaluate(u, (1, h)) for x, h in zip(a, slopes)]
             for d in range(4):
                 assert sum(o * h**d for o, h in zip(out, slopes)) == 0
 
@@ -747,7 +748,7 @@ class TestCertificateOracle:
             coeffs = line.linear_coefficients()
             assert max(i for i, c in enumerate(coeffs) if c) == pivot
             assert lcm(*(c.denominator for f in dec.lines() for c in f.linear_coefficients())) > 1
-            basis_den = lcm(*(x.denominator for v in line_kernel_basis(line) for x in v))
+            basis_den = line_kernel_basis(line)[0]
             assert basis_den > 1 or pivot == 0
             cert = analyze(dec, line).certificate
             assert cert == reference_certificate(dec, line)
@@ -805,6 +806,19 @@ class TestCoercion:
         assert all(type(w) is Fraction for dec in built for w in dec.weights())
         given = Fraction(-5, 2)
         assert WaringDecomposition(((given, line),)).weights()[0] is given
+
+    def test_generate_tangent_instance(self, monkeypatch):
+        built = [generate_tangent_instance(v, v[:3], seed=2).instance for v in self.VALUES]
+        assert built[0] == built[1] == built[2]
+        assert all(type(h) is Fraction for h in built[0].slopes)
+        slopes = tuple(Fraction(h, 3) for h in self.VALUES[0])
+        params = (Fraction(1, 2), Fraction(-3), Fraction(2, 7))
+        cleared = count_calls(monkeypatch, sympoly, "clear_denominators")
+        inst = generate_tangent_instance(slopes, params, seed=2).instance
+        assert all(kept is given for kept, given in zip(inst.slopes, slopes))
+        # the parameters reach their one clearing as the given objects
+        [passed] = [args[0] for args in cleared if len(args[0]) == 3]
+        assert all(p is given for p, given in zip(passed, params))
 
 
 class TestTangencyDefect:

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from conftest import (
+    evaluate,
     minor_rank,
     monomials,
     random_fraction,
@@ -12,6 +14,8 @@ from conftest import (
     ref_product,
     ref_scale,
     ref_substitute,
+    reference_interpolate,
+    reference_kernel_basis,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -144,8 +148,12 @@ class TestPow:
 
 
 def assert_canonical(f: HomogeneousForm) -> None:
-    """Only nonzero Fractions on monomials of the declared shape, and equal to
-    the same terms passed through the validating constructor."""
+    """Nonzero ints over a positive denominator coprime to their content, read
+    back as nonzero Fractions on monomials of the declared shape, and equal
+    to the same terms passed through the validating constructor."""
+    assert type(f.den) is int and f.den > 0
+    assert all(type(c) is int and c != 0 for c in f.poly.values())
+    assert gcd(f.den, *f.poly.values()) == 1
     for mono, c in f.terms.items():
         assert type(mono) is tuple and len(mono) == f.num_vars
         assert min(mono) >= 0 and sum(mono) == f.degree
@@ -210,11 +218,81 @@ def shaped_terms_st(count: int):
     return shape_st.flatmap(lambda s: st.tuples(st.just(s), *[terms_st(*s)] * count))
 
 
+def basis_images(line) -> list[dict]:
+    """The substitution x_i -> b0_i * y0 + b1_i * y1 of ``line_kernel_basis``, as reference polynomials."""
+    den, (b0, b1) = line_kernel_basis(line)
+    return [ref({(1, 0): Fraction(b0[i], den), (0, 1): Fraction(b1[i], den)}) for i in range(3)]
+
+
 def pivot_line(data, pivot: int) -> HomogeneousForm:
     """A line whose last nonzero coefficient, which picks its kernel basis, is at ``pivot``."""
     coeffs = [data.draw(fractions_st) for _ in range(pivot)]
     coeffs.append(data.draw(fractions_st.filter(bool)))
     return HomogeneousForm.linear(coeffs + [0] * (2 - pivot))
+
+
+class TestRepresentation:
+    """A form holds its cleared ints over a positive denominator coprime to
+    their content.  That pair is one function of the coefficients, however
+    the form is built, so == and hash stay exact."""
+
+    @given(form_st(3, 2), st.integers(-5, 5).filter(bool))
+    def test_same_pair_from_every_constructor(self, f, k):
+        rebuilt = HomogeneousForm(f.num_vars, f.degree, f.terms)
+        # the same coefficients as ints over k * den: unreduced, negative for k < 0
+        scaled = HomogeneousForm._trusted(f.num_vars, f.degree, k * f.den, {t: k * c for t, c in f.poly.items()})
+        for g in (rebuilt, scaled):
+            assert_canonical(g)
+            assert (g.den, g.poly) == (f.den, f.poly)
+            assert g == f and hash(g) == hash(f)
+
+    @given(st.sampled_from([2, 3]).flatmap(lambda n: st.tuples(*[fractions_st] * n)))
+    def test_linear_matches_init(self, coeffs):
+        n = len(coeffs)
+        via_linear = HomogeneousForm.linear(coeffs)
+        via_init = HomogeneousForm(n, 1, dict(zip(monomials(n, 1), coeffs)))
+        assert_canonical(via_linear)
+        assert (via_linear.den, via_linear.poly) == (via_init.den, via_init.poly)
+        assert hash(via_linear) == hash(via_init)
+
+    @given(form_st(3, 2), form_st(3, 2), fractions_st.filter(bool))
+    def test_equal_results_hash_alike(self, f, g, c):
+        for h in ((f + g) - g, (f * c) * (1 / c), -(-f)):
+            assert_canonical(h)
+            assert h == f and hash(h) == hash(f)
+
+    @given(shaped_terms_st(2), st.integers(0, 4), st.one_of(fractions_st, st.integers(-3, 3)))
+    def test_arithmetic_matches_reference(self, case, e, c):
+        (n, d), p, q = case
+        f, g = HomogeneousForm(n, d, p), HomogeneousForm(n, d, q)
+        results = (
+            (f + g, ref_add(ref(p), ref(q))),
+            (f * g, ref_mul(ref(p), ref(q))),
+            (f**e, ref_product([ref(p)] * e, n)),
+            (c * f, ref_scale(ref(p), c)),
+        )
+        for result, expected in results:
+            assert result.terms == expected
+            assert_canonical(result)
+
+    # pivots 15 (of 15/35*x0 - 70/35*x1 + 7/35*x2), -5 and -2
+    NON_UNIT_PIVOTS = (
+        (Fraction(3, 7), -2, Fraction(1, 5)),
+        (0, Fraction(-5, 3), 4),
+        (0, 0, Fraction(-2, 9)),
+    )
+
+    @given(st.integers(1, 4).flatmap(lambda d: form_st(3, d)), st.sampled_from(NON_UNIT_PIVOTS))
+    def test_divide_by_non_unit_pivot(self, f, coeffs):
+        line = HomogeneousForm.linear(coeffs)
+        pivot = next(i for i, c in enumerate(coeffs) if c)
+        assert line.linear_ints()[pivot] not in (0, 1)
+        quotient, remainder = divide_by_linear(f, line)
+        assert line * quotient + remainder == f
+        assert ref_add(ref_mul(line.terms, quotient.terms), remainder.terms) == f.terms
+        assert all(m[pivot] == 0 for m in remainder.terms)
+        assert_canonical(quotient)
+        assert_canonical(remainder)
 
 
 class TestAgainstReference:
@@ -256,8 +334,7 @@ class TestAgainstReference:
     def test_restrict(self, pivot, case, data):
         d, p = case
         line = pivot_line(data, pivot)
-        b0, b1 = line_kernel_basis(line)
-        images = [ref({(1, 0): b0[i], (0, 1): b1[i]}) for i in range(3)]
+        images = basis_images(line)
         restricted = restrict(HomogeneousForm(3, d, p), line)
         assert restricted.degree == d
         assert restricted.terms == ref_substitute(ref(p), images, 2)
@@ -311,16 +388,18 @@ class TestTuples:
 
 
 class TestEvaluate:
+    """A form's value at a point, read from its ``terms`` by ``conftest.evaluate``."""
+
     def test_monomial(self):
-        assert (X0**2 * X2**2).evaluate((1, 0, 2)) == 4
+        assert evaluate(X0**2 * X2**2, (1, 0, 2)) == 4
 
     def test_binary_conic(self):
         # direct substitution oracle: 6 - 6 + 3 = 3
         f = parse_form("6*x0^2 + 6*x0*x1 + 3*x1^2", 2)
-        assert f.evaluate((1, -1)) == 3
+        assert evaluate(f, (1, -1)) == 3
 
     def test_zero_form(self):
-        assert HomogeneousForm.zero(3, 4).evaluate((5, 7, 9)) == 0
+        assert evaluate(HomogeneousForm.zero(3, 4), (5, 7, 9)) == 0
 
     @given(
         st.tuples(st.sampled_from([2, 3]), st.integers(0, 4)).flatmap(
@@ -330,7 +409,7 @@ class TestEvaluate:
     def test_matches_substitution(self, case):
         # the value is the substitution of the point's coordinates as constants
         (n, d), p, point = case
-        value = HomogeneousForm(n, d, p).evaluate(point)
+        value = evaluate(HomogeneousForm(n, d, p), point)
         constant = ref_substitute(ref(p), [ref({(0,): x}) for x in point], 1)
         assert value == constant.get((0,), 0)
         assert type(value) is Fraction
@@ -360,17 +439,21 @@ class TestRestrict:
             if all(c == 0 for c in coeffs):
                 continue
             line = HomogeneousForm.linear(coeffs)
-            b0, b1 = line_kernel_basis(line)
-            assert line.evaluate(b0) == 0
-            assert line.evaluate(b1) == 0
+            den, (b0, b1) = line_kernel_basis(line)
+            assert den > 0 and all(type(x) is int for x in (*b0, *b1))
+            assert evaluate(line, b0) == 0
+            assert evaluate(line, b1) == 0
+            # the cleared pair is the Fraction basis e_i - (c_i/c_j) e_j over its least denominator
+            expected = reference_kernel_basis(line)
+            assert tuple(tuple(Fraction(x, den) for x in b) for b in (b0, b1)) == expected
+            assert den == lcm(*(x.denominator for b in expected for x in b))
 
     @pytest.mark.parametrize("pivot", [0, 1, 2])
     @given(linear_st(3), st.data())
     def test_linear_fast_path_matches_substitution(self, pivot, l, data):
         # a linear form restricts to its coefficients paired with the kernel basis
         line = pivot_line(data, pivot)
-        b0, b1 = line_kernel_basis(line)
-        images = [ref({(1, 0): b0[i], (0, 1): b1[i]}) for i in range(3)]
+        images = basis_images(line)
         restricted = restrict(l, line)
         assert restricted.terms == ref_substitute(l.terms, images, 2)
         assert_canonical(restricted)
@@ -380,9 +463,8 @@ class TestRestrict:
         # enters each restriction as D**degree; the forms are the zero form,
         # a constant and a quintic, each with coefficients of several denominators
         line = HomogeneousForm.linear((2, 3, 7))
-        b0, b1 = line_kernel_basis(line)
-        assert max(x.denominator for x in (*b0, *b1)) == 7
-        images = [ref({(1, 0): b0[i], (0, 1): b1[i]}) for i in range(3)]
+        assert line_kernel_basis(line)[0] == 7
+        images = basis_images(line)
         quintic = {m: Fraction(k - 7, 1 + k % 4) for k, m in enumerate(monomials(3, 5)) if k % 3}
         forms = [
             HomogeneousForm.zero(3, 3),
@@ -432,10 +514,12 @@ class TestInterpolate:
     def test_interpolant_takes_the_values(self, case):
         points, values = case
         d = len(points) - 1
-        coeffs = interpolate(points, values)
-        assert len(coeffs) == d + 1 and all(type(c) is Fraction for c in coeffs)
+        den, ints = interpolate(points, values)
+        assert len(ints) == d + 1 and all(type(c) is int for c in ints) and den > 0
+        coeffs = [Fraction(c, den) for c in ints]
         g = HomogeneousForm(2, d, {(d - e, e): c for e, c in enumerate(coeffs)})
-        assert [g.evaluate(p) for p in points] == values
+        assert [evaluate(g, p) for p in points] == values
+        assert coeffs == reference_interpolate(points, values)
 
     @given(
         st.integers(0, 4).flatmap(
@@ -448,24 +532,29 @@ class TestInterpolate:
     )
     def test_int_and_fraction_values_agree(self, case):
         # int values, the same values as Fractions, and the values times den
-        # with the divisor den all give one interpolant, as Fractions
+        # with the divisor den all give one interpolant, as ints over one denominator
         points, values, den = case
-        coeffs = interpolate(points, values)
-        assert coeffs == interpolate(points, [Fraction(v) for v in values])
-        assert coeffs == interpolate(points, [v * den for v in values], den)
-        assert all(type(c) is Fraction for c in coeffs)
+        coeffs = as_fractions(interpolate(points, values))
+        assert coeffs == as_fractions(interpolate(points, [Fraction(v) for v in values]))
+        assert coeffs == as_fractions(interpolate(points, [v * den for v in values], den))
 
     def test_integer_values(self):
         # y0^2 - y1^2 from (1, 0), (1, 1), (1, -1), and a linear form from (1, 2), (3, 1)
-        assert interpolate([(1, 0), (1, 1), (1, -1)], [1, 0, 0]) == [1, 0, -1]
-        assert interpolate([(1, 2), (3, 1)], [Fraction(1, 2), 3]) == [
+        assert as_fractions(interpolate([(1, 0), (1, 1), (1, -1)], [1, 0, 0])) == [1, 0, -1]
+        assert as_fractions(interpolate([(1, 2), (3, 1)], [Fraction(1, 2), 3])) == [
             Fraction(11, 10), Fraction(-3, 10)
         ]
 
 
+def as_fractions(cleared: tuple[int, list[int]]) -> list[Fraction]:
+    den, ints = cleared
+    return [Fraction(c, den) for c in ints]
+
+
 class TestCoercion:
-    """Coefficients are Fractions whatever numbers they are given as, and a
-    Fraction given is kept, not copied."""
+    """Coefficients read back as Fractions whatever numbers they are given
+    as; a binary quadratic keeps a given Fraction, not a copy, while a form
+    stores its cleared ints and builds each Fraction when it is read."""
 
     VALUES = ([3, -1, 0], [Fraction(3), Fraction(-1), Fraction(0)], [3, Fraction(-1), 0])
 
@@ -476,7 +565,8 @@ class TestCoercion:
             assert all(type(c) is Fraction for c in f.linear_coefficients())
             assert f.poly.keys() == {sympoly.monomial((1, 0, 0)), sympoly.monomial((0, 1, 0))}
         given = Fraction(2, 9)
-        assert HomogeneousForm.linear((given, 1)).linear_coefficients()[0] is given
+        read = HomogeneousForm.linear((given, 1)).linear_coefficients()[0]
+        assert read == given and type(read) is Fraction
 
     def test_binary_quadratic(self):
         built = [BinaryQuadratic(*v) for v in self.VALUES]
