@@ -2,10 +2,10 @@
 
 A polynomial is a dict mapping packed monomials to nonzero coefficients; the
 zero polynomial is the empty dict.  ``forms.HomogeneousForm`` is a shape
-(variable count and degree) over one of these dicts, and the engine's
-symbolic identity checks expand into them directly; there the question is
-always "is this polynomial identically zero", decided by exact expansion
-and cancellation.
+(variable count and degree) over one of these with int coefficients and a
+denominator; the engine's symbolic identity checks expand into them
+directly, and there the question is always "is this polynomial identically
+zero", decided by exact expansion and cancellation.
 
 A monomial is one nonnegative int: variable i owns bits
 ``BITS*i .. BITS*i + BITS - 1`` and holds its exponent there, so the product
