@@ -18,7 +18,6 @@ import random
 import re
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NoReturn, Sequence, TextIO
 
@@ -47,6 +46,7 @@ from .forms import (
     parse_form,
     render_form,
 )
+from .record import Record
 from .sympoly import format_rational
 
 # [0-9], not \d: \d, int and Fraction also accept the other Unicode digits
@@ -74,8 +74,7 @@ def parse_rational(text: str) -> Fraction:
 # decomposition documents
 
 
-@dataclass(frozen=True)
-class DecompositionDocument:
+class DecompositionDocument(Record):
     """JSON-serializable decomposition: variables, line, weighted lines."""
 
     variables: tuple[str, str, str]
@@ -189,12 +188,12 @@ def document_to_parts(doc: DecompositionDocument) -> tuple[WaringDecomposition, 
 # run reports
 
 
-@dataclass
 class RunReport:
-    command: str
-    seed: int | None = None
-    fields: list[tuple[str, str]] = field(default_factory=list)
-    checks: list[tuple[str, str, str | None]] = field(default_factory=list)
+    def __init__(self, command: str, seed: int | None = None):
+        self.command = command
+        self.seed = seed
+        self.fields: list[tuple[str, str]] = []
+        self.checks: list[tuple[str, str, str | None]] = []
 
     def add(self, key: str, value: str | int | Fraction) -> None:
         self.fields.append((key, value if isinstance(value, str) else format_rational(value)))

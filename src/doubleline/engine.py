@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -59,6 +58,7 @@ from .linalg import (
     rank,
     vandermonde_nullspace,
 )
+from .record import Record
 
 Vector = tuple[Fraction, ...]
 _ZERO = Fraction(0)
@@ -69,8 +69,7 @@ def line_x2() -> HomogeneousForm:
     return HomogeneousForm.linear((0, 0, 1))
 
 
-@dataclass(frozen=True)
-class WaringDecomposition:
+class WaringDecomposition(Record):
     """Weighted sum of fourth powers of linear forms in three variables."""
 
     terms: tuple[tuple[Fraction, HomogeneousForm], ...]
@@ -104,8 +103,7 @@ class WaringDecomposition:
         return power_sum(self.weights(), FormTuple(self.lines()), 4)
 
 
-@dataclass(frozen=True)
-class CoordinateInstance:
+class CoordinateInstance(Record):
     """Six or seven lines x0 + slope*x1 + lift*x2 with weights."""
 
     slopes: Vector
@@ -136,8 +134,7 @@ class CoordinateInstance:
         )
 
 
-@dataclass(frozen=True)
-class DoubleLineQuartic:
+class DoubleLineQuartic(Record):
     """A quartic together with its factorization line^2 * cofactor."""
 
     line: HomogeneousForm
@@ -168,8 +165,7 @@ def extract_cofactor(quartic: HomogeneousForm, line: HomogeneousForm) -> Homogen
     raise NotDoubleLineError(line * r2 + r1)
 
 
-@dataclass(frozen=True)
-class KernelBasis:
+class KernelBasis(Record):
     """Kernel of the map sending coefficient vectors a to sum_i a_i * L_i^d."""
 
     vectors: tuple[IntVector, ...]
@@ -195,8 +191,7 @@ def power_kernel(restricted: FormTuple, degree: int) -> KernelBasis:
     return KernelBasis(vectors=tuple(vectors))
 
 
-@dataclass(frozen=True)
-class TangencyCertificate:
+class TangencyCertificate(Record):
     """Exact witnesses that the line is tangent to the cofactor conic.
 
     The fields satisfy, with L_i the line ``restricted[i]`` and alpha the weights:
@@ -374,8 +369,7 @@ def tangency_defect(inst: CoordinateInstance) -> Fraction:
     return Fraction(s1 * s1 - s0 * s2, (wd * kd * kd * hd) ** 2)
 
 
-@dataclass(frozen=True)
-class IdentitySliceReport:
+class IdentitySliceReport(Record):
     """Outcome of the symbolic identity check on one slope slice."""
 
     slopes: Vector
@@ -419,7 +413,7 @@ def verify_identity_slice(
     direct products, while the factors multiplied term by term are much
     shorter (by Gauss's lemma their products are primitive too).
     """
-    hs = tuple(Fraction(h) for h in slopes)
+    hs = tuple(h if isinstance(h, Fraction) else Fraction(h) for h in slopes)
     if len(hs) != 7:
         raise StructuralError(f"expected 7 slopes, got {len(hs)}")
     alpha_basis, beta_basis = vandermonde_nullspace(VandermondeSystem(hs, (4, 3)))
@@ -472,8 +466,7 @@ def verify_identity_slice(
     )
 
 
-@dataclass(frozen=True)
-class SixTermVanishingReport:
+class SixTermVanishingReport(Record):
     """Outcome of the six-term collapse check for distinct slopes."""
 
     slopes: Vector
@@ -501,7 +494,7 @@ def six_term_vanishing_check(slopes: Sequence[Fraction | int]) -> SixTermVanishi
     integer moments M_0..M_4 do.  They share no code with
     ``moment_kernel``'s closed-form bracket products.
     """
-    hs = tuple(Fraction(h) for h in slopes)
+    hs = tuple(h if isinstance(h, Fraction) else Fraction(h) for h in slopes)
     if len(hs) != 6:
         raise StructuralError(f"expected 6 slopes, got {len(hs)}")
     # six nodes at degree 4 leave one free index, so one annihilator
@@ -526,8 +519,7 @@ def six_term_vanishing_check(slopes: Sequence[Fraction | int]) -> SixTermVanishi
     )
 
 
-@dataclass(frozen=True)
-class TwoValueReport:
+class TwoValueReport(Record):
     """Slope multiset structure of a six-term double-line instance."""
 
     applicable: bool
@@ -549,18 +541,14 @@ def two_value_collapse_check(inst: CoordinateInstance) -> TwoValueReport:
     report = analyze(inst.to_decomposition(), line_x2())
     if not report.divisible:
         raise PreconditionError("value is not of double-line shape")
-    rank = report.conic_rank
-    tangent = report.tangent
-    applicable = rank == 3 and tangent is False
+    applicable = report.conic_rank == 3 and report.tangent is False
     counts = tuple(sorted(Counter(inst.slopes).items()))
     if applicable:
         if len(counts) != 2 or any(c != 3 for _, c in counts):
             raise TheoremViolationError("slopes do not collapse to two triples")
         if any(w == 0 for w in inst.weights):
             raise TheoremViolationError("a weight vanishes on a nondegenerate instance")
-    return TwoValueReport(
-        applicable=applicable, slope_counts=counts, conic_rank=rank, tangent=tangent
-    )
+    return TwoValueReport(applicable, counts, report.conic_rank, report.tangent)
 
 
 def generate_six_term_family(
@@ -577,8 +565,7 @@ def generate_six_term_family(
     if ha == hb:
         raise InvalidInputError("slope pair must be distinct")
     if seed == 0:
-        scales = (Fraction(1), Fraction(1))
-        spreads = (Fraction(1), Fraction(1))
+        scales = spreads = (Fraction(1), Fraction(1))
     else:
         rng = random.Random(f"six-term:{seed}")
         scales = (Fraction(rng.randint(1, 9)), Fraction(rng.randint(1, 9)))
@@ -594,8 +581,7 @@ def generate_six_term_family(
     return CoordinateInstance(slopes, lifts, weights)
 
 
-@dataclass(frozen=True)
-class TangentInstance:
+class TangentInstance(Record):
     """A generated seven-term instance and its rejected weight samples;
     ``quartic``, an extraction separate from ``analyze``, is built when read."""
 
@@ -655,8 +641,7 @@ def generate_tangent_instance(
     return TangentInstance(instance=inst, weight_retries=retries)
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(Record):
     """Full exact analysis of a decomposition against a line."""
 
     summary: str
@@ -708,8 +693,6 @@ def analyze(dec: WaringDecomposition, line: HomogeneousForm) -> AnalysisReport:
         cofactor=cofactor,
         conic_rank=rank,
         tangent=tangent,
-        tangency_point=point if point is not None else (
-            certificate.tangency_point if certificate else None
-        ),
+        tangency_point=point or (certificate.tangency_point if certificate else None),
         certificate=certificate,
     )

@@ -16,7 +16,6 @@ so only the tuples are sorted.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -26,6 +25,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from . import sympoly
 from .errors import InvalidInputError, StructuralError
 from .linalg import IntVector, normalize_vector, rank
+from .record import Record
 
 Monomial = tuple[int, ...]
 Point = Sequence[Fraction | int]
@@ -196,8 +196,7 @@ def _int_value(poly: sympoly.Poly, point: Sequence[int]) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class FormTuple:
+class FormTuple(Record):
     """Nonempty tuple of forms of one shared shape, such as the seven lines
     restricted to a base line; ``power_sum`` sums weighted powers of a tuple
     of linear forms."""
@@ -521,8 +520,7 @@ def conic_rank(q: HomogeneousForm) -> int:
     return rank(rows)
 
 
-@dataclass(frozen=True)
-class BinaryQuadratic:
+class BinaryQuadratic(Record):
     """Quadratic a*y0^2 + b*y0*y1 + c*y1^2 on the kernel plane of a line."""
 
     a: Fraction

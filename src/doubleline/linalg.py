@@ -17,16 +17,15 @@ on S = {0..d, f}.  It is c_i = 1 / prod_{j in S, j != i} [P_j, P_i]: at
 P_i = (1, h_i) the pairing of sum_i c_i l_i^d with a degree-d polynomial g is
 the divided difference g[h_S], zero as deg g < |S| - 1, and the general case
 is its homogenization.  The vector is built on integers, as M / prod_i with
-M the lcm of the bracket products, then divided by its content with the sign
-of its leading entry (``normalize_vector``): every kernel vector is a
-primitive integer tuple, and no entry becomes a Fraction.
+M the lcm of the bracket products, signed to make its leading entry positive:
+its content is 1, as some prod_i carries M's full power of each prime, so
+every kernel vector is a primitive integer tuple and no entry is a Fraction.
 
 Matrices are immutable values; all functions return fresh objects.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import gcd, lcm, prod
@@ -34,6 +33,7 @@ from typing import Sequence
 
 from . import sympoly
 from .errors import DegenerateNodesError, InvalidInputError, StructuralError
+from .record import Record
 
 Vector = tuple[Fraction, ...]
 IntVector = tuple[int, ...]
@@ -129,7 +129,7 @@ def normalize_vector(v: Sequence[Fraction | int]) -> IntVector:
 
 def clear_rows(rows: Sequence[Sequence[Fraction | int]]) -> tuple[int, list[tuple[int, ...]]]:
     """The common denominator D of every entry of ``rows`` and the integer rows
-    D * row; the one place where points and kernel vectors are cleared."""
+    D * row; the one place where rows of points are cleared."""
     den, flat = sympoly.clear_denominators([x for row in rows for x in row])
     entries = iter(flat)
     return den, [tuple(islice(entries, len(row))) for row in rows]
@@ -164,22 +164,22 @@ def moment_kernel(
                 raise DegenerateNodesError(f"points {j} and {i} are proportional")
     bases: list[list[IntVector]] = []
     for degree in degrees:
+        pivots = range(min(degree + 1, n))
+        pivot_prods = [prod(det[j][i] for j in pivots if j != i) for i in pivots]  # shared by every f
         basis: list[IntVector] = []
         for f in range(degree + 1, n):
-            support = [*range(degree + 1), f]
-            prods = [prod(det[j][i] for j in support if j != i) for i in support]
-            # M / prod_i is the integer vector, before its content is divided out
-            m = lcm(*prods)
+            prods = [*(p * det[f][i] for i, p in enumerate(pivot_prods)), prod(det[j][f] for j in pivots)]
+            # M / prod_i has content 1: gcd_i(M / |prod_i|) = M / lcm_i |prod_i| = 1
+            m = lcm(*prods) if prods[0] > 0 else -lcm(*prods)
             vec = [0] * n
-            for i, p in zip(support, prods):
+            for i, p in zip([*pivots, f], prods):
                 vec[i] = m // p
-            basis.append(normalize_vector(vec))
+            basis.append(tuple(vec))
         bases.append(basis)
     return bases
 
 
-@dataclass(frozen=True)
-class VandermondeSystem:
+class VandermondeSystem(Record):
     """Moment constraints sum_i c_i h_i^d = 0 for 0 <= d <= p, one system for
     each p in ``max_powers``, all on the same nodes."""
 
@@ -191,19 +191,17 @@ def vandermonde_nullspace(system: VandermondeSystem) -> list[list[IntVector]]:
     """Bases of moment annihilators, one per max power p in order; dimension
     n - p - 1 for distinct nodes."""
     n = len(system.nodes)
-    seen: set[Fraction | int] = set()
-    for h in system.nodes:
-        if h in seen:
-            raise DegenerateNodesError(f"repeated node {h}")
-        seen.add(h)
+    den, ints = sympoly.clear_denominators(system.nodes)  # D * (1, h_i) is (D, H_i)
+    if len(set(ints)) < n:
+        h = next(h for i, (h, x) in enumerate(zip(system.nodes, ints)) if x in ints[:i])
+        raise DegenerateNodesError(f"repeated node {h}")
     for max_power in system.max_powers:
         if max_power > n - 1:
             raise StructuralError(f"max_power {max_power} exceeds n-1 = {n - 1}")
-    return moment_kernel([(1, h) for h in system.nodes], system.max_powers)
+    return moment_kernel([(den, x) for x in ints], system.max_powers)
 
 
-@dataclass(frozen=True)
-class WeightedMomentKernel:
+class WeightedMomentKernel(Record):
     """Solutions k of sum_i weights_i k_i h_i^d = 0 over a range of d."""
 
     basis: tuple[Vector, ...]

@@ -52,7 +52,9 @@ def exponents(term: Term, nvars: int) -> tuple[int, ...]:
 
 
 def clear_denominators(values: Collection[Coefficient]) -> tuple[int, list[int]]:
-    """The lcm D of the denominators of ``values``, and the integers D * value."""
+    """The lcm D of the denominators of ``values``, and the integers D * value (D = 1 for ints)."""
+    if all(type(x) is int for x in values):
+        return 1, list(values)
     den = lcm(*(x.denominator for x in values))
     return den, [x.numerator * (den // x.denominator) for x in values]
 

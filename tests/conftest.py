@@ -312,6 +312,12 @@ def nondegenerate_analysis(monkeypatch) -> None:
     monkeypatch.setattr(engine, "analyze", lambda dec, line: report)
 
 
+def replace(record, **changes):
+    """A copy of ``record`` with ``changes``, rebuilt through its constructor
+    so that its ``__post_init__`` runs on the new fields."""
+    return type(record)(**{**{f: getattr(record, f) for f in record._fields}, **changes})
+
+
 def count_calls(monkeypatch, module, name: str) -> list:
     """Replace ``module.name`` by a wrapper that appends to the returned list
     on every call."""

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 from math import lcm, prod
@@ -26,6 +25,7 @@ from conftest import (
     reference_solve,
     reference_tangency_defect,
     reference_tangent_instance,
+    replace,
     sample_nodes,
     unpack,
     wrong_kernel,
@@ -573,21 +573,21 @@ class TestCertificateTampering:
         a = list(certificate.annihilator)
         a[3] += 1
         self.assert_fails(
-            dataclasses.replace(certificate, annihilator=tuple(a)),
+            replace(certificate, annihilator=tuple(a)),
             "annihilator does not kill the degree-5 powers",
         )
 
     def test_contact_vector(self, certificate):
         w0, w1 = certificate.contact_vector
         self.assert_fails(
-            dataclasses.replace(certificate, contact_vector=(w0 + 1, w1)),
+            replace(certificate, contact_vector=(w0 + 1, w1)),
             "contact vector does not reproduce the weights",
         )
 
     def test_bridge_coefficient(self, certificate):
-        bridge = dataclasses.replace(certificate.bridge, b=certificate.bridge.b + 1)
+        bridge = replace(certificate.bridge, b=certificate.bridge.b + 1)
         self.assert_fails(
-            dataclasses.replace(certificate, bridge=bridge),
+            replace(certificate, bridge=bridge),
             "bridge tensor does not reproduce the line values",
         )
 
@@ -604,7 +604,7 @@ class TestCertificateTampering:
         )
         a = tuple(x + y for x, y in zip(certificate.annihilator, v))
         self.assert_fails(
-            dataclasses.replace(certificate, annihilator=a),
+            replace(certificate, annihilator=a),
             "annihilator does not kill the degree-5 powers",
         )
 
@@ -613,7 +613,7 @@ class TestCertificateTampering:
         # and bridge -> bridge / t, which moves the denominators verify clears
         t = Fraction(2, 3)
         g = certificate.bridge
-        dataclasses.replace(
+        replace(
             certificate,
             annihilator=tuple(t * a for a in certificate.annihilator),
             contact_vector=tuple(c / t for c in certificate.contact_vector),
@@ -623,9 +623,9 @@ class TestCertificateTampering:
     @pytest.mark.parametrize("field", ["a", "b", "c"])
     def test_restricted_conic(self, certificate, field):
         q = certificate.restricted_conic
-        tampered = dataclasses.replace(q, **{field: getattr(q, field) + 1})
+        tampered = replace(q, **{field: getattr(q, field) + 1})
         self.assert_fails(
-            dataclasses.replace(certificate, restricted_conic=tampered),
+            replace(certificate, restricted_conic=tampered),
             "restricted conic does not match its power-sum expression",
         )
 
@@ -819,6 +819,14 @@ class TestCoercion:
         # the parameters reach their one clearing as the given objects
         [passed] = [args[0] for args in cleared if len(args[0]) == 3]
         assert all(p is given for p, given in zip(passed, params))
+
+    @pytest.mark.parametrize("check, count", [(six_term_vanishing_check, 6), (verify_identity_slice, 7)])
+    def test_slope_reports(self, check, count):
+        built = [check(v[:count]).slopes for v in self.VALUES]
+        assert built[0] == built[1] == built[2]
+        assert all(type(h) is Fraction for slopes in built for h in slopes)
+        slopes = tuple(Fraction(h, 3) for h in self.VALUES[0][:count])
+        assert all(kept is given for kept, given in zip(check(slopes).slopes, slopes))
 
 
 class TestTangencyDefect:
