@@ -12,7 +12,7 @@ keeps a ``__dict__`` for ``functools.cached_property``.
 class Record:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._fields = fields = (*getattr(cls, "_fields", ()), *cls.__dict__.get("__annotations__", {}))
+        cls._fields = fields = (*getattr(cls, "_fields", ()), *cls.__annotations__)
         names, count, post_init = frozenset(fields), len(fields), getattr(cls, "__post_init__", None)
         defaults, set_dict = {f: getattr(cls, f) for f in fields if hasattr(cls, f)}, object.__setattr__
 
