@@ -55,7 +55,10 @@ class TestConstruction:
             (lambda: BinaryQuadratic(1, 2, 3, a=1), "BinaryQuadratic takes 3 fields, each given once"),
             (lambda: Labelled("x", label="y"), "Labelled takes 2 fields, each given once"),
         ],
-        ids=["missing", "missing-default", "unknown", "unknown-default", "too-many", "repeated", "repeated-default"],
+        ids=[
+            "missing", "missing-default", "unknown", "unknown-default",
+            "too-many", "repeated", "repeated-default",
+        ],
     )
     def test_bad_fields_raise_type_error(self, build, message):
         with pytest.raises(TypeError) as info:
@@ -94,7 +97,8 @@ class TestValueSemantics:
     def test_equal_records_have_equal_hashes(self):
         assert hash(coordinate_instance()) == hash(coordinate_instance())
         assert hash(BinaryQuadratic(1, 2, 3)) == hash(BinaryQuadratic(Fraction(1), 2, Fraction(6, 2)))
-        assert len({BinaryQuadratic(1, 2, 3), BinaryQuadratic(a=1, b=2, c=3), BinaryQuadratic(0, 0, 0)}) == 2
+        distinct = {BinaryQuadratic(1, 2, 3), BinaryQuadratic(a=1, b=2, c=3), BinaryQuadratic(0, 0, 0)}
+        assert len(distinct) == 2
 
     def test_repr(self):
         assert repr(Labelled("x")) == "Labelled(label='x', count=0)"
