@@ -62,11 +62,12 @@ from .record import Record
 
 Vector = tuple[Fraction, ...]
 _ZERO = Fraction(0)
+_LINE_X2 = HomogeneousForm.linear((0, 0, 1))
 
 
 def line_x2() -> HomogeneousForm:
-    """The coordinate line x2 = 0 used by all coordinate instances."""
-    return HomogeneousForm.linear((0, 0, 1))
+    """The coordinate line x2 = 0 used by all coordinate instances, one shared form."""
+    return _LINE_X2
 
 
 class WaringDecomposition(Record):
@@ -80,7 +81,7 @@ class WaringDecomposition(Record):
             if form.num_vars != 3 or form.degree != 1:
                 raise StructuralError("decomposition terms must be linear forms in three variables")
             coerced.append((weight if isinstance(weight, Fraction) else Fraction(weight), form))
-        object.__setattr__(self, "terms", tuple(coerced))
+        vars(self)["terms"] = tuple(coerced)
 
     @property
     def n(self) -> int:
@@ -113,7 +114,7 @@ class CoordinateInstance(Record):
     def __post_init__(self):
         for name in ("slopes", "lifts", "weights"):
             exact = (v if isinstance(v, Fraction) else Fraction(v) for v in getattr(self, name))
-            object.__setattr__(self, name, tuple(exact))
+            vars(self)[name] = tuple(exact)
         n = len(self.slopes)
         if n not in (6, 7):
             raise StructuralError(f"coordinate instances have 6 or 7 terms, got {n}")
@@ -381,7 +382,7 @@ class IdentitySliceReport(Record):
 
     @property
     def is_zero(self) -> bool:
-        return sympoly.is_zero(self.residue)
+        return not self.residue
 
 
 def verify_identity_slice(
@@ -426,7 +427,7 @@ def verify_identity_slice(
     betas = [{k: vec[i] for k, vec in zip(keys[na:], beta_basis) if vec[i]} for i in range(7)]
 
     # products of all weight polynomials except one, via prefix/suffix arrays of at most six
-    one = sympoly.const(0, 1)
+    one = {0: 1}
     prefix, suffix = [one], [one]
     for a, z in zip(alphas[:6], reversed(alphas[1:])):
         prefix.append(sympoly.mul(prefix[-1], a))

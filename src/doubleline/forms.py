@@ -32,16 +32,33 @@ Point = Sequence[Fraction | int]
 _UNITS = tuple(1 << (sympoly.BITS * i) for i in range(3))  # the packed keys of x0, x1, x2
 
 
-class HomogeneousForm:
+class HomogeneousForm(Record):
     """Homogeneous polynomial with exact rational coefficients, held as the
     ints ``poly`` over the positive ``den`` coprime to their content.
 
+    The constructor takes ``poly`` (kept unless reduced) mapping packed
+    monomials of the shape to nonzero ints over a nonzero ``den``, unchecked,
+    and makes the pair canonical; ``from_terms`` checks a term map first.
     Instances are immutable values; every operation returns a new form.
     """
 
-    __slots__ = ("num_vars", "degree", "den", "poly")
+    num_vars: int
+    degree: int
+    den: int
+    poly: sympoly.Poly
 
-    def __init__(self, num_vars: int, degree: int, terms: Mapping[Monomial, Fraction | int]):
+    def __post_init__(self):
+        g = gcd(self.den, *self.poly.values())
+        if self.den < 0:
+            g = -g
+        if g != 1:
+            vars(self).update(den=self.den // g, poly={t: c // g for t, c in self.poly.items()})
+
+    @classmethod
+    def from_terms(
+        cls, num_vars: int, degree: int, terms: Mapping[Monomial, Fraction | int]
+    ) -> "HomogeneousForm":
+        """The form of a term map keyed by exponent tuples, each checked against the shape."""
         if num_vars not in (2, 3):
             raise StructuralError(f"num_vars must be 2 or 3, got {num_vars}")
         if degree < 0:
@@ -58,38 +75,14 @@ class HomogeneousForm:
             c = coeff if isinstance(coeff, (int, Fraction)) else Fraction(coeff)
             if c:
                 exact[key] = c
-        # the lcm of reduced denominators is coprime to the cleared content
         den, nums = sympoly.clear_denominators(exact.values())
-        object.__setattr__(self, "num_vars", num_vars)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "poly", dict(zip(exact, nums)))
-
-    @classmethod
-    def _trusted(cls, num_vars: int, degree: int, den: int, poly: sympoly.Poly) -> "HomogeneousForm":
-        """Unchecked constructor: ``poly`` (kept unless reduced) maps packed monomials
-        of the shape to nonzero ints over the nonzero ``den``; the pair is made canonical."""
-        g = gcd(den, *poly.values())
-        if den < 0:
-            g = -g
-        if g != 1:
-            den //= g
-            poly = {t: c // g for t, c in poly.items()}
-        form = object.__new__(cls)
-        object.__setattr__(form, "num_vars", num_vars)
-        object.__setattr__(form, "degree", degree)
-        object.__setattr__(form, "den", den)
-        object.__setattr__(form, "poly", poly)
-        return form
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HomogeneousForm is immutable")
+        return cls(num_vars, degree, den, dict(zip(exact, nums)))
 
     # construction helpers
 
     @classmethod
     def zero(cls, num_vars: int, degree: int) -> "HomogeneousForm":
-        return cls(num_vars, degree, {})
+        return cls.from_terms(num_vars, degree, {})
 
     @classmethod
     def variable(cls, num_vars: int, index: int) -> "HomogeneousForm":
@@ -103,7 +96,7 @@ class HomogeneousForm:
             raise StructuralError(f"num_vars must be 2 or 3, got {len(coeffs)}")
         exact = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
         den, nums = sympoly.clear_denominators(exact)
-        return cls._trusted(len(coeffs), 1, den, {u: c for u, c in zip(_UNITS, nums) if c})
+        return cls(len(coeffs), 1, den, {u: c for u, c in zip(_UNITS, nums) if c})
 
     # basic accessors
 
@@ -141,10 +134,10 @@ class HomogeneousForm:
         poly = sympoly.add(
             sympoly.scale(self.poly, den // self.den), sympoly.scale(other.poly, den // other.den)
         )
-        return HomogeneousForm._trusted(self.num_vars, self.degree, den, poly)
+        return HomogeneousForm(self.num_vars, self.degree, den, poly)
 
     def __neg__(self) -> "HomogeneousForm":
-        return HomogeneousForm._trusted(self.num_vars, self.degree, self.den, sympoly.scale(self.poly, -1))
+        return HomogeneousForm(self.num_vars, self.degree, self.den, sympoly.scale(self.poly, -1))
 
     def __sub__(self, other: "HomogeneousForm") -> "HomogeneousForm":
         return self + -other
@@ -152,10 +145,10 @@ class HomogeneousForm:
     def __mul__(self, other: "HomogeneousForm | Fraction | int") -> "HomogeneousForm":
         if isinstance(other, (Fraction, int)):
             poly, den = sympoly.scale(self.poly, other.numerator), self.den * other.denominator
-            return HomogeneousForm._trusted(self.num_vars, self.degree, den, poly)
+            return HomogeneousForm(self.num_vars, self.degree, den, poly)
         self._check_compatible(other, same_degree=False)
         poly, den = sympoly.mul(self.poly, other.poly), self.den * other.den
-        return HomogeneousForm._trusted(self.num_vars, self.degree + other.degree, den, poly)
+        return HomogeneousForm(self.num_vars, self.degree + other.degree, den, poly)
 
     def __rmul__(self, other: "Fraction | int") -> "HomogeneousForm":
         return self * other
@@ -163,23 +156,13 @@ class HomogeneousForm:
     def __pow__(self, exponent: int) -> "HomogeneousForm":
         """``sympoly.power`` of the ints over den**exponent."""
         power = sympoly.power(self.poly, exponent)
-        return HomogeneousForm._trusted(self.num_vars, self.degree * exponent, self.den**exponent, power)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, HomogeneousForm):
-            return NotImplemented
-        return (
-            self.num_vars == other.num_vars
-            and self.degree == other.degree
-            and self.den == other.den
-            and self.poly == other.poly
-        )
+        return HomogeneousForm(self.num_vars, self.degree * exponent, self.den**exponent, power)
 
     def __hash__(self) -> int:
         return hash((self.num_vars, self.degree, self.den, frozenset(self.poly.items())))
 
     def __repr__(self) -> str:
-        return f"HomogeneousForm({self.num_vars}, {self.degree}, {self.terms!r})"
+        return f"HomogeneousForm.from_terms({self.num_vars}, {self.degree}, {self.terms!r})"
 
     def __str__(self) -> str:
         return render_form(self)
@@ -204,7 +187,7 @@ class FormTuple(Record):
     entries: tuple[HomogeneousForm, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
+        vars(self)["entries"] = tuple(self.entries)
         if not self.entries:
             raise StructuralError("empty form tuple")
         n, d = self.entries[0].num_vars, self.entries[0].degree
@@ -267,7 +250,7 @@ def power_sum(weights: Sequence[Fraction | int], forms: FormTuple, exponent: int
             p0, p1, p2 = [w * c0**k for k in ks], [c1**k for k in ks], [c2**k for k in ks]
             moments = [s + p0[a] * p1[b] * p2[c] for s, ((a, b, c), _, _) in zip(moments, table)]
     poly = {key: multinomial * s for (_, key, multinomial), s in zip(table, moments) if s}
-    return HomogeneousForm._trusted(forms.num_vars, exponent, wd * ld**exponent, poly)
+    return HomogeneousForm(forms.num_vars, exponent, wd * ld**exponent, poly)
 
 
 def interpolate(
@@ -388,7 +371,7 @@ def parse_form(text: str, num_vars: int, degree: int | None = None) -> Homogeneo
             raise InvalidInputError("terms of unequal degree")
         key = tuple(mono)
         terms[key] = terms.get(key, Fraction(0)) + sign * coeff
-    return HomogeneousForm(num_vars, seen_degree, terms)
+    return HomogeneousForm.from_terms(num_vars, seen_degree, terms)
 
 
 def content_normalize(f: HomogeneousForm) -> tuple[Fraction, HomogeneousForm]:
@@ -403,7 +386,7 @@ def content_normalize(f: HomogeneousForm) -> tuple[Fraction, HomogeneousForm]:
     g = gcd(*f.poly.values())
     if f.poly[lead] < 0:
         g = -g
-    primitive = HomogeneousForm._trusted(f.num_vars, f.degree, 1, {t: c // g for t, c in f.poly.items()})
+    primitive = HomogeneousForm(f.num_vars, f.degree, 1, {t: c // g for t, c in f.poly.items()})
     return Fraction(g, f.den), primitive
 
 
@@ -446,8 +429,8 @@ def divide_by_linear(f: HomogeneousForm, line: HomogeneousForm) -> tuple[Homogen
     # f = (line.den * line) * quotient + remainder over f.den * scale
     den = f.den * scale
     return (
-        HomogeneousForm._trusted(f.num_vars, f.degree - 1, den, sympoly.scale(quot, line.den)),
-        HomogeneousForm._trusted(f.num_vars, f.degree, den, work),
+        HomogeneousForm(f.num_vars, f.degree - 1, den, sympoly.scale(quot, line.den)),
+        HomogeneousForm(f.num_vars, f.degree, den, work),
     )
 
 
@@ -489,7 +472,7 @@ def restrict(f: HomogeneousForm, line: HomogeneousForm) -> HomogeneousForm:
     values = [_int_value(f.poly, [s * u + t * v for u, v in zip(b0, b1)]) for s, t in plane]
     g_den, g = interpolate(plane, values, f.den * den**d)
     poly = {(d - k) + (k << sympoly.BITS): c for k, c in enumerate(g) if c}
-    return HomogeneousForm._trusted(2, d, g_den, poly)
+    return HomogeneousForm(2, d, g_den, poly)
 
 
 def embed_in_plane(line: HomogeneousForm, point: Point) -> tuple[Fraction, ...]:
@@ -530,7 +513,7 @@ class BinaryQuadratic(Record):
     def __post_init__(self):
         for name in ("a", "b", "c"):
             if not isinstance(getattr(self, name), Fraction):
-                object.__setattr__(self, name, Fraction(getattr(self, name)))
+                vars(self)[name] = Fraction(getattr(self, name))
 
     @classmethod
     def from_form(cls, q: HomogeneousForm) -> "BinaryQuadratic":
@@ -539,7 +522,7 @@ class BinaryQuadratic(Record):
         return cls(q.coefficient((2, 0)), q.coefficient((1, 1)), q.coefficient((0, 2)))
 
     def to_form(self) -> HomogeneousForm:
-        return HomogeneousForm(2, 2, {(2, 0): self.a, (1, 1): self.b, (0, 2): self.c})
+        return HomogeneousForm.from_terms(2, 2, {(2, 0): self.a, (1, 1): self.b, (0, 2): self.c})
 
     def discriminant(self) -> Fraction:
         return self.b * self.b - 4 * self.a * self.c

@@ -3,9 +3,10 @@
 A subclass's annotations are its fields, in order; a class attribute is a
 field's default.  ``__init_subclass__`` reads them and the ``__post_init__``
 hook once.  A record is built by position or keyword, then runs the hook
-(which may coerce with ``object.__setattr__``); it refuses assignment, equals
-only a record of its own class with equal fields, hashes its field tuple, and
-keeps a ``__dict__`` for ``functools.cached_property``.
+(which may coerce a field by writing ``vars(self)``); it refuses assignment
+and deletion, equals only a record of its own class with equal fields,
+hashes its field tuple, and keeps a ``__dict__`` for
+``functools.cached_property``.
 """
 
 

@@ -13,9 +13,10 @@ of two monomials is the sum of their keys and the constant monomial is 0.
 The top bit of each field is a guard bit: exponents stay below
 ``2**(BITS - 1)``, so the sum of two valid keys never carries into the next
 field, and ``mul`` rejects any result whose guard bit is set.  At most
-``MAX_VARS`` variables exist.  Coefficients are ints or Fractions, mixed
-freely; arithmetic is exact, and on int inputs every coefficient stays an
-int, which is much cheaper than Fraction arithmetic.
+``MAX_VARS`` variables exist; ``monomial``, the one maker of keys, enforces
+both bounds.  Coefficients are ints or Fractions, mixed freely; arithmetic
+is exact, and on int inputs every coefficient stays an int, which is much
+cheaper than Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -39,11 +40,14 @@ Poly = dict[Term, Coefficient]
 
 
 def monomial(mono: tuple[int, ...]) -> Term:
-    """The packed key of an exponent tuple; each exponent must be in 0..MAX_EXPONENT."""
+    """The packed key of an exponent tuple; StructuralError outside either bound."""
     for e in mono:
         if not 0 <= e <= MAX_EXPONENT:
             raise StructuralError(f"exponent {e} outside 0..{MAX_EXPONENT}")
-    return sum(e << (BITS * i) for i, e in enumerate(mono))
+    key = sum(e << (BITS * i) for i, e in enumerate(mono))
+    if key >> (BITS * MAX_VARS):
+        raise StructuralError(f"a variable beyond x{MAX_VARS - 1}")
+    return key
 
 
 def exponents(term: Term, nvars: int) -> tuple[int, ...]:
@@ -63,16 +67,6 @@ def format_rational(x: Coefficient) -> str:
     """``p`` or ``p/q`` at any size: unlike an int's, a Decimal's str has no digit limit."""
     num = str(Decimal(x.numerator))
     return num if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"
-
-
-def const(nvars: int, value: Coefficient) -> Poly:
-    return {0: value} if value else {}
-
-
-def variable(nvars: int, index: int) -> Poly:
-    if not 0 <= index < min(nvars, MAX_VARS):
-        raise StructuralError(f"variable {index} outside 0..{min(nvars, MAX_VARS) - 1}")
-    return {1 << (BITS * index): 1}
 
 
 def add(p: Poly, q: Poly) -> Poly:
@@ -125,13 +119,9 @@ def power(p: Poly, exponent: int) -> Poly:
     """p**exponent in a new dict, by squaring from the top bit down (1 for 0)."""
     if exponent < 0:
         raise StructuralError(f"negative exponent {exponent}")
-    out = dict(p) if exponent else const(0, 1)
+    out = dict(p) if exponent else {0: 1}
     for bit in bin(exponent)[3:]:
         out = mul(out, out)
         if bit == "1":
             out = mul(out, p)
     return out
-
-
-def is_zero(p: Poly) -> bool:
-    return not p

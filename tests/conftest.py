@@ -10,8 +10,8 @@ from math import comb, gcd, lcm, prod
 
 from hypothesis import settings
 
-from doubleline import engine, linalg
-from doubleline.errors import DegenerateNodesError, GenerationFailureError
+from doubleline import engine, linalg, sympoly
+from doubleline.errors import GenerationFailureError
 from doubleline.forms import BinaryQuadratic
 from doubleline.linalg import VandermondeSystem, vandermonde_nullspace
 
@@ -255,24 +255,27 @@ def reference_certificate(dec, line):
     """The certificate ``analyze`` attaches for a seven-term double-line value
     with nonzero cofactor, built by Fraction formulas that share no code with
     the builder: each restricted point a Fraction sum of a line's
-    coefficients against ``reference_kernel_basis``, the line values Fraction
-    sums at the transversal point e_j / c_j (c_j the line's last nonzero
-    coefficient), and the contact vector and bridge interpolated by
+    coefficients against ``reference_kernel_basis``, cleared by the lcm of
+    their denominators; the annihilator the ``reference_kernel`` of the
+    degree-5 ``power_map_rows`` at the cleared points; the line values
+    Fraction sums at the transversal point e_j / c_j (c_j the line's last
+    nonzero coefficient); and the contact vector and bridge interpolated by
     ``reference_interpolate`` from the Fraction values weight / annihilator
-    (times the line value for the bridge) at the points cleared by
-    ``clear_rows``.  The restricted conic is the cofactor's restriction by
-    the reference substitution.  None when the lines do not meet the base
-    line in seven distinct points."""
+    (times the line value for the bridge) at the cleared points, the tangency
+    point the ``primitive`` contact vector.  The restricted conic is the
+    cofactor's restriction by the reference substitution.  None when the
+    lines do not meet the base line in seven distinct points: a zero point
+    or two proportional ones make a bracket a_i * b_k - a_k * b_i zero."""
     b0, b1 = reference_kernel_basis(line)
     coeffs = [f.linear_coefficients() for f in dec.lines()]
     restricted = tuple(
         tuple(sum((c * b for c, b in zip(cf, v)), Fraction(0)) for v in (b0, b1)) for cf in coeffs
     )
-    den, points = linalg.clear_rows(restricted)
-    try:
-        [(annihilator,)] = linalg.moment_kernel(points, (5,))
-    except DegenerateNodesError:
+    den = lcm(*(x.denominator for point in restricted for x in point))
+    points = [tuple(int(x * den) for x in point) for point in restricted]
+    if any(a * d - b * c == 0 for (a, b), (c, d) in combinations(points, 2)):
         return None
+    [annihilator] = reference_kernel(power_map_rows(points, 5), len(points))
     weights = dec.weights()
     scaled = [w / a for w, a in zip(weights[:3], annihilator)]
     contact = tuple(reference_interpolate(points[:2], [den * s for s in scaled[:2]]))
@@ -293,7 +296,7 @@ def reference_certificate(dec, line):
         line_values=line_values,
         bridge=BinaryQuadratic(*bridge),
         restricted_conic=BinaryQuadratic(*(conic.get(m, Fraction(0)) for m in ((2, 0), (1, 1), (0, 2)))),
-        tangency_point=linalg.normalize_vector(contact),
+        tangency_point=primitive(contact),
     )
 
 
@@ -360,6 +363,11 @@ def random_invertible_3x3(rng: random.Random, max_den: int = 3) -> list[list[Fra
 
 # Reference sparse polynomials: exponent tuples to Fractions, the layout the
 # symbolic kernel used before it packed monomials into ints.
+
+
+def packed_variable(index: int) -> dict:
+    """The packed polynomial x_index, its key made by ``sympoly.monomial``."""
+    return {sympoly.monomial((0,) * index + (1,)): 1}
 
 
 def ref_variable(nvars: int, index: int) -> dict:

@@ -11,6 +11,7 @@ from conftest import (
     kills,
     monomials,
     nondegenerate_analysis,
+    packed_variable,
     power_map_rows,
     random_fraction,
     random_invertible_3x3,
@@ -218,7 +219,7 @@ class TestValue:
             expected = expected + w * HomogeneousForm.linear(c) ** 4
         value = dec.value()
         assert value == expected
-        assert HomogeneousForm(3, 4, value.terms) == value
+        assert HomogeneousForm.from_terms(3, 4, value.terms) == value
 
     @given(
         st.sampled_from([2, 3]).flatmap(
@@ -306,7 +307,7 @@ class TestExtractCofactor:
         squared = ref_mul(ref_mul(line, line), q)
         f = ref_add(ref_add(squared, ref_mul(line, r2)), r1)
         with pytest.raises(NotDoubleLineError) as err:
-            extract_cofactor(HomogeneousForm(3, 4, f), HomogeneousForm.linear(coeffs))
+            extract_cofactor(HomogeneousForm.from_terms(3, 4, f), HomogeneousForm.linear(coeffs))
         assert err.value.remainder.terms == ref_add(f, ref_scale(squared, -1))
 
     def test_rank_one_quartic(self):
@@ -882,10 +883,9 @@ class TestTangencyDefect:
 class TestDiscriminantBridge:
     def test_symbolic_identity(self):
         # 21 symbols: slopes, lifts, weights of a seven-term instance
-        nvars = 21
-        slope = [sympoly.variable(nvars, i) for i in range(7)]
-        lift = [sympoly.variable(nvars, 7 + i) for i in range(7)]
-        weight = [sympoly.variable(nvars, 14 + i) for i in range(7)]
+        slope = [packed_variable(i) for i in range(7)]
+        lift = [packed_variable(7 + i) for i in range(7)]
+        weight = [packed_variable(14 + i) for i in range(7)]
         sums = []
         for p in range(3):
             acc: sympoly.Poly = {}
@@ -899,7 +899,7 @@ class TestDiscriminantBridge:
         b = sympoly.scale(sums[1], 12)
         c = sympoly.scale(sums[2], 6)
         discriminant = sympoly.sub(sympoly.mul(b, b), sympoly.scale(sympoly.mul(a, c), 4))
-        assert sympoly.is_zero(sympoly.sub(sympoly.scale(defect, 144), discriminant))
+        assert sympoly.sub(sympoly.scale(defect, 144), discriminant) == {}
 
     def test_numeric_bridge_through_forms(self):
         rng = random.Random(53)
@@ -1215,6 +1215,11 @@ class TestAnalyze:
 
 
 class TestRoundTrips:
+    def test_line_x2_is_one_shared_form(self):
+        # a form cannot be changed, so every caller may share the one x2
+        assert line_x2() is line_x2()
+        assert line_x2() == HomogeneousForm.linear((0, 0, 1)) == parse_form("x2", 3)
+
     def test_coordinate_round_trip_and_exact_cofactor(self):
         rng = random.Random(71)
         for trial in range(200):

@@ -53,7 +53,7 @@ def terms_st(num_vars: int, degree: int, min_terms: int = 0):
 
 def form_st(num_vars: int, degree: int, min_terms: int = 0):
     return terms_st(num_vars, degree, min_terms).map(
-        lambda terms: HomogeneousForm(num_vars, degree, terms)
+        lambda terms: HomogeneousForm.from_terms(num_vars, degree, terms)
     )
 
 
@@ -91,7 +91,7 @@ class TestAddMul:
 
     def test_unit_and_plain_product(self):
         f = parse_form("x0^2 + 2*x1*x2", 3)
-        assert HomogeneousForm(3, 0, {(0, 0, 0): 1}) * f == f
+        assert HomogeneousForm.from_terms(3, 0, {(0, 0, 0): 1}) * f == f
         assert X0 * X1 == parse_form("x0*x1", 3)
 
     @given(form_st(3, 2), form_st(3, 2), form_st(3, 1))
@@ -136,15 +136,15 @@ class TestPow:
 
     def test_exponent_above_max_rejected(self):
         top = sympoly.MAX_EXPONENT
-        assert HomogeneousForm(2, top, {(top, 0): 1}).terms == {(top, 0): 1}
+        assert HomogeneousForm.from_terms(2, top, {(top, 0): 1}).terms == {(top, 0): 1}
         # top + 1 sets the guard bit; 2**BITS would wrap into x1's field
         for e in (top + 1, 1 << sympoly.BITS):
             with pytest.raises(StructuralError):
-                HomogeneousForm(2, e, {(e, 0): 1})
+                HomogeneousForm.from_terms(2, e, {(e, 0): 1})
             with pytest.raises(StructuralError):
-                HomogeneousForm(2, e, {(0, e): 1})
+                HomogeneousForm.from_terms(2, e, {(0, e): 1})
         with pytest.raises(StructuralError):
-            HomogeneousForm(2, top, {(top, 0): 1}) * HomogeneousForm.variable(2, 0)
+            HomogeneousForm.from_terms(2, top, {(top, 0): 1}) * HomogeneousForm.variable(2, 0)
 
 
 def assert_canonical(f: HomogeneousForm) -> None:
@@ -158,7 +158,7 @@ def assert_canonical(f: HomogeneousForm) -> None:
         assert type(mono) is tuple and len(mono) == f.num_vars
         assert min(mono) >= 0 and sum(mono) == f.degree
         assert type(c) is Fraction and c != 0
-    rebuilt = HomogeneousForm(f.num_vars, f.degree, f.terms)
+    rebuilt = HomogeneousForm.from_terms(f.num_vars, f.degree, f.terms)
     assert rebuilt == f and hash(rebuilt) == hash(f) and rebuilt.terms == f.terms
 
 
@@ -183,7 +183,7 @@ class TestTrustedArithmetic:
     def test_form_mul(self, f, g, h, k):
         assert_canonical(f * g)
         assert_canonical(h * k)
-        assert_canonical(HomogeneousForm(3, 0, {(0, 0, 0): 0}) * f)
+        assert_canonical(HomogeneousForm.from_terms(3, 0, {(0, 0, 0): 0}) * f)
 
     @given(st.sampled_from([2, 3]).flatmap(lambda n: st.tuples(*[fractions_st] * n)))
     def test_linear_round_trip(self, coeffs):
@@ -193,7 +193,7 @@ class TestTrustedArithmetic:
         assert all(type(c) is Fraction for c in l.linear_coefficients())
         # read back from the linear constructor and from the validating one
         assert l.linear_coefficients() == coeffs
-        assert HomogeneousForm(l.num_vars, 1, l.terms).linear_coefficients() == coeffs
+        assert HomogeneousForm.from_terms(l.num_vars, 1, l.terms).linear_coefficients() == coeffs
 
     @pytest.mark.parametrize("count", [0, 1, 4])
     def test_linear_needs_two_or_three_coefficients(self, count):
@@ -203,7 +203,7 @@ class TestTrustedArithmetic:
     @given(linear_st(3), st.integers(0, 5))
     def test_linear_pow(self, l, e):
         assert_canonical(l**e)
-        assert l**e == HomogeneousForm(3, e, (l**e).terms)
+        assert l**e == HomogeneousForm.from_terms(3, e, (l**e).terms)
 
 
 def ref(terms: dict) -> dict:
@@ -238,14 +238,22 @@ class TestRepresentation:
 
     @given(form_st(3, 2), st.integers(-5, 5).filter(bool))
     def test_same_pair_from_every_constructor(self, f, k):
-        rebuilt = HomogeneousForm(f.num_vars, f.degree, f.terms)
-        # the same coefficients as ints over k * den: unreduced, negative for k < 0
-        scaled = HomogeneousForm._trusted(f.num_vars, f.degree, k * f.den, {t: k * c for t, c in f.poly.items()})
+        rebuilt = HomogeneousForm.from_terms(f.num_vars, f.degree, f.terms)
+        # the constructor on the same coefficients as ints over k * den: unreduced, negative for k < 0
+        scaled = HomogeneousForm(f.num_vars, f.degree, k * f.den, {t: k * c for t, c in f.poly.items()})
         # HomogeneousForm.linear's pair is checked by assert_canonical in TestTrustedArithmetic
         for g in (rebuilt, scaled):
             assert_canonical(g)
             assert (g.den, g.poly) == (f.den, f.poly)
             assert g == f and hash(g) == hash(f)
+
+    @pytest.mark.parametrize("field", ["num_vars", "degree", "den", "poly"])
+    def test_fields_cannot_be_deleted(self, field):
+        f = parse_form("6*x0^2 - 3/2*x1*x2", 3)
+        with pytest.raises(AttributeError):
+            delattr(f, field)
+        assert f == parse_form("6*x0^2 - 3/2*x1*x2", 3)
+        assert_canonical(f)
 
     @given(form_st(3, 2), form_st(3, 2), fractions_st.filter(bool))
     def test_equal_results_hash_alike(self, f, g, c):
@@ -281,7 +289,7 @@ class TestAgainstReference:
     @given(shaped_terms_st(2))
     def test_add_sub_neg(self, case):
         (n, d), p, q = case
-        f, g = HomogeneousForm(n, d, p), HomogeneousForm(n, d, q)
+        f, g = HomogeneousForm.from_terms(n, d, p), HomogeneousForm.from_terms(n, d, q)
         assert (f + g).terms == ref_add(ref(p), ref(q))
         assert (f - g).terms == ref_add(ref(p), ref_scale(ref(q), -1))
         assert (-f).terms == ref_scale(ref(p), -1)
@@ -291,7 +299,7 @@ class TestAgainstReference:
     @given(shaped_terms_st(1), st.one_of(fractions_st, st.integers(-3, 3)))
     def test_scalar_mul(self, case, c):
         (n, d), p = case
-        f = HomogeneousForm(n, d, p)
+        f = HomogeneousForm.from_terms(n, d, p)
         assert (f * c).terms == (c * f).terms == ref_scale(ref(p), c)
         assert_canonical(c * f)
 
@@ -300,7 +308,7 @@ class TestAgainstReference:
         (n, d), p = case
         e = data.draw(st.integers(0, 2))
         q = data.draw(terms_st(n, e))
-        product = HomogeneousForm(n, d, p) * HomogeneousForm(n, e, q)
+        product = HomogeneousForm.from_terms(n, d, p) * HomogeneousForm.from_terms(n, e, q)
         assert product.degree == d + e
         assert product.terms == ref_mul(ref(p), ref(q))
         assert_canonical(product)
@@ -308,7 +316,7 @@ class TestAgainstReference:
     @given(shaped_terms_st(1), st.integers(0, 5))
     def test_pow(self, case, exponent):
         (n, d), p = case
-        power = HomogeneousForm(n, d, p) ** exponent
+        power = HomogeneousForm.from_terms(n, d, p) ** exponent
         assert power.degree == d * exponent
         assert power.terms == ref_product([ref(p)] * exponent, n)
         assert_canonical(power)
@@ -319,7 +327,7 @@ class TestAgainstReference:
         d, p = case
         line = pivot_line(data, pivot)
         images = basis_images(line)
-        restricted = restrict(HomogeneousForm(3, d, p), line)
+        restricted = restrict(HomogeneousForm.from_terms(3, d, p), line)
         assert restricted.degree == d
         assert restricted.terms == ref_substitute(ref(p), images, 2)
 
@@ -329,7 +337,7 @@ class TestAgainstReference:
     )
     def test_divide_by_linear(self, case, coeffs):
         d, p = case
-        f, line = HomogeneousForm(3, d, p), HomogeneousForm.linear(coeffs)
+        f, line = HomogeneousForm.from_terms(3, d, p), HomogeneousForm.linear(coeffs)
         quotient, remainder = divide_by_linear(f, line)
         line_ref = ref(dict(zip(monomials(3, 1), coeffs)))
         assert ref_add(ref_mul(line_ref, quotient.terms), remainder.terms) == ref(p)
@@ -393,7 +401,7 @@ class TestEvaluate:
     def test_matches_substitution(self, case):
         # the value is the substitution of the point's coordinates as constants
         (n, d), p, point = case
-        value = evaluate(HomogeneousForm(n, d, p), point)
+        value = evaluate(HomogeneousForm.from_terms(n, d, p), point)
         constant = ref_substitute(ref(p), [ref({(0,): x}) for x in point], 1)
         assert value == constant.get((0,), 0)
         assert type(value) is Fraction
@@ -453,8 +461,8 @@ class TestRestrict:
         quintic = {m: Fraction(k - 7, 1 + k % 4) for k, m in enumerate(monomials(3, 5)) if k % 3}
         forms = [
             HomogeneousForm.zero(3, 3),
-            HomogeneousForm(3, 0, {(0, 0, 0): Fraction(-5, 3)}),
-            HomogeneousForm(3, 5, quintic),
+            HomogeneousForm.from_terms(3, 0, {(0, 0, 0): Fraction(-5, 3)}),
+            HomogeneousForm.from_terms(3, 5, quintic),
         ]
         for f in forms:
             restricted = restrict(f, line)
@@ -470,7 +478,7 @@ class TestRestrict:
 def apply_change(q, rows):
     """q after x_j -> sum_i rows[i][j] * x_i, by the reference substitution."""
     images = [ref(dict(zip(monomials(3, 1), (row[j] for row in rows)))) for j in range(3)]
-    return HomogeneousForm(3, q.degree, ref_substitute(q.terms, images, 3))
+    return HomogeneousForm.from_terms(3, q.degree, ref_substitute(q.terms, images, 3))
 
 
 def independent_points_st(count: int):
@@ -502,7 +510,7 @@ class TestInterpolate:
         den, ints = interpolate(points, values)
         assert len(ints) == d + 1 and all(type(c) is int for c in ints) and den > 0
         coeffs = [Fraction(c, den) for c in ints]
-        g = HomogeneousForm(2, d, {(d - e, e): c for e, c in enumerate(coeffs)})
+        g = HomogeneousForm.from_terms(2, d, {(d - e, e): c for e, c in enumerate(coeffs)})
         assert [evaluate(g, p) for p in points] == values
         assert coeffs == reference_interpolate(points, values)
 
@@ -652,7 +660,7 @@ class TestDivision:
         rng = random.Random(17)
         for _ in range(50):
             terms = {m: random_fraction(rng) for m in rng.sample(monomials(3, 4), 6)}
-            f = HomogeneousForm(3, 4, terms)
+            f = HomogeneousForm.from_terms(3, 4, terms)
             coeffs = [random_fraction(rng) for _ in range(3)]
             if all(c == 0 for c in coeffs):
                 continue
@@ -669,7 +677,7 @@ class TestRendering:
         assert render_form(q) == "6*x0^2 + 6*x0*x1 + 3*x1^2 + x2^2"
 
     def test_negative_and_unit_coefficients(self):
-        f = HomogeneousForm(3, 2, {(2, 0, 0): 1, (0, 2, 0): -1, (0, 0, 2): Fraction(-3, 4)})
+        f = HomogeneousForm.from_terms(3, 2, {(2, 0, 0): 1, (0, 2, 0): -1, (0, 0, 2): Fraction(-3, 4)})
         assert render_form(f) == "x0^2 - x1^2 - 3/4*x2^2"
 
     def test_zero(self):
@@ -703,7 +711,7 @@ class TestRendering:
     def test_content_normalize(self):
         f = parse_form("0", 3, degree=2)
         assert content_normalize(f) == (1, f)
-        g = HomogeneousForm(3, 2, {(2, 0, 0): -24, (1, 1, 0): -24, (0, 2, 0): -12, (0, 0, 2): -4})
+        g = HomogeneousForm.from_terms(3, 2, {(2, 0, 0): -24, (1, 1, 0): -24, (0, 2, 0): -12, (0, 0, 2): -4})
         factor, primitive = content_normalize(g)
         assert factor == -4
         assert render_form(primitive) == "6*x0^2 + 6*x0*x1 + 3*x1^2 + x2^2"

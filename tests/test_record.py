@@ -1,6 +1,8 @@
 """The ``Record`` base of the package's value classes, and what importing the
 package loads."""
 
+import importlib
+import pkgutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -8,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import doubleline
 from doubleline.engine import AnalysisReport, CoordinateInstance, generate_tangent_instance
 from doubleline.errors import StructuralError
 from doubleline.forms import BinaryQuadratic
@@ -111,6 +114,19 @@ class TestValueSemantics:
         first = generated.quartic
         assert generated.quartic is first
         assert first.target == generated.instance.to_decomposition().value()
+
+
+def test_only_record_guards_attributes():
+    # one immutability mechanism: a class of the package that defines its own
+    # __setattr__ or __delattr__ is a second copy of Record's
+    guards = []
+    for info in pkgutil.iter_modules(doubleline.__path__, "doubleline."):
+        if info.name == "doubleline.__main__":
+            continue
+        for cls in vars(importlib.import_module(info.name)).values():
+            if isinstance(cls, type) and cls.__module__ == info.name and cls is not Record:
+                guards += [f"{cls.__name__}.{a}" for a in ("__setattr__", "__delattr__") if a in vars(cls)]
+    assert guards == []
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():

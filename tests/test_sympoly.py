@@ -1,7 +1,16 @@
 from fractions import Fraction
 
 import pytest
-from conftest import count_calls, ref_add, ref_mul, ref_product, ref_scale, ref_variable, unpack
+from conftest import (
+    count_calls,
+    packed_variable,
+    ref_add,
+    ref_mul,
+    ref_product,
+    ref_scale,
+    ref_variable,
+    unpack,
+)
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -38,7 +47,7 @@ def linear_combination(coeffs, polys) -> sympoly.Poly:
 
 
 def variables() -> list[sympoly.Poly]:
-    return [sympoly.variable(NVARS, i) for i in range(NVARS)]
+    return [packed_variable(i) for i in range(NVARS)]
 
 
 class TestAgainstReference:
@@ -103,7 +112,7 @@ class TestPowerBySquaring:
 
 class TestExponentLimits:
     def test_largest_exponent(self):
-        x = sympoly.variable(2, 1)
+        x = packed_variable(1)
         assert sympoly.power(x, sympoly.MAX_EXPONENT) == {
             sympoly.MAX_EXPONENT << sympoly.BITS: 1
         }
@@ -111,7 +120,7 @@ class TestExponentLimits:
 
     def test_guard_bit_overflow_raises(self):
         with pytest.raises(StructuralError):
-            sympoly.power(sympoly.variable(2, 0), 2**15)
+            sympoly.power(packed_variable(0), 2**15)
 
     def test_direct_square_checks_the_guard_bit(self):
         # x1**(2**14) squared reaches 2**15 in x1's field, alone or beside a
@@ -125,20 +134,29 @@ class TestExponentLimits:
 
     def test_negative_exponent_raises(self):
         with pytest.raises(StructuralError):
-            sympoly.power(sympoly.variable(1, 0), -2)
+            sympoly.power(packed_variable(0), -2)
 
     @pytest.mark.parametrize("nvars", [0, 1, 5, 21])
     def test_zeroth_power_of_zero_is_one(self, nvars):
-        assert sympoly.power({}, 0) == sympoly.const(nvars, 1)
+        # the constant 1 in any number of variables has the key 0
+        assert sympoly.power({}, 0) == {sympoly.monomial((0,) * nvars): 1}
 
     @pytest.mark.parametrize("nvars", [sympoly.MAX_VARS, sympoly.MAX_VARS + 1])
     def test_variable_count_is_capped(self, nvars):
-        sympoly.variable(nvars, sympoly.MAX_VARS - 1)
-        with pytest.raises(StructuralError):
-            sympoly.variable(nvars, sympoly.MAX_VARS)
+        # an exponent tuple of nvars entries packs while only its first MAX_VARS are nonzero
+        top = sympoly.MAX_VARS - 1
+        mono = tuple(int(i == top) for i in range(nvars))
+        assert sympoly.monomial(mono) == 1 << (sympoly.BITS * top)
+        for index in range(top + 1, nvars + 1):
+            with pytest.raises(StructuralError):
+                sympoly.monomial(mono[:index] + (1,) + mono[index + 1 :])
 
     def test_variable_index_in_range(self):
+        # the variables x_0 .. x_{MAX_VARS - 1} are the only ones with keys
+        keys = [next(iter(packed_variable(i))) for i in range(sympoly.MAX_VARS)]
+        assert keys == [1 << (sympoly.BITS * i) for i in range(sympoly.MAX_VARS)]
         with pytest.raises(StructuralError):
-            sympoly.variable(3, 3)
-        with pytest.raises(StructuralError):
-            sympoly.variable(3, -1)
+            packed_variable(sympoly.MAX_VARS)
+        for mono in ((-1,), (0, 0, -1)):
+            with pytest.raises(StructuralError):
+                sympoly.monomial(mono)
