@@ -208,9 +208,10 @@ class TangencyCertificate(Record):
     ``bridge`` and ``restricted_conic`` are ``BinaryQuadratic``s; the latter is
     the cofactor's restriction to the line, computed by ``analyze`` from the
     cofactor alone.  ``verify``, the only checker of these identities, clears
-    the points, the annihilator, the weights, the line values, the contact
-    vector, the bridge and the conic of their denominators once each and checks
-    every identity on ints at the points D * L_i = (p_i, r_i), D the lines' common
+    the points, the weights, the line values, the contact vector, the bridge
+    and the conic of their denominators once each, but not the annihilator,
+    which ``moment_kernel`` builds on ints (rational entries still check
+    exactly), and checks every identity at the points D * L_i = (p_i, r_i), D the lines' common
     denominator, where a degree-d form takes D**d times its value:
     sum_i a_i * L_i^5 = 0 runs as the six moments sum_i a_i * p_i^(5-k) * r_i^k,
     the power-sum conic as the three moments of 6 * alpha_i * line_values_i^2
@@ -240,17 +241,17 @@ class TangencyCertificate(Record):
         den, points = clear_rows(self.restricted)
         if {len(self.annihilator), len(self.weights), len(self.line_values)} != {len(points)}:
             raise StructuralError("certificate vectors do not match the point count")
-        a_den, ann = sympoly.clear_denominators(self.annihilator)
+        ann = self.annihilator
         if any(sum(x * p ** (5 - k) * r**k for x, (p, r) in zip(ann, points)) for k in range(6)):
             raise TheoremViolationError("annihilator does not kill the degree-5 powers")
         w_den, alphas = sympoly.clear_denominators(self.weights)
         c_den, (c0, c1) = sympoly.clear_denominators(self.contact_vector)
-        scale = a_den * c_den * den
+        scale = c_den * den
         if any(x * (c0 * p + c1 * r) * w_den != al * scale for x, al, (p, r) in zip(ann, alphas, points)):
             raise TheoremViolationError("contact vector does not reproduce the weights")
         v_den, values = sympoly.clear_denominators(self.line_values)
         b_den, (b0, b1, b2) = sympoly.clear_denominators((self.bridge.a, self.bridge.b, self.bridge.c))
-        scale = a_den * b_den * den**2
+        scale = b_den * den**2
         if any(
             x * (b0 * p * p + b1 * p * r + b2 * r * r) * w_den * v_den != al * v * scale
             for x, al, v, (p, r) in zip(ann, alphas, values, points)

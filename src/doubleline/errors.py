@@ -22,9 +22,9 @@ class NotDoubleLineError(ValueError):
     multiple of the squared line.
     """
 
-    def __init__(self, remainder, message: str | None = None):
+    def __init__(self, remainder):
         self.remainder = remainder
-        super().__init__(message or "quartic is not divisible by the squared line")
+        super().__init__("quartic is not divisible by the squared line")
 
 
 class PreconditionError(ValueError):

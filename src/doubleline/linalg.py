@@ -21,7 +21,8 @@ M the lcm of the bracket products, signed to make its leading entry positive:
 its content is 1, as some prod_i carries M's full power of each prime, so
 every kernel vector is a primitive integer tuple and no entry is a Fraction.
 
-Matrices are immutable values; all functions return fresh objects.
+Matrices are sequences of rows, all of one length; the public functions
+leave their arguments unchanged and return fresh objects.
 """
 
 from __future__ import annotations
@@ -37,26 +38,6 @@ from .record import Record
 
 Vector = tuple[Fraction, ...]
 IntVector = tuple[int, ...]
-
-
-class RationalMatrix:
-    """Dense matrix of Fractions, stored row-major."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows: int, cols: int, entries: Sequence[Fraction | int]):
-        if rows < 0 or cols < 0:
-            raise StructuralError("matrix dimensions must be non-negative")
-        if len(entries) != rows * cols:
-            raise StructuralError(
-                f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(entries)}"
-            )
-        self.rows = rows
-        self.cols = cols
-        self.entries = tuple(Fraction(e) for e in entries)
-
-    def row(self, i: int) -> list[Fraction]:
-        return list(self.entries[i * self.cols : (i + 1) * self.cols])
 
 
 def _bareiss(work: list[list[int]], ncols: int) -> list[int]:
@@ -93,14 +74,14 @@ def rank(rows: Sequence[Sequence[int]]) -> int:
     return len(_bareiss(work, len(work[0]) if work else 0))
 
 
-def rref(m: RationalMatrix) -> tuple[RationalMatrix, int, tuple[int, ...]]:
-    """Reduced row echelon form, rank, and pivot columns of ``m``."""
-    work = [sympoly.clear_denominators(m.row(i))[1] for i in range(m.rows)]
-    nrows, ncols = m.rows, m.cols
-    pivot_cols = _bareiss(work, ncols)
-    rank = len(pivot_cols)
-    reduced = [[Fraction(x) for x in work[i]] for i in range(rank)]
-    for idx in range(rank - 1, -1, -1):
+def rref(rows: Sequence[Sequence[Fraction | int]]) -> tuple[list[list[Fraction]], int, tuple[int, ...]]:
+    """Reduced row echelon form (zero rows last), rank and pivot columns of
+    the matrix with these rows (all of one length)."""
+    work = [sympoly.clear_denominators(row)[1] for row in rows]
+    pivot_cols = _bareiss(work, len(work[0]) if work else 0)
+    # Bareiss leaves the rows past the rank zero
+    reduced = [[Fraction(x) for x in row] for row in work]
+    for idx in range(len(pivot_cols) - 1, -1, -1):
         pc = pivot_cols[idx]
         pivot = reduced[idx][pc]
         reduced[idx] = [x / pivot for x in reduced[idx]]
@@ -108,12 +89,7 @@ def rref(m: RationalMatrix) -> tuple[RationalMatrix, int, tuple[int, ...]]:
             factor = reduced[i][pc]
             if factor:
                 reduced[i] = [a - factor * b for a, b in zip(reduced[i], reduced[idx])]
-
-    flat: list[Fraction] = []
-    for row in reduced:
-        flat.extend(row)
-    flat.extend([Fraction(0)] * ((nrows - rank) * ncols))
-    return RationalMatrix(nrows, ncols, flat), rank, tuple(pivot_cols)
+    return reduced, len(pivot_cols), tuple(pivot_cols)
 
 
 def normalize_vector(v: Sequence[Fraction | int]) -> IntVector:

@@ -8,7 +8,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, prod
+from math import comb, gcd, prod
 from pathlib import Path
 
 import pytest
@@ -183,6 +183,36 @@ class TestVerify:
         assert out == ""
         assert err == "error: unknown field 'comment'\n"
 
+    @pytest.mark.parametrize(
+        "patch, message",
+        [
+            ({"line": ["0", "1"]}, "line must be a list of 3 rational strings"),
+            ({"line": ["0", 1, "1"]}, "line entries must be strings, got 1"),
+            ({"line": ["0", "1", "1.5"]}, "not a rational string: '1.5'"),
+            (None, "document must be a JSON object"),
+            ({"variables": ["x0", "x0", "x2"]}, "variables must be a list of 3 distinct names"),
+            ({"terms": []}, "terms must be a non-empty list"),
+            ({"terms": [{"alpha": "1"}]}, "term 0 must have exactly the fields alpha and linear"),
+        ],
+        ids=[
+            "line-length", "entry-type", "entry-rational", "not-an-object",
+            "variables", "empty-terms", "term-fields",
+        ],
+    )
+    def test_malformed_document_rejected(self, tmp_path, patch, message):
+        # None: the document wrapped in a list
+        doc = json.loads((FIXTURES / "tangent7.json").read_text())
+        text = json.dumps([doc] if patch is None else {**doc, **patch})
+        with pytest.raises(DocumentError) as exc:
+            parse_document(text)
+        assert str(exc.value) == message
+        path = tmp_path / "malformed.json"
+        path.write_text(text)
+        code, out, err = run_cli(["verify", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     def test_missing_file(self):
         code, _, _ = run_cli(["verify", "no-such-file.json"])
         assert code == 2
@@ -212,6 +242,24 @@ class TestVerify:
         assert code == 0
         assert "cofactor: x0^2" in out
 
+    def test_zero_cofactor(self, tmp_path):
+        # seven concurrent lines x0 + h*x1 weighted by the sixth difference,
+        # which kills every fourth power: the value is 0 = x2^2 * 0
+        doc = {
+            "variables": ["x0", "x1", "x2"],
+            "line": ["0", "0", "1"],
+            "terms": [
+                {"alpha": str(comb(6, h) * (-1) ** h), "linear": ["1", str(h), "0"]}
+                for h in range(7)
+            ],
+        }
+        path = tmp_path / "concurrent.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(["verify", str(path)])
+        assert code == 0
+        assert "cofactor: 0\nconic-rank: 0\ntangent: undefined (zero cofactor)\n" in out
+        assert "certificate" not in out
+
 
 class TestCommands:
     def test_example(self):
@@ -223,7 +271,20 @@ class TestCommands:
     def test_theorem_check(self):
         code, out, _ = run_cli(["theorem-check", "--trials", "5", "--seed", "7"])
         assert code == 0
-        assert "tangent: 5" in out or "q-zero-degenerate" in out
+        fields = _fields(out)
+        assert int(fields["tangent"]) + int(fields["q-zero-degenerate"]) == 5
+
+    def test_theorem_check_zero_cofactors(self, monkeypatch):
+        # lift parameters (0, 0, 0) give every trial a zero cofactor
+        original = cli.generate_tangent_instance
+        monkeypatch.setattr(
+            cli,
+            "generate_tangent_instance",
+            lambda slopes, params, seed: original(slopes, (0, 0, 0), seed=seed),
+        )
+        code, out, _ = run_cli(["theorem-check", "--trials", "3"])
+        assert code == 0
+        assert "tangent: 0\nq-zero-degenerate: 3\n" in out
 
     def test_theorem_check_hundred_trials(self):
         code, out, _ = run_cli(["theorem-check", "--trials", "100", "--seed", "1"])

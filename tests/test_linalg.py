@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from doubleline import linalg
 from doubleline.errors import DegenerateNodesError, InvalidInputError, StructuralError
 from doubleline.linalg import (
-    RationalMatrix,
     VandermondeSystem,
     moment_kernel,
     normalize_vector,
@@ -54,13 +53,6 @@ def proportional(u, v):
     return all(a * b0 == b * a0 for a, b in pairs)
 
 
-def rref_rows(rows, ncols):
-    """``rref`` of the matrix with these rows, as lists of rows, its rank and
-    its pivots: the layout of ``gauss_jordan``."""
-    reduced, rank, pivots = rref(RationalMatrix(len(rows), ncols, [x for row in rows for x in row]))
-    return [reduced.row(i) for i in range(reduced.rows)], rank, pivots
-
-
 class TestRref:
     """The Gauss-Jordan properties hold for the ``gauss_jordan`` oracle, and
     ``rref`` agrees with the oracle on reduced rows, rank and pivots."""
@@ -68,19 +60,20 @@ class TestRref:
     def test_identity(self):
         rows = [[int(i == j) for j in range(3)] for i in range(3)]
         assert gauss_jordan(rows) == (rows, 3, (0, 1, 2))
-        assert rref_rows(rows, 3) == gauss_jordan(rows)
+        assert rref(rows) == gauss_jordan(rows)
 
     def test_proportional_rows(self):
         rows = [[1, 2], [2, 4]]
         assert gauss_jordan(rows) == ([[1, 2], [0, 0]], 1, (0,))
-        assert rref_rows(rows, 2) == gauss_jordan(rows)
+        assert rref(rows) == gauss_jordan(rows)
+        assert rows == [[1, 2], [2, 4]]
 
     def test_rank_against_minor_oracle(self):
         rng = random.Random(23)
         for _ in range(10):
             rows = [[random_fraction(rng, 6, 4) for _ in range(7)] for _ in range(5)]
             assert gauss_jordan(rows)[1] == minor_rank(rows)
-            assert rref_rows(rows, 7) == gauss_jordan(rows)
+            assert rref(rows) == gauss_jordan(rows)
 
     def test_rref_shape_properties(self):
         rng = random.Random(29)
@@ -93,11 +86,11 @@ class TestRref:
                 for k in range(len(reduced)):
                     if k != i:
                         assert reduced[k][pc] == 0
-            assert rref_rows(rows, 5) == (reduced, rank, pivots)
+            assert rref(rows) == (reduced, rank, pivots)
 
     def test_empty_matrix(self):
         assert gauss_jordan([]) == ([], 0, ())
-        assert rref_rows([], 4) == ([], 0, ())
+        assert rref([]) == ([], 0, ())
 
 
 class TestRank:

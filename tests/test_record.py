@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import doubleline
+from doubleline.cli import RunReport
 from doubleline.engine import AnalysisReport, CoordinateInstance, generate_tangent_instance
 from doubleline.errors import StructuralError
 from doubleline.forms import BinaryQuadratic
@@ -116,17 +117,42 @@ class TestValueSemantics:
         assert first.target == generated.instance.to_decomposition().value()
 
 
-def test_only_record_guards_attributes():
-    # one immutability mechanism: a class of the package that defines its own
-    # __setattr__ or __delattr__ is a second copy of Record's
-    guards = []
+def package_classes() -> list[type]:
+    """The classes defined in the modules of ``doubleline``."""
+    classes = []
     for info in pkgutil.iter_modules(doubleline.__path__, "doubleline."):
         if info.name == "doubleline.__main__":
             continue
         for cls in vars(importlib.import_module(info.name)).values():
-            if isinstance(cls, type) and cls.__module__ == info.name and cls is not Record:
-                guards += [f"{cls.__name__}.{a}" for a in ("__setattr__", "__delattr__") if a in vars(cls)]
+            if isinstance(cls, type) and cls.__module__ == info.name:
+                classes.append(cls)
+    return classes
+
+
+def test_only_record_guards_attributes():
+    # one immutability mechanism: a class of the package that defines its own
+    # __setattr__ or __delattr__ is a second copy of Record's
+    guards = [
+        f"{cls.__name__}.{a}"
+        for cls in package_classes()
+        if cls is not Record
+        for a in ("__setattr__", "__delattr__")
+        if a in vars(cls)
+    ]
     assert guards == []
+
+
+def test_no_hand_written_value_classes():
+    # one value mechanism: besides the exceptions and the mutable RunReport,
+    # a class of the package with its own __slots__ or __init__ is a Record
+    hand_written = [
+        f"{cls.__name__}.{a}"
+        for cls in package_classes()
+        if not issubclass(cls, (BaseException, Record)) and cls is not RunReport
+        for a in ("__slots__", "__init__")
+        if a in vars(cls)
+    ]
+    assert hand_written == []
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
