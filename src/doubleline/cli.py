@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import random
 import re
@@ -110,6 +109,8 @@ def _unique_fields(pairs: list[tuple[str, object]]) -> dict:
 
 
 def parse_document(text: str) -> DecompositionDocument:
+    import json  # here, not at module level: only documents and --json output use it
+
     try:
         raw = json.loads(text, object_pairs_hook=_unique_fields)
     except DocumentError:  # a duplicate field, from _unique_fields
@@ -159,6 +160,8 @@ def parse_document(text: str) -> DecompositionDocument:
 
 
 def render_document(doc: DecompositionDocument) -> str:
+    import json
+
     payload = {
         "variables": list(doc.variables),
         "line": [format_rational(c) for c in doc.line],
@@ -223,6 +226,8 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
     def render_json(self) -> str:
+        import json
+
         payload = {
             "command": self.command,
             "seed": self.seed,

@@ -38,6 +38,7 @@ from .errors import (
     TheoremViolationError,
 )
 from .forms import (
+    UNITS,
     BinaryQuadratic,
     FormTuple,
     HomogeneousForm,
@@ -45,14 +46,12 @@ from .forms import (
     divide_by_linear,
     interpolate,
     line_kernel_basis,
-    linear_rows,
     power_sum,
     restrict,
 )
 from .linalg import (
     IntVector,
     VandermondeSystem,
-    clear_rows,
     moment_kernel,
     normalize_vector,
     rank,
@@ -61,7 +60,8 @@ from .linalg import (
 from .record import Record
 
 Vector = tuple[Fraction, ...]
-_ZERO = Fraction(0)
+# a rational vector ints / den, canonical: den > 0 and gcd(den, *ints) == 1
+Cleared = tuple[int, IntVector]
 _LINE_X2 = HomogeneousForm.linear((0, 0, 1))
 
 
@@ -97,11 +97,17 @@ class WaringDecomposition(Record):
     def lines(self) -> tuple[HomogeneousForm, ...]:
         return tuple(f for _, f in self.terms)
 
+    @cached_property
+    def line_tuple(self) -> FormTuple:
+        """The lines as one ``FormTuple``, whose cleared ``rows`` ``value`` and
+        the certificate builder share; built when first read."""
+        return FormTuple(self.lines())
+
     def value(self) -> HomogeneousForm:
         """The quartic sum_i weight_i * l_i^4, computed on every call."""
         if not self.terms:
             return HomogeneousForm.zero(3, 4)
-        return power_sum(self.weights(), FormTuple(self.lines()), 4)
+        return power_sum(self.weights(), self.line_tuple, 4)
 
 
 class CoordinateInstance(Record):
@@ -126,13 +132,21 @@ class CoordinateInstance(Record):
         return len(self.slopes)
 
     def to_decomposition(self) -> WaringDecomposition:
-        """The decomposition of this instance, built on every call."""
-        return WaringDecomposition(
-            tuple(
-                (w, HomogeneousForm.linear((1, h, k)))
-                for h, k, w in zip(self.slopes, self.lifts, self.weights)
-            )
-        )
+        """The decomposition of this instance, built on every call.  The slopes
+        are cleared once, to H_i / D, and line i is built from the ints
+        (D * E, H_i * E, K_i * D) over D * E, with k_i = K_i / E."""
+        hd, hs = sympoly.clear_denominators(self.slopes)
+        x0, x1, x2 = UNITS
+        terms = []
+        for h, k, w in zip(hs, self.lifts, self.weights):
+            kd = k.denominator
+            poly = {x0: hd * kd}
+            if h:
+                poly[x1] = h * kd
+            if k:
+                poly[x2] = k.numerator * hd
+            terms.append((w, HomogeneousForm(3, 1, hd * kd, poly)))
+        return WaringDecomposition(tuple(terms))
 
 
 class DoubleLineQuartic(Record):
@@ -188,7 +202,7 @@ def power_kernel(restricted: FormTuple, degree: int) -> KernelBasis:
         raise StructuralError("expected a tuple of binary linear forms")
     if degree < 0:
         raise StructuralError("degree must be non-negative")
-    (vectors,) = moment_kernel(linear_rows(restricted)[1], (degree,))
+    (vectors,) = moment_kernel(restricted.rows[1], (degree,))
     return KernelBasis(vectors=tuple(vectors))
 
 
@@ -205,30 +219,59 @@ class TangencyCertificate(Record):
     * the polarization of ``restricted_conic`` kills ``contact_vector``, so
       the line touches the conic at ``tangency_point``.
 
-    ``bridge`` and ``restricted_conic`` are ``BinaryQuadratic``s; the latter is
+    The rational witnesses are stored cleared, as canonical pairs
+    ``(den, ints)`` with den > 0 and gcd(den, *ints) == 1 (``Cleared``), so
+    equal certificates have equal fields: ``cleared_points`` holds the
+    points D * L_i = (p_i, r_i) over D, and ``cleared_contact``,
+    ``cleared_transversal``, ``cleared_values`` and ``cleared_bridge`` the
+    contact vector, the transversal point, the line values and the bridge's
+    coefficients on y0^2, y0*y1, y1^2.  ``restricted``, ``contact_vector``,
+    ``transversal_point``, ``line_values`` and ``bridge`` build their
+    Fractions only when read.  ``restricted_conic`` is a ``BinaryQuadratic``,
     the cofactor's restriction to the line, computed by ``analyze`` from the
-    cofactor alone.  ``verify``, the only checker of these identities, clears
-    the points, the weights, the line values, the contact vector, the bridge
-    and the conic of their denominators once each, but not the annihilator,
-    which ``moment_kernel`` builds on ints (rational entries still check
-    exactly), and checks every identity at the points D * L_i = (p_i, r_i), D the lines' common
-    denominator, where a degree-d form takes D**d times its value:
-    sum_i a_i * L_i^5 = 0 runs as the six moments sum_i a_i * p_i^(5-k) * r_i^k,
-    the power-sum conic as the three moments of 6 * alpha_i * line_values_i^2
-    (the middle one doubled) against D**2 times ``restricted_conic``, and the
-    contact and bridge values against D * alpha_i and
-    D**2 * alpha_i * line_values_i, each side times the other side's denominators.
+    cofactor alone.  ``verify``, the only checker of these identities, reads
+    the pairs as they are (any nonzero den checks, as every identity is
+    homogeneous in each pair), clears the weights and the conic, and checks
+    every identity at the points (p_i, r_i), where a degree-d form takes
+    D**d times its value: sum_i a_i * L_i^5 = 0 runs as the six moments
+    sum_i a_i * p_i^(5-k) * r_i^k, the power-sum conic as the three moments
+    of 6 * alpha_i * line_values_i^2 (the middle one doubled) against D**2
+    times ``restricted_conic``, and the contact and bridge values against
+    D * alpha_i and D**2 * alpha_i * line_values_i, each side times the
+    other side's denominators.  The annihilator, which ``moment_kernel``
+    builds on ints, is read as it is (rational entries still check exactly).
     """
 
-    restricted: tuple[tuple[Fraction, Fraction], ...]
+    cleared_points: tuple[int, tuple[tuple[int, int], ...]]
     weights: Vector
     annihilator: IntVector
-    contact_vector: tuple[Fraction, Fraction]
-    transversal_point: tuple[Fraction, Fraction, Fraction]
-    line_values: Vector
-    bridge: BinaryQuadratic
+    cleared_contact: Cleared
+    cleared_transversal: Cleared
+    cleared_values: Cleared
+    cleared_bridge: Cleared
     restricted_conic: BinaryQuadratic
     tangency_point: IntVector
+
+    @property
+    def restricted(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        den, points = self.cleared_points
+        return tuple((Fraction(p, den), Fraction(r, den)) for p, r in points)
+
+    @property
+    def contact_vector(self) -> Vector:
+        return _fractions(self.cleared_contact)
+
+    @property
+    def transversal_point(self) -> Vector:
+        return _fractions(self.cleared_transversal)
+
+    @property
+    def line_values(self) -> Vector:
+        return _fractions(self.cleared_values)
+
+    @property
+    def bridge(self) -> BinaryQuadratic:
+        return BinaryQuadratic(*_fractions(self.cleared_bridge))
 
     def verify(self) -> None:
         """Check every certified identity; raises TheoremViolationError.
@@ -238,19 +281,19 @@ class TangencyCertificate(Record):
         the conic's polarization at c against u is
         6 * sum_i a_i * B(L_i)^2 * L_i(u), a degree-5 moment of a, so 0.  It
         stays as the certificate's conclusion."""
-        den, points = clear_rows(self.restricted)
-        if {len(self.annihilator), len(self.weights), len(self.line_values)} != {len(points)}:
+        den, points = self.cleared_points
+        v_den, values = self.cleared_values
+        if {len(self.annihilator), len(self.weights), len(values)} != {len(points)}:
             raise StructuralError("certificate vectors do not match the point count")
         ann = self.annihilator
         if any(sum(x * p ** (5 - k) * r**k for x, (p, r) in zip(ann, points)) for k in range(6)):
             raise TheoremViolationError("annihilator does not kill the degree-5 powers")
         w_den, alphas = sympoly.clear_denominators(self.weights)
-        c_den, (c0, c1) = sympoly.clear_denominators(self.contact_vector)
+        c_den, (c0, c1) = self.cleared_contact
         scale = c_den * den
         if any(x * (c0 * p + c1 * r) * w_den != al * scale for x, al, (p, r) in zip(ann, alphas, points)):
             raise TheoremViolationError("contact vector does not reproduce the weights")
-        v_den, values = sympoly.clear_denominators(self.line_values)
-        b_den, (b0, b1, b2) = sympoly.clear_denominators((self.bridge.a, self.bridge.b, self.bridge.c))
+        b_den, (b0, b1, b2) = self.cleared_bridge
         scale = b_den * den**2
         if any(
             x * (b0 * p * p + b1 * p * r + b2 * r * r) * w_den * v_den != al * v * scale
@@ -267,6 +310,19 @@ class TangencyCertificate(Record):
         # the polarization at the contact vector, against (1, 0) and (0, 1), times 2 * q_den * c_den
         if 2 * qa * c0 + qb * c1 or qb * c0 + 2 * qc * c1:
             raise TheoremViolationError("contact vector is not in the polar kernel")
+
+
+def _fractions(pair: Cleared) -> Vector:
+    den, ints = pair
+    return tuple(Fraction(x, den) for x in ints)
+
+
+def _cleared(den: int, ints: Sequence[int]) -> Cleared:
+    """The canonical pair of the rational vector ``ints / den``, den nonzero."""
+    g = gcd(den, *ints)
+    if den < 0:
+        g = -g
+    return den // g, tuple(x // g for x in ints)
 
 
 def tangency_certificate(dec: WaringDecomposition, line: HomogeneousForm) -> TangencyCertificate:
@@ -298,20 +354,26 @@ def _build_certificate(
     """The certificate witnesses for seven terms whose value is line^2 * cofactor
     with cofactor nonzero and ``restricted_conic`` the cofactor's restriction,
     or None when the lines do not meet ``line = 0`` in seven distinct points.
-    The points D * L_i are the lines' int rows times the cleared kernel basis
-    (D the product of their denominators), and the line values are the rows at
-    the cleared transversal point.  The annihilator, the contact vector and the
-    bridge, which interpolate their identities at the first two and three points
-    (degree-d values times D**d), are built on these ints, with Fractions only
-    for the stored fields; ``verify`` alone checks all seven points.
+    The points D * L_i are the lines' int rows (the ones ``value`` read) times
+    the cleared kernel basis, over the product of their denominators, both
+    divided by their common gcd to leave D; the line values are the rows at
+    the cleared transversal point.  The annihilator, the contact vector and the bridge,
+    which interpolate their identities at the first two and three points
+    (degree-d values times D**d), are built on these ints, and every rational
+    witness is stored as the canonical pair of the ints it was built as, so
+    no Fraction is made; ``verify`` alone checks all seven points.
     The annihilator's zero-entry check cannot fire: entry i is M over the
     product of the brackets [L_j, L_i], j != i, nonzero for distinct points.
     It stays because the witnesses divide by the entries."""
     bd, (b0, b1) = line_kernel_basis(line)
-    ld, rows = linear_rows(dec.lines())
+    ld, rows = dec.line_tuple.rows
     den = ld * bd
     # a linear form restricts to its coefficients paired with the kernel basis
     points = [(sum(map(mul, row, b0)), sum(map(mul, row, b1))) for row in rows]
+    g = gcd(den, *(x for point in points for x in point))
+    if g != 1:
+        den //= g
+        points = [(p // g, r // g) for p, r in points]
     try:
         # seven points at degree 5 leave one free index, so one kernel vector
         [(annihilator,)] = moment_kernel(points, (5,))
@@ -325,25 +387,25 @@ def _build_certificate(
     wd, ws = sympoly.clear_denominators(weights[:3])
     a = prod(annihilator[:3])
     scaled = [w * (a // x) for w, x in zip(ws, annihilator)]
-    c_den, contact = interpolate(points[:2], [den * s for s in scaled[:2]], wd * a)
+    contact = _cleared(*interpolate(points[:2], [den * s for s in scaled[:2]], wd * a))
 
     # the transversal point e_j / c_j, c_j the line's last nonzero coefficient, is t / td
     lc = line.linear_ints()
     j = max(i for i, c in enumerate(lc) if c)
-    td, t = abs(lc[j]), tuple(line.den * lc[j] // abs(lc[j]) if i == j else 0 for i in range(3))
+    td, t = _cleared(lc[j], tuple(line.den if i == j else 0 for i in range(3)))
     lvs = [sum(map(mul, row, t)) for row in rows]  # ld * td times the line values
     b_den, b = interpolate(points[:3], [den * den * s * v for s, v in zip(scaled, lvs)], wd * ld * td * a)
 
     certificate = TangencyCertificate(
-        restricted=tuple((Fraction(p, den), Fraction(r, den)) for p, r in points),
+        cleared_points=(den, tuple(points)),
         weights=weights,
         annihilator=annihilator,
-        contact_vector=tuple(Fraction(x, c_den) for x in contact),
-        transversal_point=tuple(Fraction(x, td) if x else _ZERO for x in t),
-        line_values=tuple(Fraction(v, ld * td) for v in lvs),
-        bridge=BinaryQuadratic(*(Fraction(x, b_den) for x in b)),
+        cleared_contact=contact,
+        cleared_transversal=(td, t),
+        cleared_values=_cleared(ld * td, lvs),
+        cleared_bridge=_cleared(b_den, b),
         restricted_conic=restricted_conic,
-        tangency_point=normalize_vector(contact),
+        tangency_point=normalize_vector(contact[1]),
     )
     certificate.verify()
     return certificate

@@ -16,11 +16,11 @@ so only the tuples are sorted.
 from __future__ import annotations
 
 import re
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import factorial, gcd, lcm, prod
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from . import sympoly
 from .errors import InvalidInputError, StructuralError
@@ -29,7 +29,7 @@ from .record import Record
 
 Monomial = tuple[int, ...]
 Point = Sequence[Fraction | int]
-_UNITS = tuple(1 << (sympoly.BITS * i) for i in range(3))  # the packed keys of x0, x1, x2
+UNITS = tuple(1 << (sympoly.BITS * i) for i in range(3))  # the packed keys of x0, x1, x2
 
 
 class HomogeneousForm(Record):
@@ -96,7 +96,7 @@ class HomogeneousForm(Record):
             raise StructuralError(f"num_vars must be 2 or 3, got {len(coeffs)}")
         exact = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
         den, nums = sympoly.clear_denominators(exact)
-        return cls(len(coeffs), 1, den, {u: c for u, c in zip(_UNITS, nums) if c})
+        return cls(len(coeffs), 1, den, {u: c for u, c in zip(UNITS, nums) if c})
 
     # basic accessors
 
@@ -118,7 +118,7 @@ class HomogeneousForm(Record):
         """The coefficients of a linear form times ``den``, zeros included."""
         if self.degree != 1:
             raise StructuralError("linear coefficients require a degree-1 form")
-        return tuple(map(self.poly.get, _UNITS[: self.num_vars], (0, 0, 0)))
+        return tuple(map(self.poly.get, UNITS[: self.num_vars], (0, 0, 0)))
 
     # arithmetic, all of it in sympoly on the ints
 
@@ -182,7 +182,7 @@ def _int_value(poly: sympoly.Poly, point: Sequence[int]) -> int:
 class FormTuple(Record):
     """Nonempty tuple of forms of one shared shape, such as the seven lines
     restricted to a base line; ``power_sum`` sums weighted powers of a tuple
-    of linear forms."""
+    of linear forms, read from its cleared ``rows``."""
 
     entries: tuple[HomogeneousForm, ...]
 
@@ -209,6 +209,13 @@ class FormTuple(Record):
     def degree(self) -> int:
         return self.entries[0].degree
 
+    @cached_property
+    def rows(self) -> tuple[int, tuple[IntVector, ...]]:
+        """The common denominator D of linear entries and their coefficient rows
+        times D, cleared once per tuple."""
+        den = lcm(*(f.den for f in self.entries))
+        return den, tuple(tuple(c * (den // f.den) for c in f.linear_ints()) for f in self.entries)
+
 
 @lru_cache(maxsize=8)
 def _monomial_table(num_vars: int, degree: int) -> tuple[tuple[Monomial, int, int], ...]:
@@ -217,13 +224,6 @@ def _monomial_table(num_vars: int, degree: int) -> tuple[tuple[Monomial, int, in
     combos = combinations_with_replacement(range(num_vars), degree)
     monos = [tuple(combo.count(j) for j in range(3)) for combo in combos]
     return tuple((m, sympoly.monomial(m), factorial(degree) // prod(map(factorial, m))) for m in monos)
-
-
-def linear_rows(forms: Iterable[HomogeneousForm]) -> tuple[int, list[IntVector]]:
-    """The common denominator D of linear forms and their coefficient rows times D."""
-    forms = list(forms)
-    den = lcm(*(f.den for f in forms))
-    return den, [tuple(c * (den // f.den) for c in f.linear_ints()) for f in forms]
 
 
 def power_sum(weights: Sequence[Fraction | int], forms: FormTuple, exponent: int) -> HomogeneousForm:
@@ -241,7 +241,7 @@ def power_sum(weights: Sequence[Fraction | int], forms: FormTuple, exponent: int
     if len(weights) != len(forms):
         raise StructuralError("a power sum needs one weight per form")
     wd, ws = sympoly.clear_denominators(weights)
-    ld, rows = linear_rows(forms)
+    ld, rows = forms.rows
     table = _monomial_table(forms.num_vars, exponent)
     moments = [0] * len(table)
     ks = range(exponent + 1)
@@ -413,7 +413,7 @@ def divide_by_linear(f: HomogeneousForm, line: HomogeneousForm) -> tuple[Homogen
     lp = coeffs[pivot]
     shift = sympoly.BITS * pivot
     unit = 1 << shift
-    others = [(u, c) for i, (u, c) in enumerate(zip(_UNITS, coeffs)) if c and i != pivot]
+    others = [(u, c) for i, (u, c) in enumerate(zip(UNITS, coeffs)) if c and i != pivot]
     scale = lp**f.degree
     work = sympoly.scale(f.poly, scale) if scale != 1 else dict(f.poly)
     quot: sympoly.Poly = {}

@@ -251,10 +251,11 @@ def evaluate(form, point) -> Fraction:
     return total
 
 
-def reference_certificate(dec, line):
-    """The certificate ``analyze`` attaches for a seven-term double-line value
-    with nonzero cofactor, built by Fraction formulas that share no code with
-    the builder: each restricted point a Fraction sum of a line's
+def reference_witnesses(dec, line) -> dict | None:
+    """The witnesses of the certificate ``analyze`` attaches for a seven-term
+    double-line value with nonzero cofactor, keyed by the certificate's
+    field and property names, built by Fraction formulas that share no code
+    with the builder: each restricted point a Fraction sum of a line's
     coefficients against ``reference_kernel_basis``, cleared by the lcm of
     their denominators; the annihilator the ``reference_kernel`` of the
     degree-5 ``power_map_rows`` at the cleared points; the line values
@@ -287,16 +288,45 @@ def reference_certificate(dec, line):
     cofactor = engine.extract_cofactor(dec.value(), line)
     images = [ref_add({(1, 0): b0[i]}, {(0, 1): b1[i]}) for i in range(3)]
     conic = ref_substitute(cofactor.terms, images, 2)
+    return {
+        "restricted": restricted,
+        "weights": weights,
+        "annihilator": annihilator,
+        "contact_vector": contact,
+        "transversal_point": transversal,
+        "line_values": line_values,
+        "bridge": BinaryQuadratic(*bridge),
+        "restricted_conic": BinaryQuadratic(*(conic.get(m, Fraction(0)) for m in ((2, 0), (1, 1), (0, 2)))),
+        "tangency_point": primitive(contact),
+    }
+
+
+def reference_pair(values) -> tuple[int, tuple[int, ...]]:
+    """Fractions as the pair (D, D * values), D the lcm of their denominators.
+    It is canonical: a prime power p**e exactly dividing D divides some
+    denominator d_i exactly, so p does not divide that numerator times D / d_i."""
+    den = lcm(*(Fraction(x).denominator for x in values))
+    return den, tuple(int(x * den) for x in values)
+
+
+def reference_certificate(dec, line):
+    """The certificate of ``reference_witnesses``, its rational witnesses
+    stored as ``reference_pair``s; None when they are."""
+    ref = reference_witnesses(dec, line)
+    if ref is None:
+        return None
+    den, flat = reference_pair([x for point in ref["restricted"] for x in point])
+    bridge = ref["bridge"]
     return engine.TangencyCertificate(
-        restricted=restricted,
-        weights=weights,
-        annihilator=annihilator,
-        contact_vector=contact,
-        transversal_point=transversal,
-        line_values=line_values,
-        bridge=BinaryQuadratic(*bridge),
-        restricted_conic=BinaryQuadratic(*(conic.get(m, Fraction(0)) for m in ((2, 0), (1, 1), (0, 2)))),
-        tangency_point=primitive(contact),
+        cleared_points=(den, tuple(zip(flat[::2], flat[1::2]))),
+        weights=ref["weights"],
+        annihilator=ref["annihilator"],
+        cleared_contact=reference_pair(ref["contact_vector"]),
+        cleared_transversal=reference_pair(ref["transversal_point"]),
+        cleared_values=reference_pair(ref["line_values"]),
+        cleared_bridge=reference_pair((bridge.a, bridge.b, bridge.c)),
+        restricted_conic=ref["restricted_conic"],
+        tangency_point=ref["tangency_point"],
     )
 
 

@@ -480,9 +480,11 @@ class TestOneDerivationPerTrial:
 
 
 class TestFractionBudget:
-    """``theorem-check`` stays on ints from ``power_sum`` to the certificate;
-    the Fractions it builds are its inputs and the certificates' stored
-    fields, about 49 a trial, counted through ``Fraction.__new__``."""
+    """``theorem-check`` stays on ints from the generator to the certificate,
+    whose rational witnesses are stored as cleared pairs.  The Fractions it
+    builds, counted through ``Fraction.__new__``, are 21 a trial (three lift
+    parameters, seven lifts, seven weights, the restricted conic's three
+    coefficients and the defect) and the slope pool, once."""
 
     def test_theorem_check_hundred_trials(self, monkeypatch):
         original = Fraction.__new__
@@ -497,7 +499,7 @@ class TestFractionBudget:
             code = main(["theorem-check", "--trials", "100", "--seed", "1"], out=io.StringIO())
         monkeypatch.undo()
         assert code == 0
-        assert 0 < made[0] <= 5000
+        assert 0 < made[0] <= 2500
 
 
 class TestInputCaps:

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 import pytest
 from conftest import (
@@ -21,6 +21,7 @@ from conftest import (
     ref_scale,
     ref_variable,
     reference_certificate,
+    reference_witnesses,
     reference_family_is_translations,
     reference_kernel,
     reference_solve,
@@ -579,16 +580,18 @@ class TestCertificateTampering:
         )
 
     def test_contact_vector(self, certificate):
-        w0, w1 = certificate.contact_vector
+        # the first coordinate plus 1, on the pair (den, ints)
+        den, (c0, c1) = certificate.cleared_contact
         self.assert_fails(
-            replace(certificate, contact_vector=(w0 + 1, w1)),
+            replace(certificate, cleared_contact=(den, (c0 + den, c1))),
             "contact vector does not reproduce the weights",
         )
 
     def test_bridge_coefficient(self, certificate):
-        bridge = replace(certificate.bridge, b=certificate.bridge.b + 1)
+        # the y0*y1 coefficient plus 1
+        den, (b0, b1, b2) = certificate.cleared_bridge
         self.assert_fails(
-            replace(certificate, bridge=bridge),
+            replace(certificate, cleared_bridge=(den, (b0, b1 + den, b2))),
             "bridge tensor does not reproduce the line values",
         )
 
@@ -611,14 +614,19 @@ class TestCertificateTampering:
 
     def test_rescaled_witnesses_verify(self, certificate):
         # every identity is invariant under a -> t * a, contact -> contact / t
-        # and bridge -> bridge / t, which moves the denominators verify clears
+        # and bridge -> bridge / t, which leaves a rational annihilator and
+        # pairs that are no longer canonical
         t = Fraction(2, 3)
-        g = certificate.bridge
+
+        def divided(pair):
+            den, ints = pair
+            return den * t.numerator, tuple(x * t.denominator for x in ints)
+
         replace(
             certificate,
             annihilator=tuple(t * a for a in certificate.annihilator),
-            contact_vector=tuple(c / t for c in certificate.contact_vector),
-            bridge=BinaryQuadratic(g.a / t, g.b / t, g.c / t),
+            cleared_contact=divided(certificate.cleared_contact),
+            cleared_bridge=divided(certificate.cleared_bridge),
         ).verify()
 
     @pytest.mark.parametrize("field", ["a", "b", "c"])
@@ -652,7 +660,7 @@ class TestCertificateTamperingFractionalPoints(TestCertificateTampering):
         terms = generated.instance.to_decomposition().terms
         dec = WaringDecomposition(tuple((w, move(f.linear_coefficients())) for w, f in terms))
         cert = analyze(dec, move((0, 0, 1))).certificate
-        assert lcm(*(x.denominator for p in cert.restricted for x in p)) == 3
+        assert cert.cleared_points[0] == 3
         return cert
 
 
@@ -729,32 +737,60 @@ def moved(dec: WaringDecomposition, rows) -> tuple[WaringDecomposition, Homogene
     return WaringDecomposition(terms), move((0, 0, 1))
 
 
+def moved_instances(pivot: int):
+    """(decomposition, line) pairs of generated instances moved by
+    ``pivot_change``, each with a certificate, six in all; the weights of every
+    other one have denominators up to 5."""
+    rng = random.Random(2000 + pivot)
+    checked = trial = 0
+    while checked < 6:
+        trial += 1
+        slopes = sample_nodes(rng, 7)
+        params = tuple(random_fraction(rng) for _ in range(3))
+        inst = generate_tangent_instance(slopes, params, seed=trial).instance
+        if trial % 2:  # weights of denominator up to 5
+            scale = random_fraction(rng) or Fraction(1, 5)
+            inst = CoordinateInstance(inst.slopes, inst.lifts, tuple(w * scale for w in inst.weights))
+        dec, line = moved(inst.to_decomposition(), pivot_change(rng, pivot))
+        coeffs = line.linear_coefficients()
+        assert max(i for i, c in enumerate(coeffs) if c) == pivot
+        assert lcm(*(c.denominator for f in dec.lines() for c in f.linear_coefficients())) > 1
+        basis_den = line_kernel_basis(line)[0]
+        assert basis_den > 1 or pivot == 0
+        if analyze(dec, line).certificate is None:
+            assert reference_certificate(dec, line) is None
+        else:
+            checked += 1
+            yield dec, line
+
+
 class TestCertificateOracle:
     """``analyze`` builds the certificate on ints; ``conftest.reference_certificate``
     keeps the Fraction formulas it replaced, and both must give equal fields."""
 
     @pytest.mark.parametrize("pivot", [0, 1, 2])
     def test_matches_reference_on_moved_instances(self, pivot):
-        rng = random.Random(2000 + pivot)
-        checked = trial = 0
-        while checked < 6:
-            trial += 1
-            slopes = sample_nodes(rng, 7)
-            params = tuple(random_fraction(rng) for _ in range(3))
-            inst = generate_tangent_instance(slopes, params, seed=trial).instance
-            if trial % 2:  # weights of denominator up to 5
-                scale = random_fraction(rng) or Fraction(1, 5)
-                inst = CoordinateInstance(inst.slopes, inst.lifts, tuple(w * scale for w in inst.weights))
-            dec, line = moved(inst.to_decomposition(), pivot_change(rng, pivot))
-            coeffs = line.linear_coefficients()
-            assert max(i for i, c in enumerate(coeffs) if c) == pivot
-            assert lcm(*(c.denominator for f in dec.lines() for c in f.linear_coefficients())) > 1
-            basis_den = line_kernel_basis(line)[0]
-            assert basis_den > 1 or pivot == 0
+        for dec, line in moved_instances(pivot):
+            assert analyze(dec, line).certificate == reference_certificate(dec, line)
+
+    @pytest.mark.parametrize("pivot", [0, 1, 2])
+    def test_pairs_are_canonical_and_read_as_the_reference_fractions(self, pivot):
+        # equal certificates have equal pairs only because each pair is canonical
+        for dec, line in moved_instances(pivot):
             cert = analyze(dec, line).certificate
-            assert cert == reference_certificate(dec, line)
-            if cert is not None:
-                checked += 1
+            den, points = cert.cleared_points
+            pairs = [
+                (den, [x for point in points for x in point]),
+                cert.cleared_contact,
+                cert.cleared_transversal,
+                cert.cleared_values,
+                cert.cleared_bridge,
+            ]
+            for den, ints in pairs:
+                assert den > 0 and gcd(den, *ints) == 1
+            ref = reference_witnesses(dec, line)
+            for name in ("restricted", "contact_vector", "transversal_point", "line_values", "bridge"):
+                assert getattr(cert, name) == ref[name], name
 
     @pytest.mark.parametrize("pivot", [0, 1, 2])
     @pytest.mark.parametrize("case", ["line restricts to zero", "two lines meet at one point"])

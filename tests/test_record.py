@@ -165,3 +165,15 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
         [sys.executable, "-S", "-c", probe], capture_output=True, text=True, check=True
     )
     assert result.stdout == "[]\n"
+
+
+def test_importing_the_cli_does_not_load_json():
+    # json serves only verify documents and --json output, which import it when run
+    probe = (
+        f"import sys; sys.path.insert(0, {str(SRC)!r}); import doubleline.cli; "
+        "print('json' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "False\n"
