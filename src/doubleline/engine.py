@@ -134,7 +134,7 @@ class CoordinateInstance(Record):
     def to_decomposition(self) -> WaringDecomposition:
         """The decomposition of this instance, built on every call.  The slopes
         are cleared once, to H_i / D, and line i is built from the ints
-        (D * E, H_i * E, K_i * D) over D * E, with k_i = K_i / E."""
+        (D * E_i, H_i * E_i, K_i * D) over D * E_i, with lift k_i = K_i / E_i."""
         hd, hs = sympoly.clear_denominators(self.slopes)
         x0, x1, x2 = UNITS
         terms = []
