@@ -80,7 +80,7 @@ class WaringDecomposition(Record):
         for weight, form in self.terms:
             if form.num_vars != 3 or form.degree != 1:
                 raise StructuralError("decomposition terms must be linear forms in three variables")
-            coerced.append((weight if isinstance(weight, Fraction) else Fraction(weight), form))
+            coerced.append((sympoly.rational(weight), form))
         vars(self)["terms"] = tuple(coerced)
 
     @property
@@ -119,8 +119,7 @@ class CoordinateInstance(Record):
 
     def __post_init__(self):
         for name in ("slopes", "lifts", "weights"):
-            exact = (v if isinstance(v, Fraction) else Fraction(v) for v in getattr(self, name))
-            vars(self)[name] = tuple(exact)
+            vars(self)[name] = tuple(map(sympoly.rational, getattr(self, name)))
         n = len(self.slopes)
         if n not in (6, 7):
             raise StructuralError(f"coordinate instances have 6 or 7 terms, got {n}")
@@ -209,7 +208,9 @@ def power_kernel(restricted: FormTuple, degree: int) -> KernelBasis:
 class TangencyCertificate(Record):
     """Exact witnesses that the line is tangent to the cofactor conic.
 
-    The fields satisfy, with L_i the line ``restricted[i]`` and alpha the weights:
+    The fields satisfy, with L_i the line restricted to the base line, the
+    binary linear form with coefficients ``cleared_points[1][i]`` over
+    ``cleared_points[0]``, and alpha the weights:
 
     * ``annihilator`` spans the kernel of the degree-5 power map and has no
       zero entry;
@@ -225,7 +226,7 @@ class TangencyCertificate(Record):
     points D * L_i = (p_i, r_i) over D, and ``cleared_contact``,
     ``cleared_transversal``, ``cleared_values`` and ``cleared_bridge`` the
     contact vector, the transversal point, the line values and the bridge's
-    coefficients on y0^2, y0*y1, y1^2.  ``restricted``, ``contact_vector``,
+    coefficients on y0^2, y0*y1, y1^2.  ``contact_vector``,
     ``transversal_point``, ``line_values`` and ``bridge`` build their
     Fractions only when read.  ``restricted_conic`` is a ``BinaryQuadratic``,
     the cofactor's restriction to the line, computed by ``analyze`` from the
@@ -251,11 +252,6 @@ class TangencyCertificate(Record):
     cleared_bridge: Cleared
     restricted_conic: BinaryQuadratic
     tangency_point: IntVector
-
-    @property
-    def restricted(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        den, points = self.cleared_points
-        return tuple((Fraction(p, den), Fraction(r, den)) for p, r in points)
 
     @property
     def contact_vector(self) -> Vector:
@@ -436,7 +432,6 @@ def tangency_defect(inst: CoordinateInstance) -> Fraction:
 class IdentitySliceReport(Record):
     """Outcome of the symbolic identity check on one slope slice."""
 
-    slopes: Vector
     alpha_dim: int
     beta_dim: int
     expanded_monomials: int
@@ -477,11 +472,10 @@ def verify_identity_slice(
     direct products, while the factors multiplied term by term are much
     shorter (by Gauss's lemma their products are primitive too).
     """
-    hs = tuple(h if isinstance(h, Fraction) else Fraction(h) for h in slopes)
-    if len(hs) != 7:
-        raise StructuralError(f"expected 7 slopes, got {len(hs)}")
-    alpha_basis, beta_basis = vandermonde_nullspace(VandermondeSystem(hs, (4, 3)))
-    den, nodes = sympoly.clear_denominators(hs)
+    if len(slopes) != 7:
+        raise StructuralError(f"expected 7 slopes, got {len(slopes)}")
+    alpha_basis, beta_basis = vandermonde_nullspace(VandermondeSystem(tuple(slopes), (4, 3)))
+    den, nodes = sympoly.clear_denominators(slopes)
     na = len(alpha_basis)
     keys = [sympoly.monomial((0,) * j + (1,)) for j in range(na + len(beta_basis))]
 
@@ -520,7 +514,6 @@ def verify_identity_slice(
         residue = sympoly.add(residue, sympoly.scale(sympoly.mul(full, full), den * den))
 
     return IdentitySliceReport(
-        slopes=hs,
         alpha_dim=na,
         beta_dim=len(beta_basis),
         expanded_monomials=len(minuend) + len(subtrahend),
@@ -533,7 +526,6 @@ def verify_identity_slice(
 class SixTermVanishingReport(Record):
     """Outcome of the six-term collapse check for distinct slopes."""
 
-    slopes: Vector
     annihilator: IntVector
     all_weights_nonzero: bool
     family_is_translations: bool
@@ -558,11 +550,10 @@ def six_term_vanishing_check(slopes: Sequence[Fraction | int]) -> SixTermVanishi
     integer moments M_0..M_4 do.  They share no code with
     ``moment_kernel``'s closed-form bracket products.
     """
-    hs = tuple(h if isinstance(h, Fraction) else Fraction(h) for h in slopes)
-    if len(hs) != 6:
-        raise StructuralError(f"expected 6 slopes, got {len(hs)}")
+    if len(slopes) != 6:
+        raise StructuralError(f"expected 6 slopes, got {len(slopes)}")
     # six nodes at degree 4 leave one free index, so one annihilator
-    (alpha,), lifts = vandermonde_nullspace(VandermondeSystem(hs, (4, 3)))
+    (alpha,), lifts = vandermonde_nullspace(VandermondeSystem(tuple(slopes), (4, 3)))
     all_nonzero = all(a != 0 for a in alpha)
 
     # the lifts are b / alpha for b in the degree-3 kernel B; with no zero
@@ -570,12 +561,11 @@ def six_term_vanishing_check(slopes: Sequence[Fraction | int]) -> SixTermVanishi
     # span{1, h} to the span of T = [alpha, alpha*H], H = D*h the cleared
     # slopes, so the family is the translations exactly when B, T and B with
     # T appended have one rank
-    _, nodes = sympoly.clear_denominators(hs)
+    _, nodes = sympoly.clear_denominators(slopes)
     shifts = [alpha, [a * h for a, h in zip(alpha, nodes)]]
     family_matches = all_nonzero and rank(lifts) == rank(shifts) == rank([*lifts, *shifts])
 
     return SixTermVanishingReport(
-        slopes=hs,
         annihilator=alpha,
         all_weights_nonzero=all_nonzero,
         family_is_translations=family_matches,
@@ -623,26 +613,17 @@ def generate_six_term_family(
     Within each triple the lifts are (0, c, -c) and the weights
     (2*s, -s, -s), which forces the value to be a double line times a
     nondegenerate conic; ``two_value_collapse_check`` derives that conic and
-    its rank.  Seed 0 is the canonical member with c = s = 1.
+    its rank.  The seed draws c in -9..9 without 0 and s in 1..9 for each triple.
     """
-    ha, hb = Fraction(slope_pair[0]), Fraction(slope_pair[1])
+    ha, hb = map(sympoly.rational, slope_pair)
     if ha == hb:
         raise InvalidInputError("slope pair must be distinct")
-    if seed == 0:
-        scales = spreads = (Fraction(1), Fraction(1))
-    else:
-        rng = random.Random(f"six-term:{seed}")
-        scales = (Fraction(rng.randint(1, 9)), Fraction(rng.randint(1, 9)))
-        spreads = tuple(
-            Fraction(rng.choice([x for x in range(-9, 10) if x != 0])) for _ in range(2)
-        )
-    slopes = (ha, ha, ha, hb, hb, hb)
-    lifts = (Fraction(0), spreads[0], -spreads[0], Fraction(0), spreads[1], -spreads[1])
-    weights = (
-        2 * scales[0], -scales[0], -scales[0],
-        2 * scales[1], -scales[1], -scales[1],
-    )
-    return CoordinateInstance(slopes, lifts, weights)
+    rng = random.Random(f"six-term:{seed}")
+    scales = (rng.randint(1, 9), rng.randint(1, 9))
+    spreads = [rng.choice([x for x in range(-9, 10) if x != 0]) for _ in range(2)]
+    lifts = [x for c in spreads for x in (0, c, -c)]
+    weights = [x for s in scales for x in (2 * s, -s, -s)]
+    return CoordinateInstance((ha, ha, ha, hb, hb, hb), lifts, weights)
 
 
 class TangentInstance(Record):
@@ -678,10 +659,10 @@ def generate_tangent_instance(
     construction, and the conic, which may be zero for special parameters,
     is derived by ``analyze`` (or read from ``TangentInstance.quartic``).
     """
-    hs = tuple(h if isinstance(h, Fraction) else Fraction(h) for h in slopes)
+    hs = tuple(map(sympoly.rational, slopes))
     if len(hs) != 7:
         raise StructuralError(f"expected 7 slopes, got {len(hs)}")
-    params = tuple(p if isinstance(p, Fraction) else Fraction(p) for p in lift_params)
+    params = tuple(map(sympoly.rational, lift_params))
     if len(params) != 3:
         raise StructuralError("expected 3 lift parameters")
     # on ints: the kernel bases (U, V) and B_j are integer, parameters cleared to P_j / pd;

@@ -20,7 +20,7 @@ from functools import cached_property, lru_cache
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import factorial, gcd, lcm, prod
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from . import sympoly
 from .errors import InvalidInputError, StructuralError
@@ -63,7 +63,7 @@ class HomogeneousForm(Record):
             raise StructuralError(f"num_vars must be 2 or 3, got {num_vars}")
         if degree < 0:
             raise StructuralError(f"degree must be non-negative, got {degree}")
-        exact: dict[int, Fraction | int] = {}
+        exact: dict[int, Fraction] = {}
         for mono, coeff in terms.items():
             mono = tuple(mono)
             if len(mono) != num_vars:
@@ -72,7 +72,7 @@ class HomogeneousForm(Record):
                 raise StructuralError(f"monomial {mono} does not have degree {degree}")
             # rejects a negative exponent, and one too large for its packed field
             key = sympoly.monomial(mono)
-            c = coeff if isinstance(coeff, (int, Fraction)) else Fraction(coeff)
+            c = sympoly.rational(coeff)
             if c:
                 exact[key] = c
         den, nums = sympoly.clear_denominators(exact.values())
@@ -94,8 +94,7 @@ class HomogeneousForm(Record):
     def linear(cls, coeffs: Point) -> "HomogeneousForm":
         if len(coeffs) not in (2, 3):
             raise StructuralError(f"num_vars must be 2 or 3, got {len(coeffs)}")
-        exact = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
-        den, nums = sympoly.clear_denominators(exact)
+        den, nums = sympoly.clear_denominators([sympoly.rational(c) for c in coeffs])
         return cls(len(coeffs), 1, den, {u: c for u, c in zip(UNITS, nums) if c})
 
     # basic accessors
@@ -198,9 +197,6 @@ class FormTuple(Record):
     def __len__(self) -> int:
         return len(self.entries)
 
-    def __iter__(self) -> Iterator[HomogeneousForm]:
-        return iter(self.entries)
-
     @property
     def num_vars(self) -> int:
         return self.entries[0].num_vars
@@ -254,18 +250,17 @@ def power_sum(weights: Sequence[Fraction | int], forms: FormTuple, exponent: int
 
 
 def interpolate(
-    points: Sequence[tuple[int, int]], values: Sequence[Fraction | int], den: int = 1
+    points: Sequence[tuple[int, int]], values: Sequence[int], den: int = 1
 ) -> tuple[int, list[int]]:
     """Coefficients on y0^d, y0^(d-1)*y1, ..., y1^d of the binary form of degree
     d = len(points) - 1 taking ``values[k] / den`` at the integer ``points[k]``
-    (pairwise independent): sum_k values[k] * prod_{m != k} [P_m, y] / [P_m, P_k] / den,
-    with [P, y] = a*y1 - b*y0 for P = (a, b), summed on integers.  It returns
-    one denominator, the lcm of the values' denominators times their
-    brackets, times den, and the ints over it."""
+    (pairwise independent), for int values: sum_k values[k] * prod_{m != k}
+    [P_m, y] / [P_m, P_k] / den, with [P, y] = a*y1 - b*y0 for P = (a, b),
+    summed on integers.  It returns one denominator, the lcm of the bracket
+    products, times den, and the ints over it."""
     dens, terms = [], []
     for k, (ak, bk) in enumerate(points):
-        term = [1]
-        dk = values[k].denominator
+        term, dk = [1], 1
         for m, (am, bm) in enumerate(points):
             if m != k:
                 # multiply by [P_m, y]; index e holds the y1^e coefficient
@@ -274,7 +269,7 @@ def interpolate(
         dens.append(dk)
         terms.append(term)
     common = lcm(*dens)
-    nums = [v.numerator * (common // dk) for v, dk in zip(values, dens)]
+    nums = [v * (common // dk) for v, dk in zip(values, dens)]
     return common * den, [sum(n * t[e] for n, t in zip(nums, terms)) for e in range(len(points))]
 
 
@@ -478,7 +473,7 @@ def restrict(f: HomogeneousForm, line: HomogeneousForm) -> HomogeneousForm:
 def embed_in_plane(line: HomogeneousForm, point: Point) -> tuple[Fraction, ...]:
     """Lift a point given in kernel-plane coordinates back to 3-space."""
     den, (b0, b1) = line_kernel_basis(line)
-    t0, t1 = (Fraction(x) for x in point)
+    t0, t1 = map(sympoly.rational, point)
     return tuple((t0 * a + t1 * b) / den for a, b in zip(b0, b1))
 
 
@@ -512,8 +507,7 @@ class BinaryQuadratic(Record):
 
     def __post_init__(self):
         for name in ("a", "b", "c"):
-            if not isinstance(getattr(self, name), Fraction):
-                vars(self)[name] = Fraction(getattr(self, name))
+            vars(self)[name] = sympoly.rational(getattr(self, name))
 
     @classmethod
     def from_form(cls, q: HomogeneousForm) -> "BinaryQuadratic":
@@ -528,8 +522,8 @@ class BinaryQuadratic(Record):
         return self.b * self.b - 4 * self.a * self.c
 
     def polar(self, w: Point, u: Point) -> Fraction:
-        w0, w1 = (Fraction(x) for x in w)
-        u0, u1 = (Fraction(x) for x in u)
+        w0, w1 = map(sympoly.rational, w)
+        u0, u1 = map(sympoly.rational, u)
         return self.a * w0 * u0 + self.b / 2 * (w0 * u1 + w1 * u0) + self.c * u1 * w1
 
     def tangency(self) -> tuple[bool, IntVector | None]:

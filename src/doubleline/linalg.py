@@ -28,7 +28,6 @@ leave their arguments unchanged and return fresh objects.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
 from math import gcd, lcm, prod
 from typing import Sequence
 
@@ -92,48 +91,36 @@ def rref(rows: Sequence[Sequence[Fraction | int]]) -> tuple[list[list[Fraction]]
     return reduced, len(pivot_cols), tuple(pivot_cols)
 
 
-def normalize_vector(v: Sequence[Fraction | int]) -> IntVector:
-    """Scale to ints with content 1 and positive leading entry (zeros stay 0)."""
-    ints = sympoly.clear_denominators(v)[1]
-    g = gcd(*ints)
+def normalize_vector(v: Sequence[int]) -> IntVector:
+    """Scale ints to content 1 and positive leading entry (zeros stay 0)."""
+    g = gcd(*v)
     if not g:
-        return tuple(ints)
-    if next(x for x in ints if x) < 0:
+        return tuple(v)
+    if next(x for x in v if x) < 0:
         g = -g
-    return tuple(x // g for x in ints)
+    return tuple(x // g for x in v)
 
 
-def clear_rows(rows: Sequence[Sequence[Fraction | int]]) -> tuple[int, list[tuple[int, ...]]]:
-    """The common denominator D of every entry of ``rows`` and the integer rows
-    D * row; the one place where rows of points are cleared."""
-    den, flat = sympoly.clear_denominators([x for row in rows for x in row])
-    entries = iter(flat)
-    return den, [tuple(islice(entries, len(row))) for row in rows]
-
-
-def moment_kernel(
-    points: Sequence[tuple[Fraction | int, Fraction | int]], degrees: Sequence[int]
-) -> list[list[IntVector]]:
+def moment_kernel(points: Sequence[tuple[int, int]], degrees: Sequence[int]) -> list[list[IntVector]]:
     """RREF kernel bases of c |-> sum_i c_i (a_i x + b_i y)^d in closed form,
     one basis for each degree d in ``degrees``, in order.
 
-    The points (a_i, b_i), ints or Fractions, must be nonzero and pairwise
-    non-proportional, else DegenerateNodesError.  Degree -1 imposes no
-    constraint (identity basis).  Each vector is a tuple of ints with content
-    1 and a positive leading entry.  The points are cleared and their
-    brackets tabled once for all the degrees.  The formula and why it is the
-    RREF basis are in the module docstring.
+    The int points (a_i, b_i) must be nonzero and pairwise non-proportional,
+    else DegenerateNodesError.  Degree -1 imposes no constraint (identity
+    basis).  Each vector is a tuple of ints with content 1 and a positive
+    leading entry, so scaling every point by one nonzero int, which scales
+    every bracket product of a degree by one positive constant, leaves the
+    basis unchanged.  The brackets are tabled once for all the degrees.  The
+    formula and why it is the RREF basis are in the module docstring.
     """
     if any(degree < -1 for degree in degrees):
         raise StructuralError("degree must be at least -1")
-    # scaling every point by one integer scales every entry by one constant
-    pts = clear_rows(points)[1]
-    n = len(pts)
+    n = len(points)
     det = [[0] * n for _ in range(n)]  # det[j][i] = [P_j, P_i]
-    for i, (ai, bi) in enumerate(pts):
+    for i, (ai, bi) in enumerate(points):
         if not (ai or bi):
             raise DegenerateNodesError(f"point {i} is zero")
-        for j, (aj, bj) in enumerate(pts[:i]):
+        for j, (aj, bj) in enumerate(points[:i]):
             det[j][i] = aj * bi - bj * ai
             det[i][j] = -det[j][i]
             if not det[j][i]:
@@ -194,8 +181,8 @@ def weighted_moment_kernel(
     each basis member is then b_i / weights_i, which requires every weight to
     be nonzero.
     """
-    hs = tuple(Fraction(h) for h in nodes)
-    ws = tuple(Fraction(a) for a in weights)  # b / a stays exact for int kernel vectors b
+    hs = tuple(map(sympoly.rational, nodes))
+    ws = tuple(map(sympoly.rational, weights))  # b / a stays exact for int kernel vectors b
     if len(hs) != len(ws):
         raise StructuralError("nodes and weights must have equal length")
     (raw,) = vandermonde_nullspace(VandermondeSystem(hs, (max_power,)))  # rejects repeated nodes first

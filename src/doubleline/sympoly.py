@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Collection
 
-from .errors import StructuralError
+from .errors import InvalidInputError, StructuralError
 
 BITS = 16
 MAX_VARS = 32
@@ -55,11 +55,26 @@ def exponents(term: Term, nvars: int) -> tuple[int, ...]:
     return tuple((term >> (BITS * i)) & FIELD for i in range(nvars))
 
 
+def rational(x: Coefficient) -> Fraction:
+    """``x`` as a Fraction, a given Fraction itself; InvalidInputError for a
+    float or any other value that is neither an int nor a Fraction."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    raise InvalidInputError(f"expected an int or a Fraction, got {x!r}")
+
+
 def clear_denominators(values: Collection[Coefficient]) -> tuple[int, list[int]]:
-    """The lcm D of the denominators of ``values``, and the integers D * value (D = 1 for ints)."""
+    """The lcm D of the denominators of ``values``, and the integers D * value
+    (D = 1 for ints); InvalidInputError for a float or another non-rational."""
     if all(type(x) is int for x in values):
         return 1, list(values)
-    den = lcm(*(x.denominator for x in values))
+    try:
+        den = lcm(*(x.denominator for x in values))
+    except AttributeError:
+        bad = next(x for x in values if not hasattr(x, "denominator"))
+        raise InvalidInputError(f"expected an int or a Fraction, got {bad!r}") from None
     return den, [x.numerator * (den // x.denominator) for x in values]
 
 

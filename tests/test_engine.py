@@ -66,12 +66,13 @@ from doubleline.forms import (
     BinaryQuadratic,
     FormTuple,
     HomogeneousForm,
+    embed_in_plane,
     line_kernel_basis,
     parse_form,
     power_sum,
     restrict,
 )
-from doubleline.linalg import VandermondeSystem, vandermonde_nullspace
+from doubleline.linalg import VandermondeSystem, vandermonde_nullspace, weighted_moment_kernel
 
 X2 = HomogeneousForm.variable(3, 2)
 
@@ -371,7 +372,7 @@ class TestPowerKernel:
             basis = power_kernel(L, d)
             assert basis.dimension == 6 - d
             for vec in basis.vectors:
-                assert sum((v * f**d for v, f in zip(vec, L)), HomogeneousForm.zero(2, d)).is_zero()
+                assert sum((v * f**d for v, f in zip(vec, L.entries)), HomogeneousForm.zero(2, d)).is_zero()
 
 
 class TestKernelDescend:
@@ -383,8 +384,9 @@ class TestKernelDescend:
         inst = flagship_instance()
         cert = analyze(inst.to_decomposition(), line_x2()).certificate
         w_form = HomogeneousForm.linear(cert.contact_vector)
-        points = cert.restricted
-        descended = tuple(a * evaluate(w_form, p) for a, p in zip(cert.annihilator, points))
+        # the restricted points are (p, r) / den, and w_form is linear
+        den, points = cert.cleared_points
+        descended = tuple(a * evaluate(w_form, p) / den for a, p in zip(cert.annihilator, points))
         assert descended == inst.weights
         # the weights land in the degree-4 kernel: all moments d <= 4 vanish
         for d in range(5):
@@ -421,8 +423,8 @@ class TestTangencyCertificate:
         assert BinaryQuadratic.from_form(restrict(cofactor, line_x2())) == cert.restricted_conic
         assert cert.annihilator == (1, -6, 15, -20, 15, -6, 1)
         assert all(a != 0 for a in cert.annihilator)
-        # annihilator kills the degree-5 powers
-        powers = (a * HomogeneousForm.linear(p) ** 5 for a, p in zip(cert.annihilator, cert.restricted))
+        # annihilator kills the degree-5 powers, at the restricted points times their den
+        powers = (a * HomogeneousForm.linear(p) ** 5 for a, p in zip(cert.annihilator, cert.cleared_points[1]))
         assert sum(powers, HomogeneousForm.zero(2, 5)).is_zero()
 
     def test_repeated_intersection_points_rejected(self):
@@ -535,7 +537,8 @@ class TestTangencyCertificate:
             assert cert is not None
             cert.verify()
 
-            points = cert.restricted
+            den, ints = cert.cleared_points
+            points = [(Fraction(p, den), Fraction(r, den)) for p, r in ints]
             assert any(a != 1 for a, _ in points)
             c = cert.annihilator
             contact_rows = [[c[i] * a, c[i] * b] for i, (a, b) in enumerate(points[:2])]
@@ -598,8 +601,9 @@ class TestCertificateTampering:
     @pytest.mark.parametrize("moments", [range(5), range(1, 6)], ids=["0-4", "1-5"])
     def test_annihilator_kills_only_some_moments(self, certificate, moments):
         # v kills the degree-5 moments sum_i v_i * p_i^(5-k) * r_i^k for k in
-        # ``moments`` but not the sixth, so a + v fails on that one moment alone
-        points = certificate.restricted
+        # ``moments`` but not the sixth, so a + v fails on that one moment alone;
+        # the points are the restricted ones times den, which scales every moment by den**5
+        _, points = certificate.cleared_points
         rows = [[p ** (5 - k) * r**k for p, r in points] for k in range(6)]
         (missed,) = set(range(6)) - set(moments)
         v = next(
@@ -770,6 +774,7 @@ class TestCertificateOracle:
     @staticmethod
     def assert_canonical_and_read_as_reference(cert, ref):
         den, points = cert.cleared_points
+        assert tuple((Fraction(p, den), Fraction(r, den)) for p, r in points) == ref["restricted"]
         pairs = [
             (den, [x for point in points for x in point]),
             cert.cleared_contact,
@@ -779,7 +784,7 @@ class TestCertificateOracle:
         ]
         for den, ints in pairs:
             assert den > 0 and gcd(den, *ints) == 1
-        for name in ("restricted", "contact_vector", "transversal_point", "line_values", "bridge"):
+        for name in ("contact_vector", "transversal_point", "line_values", "bridge"):
             assert getattr(cert, name) == ref[name], name
 
     @pytest.mark.parametrize("pivot", [0, 1, 2])
@@ -808,8 +813,8 @@ class TestCertificateOracle:
 
 
 class TestCoercion:
-    """Weights, slopes and lifts are Fractions whatever numbers they are
-    given as, and a Fraction given is kept, not copied."""
+    """Weights, slopes and lifts are Fractions whatever ints or Fractions they
+    are given as, and a Fraction given is kept, not copied; a float is refused."""
 
     VALUES = (
         [3, -1, 0, 2, 5, -4, 1],
@@ -847,13 +852,34 @@ class TestCoercion:
         [passed] = [args[0] for args in cleared if len(args[0]) == 3]
         assert all(p is given for p, given in zip(passed, params))
 
-    @pytest.mark.parametrize("check, count", [(six_term_vanishing_check, 6), (verify_identity_slice, 7)])
-    def test_slope_reports(self, check, count):
-        built = [check(v[:count]).slopes for v in self.VALUES]
-        assert built[0] == built[1] == built[2]
-        assert all(type(h) is Fraction for slopes in built for h in slopes)
-        slopes = tuple(Fraction(h, 3) for h in self.VALUES[0][:count])
-        assert all(kept is given for kept, given in zip(check(slopes).slopes, slopes))
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: HomogeneousForm.linear((0.5, 0, 1)),
+            lambda: HomogeneousForm.from_terms(3, 1, {(1, 0, 0): 0.5}),
+            lambda: BinaryQuadratic(1, 0.5, 0),
+            lambda: BinaryQuadratic(1, 0, 1).polar((0.5, 0), (1, 0)),
+            lambda: embed_in_plane(X2, (0.5, 1)),
+            lambda: WaringDecomposition(((0.5, X2),)),
+            lambda: CoordinateInstance((0.5, 1, 2, 3, 4, 5, 6), (0,) * 7, (1,) * 7),
+            lambda: generate_tangent_instance((0.5, 1, 2, 3, 4, 5, 6), (1, 0, 0), seed=1),
+            lambda: generate_tangent_instance(range(7), (1, 0.5, 0), seed=1),
+            lambda: generate_six_term_family((0.5, 1), seed=1),
+            lambda: six_term_vanishing_check((0.5, 1, 2, 3, 4, 5)),
+            lambda: verify_identity_slice((0.5, 1, 2, 3, 4, 5, 6)),
+            lambda: weighted_moment_kernel(range(6), (1, 1, 0.5, 1, 1, 1), 3),
+        ],
+        ids=[
+            "linear", "from_terms", "BinaryQuadratic", "polar", "embed_in_plane",
+            "WaringDecomposition", "CoordinateInstance",
+            "tangent-slopes", "tangent-params", "six-term-family", "six-term-check",
+            "identity-slice", "weighted-moment-kernel",
+        ],
+    )
+    def test_floats_refused(self, build):
+        # exactness: a float such as 0.1 is not the rational it is written as
+        with pytest.raises(InvalidInputError, match="expected an int or a Fraction, got 0.5"):
+            build()
 
 
 class TestTangencyDefect:
@@ -1127,12 +1153,6 @@ class TestTwoValueCollapse:
 
 
 class TestGenerators:
-    def test_canonical_six_term_family(self):
-        inst = generate_six_term_family((0, 1), seed=0)
-        assert inst.slopes == (0, 0, 0, 1, 1, 1)
-        assert inst.lifts == (0, 1, -1, 0, 1, -1)
-        assert inst.weights == (2, -1, -1, 2, -1, -1)
-
     def test_six_term_family_valid(self):
         from doubleline.forms import conic_rank
 

@@ -351,7 +351,7 @@ class TestTuples:
     def test_dot_of_ones_with_fourth_powers(self):
         coeffs = [(1, 0, 0), (1, 0, 1), (1, 0, -1), (1, 1, 0), (1, 1, 1), (1, 1, -1), (1, 2, 0)]
         tup = FormTuple(tuple(HomogeneousForm.linear(c) for c in coeffs))
-        total = sum((1 * f**4 for f in tup), HomogeneousForm.zero(3, 4))
+        total = sum((1 * f**4 for f in tup.entries), HomogeneousForm.zero(3, 4))
         expected: dict = {}
         for c in coeffs:
             line = ref(dict(zip(monomials(3, 1), c)))
@@ -360,7 +360,7 @@ class TestTuples:
 
     def test_dot_cancellation(self):
         tup = FormTuple((X0**4, X0**4))
-        assert sum((a * f for a, f in zip([1, -1], tup)), HomogeneousForm.zero(3, 4)).is_zero()
+        assert sum((a * f for a, f in zip([1, -1], tup.entries)), HomogeneousForm.zero(3, 4)).is_zero()
 
     def test_power_sum_clears_the_matrix_once(self):
         # weights and lines of denominators 2, 3 and 7 and one zero line: the
@@ -505,9 +505,11 @@ class TestInterpolate:
         )
     )
     def test_interpolant_takes_the_values(self, case):
+        # the Fraction values reach interpolate as ints over their common denominator
         points, values = case
         d = len(points) - 1
-        den, ints = interpolate(points, values)
+        vden = lcm(*(v.denominator for v in values))
+        den, ints = interpolate(points, [int(v * vden) for v in values], vden)
         assert len(ints) == d + 1 and all(type(c) is int for c in ints) and den > 0
         coeffs = [Fraction(c, den) for c in ints]
         g = HomogeneousForm.from_terms(2, d, {(d - e, e): c for e, c in enumerate(coeffs)})
@@ -524,17 +526,20 @@ class TestInterpolate:
         )
     )
     def test_int_and_fraction_values_agree(self, case):
-        # int values, the same values as Fractions, and the values times den
-        # with the divisor den all give one interpolant, as ints over one denominator
+        # int values and the values times den with the divisor den give one
+        # interpolant, as ints over one denominator; int values over den give
+        # the interpolant of the Fraction values v / den
         points, values, den = case
         coeffs = as_fractions(interpolate(points, values))
-        assert coeffs == as_fractions(interpolate(points, [Fraction(v) for v in values]))
         assert coeffs == as_fractions(interpolate(points, [v * den for v in values], den))
+        fractions = [Fraction(v, den) for v in values]
+        assert as_fractions(interpolate(points, values, den)) == reference_interpolate(points, fractions)
 
     def test_integer_values(self):
         # y0^2 - y1^2 from (1, 0), (1, 1), (1, -1), and a linear form from (1, 2), (3, 1)
         assert as_fractions(interpolate([(1, 0), (1, 1), (1, -1)], [1, 0, 0])) == [1, 0, -1]
-        assert as_fractions(interpolate([(1, 2), (3, 1)], [Fraction(1, 2), 3])) == [
+        # the values 1/2 and 3, as ints over 2
+        assert as_fractions(interpolate([(1, 2), (3, 1)], [1, 6], 2)) == [
             Fraction(11, 10), Fraction(-3, 10)
         ]
 

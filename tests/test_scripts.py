@@ -31,7 +31,7 @@ def test_committed_slices_pass(identity_slices, capsys):
 def test_failure_exits_1(identity_slices, monkeypatch, capsys, residue, control_residue):
     def stub(slopes, perturb=False):
         found = control_residue if perturb else residue
-        return IdentitySliceReport(tuple(slopes), 2, 3, 0, Fraction(1), found)
+        return IdentitySliceReport(2, 3, 0, Fraction(1), found)
 
     monkeypatch.setattr(identity_slices, "verify_identity_slice", stub)
     assert identity_slices.main() == 1
