@@ -23,7 +23,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import gcd, prod
+from math import gcd, lcm, prod
 from operator import mul
 from typing import Sequence
 
@@ -50,6 +50,7 @@ from .forms import (
     restrict,
 )
 from .linalg import (
+    Cleared,
     IntVector,
     VandermondeSystem,
     moment_kernel,
@@ -60,8 +61,6 @@ from .linalg import (
 from .record import Record
 
 Vector = tuple[Fraction, ...]
-# a rational vector ints / den, canonical: den > 0 and gcd(den, *ints) == 1
-Cleared = tuple[int, IntVector]
 _LINE_X2 = HomogeneousForm.linear((0, 0, 1))
 
 
@@ -71,17 +70,18 @@ def line_x2() -> HomogeneousForm:
 
 
 class WaringDecomposition(Record):
-    """Weighted sum of fourth powers of linear forms in three variables."""
+    """Weighted sum of fourth powers of linear forms in three variables, the
+    weights kept as given; ``value`` and the certificate read their canonical
+    pair ``cleared_weights``, cleared once, when the decomposition is built."""
 
-    terms: tuple[tuple[Fraction, HomogeneousForm], ...]
+    terms: tuple[tuple[Fraction | int, HomogeneousForm], ...]
 
     def __post_init__(self):
-        coerced = []
-        for weight, form in self.terms:
+        vars(self)["terms"] = tuple(self.terms)
+        for _, form in self.terms:
             if form.num_vars != 3 or form.degree != 1:
                 raise StructuralError("decomposition terms must be linear forms in three variables")
-            coerced.append((sympoly.rational(weight), form))
-        vars(self)["terms"] = tuple(coerced)
+        self.cleared_weights  # read here, so that a float weight is refused at once
 
     @property
     def n(self) -> int:
@@ -91,8 +91,9 @@ class WaringDecomposition(Record):
     def is_pure(self) -> bool:
         return all(w == 1 for w, _ in self.terms)
 
-    def weights(self) -> Vector:
-        return tuple(w for w, _ in self.terms)
+    @cached_property
+    def cleared_weights(self) -> Cleared:
+        return sympoly.clear_denominators([w for w, _ in self.terms])
 
     def lines(self) -> tuple[HomogeneousForm, ...]:
         return tuple(f for _, f in self.terms)
@@ -107,44 +108,71 @@ class WaringDecomposition(Record):
         """The quartic sum_i weight_i * l_i^4, computed on every call."""
         if not self.terms:
             return HomogeneousForm.zero(3, 4)
-        return power_sum(self.weights(), self.line_tuple, 4)
+        return power_sum(self.cleared_weights, self.line_tuple, 4)
+
+
+def _cleared(den: int, ints: Sequence[int]) -> Cleared:
+    """The canonical pair of the rational vector ``ints / den``, den nonzero."""
+    g = gcd(den, *ints)
+    if den < 0:
+        g = -g
+    return den // g, tuple(x // g for x in ints)
+
+
+def _fractions(pair: Cleared) -> Vector:
+    den, ints = pair
+    return tuple(Fraction(x, den) for x in ints)
+
+
+def _fractions_of(field: str) -> property:
+    """A property reading the ``Cleared`` field ``field`` as Fractions, built when read."""
+    return property(lambda self: _fractions(vars(self)[field]))
 
 
 class CoordinateInstance(Record):
-    """Six or seven lines x0 + slope*x1 + lift*x2 with weights."""
+    """Six or seven lines x0 + slope*x1 + lift*x2 with weights, each vector
+    stored as its canonical pair ``(den, ints)`` and given either so (any
+    nonzero den) or as ints and Fractions; ``slopes``, ``lifts`` and
+    ``weights`` build their Fractions only when read."""
 
-    slopes: Vector
-    lifts: Vector
-    weights: Vector
+    cleared_slopes: Cleared
+    cleared_lifts: Cleared
+    cleared_weights: Cleared
 
     def __post_init__(self):
-        for name in ("slopes", "lifts", "weights"):
-            vars(self)[name] = tuple(map(sympoly.rational, getattr(self, name)))
-        n = len(self.slopes)
+        for name in self._fields:
+            given = vars(self)[name]  # a pair (den, tuple of ints), or rationals, none a tuple
+            is_pair = len(given) == 2 and isinstance(given[1], tuple)
+            vars(self)[name] = _cleared(*(given if is_pair else sympoly.clear_denominators(given)))
+        n = self.n
         if n not in (6, 7):
             raise StructuralError(f"coordinate instances have 6 or 7 terms, got {n}")
-        if len(self.lifts) != n or len(self.weights) != n:
+        if len(self.cleared_lifts[1]) != n or len(self.cleared_weights[1]) != n:
             raise StructuralError("slopes, lifts and weights must have equal length")
 
     @property
     def n(self) -> int:
-        return len(self.slopes)
+        return len(self.cleared_slopes[1])
+
+    slopes = _fractions_of("cleared_slopes")
+    lifts = _fractions_of("cleared_lifts")
+    weights = _fractions_of("cleared_weights")
 
     def to_decomposition(self) -> WaringDecomposition:
-        """The decomposition of this instance, built on every call.  The slopes
-        are cleared once, to H_i / D, and line i is built from the ints
-        (D * E_i, H_i * E_i, K_i * D) over D * E_i, with lift k_i = K_i / E_i."""
-        hd, hs = sympoly.clear_denominators(self.slopes)
+        """The decomposition of this instance, built on every call.  With the
+        slopes H_i / D and the lifts K_i / E, line i is built from the ints
+        (D * E, H_i * E, K_i * D) over D * E; int weights are passed as ints."""
+        (hd, hs), (kd, ks), (wd, ws) = self.cleared_slopes, self.cleared_lifts, self.cleared_weights
+        den = hd * kd
         x0, x1, x2 = UNITS
         terms = []
-        for h, k, w in zip(hs, self.lifts, self.weights):
-            kd = k.denominator
-            poly = {x0: hd * kd}
+        for h, k, w in zip(hs, ks, ws if wd == 1 else self.weights):
+            poly = {x0: den}
             if h:
                 poly[x1] = h * kd
             if k:
-                poly[x2] = k.numerator * hd
-            terms.append((w, HomogeneousForm(3, 1, hd * kd, poly)))
+                poly[x2] = k * hd
+            terms.append((w, HomogeneousForm(3, 1, den, poly)))
         return WaringDecomposition(tuple(terms))
 
 
@@ -220,19 +248,17 @@ class TangencyCertificate(Record):
     * the polarization of ``restricted_conic`` kills ``contact_vector``, so
       the line touches the conic at ``tangency_point``.
 
-    The rational witnesses are stored cleared, as canonical pairs
-    ``(den, ints)`` with den > 0 and gcd(den, *ints) == 1 (``Cleared``), so
-    equal certificates have equal fields: ``cleared_points`` holds the
-    points D * L_i = (p_i, r_i) over D, and ``cleared_contact``,
-    ``cleared_transversal``, ``cleared_values`` and ``cleared_bridge`` the
-    contact vector, the transversal point, the line values and the bridge's
-    coefficients on y0^2, y0*y1, y1^2.  ``contact_vector``,
-    ``transversal_point``, ``line_values`` and ``bridge`` build their
-    Fractions only when read.  ``restricted_conic`` is a ``BinaryQuadratic``,
-    the cofactor's restriction to the line, computed by ``analyze`` from the
+    The rational witnesses are stored as canonical pairs ``(den, ints)``
+    (``Cleared``), so equal certificates have equal fields:
+    ``cleared_points`` holds the points D * L_i = (p_i, r_i) over D, and the
+    other ``cleared_`` fields the weights, the contact vector, the
+    transversal point, the line values and the bridge's coefficients on
+    y0^2, y0*y1, y1^2, which the properties of the same names without the
+    prefix build as Fractions when read.  ``restricted_conic``, the
+    cofactor's restriction to the line, is computed by ``analyze`` from the
     cofactor alone.  ``verify``, the only checker of these identities, reads
     the pairs as they are (any nonzero den checks, as every identity is
-    homogeneous in each pair), clears the weights and the conic, and checks
+    homogeneous in each pair) and the conic's ``cleared`` pair, and checks
     every identity at the points (p_i, r_i), where a degree-d form takes
     D**d times its value: sum_i a_i * L_i^5 = 0 runs as the six moments
     sum_i a_i * p_i^(5-k) * r_i^k, the power-sum conic as the three moments
@@ -244,7 +270,7 @@ class TangencyCertificate(Record):
     """
 
     cleared_points: tuple[int, tuple[tuple[int, int], ...]]
-    weights: Vector
+    cleared_weights: Cleared
     annihilator: IntVector
     cleared_contact: Cleared
     cleared_transversal: Cleared
@@ -253,21 +279,11 @@ class TangencyCertificate(Record):
     restricted_conic: BinaryQuadratic
     tangency_point: IntVector
 
-    @property
-    def contact_vector(self) -> Vector:
-        return _fractions(self.cleared_contact)
-
-    @property
-    def transversal_point(self) -> Vector:
-        return _fractions(self.cleared_transversal)
-
-    @property
-    def line_values(self) -> Vector:
-        return _fractions(self.cleared_values)
-
-    @property
-    def bridge(self) -> BinaryQuadratic:
-        return BinaryQuadratic(*_fractions(self.cleared_bridge))
+    weights = _fractions_of("cleared_weights")
+    contact_vector = _fractions_of("cleared_contact")
+    transversal_point = _fractions_of("cleared_transversal")
+    line_values = _fractions_of("cleared_values")
+    bridge = property(lambda self: BinaryQuadratic(*_fractions(self.cleared_bridge)))
 
     def verify(self) -> None:
         """Check every certified identity; raises TheoremViolationError.
@@ -279,12 +295,12 @@ class TangencyCertificate(Record):
         stays as the certificate's conclusion."""
         den, points = self.cleared_points
         v_den, values = self.cleared_values
-        if {len(self.annihilator), len(self.weights), len(values)} != {len(points)}:
+        w_den, alphas = self.cleared_weights
+        if {len(self.annihilator), len(alphas), len(values)} != {len(points)}:
             raise StructuralError("certificate vectors do not match the point count")
         ann = self.annihilator
         if any(sum(x * p ** (5 - k) * r**k for x, (p, r) in zip(ann, points)) for k in range(6)):
             raise TheoremViolationError("annihilator does not kill the degree-5 powers")
-        w_den, alphas = sympoly.clear_denominators(self.weights)
         c_den, (c0, c1) = self.cleared_contact
         scale = c_den * den
         if any(x * (c0 * p + c1 * r) * w_den != al * scale for x, al, (p, r) in zip(ann, alphas, points)):
@@ -296,8 +312,7 @@ class TangencyCertificate(Record):
             for x, al, v, (p, r) in zip(ann, alphas, values, points)
         ):
             raise TheoremViolationError("bridge tensor does not reproduce the line values")
-        q = self.restricted_conic
-        q_den, (qa, qb, qc) = sympoly.clear_denominators((q.a, q.b, q.c))
+        q_den, (qa, qb, qc) = self.restricted_conic.cleared
         scale = w_den * v_den**2 * den**2
         for k, (binom, target) in enumerate(zip((1, 2, 1), (qa, qb, qc))):
             moment = sum(x * v * v * p ** (2 - k) * r**k for x, v, (p, r) in zip(alphas, values, points))
@@ -306,19 +321,6 @@ class TangencyCertificate(Record):
         # the polarization at the contact vector, against (1, 0) and (0, 1), times 2 * q_den * c_den
         if 2 * qa * c0 + qb * c1 or qb * c0 + 2 * qc * c1:
             raise TheoremViolationError("contact vector is not in the polar kernel")
-
-
-def _fractions(pair: Cleared) -> Vector:
-    den, ints = pair
-    return tuple(Fraction(x, den) for x in ints)
-
-
-def _cleared(den: int, ints: Sequence[int]) -> Cleared:
-    """The canonical pair of the rational vector ``ints / den``, den nonzero."""
-    g = gcd(den, *ints)
-    if den < 0:
-        g = -g
-    return den // g, tuple(x // g for x in ints)
 
 
 def tangency_certificate(dec: WaringDecomposition, line: HomogeneousForm) -> TangencyCertificate:
@@ -366,10 +368,8 @@ def _build_certificate(
     den = ld * bd
     # a linear form restricts to its coefficients paired with the kernel basis
     points = [(sum(map(mul, row, b0)), sum(map(mul, row, b1))) for row in rows]
-    g = gcd(den, *(x for point in points for x in point))
-    if g != 1:
-        den //= g
-        points = [(p // g, r // g) for p, r in points]
+    den, flat = _cleared(den, [x for point in points for x in point])
+    points = list(zip(flat[::2], flat[1::2]))
     try:
         # seven points at degree 5 leave one free index, so one kernel vector
         [(annihilator,)] = moment_kernel(points, (5,))
@@ -379,10 +379,9 @@ def _build_certificate(
         raise TheoremViolationError("degree-5 kernel generator has a zero entry")
 
     # weight_k / annihilator_k for k < 3 is scaled[k] / (wd * a), a the product of the three
-    weights = dec.weights()
-    wd, ws = sympoly.clear_denominators(weights[:3])
+    wd, ws = dec.cleared_weights
     a = prod(annihilator[:3])
-    scaled = [w * (a // x) for w, x in zip(ws, annihilator)]
+    scaled = [w * (a // x) for w, x in zip(ws[:3], annihilator)]
     contact = _cleared(*interpolate(points[:2], [den * s for s in scaled[:2]], wd * a))
 
     # the transversal point e_j / c_j, c_j the line's last nonzero coefficient, is t / td
@@ -394,7 +393,7 @@ def _build_certificate(
 
     certificate = TangencyCertificate(
         cleared_points=(den, tuple(points)),
-        weights=weights,
+        cleared_weights=dec.cleared_weights,
         annihilator=annihilator,
         cleared_contact=contact,
         cleared_transversal=(td, t),
@@ -416,9 +415,7 @@ def tangency_defect(inst: CoordinateInstance) -> Fraction:
     the defect vanishes exactly when the instance's conic is tangent to the
     coordinate line.
     """
-    hd, hs = sympoly.clear_denominators(inst.slopes)
-    kd, ks = sympoly.clear_denominators(inst.lifts)
-    wd, ws = sympoly.clear_denominators(inst.weights)
+    (hd, hs), (kd, ks), (wd, ws) = inst.cleared_slopes, inst.cleared_lifts, inst.cleared_weights
     # s_p = S_p / (wd * kd**2 * hd**p) with S_p = sum_i W_i * K_i**2 * H_i**p on ints
     s0 = s1 = s2 = 0
     for h, k, w in zip(hs, ks, ws):
@@ -474,8 +471,8 @@ def verify_identity_slice(
     """
     if len(slopes) != 7:
         raise StructuralError(f"expected 7 slopes, got {len(slopes)}")
-    alpha_basis, beta_basis = vandermonde_nullspace(VandermondeSystem(tuple(slopes), (4, 3)))
-    den, nodes = sympoly.clear_denominators(slopes)
+    alpha_basis, beta_basis = vandermonde_nullspace(system := VandermondeSystem(tuple(slopes), (4, 3)))
+    den, nodes = system.cleared_nodes
     na = len(alpha_basis)
     keys = [sympoly.monomial((0,) * j + (1,)) for j in range(na + len(beta_basis))]
 
@@ -553,7 +550,7 @@ def six_term_vanishing_check(slopes: Sequence[Fraction | int]) -> SixTermVanishi
     if len(slopes) != 6:
         raise StructuralError(f"expected 6 slopes, got {len(slopes)}")
     # six nodes at degree 4 leave one free index, so one annihilator
-    (alpha,), lifts = vandermonde_nullspace(VandermondeSystem(tuple(slopes), (4, 3)))
+    (alpha,), lifts = vandermonde_nullspace(system := VandermondeSystem(tuple(slopes), (4, 3)))
     all_nonzero = all(a != 0 for a in alpha)
 
     # the lifts are b / alpha for b in the degree-3 kernel B; with no zero
@@ -561,7 +558,7 @@ def six_term_vanishing_check(slopes: Sequence[Fraction | int]) -> SixTermVanishi
     # span{1, h} to the span of T = [alpha, alpha*H], H = D*h the cleared
     # slopes, so the family is the translations exactly when B, T and B with
     # T appended have one rank
-    _, nodes = sympoly.clear_denominators(slopes)
+    _, nodes = system.cleared_nodes
     shifts = [alpha, [a * h for a, h in zip(alpha, nodes)]]
     family_matches = all_nonzero and rank(lifts) == rank(shifts) == rank([*lifts, *shifts])
 
@@ -596,11 +593,12 @@ def two_value_collapse_check(inst: CoordinateInstance) -> TwoValueReport:
     if not report.divisible:
         raise PreconditionError("value is not of double-line shape")
     applicable = report.conic_rank == 3 and report.tangent is False
-    counts = tuple(sorted(Counter(inst.slopes).items()))
+    hd, hs = inst.cleared_slopes  # counted on the ints, which sort as the slopes do (hd > 0)
+    counts = tuple((Fraction(h, hd), c) for h, c in sorted(Counter(hs).items()))
     if applicable:
         if len(counts) != 2 or any(c != 3 for _, c in counts):
             raise TheoremViolationError("slopes do not collapse to two triples")
-        if any(w == 0 for w in inst.weights):
+        if not all(inst.cleared_weights[1]):
             raise TheoremViolationError("a weight vanishes on a nondegenerate instance")
     return TwoValueReport(applicable, counts, report.conic_rank, report.tangent)
 
@@ -615,7 +613,7 @@ def generate_six_term_family(
     nondegenerate conic; ``two_value_collapse_check`` derives that conic and
     its rank.  The seed draws c in -9..9 without 0 and s in 1..9 for each triple.
     """
-    ha, hb = map(sympoly.rational, slope_pair)
+    hd, (ha, hb) = sympoly.clear_denominators(slope_pair)
     if ha == hb:
         raise InvalidInputError("slope pair must be distinct")
     rng = random.Random(f"six-term:{seed}")
@@ -623,7 +621,7 @@ def generate_six_term_family(
     spreads = [rng.choice([x for x in range(-9, 10) if x != 0]) for _ in range(2)]
     lifts = [x for c in spreads for x in (0, c, -c)]
     weights = [x for s in scales for x in (2 * s, -s, -s)]
-    return CoordinateInstance((ha, ha, ha, hb, hb, hb), lifts, weights)
+    return CoordinateInstance((hd, (ha, ha, ha, hb, hb, hb)), (1, tuple(lifts)), (1, tuple(weights)))
 
 
 class TangentInstance(Record):
@@ -659,15 +657,15 @@ def generate_tangent_instance(
     construction, and the conic, which may be zero for special parameters,
     is derived by ``analyze`` (or read from ``TangentInstance.quartic``).
     """
-    hs = tuple(map(sympoly.rational, slopes))
-    if len(hs) != 7:
-        raise StructuralError(f"expected 7 slopes, got {len(hs)}")
-    params = tuple(map(sympoly.rational, lift_params))
-    if len(params) != 3:
+    system = VandermondeSystem(tuple(slopes), (4, 3))
+    if len(system.nodes) != 7:
+        raise StructuralError(f"expected 7 slopes, got {len(system.nodes)}")
+    if len(lift_params) != 3:
         raise StructuralError("expected 3 lift parameters")
+    pd, ps = sympoly.clear_denominators(lift_params)
     # on ints: the kernel bases (U, V) and B_j are integer, parameters cleared to P_j / pd;
     # weight i is s*U_i + t*V_i, lift i is sum_j P_j*B_j[i] / pd / weight i
-    (us, vs), beta_basis = vandermonde_nullspace(VandermondeSystem(hs, (4, 3)))
+    (us, vs), beta_basis = vandermonde_nullspace(system)
     rng = random.Random(f"tangent-instance:{seed}")
     retries = 0
     for _ in range(MAX_WEIGHT_SAMPLES):
@@ -679,10 +677,10 @@ def generate_tangent_instance(
     else:
         raise GenerationFailureError("could not sample weights with all entries nonzero")
 
-    pd, ps = sympoly.clear_denominators(params)
     betas = [sum(p * b for p, b in zip(ps, column)) for column in zip(*beta_basis)]
-    lifts = [Fraction(b, pd * w) for b, w in zip(betas, weights)]
-    inst = CoordinateInstance(hs, lifts, weights)
+    m = lcm(*weights)  # the lifts share the den pd * m
+    lifts = tuple(b * (m // w) for b, w in zip(betas, weights))
+    inst = CoordinateInstance(system.cleared_nodes, (pd * m, lifts), (1, tuple(weights)))
     return TangentInstance(instance=inst, weight_retries=retries)
 
 

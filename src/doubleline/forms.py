@@ -6,7 +6,7 @@ ints, over one positive ``den`` coprime to their content.  That pair is
 canonical, so two forms are equal exactly when shapes, ``den`` and int maps
 agree.  Arithmetic runs on the ints through ``sympoly``, the package's one
 polynomial core, and every consumer here (division, restriction, conic
-ranks, ``power_sum``) reads the ints; ``terms``, ``coefficient`` and
+ranks, ``power_sum``) reads the ints; ``terms`` and
 ``linear_coefficients`` build Fractions only when read.  ``terms`` is keyed
 by exponent tuples, and all monomial indexing and text rendering use graded
 lexicographic order on them with x0 > x1 > x2; packed keys compare x2 first,
@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 
 from . import sympoly
 from .errors import InvalidInputError, StructuralError
-from .linalg import IntVector, normalize_vector, rank
+from .linalg import Cleared, IntVector, normalize_vector, rank
 from .record import Record
 
 Monomial = tuple[int, ...]
@@ -107,9 +107,6 @@ class HomogeneousForm(Record):
     def is_zero(self) -> bool:
         return not self.poly
 
-    def coefficient(self, mono: Monomial) -> Fraction:
-        return Fraction(self.poly.get(sympoly.monomial(tuple(mono)), 0), self.den)
-
     def linear_coefficients(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(c, self.den) for c in self.linear_ints())
 
@@ -145,6 +142,8 @@ class HomogeneousForm(Record):
         if isinstance(other, (Fraction, int)):
             poly, den = sympoly.scale(self.poly, other.numerator), self.den * other.denominator
             return HomogeneousForm(self.num_vars, self.degree, den, poly)
+        if not isinstance(other, HomogeneousForm):
+            raise InvalidInputError(f"expected an int or a Fraction, got {other!r}")
         self._check_compatible(other, same_degree=False)
         poly, den = sympoly.mul(self.poly, other.poly), self.den * other.den
         return HomogeneousForm(self.num_vars, self.degree + other.degree, den, poly)
@@ -222,11 +221,11 @@ def _monomial_table(num_vars: int, degree: int) -> tuple[tuple[Monomial, int, in
     return tuple((m, sympoly.monomial(m), factorial(degree) // prod(map(factorial, m))) for m in monos)
 
 
-def power_sum(weights: Sequence[Fraction | int], forms: FormTuple, exponent: int) -> HomogeneousForm:
-    """sum_i weights[i] * forms[i]**exponent for linear forms, as weighted moments.
+def power_sum(weights: Cleared, forms: FormTuple, exponent: int) -> HomogeneousForm:
+    """sum_i w_i * forms[i]**exponent for linear forms, as weighted moments.
 
-    With the coefficient rows cleared to D * l_i = (c_i0, c_i1, ...) and the
-    weights to W_i / E, the coefficient of x**m is
+    With the weights given cleared, as the pair (E, W) with w_i = W_i / E, and
+    the coefficient rows cleared to D * l_i = (c_i0, c_i1, ...), the coefficient of x**m is
     multinomial(exponent; m) * sum_i W_i * prod_j c_ij**m_j / (E * D**exponent).
     Each term adds its products of coefficient powers to every moment in one
     pass over the monomials; a binary form is a ternary one free of x2.
@@ -234,9 +233,9 @@ def power_sum(weights: Sequence[Fraction | int], forms: FormTuple, exponent: int
     """
     if forms.degree != 1 or not 0 <= exponent <= sympoly.MAX_EXPONENT:
         raise StructuralError(f"a power sum needs linear forms and a power in 0..{sympoly.MAX_EXPONENT}")
-    if len(weights) != len(forms):
+    wd, ws = weights
+    if len(ws) != len(forms):
         raise StructuralError("a power sum needs one weight per form")
-    wd, ws = sympoly.clear_denominators(weights)
     ld, rows = forms.rows
     table = _monomial_table(forms.num_vars, exponent)
     moments = [0] * len(table)
@@ -499,7 +498,8 @@ def conic_rank(q: HomogeneousForm) -> int:
 
 
 class BinaryQuadratic(Record):
-    """Quadratic a*y0^2 + b*y0*y1 + c*y1^2 on the kernel plane of a line."""
+    """Quadratic a*y0^2 + b*y0*y1 + c*y1^2 on the kernel plane of a line; its
+    canonical pair ``cleared`` is made once, for ``tangency`` and the certificate."""
 
     a: Fraction
     b: Fraction
@@ -513,7 +513,12 @@ class BinaryQuadratic(Record):
     def from_form(cls, q: HomogeneousForm) -> "BinaryQuadratic":
         if q.num_vars != 2 or q.degree != 2:
             raise StructuralError("expected a binary quadratic form")
-        return cls(q.coefficient((2, 0)), q.coefficient((1, 1)), q.coefficient((0, 2)))
+        # the packed key of y0^(2-k) * y1^k, as ``restrict`` writes it
+        return cls(*(Fraction(q.poly.get(2 - k + (k << sympoly.BITS), 0), q.den) for k in range(3)))
+
+    @cached_property
+    def cleared(self) -> Cleared:
+        return sympoly.clear_denominators((self.a, self.b, self.c))
 
     def to_form(self) -> HomogeneousForm:
         return HomogeneousForm.from_terms(2, 2, {(2, 0): self.a, (1, 1): self.b, (0, 2): self.c})
@@ -531,7 +536,7 @@ class BinaryQuadratic(Record):
         when the quadratic is zero or a square, and the point is the projective
         kernel of its polarization (None for the zero quadratic and for a
         nonsquare).  Both are decided once, on the cleared ints a, b, c."""
-        _, (a, b, c) = sympoly.clear_denominators((self.a, self.b, self.c))
+        _, (a, b, c) = self.cleared
         if not (a or b or c):
             return True, None
         if b * b != 4 * a * c:

@@ -28,6 +28,7 @@ leave their arguments unchanged and return fresh objects.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm, prod
 from typing import Sequence
 
@@ -37,6 +38,8 @@ from .record import Record
 
 Vector = tuple[Fraction, ...]
 IntVector = tuple[int, ...]
+# a rational vector ints / den, canonical: den > 0 and gcd(den, *ints) == 1
+Cleared = tuple[int, IntVector]
 
 
 def _bareiss(work: list[list[int]], ncols: int) -> list[int]:
@@ -76,7 +79,7 @@ def rank(rows: Sequence[Sequence[int]]) -> int:
 def rref(rows: Sequence[Sequence[Fraction | int]]) -> tuple[list[list[Fraction]], int, tuple[int, ...]]:
     """Reduced row echelon form (zero rows last), rank and pivot columns of
     the matrix with these rows (all of one length)."""
-    work = [sympoly.clear_denominators(row)[1] for row in rows]
+    work = [list(sympoly.clear_denominators(row)[1]) for row in rows]
     pivot_cols = _bareiss(work, len(work[0]) if work else 0)
     # Bareiss leaves the rows past the rank zero
     reduced = [[Fraction(x) for x in row] for row in work]
@@ -143,18 +146,22 @@ def moment_kernel(points: Sequence[tuple[int, int]], degrees: Sequence[int]) -> 
 
 
 class VandermondeSystem(Record):
-    """Moment constraints sum_i c_i h_i^d = 0 for 0 <= d <= p, one system for
-    each p in ``max_powers``, all on the same nodes."""
+    """Moment constraints sum_i c_i h_i^d = 0 for 0 <= d <= p, one system for each p
+    in ``max_powers``, on the same nodes, cleared once for ``vandermonde_nullspace`` and its caller."""
 
     nodes: tuple[Fraction | int, ...]
     max_powers: tuple[int, ...]
+
+    @cached_property
+    def cleared_nodes(self) -> Cleared:
+        return sympoly.clear_denominators(self.nodes)
 
 
 def vandermonde_nullspace(system: VandermondeSystem) -> list[list[IntVector]]:
     """Bases of moment annihilators, one per max power p in order; dimension
     n - p - 1 for distinct nodes."""
     n = len(system.nodes)
-    den, ints = sympoly.clear_denominators(system.nodes)  # D * (1, h_i) is (D, H_i)
+    den, ints = system.cleared_nodes  # D * (1, h_i) is (D, H_i)
     if len(set(ints)) < n:
         h = next(h for i, (h, x) in enumerate(zip(system.nodes, ints)) if x in ints[:i])
         raise DegenerateNodesError(f"repeated node {h}")

@@ -65,17 +65,17 @@ def rational(x: Coefficient) -> Fraction:
     raise InvalidInputError(f"expected an int or a Fraction, got {x!r}")
 
 
-def clear_denominators(values: Collection[Coefficient]) -> tuple[int, list[int]]:
-    """The lcm D of the denominators of ``values``, and the integers D * value
-    (D = 1 for ints); InvalidInputError for a float or another non-rational."""
+def clear_denominators(values: Collection[Coefficient]) -> tuple[int, tuple[int, ...]]:
+    """The lcm D of the denominators of ``values`` and the ints D * value, a pair
+    with gcd 1 (D = 1 for ints); InvalidInputError for a float or another non-rational."""
     if all(type(x) is int for x in values):
-        return 1, list(values)
+        return 1, tuple(values)
     try:
         den = lcm(*(x.denominator for x in values))
     except AttributeError:
         bad = next(x for x in values if not hasattr(x, "denominator"))
         raise InvalidInputError(f"expected an int or a Fraction, got {bad!r}") from None
-    return den, [x.numerator * (den // x.denominator) for x in values]
+    return den, tuple(x.numerator * (den // x.denominator) for x in values)
 
 
 def format_rational(x: Coefficient) -> str:

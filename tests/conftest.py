@@ -277,7 +277,7 @@ def reference_witnesses(dec, line) -> dict | None:
     if any(a * d - b * c == 0 for (a, b), (c, d) in combinations(points, 2)):
         return None
     [annihilator] = reference_kernel(power_map_rows(points, 5), len(points))
-    weights = dec.weights()
+    weights = tuple(Fraction(w) for w, _ in dec.terms)
     scaled = [w / a for w, a in zip(weights[:3], annihilator)]
     contact = tuple(reference_interpolate(points[:2], [den * s for s in scaled[:2]]))
     lc = line.linear_coefficients()
@@ -319,7 +319,7 @@ def reference_certificate(dec, line):
     bridge = ref["bridge"]
     return engine.TangencyCertificate(
         cleared_points=(den, tuple(zip(flat[::2], flat[1::2]))),
-        weights=ref["weights"],
+        cleared_weights=reference_pair(ref["weights"]),
         annihilator=ref["annihilator"],
         cleared_contact=reference_pair(ref["contact_vector"]),
         cleared_transversal=reference_pair(ref["transversal_point"]),

@@ -1,12 +1,16 @@
-"""The benchmark's span hooks still find every name they wrap.
+"""The benchmark's span hooks still find every name they wrap, and its
+items still print the stdout it stored.
 
 ``bench/spans.py`` wraps package functions and methods by name; a renamed or
 deleted target would otherwise show up only as a ``KeyError`` in the traced
-benchmark pass.  This test only reads ``bench/``.
+benchmark pass.  ``bench/run.py`` fails every item of a workload whose seed-0
+stdout no longer matches ``bench/digests.json``.  These tests only read
+``bench/``.
 """
 
 import importlib
 import io
+import json
 from contextlib import redirect_stderr
 from pathlib import Path
 
@@ -62,3 +66,18 @@ def test_certificate_kernel_is_attributed_to_linalg(monkeypatch):
     # a linalg span rather than engine self time
     _, calls = _traced_calls(monkeypatch, ["theorem-check", "--trials", "1"])
     assert calls["linalg.moment_kernel"] >= 1
+
+
+def test_seed_zero_items_match_the_stored_digests(monkeypatch):
+    # the replay the benchmark makes before timing, through its own functions:
+    # every item exits 0 and ends with "result: pass", and the concatenated
+    # stdout of each workload matches its stored SHA-256
+    monkeypatch.syspath_prepend(str(BENCH))
+    run = importlib.import_module("run")
+    workloads = importlib.import_module("workloads")
+    stored = json.loads((BENCH / "digests.json").read_text())
+    assert stored.keys() == workloads.WORKLOADS.keys()
+    for name in workloads.WORKLOADS:
+        items = workloads.build(name, run.DEFAULT_SEED)
+        failed, reasons, _ = run.check_items([run.run_pass(cli.main, items)], items, stored[name])
+        assert failed == 0, (name, reasons)

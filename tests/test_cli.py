@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import doubleline
-from doubleline import cli, engine
+from doubleline import cli, engine, sympoly
 from doubleline.cli import (
     MAX_DOCUMENT_BYTES,
     MAX_NODES_RANGE,
@@ -480,11 +480,19 @@ class TestOneDerivationPerTrial:
 
 
 class TestFractionBudget:
-    """``theorem-check`` stays on ints from the generator to the certificate,
-    whose rational witnesses are stored as cleared pairs.  The Fractions it
-    builds, counted through ``Fraction.__new__``, are 21 a trial (three lift
-    parameters, seven lifts, seven weights, the restricted conic's three
-    coefficients and the defect) and the slope pool, once."""
+    """``theorem-check`` carries each trial's rationals as cleared pairs from
+    the generator to the checks.  The Fractions it builds, counted through
+    ``Fraction.__new__``, are seven a trial (the three lift parameters the
+    command draws, the restricted conic's three coefficients and the defect)
+    and the slope pool, once; ``sympoly.clear_denominators`` runs four times
+    a trial (the slopes, the lift parameters, the decomposition's weights and
+    the restricted conic)."""
+
+    @staticmethod
+    def run_hundred_trials() -> None:
+        with redirect_stderr(io.StringIO()):
+            code = main(["theorem-check", "--trials", "100", "--seed", "1"], out=io.StringIO())
+        assert code == 0
 
     def test_theorem_check_hundred_trials(self, monkeypatch):
         original = Fraction.__new__
@@ -495,11 +503,14 @@ class TestFractionBudget:
             return original(cls, *args, **kwargs)
 
         monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
-        with redirect_stderr(io.StringIO()):
-            code = main(["theorem-check", "--trials", "100", "--seed", "1"], out=io.StringIO())
+        self.run_hundred_trials()
         monkeypatch.undo()
-        assert code == 0
-        assert 0 < made[0] <= 2500
+        assert 0 < made[0] <= 800
+
+    def test_clearings_per_trial(self, monkeypatch):
+        cleared = count_calls(monkeypatch, sympoly, "clear_denominators")
+        self.run_hundred_trials()
+        assert 0 < len(cleared) <= 6 * 100
 
 
 class TestInputCaps:

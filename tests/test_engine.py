@@ -241,7 +241,7 @@ class TestValue:
     def test_power_sum_matches_reference(self, terms, exponent):
         n = len(terms[0][1])
         lines = FormTuple(tuple(HomogeneousForm.linear(c) for _, c in terms))
-        total = power_sum([w for w, _ in terms], lines, exponent)
+        total = power_sum(sympoly.clear_denominators([w for w, _ in terms]), lines, exponent)
         expected: dict = {}
         for w, c in terms:
             line = {m: Fraction(x) for m, x in zip(monomials(n, 1), c) if x}
@@ -254,7 +254,7 @@ class TestValue:
         x0 = HomogeneousForm.variable(3, 0)
         for forms in (FormTuple((x0 * x0,)), FormTuple((HomogeneousForm.zero(3, 0),) * 2)):
             with pytest.raises(StructuralError, match="linear forms"):
-                power_sum([1] * len(forms), forms, 2)
+                power_sum((1, [1] * len(forms)), forms, 2)
 
     def test_value_expands_no_polynomial(self, monkeypatch):
         expected = reference_value()
@@ -813,8 +813,9 @@ class TestCertificateOracle:
 
 
 class TestCoercion:
-    """Weights, slopes and lifts are Fractions whatever ints or Fractions they
-    are given as, and a Fraction given is kept, not copied; a float is refused."""
+    """Slopes, lifts and weights read back as Fractions whatever ints or
+    Fractions they are given as; an instance stores them as canonical pairs,
+    a decomposition keeps its weights as given; a float is refused."""
 
     VALUES = (
         [3, -1, 0, 2, 5, -4, 1],
@@ -829,15 +830,34 @@ class TestCoercion:
             for field in (inst.slopes, inst.lifts, inst.weights):
                 assert all(type(x) is Fraction for x in field)
         given = Fraction(7, 3)
-        assert CoordinateInstance((given,) * 7, (0,) * 7, (1,) * 7).slopes[0] is given
+        assert CoordinateInstance((given,) * 7, (0,) * 7, (1,) * 7).slopes[0] == given
+
+    def test_instance_from_fractions_equals_instance_from_ints(self):
+        # the same rationals as Fractions, as ints over a common den, and as a
+        # pair that is not canonical: one instance, which reads them back alike
+        slopes = [Fraction(k, 3) for k in range(-3, 4)]
+        lifts = [Fraction(1, 2), Fraction(-2, 5), 0, 1, Fraction(7, 10), -3, Fraction(1, 5)]
+        weights = [2, -11, 25, -30, 20, -7, 1]
+        from_fractions = CoordinateInstance(slopes, lifts, [Fraction(w) for w in weights])
+        from_ints = CoordinateInstance(slopes, lifts, weights)
+        from_pairs = CoordinateInstance(
+            (3, tuple(range(-3, 4))), (-20, (-10, 8, 0, -20, -14, 60, -4)), (2, tuple(2 * w for w in weights))
+        )
+        assert from_fractions == from_ints == from_pairs
+        assert hash(from_fractions) == hash(from_ints) == hash(from_pairs)
+        assert from_ints.cleared_lifts == (10, (5, -4, 0, 10, 7, -30, 2))
+        for inst in (from_fractions, from_ints, from_pairs):
+            assert (inst.slopes, inst.lifts, inst.weights) == (tuple(slopes), tuple(lifts), tuple(weights))
+            assert all(type(x) is Fraction for x in inst.slopes + inst.lifts + inst.weights)
 
     def test_waring_decomposition(self):
         line = HomogeneousForm.linear((1, 2, 3))
         built = [WaringDecomposition(tuple((w, line) for w in v)) for v in self.VALUES]
         assert built[0] == built[1] == built[2]
-        assert all(type(w) is Fraction for dec in built for w in dec.weights())
+        assert built[0].cleared_weights == built[1].cleared_weights == (1, (3, -1, 0, 2, 5, -4, 1))
         given = Fraction(-5, 2)
-        assert WaringDecomposition(((given, line),)).weights()[0] is given
+        dec = WaringDecomposition(((given, line), (1, line)))
+        assert dec.terms[0][0] is given and dec.cleared_weights == (2, (-5, 2))
 
     def test_generate_tangent_instance(self, monkeypatch):
         built = [generate_tangent_instance(v, v[:3], seed=2).instance for v in self.VALUES]
@@ -847,7 +867,7 @@ class TestCoercion:
         params = (Fraction(1, 2), Fraction(-3), Fraction(2, 7))
         cleared = count_calls(monkeypatch, sympoly, "clear_denominators")
         inst = generate_tangent_instance(slopes, params, seed=2).instance
-        assert all(kept is given for kept, given in zip(inst.slopes, slopes))
+        assert inst.slopes == slopes and inst.cleared_slopes == (3, tuple(self.VALUES[0]))
         # the parameters reach their one clearing as the given objects
         [passed] = [args[0] for args in cleared if len(args[0]) == 3]
         assert all(p is given for p, given in zip(passed, params))
@@ -868,12 +888,14 @@ class TestCoercion:
             lambda: six_term_vanishing_check((0.5, 1, 2, 3, 4, 5)),
             lambda: verify_identity_slice((0.5, 1, 2, 3, 4, 5, 6)),
             lambda: weighted_moment_kernel(range(6), (1, 1, 0.5, 1, 1, 1), 3),
+            lambda: HomogeneousForm.linear((1, 0, 0)) * 0.5,
+            lambda: 0.5 * HomogeneousForm.linear((1, 0, 0)),
         ],
         ids=[
             "linear", "from_terms", "BinaryQuadratic", "polar", "embed_in_plane",
             "WaringDecomposition", "CoordinateInstance",
             "tangent-slopes", "tangent-params", "six-term-family", "six-term-check",
-            "identity-slice", "weighted-moment-kernel",
+            "identity-slice", "weighted-moment-kernel", "form-times-float", "float-times-form",
         ],
     )
     def test_floats_refused(self, build):
@@ -1272,7 +1294,7 @@ class TestRoundTrips:
             n = 6 if trial % 2 == 0 else 7
             inst = moment_solution(rng, sample_nodes(rng, n))
             dec = inst.to_decomposition()
-            assert dec.weights() == inst.weights
+            assert tuple(w for w, _ in dec.terms) == inst.weights
             lines = [f.linear_coefficients() for f in dec.lines()]
             assert lines == [(1, h, k) for h, k in zip(inst.slopes, inst.lifts)]
             value = dec.value()

@@ -82,6 +82,13 @@ class TestAddMul:
         with pytest.raises(StructuralError):
             X0**2 + X0**3
 
+    @pytest.mark.parametrize("other", ["x", None, [1, 2]])
+    def test_non_rational_operand_refused(self, other):
+        # floats are refused in tests/test_engine.py::TestCoercion::test_floats_refused
+        for multiply in (lambda: X0 * other, lambda: other * X0):
+            with pytest.raises(InvalidInputError, match="expected an int or a Fraction"):
+                multiply()
+
     def test_conic_times_squared_line(self):
         conic = parse_form("6*x0^2 + 6*x0*x1 + 3*x1^2 + x2^2", 3)
         product = X2**2 * conic
@@ -374,7 +381,7 @@ class TestTuples:
             for w, r in zip(weights, rows):
                 line = ref(dict(zip(monomials(3, 1), r)))
                 expected = ref_add(expected, ref_scale(ref_product([line] * exponent, 3), w))
-            total = power_sum(weights, lines, exponent)
+            total = power_sum(sympoly.clear_denominators(weights), lines, exponent)
             assert total.terms == expected
             assert all(type(c) is Fraction for c in total.terms.values())
 

@@ -61,6 +61,7 @@ UNREACHED = {
     "Record.__repr__": "pytest prints records on failure",
     "Record.__setattr__": "keeps records immutable",
     "Record.__init_subclass__": "runs when a class is defined, at import",
+    "_fractions_of": "makes the Fraction properties when their classes are defined, at import",
 }
 
 PROBE = r"""

@@ -22,7 +22,7 @@ SLOPES = (0, 1, 2, 3, 4, 5, 6)
 
 
 class Triple(Record):
-    """A record with CoordinateInstance's fields, in another class."""
+    """A record holding CoordinateInstance's three vectors, in another class."""
 
     slopes: tuple
     lifts: tuple
