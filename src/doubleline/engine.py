@@ -141,7 +141,7 @@ class CoordinateInstance(Record):
 
     def __post_init__(self):
         for name in self._fields:
-            given = vars(self)[name]  # a pair (den, tuple of ints), or rationals, none a tuple
+            given = tuple(vars(self)[name])  # a pair (den, tuple of ints), or rationals, none a tuple
             is_pair = len(given) == 2 and isinstance(given[1], tuple)
             vars(self)[name] = _cleared(*(given if is_pair else sympoly.clear_denominators(given)))
         n = self.n
@@ -253,13 +253,13 @@ class TangencyCertificate(Record):
     ``cleared_points`` holds the points D * L_i = (p_i, r_i) over D, and the
     other ``cleared_`` fields the weights, the contact vector, the
     transversal point, the line values and the bridge's coefficients on
-    y0^2, y0*y1, y1^2, which the properties of the same names without the
-    prefix build as Fractions when read.  ``restricted_conic``, the
-    cofactor's restriction to the line, is computed by ``analyze`` from the
-    cofactor alone.  ``verify``, the only checker of these identities, reads
-    the pairs as they are (any nonzero den checks, as every identity is
-    homogeneous in each pair) and the conic's ``cleared`` pair, and checks
-    every identity at the points (p_i, r_i), where a degree-d form takes
+    y0^2, y0*y1, y1^2, which ``weights``, ``contact_vector``,
+    ``transversal_point``, ``line_values`` and ``bridge`` build when read.
+    ``restricted_conic``, the cofactor's restriction to the line, is computed
+    by ``analyze`` from the cofactor alone.  ``verify``, the only checker of
+    these identities, reads the pairs as they are (any nonzero den checks, as
+    every identity is homogeneous in each pair) and the conic's ``cleared``
+    pair, and checks every identity at the points (p_i, r_i), where a degree-d form takes
     D**d times its value: sum_i a_i * L_i^5 = 0 runs as the six moments
     sum_i a_i * p_i^(5-k) * r_i^k, the power-sum conic as the three moments
     of 6 * alpha_i * line_values_i^2 (the middle one doubled) against D**2

@@ -82,7 +82,7 @@ class TestAddMul:
         with pytest.raises(StructuralError):
             X0**2 + X0**3
 
-    @pytest.mark.parametrize("other", ["x", None, [1, 2]])
+    @pytest.mark.parametrize("other", ["x", None, [1, 2]], ids=["str", "None", "list"])
     def test_non_rational_operand_refused(self, other):
         # floats are refused in tests/test_engine.py::TestCoercion::test_floats_refused
         for multiply in (lambda: X0 * other, lambda: other * X0):
