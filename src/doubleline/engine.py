@@ -53,6 +53,7 @@ from .linalg import (
     Cleared,
     IntVector,
     VandermondeSystem,
+    cleared,
     moment_kernel,
     normalize_vector,
     rank,
@@ -60,7 +61,6 @@ from .linalg import (
 )
 from .record import Record
 
-Vector = tuple[Fraction, ...]
 _LINE_X2 = HomogeneousForm.linear((0, 0, 1))
 
 
@@ -95,14 +95,11 @@ class WaringDecomposition(Record):
     def cleared_weights(self) -> Cleared:
         return sympoly.clear_denominators([w for w, _ in self.terms])
 
-    def lines(self) -> tuple[HomogeneousForm, ...]:
-        return tuple(f for _, f in self.terms)
-
     @cached_property
     def line_tuple(self) -> FormTuple:
         """The lines as one ``FormTuple``, whose cleared ``rows`` ``value`` and
         the certificate builder share; built when first read."""
-        return FormTuple(self.lines())
+        return FormTuple(tuple(f for _, f in self.terms))
 
     def value(self) -> HomogeneousForm:
         """The quartic sum_i weight_i * l_i^4, computed on every call."""
@@ -111,22 +108,14 @@ class WaringDecomposition(Record):
         return power_sum(self.cleared_weights, self.line_tuple, 4)
 
 
-def _cleared(den: int, ints: Sequence[int]) -> Cleared:
-    """The canonical pair of the rational vector ``ints / den``, den nonzero."""
-    g = gcd(den, *ints)
-    if den < 0:
-        g = -g
-    return den // g, tuple(x // g for x in ints)
-
-
-def _fractions(pair: Cleared) -> Vector:
-    den, ints = pair
-    return tuple(Fraction(x, den) for x in ints)
-
-
 def _fractions_of(field: str) -> property:
     """A property reading the ``Cleared`` field ``field`` as Fractions, built when read."""
-    return property(lambda self: _fractions(vars(self)[field]))
+
+    def read(self) -> tuple[Fraction, ...]:
+        den, ints = vars(self)[field]
+        return tuple(Fraction(x, den) for x in ints)
+
+    return property(read)
 
 
 class CoordinateInstance(Record):
@@ -143,7 +132,7 @@ class CoordinateInstance(Record):
         for name in self._fields:
             given = tuple(vars(self)[name])  # a pair (den, tuple of ints), or rationals, none a tuple
             is_pair = len(given) == 2 and isinstance(given[1], tuple)
-            vars(self)[name] = _cleared(*(given if is_pair else sympoly.clear_denominators(given)))
+            vars(self)[name] = cleared(*(given if is_pair else sympoly.clear_denominators(given)))
         n = self.n
         if n not in (6, 7):
             raise StructuralError(f"coordinate instances have 6 or 7 terms, got {n}")
@@ -248,25 +237,25 @@ class TangencyCertificate(Record):
     * the polarization of ``restricted_conic`` kills ``contact_vector``, so
       the line touches the conic at ``tangency_point``.
 
-    The rational witnesses are stored as canonical pairs ``(den, ints)``
-    (``Cleared``), so equal certificates have equal fields:
-    ``cleared_points`` holds the points D * L_i = (p_i, r_i) over D, and the
-    other ``cleared_`` fields the weights, the contact vector, the
-    transversal point, the line values and the bridge's coefficients on
-    y0^2, y0*y1, y1^2, which ``weights``, ``contact_vector``,
-    ``transversal_point``, ``line_values`` and ``bridge`` build when read.
-    ``restricted_conic``, the cofactor's restriction to the line, is computed
-    by ``analyze`` from the cofactor alone.  ``verify``, the only checker of
-    these identities, reads the pairs as they are (any nonzero den checks, as
-    every identity is homogeneous in each pair) and the conic's ``cleared``
-    pair, and checks every identity at the points (p_i, r_i), where a degree-d form takes
-    D**d times its value: sum_i a_i * L_i^5 = 0 runs as the six moments
-    sum_i a_i * p_i^(5-k) * r_i^k, the power-sum conic as the three moments
-    of 6 * alpha_i * line_values_i^2 (the middle one doubled) against D**2
-    times ``restricted_conic``, and the contact and bridge values against
-    D * alpha_i and D**2 * alpha_i * line_values_i, each side times the
-    other side's denominators.  The annihilator, which ``moment_kernel``
-    builds on ints, is read as it is (rational entries still check exactly).
+    Every field is ints, a canonical pair ``(den, ints)`` (``Cleared``) or a
+    ``BinaryQuadratic`` holding one, so equal certificates have equal fields:
+    ``cleared_points`` holds the points D * L_i = (p_i, r_i) over D, the other
+    ``cleared_`` fields the weights, the contact vector, the transversal point
+    and the line values (the last three read as Fractions by properties), and
+    ``bridge`` and ``restricted_conic`` (the cofactor's restriction, computed
+    by ``analyze`` from the cofactor alone) their coefficients on y0^2,
+    y0*y1, y1^2.  ``verify``, the only checker of these identities, reads the
+    ints and pairs as they are (any nonzero den checks, as every identity is
+    homogeneous in each pair), builds no Fraction, calls no function of
+    ``sympoly``, ``forms`` or ``linalg``, and checks every identity at the
+    points (p_i, r_i), where a degree-d form takes D**d times its value:
+    sum_i a_i * L_i^5 = 0 runs as the six moments sum_i a_i * p_i^(5-k) * r_i^k,
+    the power-sum conic as the three moments of 6 * alpha_i * line_values_i^2
+    (the middle one doubled) against D**2 times ``restricted_conic``, and the
+    contact and bridge values against D * alpha_i and
+    D**2 * alpha_i * line_values_i, each side times the other side's
+    denominators.  The annihilator, which ``moment_kernel`` builds on ints,
+    is read as it is (rational entries still check exactly).
     """
 
     cleared_points: tuple[int, tuple[tuple[int, int], ...]]
@@ -275,15 +264,13 @@ class TangencyCertificate(Record):
     cleared_contact: Cleared
     cleared_transversal: Cleared
     cleared_values: Cleared
-    cleared_bridge: Cleared
+    bridge: BinaryQuadratic
     restricted_conic: BinaryQuadratic
     tangency_point: IntVector
 
-    weights = _fractions_of("cleared_weights")
     contact_vector = _fractions_of("cleared_contact")
     transversal_point = _fractions_of("cleared_transversal")
     line_values = _fractions_of("cleared_values")
-    bridge = property(lambda self: BinaryQuadratic(*_fractions(self.cleared_bridge)))
 
     def verify(self) -> None:
         """Check every certified identity; raises TheoremViolationError.
@@ -305,7 +292,7 @@ class TangencyCertificate(Record):
         scale = c_den * den
         if any(x * (c0 * p + c1 * r) * w_den != al * scale for x, al, (p, r) in zip(ann, alphas, points)):
             raise TheoremViolationError("contact vector does not reproduce the weights")
-        b_den, (b0, b1, b2) = self.cleared_bridge
+        b_den, (b0, b1, b2) = self.bridge.cleared
         scale = b_den * den**2
         if any(
             x * (b0 * p * p + b1 * p * r + b2 * r * r) * w_den * v_den != al * v * scale
@@ -368,7 +355,7 @@ def _build_certificate(
     den = ld * bd
     # a linear form restricts to its coefficients paired with the kernel basis
     points = [(sum(map(mul, row, b0)), sum(map(mul, row, b1))) for row in rows]
-    den, flat = _cleared(den, [x for point in points for x in point])
+    den, flat = cleared(den, [x for point in points for x in point])
     points = list(zip(flat[::2], flat[1::2]))
     try:
         # seven points at degree 5 leave one free index, so one kernel vector
@@ -382,12 +369,12 @@ def _build_certificate(
     wd, ws = dec.cleared_weights
     a = prod(annihilator[:3])
     scaled = [w * (a // x) for w, x in zip(ws[:3], annihilator)]
-    contact = _cleared(*interpolate(points[:2], [den * s for s in scaled[:2]], wd * a))
+    contact = cleared(*interpolate(points[:2], [den * s for s in scaled[:2]], wd * a))
 
     # the transversal point e_j / c_j, c_j the line's last nonzero coefficient, is t / td
     lc = line.linear_ints()
     j = max(i for i, c in enumerate(lc) if c)
-    td, t = _cleared(lc[j], tuple(line.den if i == j else 0 for i in range(3)))
+    td, t = cleared(lc[j], tuple(line.den if i == j else 0 for i in range(3)))
     lvs = [sum(map(mul, row, t)) for row in rows]  # ld * td times the line values
     b_den, b = interpolate(points[:3], [den * den * s * v for s, v in zip(scaled, lvs)], wd * ld * td * a)
 
@@ -397,8 +384,8 @@ def _build_certificate(
         annihilator=annihilator,
         cleared_contact=contact,
         cleared_transversal=(td, t),
-        cleared_values=_cleared(ld * td, lvs),
-        cleared_bridge=_cleared(b_den, b),
+        cleared_values=cleared(ld * td, lvs),
+        bridge=BinaryQuadratic((b_den, b)),
         restricted_conic=restricted_conic,
         tangency_point=normalize_vector(contact[1]),
     )

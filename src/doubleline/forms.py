@@ -4,13 +4,14 @@ A form is its shape, the variable count and the degree, over its cleared
 coefficients: a ``sympoly.Poly`` mapping packed monomial keys to nonzero
 ints, over one positive ``den`` coprime to their content.  That pair is
 canonical, so two forms are equal exactly when shapes, ``den`` and int maps
-agree.  Arithmetic runs on the ints through ``sympoly``, the package's one
-polynomial core, and every consumer here (division, restriction, conic
-ranks, ``power_sum``) reads the ints; ``terms`` and
-``linear_coefficients`` build Fractions only when read.  ``terms`` is keyed
-by exponent tuples, and all monomial indexing and text rendering use graded
-lexicographic order on them with x0 > x1 > x2; packed keys compare x2 first,
-so only the tuples are sorted.
+agree; a ``BinaryQuadratic``, the restricted conic or the certificate's
+bridge, is the one pair (den, (A, B, C)).  Arithmetic runs on the ints
+through ``sympoly``, the package's one polynomial core, and every consumer
+here (division, restriction, conic ranks, ``power_sum``, tangency) reads the
+ints; ``terms`` and ``linear_coefficients`` build Fractions only when read.
+``terms`` is keyed by exponent tuples, and all monomial indexing and text
+rendering use graded lexicographic order on them with x0 > x1 > x2; packed
+keys compare x2 first, so only the tuples are sorted.
 """
 
 from __future__ import annotations
@@ -24,12 +25,13 @@ from typing import Mapping, Sequence
 
 from . import sympoly
 from .errors import InvalidInputError, StructuralError
-from .linalg import Cleared, IntVector, normalize_vector, rank
+from .linalg import Cleared, IntVector, cleared, normalize_vector, rank
 from .record import Record
 
 Monomial = tuple[int, ...]
 Point = Sequence[Fraction | int]
 UNITS = tuple(1 << (sympoly.BITS * i) for i in range(3))  # the packed keys of x0, x1, x2
+_QUADRATIC_KEYS = tuple(2 - k + (k << sympoly.BITS) for k in range(3))  # y0^2, y0*y1, y1^2
 
 
 class HomogeneousForm(Record):
@@ -94,7 +96,7 @@ class HomogeneousForm(Record):
     def linear(cls, coeffs: Point) -> "HomogeneousForm":
         if len(coeffs) not in (2, 3):
             raise StructuralError(f"num_vars must be 2 or 3, got {len(coeffs)}")
-        den, nums = sympoly.clear_denominators([sympoly.rational(c) for c in coeffs])
+        den, nums = sympoly.clear_denominators(coeffs)
         return cls(len(coeffs), 1, den, {u: c for u, c in zip(UNITS, nums) if c})
 
     # basic accessors
@@ -498,44 +500,40 @@ def conic_rank(q: HomogeneousForm) -> int:
 
 
 class BinaryQuadratic(Record):
-    """Quadratic a*y0^2 + b*y0*y1 + c*y1^2 on the kernel plane of a line; its
-    canonical pair ``cleared`` is made once, for ``tangency`` and the certificate."""
+    """Quadratic (A*y0^2 + B*y0*y1 + C*y1^2) / den on the kernel plane of a
+    line, held as the canonical pair ``cleared`` = (den, (A, B, C)); given any
+    nonzero den, it is made canonical, and every method reads its ints."""
 
-    a: Fraction
-    b: Fraction
-    c: Fraction
+    cleared: Cleared
 
     def __post_init__(self):
-        for name in ("a", "b", "c"):
-            vars(self)[name] = sympoly.rational(getattr(self, name))
+        vars(self)["cleared"] = cleared(*self.cleared)
 
     @classmethod
     def from_form(cls, q: HomogeneousForm) -> "BinaryQuadratic":
         if q.num_vars != 2 or q.degree != 2:
             raise StructuralError("expected a binary quadratic form")
-        # the packed key of y0^(2-k) * y1^k, as ``restrict`` writes it
-        return cls(*(Fraction(q.poly.get(2 - k + (k << sympoly.BITS), 0), q.den) for k in range(3)))
-
-    @cached_property
-    def cleared(self) -> Cleared:
-        return sympoly.clear_denominators((self.a, self.b, self.c))
+        return cls((q.den, tuple(q.poly.get(key, 0) for key in _QUADRATIC_KEYS)))
 
     def to_form(self) -> HomogeneousForm:
-        return HomogeneousForm.from_terms(2, 2, {(2, 0): self.a, (1, 1): self.b, (0, 2): self.c})
+        den, ints = self.cleared
+        return HomogeneousForm(2, 2, den, {key: c for key, c in zip(_QUADRATIC_KEYS, ints) if c})
 
     def discriminant(self) -> Fraction:
-        return self.b * self.b - 4 * self.a * self.c
+        den, (a, b, c) = self.cleared
+        return Fraction(b * b - 4 * a * c, den * den)
 
     def polar(self, w: Point, u: Point) -> Fraction:
+        den, (a, b, c) = self.cleared
         w0, w1 = map(sympoly.rational, w)
         u0, u1 = map(sympoly.rational, u)
-        return self.a * w0 * u0 + self.b / 2 * (w0 * u1 + w1 * u0) + self.c * u1 * w1
+        return (2 * a * w0 * u0 + b * (w0 * u1 + w1 * u0) + 2 * c * w1 * u1) / (2 * den)
 
     def tangency(self) -> tuple[bool, IntVector | None]:
         """The tangency rule on a restricted conic: the flag is true exactly
         when the quadratic is zero or a square, and the point is the projective
         kernel of its polarization (None for the zero quadratic and for a
-        nonsquare).  Both are decided once, on the cleared ints a, b, c."""
+        nonsquare).  Both are decided on the ints a, b, c of ``cleared``."""
         _, (a, b, c) = self.cleared
         if not (a or b or c):
             return True, None

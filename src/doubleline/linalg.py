@@ -42,6 +42,19 @@ IntVector = tuple[int, ...]
 Cleared = tuple[int, IntVector]
 
 
+def cleared(den: int, ints: Sequence[int]) -> Cleared:
+    """The canonical pair of ``ints / den``; InvalidInputError for a zero den or a non-int."""
+    try:
+        g = gcd(den, *ints)
+    except TypeError:
+        raise InvalidInputError(f"expected a (den, ints) pair of ints, got {(den, ints)!r}") from None
+    if not den:
+        raise InvalidInputError("a (den, ints) pair needs a nonzero den")
+    if den < 0:
+        g = -g
+    return den // g, tuple(x // g for x in ints)
+
+
 def _bareiss(work: list[list[int]], ncols: int) -> list[int]:
     """Reduce integer rows in place to a fraction-free echelon form (Bareiss);
     the pivot columns, one per nonzero row, are returned."""

@@ -268,7 +268,7 @@ def reference_witnesses(dec, line) -> dict | None:
     lines do not meet the base line in seven distinct points: a zero point
     or two proportional ones make a bracket a_i * b_k - a_k * b_i zero."""
     b0, b1 = reference_kernel_basis(line)
-    coeffs = [f.linear_coefficients() for f in dec.lines()]
+    coeffs = [f.linear_coefficients() for f in dec.line_tuple.entries]
     restricted = tuple(
         tuple(sum((c * b for c, b in zip(cf, v)), Fraction(0)) for v in (b0, b1)) for cf in coeffs
     )
@@ -295,8 +295,10 @@ def reference_witnesses(dec, line) -> dict | None:
         "contact_vector": contact,
         "transversal_point": transversal,
         "line_values": line_values,
-        "bridge": BinaryQuadratic(*bridge),
-        "restricted_conic": BinaryQuadratic(*(conic.get(m, Fraction(0)) for m in ((2, 0), (1, 1), (0, 2)))),
+        "bridge": BinaryQuadratic(reference_pair(bridge)),
+        "restricted_conic": BinaryQuadratic(
+            reference_pair([conic.get(m, Fraction(0)) for m in ((2, 0), (1, 1), (0, 2))])
+        ),
         "tangency_point": primitive(contact),
     }
 
@@ -316,7 +318,6 @@ def reference_certificate(dec, line):
     if ref is None:
         return None
     den, flat = reference_pair([x for point in ref["restricted"] for x in point])
-    bridge = ref["bridge"]
     return engine.TangencyCertificate(
         cleared_points=(den, tuple(zip(flat[::2], flat[1::2]))),
         cleared_weights=reference_pair(ref["weights"]),
@@ -324,7 +325,7 @@ def reference_certificate(dec, line):
         cleared_contact=reference_pair(ref["contact_vector"]),
         cleared_transversal=reference_pair(ref["transversal_point"]),
         cleared_values=reference_pair(ref["line_values"]),
-        cleared_bridge=reference_pair((bridge.a, bridge.b, bridge.c)),
+        bridge=ref["bridge"],
         restricted_conic=ref["restricted_conic"],
         tangency_point=ref["tangency_point"],
     )
@@ -363,6 +364,20 @@ def count_calls(monkeypatch, module, name: str) -> list:
 
     monkeypatch.setattr(module, name, wrapper)
     return calls
+
+
+def count_fractions(monkeypatch) -> list:
+    """Replace ``Fraction.__new__`` by a wrapper that appends its arguments to
+    the returned list for every Fraction built."""
+    made: list = []
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    return made
 
 
 def kills(rows: list[list[Fraction]], vec) -> bool:

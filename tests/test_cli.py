@@ -15,6 +15,7 @@ import pytest
 from conftest import (
     ZERO_WEIGHT_TRIPLES,
     count_calls,
+    count_fractions,
     nondegenerate_analysis,
     random_fraction,
     wrong_kernel,
@@ -481,12 +482,12 @@ class TestOneDerivationPerTrial:
 
 class TestFractionBudget:
     """``theorem-check`` carries each trial's rationals as cleared pairs from
-    the generator to the checks.  The Fractions it builds, counted through
-    ``Fraction.__new__``, are seven a trial (the three lift parameters the
-    command draws, the restricted conic's three coefficients and the defect)
-    and the slope pool, once; ``sympoly.clear_denominators`` runs four times
-    a trial (the slopes, the lift parameters, the decomposition's weights and
-    the restricted conic)."""
+    the generator to the checks, the restricted conic included.  The
+    Fractions it builds, counted through ``Fraction.__new__``, are four a
+    trial (the three lift parameters the command draws and the defect) and
+    the slope pool, once (457 for 100 trials); ``sympoly.clear_denominators``
+    runs three times a trial (the slopes, the lift parameters and the
+    decomposition's weights)."""
 
     @staticmethod
     def run_hundred_trials() -> None:
@@ -495,22 +496,15 @@ class TestFractionBudget:
         assert code == 0
 
     def test_theorem_check_hundred_trials(self, monkeypatch):
-        original = Fraction.__new__
-        made = [0]
-
-        def counting(cls, *args, **kwargs):
-            made[0] += 1
-            return original(cls, *args, **kwargs)
-
-        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+        made = count_fractions(monkeypatch)
         self.run_hundred_trials()
         monkeypatch.undo()
-        assert 0 < made[0] <= 800
+        assert 0 < len(made) <= 500
 
     def test_clearings_per_trial(self, monkeypatch):
         cleared = count_calls(monkeypatch, sympoly, "clear_denominators")
         self.run_hundred_trials()
-        assert 0 < len(cleared) <= 6 * 100
+        assert 0 < len(cleared) <= 3 * 100
 
 
 class TestInputCaps:

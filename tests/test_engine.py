@@ -1,3 +1,4 @@
+import inspect
 import random
 from fractions import Fraction
 from math import gcd, lcm, prod
@@ -6,6 +7,7 @@ import pytest
 from conftest import (
     ZERO_WEIGHT_TRIPLES,
     count_calls,
+    count_fractions,
     determinant,
     evaluate,
     kills,
@@ -35,7 +37,7 @@ from conftest import (
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from doubleline import engine, sympoly
+from doubleline import engine, forms, linalg, sympoly
 from doubleline.engine import (
     CoordinateInstance,
     DoubleLineQuartic,
@@ -75,6 +77,7 @@ from doubleline.forms import (
 from doubleline.linalg import VandermondeSystem, vandermonde_nullspace, weighted_moment_kernel
 
 X2 = HomogeneousForm.variable(3, 2)
+SEVEN = tuple(range(7))
 
 REFERENCE_LINES = [
     (2, (1, 0, 0)),
@@ -541,14 +544,15 @@ class TestTangencyCertificate:
             points = [(Fraction(p, den), Fraction(r, den)) for p, r in ints]
             assert any(a != 1 for a, _ in points)
             c = cert.annihilator
+            weights = [w for w, _ in dec.terms]
             contact_rows = [[c[i] * a, c[i] * b] for i, (a, b) in enumerate(points[:2])]
-            assert cert.contact_vector == reference_solve(contact_rows, cert.weights[:2])
+            assert cert.contact_vector == reference_solve(contact_rows, weights[:2])
             bridge_rows = [
                 [c[i] * a * a, c[i] * a * b, c[i] * b * b] for i, (a, b) in enumerate(points)
             ]
-            rhs = [al * lv for al, lv in zip(cert.weights, cert.line_values)]
-            bridge = (cert.bridge.a, cert.bridge.b, cert.bridge.c)
-            assert bridge == reference_solve(bridge_rows, rhs)
+            rhs = [al * lv for al, lv in zip(weights, cert.line_values)]
+            b_den, bridge = cert.bridge.cleared
+            assert tuple(Fraction(b, b_den) for b in bridge) == reference_solve(bridge_rows, rhs)
 
             flag, point = BinaryQuadratic.from_form(restrict(report.cofactor, line)).tangency()
             assert flag is True and point == cert.tangency_point
@@ -592,9 +596,9 @@ class TestCertificateTampering:
 
     def test_bridge_coefficient(self, certificate):
         # the y0*y1 coefficient plus 1
-        den, (b0, b1, b2) = certificate.cleared_bridge
+        den, (b0, b1, b2) = certificate.bridge.cleared
         self.assert_fails(
-            replace(certificate, cleared_bridge=(den, (b0, b1 + den, b2))),
+            replace(certificate, bridge=BinaryQuadratic((den, (b0, b1 + den, b2)))),
             "bridge tensor does not reproduce the line values",
         )
 
@@ -618,8 +622,9 @@ class TestCertificateTampering:
 
     def test_rescaled_witnesses_verify(self, certificate):
         # every identity is invariant under a -> t * a, contact -> contact / t
-        # and bridge -> bridge / t, which leaves a rational annihilator and
-        # pairs that are no longer canonical
+        # and bridge -> bridge / t, which leaves a rational annihilator and a
+        # contact pair that is no longer canonical (a BinaryQuadratic makes
+        # the bridge's canonical again)
         t = Fraction(2, 3)
 
         def divided(pair):
@@ -630,13 +635,15 @@ class TestCertificateTampering:
             certificate,
             annihilator=tuple(t * a for a in certificate.annihilator),
             cleared_contact=divided(certificate.cleared_contact),
-            cleared_bridge=divided(certificate.cleared_bridge),
+            bridge=BinaryQuadratic(divided(certificate.bridge.cleared)),
         ).verify()
 
     @pytest.mark.parametrize("field", ["a", "b", "c"])
     def test_restricted_conic(self, certificate, field):
-        q = certificate.restricted_conic
-        tampered = replace(q, **{field: getattr(q, field) + 1})
+        # the coefficient on y0^2, y0*y1 or y1^2 plus 1
+        den, ints = certificate.restricted_conic.cleared
+        k = "abc".index(field)
+        tampered = BinaryQuadratic((den, tuple(x + den * (i == k) for i, x in enumerate(ints))))
         self.assert_fails(
             replace(certificate, restricted_conic=tampered),
             "restricted conic does not match its power-sum expression",
@@ -678,15 +685,15 @@ class TestCertificateTamperingFractionalWeights(TestCertificateTampering):
         inst = flagship_instance()
         scaled = CoordinateInstance(inst.slopes, inst.lifts, tuple(w / 7 for w in inst.weights))
         cert = analyze(scaled.to_decomposition(), line_x2()).certificate
-        assert lcm(*(w.denominator for w in cert.weights)) == 7
+        assert cert.cleared_weights[0] == 7
         return cert
 
 
 class TestIntegerInputs:
-    """Kernel vectors leave ``linalg`` as ints, so the certificate's quotients
-    weight / annihilator are exact only because ``WaringDecomposition``
-    coerces int weights to Fractions; every certificate entry must stay an
-    int or a Fraction."""
+    """Kernel vectors leave ``linalg`` as ints, and the certificate's
+    quotients weight / annihilator are built on ints over a common
+    denominator; every certificate entry must stay an int or a Fraction, and
+    every pair ints."""
 
     def test_int_weights_give_an_exact_certificate(self):
         inst = generate_tangent_instance(range(7), (1, 2, -1), seed=1).instance
@@ -697,18 +704,75 @@ class TestIntegerInputs:
         )
         cert = analyze(WaringDecomposition(terms), line_x2()).certificate
         assert cert is not None
-        bridge, conic = cert.bridge, cert.restricted_conic
         for field in (
             cert.annihilator,
             cert.contact_vector,
             cert.transversal_point,
             cert.line_values,
-            (bridge.a, bridge.b, bridge.c),
-            (conic.a, conic.b, conic.c),
             cert.tangency_point,
         ):
             assert all(type(x) in (int, Fraction) for x in field)
+        for pair in (cert.cleared_weights, cert.bridge.cleared, cert.restricted_conic.cleared):
+            assert all(type(x) is int for x in (pair[0], *pair[1]))
         assert cert == analyze(inst.to_decomposition(), line_x2()).certificate
+
+
+def count_library_calls(monkeypatch) -> dict[str, list]:
+    """``count_calls`` on every function of ``sympoly``, ``forms`` and
+    ``linalg``, under its module's name and under any name ``engine``
+    imported it as, and on every plain method of their classes."""
+    calls = {}
+    for module in (sympoly, forms, linalg):
+        for name, obj in list(vars(module).items()):
+            if inspect.isfunction(obj) and obj.__module__ == module.__name__:
+                for owner in (module, engine):
+                    if vars(owner).get(name) is obj:
+                        calls[f"{owner.__name__}.{name}"] = count_calls(monkeypatch, owner, name)
+            elif inspect.isclass(obj) and obj.__module__ == module.__name__:
+                for attr, method in list(vars(obj).items()):
+                    if inspect.isfunction(method):
+                        calls[f"{obj.__name__}.{attr}"] = count_calls(monkeypatch, obj, attr)
+    return calls
+
+
+class TestCheckerSharesNoCode:
+    """``verify`` checks a certificate on its ints and canonical pairs alone:
+    it builds no Fraction and calls no function of ``sympoly``, ``forms`` or
+    ``linalg``, the code that computed what it checks.  ``tangency`` decides
+    on the restricted conic's pair as ``from_form`` reads it, with no Fraction
+    and no clearing."""
+
+    def test_verify_reads_only_ints_and_pairs(self, monkeypatch):
+        for inst in (flagship_instance(), generate_tangent_instance(
+            [Fraction(k, 3) for k in range(-3, 4)], (1, Fraction(2, 5), -1), seed=1
+        ).instance):
+            cert = reference_certificate(inst.to_decomposition(), line_x2())
+            assert cert is not None
+            calls = count_library_calls(monkeypatch)
+            made = count_fractions(monkeypatch)
+            cert.verify()
+            monkeypatch.undo()
+            assert made == []
+            assert {name: len(c) for name, c in calls.items() if c} == {}
+
+    @pytest.mark.parametrize(
+        "conic, tangent",
+        [
+            ("x0*x2 - x1^2", True),
+            ("6*x0^2 + 6*x0*x1 + 3*x1^2 + x2^2", False),
+            ("1/2*x0^2 - 2/3*x0*x1 + 2/9*x1^2 + x2^2", True),
+            ("x0*x2", True),
+        ],
+        ids=["square", "nonsquare", "fractional-square", "zero"],
+    )
+    def test_tangency_reads_only_the_pair(self, monkeypatch, conic, tangent):
+        restricted = restrict(parse_form(conic, 3), X2)
+        cleared = count_calls(monkeypatch, sympoly, "clear_denominators")
+        made = count_fractions(monkeypatch)
+        flag, _ = BinaryQuadratic.from_form(restricted).tangency()
+        monkeypatch.undo()
+        assert flag is tangent
+        assert made == [] and cleared == []
 
 
 def pivot_change(rng: random.Random, pivot: int) -> list[list[Fraction]]:
@@ -762,7 +826,8 @@ class TestCertificateOracle:
             dec, line = moved(inst.to_decomposition(), pivot_change(rng, pivot))
             coeffs = line.linear_coefficients()
             assert max(i for i, c in enumerate(coeffs) if c) == pivot
-            assert lcm(*(c.denominator for f in dec.lines() for c in f.linear_coefficients())) > 1
+            coefficients = [c for f in dec.line_tuple.entries for c in f.linear_coefficients()]
+            assert lcm(*(c.denominator for c in coefficients)) > 1
             basis_den = line_kernel_basis(line)[0]
             assert basis_den > 1 or pivot == 0
             cert = analyze(dec, line).certificate
@@ -780,7 +845,8 @@ class TestCertificateOracle:
             cert.cleared_contact,
             cert.cleared_transversal,
             cert.cleared_values,
-            cert.cleared_bridge,
+            cert.bridge.cleared,
+            cert.restricted_conic.cleared,
         ]
         for den, ints in pairs:
             assert den > 0 and gcd(den, *ints) == 1
@@ -877,8 +943,7 @@ class TestCoercion:
         [
             lambda: HomogeneousForm.linear((0.5, 0, 1)),
             lambda: HomogeneousForm.from_terms(3, 1, {(1, 0, 0): 0.5}),
-            lambda: BinaryQuadratic(1, 0.5, 0),
-            lambda: BinaryQuadratic(1, 0, 1).polar((0.5, 0), (1, 0)),
+            lambda: BinaryQuadratic((1, (1, 0, 1))).polar((0.5, 0), (1, 0)),
             lambda: embed_in_plane(X2, (0.5, 1)),
             lambda: WaringDecomposition(((0.5, X2),)),
             lambda: CoordinateInstance((0.5, 1, 2, 3, 4, 5, 6), (0,) * 7, (1,) * 7),
@@ -892,7 +957,7 @@ class TestCoercion:
             lambda: 0.5 * HomogeneousForm.linear((1, 0, 0)),
         ],
         ids=[
-            "linear", "from_terms", "BinaryQuadratic", "polar", "embed_in_plane",
+            "linear", "from_terms", "polar", "embed_in_plane",
             "WaringDecomposition", "CoordinateInstance",
             "tangent-slopes", "tangent-params", "six-term-family", "six-term-check",
             "identity-slice", "weighted-moment-kernel", "form-times-float", "float-times-form",
@@ -901,6 +966,29 @@ class TestCoercion:
     def test_floats_refused(self, build):
         # exactness: a float such as 0.1 is not the rational it is written as
         with pytest.raises(InvalidInputError, match="expected an int or a Fraction, got 0.5"):
+            build()
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: CoordinateInstance((0, SEVEN), (1, (0,) * 7), (1, (1,) * 7)), "nonzero den"),
+            (lambda: CoordinateInstance(SEVEN, (0,) * 7, (0, (1,) * 7)), "nonzero den"),
+            (lambda: CoordinateInstance((1, (0.5, *SEVEN[1:])), (0,) * 7, (1,) * 7), "pair of ints"),
+            (lambda: CoordinateInstance(SEVEN, (2.0, (0,) * 7), (1,) * 7), "pair of ints"),
+            (lambda: BinaryQuadratic((0, (1, 0, 1))), "nonzero den"),
+            (lambda: BinaryQuadratic((1, (1, 0.5, 0))), "pair of ints"),
+            (lambda: BinaryQuadratic((2, (1, Fraction(1, 2), 0))), "pair of ints"),
+        ],
+        ids=[
+            "instance-slopes-zero-den", "instance-weights-zero-den", "instance-float",
+            "instance-float-den", "BinaryQuadratic-zero-den", "BinaryQuadratic",
+            "BinaryQuadratic-fraction",
+        ],
+    )
+    def test_pairs_refused(self, build, message):
+        # a (den, ints) pair is checked where it enters: a zero den has no
+        # value, and an entry that is not an int is not a cleared rational
+        with pytest.raises(InvalidInputError, match=message):
             build()
 
 
@@ -1295,7 +1383,7 @@ class TestRoundTrips:
             inst = moment_solution(rng, sample_nodes(rng, n))
             dec = inst.to_decomposition()
             assert tuple(w for w, _ in dec.terms) == inst.weights
-            lines = [f.linear_coefficients() for f in dec.lines()]
+            lines = [f.linear_coefficients() for f in dec.line_tuple.entries]
             assert lines == [(1, h, k) for h, k in zip(inst.slopes, inst.lifts)]
             value = dec.value()
             q = extract_cofactor(value, line_x2())

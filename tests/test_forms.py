@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+import itertools
 from math import gcd, lcm
 
 import pytest
 from conftest import (
+    count_fractions,
     evaluate,
     minor_rank,
     monomials,
@@ -558,8 +560,8 @@ def as_fractions(cleared: tuple[int, list[int]]) -> list[Fraction]:
 
 class TestCoercion:
     """Coefficients read back as Fractions whatever numbers they are given
-    as; a binary quadratic keeps a given Fraction, not a copy, while a form
-    stores its cleared ints and builds each Fraction when it is read."""
+    as: a form stores its cleared ints and builds each Fraction when it is
+    read, and a binary quadratic holds the same ints as its pair."""
 
     VALUES = ([3, -1, 0], [Fraction(3), Fraction(-1), Fraction(0)], [3, Fraction(-1), 0])
 
@@ -573,13 +575,73 @@ class TestCoercion:
         read = HomogeneousForm.linear((given, 1)).linear_coefficients()[0]
         assert read == given and type(read) is Fraction
 
+    def test_linear_from_ints_builds_no_fraction(self, monkeypatch):
+        made = count_fractions(monkeypatch)
+        form = HomogeneousForm.linear(self.VALUES[0])
+        monkeypatch.undo()
+        assert made == [] and form.den == 1
+
     def test_binary_quadratic(self):
-        built = [BinaryQuadratic(*v) for v in self.VALUES]
-        assert built[0] == built[1] == built[2]
+        built = [BinaryQuadratic.from_form(binary_form(v)) for v in self.VALUES]
+        assert built[0] == built[1] == built[2] == BinaryQuadratic((1, (3, -1, 0)))
         for q in built:
-            assert all(type(c) is Fraction for c in (q.a, q.b, q.c))
-        given = Fraction(-4, 5)
-        assert BinaryQuadratic(1, given, 0).b is given
+            den, ints = q.cleared
+            assert all(type(x) is int for x in (den, *ints))
+        # a Fraction coefficient is read into the pair over its denominator
+        q = BinaryQuadratic.from_form(binary_form((1, Fraction(-4, 5), 0)))
+        assert q.cleared == (5, (5, -4, 0))
+
+
+def binary_form(coeffs) -> HomogeneousForm:
+    """The form a*y0^2 + b*y0*y1 + c*y1^2 for coeffs (a, b, c)."""
+    return HomogeneousForm.from_terms(2, 2, dict(zip(((2, 0), (1, 1), (0, 2)), coeffs)))
+
+
+class TestBinaryQuadratic:
+    """A binary quadratic is one canonical pair (den, (A, B, C)); its methods
+    agree with the Fraction formulas in a, b, c = A/den, B/den, C/den."""
+
+    COEFFS = (0, 1, -2, Fraction(1, 2), Fraction(-3, 4))
+    SWEEP = list(itertools.product(COEFFS, repeat=3))
+    POINTS = [(1, 0), (0, 1), (2, -3), (Fraction(1, 3), Fraction(-5, 2))]
+
+    @pytest.mark.parametrize(
+        "canonical", [(1, (3, -1, 0)), (5, (5, -4, 0)), (18, (9, -12, 4)), (1, (0, 0, 0))]
+    )
+    def test_equal_pairs_give_the_canonical_pair(self, canonical):
+        # a common factor k, a negative den (k < 0), or both
+        den, ints = canonical
+        q = BinaryQuadratic(canonical)
+        assert q.cleared == canonical
+        for k in (-6, -2, -1, 2, 3, 7):
+            scaled = BinaryQuadratic((k * den, tuple(k * x for x in ints)))
+            assert scaled == q and hash(scaled) == hash(q)
+            assert scaled.cleared == canonical
+
+    def test_form_round_trip(self):
+        for coeffs in self.SWEEP:
+            form = binary_form(coeffs)
+            q = BinaryQuadratic.from_form(form)
+            assert q.to_form() == form
+            assert BinaryQuadratic.from_form(q.to_form()) == q
+        assert BinaryQuadratic.from_form(HomogeneousForm.zero(2, 2)).cleared == (1, (0, 0, 0))
+
+    def test_discriminant_and_polar_match_the_fraction_formulas(self):
+        for a, b, c in self.SWEEP:
+            a, b, c = Fraction(a), Fraction(b), Fraction(c)
+            q = BinaryQuadratic.from_form(binary_form((a, b, c)))
+            disc = q.discriminant()
+            assert disc == b * b - 4 * a * c and type(disc) is Fraction
+            for w0, w1 in self.POINTS:
+                for u0, u1 in self.POINTS:
+                    value = q.polar((w0, w1), (u0, u1))
+                    assert value == a * w0 * u0 + b / 2 * (w0 * u1 + w1 * u0) + c * w1 * u1
+                    assert type(value) is Fraction
+
+    def test_from_form_refuses_other_shapes(self):
+        for form in (HomogeneousForm.zero(3, 2), HomogeneousForm.zero(2, 3)):
+            with pytest.raises(StructuralError, match="expected a binary quadratic form"):
+                BinaryQuadratic.from_form(form)
 
 
 class TestConics:

@@ -14,7 +14,6 @@ import doubleline
 from doubleline.cli import RunReport
 from doubleline.engine import AnalysisReport, CoordinateInstance, generate_tangent_instance
 from doubleline.errors import StructuralError
-from doubleline.forms import BinaryQuadratic
 from doubleline.record import Record
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -29,6 +28,18 @@ class Triple(Record):
     weights: tuple
 
 
+class Coerced(Record):
+    """Three fields that ``__post_init__`` coerces to Fractions."""
+
+    a: Fraction
+    b: Fraction
+    c: Fraction
+
+    def __post_init__(self):
+        for name in self._fields:
+            vars(self)[name] = Fraction(vars(self)[name])
+
+
 class Labelled(Record):
     label: str
     count: int = 0
@@ -40,8 +51,8 @@ def coordinate_instance() -> CoordinateInstance:
 
 class TestConstruction:
     def test_positional_keyword_and_default(self):
-        positional = BinaryQuadratic(1, 2, 3)
-        assert positional == BinaryQuadratic(c=3, a=1, b=2) == BinaryQuadratic(1, c=3, b=2)
+        positional = Coerced(1, 2, 3)
+        assert positional == Coerced(c=3, a=1, b=2) == Coerced(1, c=3, b=2)
         assert (positional.a, positional.b, positional.c) == (1, 2, 3)
         assert Labelled("x") == Labelled(label="x") == Labelled("x", 0)
         assert Labelled("x").count == 0 and Labelled("x", count=4).count == 4
@@ -51,12 +62,12 @@ class TestConstruction:
     @pytest.mark.parametrize(
         "build, message",
         [
-            (lambda: BinaryQuadratic(1, 2), "BinaryQuadratic is missing field 'c'"),
+            (lambda: Coerced(1, 2), "Coerced is missing field 'c'"),
             (lambda: Labelled(count=1), "Labelled is missing field 'label'"),
-            (lambda: BinaryQuadratic(1, 2, 3, d=4), "BinaryQuadratic has no field 'd'"),
+            (lambda: Coerced(1, 2, 3, d=4), "Coerced has no field 'd'"),
             (lambda: Labelled("x", colour=1), "Labelled has no field 'colour'"),
-            (lambda: BinaryQuadratic(1, 2, 3, 4), "BinaryQuadratic takes 3 fields, each given once"),
-            (lambda: BinaryQuadratic(1, 2, 3, a=1), "BinaryQuadratic takes 3 fields, each given once"),
+            (lambda: Coerced(1, 2, 3, 4), "Coerced takes 3 fields, each given once"),
+            (lambda: Coerced(1, 2, 3, a=1), "Coerced takes 3 fields, each given once"),
             (lambda: Labelled("x", label="y"), "Labelled takes 2 fields, each given once"),
         ],
         ids=[
@@ -70,7 +81,7 @@ class TestConstruction:
         assert str(info.value) == message
 
     def test_post_init_runs_and_coerces(self):
-        for q in (BinaryQuadratic(1, 2, 3), BinaryQuadratic(a=1, b=2, c=3)):
+        for q in (Coerced(1, 2, 3), Coerced(a=1, b=2, c=3)):
             assert all(type(x) is Fraction for x in (q.a, q.b, q.c))
         inst = coordinate_instance()
         assert all(type(h) is Fraction for h in inst.slopes + inst.lifts + inst.weights)
@@ -78,7 +89,7 @@ class TestConstruction:
             CoordinateInstance((0,), (1,), (1,))
 
     def test_assignment_raises(self):
-        q = BinaryQuadratic(1, 2, 3)
+        q = Coerced(1, 2, 3)
         with pytest.raises(AttributeError):
             q.a = Fraction(5)
         with pytest.raises(AttributeError):
@@ -100,14 +111,14 @@ class TestValueSemantics:
 
     def test_equal_records_have_equal_hashes(self):
         assert hash(coordinate_instance()) == hash(coordinate_instance())
-        assert hash(BinaryQuadratic(1, 2, 3)) == hash(BinaryQuadratic(Fraction(1), 2, Fraction(6, 2)))
-        distinct = {BinaryQuadratic(1, 2, 3), BinaryQuadratic(a=1, b=2, c=3), BinaryQuadratic(0, 0, 0)}
+        assert hash(Coerced(1, 2, 3)) == hash(Coerced(Fraction(1), 2, Fraction(6, 2)))
+        distinct = {Coerced(1, 2, 3), Coerced(a=1, b=2, c=3), Coerced(0, 0, 0)}
         assert len(distinct) == 2
 
     def test_repr(self):
         assert repr(Labelled("x")) == "Labelled(label='x', count=0)"
-        assert repr(BinaryQuadratic(1, 2, 3)) == (
-            "BinaryQuadratic(a=Fraction(1, 1), b=Fraction(2, 1), c=Fraction(3, 1))"
+        assert repr(Coerced(1, 2, 3)) == (
+            "Coerced(a=Fraction(1, 1), b=Fraction(2, 1), c=Fraction(3, 1))"
         )
 
     def test_cached_property_is_read_once(self):
