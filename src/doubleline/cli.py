@@ -240,9 +240,6 @@ class RunReport:
         }
         return json.dumps(payload, indent=2) + "\n"
 
-    def render(self, as_json: bool) -> str:
-        return self.render_json() if as_json else self.render_text()
-
 
 def _format_vector(values) -> str:
     return " ".join(map(format_rational, values))
@@ -576,7 +573,7 @@ def main(argv: Sequence[str] | None = None, out: TextIO | None = None) -> int:
     except TheoremViolationError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 1
-    stream.write(report.render(as_json=getattr(args, "json", False)))
+    stream.write(report.render_json() if getattr(args, "json", False) else report.render_text())
     print(f"wall-time: {time.perf_counter() - started:.3f}s", file=sys.stderr)
     return report.exit_code
 

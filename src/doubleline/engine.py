@@ -223,7 +223,9 @@ def power_kernel(restricted: FormTuple, degree: int) -> KernelBasis:
 
 
 class TangencyCertificate(Record):
-    """Exact witnesses that the line is tangent to the cofactor conic.
+    """Exact witnesses that the line is tangent to the cofactor conic, built
+    only by ``tangency_certificate`` (which ``analyze`` calls) and checked only
+    by ``verify``.
 
     The fields satisfy, with L_i the line restricted to the base line, the
     binary linear form with coefficients ``cleared_points[1][i]`` over
@@ -244,11 +246,11 @@ class TangencyCertificate(Record):
     and the line values (the last three read as Fractions by properties), and
     ``bridge`` and ``restricted_conic`` (the cofactor's restriction, computed
     by ``analyze`` from the cofactor alone) their coefficients on y0^2,
-    y0*y1, y1^2.  ``verify``, the only checker of these identities, reads the
-    ints and pairs as they are (any nonzero den checks, as every identity is
-    homogeneous in each pair), builds no Fraction, calls no function of
-    ``sympoly``, ``forms`` or ``linalg``, and checks every identity at the
-    points (p_i, r_i), where a degree-d form takes D**d times its value:
+    y0*y1, y1^2.  ``verify`` reads the ints and pairs as they are (any
+    nonzero den checks, as every identity is homogeneous in each pair),
+    builds no Fraction, calls no function of ``sympoly``, ``forms`` or
+    ``linalg``, and checks every identity at the points (p_i, r_i), where a
+    degree-d form takes D**d times its value:
     sum_i a_i * L_i^5 = 0 runs as the six moments sum_i a_i * p_i^(5-k) * r_i^k,
     the power-sum conic as the three moments of 6 * alpha_i * line_values_i^2
     (the middle one doubled) against D**2 times ``restricted_conic``, and the
@@ -310,35 +312,13 @@ class TangencyCertificate(Record):
             raise TheoremViolationError("contact vector is not in the polar kernel")
 
 
-def tangency_certificate(dec: WaringDecomposition, line: HomogeneousForm) -> TangencyCertificate:
-    """Constructive tangency witnesses for a seven-term double-line value.
-
-    Requires the value of ``dec`` to equal line^2 * q with q nonzero and the
-    seven lines to meet the base line in seven distinct points.  Pure
-    (weight-1) decompositions are the classical statement; general weights
-    use the same construction with the weight vector in place of the all-ones
-    vector.  This is the certificate that ``analyze`` attaches; a failed
-    precondition raises PreconditionError, and a failed identity raises
-    TheoremViolationError, which indicates an implementation bug.
-    """
-    if dec.n != 7:
-        raise PreconditionError(f"expected 7 terms, got {dec.n}")
-    report = analyze(dec, line)
-    if not report.divisible:
-        raise PreconditionError("value is not divisible by the squared line")
-    if report.cofactor.is_zero():
-        raise PreconditionError("cofactor conic is zero")
-    if report.certificate is None:
-        raise PreconditionError("the lines do not meet the base line in seven distinct points")
-    return report.certificate
-
-
-def _build_certificate(
+def tangency_certificate(
     dec: WaringDecomposition, line: HomogeneousForm, restricted_conic: BinaryQuadratic
 ) -> TangencyCertificate | None:
-    """The certificate witnesses for seven terms whose value is line^2 * cofactor
-    with cofactor nonzero and ``restricted_conic`` the cofactor's restriction,
-    or None when the lines do not meet ``line = 0`` in seven distinct points.
+    """The certificate that ``analyze``, its only caller, attaches: it calls this
+    for seven terms whose value is line^2 * cofactor with cofactor nonzero, and
+    ``restricted_conic`` is the cofactor's restriction.  None is returned when
+    the lines do not meet ``line = 0`` in seven distinct points.
     The points D * L_i are the lines' int rows (the ones ``value`` read) times
     the cleared kernel basis, over the product of their denominators, both
     divided by their common gcd to leave D; the line values are the rows at
@@ -711,7 +691,7 @@ def analyze(dec: WaringDecomposition, line: HomogeneousForm) -> AnalysisReport:
         restricted_conic = BinaryQuadratic.from_form(restrict(cofactor, line))
         tangent, point = restricted_conic.tangency()
         if dec.n == 7:
-            certificate = _build_certificate(dec, line, restricted_conic)
+            certificate = tangency_certificate(dec, line, restricted_conic)
     if certificate is not None:
         if tangent is not True:
             raise TheoremViolationError("certificate exists but discriminant test disagrees")

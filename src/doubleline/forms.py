@@ -508,6 +508,8 @@ class BinaryQuadratic(Record):
 
     def __post_init__(self):
         vars(self)["cleared"] = cleared(*self.cleared)
+        if len(self.cleared[1]) != 3:
+            raise StructuralError(f"expected three coefficients, got {self.cleared[1]!r}")
 
     @classmethod
     def from_form(cls, q: HomogeneousForm) -> "BinaryQuadratic":

@@ -24,6 +24,7 @@ EXPECTED_SPANS = {
     "forms.divide_by_linear",
     "linalg.vandermonde_nullspace",
     "engine.WaringDecomposition.value",
+    "engine.tangency_certificate",
     "sympoly.add",
     "sympoly.mul",
 }
@@ -62,8 +63,8 @@ def test_traced_commands_record_the_bench_spans(monkeypatch):
 
 
 def test_certificate_kernel_is_attributed_to_linalg(monkeypatch):
-    # power_kernel calls the closed form through its import, so its time is
-    # a linalg span rather than engine self time
+    # tangency_certificate calls moment_kernel through engine's import, not
+    # through power_kernel, so its time is a linalg span, not engine self time
     _, calls = _traced_calls(monkeypatch, ["theorem-check", "--trials", "1"])
     assert calls["linalg.moment_kernel"] >= 1
 

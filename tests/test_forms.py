@@ -643,6 +643,11 @@ class TestBinaryQuadratic:
             with pytest.raises(StructuralError, match="expected a binary quadratic form"):
                 BinaryQuadratic.from_form(form)
 
+    @pytest.mark.parametrize("pair", [(1, (1, 2)), (1, (1, 2, 3, 4))])
+    def test_pair_of_other_length_refused(self, pair):
+        with pytest.raises(StructuralError, match="expected three coefficients"):
+            BinaryQuadratic(pair)
+
 
 class TestConics:
     def test_reference_conic_rank(self):

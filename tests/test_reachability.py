@@ -50,7 +50,6 @@ UNREACHED = {
     "BinaryQuadratic.polar": "acceptance criterion 5",
     "HomogeneousForm.zero": "acceptance criterion 7",
     "weighted_moment_kernel": "acceptance criterion 7",
-    "tangency_certificate": "wrapped by name in bench/spans.py",
     "rref": "wrapped by name in bench/spans.py",
     "HomogeneousForm.__neg__": "wrapped by name in bench/spans.py",
     "HomogeneousForm.__sub__": "wrapped by name in bench/spans.py",
