@@ -42,6 +42,7 @@ from .forms import (
     BinaryQuadratic,
     FormTuple,
     HomogeneousForm,
+    cleared_rows,
     conic_rank,
     divide_by_linear,
     interpolate,
@@ -70,18 +71,18 @@ def line_x2() -> HomogeneousForm:
 
 
 class WaringDecomposition(Record):
-    """Weighted sum of fourth powers of linear forms in three variables, the
-    weights kept as given; ``value`` and the certificate read their canonical
-    pair ``cleared_weights``, cleared once, when the decomposition is built."""
+    """Weighted sum of fourth powers of linear forms in three variables, the weights
+    kept as given and cleared once, when it is built, as are the lines: ``value``
+    and the certificate builder read the pairs ``cleared_weights`` and ``cleared_rows``."""
 
     terms: tuple[tuple[Fraction | int, HomogeneousForm], ...]
 
     def __post_init__(self):
-        vars(self)["terms"] = tuple(self.terms)
-        for _, form in self.terms:
-            if form.num_vars != 3 or form.degree != 1:
-                raise StructuralError("decomposition terms must be linear forms in three variables")
-        self.cleared_weights  # read here, so that a float weight is refused at once
+        vars(self)["terms"] = terms = tuple(self.terms)
+        if any(form.num_vars != 3 or form.degree != 1 for _, form in terms):
+            raise StructuralError("decomposition terms must be linear forms in three variables")
+        vars(self)["cleared_weights"] = sympoly.clear_denominators([w for w, _ in terms])
+        vars(self)["cleared_rows"] = cleared_rows([f for _, f in terms])
 
     @property
     def n(self) -> int:
@@ -91,21 +92,11 @@ class WaringDecomposition(Record):
     def is_pure(self) -> bool:
         return all(w == 1 for w, _ in self.terms)
 
-    @cached_property
-    def cleared_weights(self) -> Cleared:
-        return sympoly.clear_denominators([w for w, _ in self.terms])
-
-    @cached_property
-    def line_tuple(self) -> FormTuple:
-        """The lines as one ``FormTuple``, whose cleared ``rows`` ``value`` and
-        the certificate builder share; built when first read."""
-        return FormTuple(tuple(f for _, f in self.terms))
-
     def value(self) -> HomogeneousForm:
         """The quartic sum_i weight_i * l_i^4, computed on every call."""
         if not self.terms:
             return HomogeneousForm.zero(3, 4)
-        return power_sum(self.cleared_weights, self.line_tuple, 4)
+        return power_sum(self.cleared_weights, self.cleared_rows, 4)
 
 
 def _fractions_of(field: str) -> property:
@@ -218,7 +209,7 @@ def power_kernel(restricted: FormTuple, degree: int) -> KernelBasis:
         raise StructuralError("expected a tuple of binary linear forms")
     if degree < 0:
         raise StructuralError("degree must be non-negative")
-    (vectors,) = moment_kernel(restricted.rows[1], (degree,))
+    (vectors,) = moment_kernel(cleared_rows(restricted.entries)[1], (degree,))
     return KernelBasis(vectors=tuple(vectors))
 
 
@@ -331,7 +322,7 @@ def tangency_certificate(
     product of the brackets [L_j, L_i], j != i, nonzero for distinct points.
     It stays because the witnesses divide by the entries."""
     bd, (b0, b1) = line_kernel_basis(line)
-    ld, rows = dec.line_tuple.rows
+    ld, rows = dec.cleared_rows
     den = ld * bd
     # a linear form restricts to its coefficients paired with the kernel basis
     points = [(sum(map(mul, row, b0)), sum(map(mul, row, b1))) for row in rows]
@@ -601,9 +592,7 @@ class TangentInstance(Record):
     @cached_property
     def quartic(self) -> DoubleLineQuartic:
         value = self.instance.to_decomposition().value()
-        return DoubleLineQuartic(
-            line=line_x2(), cofactor=extract_cofactor(value, line_x2()), target=value
-        )
+        return DoubleLineQuartic(line_x2(), extract_cofactor(value, line_x2()), value)
 
 
 # weight samples drawn before generate_tangent_instance gives up

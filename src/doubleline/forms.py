@@ -17,7 +17,7 @@ keys compare x2 first, so only the tuples are sorted.
 from __future__ import annotations
 
 import re
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import factorial, gcd, lcm, prod
@@ -121,6 +121,8 @@ class HomogeneousForm(Record):
     # arithmetic, all of it in sympoly on the ints
 
     def _check_compatible(self, other: "HomogeneousForm", same_degree: bool) -> None:
+        if not isinstance(other, HomogeneousForm):
+            raise InvalidInputError(f"expected a HomogeneousForm, got {other!r}")
         if self.num_vars != other.num_vars:
             raise StructuralError("variable counts differ")
         if same_degree and self.degree != other.degree:
@@ -138,7 +140,7 @@ class HomogeneousForm(Record):
         return HomogeneousForm(self.num_vars, self.degree, self.den, sympoly.scale(self.poly, -1))
 
     def __sub__(self, other: "HomogeneousForm") -> "HomogeneousForm":
-        return self + -other
+        return -(-self + other)  # __add__ checks other before anything negates it
 
     def __mul__(self, other: "HomogeneousForm | Fraction | int") -> "HomogeneousForm":
         if isinstance(other, (Fraction, int)):
@@ -155,6 +157,8 @@ class HomogeneousForm(Record):
 
     def __pow__(self, exponent: int) -> "HomogeneousForm":
         """``sympoly.power`` of the ints over den**exponent."""
+        if not isinstance(exponent, int):
+            raise InvalidInputError(f"expected an int exponent, got {exponent!r}")
         power = sympoly.power(self.poly, exponent)
         return HomogeneousForm(self.num_vars, self.degree * exponent, self.den**exponent, power)
 
@@ -181,22 +185,15 @@ def _int_value(poly: sympoly.Poly, point: Sequence[int]) -> int:
 
 class FormTuple(Record):
     """Nonempty tuple of forms of one shared shape, such as the seven lines
-    restricted to a base line; ``power_sum`` sums weighted powers of a tuple
-    of linear forms, read from its cleared ``rows``."""
+    restricted to a base line; ``power_kernel`` reads the rows of its linear
+    entries through ``cleared_rows``."""
 
     entries: tuple[HomogeneousForm, ...]
 
     def __post_init__(self):
-        vars(self)["entries"] = tuple(self.entries)
-        if not self.entries:
-            raise StructuralError("empty form tuple")
-        n, d = self.entries[0].num_vars, self.entries[0].degree
-        for f in self.entries:
-            if f.num_vars != n or f.degree != d:
-                raise StructuralError("tuple entries must share variable count and degree")
-
-    def __len__(self) -> int:
-        return len(self.entries)
+        vars(self)["entries"] = entries = tuple(self.entries)
+        if len({(f.num_vars, f.degree) for f in entries}) != 1:
+            raise StructuralError("a form tuple needs entries, all of one variable count and degree")
 
     @property
     def num_vars(self) -> int:
@@ -206,12 +203,12 @@ class FormTuple(Record):
     def degree(self) -> int:
         return self.entries[0].degree
 
-    @cached_property
-    def rows(self) -> tuple[int, tuple[IntVector, ...]]:
-        """The common denominator D of linear entries and their coefficient rows
-        times D, cleared once per tuple."""
-        den = lcm(*(f.den for f in self.entries))
-        return den, tuple(tuple(c * (den // f.den) for c in f.linear_ints()) for f in self.entries)
+
+def cleared_rows(forms: Sequence[HomogeneousForm]) -> tuple[int, tuple[IntVector, ...]]:
+    """The common denominator D of linear forms and their coefficient rows
+    times D; a form of another degree raises StructuralError."""
+    den = lcm(*(f.den for f in forms))
+    return den, tuple(tuple(c * (den // f.den) for c in f.linear_ints()) for f in forms)
 
 
 @lru_cache(maxsize=8)
@@ -223,23 +220,25 @@ def _monomial_table(num_vars: int, degree: int) -> tuple[tuple[Monomial, int, in
     return tuple((m, sympoly.monomial(m), factorial(degree) // prod(map(factorial, m))) for m in monos)
 
 
-def power_sum(weights: Cleared, forms: FormTuple, exponent: int) -> HomogeneousForm:
-    """sum_i w_i * forms[i]**exponent for linear forms, as weighted moments.
+def power_sum(weights: Cleared, rows: tuple[int, Sequence[IntVector]], exponent: int) -> HomogeneousForm:
+    """sum_i w_i * l_i**exponent for linear forms l_i, as weighted moments.
 
-    With the weights given cleared, as the pair (E, W) with w_i = W_i / E, and
-    the coefficient rows cleared to D * l_i = (c_i0, c_i1, ...), the coefficient of x**m is
+    With the weights cleared to the pair (E, W), w_i = W_i / E, and the forms to
+    their ``cleared_rows`` (D, rows), D * l_i = (c_i0, c_i1, ...), the coefficient of x**m is
     multinomial(exponent; m) * sum_i W_i * prod_j c_ij**m_j / (E * D**exponent).
     Each term adds its products of coefficient powers to every moment in one
     pass over the monomials; a binary form is a ternary one free of x2.
-    Forms of degree other than 1 raise StructuralError.
+    Raises StructuralError unless the rows are one or more, all of length 2 or all of 3, one weight each.
     """
-    if forms.degree != 1 or not 0 <= exponent <= sympoly.MAX_EXPONENT:
-        raise StructuralError(f"a power sum needs linear forms and a power in 0..{sympoly.MAX_EXPONENT}")
+    ld, rows = rows
+    if not 0 <= exponent <= sympoly.MAX_EXPONENT:
+        raise StructuralError(f"a power sum needs a power in 0..{sympoly.MAX_EXPONENT}")
     wd, ws = weights
-    if len(ws) != len(forms):
-        raise StructuralError("a power sum needs one weight per form")
-    ld, rows = forms.rows
-    table = _monomial_table(forms.num_vars, exponent)
+    lengths = {len(row) for row in rows}
+    if lengths not in ({2}, {3}) or len(ws) != len(rows):
+        raise StructuralError("a power sum needs one weight per row and rows all of length 2 or all of 3")
+    (num_vars,) = lengths
+    table = _monomial_table(num_vars, exponent)
     moments = [0] * len(table)
     ks = range(exponent + 1)
     for w, (c0, c1, c2) in zip(ws, (row + (0, 0)[: 3 - len(row)] for row in rows)):
@@ -247,7 +246,7 @@ def power_sum(weights: Cleared, forms: FormTuple, exponent: int) -> HomogeneousF
             p0, p1, p2 = [w * c0**k for k in ks], [c1**k for k in ks], [c2**k for k in ks]
             moments = [s + p0[a] * p1[b] * p2[c] for s, ((a, b, c), _, _) in zip(moments, table)]
     poly = {key: multinomial * s for (_, key, multinomial), s in zip(table, moments) if s}
-    return HomogeneousForm(forms.num_vars, exponent, wd * ld**exponent, poly)
+    return HomogeneousForm(num_vars, exponent, wd * ld**exponent, poly)
 
 
 def interpolate(

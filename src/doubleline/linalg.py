@@ -28,7 +28,6 @@ leave their arguments unchanged and return fresh objects.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm, prod
 from typing import Sequence
 
@@ -149,7 +148,10 @@ def moment_kernel(points: Sequence[tuple[int, int]], degrees: Sequence[int]) -> 
         for f in range(degree + 1, n):
             prods = [*(p * det[f][i] for i, p in enumerate(pivot_prods)), prod(det[j][f] for j in pivots)]
             # M / prod_i has content 1: gcd_i(M / |prod_i|) = M / lcm_i |prod_i| = 1
-            m = lcm(*prods) if prods[0] > 0 else -lcm(*prods)
+            try:
+                m = lcm(*prods) if prods[0] > 0 else -lcm(*prods)
+            except TypeError:
+                raise InvalidInputError(f"expected int points, got {points!r}") from None
             vec = [0] * n
             for i, p in zip([*pivots, f], prods):
                 vec[i] = m // p
@@ -160,14 +162,13 @@ def moment_kernel(points: Sequence[tuple[int, int]], degrees: Sequence[int]) -> 
 
 class VandermondeSystem(Record):
     """Moment constraints sum_i c_i h_i^d = 0 for 0 <= d <= p, one system for each p
-    in ``max_powers``, on the same nodes, cleared once for ``vandermonde_nullspace`` and its caller."""
+    in ``max_powers``, on the same nodes, cleared once, when built, to ``cleared_nodes``."""
 
     nodes: tuple[Fraction | int, ...]
     max_powers: tuple[int, ...]
 
-    @cached_property
-    def cleared_nodes(self) -> Cleared:
-        return sympoly.clear_denominators(self.nodes)
+    def __post_init__(self):
+        vars(self)["cleared_nodes"] = sympoly.clear_denominators(self.nodes)
 
 
 def vandermonde_nullspace(system: VandermondeSystem) -> list[list[IntVector]]:

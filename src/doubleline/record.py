@@ -3,10 +3,11 @@
 A subclass's annotations are its fields, in order; a class attribute is a
 field's default.  ``__init_subclass__`` reads them and the ``__post_init__``
 hook once.  A record is built by position or keyword, then runs the hook
-(which may coerce a field by writing ``vars(self)``); it refuses assignment
-and deletion, equals only a record of its own class with equal fields,
-hashes its field tuple, and keeps a ``__dict__`` for
-``functools.cached_property``.
+(which may coerce a field, or store an attribute derived from the fields,
+by writing ``vars(self)``); it refuses assignment and deletion, equals only
+a record of its own class with equal fields, and hashes its field tuple.
+Its ``__dict__`` holds the fields, the derived attributes and, when read,
+the package's one ``functools.cached_property``.
 """
 
 

@@ -268,7 +268,7 @@ def reference_witnesses(dec, line) -> dict | None:
     lines do not meet the base line in seven distinct points: a zero point
     or two proportional ones make a bracket a_i * b_k - a_k * b_i zero."""
     b0, b1 = reference_kernel_basis(line)
-    coeffs = [f.linear_coefficients() for f in dec.line_tuple.entries]
+    coeffs = [f.linear_coefficients() for _, f in dec.terms]
     restricted = tuple(
         tuple(sum((c * b for c, b in zip(cf, v)), Fraction(0)) for v in (b0, b1)) for cf in coeffs
     )

@@ -68,6 +68,7 @@ from doubleline.forms import (
     BinaryQuadratic,
     FormTuple,
     HomogeneousForm,
+    cleared_rows,
     embed_in_plane,
     line_kernel_basis,
     parse_form,
@@ -243,7 +244,7 @@ class TestValue:
     @example([(Fraction(1, 2), (1, 2)), (Fraction(-5, 3), (0, 0))], 0)  # the zero form, e = 0
     def test_power_sum_matches_reference(self, terms, exponent):
         n = len(terms[0][1])
-        lines = FormTuple(tuple(HomogeneousForm.linear(c) for _, c in terms))
+        lines = cleared_rows([HomogeneousForm.linear(c) for _, c in terms])
         total = power_sum(sympoly.clear_denominators([w for w, _ in terms]), lines, exponent)
         expected: dict = {}
         for w, c in terms:
@@ -253,11 +254,29 @@ class TestValue:
         assert total.terms == expected
         assert all(type(c) is Fraction for c in total.terms.values())
 
-    def test_power_sum_rejects_nonlinear_forms(self):
+    def test_cleared_rows_rejects_nonlinear_forms(self):
         x0 = HomogeneousForm.variable(3, 0)
-        for forms in (FormTuple((x0 * x0,)), FormTuple((HomogeneousForm.zero(3, 0),) * 2)):
-            with pytest.raises(StructuralError, match="linear forms"):
-                power_sum((1, [1] * len(forms)), forms, 2)
+        for forms in ((x0 * x0,), (HomogeneousForm.zero(3, 0),) * 2):
+            with pytest.raises(StructuralError, match="degree-1 form"):
+                cleared_rows(forms)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [(), ((1, 0), (1, 0, 0)), ((1, 0, 0, 0),), ((1,),)],
+        ids=["empty", "unequal", "four-entries", "one-entry"],
+    )
+    def test_power_sum_rejects_bad_rows(self, rows):
+        with pytest.raises(StructuralError, match="rows all of length 2 or all of 3"):
+            power_sum((1, (1,) * len(rows)), (1, rows), 2)
+
+    def test_power_sum_rejects_bad_weight_counts_and_exponents(self):
+        rows = (1, ((1, 0), (0, 1)))
+        for weights in ((1, (1,)), (1, (1, 1, 1))):
+            with pytest.raises(StructuralError, match="one weight per row"):
+                power_sum(weights, rows, 2)
+        for exponent in (-1, sympoly.MAX_EXPONENT + 1):
+            with pytest.raises(StructuralError, match="a power in 0"):
+                power_sum((1, (1, 1)), rows, exponent)
 
     def test_value_expands_no_polynomial(self, monkeypatch):
         expected = reference_value()
@@ -816,7 +835,7 @@ class TestCertificateOracle:
             dec, line = moved(inst.to_decomposition(), pivot_change(rng, pivot))
             coeffs = line.linear_coefficients()
             assert max(i for i, c in enumerate(coeffs) if c) == pivot
-            coefficients = [c for f in dec.line_tuple.entries for c in f.linear_coefficients()]
+            coefficients = [c for _, f in dec.terms for c in f.linear_coefficients()]
             assert lcm(*(c.denominator for c in coefficients)) > 1
             basis_den = line_kernel_basis(line)[0]
             assert basis_den > 1 or pivot == 0
@@ -1375,7 +1394,7 @@ class TestRoundTrips:
             inst = moment_solution(rng, sample_nodes(rng, n))
             dec = inst.to_decomposition()
             assert tuple(w for w, _ in dec.terms) == inst.weights
-            lines = [f.linear_coefficients() for f in dec.line_tuple.entries]
+            lines = [f.linear_coefficients() for _, f in dec.terms]
             assert lines == [(1, h, k) for h, k in zip(inst.slopes, inst.lifts)]
             value = dec.value()
             q = extract_cofactor(value, line_x2())

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 import itertools
 from math import gcd, lcm
@@ -28,6 +29,7 @@ from doubleline.forms import (
     BinaryQuadratic,
     FormTuple,
     HomogeneousForm,
+    cleared_rows,
     conic_rank,
     content_normalize,
     divide_by_linear,
@@ -91,6 +93,22 @@ class TestAddMul:
             with pytest.raises(InvalidInputError, match="expected an int or a Fraction"):
                 multiply()
 
+    NON_FORMS = pytest.mark.parametrize(
+        "other", [1, Fraction(1, 2), 0.5, "x"], ids=["int", "Fraction", "float", "str"]
+    )
+
+    @NON_FORMS
+    def test_non_form_addend_refused(self, other):
+        with pytest.raises(InvalidInputError, match="expected a HomogeneousForm, got"):
+            X0 + other
+
+    @NON_FORMS
+    def test_non_form_subtrahend_refused(self, other):
+        # the message names the operand as given, not its negation
+        message = re.escape(f"expected a HomogeneousForm, got {other!r}")
+        with pytest.raises(InvalidInputError, match=message):
+            X0 - other
+
     def test_conic_times_squared_line(self):
         conic = parse_form("6*x0^2 + 6*x0*x1 + 3*x1^2 + x2^2", 3)
         product = X2**2 * conic
@@ -142,6 +160,13 @@ class TestPow:
         for f in (X0, HomogeneousForm.linear((Fraction(1, 3), 0, 2)), HomogeneousForm.zero(3, 2)):
             with pytest.raises(StructuralError):
                 f**-1
+
+    @pytest.mark.parametrize(
+        "exponent", [Fraction(1, 2), Fraction(2), 0.5, 2.0], ids=["half", "two", "float", "float-two"]
+    )
+    def test_non_int_exponent_refused(self, exponent):
+        with pytest.raises(InvalidInputError, match="expected an int exponent"):
+            X0**exponent
 
     def test_exponent_above_max_rejected(self):
         top = sympoly.MAX_EXPONENT
@@ -371,13 +396,22 @@ class TestTuples:
         tup = FormTuple((X0**4, X0**4))
         assert sum((a * f for a, f in zip([1, -1], tup.entries)), HomogeneousForm.zero(3, 4)).is_zero()
 
+    @pytest.mark.parametrize(
+        "entries",
+        [(), (X0, X0**2), (X0, HomogeneousForm.linear((1, 0)))],
+        ids=["empty", "two-degrees", "two-variable-counts"],
+    )
+    def test_entries_of_one_shape_required(self, entries):
+        with pytest.raises(StructuralError, match="all of one variable count and degree"):
+            FormTuple(entries)
+
     def test_power_sum_clears_the_matrix_once(self):
         # weights and lines of denominators 2, 3 and 7 and one zero line: the
         # matrix's denominator D = 42 enters every coefficient as D**exponent
         h, t, f = Fraction(1, 2), Fraction(2, 3), Fraction(5, 7)
         weights = [h, t, f, Fraction(-3)]
         rows = [(h, 1, -t), (t, -f, 2), (0, 0, 0), (f, h, t)]
-        lines = FormTuple(tuple(HomogeneousForm.linear(r) for r in rows))
+        lines = cleared_rows([HomogeneousForm.linear(r) for r in rows])
         for exponent in range(6):
             expected: dict = {}
             for w, r in zip(weights, rows):

@@ -178,6 +178,19 @@ class TestMomentKernel:
         with pytest.raises(DegenerateNodesError, match="point 1 is zero"):
             moment_kernel([(1, 2), (0, 0)], (0,))
 
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [(Fraction(1, 2), 1), (1, 0), (1, 1)],
+            [(1, 0), (1, 1), (Fraction(2), 3)],
+            [(0.5, 1), (1, 0), (1, 1)],
+        ],
+        ids=["Fraction", "integral-Fraction", "float"],
+    )
+    def test_non_int_points_refused(self, points):
+        with pytest.raises(InvalidInputError, match="expected int points"):
+            moment_kernel(points, (0,))
+
     def test_degree_below_minus_one_rejected(self):
         with pytest.raises(StructuralError):
             moment_kernel([(1, 0), (1, 1)], (-2,))

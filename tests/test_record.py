@@ -1,6 +1,7 @@
 """The ``Record`` base of the package's value classes, and what importing the
 package loads."""
 
+import functools
 import importlib
 import pkgutil
 import subprocess
@@ -164,6 +165,19 @@ def test_no_hand_written_value_classes():
         if a in vars(cls)
     ]
     assert hand_written == []
+
+
+def test_only_the_quartic_is_cached():
+    # one clearing policy: a value clears its inputs once, when it is built;
+    # the one lazy attribute is TangentInstance.quartic, an extraction kept
+    # apart from analyze
+    cached = [
+        f"{cls.__name__}.{name}"
+        for cls in package_classes()
+        for name, attr in vars(cls).items()
+        if isinstance(attr, functools.cached_property)
+    ]
+    assert cached == ["TangentInstance.quartic"]
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
