@@ -420,12 +420,15 @@ def verify_identity_slice(
     the zero test are exactly those of the expansion over the Fraction
     slopes.  The residue itself is the rescaled polynomial.
 
+    Each stage is one pass on ints.  Each beta_i**2 * prod_{j != i} alpha_j
+    is added pair by pair into s_0, s_1 and s_2, times 1, H_i and H_i**2.
     The two big products multiply primitive parts.  With g_p the gcd of
-    s_p's coefficients and S_p = s_p / g_p, s_1 * s_1 is built as
-    g_1**2 * (S_1 * S_1) and s_0 * s_2 as g_0 * g_2 * (S_0 * S_2): the same
-    ints, so the residue and ``expanded_monomials`` are exactly those of the
-    direct products, while the factors multiplied term by term are much
-    shorter (by Gauss's lemma their products are primitive too).
+    s_p's coefficients and S_p = s_p / g_p, s_1 * s_1 is g_1**2 * (S_1 * S_1)
+    and s_0 * s_2 is g_0 * g_2 * (S_0 * S_2): the same ints, so the residue
+    and ``expanded_monomials`` are exactly those of the direct products,
+    while the factors multiplied term by term are much shorter (by Gauss's
+    lemma their products are primitive too).  One walk over the unordered
+    term pairs of the S_p's joint support forms both products.
     """
     if len(slopes) != 7:
         raise StructuralError(f"expected 7 slopes, got {len(slopes)}")
@@ -445,25 +448,16 @@ def verify_identity_slice(
         prefix.append(sympoly.mul(prefix[-1], a))
         suffix.append(sympoly.mul(suffix[-1], z))
 
-    # s_p = sum_i H_i**p * beta_i**2 * prod_{j != i} alpha_j, all three in one pass
-    s0: sympoly.Poly = {}
-    s1: sympoly.Poly = {}
-    s2: sympoly.Poly = {}
+    # s_p = sum_i H_i**p * beta_i**2 * prod_{j != i} alpha_j, all three in one pass per term
+    sums: tuple[sympoly.Poly, ...] = ({}, {}, {})
     for i, (h, b) in enumerate(zip(nodes, betas)):
-        others = sympoly.mul(prefix[i], suffix[6 - i])
-        for t, c in sympoly.mul(sympoly.mul(b, b), others).items():
-            ch = c * h
-            s0[t] = s0.get(t, 0) + c
-            s1[t] = s1.get(t, 0) + ch
-            s2[t] = s2.get(t, 0) + ch * h
+        sympoly.add_product(sums, sympoly.mul(b, b), sympoly.mul(prefix[i], suffix[6 - i]), (1, h, h * h))
 
-    # each s_p as g_p times its primitive part (g_p = 1 for a zero s_p)
-    sums = (s0, s1, s2)
+    # each s_p as g_p times its primitive part (g_p = 1 for a zero s_p), dropping cancelled terms
     g0, g1, g2 = gcds = [gcd(*s.values()) or 1 for s in sums]
-    p0, p1, p2 = ({t: c // g for t, c in s.items() if c} for s, g in zip(sums, gcds))
-    minuend = sympoly.scale(sympoly.mul(p1, p1), g1 * g1)
-    subtrahend = sympoly.scale(sympoly.mul(p0, p2), g0 * g2)
-    residue = sympoly.sub(minuend, subtrahend)
+    parts = ({t: c // g for t, c in s.items() if c} for s, g in zip(sums, gcds))
+    square, cross = sympoly.square_and_cross(*parts)
+    residue = sympoly.add(sympoly.scale(square, g1 * g1), sympoly.scale(cross, -g0 * g2))
     if perturb:
         full = sympoly.mul(prefix[6], alphas[6])  # the product of all seven weight polynomials
         residue = sympoly.add(residue, sympoly.scale(sympoly.mul(full, full), den * den))
@@ -471,7 +465,7 @@ def verify_identity_slice(
     return IdentitySliceReport(
         alpha_dim=na,
         beta_dim=len(beta_basis),
-        expanded_monomials=len(minuend) + len(subtrahend),
+        expanded_monomials=len(square) + len(cross),
         # each of the 21 differences H_i - H_j is D times h_i - h_j
         node_difference_product=Fraction(prod(a - b for a, b in combinations(nodes, 2)), den**21),
         residue=residue,

@@ -228,7 +228,8 @@ def power_sum(weights: Cleared, rows: tuple[int, Sequence[IntVector]], exponent:
     multinomial(exponent; m) * sum_i W_i * prod_j c_ij**m_j / (E * D**exponent).
     Each term adds its products of coefficient powers to every moment in one
     pass over the monomials; a binary form is a ternary one free of x2.
-    Raises StructuralError unless the rows are one or more, all of length 2 or all of 3, one weight each.
+    Raises StructuralError unless the rows are one or more, all of length 2 or all of 3, one weight each;
+    InvalidInputError for a float or a Fraction in either pair.
     """
     ld, rows = rows
     if not 0 <= exponent <= sympoly.MAX_EXPONENT:
@@ -246,7 +247,10 @@ def power_sum(weights: Cleared, rows: tuple[int, Sequence[IntVector]], exponent:
             p0, p1, p2 = [w * c0**k for k in ks], [c1**k for k in ks], [c2**k for k in ks]
             moments = [s + p0[a] * p1[b] * p2[c] for s, ((a, b, c), _, _) in zip(moments, table)]
     poly = {key: multinomial * s for (_, key, multinomial), s in zip(table, moments) if s}
-    return HomogeneousForm(num_vars, exponent, wd * ld**exponent, poly)
+    try:  # the form's gcd takes ints only
+        return HomogeneousForm(num_vars, exponent, wd * ld**exponent, poly)
+    except TypeError:
+        raise InvalidInputError(f"expected (den, ints) pairs, got {weights!r}, {(ld, rows)!r}") from None
 
 
 def interpolate(

@@ -157,6 +157,10 @@ def moment_kernel(points: Sequence[tuple[int, int]], degrees: Sequence[int]) -> 
                 vec[i] = m // p
             basis.append(tuple(vec))
         bases.append(basis)
+    # the int-only lcm meets a bracket only at a degree >= 0 with a free index
+    if not any(0 <= degree < n - 1 for degree in degrees):
+        if not all(isinstance(c, int) for point in points for c in point):
+            raise InvalidInputError(f"expected int points, got {points!r}")
     return bases
 
 

@@ -145,6 +145,42 @@ MIXED_SIGN_FRACTION_SLICES = [
 ][:8]
 
 
+def whole_product_residue(slopes, perturb):
+    """The identity-slice residue and expanded-monomial count from whole
+    ``sympoly.mul`` products, combined by ``sympoly.add`` and ``scale``."""
+    alpha_basis, beta_basis = vandermonde_nullspace(system := VandermondeSystem(tuple(slopes), (4, 3)))
+    den, nodes = system.cleared_nodes
+    symbols = [packed_variable(j) for j in range(len(alpha_basis) + len(beta_basis))]
+
+    def combination(basis, syms, i):
+        out: sympoly.Poly = {}
+        for vec, sym in zip(basis, syms):
+            out = sympoly.add(out, sympoly.scale(sym, vec[i]))
+        return out
+
+    alphas = [combination(alpha_basis, symbols, i) for i in range(7)]
+    betas = [combination(beta_basis, symbols[len(alpha_basis) :], i) for i in range(7)]
+    sums: list[sympoly.Poly] = [{}, {}, {}]
+    for i in range(7):
+        term = sympoly.mul(betas[i], betas[i])
+        for j in range(7):
+            if j != i:
+                term = sympoly.mul(term, alphas[j])
+        for p in range(3):
+            sums[p] = sympoly.add(sums[p], sympoly.scale(term, nodes[i] ** p))
+    g0, g1, g2 = gcds = [gcd(*s.values()) or 1 for s in sums]
+    p0, p1, p2 = ({t: c // g for t, c in s.items()} for s, g in zip(sums, gcds))
+    minuend = sympoly.scale(sympoly.mul(p1, p1), g1 * g1)
+    subtrahend = sympoly.scale(sympoly.mul(p0, p2), g0 * g2)
+    residue = sympoly.add(minuend, sympoly.scale(subtrahend, -1))
+    if perturb:
+        full = {0: 1}
+        for a in alphas:
+            full = sympoly.mul(full, a)
+        residue = sympoly.add(residue, sympoly.scale(sympoly.mul(full, full), den * den))
+    return len(minuend) + len(subtrahend), residue
+
+
 def fraction_identity_expansion(slopes):
     """The identity-slice expansion over the Fraction kernel data, term by term.
 
@@ -277,6 +313,22 @@ class TestValue:
         for exponent in (-1, sympoly.MAX_EXPONENT + 1):
             with pytest.raises(StructuralError, match="a power in 0"):
                 power_sum((1, (1, 1)), rows, exponent)
+
+    @pytest.mark.parametrize(
+        "weights, rows",
+        [
+            ((1, (0.5,)), (1, ((1, 1),))),
+            ((1, (Fraction(1, 2),)), (1, ((1, 1),))),
+            ((1, (1,)), (1, ((Fraction(1, 2), 1),))),
+            ((1, (1,)), (1, ((1, 0.5, 2),))),
+            ((2.0, (1,)), (1, ((1, 1),))),
+            ((1, (1,)), (Fraction(1), ((1, 1),))),
+        ],
+        ids=["float-weight", "Fraction-weight", "Fraction-row", "float-row", "float-den", "Fraction-den"],
+    )
+    def test_power_sum_refuses_non_int_pairs(self, weights, rows):
+        with pytest.raises(InvalidInputError, match=r"expected \(den, ints\) pairs"):
+            power_sum(weights, rows, 2)
 
     def test_value_expands_no_polynomial(self, monkeypatch):
         expected = reference_value()
@@ -1065,12 +1117,13 @@ class TestDiscriminantBridge:
                 term = sympoly.mul(term, sympoly.power(slope[i], p))
                 acc = sympoly.add(acc, term)
             sums.append(acc)
-        defect = sympoly.sub(sympoly.mul(sums[1], sums[1]), sympoly.mul(sums[0], sums[2]))
+        cross = sympoly.mul(sums[0], sums[2])
+        defect = sympoly.add(sympoly.mul(sums[1], sums[1]), sympoly.scale(cross, -1))
         a = sympoly.scale(sums[0], 6)
         b = sympoly.scale(sums[1], 12)
         c = sympoly.scale(sums[2], 6)
-        discriminant = sympoly.sub(sympoly.mul(b, b), sympoly.scale(sympoly.mul(a, c), 4))
-        assert sympoly.sub(sympoly.scale(defect, 144), discriminant) == {}
+        discriminant = sympoly.add(sympoly.mul(b, b), sympoly.scale(sympoly.mul(a, c), -4))
+        assert sympoly.add(sympoly.scale(defect, 144), sympoly.scale(discriminant, -1)) == {}
 
     def test_numeric_bridge_through_forms(self):
         rng = random.Random(53)
@@ -1111,19 +1164,38 @@ class TestIdentitySlice:
             verify_identity_slice((0, 1, 2, 3, 4, 5, 5))
 
     def test_builds_only_the_products_it_reads(self, monkeypatch):
-        # six prefix and six suffix products, three per term and the two big
-        # products: 35; the perturbed control adds the product of all seven
-        # weight polynomials and its square
+        # six prefix and six suffix products and two per term, beta_i**2 and
+        # the other six weights: 26 muls; each term is added into the three
+        # sums by one add_product, and both big products are one walk; the
+        # perturbed control adds the product of all seven weight polynomials
+        # and its square, and nothing else
         count, residue, perturbed = fraction_identity_expansion(range(7))
         calls = count_calls(monkeypatch, sympoly, "mul")
+        added = count_calls(monkeypatch, sympoly, "add_product")
+        walks = count_calls(monkeypatch, sympoly, "square_and_cross")
         report = verify_identity_slice(tuple(range(7)))
-        assert len(calls) == 35
+        assert (len(calls), len(added), len(walks)) == (26, 7, 1)
         assert report.is_zero and not residue
         assert report.expanded_monomials == count
         control = verify_identity_slice(tuple(range(7)), perturb=True)
-        assert len(calls) == 35 + 37
+        assert (len(calls), len(added), len(walks)) == (26 + 28, 7 + 7, 1 + 1)
+        assert calls[-1][0] is calls[-1][1]  # the full product's square
         assert not control.is_zero and perturbed
         assert control.expanded_monomials == count
+
+    @pytest.mark.parametrize(
+        "slopes", ACCEPTANCE_SLICES + [sample_nodes(random.Random(3000 + k), 7) for k in range(20)]
+    )
+    @pytest.mark.parametrize("perturb", [False, True])
+    def test_residue_is_the_whole_product_formula(self, slopes, perturb):
+        # key for key the residue of whole sympoly.mul products, with the
+        # primitive parts p_k of the sums s_k and their gcds g_k:
+        # g1**2 * p1 * p1 - g0 * g2 * p0 * p2, plus the control's term
+        count, residue = whole_product_residue(slopes, perturb)
+        report = verify_identity_slice(slopes, perturb=perturb)
+        assert report.residue == residue
+        assert report.expanded_monomials == count
+        assert report.is_zero is not perturb
 
     @pytest.mark.parametrize("slopes", ACCEPTANCE_SLICES + MIXED_SIGN_FRACTION_SLICES)
     def test_node_difference_product_is_the_fraction_product(self, slopes):

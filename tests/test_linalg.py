@@ -191,6 +191,24 @@ class TestMomentKernel:
         with pytest.raises(InvalidInputError, match="expected int points"):
             moment_kernel(points, (0,))
 
+    @pytest.mark.parametrize(
+        "points, degrees",
+        [
+            ([(0.5, 1), (1, 0)], (1,)),
+            ([(Fraction(1, 2), 1), (1, 0)], (1, 3)),
+            ([(1, 0), (Fraction(2), 3)], (1,)),
+            ([(1, 0), (0.5, 1), (1, 1)], (-1, 2)),
+            ([(1, 0), (0.5, 1)], ()),
+        ],
+        ids=["float", "Fraction", "integral-Fraction", "identity-basis", "no-degree"],
+    )
+    def test_non_int_points_refused_without_a_free_index(self, points, degrees):
+        # no degree >= 0 leaves a free index, so no bracket reaches the lcm
+        with pytest.raises(InvalidInputError, match="expected int points"):
+            moment_kernel(points, degrees)
+        ints = [(2 * i + 1, i) for i in range(len(points))]
+        assert [len(b) for b in moment_kernel(ints, degrees)] == [max(len(points) - d - 1, 0) for d in degrees]
+
     def test_degree_below_minus_one_rejected(self):
         with pytest.raises(StructuralError):
             moment_kernel([(1, 0), (1, 1)], (-2,))

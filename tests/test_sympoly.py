@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -54,9 +55,8 @@ class TestAgainstReference:
     @given(tuple_polys_st, tuple_polys_st)
     def test_add_sub(self, p, q):
         assert unpack(sympoly.add(pack(p), pack(q)), NVARS, sympoly.BITS) == ref_add(ref(p), ref(q))
-        assert unpack(sympoly.sub(pack(p), pack(q)), NVARS, sympoly.BITS) == ref_add(
-            ref(p), ref_scale(ref(q), -1)
-        )
+        difference = sympoly.add(pack(p), sympoly.scale(pack(q), -1))
+        assert unpack(difference, NVARS, sympoly.BITS) == ref_add(ref(p), ref_scale(ref(q), -1))
 
     @given(tuple_polys_st, tuple_polys_st)
     def test_mul(self, p, q):
@@ -97,6 +97,115 @@ class TestAgainstReference:
     def test_integer_coefficients_stay_integers(self, p, q):
         product = sympoly.mul(pack(p), pack(q))
         assert all(type(c) is int for c in sympoly.add(product, pack(p)).values())
+
+
+def random_poly(rng: random.Random, size: int, top: int = 2) -> sympoly.Poly:
+    """Up to ``size`` terms in NVARS variables with exponents in 0..top, so that
+    products collide; int coefficients, now and then a Fraction."""
+    poly: sympoly.Poly = {}
+    for _ in range(size):
+        coeff = rng.choice([-3, -2, -1, 1, 2, 3, Fraction(1, 2), Fraction(-2, 3)])
+        poly[sympoly.monomial(tuple(rng.randint(0, top) for _ in range(NVARS)))] = coeff
+    return poly
+
+
+def operand_cases():
+    """Seeded operand lists with supports that differ, then the special cases:
+    an empty operand and two (x0 + x1, x0 - x1) whose cross terms cancel."""
+    rng = random.Random(31)
+    cases = [
+        pytest.param(*(random_poly(rng, rng.randint(1, 9)) for _ in range(3)), id=f"random-{k}")
+        for k in range(40)
+    ]
+    x0, x1 = packed_variable(0), packed_variable(1)
+    plus, minus = sympoly.add(x0, x1), sympoly.add(x0, sympoly.scale(x1, -1))
+    special = {
+        "empty-first": ({}, plus, minus),
+        "empty-second": (plus, {}, minus),
+        "empty-third": (plus, minus, {}),
+        "all-empty": ({}, {}, {}),
+        "cancel": (plus, minus, minus),
+        "cancel-swapped": (minus, plus, plus),
+        "cancel-doubled": (plus, sympoly.add(plus, plus), minus),
+    }
+    return cases + [pytest.param(*args, id=name) for name, args in special.items()]
+
+
+class TestAddProduct:
+    @pytest.mark.parametrize("p, q, start", operand_cases())
+    def test_matches_add_of_scaled_products(self, p, q, start):
+        factors = (1, -3, Fraction(5, 2))
+        targets = ({}, dict(start), dict(start))
+        sympoly.add_product(targets, p, q, factors)
+        product = sympoly.mul(p, q)
+        expected = [sympoly.add(t, sympoly.scale(product, f)) for t, f in zip(({}, start, start), factors)]
+        assert [{t: c for t, c in target.items() if c} for target in targets] == expected
+        # every key of the product reaches every target, even with a zero factor
+        zeros: tuple[sympoly.Poly, ...] = ({},)
+        sympoly.add_product(zeros, p, q, (0,))
+        assert set(zeros[0]) == {t1 + t2 for t1 in p for t2 in q}
+        assert not any(zeros[0].values())
+
+    def test_pairs_that_cancel_leave_zero_entries(self):
+        # (x0 + x1) * (x0 - x1): the two x0 * x1 pairs cancel
+        x0, x1 = packed_variable(0), packed_variable(1)
+        targets: tuple[sympoly.Poly, ...] = ({}, {})
+        plus, minus = sympoly.add(x0, x1), sympoly.add(x0, sympoly.scale(x1, -1))
+        sympoly.add_product(targets, plus, minus, (1, 2))
+        mixed = sympoly.monomial((1, 1))
+        assert targets[0][mixed] == targets[1][mixed] == 0
+        assert {t: c for t, c in targets[1].items() if c} == sympoly.scale(sympoly.mul(plus, minus), 2)
+
+    def test_int_inputs_give_int_coefficients(self):
+        rng = random.Random(7)
+        p, q = ({t: int(2 * c) for t, c in random_poly(rng, 6).items()} for _ in range(2))
+        targets: tuple[sympoly.Poly, ...] = ({}, {})
+        sympoly.add_product(targets, p, q, (1, 7))
+        assert all(type(c) is int for target in targets for c in target.values())
+
+    def test_exponent_past_the_limit_raises_and_changes_nothing(self):
+        high = {sympoly.monomial((0, 2**14)): 1, sympoly.monomial((1,)): 2}
+        low = {sympoly.monomial((0, 2**14 - 1)): 3}
+        targets: tuple[sympoly.Poly, ...] = ({5: 1}, {})
+        with pytest.raises(StructuralError, match="exponent above"):
+            sympoly.add_product(targets, high, high, (1, 1))
+        assert targets == ({5: 1}, {})
+        sympoly.add_product(targets, low, low, (1, 1))
+        assert targets[1] == sympoly.mul(low, low)
+
+
+class TestSquareAndCross:
+    @pytest.mark.parametrize("p0, p1, p2", operand_cases())
+    def test_matches_the_two_products(self, p0, p1, p2):
+        square, cross = sympoly.square_and_cross(p0, p1, p2)
+        assert square == sympoly.mul(p1, p1)
+        assert cross == sympoly.mul(p0, p2)
+        assert all(square.values()) and all(cross.values())
+
+    def test_cancelling_cross_terms_are_dropped(self):
+        # (x0 + x1) * (x0 - x1) = x0**2 - x1**2: no x0 * x1 key is left
+        x0, x1 = packed_variable(0), packed_variable(1)
+        plus, minus = sympoly.add(x0, x1), sympoly.add(x0, sympoly.scale(x1, -1))
+        square, cross = sympoly.square_and_cross(plus, plus, minus)
+        assert cross == {sympoly.monomial((2,)): 1, sympoly.monomial((0, 2)): -1}
+        assert square == sympoly.mul(plus, plus)
+
+    def test_int_inputs_give_int_coefficients(self):
+        rng = random.Random(8)
+        polys = [{t: int(2 * c) for t, c in random_poly(rng, 8).items()} for _ in range(3)]
+        assert all(type(c) is int for product in sympoly.square_and_cross(*polys) for c in product.values())
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_exponent_past_the_limit_raises(self, position):
+        # x1**(2**14) times itself reaches 2**15 in x1's field, in either product
+        operands = [{sympoly.monomial((3,)): 1}] * 3
+        operands[position] = {sympoly.monomial((0, 2**14)): 1, sympoly.monomial((1,)): 2}
+        if position != 1:
+            operands[2 - position] = operands[position]
+        with pytest.raises(StructuralError, match="exponent above"):
+            sympoly.square_and_cross(*operands)
+        low = {sympoly.monomial((0, 2**14 - 1)): 2}
+        assert sympoly.square_and_cross(low, low, low) == (sympoly.mul(low, low),) * 2
 
 
 class TestPowerBySquaring:
