@@ -207,7 +207,8 @@ class TestMomentKernel:
         with pytest.raises(InvalidInputError, match="expected int points"):
             moment_kernel(points, degrees)
         ints = [(2 * i + 1, i) for i in range(len(points))]
-        assert [len(b) for b in moment_kernel(ints, degrees)] == [max(len(points) - d - 1, 0) for d in degrees]
+        expected = [max(len(points) - d - 1, 0) for d in degrees]
+        assert [len(b) for b in moment_kernel(ints, degrees)] == expected
 
     def test_degree_below_minus_one_rejected(self):
         with pytest.raises(StructuralError):
