@@ -65,9 +65,10 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"rational string longer than {MAX_RATIONAL_CHARS} characters")
     if not re.fullmatch(RATIONAL_PATTERN, text):
         raise ValueError(f"not a rational string: {text!r}")
-    if "/" in text and int(text.split("/")[1]) == 0:
+    num, _, den = text.partition("/")
+    if den and not int(den):
         raise ValueError(f"zero denominator: {text!r}")
-    return Fraction(text)
+    return Fraction(int(num), int(den or 1))  # Fraction(text) would match its own regex
 
 
 # decomposition documents
@@ -506,6 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact decomposition checks for double-line plane quartics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # each command's own parser, for parse_argv
 
     p_verify = sub.add_parser("verify", help="verify a decomposition document")
     p_verify.add_argument("file", type=_file_name)
@@ -545,11 +547,11 @@ _COMMANDS = {
 
 
 def _attach_list_values(argv: Sequence[str]) -> list[str]:
-    """Rewrite ``--h -1,0,...`` as ``--h=-1,0,...``: argparse takes a separate
-    value with a leading minus for an option unless it is a plain number."""
+    """Rewrite ``--h -1,...`` as ``--h=-1,...``, likewise ``--line`` and its prefixes: a
+    separate value with a leading minus is an option to argparse unless a plain number."""
     out: list[str] = []
     for arg in argv:
-        if out and out[-1] in ("--h", "--line") and re.match(r"-[0-9]", arg):
+        if out and out[-1] in ("--h", "--l", "--li", "--lin", "--line") and re.match(r"-[0-9]", arg):
             out[-1] += "=" + arg
         else:
             out.append(arg)
@@ -561,8 +563,16 @@ def _attach_list_values(argv: Sequence[str]) -> list[str]:
 _INPUT_ERRORS = (OSError, UnicodeDecodeError, InvalidInputError, DocumentError)
 
 
+def parse_argv(argv: Sequence[str]) -> argparse.Namespace:
+    # build_parser().parse_args(argv), but a known command takes one argparse pass, not two
+    parser = build_parser()
+    if argv and argv[0] in parser.commands:
+        return parser.commands[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    return parser.parse_args(argv)
+
+
 def main(argv: Sequence[str] | None = None, out: TextIO | None = None) -> int:
-    args = build_parser().parse_args(_attach_list_values(sys.argv[1:] if argv is None else argv))
+    args = parse_argv(_attach_list_values(sys.argv[1:] if argv is None else argv))
     stream = out if out is not None else sys.stdout
     started = time.perf_counter()
     try:

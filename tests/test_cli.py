@@ -1,7 +1,9 @@
+import argparse
 import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -20,7 +22,7 @@ from conftest import (
     random_fraction,
     wrong_kernel,
 )
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import doubleline
@@ -31,6 +33,7 @@ from doubleline.cli import (
     MAX_RATIONAL_CHARS,
     MAX_SLOPES_CHARS,
     MAX_TRIALS,
+    RATIONAL_PATTERN,
     DecompositionDocument,
     DocumentError,
     document_to_parts,
@@ -45,6 +48,9 @@ from doubleline.forms import BinaryQuadratic
 from doubleline.sympoly import format_rational
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+# ASCII digit strings, leading zeros included; two of them and "-/" make at
+# most MAX_RATIONAL_CHARS characters
+_DIGITS = st.text(alphabet="0123456789", min_size=1, max_size=MAX_RATIONAL_CHARS // 2 - 1)
 
 
 def run_cli(argv):
@@ -86,6 +92,39 @@ class TestDocuments:
         for bad in ("1.5", "+3", "3/-4", "1/0", "", "x", "\u0663", "\u0661/\u0662", "\uff13"):
             with pytest.raises(ValueError):
                 parse_rational(bad)
+
+    @settings(max_examples=300)
+    @given(
+        text=st.builds(
+            lambda sign, num, den: sign + num + (den and "/" + den),
+            st.sampled_from(["", "-"]),
+            _DIGITS,
+            st.one_of(st.just(""), _DIGITS.filter(lambda d: int(d) != 0)),
+        )
+    )
+    @example(text="-0")
+    @example(text="0/7")
+    @example(text="-007/0014")
+    @example(text="-" + "9" * (MAX_RATIONAL_CHARS // 2 - 1) + "/" + "0" * 498 + "6")
+    def test_rational_from_its_parts(self, text):
+        assert len(text) <= MAX_RATIONAL_CHARS and re.fullmatch(RATIONAL_PATTERN, text)
+        assert parse_rational(text) == Fraction(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("3/000", "zero denominator: '3/000'"),
+            ("-0/0", "zero denominator: '-0/0'"),
+            ("1" * (MAX_RATIONAL_CHARS + 1), "rational string longer than 1000 characters"),
+            ("\u0663", "not a rational string: '\u0663'"),
+            ("1/\uff13", "not a rational string: '1/\uff13'"),
+        ],
+        ids=["zero-denominator", "minus-zero-over-zero", "length-cap", "arabic-indic", "fullwidth"],
+    )
+    def test_rational_rejection_messages(self, text, message):
+        with pytest.raises(ValueError) as info:
+            parse_rational(text)
+        assert str(info.value) == message
 
     def test_missing_field(self):
         with pytest.raises(DocumentError):
@@ -388,6 +427,14 @@ class TestCommands:
         joined = [argv[0], *argv[1:-2], f"{argv[-2]}={argv[-1]}"]
         assert run_cli(joined)[:2] == (code, out)
 
+    @pytest.mark.parametrize("prefix", ["--l", "--li", "--lin"])
+    def test_line_prefix_with_leading_minus(self, prefix):
+        # argparse takes any unambiguous prefix of --line for --line
+        example = str(FIXTURES / "example.json")
+        code, out, err = run_cli(["verify", example, prefix, "-1,0,0"])
+        assert code != 2, err
+        assert (code, out) == run_cli(["verify", example, "--line=-1,0,0"])[:2]
+
     def test_list_option_still_needs_a_value(self):
         code, _, err = run_cli(["identity-check", "--h", "--json"])
         assert code == 2
@@ -424,6 +471,33 @@ class TestParserReuse:
         assert [code for code, _ in rounds[0]] == [0, 0, 2, 0, 0]
         # subparsers are built with the parser's own class, once each
         assert built.count("doubleline") == 1
+        for command in cli._COMMANDS:
+            assert built.count(f"doubleline {command}") == 1, command
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", str(FIXTURES / "example.json")],
+            ["theorem-check", "--trials", "1"],
+            ["identity-check", "--h=0,1,2,3,4,5,6"],
+            ["claim-check", "--h=0,1,2,3,4,5"],
+            ["example"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_one_argparse_pass_per_command(self, monkeypatch, argv):
+        """A known command is parsed by its own parser alone, not by the full
+        parser and then again by the command's."""
+        passes = []
+        parse_known_args = argparse.ArgumentParser.parse_known_args
+
+        def counting(parser, *args, **kwargs):
+            passes.append(parser.prog)
+            return parse_known_args(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+        assert run_cli(argv)[0] == 0
+        assert passes == [f"doubleline {argv[0]}"]
 
 
 class TestAsciiDigits:
@@ -815,6 +889,50 @@ class TestFuzz:
         assert len(others) <= 1, err
         if code == 2:
             assert len(others) == 1 and others[0].startswith("error: "), err
+
+
+# the fuzz tokens, the two commands they leave out with their options and
+# abbreviations of them, and tokens that argparse treats specially
+PARSE_TOKENS = FUZZ_TOKENS + [
+    "theorem-check", "claim-check", "--trials", "--tr", "--seed", "--se", "--nodes-range",
+    "--no", "--random", "--ra", "--json", "--js", "--help", "--he", "--h=-1,0,1,2,3,4",
+    "--seed=-1", "1", "0", "-1", "7", "frobnicate", "",
+]
+_parse_token = st.one_of(st.sampled_from(PARSE_TOKENS), st.text(max_size=6))
+
+
+def _parse_outcome(parse, argv):
+    """The Namespace that ``parse(argv)`` returns, or the exit code, stdout
+    and stderr with which it exits."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            return parse(argv)
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+class TestParseArgv:
+    @settings(max_examples=500)
+    @given(
+        argv=st.one_of(
+            st.lists(_parse_token, max_size=6),
+            st.tuples(st.sampled_from(list(cli._COMMANDS)), st.lists(_parse_token, max_size=5)).map(
+                lambda parts: [parts[0], *parts[1]]
+            ),
+        )
+    )
+    @example(argv=[])
+    @example(argv=["-h"])
+    @example(argv=["--", "example"])
+    @example(argv=["verify", "--help"])
+    @example(argv=["claim-check", "--ra", "1", "--h=0,1,2,3,4,5"])
+    def test_dispatch_matches_the_full_parser(self, argv):
+        """Only parses: a known command goes to its own parser, any other argv
+        to the full one, and both give the same Namespace or the same exit."""
+        assert _parse_outcome(cli.parse_argv, argv) == _parse_outcome(
+            cli.build_parser().parse_args, argv
+        )
 
 
 class TestDeterminismAndJson:
