@@ -50,7 +50,8 @@ from doubleline.sympoly import format_rational
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 # ASCII digit strings, leading zeros included; two of them and "-/" make at
 # most MAX_RATIONAL_CHARS characters
-_DIGITS = st.text(alphabet="0123456789", min_size=1, max_size=MAX_RATIONAL_CHARS // 2 - 1)
+_HALF = MAX_RATIONAL_CHARS // 2
+_DIGITS = st.text(alphabet="0123456789", min_size=1, max_size=_HALF - 1)
 
 
 def run_cli(argv):
@@ -105,7 +106,7 @@ class TestDocuments:
     @example(text="-0")
     @example(text="0/7")
     @example(text="-007/0014")
-    @example(text="-" + "9" * (MAX_RATIONAL_CHARS // 2 - 1) + "/" + "0" * 498 + "6")
+    @example(text="-" + "9" * (_HALF - 1) + "/" + "0" * (_HALF - 2) + "6")  # the longest
     def test_rational_from_its_parts(self, text):
         assert len(text) <= MAX_RATIONAL_CHARS and re.fullmatch(RATIONAL_PATTERN, text)
         assert parse_rational(text) == Fraction(text)
@@ -430,10 +431,10 @@ class TestCommands:
     @pytest.mark.parametrize("prefix", ["--l", "--li", "--lin"])
     def test_line_prefix_with_leading_minus(self, prefix):
         # argparse takes any unambiguous prefix of --line for --line
-        example = str(FIXTURES / "example.json")
-        code, out, err = run_cli(["verify", example, prefix, "-1,0,0"])
+        doc = str(FIXTURES / "example.json")
+        code, out, err = run_cli(["verify", doc, prefix, "-1,0,0"])
         assert code != 2, err
-        assert (code, out) == run_cli(["verify", example, "--line=-1,0,0"])[:2]
+        assert (code, out) == run_cli(["verify", doc, "--line=-1,0,0"])[:2]
 
     def test_list_option_still_needs_a_value(self):
         code, _, err = run_cli(["identity-check", "--h", "--json"])
