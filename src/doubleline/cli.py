@@ -49,8 +49,8 @@ from .record import Record
 from .sympoly import format_rational
 
 # [0-9], not \d: \d, int and Fraction also accept the other Unicode digits
-INTEGER_PATTERN = r"-?[0-9]+"
-RATIONAL_PATTERN = INTEGER_PATTERN + r"(/[0-9]+)?"
+INTEGER_PATTERN = re.compile(r"-?[0-9]+")
+RATIONAL_PATTERN = re.compile(INTEGER_PATTERN.pattern + r"(/[0-9]+)?")
 
 # input caps, enforced while parsing (exit 2)
 MAX_RATIONAL_CHARS = 1_000  # one rational string, in argv or in a document
@@ -63,7 +63,7 @@ MAX_SLOPES_CHARS = 1_000  # identity-check --h: its expansion's cost grows with 
 def parse_rational(text: str) -> Fraction:
     if len(text) > MAX_RATIONAL_CHARS:
         raise ValueError(f"rational string longer than {MAX_RATIONAL_CHARS} characters")
-    if not re.fullmatch(RATIONAL_PATTERN, text):
+    if not RATIONAL_PATTERN.fullmatch(text):
         raise ValueError(f"not a rational string: {text!r}")
     num, _, den = text.partition("/")
     if den and not int(den):
@@ -451,7 +451,7 @@ def _rational_list(text: str, count: int, max_chars: int | None = None) -> tuple
 
 
 def _ascii_int(text: str) -> int:
-    if not re.fullmatch(INTEGER_PATTERN, text):
+    if not INTEGER_PATTERN.fullmatch(text):
         raise ValueError(f"not an integer: {text!r}")  # argparse: "invalid ... value"
     return int(text)
 
@@ -546,12 +546,18 @@ _COMMANDS = {
 }
 
 
+# the list option of each command that has one
+_LIST_OPTIONS = {"verify": "--line", "identity-check": "--h", "claim-check": "--h"}
+
+
 def _attach_list_values(argv: Sequence[str]) -> list[str]:
-    """Rewrite ``--h -1,...`` as ``--h=-1,...``, likewise ``--line`` and its prefixes: a
-    separate value with a leading minus is an option to argparse unless a plain number."""
+    """Rewrite ``--h -1,...`` as ``--h=-1,...`` if the command ``argv[0]`` has ``--h``,
+    likewise ``--line`` and its prefixes (``--l`` on): a separate value with a leading
+    minus is an option to argparse unless a plain number."""
+    option = _LIST_OPTIONS.get(argv[0], "") if argv else ""
     out: list[str] = []
     for arg in argv:
-        if out and out[-1] in ("--h", "--l", "--li", "--lin", "--line") and re.match(r"-[0-9]", arg):
+        if out and len(out[-1]) > 2 and option.startswith(out[-1]) and re.match(r"-[0-9]", arg):
             out[-1] += "=" + arg
         else:
             out.append(arg)

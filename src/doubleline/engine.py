@@ -46,7 +46,7 @@ from .forms import (
     conic_rank,
     divide_by_linear,
     interpolate,
-    line_kernel_basis,
+    line_frame,
     power_sum,
     restrict,
 )
@@ -279,7 +279,12 @@ class TangencyCertificate(Record):
         if {len(self.annihilator), len(alphas), len(values)} != {len(points)}:
             raise StructuralError("certificate vectors do not match the point count")
         ann = self.annihilator
-        if any(sum(x * p ** (5 - k) * r**k for x, (p, r) in zip(ann, points)) for k in range(6)):
+        m0 = m1 = m2 = m3 = m4 = m5 = 0  # m_k = sum_i a_i * p_i^(5-k) * r_i^k, in one pass
+        for x, (p, r) in zip(ann, points):
+            xp, xp3, r2 = x * p, x * p * p * p, r * r
+            m0, m1, m2 = m0 + xp3 * p * p, m1 + xp3 * p * r, m2 + xp3 * r2
+            m3, m4, m5 = m3 + xp * p * r2 * r, m4 + xp * r2 * r2, m5 + x * r2 * r2 * r
+        if m0 or m1 or m2 or m3 or m4 or m5:
             raise TheoremViolationError("annihilator does not kill the degree-5 powers")
         c_den, (c0, c1) = self.cleared_contact
         scale = c_den * den
@@ -294,10 +299,12 @@ class TangencyCertificate(Record):
             raise TheoremViolationError("bridge tensor does not reproduce the line values")
         q_den, (qa, qb, qc) = self.restricted_conic.cleared
         scale = w_den * v_den**2 * den**2
-        for k, (binom, target) in enumerate(zip((1, 2, 1), (qa, qb, qc))):
-            moment = sum(x * v * v * p ** (2 - k) * r**k for x, v, (p, r) in zip(alphas, values, points))
-            if 6 * binom * moment * q_den != target * scale:
-                raise TheoremViolationError("restricted conic does not match its power-sum expression")
+        m0 = m1 = m2 = 0  # m_k = sum_i alpha_i * line_values_i^2 * p_i^(2-k) * r_i^k
+        for al, v, (p, r) in zip(alphas, values, points):
+            t = al * v * v
+            m0, m1, m2 = m0 + t * p * p, m1 + t * p * r, m2 + t * r * r
+        if (6 * m0 * q_den, 12 * m1 * q_den, 6 * m2 * q_den) != (qa * scale, qb * scale, qc * scale):
+            raise TheoremViolationError("restricted conic does not match its power-sum expression")
         # the polarization at the contact vector, against (1, 0) and (0, 1), times 2 * q_den * c_den
         if 2 * qa * c0 + qb * c1 or qb * c0 + 2 * qc * c1:
             raise TheoremViolationError("contact vector is not in the polar kernel")
@@ -321,13 +328,13 @@ def tangency_certificate(
     The annihilator's zero-entry check cannot fire: entry i is M over the
     product of the brackets [L_j, L_i], j != i, nonzero for distinct points.
     It stays because the witnesses divide by the entries."""
-    bd, (b0, b1) = line_kernel_basis(line)
+    (bd, (b0, b1)), (td, t) = line_frame(line)
     ld, rows = dec.cleared_rows
-    den = ld * bd
     # a linear form restricts to its coefficients paired with the kernel basis
     points = [(sum(map(mul, row, b0)), sum(map(mul, row, b1))) for row in rows]
-    den, flat = cleared(den, [x for point in points for x in point])
-    points = list(zip(flat[::2], flat[1::2]))
+    den = ld * bd  # positive, so the canonical pair divides by the gcd alone
+    g = gcd(den, *[x for point in points for x in point])
+    den, points = den // g, [(p // g, r // g) for p, r in points]
     try:
         # seven points at degree 5 leave one free index, so one kernel vector
         [(annihilator,)] = moment_kernel(points, (5,))
@@ -342,11 +349,7 @@ def tangency_certificate(
     scaled = [w * (a // x) for w, x in zip(ws[:3], annihilator)]
     contact = cleared(*interpolate(points[:2], [den * s for s in scaled[:2]], wd * a))
 
-    # the transversal point e_j / c_j, c_j the line's last nonzero coefficient, is t / td
-    lc = line.linear_ints()
-    j = max(i for i, c in enumerate(lc) if c)
-    td, t = cleared(lc[j], tuple(line.den if i == j else 0 for i in range(3)))
-    lvs = [sum(map(mul, row, t)) for row in rows]  # ld * td times the line values
+    lvs = [sum(map(mul, row, t)) for row in rows]  # ld * td times the values at the transversal point
     b_den, b = interpolate(points[:3], [den * den * s * v for s, v in zip(scaled, lvs)], wd * ld * td * a)
 
     certificate = TangencyCertificate(

@@ -32,6 +32,7 @@ Monomial = tuple[int, ...]
 Point = Sequence[Fraction | int]
 UNITS = tuple(1 << (sympoly.BITS * i) for i in range(3))  # the packed keys of x0, x1, x2
 _QUADRATIC_KEYS = tuple(2 - k + (k << sympoly.BITS) for k in range(3))  # y0^2, y0*y1, y1^2
+_CONIC_INDEX = {UNITS[i] + UNITS[j]: (i, j) for i in range(3) for j in range(i, 3)}
 
 
 class HomogeneousForm(Record):
@@ -207,8 +208,8 @@ class FormTuple(Record):
 def cleared_rows(forms: Sequence[HomogeneousForm]) -> tuple[int, tuple[IntVector, ...]]:
     """The common denominator D of linear forms and their coefficient rows
     times D; a form of another degree raises StructuralError."""
-    den = lcm(*(f.den for f in forms))
-    return den, tuple(tuple(c * (den // f.den) for c in f.linear_ints()) for f in forms)
+    den = lcm(*[f.den for f in forms])
+    return den, tuple([tuple([c * (den // f.den) for c in f.linear_ints()]) for f in forms])
 
 
 @lru_cache(maxsize=8)
@@ -240,12 +241,16 @@ def power_sum(weights: Cleared, rows: tuple[int, Sequence[IntVector]], exponent:
         raise StructuralError("a power sum needs one weight per row and rows all of length 2 or all of 3")
     (num_vars,) = lengths
     table = _monomial_table(num_vars, exponent)
+    monos = [m for m, _, _ in table]
     moments = [0] * len(table)
-    ks = range(exponent + 1)
     for w, (c0, c1, c2) in zip(ws, (row + (0, 0)[: 3 - len(row)] for row in rows)):
         if w:
-            p0, p1, p2 = [w * c0**k for k in ks], [c1**k for k in ks], [c2**k for k in ks]
-            moments = [s + p0[a] * p1[b] * p2[c] for s, ((a, b, c), _, _) in zip(moments, table)]
+            p0, p1, p2 = [w], [1], [1]  # w * c0**k, c1**k and c2**k for k = 0..exponent
+            for _ in range(exponent):
+                p0.append(p0[-1] * c0)
+                p1.append(p1[-1] * c1)
+                p2.append(p2[-1] * c2)
+            moments = [s + p0[a] * p1[b] * p2[c] for s, (a, b, c) in zip(moments, monos)]
     poly = {key: multinomial * s for (_, key, multinomial), s in zip(table, moments) if s}
     try:  # the form's gcd takes ints only
         return HomogeneousForm(num_vars, exponent, wd * ld**exponent, poly)
@@ -426,9 +431,9 @@ def divide_by_linear(f: HomogeneousForm, line: HomogeneousForm) -> tuple[Homogen
                 if not acc:
                     del work[m2]
     # f = (line.den * line) * quotient + remainder over f.den * scale
-    den = f.den * scale
+    den, quot = f.den * scale, quot if line.den == 1 else sympoly.scale(quot, line.den)
     return (
-        HomogeneousForm(f.num_vars, f.degree - 1, den, sympoly.scale(quot, line.den)),
+        HomogeneousForm(f.num_vars, f.degree - 1, den, quot),
         HomogeneousForm(f.num_vars, f.degree, den, work),
     )
 
@@ -444,6 +449,13 @@ def line_kernel_basis(line: HomogeneousForm) -> tuple[int, tuple[IntVector, IntV
     vectors are the remaining coordinate vectors corrected by -(c_i/c_j) e_j.
     For line = x2 this is (1, (e0, e1)): restriction is substitution x2 := 0.
     """
+    return line_frame(line)[0]
+
+
+@lru_cache(maxsize=16)  # a line's frame is computed once, keyed by its shape, den and ints
+def line_frame(line: HomogeneousForm) -> tuple[tuple[int, tuple[IntVector, IntVector]], Cleared]:
+    """``line_kernel_basis`` and the canonical pair of the transversal point
+    e_j / c_j (j as there), where ``line`` takes the value 1."""
     if line.degree != 1 or line.num_vars != 3:
         raise StructuralError("expected a linear form in three variables")
     if line.is_zero():
@@ -454,9 +466,9 @@ def line_kernel_basis(line: HomogeneousForm) -> tuple[int, tuple[IntVector, IntV
     if coeffs[j] < 0:
         g = -g
     # c_j * (e_i - (c_i/c_j) e_j) = c_j e_i - c_i e_j, all divided by the content
-    den, cs = coeffs[j] // g, [c // g for c in coeffs]
-    b0, b1 = (tuple(den * (k == i) - cs[i] * (k == j) for k in range(3)) for i in range(3) if i != j)
-    return den, (b0, b1)
+    bd, cs = coeffs[j] // g, [c // g for c in coeffs]
+    b0, b1 = (tuple(bd * (k == i) - cs[i] * (k == j) for k in range(3)) for i in range(3) if i != j)
+    return (bd, (b0, b1)), cleared(coeffs[j], tuple(line.den if i == j else 0 for i in range(3)))
 
 
 def restrict(f: HomogeneousForm, line: HomogeneousForm) -> HomogeneousForm:
@@ -495,8 +507,7 @@ def conic_rank(q: HomogeneousForm) -> int:
         raise StructuralError("expected a quadratic form in three variables")
     rows = [[0] * 3 for _ in range(3)]
     for key, c in q.poly.items():
-        # the two variable indices of the monomial; equal for a square
-        i, j = (k for k, e in enumerate(sympoly.exponents(key, 3)) for _ in range(e))
+        i, j = _CONIC_INDEX[key]  # the monomial's two variable indices, equal for a square
         rows[i][j] += c
         rows[j][i] += c
     return rank(rows)

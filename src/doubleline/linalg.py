@@ -130,31 +130,30 @@ def moment_kernel(points: Sequence[tuple[int, int]], degrees: Sequence[int]) -> 
     """
     if any(degree < -1 for degree in degrees):
         raise StructuralError("degree must be at least -1")
+    # col[i][j] = [P_j, P_i]; a column has its zero on the diagonal, and others only if degenerate
+    col = [[aj * bi - bj * ai for aj, bj in points] for ai, bi in points]
     n = len(points)
-    det = [[0] * n for _ in range(n)]  # det[j][i] = [P_j, P_i]
-    for i, (ai, bi) in enumerate(points):
-        if not (ai or bi):
-            raise DegenerateNodesError(f"point {i} is zero")
-        for j, (aj, bj) in enumerate(points[:i]):
-            det[j][i] = aj * bi - bj * ai
-            det[i][j] = -det[j][i]
-            if not det[j][i]:
+    if sum(c.count(0) for c in col) != n or not all(map(any, points)):
+        for i, ((ai, bi), c) in enumerate(zip(points, col)):
+            if not (ai or bi):
+                raise DegenerateNodesError(f"point {i} is zero")
+            if (j := c.index(0)) < i:
                 raise DegenerateNodesError(f"points {j} and {i} are proportional")
     bases: list[list[IntVector]] = []
     for degree in degrees:
-        pivots = range(min(degree + 1, n))
-        pivot_prods = [prod(det[j][i] for j in pivots if j != i) for i in pivots]  # shared by every f
+        k = min(degree + 1, n)  # the pivots are 0..k-1
+        # shared by every f: column i's brackets over the pivots but i
+        pivot_prods = [prod(c[:i]) * prod(c[i + 1 : k]) for i, c in enumerate(col[:k])]
         basis: list[IntVector] = []
-        for f in range(degree + 1, n):
-            prods = [*(p * det[f][i] for i, p in enumerate(pivot_prods)), prod(det[j][f] for j in pivots)]
+        for f in range(k, n):
+            prods = [*(p * c[f] for p, c in zip(pivot_prods, col)), prod(col[f][:k])]
             # M / prod_i has content 1: gcd_i(M / |prod_i|) = M / lcm_i |prod_i| = 1
             try:
                 m = lcm(*prods) if prods[0] > 0 else -lcm(*prods)
             except TypeError:
                 raise InvalidInputError(f"expected int points, got {points!r}") from None
-            vec = [0] * n
-            for i, p in zip([*pivots, f], prods):
-                vec[i] = m // p
+            vec = [m // p for p in prods[:k]] + [0] * (n - k)
+            vec[f] = m // prods[k]
             basis.append(tuple(vec))
         bases.append(basis)
     # the int-only lcm meets a bracket only at a degree >= 0 with a free index

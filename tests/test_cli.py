@@ -436,6 +436,20 @@ class TestCommands:
         assert code != 2, err
         assert (code, out) == run_cli(["verify", doc, "--line=-1,0,0"])[:2]
 
+    @pytest.mark.parametrize(
+        "argv", [["verify", str(FIXTURES / "example.json"), "--h"], ["--h"]], ids=["verify", "no-command"]
+    )
+    def test_value_after_another_commands_list_option_stays_apart(self, argv):
+        # with no --h option of its own, a parser takes --h for --help, which
+        # takes no value: a value with a leading minus is left where it was typed
+        code, out, err = run_cli([*argv, "-1,0,0"])
+        assert (code, out, err) == run_cli([*argv, "1,0,0"])
+        assert code == 0 and out.startswith("usage: doubleline")
+
+    def test_unknown_option_is_reported_as_typed(self):
+        code, out, err = run_cli(["theorem-check", "--lin", "-1"])
+        assert (code, out, err) == (2, "", "error: unrecognized arguments: --lin -1\n")
+
     def test_list_option_still_needs_a_value(self):
         code, _, err = run_cli(["identity-check", "--h", "--json"])
         assert code == 2

@@ -23,7 +23,7 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from doubleline import sympoly
+from doubleline import linalg, sympoly
 from doubleline.errors import InvalidInputError, StructuralError
 from doubleline.forms import (
     BinaryQuadratic,
@@ -315,6 +315,23 @@ class TestRepresentation:
         assert_canonical(remainder)
 
 
+def test_divide_by_a_line_with_a_denominator():
+    # f = line * q + r with r free of the pivot x0 is divided back into q and
+    # r exactly, for lines over den 6 and 35 whose pivot ints are 6 and 7
+    rng = random.Random(23)
+    for coeffs in [(1, Fraction(1, 2), Fraction(-1, 3)), (Fraction(1, 5), Fraction(2, 7), 0)]:
+        line = HomogeneousForm.linear(coeffs)
+        assert line.den != 1
+        for d in range(1, 5):
+            q_terms = {m: random_fraction(rng) for m in monomials(3, d - 1)}
+            r_terms = {m: random_fraction(rng) for m in monomials(3, d) if m[0] == 0}
+            q, r = HomogeneousForm.from_terms(3, d - 1, q_terms), HomogeneousForm.from_terms(3, d, r_terms)
+            quotient, remainder = divide_by_linear(line * q + r, line)
+            assert (quotient, remainder) == (q, r)
+            assert_canonical(quotient)
+            assert_canonical(remainder)
+
+
 class TestAgainstReference:
     """Every operator against the exponent-tuple Fraction reference of
     ``conftest``, on forms whose coefficients mix denominators; each result
@@ -421,6 +438,22 @@ class TestTuples:
             assert total.terms == expected
             assert all(type(c) is Fraction for c in total.terms.values())
 
+    @pytest.mark.parametrize("num_vars", [2, 3])
+    @pytest.mark.parametrize("exponent", [0, 1, 5])
+    def test_power_sum_matches_the_expansion(self, num_vars, exponent):
+        # against sum_i w_i * l_i**exponent by the form operators, a zero
+        # weight and a zero row included
+        rng = random.Random(10 * num_vars + exponent)
+        weights = [random_fraction(rng) for _ in range(5)] + [0, Fraction(3, 4)]
+        rows = [[random_fraction(rng) for _ in range(num_vars)] for _ in range(6)] + [[0] * num_vars]
+        lines = [HomogeneousForm.linear(r) for r in rows]
+        expected = HomogeneousForm.zero(num_vars, exponent)
+        for w, line in zip(weights, lines):
+            expected = expected + w * line**exponent
+        total = power_sum(sympoly.clear_denominators(weights), cleared_rows(lines), exponent)
+        assert total == expected
+        assert_canonical(total)
+
 
 class TestEvaluate:
     """A form's value at a point, read from its ``terms`` by ``conftest.evaluate``."""
@@ -516,6 +549,36 @@ class TestRestrict:
     @given(form_st(3, 2), form_st(3, 2), nonzero_linear_st(3))
     def test_ring_homomorphism(self, f, g, line):
         assert restrict(f * g, line) == restrict(f, line) * restrict(g, line)
+
+    def test_one_basis_for_a_line_and_its_multiples(self):
+        # the basis depends on the line's coefficients only up to a nonzero
+        # factor, so every multiple reads the same pair, warm cache or cold
+        rng = random.Random(31)
+        fixed = [(0, 0, 1), (2, 4, -6), (0, Fraction(4, 3), Fraction(-2, 3)), (Fraction(-1, 2), 0, 0)]
+        randoms = [[random_fraction(rng) for _ in range(3)] for _ in range(20)]
+        for coeffs in fixed + [c for c in randoms if any(c)]:
+            line = HomogeneousForm.linear(coeffs)
+            den, basis = line_kernel_basis(line)
+            expected = reference_kernel_basis(line)
+            assert tuple(tuple(Fraction(x, den) for x in b) for b in basis) == expected
+            for factor in (1, -1, 3, Fraction(-2, 7), Fraction(5, 3)):
+                assert line_kernel_basis(factor * line) == (den, basis)
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            (HomogeneousForm.zero(3, 1), InvalidInputError),
+            (X2**2, StructuralError),
+            (HomogeneousForm.zero(3, 2), StructuralError),
+            (HomogeneousForm.linear((0, 1)), StructuralError),
+        ],
+        ids=["zero-line", "square", "zero-conic", "binary-line"],
+    )
+    def test_bad_lines_rejected_with_a_warm_cache(self, bad, error):
+        line_kernel_basis(X2)
+        for _ in range(2):  # a rejection is not remembered either
+            with pytest.raises(error):
+                line_kernel_basis(bad)
 
 
 def apply_change(q, rows):
@@ -720,6 +783,25 @@ class TestConics:
             for _ in range(20):
                 rows = random_invertible_3x3(rng)
                 assert conic_rank(apply_change(q, rows)) == expected
+
+    def test_rank_matches_the_matrix_of_terms(self):
+        # the symmetric matrix read from the exponent tuples of ``terms``, not
+        # from packed keys, cleared to ints for linalg.rank
+        rng = random.Random(19)
+        singles = [HomogeneousForm.from_terms(3, 2, {m: 1}) for m in monomials(3, 2)]
+        randoms = []
+        for _ in range(60):
+            terms = {m: random_fraction(rng) for m in monomials(3, 2) if rng.random() < 0.6}
+            randoms.append(HomogeneousForm.from_terms(3, 2, terms))
+        for q in [HomogeneousForm.zero(3, 2), *singles, *randoms]:
+            matrix = [[Fraction(0)] * 3 for _ in range(3)]
+            for mono, c in q.terms.items():
+                i, j = (k for k, e in enumerate(mono) for _ in range(e))
+                matrix[i][j] += c / 2
+                matrix[j][i] += c / 2
+            den = lcm(*(x.denominator for row in matrix for x in row))
+            expected = linalg.rank([[int(x * den) for x in row] for row in matrix])
+            assert conic_rank(q) == expected == minor_rank(matrix)
 
     def test_not_tangent_reference(self):
         q = parse_form("6*x0^2 + 6*x0*x1 + 3*x1^2 + x2^2", 3)

@@ -178,6 +178,29 @@ class TestMomentKernel:
         with pytest.raises(DegenerateNodesError, match="point 1 is zero"):
             moment_kernel([(1, 2), (0, 0)], (0,))
 
+    def test_the_first_degeneracy_is_reported(self):
+        # in the order i = 0, 1, ...: point i zero, else the least j < i with
+        # P_j proportional to P_i; a lone zero point included
+        rng = random.Random(17)
+        cases = [[(0, 0)], [(0, 0), (0, 0)], [(1, 1), (0, 0), (3, 3)], [(2, -1)], [(1, 0), (0, 1)]]
+        for _ in range(300):
+            cases.append([(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(rng.randint(1, 6))])
+        for points in cases:
+            expected = None
+            for i, (a, b) in enumerate(points):
+                j = next((j for j, (c, d) in enumerate(points[:i]) if c * b == d * a), None)
+                if not (a or b):
+                    expected = f"point {i} is zero"
+                elif j is not None:
+                    expected = f"points {j} and {i} are proportional"
+                if expected:
+                    break
+            if expected is None:
+                assert [len(b) for b in moment_kernel(points, (0, -1))] == [len(points) - 1, len(points)]
+            else:
+                with pytest.raises(DegenerateNodesError, match=f"^{expected}$"):
+                    moment_kernel(points, (0, -1))
+
     @pytest.mark.parametrize(
         "points",
         [

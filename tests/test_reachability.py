@@ -56,7 +56,6 @@ UNREACHED = {
     "rref": "wrapped by name in bench/spans.py",
     "HomogeneousForm.__neg__": "wrapped by name in bench/spans.py",
     "HomogeneousForm.__sub__": "wrapped by name in bench/spans.py",
-    "HomogeneousForm.__hash__": "forms are hashable values",
     "HomogeneousForm.__repr__": "pytest prints forms on failure",
     "HomogeneousForm.__str__": "str() of a form is its rendering",
     "Record.__hash__": "records are hashable values",
