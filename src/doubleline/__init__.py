@@ -2,9 +2,9 @@
 
 Public surface: exact homogeneous forms, conic rank and tangency
 (``forms``, shape-checked views over the one polynomial core ``sympoly``),
-rational linear algebra and closed-form moment kernels (``linalg``), the
-decomposition engine with tangency certificates and symbolic identity checks
-(``engine``), and the ``doubleline`` command-line driver (``cli``).
+rationals, their linear algebra and closed-form moment kernels (``linalg``),
+the decomposition engine with tangency certificates and symbolic identity
+checks (``engine``), and the ``doubleline`` command-line driver (``cli``).
 """
 
 from .engine import (

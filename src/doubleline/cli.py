@@ -45,8 +45,8 @@ from .forms import (
     parse_form,
     render_form,
 )
+from .linalg import format_rational
 from .record import Record
-from .sympoly import format_rational
 
 # [0-9], not \d: \d, int and Fraction also accept the other Unicode digits
 INTEGER_PATTERN = re.compile(r"-?[0-9]+")

@@ -54,6 +54,7 @@ from .linalg import (
     Cleared,
     IntVector,
     VandermondeSystem,
+    clear_denominators,
     cleared,
     moment_kernel,
     normalize_vector,
@@ -81,7 +82,7 @@ class WaringDecomposition(Record):
         vars(self)["terms"] = terms = tuple(self.terms)
         if any(form.num_vars != 3 or form.degree != 1 for _, form in terms):
             raise StructuralError("decomposition terms must be linear forms in three variables")
-        vars(self)["cleared_weights"] = sympoly.clear_denominators([w for w, _ in terms])
+        vars(self)["cleared_weights"] = clear_denominators([w for w, _ in terms])
         vars(self)["cleared_rows"] = cleared_rows([f for _, f in terms])
 
     @property
@@ -123,7 +124,7 @@ class CoordinateInstance(Record):
         for name in self._fields:
             given = tuple(vars(self)[name])  # a pair (den, tuple of ints), or rationals, none a tuple
             is_pair = len(given) == 2 and isinstance(given[1], tuple)
-            vars(self)[name] = cleared(*(given if is_pair else sympoly.clear_denominators(given)))
+            vars(self)[name] = cleared(*(given if is_pair else clear_denominators(given)))
         n = self.n
         if n not in (6, 7):
             raise StructuralError(f"coordinate instances have 6 or 7 terms, got {n}")
@@ -568,7 +569,7 @@ def generate_six_term_family(
     nondegenerate conic; ``two_value_collapse_check`` derives that conic and
     its rank.  The seed draws c in -9..9 without 0 and s in 1..9 for each triple.
     """
-    hd, (ha, hb) = sympoly.clear_denominators(slope_pair)
+    hd, (ha, hb) = clear_denominators(slope_pair)
     if ha == hb:
         raise InvalidInputError("slope pair must be distinct")
     rng = random.Random(f"six-term:{seed}")
@@ -615,7 +616,7 @@ def generate_tangent_instance(
         raise StructuralError(f"expected 7 slopes, got {len(system.nodes)}")
     if len(lift_params) != 3:
         raise StructuralError("expected 3 lift parameters")
-    pd, ps = sympoly.clear_denominators(lift_params)
+    pd, ps = clear_denominators(lift_params)
     # on ints: the kernel bases (U, V) and B_j are integer, parameters cleared to P_j / pd;
     # weight i is s*U_i + t*V_i, lift i is sum_j P_j*B_j[i] / pd / weight i
     (us, vs), beta_basis = vandermonde_nullspace(system)

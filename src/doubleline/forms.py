@@ -25,7 +25,9 @@ from typing import Mapping, Sequence
 
 from . import sympoly
 from .errors import InvalidInputError, StructuralError
-from .linalg import Cleared, IntVector, cleared, normalize_vector, rank
+from .linalg import (
+    Cleared, IntVector, clear_denominators, cleared, format_rational, normalize_vector, rank, rational
+)
 from .record import Record
 
 Monomial = tuple[int, ...]
@@ -75,10 +77,10 @@ class HomogeneousForm(Record):
                 raise StructuralError(f"monomial {mono} does not have degree {degree}")
             # rejects a negative exponent, and one too large for its packed field
             key = sympoly.monomial(mono)
-            c = sympoly.rational(coeff)
+            c = rational(coeff)
             if c:
                 exact[key] = c
-        den, nums = sympoly.clear_denominators(exact.values())
+        den, nums = clear_denominators(exact.values())
         return cls(num_vars, degree, den, dict(zip(exact, nums)))
 
     # construction helpers
@@ -97,7 +99,7 @@ class HomogeneousForm(Record):
     def linear(cls, coeffs: Point) -> "HomogeneousForm":
         if len(coeffs) not in (2, 3):
             raise StructuralError(f"num_vars must be 2 or 3, got {len(coeffs)}")
-        den, nums = sympoly.clear_denominators(coeffs)
+        den, nums = clear_denominators(coeffs)
         return cls(len(coeffs), 1, den, {u: c for u, c in zip(UNITS, nums) if c})
 
     # basic accessors
@@ -306,11 +308,11 @@ def render_form(f: HomogeneousForm) -> str:
         mag = -coeff if coeff < 0 else coeff
         mono_str = _render_monomial(mono)
         if not mono_str:
-            body = sympoly.format_rational(mag)
+            body = format_rational(mag)
         elif mag == 1:
             body = mono_str
         else:
-            body = f"{sympoly.format_rational(mag)}*{mono_str}"
+            body = f"{format_rational(mag)}*{mono_str}"
         if idx == 0:
             pieces.append(body if sign == "+" else f"-{body}")
         else:
@@ -441,32 +443,22 @@ def divide_by_linear(f: HomogeneousForm, line: HomogeneousForm) -> tuple[Homogen
 # restriction to the kernel of a line
 
 
-def line_kernel_basis(line: HomogeneousForm) -> tuple[int, tuple[IntVector, IntVector]]:
-    """Deterministic basis of the plane where ``line`` vanishes, as its least
-    positive denominator D and the int vectors D * b0, D * b1.
-
-    With j the largest index carrying a nonzero coefficient, the basis
-    vectors are the remaining coordinate vectors corrected by -(c_i/c_j) e_j.
-    For line = x2 this is (1, (e0, e1)): restriction is substitution x2 := 0.
-    """
-    return line_frame(line)[0]
-
-
 @lru_cache(maxsize=16)  # a line's frame is computed once, keyed by its shape, den and ints
 def line_frame(line: HomogeneousForm) -> tuple[tuple[int, tuple[IntVector, IntVector]], Cleared]:
-    """``line_kernel_basis`` and the canonical pair of the transversal point
-    e_j / c_j (j as there), where ``line`` takes the value 1."""
+    """A deterministic basis of the plane where ``line`` vanishes, as its least
+    positive denominator D and the int vectors D * b0, D * b1, and the canonical
+    pair of the transversal point e_j / c_j, where ``line`` is 1.  With j the
+    largest index of a nonzero coefficient c_j, the b_i are the other coordinate
+    vectors corrected by -(c_i/c_j) e_j; for line = x2 the basis is
+    (1, (e0, e1)): restriction is substitution x2 := 0."""
     if line.degree != 1 or line.num_vars != 3:
         raise StructuralError("expected a linear form in three variables")
     if line.is_zero():
         raise InvalidInputError("zero line has no kernel plane")
     coeffs = line.linear_ints()
-    g = gcd(*coeffs)
     j = max(i for i, c in enumerate(coeffs) if c)
-    if coeffs[j] < 0:
-        g = -g
     # c_j * (e_i - (c_i/c_j) e_j) = c_j e_i - c_i e_j, all divided by the content
-    bd, cs = coeffs[j] // g, [c // g for c in coeffs]
+    bd, cs = cleared(coeffs[j], coeffs)
     b0, b1 = (tuple(bd * (k == i) - cs[i] * (k == j) for k in range(3)) for i in range(3) if i != j)
     return (bd, (b0, b1)), cleared(coeffs[j], tuple(line.den if i == j else 0 for i in range(3)))
 
@@ -477,7 +469,9 @@ def restrict(f: HomogeneousForm, line: HomogeneousForm) -> HomogeneousForm:
     integer vectors D * b0 and D * b1 and f held as ints over E, g is the
     interpolant of the ints' values there at the plane points
     (1, 0), (1, 1), ..., (1, d - 1), (0, 1), divided by E * D**d."""
-    den, (b0, b1) = line_kernel_basis(line)
+    if f.num_vars != 3:
+        raise StructuralError("expected a form in three variables")
+    (den, (b0, b1)), _ = line_frame(line)
     d = f.degree
     plane = [*((1, t) for t in range(d)), (0, 1)]
     values = [_int_value(f.poly, [s * u + t * v for u, v in zip(b0, b1)]) for s, t in plane]
@@ -488,8 +482,8 @@ def restrict(f: HomogeneousForm, line: HomogeneousForm) -> HomogeneousForm:
 
 def embed_in_plane(line: HomogeneousForm, point: Point) -> tuple[Fraction, ...]:
     """Lift a point given in kernel-plane coordinates back to 3-space."""
-    den, (b0, b1) = line_kernel_basis(line)
-    t0, t1 = map(sympoly.rational, point)
+    (den, (b0, b1)), _ = line_frame(line)
+    t0, t1 = map(rational, point)
     return tuple((t0 * a + t1 * b) / den for a, b in zip(b0, b1))
 
 
@@ -541,8 +535,8 @@ class BinaryQuadratic(Record):
 
     def polar(self, w: Point, u: Point) -> Fraction:
         den, (a, b, c) = self.cleared
-        w0, w1 = map(sympoly.rational, w)
-        u0, u1 = map(sympoly.rational, u)
+        w0, w1 = map(rational, w)
+        u0, u1 = map(rational, u)
         return (2 * a * w0 * u0 + b * (w0 * u1 + w1 * u0) + 2 * c * w1 * u1) / (2 * den)
 
     def tangency(self) -> tuple[bool, IntVector | None]:

@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact rationals, and dense linear algebra over them.
 
 Elimination is used only for ranks, which also compare row spaces.  It is
 done fraction-free, in one loop: rows are cleared to integers and reduced
@@ -21,17 +21,20 @@ M the lcm of the bracket products, signed to make its leading entry positive:
 its content is 1, as some prod_i carries M's full power of each prime, so
 every kernel vector is a primitive integer tuple and no entry is a Fraction.
 
-Matrices are sequences of rows, all of one length; the public functions
-leave their arguments unchanged and return fresh objects.
+A rational is an int or a Fraction (``rational``, ``format_rational``); a
+vector of them is held as ints over one denominator (``clear_denominators``),
+canonically the ``Cleared`` pair (``cleared``).  Matrices are sequences of
+rows, all of one length; the public functions leave their arguments
+unchanged and return fresh objects.
 """
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm, prod
-from typing import Sequence
+from typing import Collection, Sequence
 
-from . import sympoly
 from .errors import DegenerateNodesError, InvalidInputError, StructuralError
 from .record import Record
 
@@ -52,6 +55,34 @@ def cleared(den: int, ints: Sequence[int]) -> Cleared:
     if den < 0:
         g = -g
     return den // g, tuple(x // g for x in ints)
+
+
+def rational(x: Fraction | int) -> Fraction:
+    """``x`` as a Fraction (a Fraction itself); InvalidInputError for a float or another non-rational."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    raise InvalidInputError(f"expected an int or a Fraction, got {x!r}")
+
+
+def clear_denominators(values: Collection[Fraction | int]) -> tuple[int, IntVector]:
+    """The lcm D of the denominators of ``values`` and the ints D * value, a pair
+    with gcd 1 (D = 1 for ints); InvalidInputError for a float or another non-rational."""
+    if all(type(x) is int for x in values):
+        return 1, tuple(values)
+    try:
+        den = lcm(*(x.denominator for x in values))
+    except AttributeError:
+        bad = next(x for x in values if not hasattr(x, "denominator"))
+        raise InvalidInputError(f"expected an int or a Fraction, got {bad!r}") from None
+    return den, tuple(x.numerator * (den // x.denominator) for x in values)
+
+
+def format_rational(x: Fraction | int) -> str:
+    """``p`` or ``p/q`` at any size: unlike an int's, a Decimal's str has no digit limit."""
+    num = str(Decimal(x.numerator))
+    return num if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"
 
 
 def _bareiss(work: list[list[int]], ncols: int) -> list[int]:
@@ -91,7 +122,7 @@ def rank(rows: Sequence[Sequence[int]]) -> int:
 def rref(rows: Sequence[Sequence[Fraction | int]]) -> tuple[list[list[Fraction]], int, tuple[int, ...]]:
     """Reduced row echelon form (zero rows last), rank and pivot columns of
     the matrix with these rows (all of one length)."""
-    work = [list(sympoly.clear_denominators(row)[1]) for row in rows]
+    work = [list(clear_denominators(row)[1]) for row in rows]
     pivot_cols = _bareiss(work, len(work[0]) if work else 0)
     # Bareiss leaves the rows past the rank zero
     reduced = [[Fraction(x) for x in row] for row in work]
@@ -171,7 +202,7 @@ class VandermondeSystem(Record):
     max_powers: tuple[int, ...]
 
     def __post_init__(self):
-        vars(self)["cleared_nodes"] = sympoly.clear_denominators(self.nodes)
+        vars(self)["cleared_nodes"] = clear_denominators(self.nodes)
 
 
 def vandermonde_nullspace(system: VandermondeSystem) -> list[list[IntVector]]:
@@ -205,8 +236,8 @@ def weighted_moment_kernel(
     each basis member is then b_i / weights_i, which requires every weight to
     be nonzero.
     """
-    hs = tuple(map(sympoly.rational, nodes))
-    ws = tuple(map(sympoly.rational, weights))  # b / a stays exact for int kernel vectors b
+    hs = tuple(map(rational, nodes))
+    ws = tuple(map(rational, weights))  # b / a stays exact for int kernel vectors b
     if len(hs) != len(ws):
         raise StructuralError("nodes and weights must have equal length")
     (raw,) = vandermonde_nullspace(VandermondeSystem(hs, (max_power,)))  # rejects repeated nodes first

@@ -22,12 +22,10 @@ cheaper than Fraction arithmetic.
 
 from __future__ import annotations
 
-from decimal import Decimal
 from fractions import Fraction
-from math import lcm
-from typing import Collection, Sequence
+from typing import Sequence
 
-from .errors import InvalidInputError, StructuralError
+from .errors import StructuralError
 
 BITS = 16
 MAX_VARS = 32
@@ -56,35 +54,6 @@ def exponents(term: Term, nvars: int) -> tuple[int, ...]:
     return tuple((term >> (BITS * i)) & FIELD for i in range(nvars))
 
 
-def rational(x: Coefficient) -> Fraction:
-    """``x`` as a Fraction, a given Fraction itself; InvalidInputError for a
-    float or any other value that is neither an int nor a Fraction."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise InvalidInputError(f"expected an int or a Fraction, got {x!r}")
-
-
-def clear_denominators(values: Collection[Coefficient]) -> tuple[int, tuple[int, ...]]:
-    """The lcm D of the denominators of ``values`` and the ints D * value, a pair
-    with gcd 1 (D = 1 for ints); InvalidInputError for a float or another non-rational."""
-    if all(type(x) is int for x in values):
-        return 1, tuple(values)
-    try:
-        den = lcm(*(x.denominator for x in values))
-    except AttributeError:
-        bad = next(x for x in values if not hasattr(x, "denominator"))
-        raise InvalidInputError(f"expected an int or a Fraction, got {bad!r}") from None
-    return den, tuple(x.numerator * (den // x.denominator) for x in values)
-
-
-def format_rational(x: Coefficient) -> str:
-    """``p`` or ``p/q`` at any size: unlike an int's, a Decimal's str has no digit limit."""
-    num = str(Decimal(x.numerator))
-    return num if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"
-
-
 def add(p: Poly, q: Poly) -> Poly:
     out = dict(p)
     for term, c in q.items():
@@ -103,25 +72,14 @@ def scale(p: Poly, value: Coefficient) -> Poly:
 
 
 def mul(p: Poly, q: Poly) -> Poly:
-    """p*q in a new dict.  A square (``q is p``) visits each unordered pair of
-    terms once: c*c on the diagonal and 2*c1*c2 off it."""
+    """p*q in a new dict, from every ordered pair of terms."""
     out: Poly = {}
     get = out.get
-    if q is p:
-        terms = list(p.items())
-        for k, (t1, c1) in enumerate(terms):
-            term = t1 + t1
-            out[term] = get(term, 0) + c1 * c1
-            c1 += c1  # each cross term t1 + t2 stands for two ordered pairs
-            for t2, c2 in terms[k + 1 :]:
-                term = t1 + t2
-                out[term] = get(term, 0) + c1 * c2
-    else:
-        q_terms = list(q.items())
-        for t1, c1 in p.items():
-            for t2, c2 in q_terms:
-                term = t1 + t2
-                out[term] = get(term, 0) + c1 * c2
+    q_terms = list(q.items())
+    for t1, c1 in p.items():
+        for t2, c2 in q_terms:
+            term = t1 + t2
+            out[term] = get(term, 0) + c1 * c2
     if any(term & _GUARD for term in out):
         raise StructuralError(f"exponent above {MAX_EXPONENT} in a product")
     return {t: c for t, c in out.items() if c}

@@ -10,7 +10,7 @@ from math import comb, gcd, lcm, prod
 
 from hypothesis import settings
 
-from doubleline import engine, linalg, sympoly
+from doubleline import engine, forms, linalg, sympoly
 from doubleline.errors import GenerationFailureError
 from doubleline.forms import BinaryQuadratic
 from doubleline.linalg import VandermondeSystem, vandermonde_nullspace
@@ -363,6 +363,15 @@ def count_calls(monkeypatch, module, name: str) -> list:
         return original(*args, **kwargs)
 
     monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def count_clearings(monkeypatch) -> list:
+    """``count_calls`` on ``linalg.clear_denominators``, with the one wrapper
+    also set where ``forms`` and ``engine`` import it, so every call counts."""
+    calls = count_calls(monkeypatch, linalg, "clear_denominators")
+    for module in (forms, engine):
+        monkeypatch.setattr(module, "clear_denominators", linalg.clear_denominators)
     return calls
 
 

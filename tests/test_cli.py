@@ -17,6 +17,7 @@ import pytest
 from conftest import (
     ZERO_WEIGHT_TRIPLES,
     count_calls,
+    count_clearings,
     count_fractions,
     nondegenerate_analysis,
     random_fraction,
@@ -26,7 +27,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import doubleline
-from doubleline import cli, engine, sympoly
+from doubleline import cli, engine
 from doubleline.cli import (
     MAX_DOCUMENT_BYTES,
     MAX_NODES_RANGE,
@@ -45,7 +46,7 @@ from doubleline.cli import (
 from doubleline.engine import verify_identity_slice
 from doubleline.errors import StructuralError, TheoremViolationError
 from doubleline.forms import BinaryQuadratic
-from doubleline.sympoly import format_rational
+from doubleline.linalg import format_rational
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 # ASCII digit strings, leading zeros included; two of them and "-/" make at
@@ -574,7 +575,7 @@ class TestFractionBudget:
     the generator to the checks, the restricted conic included.  The
     Fractions it builds, counted through ``Fraction.__new__``, are four a
     trial (the three lift parameters the command draws and the defect) and
-    the slope pool, once (457 for 100 trials); ``sympoly.clear_denominators``
+    the slope pool, once (457 for 100 trials); ``linalg.clear_denominators``
     runs three times a trial (the slopes, the lift parameters and the
     decomposition's weights)."""
 
@@ -591,7 +592,7 @@ class TestFractionBudget:
         assert 0 < len(made) <= 500
 
     def test_clearings_per_trial(self, monkeypatch):
-        cleared = count_calls(monkeypatch, sympoly, "clear_denominators")
+        cleared = count_clearings(monkeypatch)
         self.run_hundred_trials()
         assert 0 < len(cleared) <= 3 * 100
 

@@ -34,7 +34,7 @@ from doubleline.forms import (
     content_normalize,
     divide_by_linear,
     interpolate,
-    line_kernel_basis,
+    line_frame,
     parse_form,
     power_sum,
     render_form,
@@ -253,8 +253,8 @@ def shaped_terms_st(count: int):
 
 
 def basis_images(line) -> list[dict]:
-    """The substitution x_i -> b0_i * y0 + b1_i * y1 of ``line_kernel_basis``, as reference polynomials."""
-    den, (b0, b1) = line_kernel_basis(line)
+    """The substitution x_i -> b0_i * y0 + b1_i * y1 of ``line_frame``, as reference polynomials."""
+    den, (b0, b1) = line_frame(line)[0]
     return [ref({(1, 0): Fraction(b0[i], den), (0, 1): Fraction(b1[i], den)}) for i in range(3)]
 
 
@@ -434,7 +434,7 @@ class TestTuples:
             for w, r in zip(weights, rows):
                 line = ref(dict(zip(monomials(3, 1), r)))
                 expected = ref_add(expected, ref_scale(ref_product([line] * exponent, 3), w))
-            total = power_sum(sympoly.clear_denominators(weights), lines, exponent)
+            total = power_sum(linalg.clear_denominators(weights), lines, exponent)
             assert total.terms == expected
             assert all(type(c) is Fraction for c in total.terms.values())
 
@@ -450,7 +450,7 @@ class TestTuples:
         expected = HomogeneousForm.zero(num_vars, exponent)
         for w, line in zip(weights, lines):
             expected = expected + w * line**exponent
-        total = power_sum(sympoly.clear_denominators(weights), cleared_rows(lines), exponent)
+        total = power_sum(linalg.clear_denominators(weights), cleared_rows(lines), exponent)
         assert total == expected
         assert_canonical(total)
 
@@ -500,6 +500,12 @@ class TestRestrict:
         with pytest.raises(InvalidInputError):
             restrict(X0**2, HomogeneousForm.zero(3, 1))
 
+    @pytest.mark.parametrize("text", ["x1^2", "x0 + x1"])
+    def test_binary_form_rejected(self, text):
+        # a line's kernel plane lies in three variables, so a form in two has no restriction to it
+        with pytest.raises(StructuralError, match="three variables"):
+            restrict(parse_form(text, 2), X1)
+
     def test_kernel_basis_vanishes_on_line(self):
         rng = random.Random(7)
         # two lines whose ints have content 2 and a negative last coefficient
@@ -508,7 +514,7 @@ class TestRestrict:
             if all(c == 0 for c in coeffs):
                 continue
             line = HomogeneousForm.linear(coeffs)
-            den, (b0, b1) = line_kernel_basis(line)
+            den, (b0, b1) = line_frame(line)[0]
             assert den > 0 and all(type(x) is int for x in (*b0, *b1))
             assert evaluate(line, b0) == 0
             assert evaluate(line, b1) == 0
@@ -532,7 +538,7 @@ class TestRestrict:
         # enters each restriction as D**degree; the forms are the zero form,
         # a constant and a quintic, each with coefficients of several denominators
         line = HomogeneousForm.linear((2, 3, 7))
-        assert line_kernel_basis(line)[0] == 7
+        assert line_frame(line)[0][0] == 7
         images = basis_images(line)
         quintic = {m: Fraction(k - 7, 1 + k % 4) for k, m in enumerate(monomials(3, 5)) if k % 3}
         forms = [
@@ -558,11 +564,11 @@ class TestRestrict:
         randoms = [[random_fraction(rng) for _ in range(3)] for _ in range(20)]
         for coeffs in fixed + [c for c in randoms if any(c)]:
             line = HomogeneousForm.linear(coeffs)
-            den, basis = line_kernel_basis(line)
+            den, basis = line_frame(line)[0]
             expected = reference_kernel_basis(line)
             assert tuple(tuple(Fraction(x, den) for x in b) for b in basis) == expected
             for factor in (1, -1, 3, Fraction(-2, 7), Fraction(5, 3)):
-                assert line_kernel_basis(factor * line) == (den, basis)
+                assert line_frame(factor * line)[0] == (den, basis)
 
     @pytest.mark.parametrize(
         "bad, error",
@@ -575,10 +581,10 @@ class TestRestrict:
         ids=["zero-line", "square", "zero-conic", "binary-line"],
     )
     def test_bad_lines_rejected_with_a_warm_cache(self, bad, error):
-        line_kernel_basis(X2)
+        line_frame(X2)
         for _ in range(2):  # a rejection is not remembered either
             with pytest.raises(error):
-                line_kernel_basis(bad)
+                line_frame(bad)
 
 
 def apply_change(q, rows):

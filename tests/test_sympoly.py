@@ -64,7 +64,7 @@ class TestAgainstReference:
 
     @given(st.one_of(tuple_polys_st, int_polys_st))
     def test_square_matches_the_general_product(self, p):
-        # mul(p, p) takes the square path; a copy of p takes the general one
+        # one dict as both operands gives the product of p and a copy of p
         packed = pack(p)
         square = sympoly.mul(packed, packed)
         assert square == sympoly.mul(packed, dict(packed))
