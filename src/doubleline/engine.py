@@ -38,7 +38,6 @@ from .errors import (
     TheoremViolationError,
 )
 from .forms import (
-    UNITS,
     BinaryQuadratic,
     FormTuple,
     HomogeneousForm,
@@ -72,32 +71,42 @@ def line_x2() -> HomogeneousForm:
 
 
 class WaringDecomposition(Record):
-    """Weighted sum of fourth powers of linear forms in three variables, the weights
-    kept as given and cleared once, when it is built, as are the lines: ``value``
-    and the certificate builder read the pairs ``cleared_weights`` and ``cleared_rows``."""
+    """Weighted sum of fourth powers of linear forms in three variables, held as
+    the canonical pairs ``cleared_weights`` (E, W) and ``cleared_rows`` (D, rows):
+    weight i is W_i / E and line i is rows_i / D.  ``pairs`` is given so (any
+    nonzero dens) or as (weight, linear form) terms, cleared once when built."""
 
-    terms: tuple[tuple[Fraction | int, HomogeneousForm], ...]
+    pairs: tuple[Cleared, tuple[int, tuple[IntVector, ...]]]
 
     def __post_init__(self):
-        vars(self)["terms"] = terms = tuple(self.terms)
-        if any(form.num_vars != 3 or form.degree != 1 for _, form in terms):
-            raise StructuralError("decomposition terms must be linear forms in three variables")
-        vars(self)["cleared_weights"] = clear_denominators([w for w, _ in terms])
-        vars(self)["cleared_rows"] = cleared_rows([f for _, f in terms])
+        given = tuple(self.pairs)  # ((E, W), (D, rows)), or terms whose second entries are forms
+        if not (len(given) == 2 and isinstance(given[0][1], tuple)):
+            if any(form.num_vars != 3 or form.degree != 1 for _, form in given):
+                raise StructuralError("decomposition terms must be linear forms in three variables")
+            given = clear_denominators([w for w, _ in given]), cleared_rows([f for _, f in given])
+        (wd, ws), (ld, rows) = given
+        if len(rows) != len(ws) or any(len(row) != 3 for row in rows):
+            raise StructuralError("a decomposition needs one weight per row, each row of length 3")
+        ld, flat = cleared(ld, [x for row in rows for x in row])
+        vars(self)["pairs"] = cleared(wd, ws), (ld, tuple(flat[i : i + 3] for i in range(0, len(flat), 3)))
+
+    cleared_weights = property(lambda self: self.pairs[0])
+    cleared_rows = property(lambda self: self.pairs[1])
 
     @property
     def n(self) -> int:
-        return len(self.terms)
+        return len(self.pairs[0][1])
 
     @property
     def is_pure(self) -> bool:
-        return all(w == 1 for w, _ in self.terms)
+        wd, ws = self.pairs[0]
+        return all(w == wd for w in ws)
 
     def value(self) -> HomogeneousForm:
         """The quartic sum_i weight_i * l_i^4, computed on every call."""
-        if not self.terms:
+        if not self.n:
             return HomogeneousForm.zero(3, 4)
-        return power_sum(self.cleared_weights, self.cleared_rows, 4)
+        return power_sum(*self.pairs, 4)
 
 
 def _fractions_of(field: str) -> property:
@@ -141,20 +150,11 @@ class CoordinateInstance(Record):
 
     def to_decomposition(self) -> WaringDecomposition:
         """The decomposition of this instance, built on every call.  With the
-        slopes H_i / D and the lifts K_i / E, line i is built from the ints
-        (D * E, H_i * E, K_i * D) over D * E; int weights are passed as ints."""
-        (hd, hs), (kd, ks), (wd, ws) = self.cleared_slopes, self.cleared_lifts, self.cleared_weights
-        den = hd * kd
-        x0, x1, x2 = UNITS
-        terms = []
-        for h, k, w in zip(hs, ks, ws if wd == 1 else self.weights):
-            poly = {x0: den}
-            if h:
-                poly[x1] = h * kd
-            if k:
-                poly[x2] = k * hd
-            terms.append((w, HomogeneousForm(3, 1, den, poly)))
-        return WaringDecomposition(tuple(terms))
+        slopes H_i / D and the lifts K_i / E, line i is the row
+        (D * E, H_i * E, K_i * D) over D * E; the weights pass as their pair."""
+        (hd, hs), (kd, ks) = self.cleared_slopes, self.cleared_lifts
+        rows = tuple((hd * kd, h * kd, k * hd) for h, k in zip(hs, ks))
+        return WaringDecomposition((self.cleared_weights, (hd * kd, rows)))
 
 
 class DoubleLineQuartic(Record):

@@ -175,17 +175,6 @@ class HomogeneousForm(Record):
         return render_form(self)
 
 
-def _int_value(poly: sympoly.Poly, point: Sequence[int]) -> int:
-    """sum_t C_t * point**t over the packed keys t of ``poly`` with int coefficients C_t."""
-    total = 0
-    for key, c in poly.items():
-        for n in point:
-            c *= n ** (key & sympoly.FIELD)
-            key >>= sympoly.BITS
-        total += c
-    return total
-
-
 class FormTuple(Record):
     """Nonempty tuple of forms of one shared shape, such as the seven lines
     restricted to a base line; ``power_kernel`` reads the rows of its linear
@@ -268,7 +257,8 @@ def interpolate(
     (pairwise independent), for int values: sum_k values[k] * prod_{m != k}
     [P_m, y] / [P_m, P_k] / den, with [P, y] = a*y1 - b*y0 for P = (a, b),
     summed on integers.  It returns one denominator, the lcm of the bracket
-    products, times den, and the ints over it."""
+    products, times den, and the ints over it.  The certificate builder's
+    witnesses are its one use; ``restrict`` expands by substitution."""
     dens, terms = [], []
     for k, (ak, bk) in enumerate(points):
         term, dk = [1], 1
@@ -463,27 +453,47 @@ def line_frame(line: HomogeneousForm) -> tuple[tuple[int, tuple[IntVector, IntVe
     return (bd, (b0, b1)), cleared(coeffs[j], tuple(line.den if i == j else 0 for i in range(3)))
 
 
+@lru_cache(maxsize=16)  # keyed like line_frame; a table holds only the monomials restricted so far
+def _substitutions(line: HomogeneousForm) -> tuple[int, dict[int, IntVector]]:
+    """The frame's D and the line's substitution table, which ``restrict`` fills:
+    packed x**m maps to the ints of (y0 * D * b0 + y1 * D * b1)**m on y0^d, ..., y1^d."""
+    return line_frame(line)[0][0], {}
+
+
 def restrict(f: HomogeneousForm, line: HomogeneousForm) -> HomogeneousForm:
     """Restriction g(y) = f(y0 * b0 + y1 * b1) of a three-variable form to the
     plane ``line = 0`` with kernel basis b0, b1.  With the basis cleared to
-    integer vectors D * b0 and D * b1 and f held as ints over E, g is the
-    interpolant of the ints' values there at the plane points
-    (1, 0), (1, 1), ..., (1, d - 1), (0, 1), divided by E * D**d."""
+    integer vectors D * b0 and D * b1 and f held as ints C_m over E, g is
+    sum_m C_m * (y0 * D * b0 + y1 * D * b1)**m over E * D**d, each image read
+    from the line's substitution table and expanded there on its first use."""
     if f.num_vars != 3:
         raise StructuralError("expected a form in three variables")
-    (den, (b0, b1)), _ = line_frame(line)
+    den, table = _substitutions(line)
     d = f.degree
-    plane = [*((1, t) for t in range(d)), (0, 1)]
-    values = [_int_value(f.poly, [s * u + t * v for u, v in zip(b0, b1)]) for s, t in plane]
-    g_den, g = interpolate(plane, values, f.den * den**d)
+    g = [0] * (d + 1)
+    for key, c in f.poly.items():
+        if key not in table:  # one factor (u * y0 + v * y1) per unit of each exponent
+            image, m = [1], key
+            for u, v in zip(*line_frame(line)[0][1]):
+                for _ in range(m & sympoly.FIELD):
+                    image = [u * x + v * y for x, y in zip([*image, 0], [0, *image])]
+                m >>= sympoly.BITS
+            table[key] = tuple(image)
+        g = [s + c * x for s, x in zip(g, table[key])]
     poly = {(d - k) + (k << sympoly.BITS): c for k, c in enumerate(g) if c}
-    return HomogeneousForm(2, d, g_den, poly)
+    return HomogeneousForm(2, d, f.den * den**d, poly)
+
+
+def _plane_point(point: Point) -> tuple[Fraction, Fraction]:
+    if len(point) != 2:
+        raise StructuralError(f"expected a point of two coordinates, got {point!r}")
+    return rational(point[0]), rational(point[1])
 
 
 def embed_in_plane(line: HomogeneousForm, point: Point) -> tuple[Fraction, ...]:
     """Lift a point given in kernel-plane coordinates back to 3-space."""
     (den, (b0, b1)), _ = line_frame(line)
-    t0, t1 = map(rational, point)
+    t0, t1 = _plane_point(point)
     return tuple((t0 * a + t1 * b) / den for a, b in zip(b0, b1))
 
 
@@ -535,8 +545,7 @@ class BinaryQuadratic(Record):
 
     def polar(self, w: Point, u: Point) -> Fraction:
         den, (a, b, c) = self.cleared
-        w0, w1 = map(rational, w)
-        u0, u1 = map(rational, u)
+        (w0, w1), (u0, u1) = _plane_point(w), _plane_point(u)
         return (2 * a * w0 * u0 + b * (w0 * u1 + w1 * u0) + 2 * c * w1 * u1) / (2 * den)
 
     def tangency(self) -> tuple[bool, IntVector | None]:

@@ -251,6 +251,13 @@ def evaluate(form, point) -> Fraction:
     return total
 
 
+def decomposition_terms(dec) -> tuple[tuple[Fraction, tuple[Fraction, ...]], ...]:
+    """The (weight, line coefficients) of each term of ``dec``, as Fractions
+    read from its pairs ``cleared_weights`` and ``cleared_rows``."""
+    (wd, ws), (ld, rows) = dec.cleared_weights, dec.cleared_rows
+    return tuple((Fraction(w, wd), tuple(Fraction(c, ld) for c in row)) for w, row in zip(ws, rows))
+
+
 def reference_witnesses(dec, line) -> dict | None:
     """The witnesses of the certificate ``analyze`` attaches for a seven-term
     double-line value with nonzero cofactor, keyed by the certificate's
@@ -268,7 +275,8 @@ def reference_witnesses(dec, line) -> dict | None:
     lines do not meet the base line in seven distinct points: a zero point
     or two proportional ones make a bracket a_i * b_k - a_k * b_i zero."""
     b0, b1 = reference_kernel_basis(line)
-    coeffs = [f.linear_coefficients() for _, f in dec.terms]
+    terms = decomposition_terms(dec)
+    coeffs = [cf for _, cf in terms]
     restricted = tuple(
         tuple(sum((c * b for c, b in zip(cf, v)), Fraction(0)) for v in (b0, b1)) for cf in coeffs
     )
@@ -277,7 +285,7 @@ def reference_witnesses(dec, line) -> dict | None:
     if any(a * d - b * c == 0 for (a, b), (c, d) in combinations(points, 2)):
         return None
     [annihilator] = reference_kernel(power_map_rows(points, 5), len(points))
-    weights = tuple(Fraction(w) for w, _ in dec.terms)
+    weights = tuple(w for w, _ in terms)
     scaled = [w / a for w, a in zip(weights[:3], annihilator)]
     contact = tuple(reference_interpolate(points[:2], [den * s for s in scaled[:2]]))
     lc = line.linear_coefficients()

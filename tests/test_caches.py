@@ -11,7 +11,9 @@ import pkgutil
 
 import doubleline
 
-EXPECTED = {"cli.build_parser", "cli._node_pool", "forms._monomial_table", "forms.line_frame"}
+EXPECTED = {
+    "cli.build_parser", "cli._node_pool", "forms._monomial_table", "forms.line_frame", "forms._substitutions"
+}
 
 
 def _caches() -> dict[str, object]:

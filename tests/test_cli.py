@@ -570,14 +570,30 @@ class TestOneDerivationPerTrial:
         ) in out.splitlines()
 
 
+class TestFormBudget:
+    """A trial's decomposition is its instance's cleared pairs, so the forms a
+    ``theorem-check`` or ``claim-check --random`` trial builds are six: the
+    value, the quotient and remainder of each of ``extract_cofactor``'s two
+    divisions, and the cofactor's restriction."""
+
+    @pytest.mark.parametrize(
+        "argv", [["theorem-check", "--trials", "20", "--seed", "1"], ["claim-check", "--random", "20", "--seed", "3"]]
+    )
+    def test_constructions_per_trial(self, monkeypatch, argv):
+        built = count_calls(monkeypatch, engine.HomogeneousForm, "__init__")
+        code, _, _ = run_cli(argv)
+        monkeypatch.undo()
+        assert code == 0 and 0 < len(built) <= 6 * 20
+
+
 class TestFractionBudget:
     """``theorem-check`` carries each trial's rationals as cleared pairs from
     the generator to the checks, the restricted conic included.  The
     Fractions it builds, counted through ``Fraction.__new__``, are four a
     trial (the three lift parameters the command draws and the defect) and
     the slope pool, once (457 for 100 trials); ``linalg.clear_denominators``
-    runs three times a trial (the slopes, the lift parameters and the
-    decomposition's weights)."""
+    runs twice a trial (the slopes and the lift parameters), as the
+    decomposition takes the instance's weight pair as it is."""
 
     @staticmethod
     def run_hundred_trials() -> None:
@@ -594,7 +610,7 @@ class TestFractionBudget:
     def test_clearings_per_trial(self, monkeypatch):
         cleared = count_clearings(monkeypatch)
         self.run_hundred_trials()
-        assert 0 < len(cleared) <= 3 * 100
+        assert 0 < len(cleared) <= 2 * 100
 
 
 class TestInputCaps:

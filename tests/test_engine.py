@@ -9,6 +9,7 @@ from conftest import (
     count_calls,
     count_clearings,
     count_fractions,
+    decomposition_terms,
     determinant,
     evaluate,
     kills,
@@ -595,8 +596,8 @@ class TestTangencyCertificate:
                 )
 
             line = move((0, 0, 1))
-            terms = generated.instance.to_decomposition().terms
-            dec = WaringDecomposition(tuple((w, move(f.linear_coefficients())) for w, f in terms))
+            terms = decomposition_terms(generated.instance.to_decomposition())
+            dec = WaringDecomposition(tuple((w, move(coeffs)) for w, coeffs in terms))
             report = analyze(dec, line)
             cert = report.certificate
             assert cert is not None
@@ -606,7 +607,7 @@ class TestTangencyCertificate:
             points = [(Fraction(p, den), Fraction(r, den)) for p, r in ints]
             assert any(a != 1 for a, _ in points)
             c = cert.annihilator
-            weights = [w for w, _ in dec.terms]
+            weights = [w for w, _ in decomposition_terms(dec)]
             contact_rows = [[c[i] * a, c[i] * b] for i, (a, b) in enumerate(points[:2])]
             assert cert.contact_vector == reference_solve(contact_rows, weights[:2])
             bridge_rows = [
@@ -730,8 +731,8 @@ class TestCertificateTamperingFractionalPoints(TestCertificateTampering):
                 tuple(sum(rows[i][j] * coeffs[j] for j in range(3)) for i in range(3))
             )
 
-        terms = generated.instance.to_decomposition().terms
-        dec = WaringDecomposition(tuple((w, move(f.linear_coefficients())) for w, f in terms))
+        terms = decomposition_terms(generated.instance.to_decomposition())
+        dec = WaringDecomposition(tuple((w, move(coeffs)) for w, coeffs in terms))
         cert = analyze(dec, move((0, 0, 1))).certificate
         assert cert.cleared_points[0] == 3
         return cert
@@ -863,7 +864,7 @@ def moved(dec: WaringDecomposition, rows) -> tuple[WaringDecomposition, Homogene
             tuple(sum(rows[i][j] * coeffs[j] for j in range(3)) for i in range(3))
         )
 
-    terms = tuple((w, move(f.linear_coefficients())) for w, f in dec.terms)
+    terms = tuple((w, move(coeffs)) for w, coeffs in decomposition_terms(dec))
     return WaringDecomposition(terms), move((0, 0, 1))
 
 
@@ -888,7 +889,7 @@ class TestCertificateOracle:
             dec, line = moved(inst.to_decomposition(), pivot_change(rng, pivot))
             coeffs = line.linear_coefficients()
             assert max(i for i, c in enumerate(coeffs) if c) == pivot
-            coefficients = [c for _, f in dec.terms for c in f.linear_coefficients()]
+            coefficients = [c for _, coeffs in decomposition_terms(dec) for c in coeffs]
             assert lcm(*(c.denominator for c in coefficients)) > 1
             basis_den = line_frame(line)[0][0]
             assert basis_den > 1 or pivot == 0
@@ -942,8 +943,8 @@ class TestCertificateOracle:
 
 class TestCoercion:
     """Slopes, lifts and weights read back as Fractions whatever ints or
-    Fractions they are given as; an instance stores them as canonical pairs,
-    a decomposition keeps its weights as given; a float is refused."""
+    Fractions they are given as; an instance and a decomposition store them
+    as canonical pairs; a float is refused."""
 
     VALUES = (
         [3, -1, 0, 2, 5, -4, 1],
@@ -985,7 +986,32 @@ class TestCoercion:
         assert built[0].cleared_weights == built[1].cleared_weights == (1, (3, -1, 0, 2, 5, -4, 1))
         given = Fraction(-5, 2)
         dec = WaringDecomposition(((given, line), (1, line)))
-        assert dec.terms[0][0] is given and dec.cleared_weights == (2, (-5, 2))
+        assert dec.cleared_weights == (2, (-5, 2)) and decomposition_terms(dec)[0][0] == given
+
+    def test_waring_decomposition_from_pairs_or_terms(self):
+        # an instance's pairs, its terms as forms and non-canonical pairs of
+        # the same rationals give one decomposition, with the forms' cleared rows
+        rng = random.Random(5)
+        for trial in range(40):
+            params = tuple(random_fraction(rng) for _ in range(3))
+            inst = generate_tangent_instance(sample_nodes(rng, 7), params, seed=trial).instance
+            dec = inst.to_decomposition()
+            lines = [HomogeneousForm.linear((1, h, k)) for h, k in zip(inst.slopes, inst.lifts)]
+            from_terms = WaringDecomposition(tuple(zip(inst.weights, lines)))
+            assert dec == from_terms and hash(dec) == hash(from_terms)
+            assert dec.cleared_rows == cleared_rows(lines)
+            (wd, ws), (ld, rows) = dec.pairs
+            scaled = ((-3 * wd, tuple(-3 * w for w in ws)), (2 * ld, tuple(tuple(2 * c for c in r) for r in rows)))
+            assert WaringDecomposition(scaled) == dec
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [((1, (1, 1)), (1, ((1, 0, 0),))), ((1, (1,)), (1, ((1, 0),))), ((1, (1,)), (1, ((1, 0, 0, 0),)))],
+        ids=["two-weights-one-row", "short-row", "long-row"],
+    )
+    def test_waring_decomposition_pairs_of_other_shapes_refused(self, pairs):
+        with pytest.raises(StructuralError, match="one weight per row, each row of length 3"):
+            WaringDecomposition(pairs)
 
     def test_generate_tangent_instance(self, monkeypatch):
         built = [generate_tangent_instance(v, v[:3], seed=2).instance for v in self.VALUES]
@@ -1040,11 +1066,16 @@ class TestCoercion:
             (lambda: BinaryQuadratic((0, (1, 0, 1))), "nonzero den"),
             (lambda: BinaryQuadratic((1, (1, 0.5, 0))), "pair of ints"),
             (lambda: BinaryQuadratic((2, (1, Fraction(1, 2), 0))), "pair of ints"),
+            (lambda: WaringDecomposition(((0, (1,)), (1, ((1, 0, 0),)))), "nonzero den"),
+            (lambda: WaringDecomposition(((1, (1,)), (0, ((1, 0, 0),)))), "nonzero den"),
+            (lambda: WaringDecomposition(((1, (0.5,)), (1, ((1, 0, 0),)))), "pair of ints"),
+            (lambda: WaringDecomposition(((1, (1,)), (1, ((1, Fraction(1, 2), 0),)))), "pair of ints"),
         ],
         ids=[
             "instance-slopes-zero-den", "instance-weights-zero-den", "instance-float",
             "instance-float-den", "BinaryQuadratic-zero-den", "BinaryQuadratic",
-            "BinaryQuadratic-fraction",
+            "BinaryQuadratic-fraction", "decomposition-weights-zero-den", "decomposition-rows-zero-den",
+            "decomposition-float", "decomposition-fraction",
         ],
     )
     def test_pairs_refused(self, build, message):
@@ -1441,7 +1472,8 @@ class TestAnalyze:
         assert report.tangency_point == report.certificate.tangency_point
         # the builder rebuilds this certificate from scratch on a fresh
         # decomposition and its own restriction of the cofactor
-        fresh = WaringDecomposition(generated.instance.to_decomposition().terms)
+        terms = decomposition_terms(generated.instance.to_decomposition())
+        fresh = WaringDecomposition(tuple((w, HomogeneousForm.linear(coeffs)) for w, coeffs in terms))
         cofactor = extract_cofactor(fresh.value(), line_x2())
         restricted = BinaryQuadratic.from_form(restrict(cofactor, line_x2()))
         assert tangency_certificate(fresh, line_x2(), restricted) == report.certificate
@@ -1466,8 +1498,8 @@ class TestRoundTrips:
             n = 6 if trial % 2 == 0 else 7
             inst = moment_solution(rng, sample_nodes(rng, n))
             dec = inst.to_decomposition()
-            assert tuple(w for w, _ in dec.terms) == inst.weights
-            lines = [f.linear_coefficients() for _, f in dec.terms]
+            assert tuple(w for w, _ in decomposition_terms(dec)) == inst.weights
+            lines = [coeffs for _, coeffs in decomposition_terms(dec)]
             assert lines == [(1, h, k) for h, k in zip(inst.slopes, inst.lifts)]
             value = dec.value()
             q = extract_cofactor(value, line_x2())

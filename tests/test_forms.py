@@ -6,6 +6,7 @@ from math import gcd, lcm
 
 import pytest
 from conftest import (
+    count_calls,
     count_fractions,
     evaluate,
     minor_rank,
@@ -23,7 +24,7 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from doubleline import linalg, sympoly
+from doubleline import forms, linalg, sympoly
 from doubleline.errors import InvalidInputError, StructuralError
 from doubleline.forms import (
     BinaryQuadratic,
@@ -33,6 +34,7 @@ from doubleline.forms import (
     conic_rank,
     content_normalize,
     divide_by_linear,
+    embed_in_plane,
     interpolate,
     line_frame,
     parse_form,
@@ -552,6 +554,49 @@ class TestRestrict:
             assert restricted.terms == ref_substitute(ref(f.terms), images, 2)
             assert_canonical(restricted)
 
+    @pytest.mark.parametrize(
+        "coeffs",
+        [(1, 0, 0), (0, 1, 0), (0, 0, 1), (2, -3, 0), (Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7))],
+        ids=["x0", "x1", "x2", "free-of-x2", "fractions"],
+    )
+    def test_matches_substitution_through_degree_six(self, coeffs):
+        # dense forms of every degree 0..6 with coefficients of several denominators
+        line = HomogeneousForm.linear(coeffs)
+        images = basis_images(line)
+        rng = random.Random(str(coeffs))
+        for d in range(7):
+            terms = {m: random_fraction(rng) for m in monomials(3, d)}
+            restricted = restrict(HomogeneousForm.from_terms(3, d, terms), line)
+            assert restricted.degree == d
+            assert restricted.terms == ref_substitute(ref(terms), images, 2)
+            assert_canonical(restricted)
+
+    def test_sparse_form_fills_only_its_own_table_entries(self):
+        # a degree-40 ternary form has 861 monomials; the table holds the three
+        # restricted, then the union with the next form's
+        line = HomogeneousForm.linear((3, -1, Fraction(2, 5)))
+        forms._substitutions.cache_clear()
+        images = basis_images(line)
+        sparse = [
+            {(40, 0, 0): 3, (0, 13, 27): Fraction(-1, 2), (5, 35, 0): 7},
+            {(40, 0, 0): -2, (1, 1, 38): Fraction(4, 9)},
+        ]
+        filled: set = set()
+        for terms in sparse:
+            f = HomogeneousForm.from_terms(3, 40, terms)
+            assert restrict(f, line).terms == ref_substitute(ref(terms), images, 2)
+            filled |= f.poly.keys()
+            assert forms._substitutions(line)[1].keys() == filled
+        assert len(filled) == 4
+
+    def test_never_interpolates(self, monkeypatch):
+        # interpolation is the certificate's; a restriction reads its table
+        calls = count_calls(monkeypatch, forms, "interpolate")
+        for line in (X2, HomogeneousForm.linear((1, Fraction(2, 3), -5))):
+            for text in ("x0^2 + 2*x1*x2 - 1/3*x2^2", "x0*x1^3 + x2^4", "7"):
+                restrict(parse_form(text, 3), line)
+        assert calls == []
+
     @given(form_st(3, 2), form_st(3, 2), nonzero_linear_st(3))
     def test_ring_homomorphism(self, f, g, line):
         assert restrict(f * g, line) == restrict(f, line) * restrict(g, line)
@@ -745,6 +790,14 @@ class TestBinaryQuadratic:
         for form in (HomogeneousForm.zero(3, 2), HomogeneousForm.zero(2, 3)):
             with pytest.raises(StructuralError, match="expected a binary quadratic form"):
                 BinaryQuadratic.from_form(form)
+
+    @pytest.mark.parametrize("point", [(1,), (1, 2, 3)], ids=["one", "three"])
+    def test_point_of_other_length_refused(self, point):
+        # a kernel-plane point has two coordinates, for the polar and for the lift alike
+        q = BinaryQuadratic((1, (1, 0, 1)))
+        for call in (lambda: q.polar(point, (1, 0)), lambda: q.polar((1, 0), point), lambda: embed_in_plane(X2, point)):
+            with pytest.raises(StructuralError, match="expected a point of two coordinates"):
+                call()
 
     @pytest.mark.parametrize("pair", [(1, (1, 2)), (1, (1, 2, 3, 4))])
     def test_pair_of_other_length_refused(self, pair):
