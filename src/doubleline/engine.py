@@ -201,16 +201,17 @@ class KernelBasis(Record):
 def power_kernel(restricted: FormTuple, degree: int) -> KernelBasis:
     """Exact kernel basis of a |-> sum_i a_i * L_i^degree for binary linear L_i.
 
-    The entries must be nonzero and pairwise non-proportional; otherwise
-    DegenerateNodesError is raised.  For n such entries the dimension is
-    max(n - 1 - degree, 0), and the basis is the closed-form RREF basis of
-    ``linalg.moment_kernel``.
+    The entries must be one or more binary linear forms, else StructuralError,
+    and nonzero and pairwise non-proportional, else DegenerateNodesError.
+    For n such entries the dimension is max(n - 1 - degree, 0), and the basis
+    is the closed-form RREF basis of ``linalg.moment_kernel``.
     """
-    if restricted.num_vars != 2 or restricted.degree != 1:
-        raise StructuralError("expected a tuple of binary linear forms")
+    shapes = {(f.num_vars, f.degree) if isinstance(f, HomogeneousForm) else None for f in restricted}
+    if shapes != {(2, 1)}:
+        raise StructuralError("expected a nonempty tuple of binary linear forms")
     if degree < 0:
         raise StructuralError("degree must be non-negative")
-    (vectors,) = moment_kernel(cleared_rows(restricted.entries)[1], (degree,))
+    (vectors,) = moment_kernel(cleared_rows(restricted)[1], (degree,))
     return KernelBasis(vectors=tuple(vectors))
 
 
@@ -329,7 +330,7 @@ def tangency_certificate(
     The annihilator's zero-entry check cannot fire: entry i is M over the
     product of the brackets [L_j, L_i], j != i, nonzero for distinct points.
     It stays because the witnesses divide by the entries."""
-    (bd, (b0, b1)), (td, t) = line_frame(line)
+    (bd, (b0, b1)), (td, t), _ = line_frame(line)
     ld, rows = dec.cleared_rows
     # a linear form restricts to its coefficients paired with the kernel basis
     points = [(sum(map(mul, row, b0)), sum(map(mul, row, b1))) for row in rows]
@@ -660,9 +661,8 @@ def analyze(dec: WaringDecomposition, line: HomogeneousForm) -> AnalysisReport:
     certificate.  The certificate is attached for seven-term values with
     nonzero cofactor whose lines meet the base line in distinct points; its
     contact point is cross-checked against the independent discriminant test.
+    ``extract_cofactor`` alone refuses a zero or nonlinear line.
     """
-    if line.degree != 1 or line.is_zero():
-        raise InvalidInputError("line must be a nonzero linear form")
     kind = "pure" if dec.is_pure else "weighted"
     summary = f"{dec.n} {kind} fourth-power terms"
     value = dec.value()

@@ -4,14 +4,14 @@ A form is its shape, the variable count and the degree, over its cleared
 coefficients: a ``sympoly.Poly`` mapping packed monomial keys to nonzero
 ints, over one positive ``den`` coprime to their content.  That pair is
 canonical, so two forms are equal exactly when shapes, ``den`` and int maps
-agree; a ``BinaryQuadratic``, the restricted conic or the certificate's
-bridge, is the one pair (den, (A, B, C)).  Arithmetic runs on the ints
-through ``sympoly``, the package's one polynomial core, and every consumer
-here (division, restriction, conic ranks, ``power_sum``, tangency) reads the
-ints; ``terms`` and ``linear_coefficients`` build Fractions only when read.
-``terms`` is keyed by exponent tuples, and all monomial indexing and text
-rendering use graded lexicographic order on them with x0 > x1 > x2; packed
-keys compare x2 first, so only the tuples are sorted.
+agree; a ``BinaryQuadratic`` is the one pair (den, (A, B, C)).  Arithmetic
+runs on the ints through ``sympoly``, the package's one polynomial core, and
+every consumer here reads the ints; ``terms`` and ``linear_coefficients``
+build Fractions only when read.  A line's frame (kernel basis, transversal
+point and substitution table) is one ``line_frame`` cache entry.  ``terms``
+is keyed by exponent tuples, and all monomial indexing and text rendering
+use graded lexicographic order on them with x0 > x1 > x2; packed keys
+compare x2 first, so only the tuples are sorted.
 """
 
 from __future__ import annotations
@@ -175,25 +175,7 @@ class HomogeneousForm(Record):
         return render_form(self)
 
 
-class FormTuple(Record):
-    """Nonempty tuple of forms of one shared shape, such as the seven lines
-    restricted to a base line; ``power_kernel`` reads the rows of its linear
-    entries through ``cleared_rows``."""
-
-    entries: tuple[HomogeneousForm, ...]
-
-    def __post_init__(self):
-        vars(self)["entries"] = entries = tuple(self.entries)
-        if len({(f.num_vars, f.degree) for f in entries}) != 1:
-            raise StructuralError("a form tuple needs entries, all of one variable count and degree")
-
-    @property
-    def num_vars(self) -> int:
-        return self.entries[0].num_vars
-
-    @property
-    def degree(self) -> int:
-        return self.entries[0].degree
+FormTuple = tuple[HomogeneousForm, ...]  # power_kernel's input, checked there; FormTuple(forms) builds one
 
 
 def cleared_rows(forms: Sequence[HomogeneousForm]) -> tuple[int, tuple[IntVector, ...]]:
@@ -434,13 +416,13 @@ def divide_by_linear(f: HomogeneousForm, line: HomogeneousForm) -> tuple[Homogen
 
 
 @lru_cache(maxsize=16)  # a line's frame is computed once, keyed by its shape, den and ints
-def line_frame(line: HomogeneousForm) -> tuple[tuple[int, tuple[IntVector, IntVector]], Cleared]:
-    """A deterministic basis of the plane where ``line`` vanishes, as its least
-    positive denominator D and the int vectors D * b0, D * b1, and the canonical
-    pair of the transversal point e_j / c_j, where ``line`` is 1.  With j the
-    largest index of a nonzero coefficient c_j, the b_i are the other coordinate
-    vectors corrected by -(c_i/c_j) e_j; for line = x2 the basis is
-    (1, (e0, e1)): restriction is substitution x2 := 0."""
+def line_frame(line: HomogeneousForm) -> tuple[tuple[int, tuple[IntVector, IntVector]], Cleared, dict]:
+    """A deterministic basis of the plane where ``line`` vanishes, as its least positive
+    denominator D and the int vectors D * b0, D * b1; the canonical pair of the transversal
+    point e_j / c_j, where ``line`` is 1; and the substitution table that ``restrict`` fills,
+    x**m to the ints of (y0 * D * b0 + y1 * D * b1)**m.  With j the largest index of a nonzero
+    coefficient c_j, the b_i are the other coordinate vectors corrected by -(c_i/c_j) e_j;
+    for line = x2 the basis is (1, (e0, e1)): restriction is substitution x2 := 0."""
     if line.degree != 1 or line.num_vars != 3:
         raise StructuralError("expected a linear form in three variables")
     if line.is_zero():
@@ -450,14 +432,7 @@ def line_frame(line: HomogeneousForm) -> tuple[tuple[int, tuple[IntVector, IntVe
     # c_j * (e_i - (c_i/c_j) e_j) = c_j e_i - c_i e_j, all divided by the content
     bd, cs = cleared(coeffs[j], coeffs)
     b0, b1 = (tuple(bd * (k == i) - cs[i] * (k == j) for k in range(3)) for i in range(3) if i != j)
-    return (bd, (b0, b1)), cleared(coeffs[j], tuple(line.den if i == j else 0 for i in range(3)))
-
-
-@lru_cache(maxsize=16)  # keyed like line_frame; a table holds only the monomials restricted so far
-def _substitutions(line: HomogeneousForm) -> tuple[int, dict[int, IntVector]]:
-    """The frame's D and the line's substitution table, which ``restrict`` fills:
-    packed x**m maps to the ints of (y0 * D * b0 + y1 * D * b1)**m on y0^d, ..., y1^d."""
-    return line_frame(line)[0][0], {}
+    return (bd, (b0, b1)), cleared(coeffs[j], tuple(line.den if i == j else 0 for i in range(3))), {}
 
 
 def restrict(f: HomogeneousForm, line: HomogeneousForm) -> HomogeneousForm:
@@ -465,16 +440,16 @@ def restrict(f: HomogeneousForm, line: HomogeneousForm) -> HomogeneousForm:
     plane ``line = 0`` with kernel basis b0, b1.  With the basis cleared to
     integer vectors D * b0 and D * b1 and f held as ints C_m over E, g is
     sum_m C_m * (y0 * D * b0 + y1 * D * b1)**m over E * D**d, each image read
-    from the line's substitution table and expanded there on its first use."""
+    from the table in the line's frame and expanded there on its first use."""
     if f.num_vars != 3:
         raise StructuralError("expected a form in three variables")
-    den, table = _substitutions(line)
+    (den, basis), _, table = line_frame(line)
     d = f.degree
     g = [0] * (d + 1)
     for key, c in f.poly.items():
         if key not in table:  # one factor (u * y0 + v * y1) per unit of each exponent
             image, m = [1], key
-            for u, v in zip(*line_frame(line)[0][1]):
+            for u, v in zip(*basis):
                 for _ in range(m & sympoly.FIELD):
                     image = [u * x + v * y for x, y in zip([*image, 0], [0, *image])]
                 m >>= sympoly.BITS
@@ -492,7 +467,7 @@ def _plane_point(point: Point) -> tuple[Fraction, Fraction]:
 
 def embed_in_plane(line: HomogeneousForm, point: Point) -> tuple[Fraction, ...]:
     """Lift a point given in kernel-plane coordinates back to 3-space."""
-    (den, (b0, b1)), _ = line_frame(line)
+    (den, (b0, b1)), _, _ = line_frame(line)
     t0, t1 = _plane_point(point)
     return tuple((t0 * a + t1 * b) / den for a, b in zip(b0, b1))
 

@@ -151,16 +151,18 @@ def moment_kernel(points: Sequence[tuple[int, int]], degrees: Sequence[int]) -> 
     """RREF kernel bases of c |-> sum_i c_i (a_i x + b_i y)^d in closed form,
     one basis for each degree d in ``degrees``, in order.
 
-    The int points (a_i, b_i) must be nonzero and pairwise non-proportional,
-    else DegenerateNodesError.  Degree -1 imposes no constraint (identity
-    basis).  Each vector is a tuple of ints with content 1 and a positive
-    leading entry, so scaling every point by one nonzero int, which scales
-    every bracket product of a degree by one positive constant, leaves the
-    basis unchanged.  The brackets are tabled once for all the degrees.  The
+    The points (a_i, b_i) must be ints, else InvalidInputError, and nonzero and
+    pairwise non-proportional, else DegenerateNodesError.  Degree -1 imposes no
+    constraint (identity basis).  Each vector is ints of content 1 with a
+    positive leading entry, so scaling every point by one nonzero int, which
+    scales every bracket product of a degree by one positive constant, leaves
+    the basis unchanged.  The brackets are tabled once for all the degrees; the
     formula and why it is the RREF basis are in the module docstring.
     """
     if any(degree < -1 for degree in degrees):
         raise StructuralError("degree must be at least -1")
+    if not all(isinstance(c, int) for point in points for c in point):
+        raise InvalidInputError(f"expected int points, got {points!r}")
     # col[i][j] = [P_j, P_i]; a column has its zero on the diagonal, and others only if degenerate
     col = [[aj * bi - bj * ai for aj, bj in points] for ai, bi in points]
     n = len(points)
@@ -179,18 +181,11 @@ def moment_kernel(points: Sequence[tuple[int, int]], degrees: Sequence[int]) -> 
         for f in range(k, n):
             prods = [*(p * c[f] for p, c in zip(pivot_prods, col)), prod(col[f][:k])]
             # M / prod_i has content 1: gcd_i(M / |prod_i|) = M / lcm_i |prod_i| = 1
-            try:
-                m = lcm(*prods) if prods[0] > 0 else -lcm(*prods)
-            except TypeError:
-                raise InvalidInputError(f"expected int points, got {points!r}") from None
+            m = lcm(*prods) if prods[0] > 0 else -lcm(*prods)
             vec = [m // p for p in prods[:k]] + [0] * (n - k)
             vec[f] = m // prods[k]
             basis.append(tuple(vec))
         bases.append(basis)
-    # the int-only lcm meets a bracket only at a degree >= 0 with a free index
-    if not any(0 <= degree < n - 1 for degree in degrees):
-        if not all(isinstance(c, int) for point in points for c in point):
-            raise InvalidInputError(f"expected int points, got {points!r}")
     return bases
 
 

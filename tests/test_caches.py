@@ -11,9 +11,7 @@ import pkgutil
 
 import doubleline
 
-EXPECTED = {
-    "cli.build_parser", "cli._node_pool", "forms._monomial_table", "forms.line_frame", "forms._substitutions"
-}
+EXPECTED = {"cli.build_parser", "cli._node_pool", "forms._monomial_table", "forms.line_frame"}
 
 
 def _caches() -> dict[str, object]:

@@ -44,8 +44,8 @@ from doubleline.cli import (
     render_document,
 )
 from doubleline.engine import verify_identity_slice
-from doubleline.errors import StructuralError, TheoremViolationError
-from doubleline.forms import BinaryQuadratic
+from doubleline.errors import InvalidInputError, StructuralError, TheoremViolationError
+from doubleline.forms import BinaryQuadratic, HomogeneousForm, parse_form
 from doubleline.linalg import format_rational
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -283,6 +283,17 @@ class TestVerify:
         code, out, _ = run_cli(["verify", str(path), "--line", "1,0,0"])
         assert code == 0
         assert "cofactor: x0^2" in out
+
+    def test_zero_or_nonlinear_base_line_refused(self):
+        # the line is checked once per analysis, by extract_cofactor
+        dec = engine.WaringDecomposition(((1, HomogeneousForm.linear((1, 2, 3))),))
+        for line in (HomogeneousForm.zero(3, 1), parse_form("x0^2 - x1*x2", 3)):
+            with pytest.raises(InvalidInputError, match="^line must be a nonzero linear form$"):
+                engine.analyze(dec, line)
+        code, out, err = run_cli(["verify", "--line", "0,0,0", str(FIXTURES / "tangent7.json")])
+        assert code == 2
+        assert out == ""
+        assert err == "error: line must be a nonzero linear form\n"
 
     def test_zero_cofactor(self, tmp_path):
         # seven concurrent lines x0 + h*x1 weighted by the sixth difference,

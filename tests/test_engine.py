@@ -448,7 +448,7 @@ class TestPowerKernel:
             basis = power_kernel(L, d)
             assert basis.dimension == 6 - d
             for vec in basis.vectors:
-                assert sum((v * f**d for v, f in zip(vec, L.entries)), HomogeneousForm.zero(2, d)).is_zero()
+                assert sum((v * f**d for v, f in zip(vec, L)), HomogeneousForm.zero(2, d)).is_zero()
 
 
 class TestKernelDescend:

@@ -25,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from doubleline import forms, linalg, sympoly
+from doubleline.engine import power_kernel
 from doubleline.errors import InvalidInputError, StructuralError
 from doubleline.forms import (
     BinaryQuadratic,
@@ -399,12 +400,12 @@ class TestAgainstReference:
 
 
 class TestTuples:
-    """A weighted sum over a FormTuple is a plain sum of forms."""
+    """A weighted sum over a tuple of forms is a plain sum of forms."""
 
     def test_dot_of_ones_with_fourth_powers(self):
         coeffs = [(1, 0, 0), (1, 0, 1), (1, 0, -1), (1, 1, 0), (1, 1, 1), (1, 1, -1), (1, 2, 0)]
-        tup = FormTuple(tuple(HomogeneousForm.linear(c) for c in coeffs))
-        total = sum((1 * f**4 for f in tup.entries), HomogeneousForm.zero(3, 4))
+        tup = tuple(HomogeneousForm.linear(c) for c in coeffs)
+        total = sum((1 * f**4 for f in tup), HomogeneousForm.zero(3, 4))
         expected: dict = {}
         for c in coeffs:
             line = ref(dict(zip(monomials(3, 1), c)))
@@ -412,17 +413,19 @@ class TestTuples:
         assert total.terms == expected
 
     def test_dot_cancellation(self):
-        tup = FormTuple((X0**4, X0**4))
-        assert sum((a * f for a, f in zip([1, -1], tup.entries)), HomogeneousForm.zero(3, 4)).is_zero()
+        tup = (X0**4, X0**4)
+        assert sum((a * f for a, f in zip([1, -1], tup)), HomogeneousForm.zero(3, 4)).is_zero()
 
     @pytest.mark.parametrize(
         "entries",
-        [(), (X0, X0**2), (X0, HomogeneousForm.linear((1, 0)))],
-        ids=["empty", "two-degrees", "two-variable-counts"],
+        [(), (X0, X0**2), (X0, HomogeneousForm.linear((1, 0))), (X0, X1, X2), ("x0", "x1")],
+        ids=["empty", "two-degrees", "two-variable-counts", "ternary-linear", "not-forms"],
     )
     def test_entries_of_one_shape_required(self, entries):
-        with pytest.raises(StructuralError, match="all of one variable count and degree"):
-            FormTuple(entries)
+        # FormTuple is the plain tuple type; power_kernel, its one consumer, checks the entries
+        assert FormTuple(entries) == tuple(entries)
+        with pytest.raises(StructuralError, match="^expected a nonempty tuple of binary linear forms$"):
+            power_kernel(FormTuple(entries), 0)
 
     def test_power_sum_clears_the_matrix_once(self):
         # weights and lines of denominators 2, 3 and 7 and one zero line: the
@@ -575,7 +578,7 @@ class TestRestrict:
         # a degree-40 ternary form has 861 monomials; the table holds the three
         # restricted, then the union with the next form's
         line = HomogeneousForm.linear((3, -1, Fraction(2, 5)))
-        forms._substitutions.cache_clear()
+        line_frame.cache_clear()
         images = basis_images(line)
         sparse = [
             {(40, 0, 0): 3, (0, 13, 27): Fraction(-1, 2), (5, 35, 0): 7},
@@ -586,7 +589,7 @@ class TestRestrict:
             f = HomogeneousForm.from_terms(3, 40, terms)
             assert restrict(f, line).terms == ref_substitute(ref(terms), images, 2)
             filled |= f.poly.keys()
-            assert forms._substitutions(line)[1].keys() == filled
+            assert line_frame(line)[2].keys() == filled
         assert len(filled) == 4
 
     def test_never_interpolates(self, monkeypatch):

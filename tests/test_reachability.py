@@ -46,9 +46,6 @@ UNREACHED = {
     "KernelBasis.dimension": "acceptance criterion 2",
     "TangentInstance.quartic": "acceptance criterion 5 and scripts/regen_fixtures.py",
     "power_kernel": "acceptance criterion 2",
-    "FormTuple.__post_init__": "acceptance criterion 2: `power_kernel`'s input",
-    "FormTuple.num_vars": "acceptance criterion 2: `power_kernel`'s input",
-    "FormTuple.degree": "acceptance criterion 2: `power_kernel`'s input",
     "BinaryQuadratic.discriminant": "acceptance criteria 1 and 7",
     "BinaryQuadratic.polar": "acceptance criterion 5",
     "HomogeneousForm.zero": "acceptance criterion 7",
