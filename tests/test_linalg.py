@@ -226,7 +226,8 @@ class TestMomentKernel:
         ids=["float", "Fraction", "integral-Fraction", "identity-basis", "no-degree"],
     )
     def test_non_int_points_refused_without_a_free_index(self, points, degrees):
-        # no degree >= 0 leaves a free index, so no bracket reaches the lcm
+        # no degree >= 0 leaves a free index, so no bracket reaches the lcm; the
+        # int check runs first, before any bracket
         with pytest.raises(InvalidInputError, match="expected int points"):
             moment_kernel(points, degrees)
         ints = [(2 * i + 1, i) for i in range(len(points))]
