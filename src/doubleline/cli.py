@@ -86,18 +86,20 @@ class DocumentError(ValueError):
     pass
 
 
+def _rational_field(value, message: str) -> Fraction:
+    """A document's rational string; DocumentError(message) for another JSON value."""
+    if not isinstance(value, str):
+        raise DocumentError(message)
+    try:
+        return parse_rational(value)
+    except ValueError as exc:
+        raise DocumentError(str(exc)) from exc
+
+
 def _rational_triple(values, what: str) -> tuple[Fraction, Fraction, Fraction]:
     if not isinstance(values, list) or len(values) != 3:
         raise DocumentError(f"{what} must be a list of 3 rational strings")
-    out = []
-    for v in values:
-        if not isinstance(v, str):
-            raise DocumentError(f"{what} entries must be strings, got {v!r}")
-        try:
-            out.append(parse_rational(v))
-        except ValueError as exc:
-            raise DocumentError(str(exc)) from exc
-    return tuple(out)
+    return tuple(_rational_field(v, f"{what} entries must be strings, got {v!r}") for v in values)
 
 
 def _unique_fields(pairs: list[tuple[str, object]]) -> dict:
@@ -145,12 +147,7 @@ def parse_document(text: str) -> DecompositionDocument:
     for i, term in enumerate(raw["terms"]):
         if not isinstance(term, dict) or set(term) != {"alpha", "linear"}:
             raise DocumentError(f"term {i} must have exactly the fields alpha and linear")
-        if not isinstance(term["alpha"], str):
-            raise DocumentError(f"term {i}: alpha must be a rational string")
-        try:
-            alpha = parse_rational(term["alpha"])
-        except ValueError as exc:
-            raise DocumentError(str(exc)) from exc
+        alpha = _rational_field(term["alpha"], f"term {i}: alpha must be a rational string")
         linear = _rational_triple(term["linear"], f"term {i} linear")
         if not any(linear):
             raise DocumentError(f"term {i}: linear must be a nonzero form")
@@ -534,6 +531,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_example = sub.add_parser("example", help="built-in six-term reference identity")
     p_example.add_argument("--json", action="store_true")
 
+    # argparse reads an argument that this matches as a value, not an option,
+    # while no option of the parser looks like a negative number; its own
+    # pattern takes one number (-1, -.5), this one a list too (-1,0,1)
+    for p in (parser, *parser.commands.values()):
+        p._negative_number_matcher = re.compile(r"-\.?\d")
     return parser
 
 
@@ -544,24 +546,6 @@ _COMMANDS = {
     "claim-check": cmd_claim_check,
     "example": cmd_example,
 }
-
-
-# the list option of each command that has one
-_LIST_OPTIONS = {"verify": "--line", "identity-check": "--h", "claim-check": "--h"}
-
-
-def _attach_list_values(argv: Sequence[str]) -> list[str]:
-    """Rewrite ``--h -1,...`` as ``--h=-1,...`` if the command ``argv[0]`` has ``--h``,
-    likewise ``--line`` and its prefixes (``--l`` on): a separate value with a leading
-    minus is an option to argparse unless a plain number."""
-    option = _LIST_OPTIONS.get(argv[0], "") if argv else ""
-    out: list[str] = []
-    for arg in argv:
-        if out and len(out[-1]) > 2 and option.startswith(out[-1]) and re.match(r"-[0-9]", arg):
-            out[-1] += "=" + arg
-        else:
-            out.append(arg)
-    return out
 
 
 # exceptions that mean bad input (exit 2); TheoremViolationError exits 1 and
@@ -578,7 +562,7 @@ def parse_argv(argv: Sequence[str]) -> argparse.Namespace:
 
 
 def main(argv: Sequence[str] | None = None, out: TextIO | None = None) -> int:
-    args = parse_argv(_attach_list_values(sys.argv[1:] if argv is None else argv))
+    args = parse_argv(sys.argv[1:] if argv is None else argv)
     stream = out if out is not None else sys.stdout
     started = time.perf_counter()
     try:
@@ -589,10 +573,6 @@ def main(argv: Sequence[str] | None = None, out: TextIO | None = None) -> int:
     except TheoremViolationError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 1
-    stream.write(report.render_json() if getattr(args, "json", False) else report.render_text())
+    stream.write(report.render_json() if args.json else report.render_text())
     print(f"wall-time: {time.perf_counter() - started:.3f}s", file=sys.stderr)
     return report.exit_code
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

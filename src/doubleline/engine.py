@@ -81,7 +81,7 @@ class WaringDecomposition(Record):
     def __post_init__(self):
         given = tuple(self.pairs)  # ((E, W), (D, rows)), or terms whose second entries are forms
         if not (len(given) == 2 and isinstance(given[0][1], tuple)):
-            if any(form.num_vars != 3 or form.degree != 1 for _, form in given):
+            if any(not isinstance(f, HomogeneousForm) or f.num_vars != 3 or f.degree != 1 for _, f in given):
                 raise StructuralError("decomposition terms must be linear forms in three variables")
             given = clear_denominators([w for w, _ in given]), cleared_rows([f for _, f in given])
         (wd, ws), (ld, rows) = given

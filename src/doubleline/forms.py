@@ -24,7 +24,7 @@ from math import factorial, gcd, lcm, prod
 from typing import Mapping, Sequence
 
 from . import sympoly
-from .errors import InvalidInputError, StructuralError
+from .errors import DegenerateNodesError, InvalidInputError, StructuralError
 from .linalg import (
     Cleared, IntVector, clear_denominators, cleared, format_rational, normalize_vector, rank, rational
 )
@@ -236,11 +236,12 @@ def interpolate(
 ) -> tuple[int, list[int]]:
     """Coefficients on y0^d, y0^(d-1)*y1, ..., y1^d of the binary form of degree
     d = len(points) - 1 taking ``values[k] / den`` at the integer ``points[k]``
-    (pairwise independent), for int values: sum_k values[k] * prod_{m != k}
-    [P_m, y] / [P_m, P_k] / den, with [P, y] = a*y1 - b*y0 for P = (a, b),
-    summed on integers.  It returns one denominator, the lcm of the bracket
-    products, times den, and the ints over it.  The certificate builder's
-    witnesses are its one use; ``restrict`` expands by substitution."""
+    (pairwise independent, else DegenerateNodesError), for int values:
+    sum_k values[k] * prod_{m != k} [P_m, y] / [P_m, P_k] / den, with
+    [P, y] = a*y1 - b*y0 for P = (a, b), summed on integers.  It returns one
+    denominator, the lcm of the bracket products, times den, and the ints
+    over it.  The certificate builder's witnesses are its one use;
+    ``restrict`` expands by substitution."""
     dens, terms = [], []
     for k, (ak, bk) in enumerate(points):
         term, dk = [1], 1
@@ -251,6 +252,8 @@ def interpolate(
                 dk *= am * bk - bm * ak
         dens.append(dk)
         terms.append(term)
+    if 0 in dens:
+        raise DegenerateNodesError("interpolation points must be pairwise independent")
     common = lcm(*dens)
     nums = [v * (common // dk) for v, dk in zip(values, dens)]
     return common * den, [sum(n * t[e] for n, t in zip(nums, terms)) for e in range(len(points))]

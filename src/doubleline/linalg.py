@@ -69,8 +69,6 @@ def rational(x: Fraction | int) -> Fraction:
 def clear_denominators(values: Collection[Fraction | int]) -> tuple[int, IntVector]:
     """The lcm D of the denominators of ``values`` and the ints D * value, a pair
     with gcd 1 (D = 1 for ints); InvalidInputError for a float or another non-rational."""
-    if all(type(x) is int for x in values):
-        return 1, tuple(values)
     try:
         den = lcm(*(x.denominator for x in values))
     except AttributeError:

@@ -4,6 +4,7 @@ import json
 import os
 import random
 import re
+import shutil
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -447,6 +448,36 @@ class TestCommands:
         code, out, err = run_cli(["verify", doc, prefix, "-1,0,0"])
         assert code != 2, err
         assert (code, out) == run_cli(["verify", doc, "--line=-1,0,0"])[:2]
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["-1,0,0"], "error: argument command: invalid choice: '-1,0,0'"),
+            (["theorem-check", "--seed", "-1,2"], "error: argument --seed: invalid _seed value: '-1,2'\n"),
+            (
+                ["theorem-check", "--nodes-range", "-2,3"],
+                "error: argument --nodes-range: invalid positive_int value: '-2,3'\n",
+            ),
+            (
+                ["verify", str(FIXTURES / "example.json"), "--line", "-.5,0,0"],
+                "error: argument --line: not a rational string: '-.5'\n",
+            ),
+        ],
+        ids=["command", "seed", "nodes-range", "line-of-a-decimal"],
+    )
+    def test_negative_list_is_a_value_wherever_it_stands(self, argv, expected):
+        # an argument with a minus and a digit is a value, not an option: the
+        # error names the value, not a missing command or option value
+        code, out, err = run_cli(argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(expected) and err.count("\n") == 1
+
+    def test_file_name_with_leading_minus(self, tmp_path, monkeypatch):
+        shutil.copy(FIXTURES / "example.json", tmp_path / "-1.json")
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(["verify", "-1.json"])
+        assert code == 0, err
+        assert (code, out) == run_cli(["verify", "--", "-1.json"])[:2]
 
     @pytest.mark.parametrize(
         "argv", [["verify", str(FIXTURES / "example.json"), "--h"], ["--h"]], ids=["verify", "no-command"]
@@ -1029,3 +1060,17 @@ def test_module_entry_point():
     assert result.returncode == 0
     assert "result: pass" in result.stdout
     assert "wall-time" in result.stderr
+
+
+def test_module_entry_point_reads_a_negative_list_from_argv():
+    # the one module entry point, reading sys.argv as the shell passes it
+    argv = ["claim-check", "--h", "-1/2,0,1,2,3,4"]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    result = subprocess.run(
+        [sys.executable, "-m", "doubleline", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == run_cli(argv)[1]

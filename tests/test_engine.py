@@ -1013,6 +1013,17 @@ class TestCoercion:
         with pytest.raises(StructuralError, match="one weight per row, each row of length 3"):
             WaringDecomposition(pairs)
 
+    @pytest.mark.parametrize(
+        "terms",
+        [((1, (1, 0, 0)),), [[1, [1, 0, 0]], [2, [0, 1, 0]]], [[1, [1]], [1, [[1, 0, 0]]]]],
+        ids=["coefficient-tuple", "terms-as-lists", "pairs-as-lists"],
+    )
+    def test_terms_that_are_not_forms_refused(self, terms):
+        # a term's second entry is a HomogeneousForm; the canonical pairs are tuples
+        with pytest.raises(StructuralError) as info:
+            WaringDecomposition(terms)
+        assert str(info.value) == "decomposition terms must be linear forms in three variables"
+
     def test_generate_tangent_instance(self, monkeypatch):
         built = [generate_tangent_instance(v, v[:3], seed=2).instance for v in self.VALUES]
         assert built[0] == built[1] == built[2]

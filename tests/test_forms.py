@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from doubleline import forms, linalg, sympoly
 from doubleline.engine import power_kernel
-from doubleline.errors import InvalidInputError, StructuralError
+from doubleline.errors import DegenerateNodesError, InvalidInputError, StructuralError
 from doubleline.forms import (
     BinaryQuadratic,
     FormTuple,
@@ -694,6 +694,15 @@ class TestInterpolate:
         assert coeffs == as_fractions(interpolate(points, [v * den for v in values], den))
         fractions = [Fraction(v, den) for v in values]
         assert as_fractions(interpolate(points, values, den)) == reference_interpolate(points, fractions)
+
+    @pytest.mark.parametrize(
+        "points", [[(1, 0), (2, 0)], [(0, 0), (1, 1)], [(1, 2), (1, 0), (-2, -4)]],
+        ids=["proportional", "zero-point", "proportional-apart"],
+    )
+    def test_dependent_points_refused(self, points):
+        # a zero bracket product: the interpolant is not defined
+        with pytest.raises(DegenerateNodesError, match="^interpolation points must be pairwise independent$"):
+            interpolate(points, list(range(len(points))), 1)
 
     def test_integer_values(self):
         # y0^2 - y1^2 from (1, 0), (1, 1), (1, -1), and a linear form from (1, 2), (3, 1)
