@@ -243,16 +243,17 @@ def _format_vector(values) -> str:
     return " ".join(map(format_rational, values))
 
 
-def _add_analysis(report: RunReport, analysis: AnalysisReport, line: HomogeneousForm) -> None:
-    report.add("input", analysis.summary)
+def _add_analysis(report: RunReport, dec: WaringDecomposition, line: HomogeneousForm) -> AnalysisReport:
+    report.add("input", f"{dec.n} {'pure' if dec.is_pure else 'weighted'} fourth-power terms")
+    analysis = analyze(dec, line)
     report.check("divisible-by-line-squared", analysis.divisible)
     if not analysis.divisible:
         report.add("remainder", render_form(analysis.remainder))
-        return
+        return analysis
     cofactor = analysis.cofactor
     report.add("cofactor", render_form(cofactor))
     factor, primitive = content_normalize(cofactor)
-    if factor != 1 and not cofactor.is_zero():
+    if factor != 1:
         report.add("cofactor-normalized", f"{format_rational(factor)} * ({render_form(primitive)})")
     report.add("conic-rank", analysis.conic_rank)
     if analysis.tangent is None:
@@ -274,6 +275,7 @@ def _add_analysis(report: RunReport, analysis: AnalysisReport, line: Homogeneous
         report.add("certificate-bridge", render_form(cert.bridge.to_form()))
         report.add("certificate-restricted-conic", render_form(cert.restricted_conic.to_form()))
         report.check("certificate-verified", True)
+    return analysis
 
 
 # commands
@@ -289,7 +291,7 @@ def cmd_verify(args) -> RunReport:
     dec, doc_line = document_to_parts(parse_document(data.decode("utf-8")))
     line = HomogeneousForm.linear(args.line) if args.line else doc_line
     report.add("line", _format_vector(line.linear_coefficients()))
-    _add_analysis(report, analyze(dec, line), line)
+    _add_analysis(report, dec, line)
     return report
 
 
@@ -311,8 +313,7 @@ def cmd_example(args) -> RunReport:
     expected = Fraction(-4) * conic * HomogeneousForm.variable(3, 2) ** 2
     report.add("value", render_form(value))
     report.check("value-identity", value == expected)
-    analysis = analyze(dec, line_x2())
-    _add_analysis(report, analysis, line_x2())
+    analysis = _add_analysis(report, dec, line_x2())
     report.check("conic-rank-3", analysis.conic_rank == 3)
     report.check("not-tangent", analysis.tangent is False)
     return report
@@ -507,45 +508,38 @@ def build_parser() -> argparse.ArgumentParser:
     parser.commands = sub.choices  # each command's own parser, for parse_argv
 
     p_verify = sub.add_parser("verify", help="verify a decomposition document")
+    p_verify.set_defaults(run=cmd_verify)
     p_verify.add_argument("file", type=_file_name)
     p_verify.add_argument("--line", type=lambda s: _rational_list(s, 3), default=None)
-    p_verify.add_argument("--json", action="store_true")
 
     p_theorem = sub.add_parser("theorem-check", help="randomized seven-term tangency suite")
+    p_theorem.set_defaults(run=cmd_theorem_check)
     p_theorem.add_argument("--trials", type=_positive_int(MAX_TRIALS), default=20)
     p_theorem.add_argument("--seed", type=_seed, default=0)
     p_theorem.add_argument("--nodes-range", type=_positive_int(MAX_NODES_RANGE), default=9)
-    p_theorem.add_argument("--json", action="store_true")
 
     p_identity = sub.add_parser("identity-check", help="symbolic identity on a slope slice")
+    p_identity.set_defaults(run=cmd_identity_check)
     p_identity.add_argument("--h", type=lambda s: _rational_list(s, 7, MAX_SLOPES_CHARS), required=True)
-    p_identity.add_argument("--json", action="store_true")
 
     p_claim = sub.add_parser("claim-check", help="six-term collapse checks")
+    p_claim.set_defaults(run=cmd_claim_check)
     group = p_claim.add_mutually_exclusive_group(required=True)
     group.add_argument("--h", type=lambda s: _rational_list(s, 6), default=None)
     group.add_argument("--random", type=_positive_int(MAX_TRIALS), default=None)
     p_claim.add_argument("--seed", type=_seed, default=0)
-    p_claim.add_argument("--json", action="store_true")
 
-    p_example = sub.add_parser("example", help="built-in six-term reference identity")
-    p_example.add_argument("--json", action="store_true")
+    sub.add_parser("example", help="built-in six-term reference identity").set_defaults(run=cmd_example)
 
+    # last, so that [--json] ends every command's usage line
+    for p in parser.commands.values():
+        p.add_argument("--json", action="store_true")
     # argparse reads an argument that this matches as a value, not an option,
     # while no option of the parser looks like a negative number; its own
     # pattern takes one number (-1, -.5), this one a list too (-1,0,1)
     for p in (parser, *parser.commands.values()):
         p._negative_number_matcher = re.compile(r"-\.?\d")
     return parser
-
-
-_COMMANDS = {
-    "verify": cmd_verify,
-    "theorem-check": cmd_theorem_check,
-    "identity-check": cmd_identity_check,
-    "claim-check": cmd_claim_check,
-    "example": cmd_example,
-}
 
 
 # exceptions that mean bad input (exit 2); TheoremViolationError exits 1 and
@@ -566,7 +560,7 @@ def main(argv: Sequence[str] | None = None, out: TextIO | None = None) -> int:
     stream = out if out is not None else sys.stdout
     started = time.perf_counter()
     try:
-        report = _COMMANDS[args.command](args)
+        report = args.run(args)
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

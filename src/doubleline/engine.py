@@ -79,7 +79,8 @@ class WaringDecomposition(Record):
     pairs: tuple[Cleared, tuple[int, tuple[IntVector, ...]]]
 
     def __post_init__(self):
-        given = tuple(self.pairs)  # ((E, W), (D, rows)), or terms whose second entries are forms
+        # ((E, W), (D, rows)), or (weight, form) terms; an entry that is not a pair reads as (None, None)
+        given = [t if isinstance(t, tuple | list) and len(t) == 2 else (None, None) for t in self.pairs]
         if not (len(given) == 2 and isinstance(given[0][1], tuple)):
             if any(not isinstance(f, HomogeneousForm) or f.num_vars != 3 or f.degree != 1 for _, f in given):
                 raise StructuralError("decomposition terms must be linear forms in three variables")
@@ -320,8 +321,8 @@ def tangency_certificate(
     ``restricted_conic`` is the cofactor's restriction.  None is returned when
     the lines do not meet ``line = 0`` in seven distinct points.
     The points D * L_i are the lines' int rows (the ones ``value`` read) times
-    the cleared kernel basis, over the product of their denominators, both
-    divided by their common gcd to leave D; the line values are the rows at
+    the cleared kernel basis over the product of their denominators, made
+    canonical by ``cleared`` to leave D; the line values are the rows at
     the cleared transversal point.  The annihilator, the contact vector and the bridge,
     which interpolate their identities at the first two and three points
     (degree-d values times D**d), are built on these ints, and every rational
@@ -334,9 +335,8 @@ def tangency_certificate(
     ld, rows = dec.cleared_rows
     # a linear form restricts to its coefficients paired with the kernel basis
     points = [(sum(map(mul, row, b0)), sum(map(mul, row, b1))) for row in rows]
-    den = ld * bd  # positive, so the canonical pair divides by the gcd alone
-    g = gcd(den, *[x for point in points for x in point])
-    den, points = den // g, [(p // g, r // g) for p, r in points]
+    den, flat = cleared(ld * bd, [x for point in points for x in point])
+    points = [flat[i : i + 2] for i in range(0, len(flat), 2)]
     try:
         # seven points at degree 5 leave one free index, so one kernel vector
         [(annihilator,)] = moment_kernel(points, (5,))
@@ -642,7 +642,6 @@ def generate_tangent_instance(
 class AnalysisReport(Record):
     """Full exact analysis of a decomposition against a line."""
 
-    summary: str
     divisible: bool
     remainder: HomogeneousForm | None = None
     cofactor: HomogeneousForm | None = None
@@ -663,13 +662,11 @@ def analyze(dec: WaringDecomposition, line: HomogeneousForm) -> AnalysisReport:
     contact point is cross-checked against the independent discriminant test.
     ``extract_cofactor`` alone refuses a zero or nonlinear line.
     """
-    kind = "pure" if dec.is_pure else "weighted"
-    summary = f"{dec.n} {kind} fourth-power terms"
     value = dec.value()
     try:
         cofactor = extract_cofactor(value, line)
     except NotDoubleLineError as exc:
-        return AnalysisReport(summary=summary, divisible=False, remainder=exc.remainder)
+        return AnalysisReport(divisible=False, remainder=exc.remainder)
     rank = conic_rank(cofactor)
     tangent: bool | None = None
     point = None
@@ -685,7 +682,6 @@ def analyze(dec: WaringDecomposition, line: HomogeneousForm) -> AnalysisReport:
         if point is not None and certificate.tangency_point != point:
             raise TheoremViolationError("certificate contact point disagrees with kernel point")
     return AnalysisReport(
-        summary=summary,
         divisible=True,
         cofactor=cofactor,
         conic_rank=rank,

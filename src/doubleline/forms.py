@@ -242,6 +242,8 @@ def interpolate(
     denominator, the lcm of the bracket products, times den, and the ints
     over it.  The certificate builder's witnesses are its one use;
     ``restrict`` expands by substitution."""
+    if len(values) != len(points):
+        raise StructuralError(f"expected {len(points)} values, one per point, got {len(values)}")
     dens, terms = [], []
     for k, (ak, bk) in enumerate(points):
         term, dk = [1], 1

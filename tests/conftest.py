@@ -350,7 +350,7 @@ def nondegenerate_analysis(monkeypatch) -> None:
     """Patch ``engine.analyze`` to report a divisible, rank-3, non-tangent
     conic for every input, the case in which ``two_value_collapse_check``
     must find two slope triples and no zero weight."""
-    report = engine.AnalysisReport(summary="patched", divisible=True, conic_rank=3, tangent=False)
+    report = engine.AnalysisReport(divisible=True, conic_rank=3, tangent=False)
     monkeypatch.setattr(engine, "analyze", lambda dec, line: report)
 
 

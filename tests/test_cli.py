@@ -50,6 +50,7 @@ from doubleline.forms import BinaryQuadratic, HomogeneousForm, parse_form
 from doubleline.linalg import format_rational
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+COMMAND_NAMES = ("verify", "theorem-check", "identity-check", "claim-check", "example")
 # ASCII digit strings, leading zeros included; two of them and "-/" make at
 # most MAX_RATIONAL_CHARS characters
 _HALF = MAX_RATIONAL_CHARS // 2
@@ -529,7 +530,7 @@ class TestParserReuse:
         assert [code for code, _ in rounds[0]] == [0, 0, 2, 0, 0]
         # subparsers are built with the parser's own class, once each
         assert built.count("doubleline") == 1
-        for command in cli._COMMANDS:
+        for command in COMMAND_NAMES:
             assert built.count(f"doubleline {command}") == 1, command
 
     @pytest.mark.parametrize(
@@ -556,6 +557,31 @@ class TestParserReuse:
         monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
         assert run_cli(argv)[0] == 0
         assert passes == [f"doubleline {argv[0]}"]
+
+
+class TestCommandTable:
+    """argparse keeps the one command table: each command's parser holds its
+    handler as the default ``run``, and ``--json`` is declared once for all."""
+
+    @pytest.mark.parametrize("name", COMMAND_NAMES)
+    def test_each_parser_runs_its_handler(self, name):
+        handler = getattr(cli, "cmd_" + name.replace("-", "_"))
+        assert cli.build_parser().commands[name].get_default("run") is handler
+
+    @pytest.mark.parametrize(
+        "name, usage",
+        [
+            ("verify", "[-h] [--line LINE] [--json] file"),
+            ("theorem-check", "[-h] [--trials TRIALS] [--seed SEED] [--nodes-range NODES_RANGE] [--json]"),
+            ("identity-check", "[-h] --h H [--json]"),
+            ("claim-check", "[-h] (--h H | --random RANDOM) [--seed SEED] [--json]"),
+            ("example", "[-h] [--json]"),
+        ],
+    )
+    def test_usage_lines(self, name, usage):
+        # --json is added after every other argument, so it ends each usage line
+        text = cli.build_parser().commands[name].format_usage()
+        assert " ".join(text.split()) == f"usage: doubleline {name} {usage}"
 
 
 class TestAsciiDigits:
@@ -797,10 +823,10 @@ class TestLargeNumbers:
 class TestExitTable:
     def test_bug_exception_propagates(self, monkeypatch):
         # a StructuralError from the engine is a bug, not bad input
-        def broken(args):
+        def broken(*args):
             raise StructuralError("target is not line^2 * cofactor")
 
-        monkeypatch.setitem(cli._COMMANDS, "example", broken)
+        monkeypatch.setattr(cli, "analyze", broken)
         with pytest.raises(StructuralError, match="target is not line"):
             main(["example"], out=io.StringIO())
 
@@ -991,7 +1017,7 @@ class TestParseArgv:
     @given(
         argv=st.one_of(
             st.lists(_parse_token, max_size=6),
-            st.tuples(st.sampled_from(list(cli._COMMANDS)), st.lists(_parse_token, max_size=5)).map(
+            st.tuples(st.sampled_from(COMMAND_NAMES), st.lists(_parse_token, max_size=5)).map(
                 lambda parts: [parts[0], *parts[1]]
             ),
         )

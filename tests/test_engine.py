@@ -1015,8 +1015,14 @@ class TestCoercion:
 
     @pytest.mark.parametrize(
         "terms",
-        [((1, (1, 0, 0)),), [[1, [1, 0, 0]], [2, [0, 1, 0]]], [[1, [1]], [1, [[1, 0, 0]]]]],
-        ids=["coefficient-tuple", "terms-as-lists", "pairs-as-lists"],
+        [
+            ((1, (1, 0, 0)),),
+            [[1, [1, 0, 0]], [2, [0, 1, 0]]],
+            [[1, [1]], [1, [[1, 0, 0]]]],
+            (1,),
+            ((1, HomogeneousForm.linear((1, 0, 0)), 3),),
+        ],
+        ids=["coefficient-tuple", "terms-as-lists", "pairs-as-lists", "bare-weight", "triple"],
     )
     def test_terms_that_are_not_forms_refused(self, terms):
         # a term's second entry is a HomogeneousForm; the canonical pairs are tuples

@@ -704,6 +704,14 @@ class TestInterpolate:
         with pytest.raises(DegenerateNodesError, match="^interpolation points must be pairwise independent$"):
             interpolate(points, list(range(len(points))), 1)
 
+    @pytest.mark.parametrize(
+        "points, values", [([(1, 0), (0, 1)], [1]), ([(1, 0)], [1, 2])], ids=["value-missing", "value-extra"]
+    )
+    def test_one_value_per_point(self, points, values):
+        # a missing value is not read as 0, and an extra one is not dropped
+        with pytest.raises(StructuralError, match="one per point"):
+            interpolate(points, values, 1)
+
     def test_integer_values(self):
         # y0^2 - y1^2 from (1, 0), (1, 1), (1, -1), and a linear form from (1, 2), (3, 1)
         assert as_fractions(interpolate([(1, 0), (1, 1), (1, -1)], [1, 0, 0])) == [1, 0, -1]

@@ -57,7 +57,7 @@ class TestConstruction:
         assert (positional.a, positional.b, positional.c) == (1, 2, 3)
         assert Labelled("x") == Labelled(label="x") == Labelled("x", 0)
         assert Labelled("x").count == 0 and Labelled("x", count=4).count == 4
-        report = AnalysisReport(summary="s", divisible=True)
+        report = AnalysisReport(divisible=True)
         assert report.remainder is report.certificate is None
 
     @pytest.mark.parametrize(

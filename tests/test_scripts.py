@@ -1,6 +1,8 @@
-"""``scripts/identity_slices.py`` exits 1 when its sweep finds a failure."""
+"""``scripts/identity_slices.py`` exits 1 when its sweep finds a failure, and
+the README's library sketch runs as written."""
 
 import importlib
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -36,3 +38,9 @@ def test_failure_exits_1(identity_slices, monkeypatch, capsys, residue, control_
     monkeypatch.setattr(identity_slices, "verify_identity_slice", stub)
     assert identity_slices.main() == 1
     assert "false" in capsys.readouterr().out
+
+
+def test_readme_library_sketch_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    [sketch] = re.findall(r"## Library sketch\n\n```python\n(.*?)```", readme, re.DOTALL)
+    exec(compile(sketch, "README.md", "exec"), {})
