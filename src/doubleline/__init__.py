@@ -5,7 +5,7 @@ forms, conic rank and tangency from ``doubleline.forms`` (shape-checked views
 over the one polynomial core ``doubleline.sympoly``), rationals, their linear
 algebra and closed-form moment kernels from ``doubleline.linalg``, the
 decomposition engine with tangency certificates and symbolic identity checks
-from ``doubleline.engine``, and the ``doubleline`` command-line driver from
+from ``doubleline.engine``, and the ``doubleline`` command line from
 ``doubleline.cli``.
 """
 

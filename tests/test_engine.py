@@ -1025,7 +1025,7 @@ class TestCoercion:
         ids=["coefficient-tuple", "terms-as-lists", "pairs-as-lists", "bare-weight", "triple"],
     )
     def test_terms_that_are_not_forms_refused(self, terms):
-        # a term's second entry is a HomogeneousForm; the canonical pairs are tuples
+        # a term is a (weight, HomogeneousForm) pair; the canonical pairs are tuples
         with pytest.raises(StructuralError) as info:
             WaringDecomposition(terms)
         assert str(info.value) == "decomposition terms must be linear forms in three variables"
