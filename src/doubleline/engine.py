@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import gcd, lcm, prod
 from operator import mul
-from typing import Sequence
 
 from . import sympoly
 from .errors import (
@@ -86,7 +86,8 @@ class WaringDecomposition(Record):
                 raise StructuralError("decomposition terms must be linear forms in three variables")
             given = clear_denominators([w for w, _ in given]), cleared_rows([f for _, f in given])
         (wd, ws), (ld, rows) = given
-        if len(rows) != len(ws) or any(len(row) != 3 for row in rows):
+        rows = rows if isinstance(rows, (tuple, list)) else (None,)  # not a sequence: one bad row
+        if len(rows) != len(ws) or any(not isinstance(row, (tuple, list)) or len(row) != 3 for row in rows):
             raise StructuralError("a decomposition needs one weight per row, each row of length 3")
         ld, flat = cleared(ld, [x for row in rows for x in row])
         vars(self)["pairs"] = cleared(wd, ws), (ld, tuple(flat[i : i + 3] for i in range(0, len(flat), 3)))
@@ -121,10 +122,10 @@ def _fractions_of(field: str) -> property:
 
 
 class CoordinateInstance(Record):
-    """Six or seven lines x0 + slope*x1 + lift*x2 with weights, each vector
-    stored as its canonical pair ``(den, ints)`` and given either so (any
-    nonzero den) or as ints and Fractions; ``slopes``, ``lifts`` and
-    ``weights`` build their Fractions only when read."""
+    """Lines x0 + slope*x1 + lift*x2 with weights, each vector stored as its
+    canonical pair ``(den, ints)`` and given either so (any nonzero den) or
+    as ints and Fractions; ``slopes``, ``lifts`` and ``weights`` build their
+    Fractions only when read."""
 
     cleared_slopes: Cleared
     cleared_lifts: Cleared
@@ -132,13 +133,13 @@ class CoordinateInstance(Record):
 
     def __post_init__(self):
         for name in self._fields:
-            given = tuple(vars(self)[name])  # a pair (den, tuple of ints), or rationals, none a tuple
+            try:  # a pair (den, tuple of ints), or rationals, none a tuple
+                given = tuple(vars(self)[name])
+            except TypeError:
+                raise StructuralError(f"{name} must be a sequence, got {vars(self)[name]!r}") from None
             is_pair = len(given) == 2 and isinstance(given[1], tuple)
             vars(self)[name] = cleared(*(given if is_pair else clear_denominators(given)))
-        n = self.n
-        if n not in (6, 7):
-            raise StructuralError(f"coordinate instances have 6 or 7 terms, got {n}")
-        if len(self.cleared_lifts[1]) != n or len(self.cleared_weights[1]) != n:
+        if len(self.cleared_lifts[1]) != self.n or len(self.cleared_weights[1]) != self.n:
             raise StructuralError("slopes, lifts and weights must have equal length")
 
     @property

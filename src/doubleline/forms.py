@@ -159,10 +159,14 @@ class HomogeneousForm(Record):
         return self * other
 
     def __pow__(self, exponent: int) -> "HomogeneousForm":
-        """``sympoly.power`` of the ints over den**exponent."""
+        """The ints times themselves, ``exponent - 1`` ``sympoly.mul`` calls (1 for 0), over den**exponent."""
         if not isinstance(exponent, int):
             raise InvalidInputError(f"expected an int exponent, got {exponent!r}")
-        power = sympoly.power(self.poly, exponent)
+        if exponent < 0:
+            raise StructuralError(f"negative exponent {exponent}")
+        power = dict(self.poly) if exponent else {0: 1}
+        for _ in range(exponent - 1):
+            power = sympoly.mul(power, self.poly)
         return HomogeneousForm(self.num_vars, self.degree * exponent, self.den**exponent, power)
 
     def __hash__(self) -> int:
@@ -217,13 +221,12 @@ def power_sum(weights: Cleared, rows: tuple[int, Sequence[IntVector]], exponent:
     monos = [m for m, _, _ in table]
     moments = [0] * len(table)
     for w, (c0, c1, c2) in zip(ws, (row + (0, 0)[: 3 - len(row)] for row in rows)):
-        if w:
-            p0, p1, p2 = [w], [1], [1]  # w * c0**k, c1**k and c2**k for k = 0..exponent
-            for _ in range(exponent):
-                p0.append(p0[-1] * c0)
-                p1.append(p1[-1] * c1)
-                p2.append(p2[-1] * c2)
-            moments = [s + p0[a] * p1[b] * p2[c] for s, (a, b, c) in zip(moments, monos)]
+        p0, p1, p2 = [w], [1], [1]  # w * c0**k, c1**k and c2**k for k = 0..exponent
+        for _ in range(exponent):
+            p0.append(p0[-1] * c0)
+            p1.append(p1[-1] * c1)
+            p2.append(p2[-1] * c2)
+        moments = [s + p0[a] * p1[b] * p2[c] for s, (a, b, c) in zip(moments, monos)]
     poly = {key: multinomial * s for (_, key, multinomial), s in zip(table, moments) if s}
     try:  # the form's gcd takes ints only
         return HomogeneousForm(num_vars, exponent, wd * ld**exponent, poly)
@@ -236,14 +239,16 @@ def interpolate(
 ) -> tuple[int, list[int]]:
     """Coefficients on y0^d, y0^(d-1)*y1, ..., y1^d of the binary form of degree
     d = len(points) - 1 taking ``values[k] / den`` at the integer ``points[k]``
-    (pairwise independent, else DegenerateNodesError), for int values:
-    sum_k values[k] * prod_{m != k} [P_m, y] / [P_m, P_k] / den, with
-    [P, y] = a*y1 - b*y0 for P = (a, b), summed on integers.  It returns one
-    denominator, the lcm of the bracket products, times den, and the ints
-    over it.  The certificate builder's witnesses are its one use;
-    ``restrict`` expands by substitution."""
+    (pairwise independent, else DegenerateNodesError), for int values and den
+    (else InvalidInputError): sum_k values[k] * prod_{m != k} [P_m, y] /
+    [P_m, P_k] / den, with [P, y] = a*y1 - b*y0 for P = (a, b), summed on
+    integers.  It returns one denominator, the lcm of the bracket products,
+    times den, and the ints over it.  The certificate builder's witnesses are
+    its one use; ``restrict`` expands by substitution."""
     if len(values) != len(points):
         raise StructuralError(f"expected {len(points)} values, one per point, got {len(values)}")
+    if not all(isinstance(x, int) for x in (den, *values, *(c for point in points for c in point))):
+        raise InvalidInputError(f"expected int points, values and den, got {points!r}, {values!r}, {den!r}")
     dens, terms = [], []
     for k, (ak, bk) in enumerate(points):
         term, dk = [1], 1
@@ -505,6 +510,8 @@ class BinaryQuadratic(Record):
     cleared: Cleared
 
     def __post_init__(self):
+        if not (isinstance(self.cleared, tuple | list) and len(self.cleared) == 2):
+            raise StructuralError(f"expected a (den, ints) pair, got {self.cleared!r}")
         vars(self)["cleared"] = cleared(*self.cleared)
         if len(self.cleared[1]) != 3:
             raise StructuralError(f"expected three coefficients, got {self.cleared[1]!r}")

@@ -159,6 +159,8 @@ def moment_kernel(points: Sequence[tuple[int, int]], degrees: Sequence[int]) -> 
     """
     if any(degree < -1 for degree in degrees):
         raise StructuralError("degree must be at least -1")
+    if any(len(point) != 2 for point in points):
+        raise StructuralError(f"expected points of two coordinates, got {points!r}")
     if not all(isinstance(c, int) for point in points for c in point):
         raise InvalidInputError(f"expected int points, got {points!r}")
     # col[i][j] = [P_j, P_i]; a column has its zero on the diagonal, and others only if degenerate

@@ -121,15 +121,3 @@ def square_and_cross(p0: Poly, p1: Poly, p2: Poly) -> tuple[Poly, Poly]:
     if any(term & _GUARD for term in square):  # cross has the same keys
         raise StructuralError(f"exponent above {MAX_EXPONENT} in a product")
     return {t: c for t, c in square.items() if c}, {t: c for t, c in cross.items() if c}
-
-
-def power(p: Poly, exponent: int) -> Poly:
-    """p**exponent in a new dict, by squaring from the top bit down (1 for 0)."""
-    if exponent < 0:
-        raise StructuralError(f"negative exponent {exponent}")
-    out = dict(p) if exponent else {0: 1}
-    for bit in bin(exponent)[3:]:
-        out = mul(out, out)
-        if bit == "1":
-            out = mul(out, p)
-    return out

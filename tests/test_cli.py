@@ -13,6 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd, prod
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from conftest import (
@@ -879,6 +880,19 @@ class TestExitTable:
         assert code == 1
         assert out == ""
         assert err == "internal consistency failure: a weight vanishes on a nondegenerate instance\n"
+
+    def test_claim_check_random_failures_name_their_trial(self, monkeypatch):
+        # a failed vanishing check and a family the collapse does not apply to
+        # are failed checks (exit 1), each named with its trial
+        monkeypatch.setattr(cli, "six_term_vanishing_check", lambda slopes: SimpleNamespace(passed=False))
+        monkeypatch.setattr(cli, "two_value_collapse_check", lambda inst: SimpleNamespace(applicable=False))
+        code, out, err = run_cli(["claim-check", "--random", "1"])
+        assert code == 1
+        assert (
+            "check all-trials: fail (trial 0: vanishing failed; trial 0: generated family not applicable)\n"
+        ) in out
+        assert out.endswith("result: fail\n")
+        assert err.startswith("wall-time: ") and "error:" not in err
 
     def test_theorem_check_defect_fires(self, monkeypatch):
         # seed 0, trial 0 is tangent with a certificate: only the defect fails

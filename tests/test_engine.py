@@ -242,6 +242,10 @@ class TestValue:
         dec = WaringDecomposition(((Fraction(1), l), (Fraction(-1), l)))
         assert dec.value().is_zero()
 
+    def test_no_terms(self):
+        # power_sum refuses no rows, so value() gives the zero quartic itself
+        assert WaringDecomposition(()).value() == HomogeneousForm.zero(3, 4)
+
 
     # small pools, so that repeated lines and cancelling weights are common
     @given(
@@ -325,10 +329,15 @@ class TestValue:
             ((1, (1,)), (1, ((1, 0.5, 2),))),
             ((2.0, (1,)), (1, ((1, 1),))),
             ((1, (1,)), (Fraction(1), ((1, 1),))),
+            ((1, (0, 1)), (1, ((0.5, 0, 0), (1, 0, 0)))),
         ],
-        ids=["float-weight", "Fraction-weight", "Fraction-row", "float-row", "float-den", "Fraction-den"],
+        ids=[
+            "float-weight", "Fraction-weight", "Fraction-row", "float-row", "float-den", "Fraction-den",
+            "float-row-zero-weight",
+        ],
     )
     def test_power_sum_refuses_non_int_pairs(self, weights, rows):
+        # a zero weight takes its row through the same int arithmetic as any other
         with pytest.raises(InvalidInputError, match=r"expected \(den, ints\) pairs"):
             power_sum(weights, rows, 2)
 
@@ -338,7 +347,6 @@ class TestValue:
         def refuse(*args):
             raise AssertionError("value() expanded a polynomial")
 
-        monkeypatch.setattr(sympoly, "power", refuse)
         monkeypatch.setattr(sympoly, "mul", refuse)
         assert reference_decomposition().value() == expected
 
@@ -1006,12 +1014,25 @@ class TestCoercion:
 
     @pytest.mark.parametrize(
         "pairs",
-        [((1, (1, 1)), (1, ((1, 0, 0),))), ((1, (1,)), (1, ((1, 0),))), ((1, (1,)), (1, ((1, 0, 0, 0),)))],
-        ids=["two-weights-one-row", "short-row", "long-row"],
+        [
+            ((1, (1, 1)), (1, ((1, 0, 0),))),
+            ((1, (1,)), (1, ((1, 0),))),
+            ((1, (1,)), (1, ((1, 0, 0, 0),))),
+            ((1, (1,)), 5),
+            ((1, (1,)), (1, 5)),
+            ((1, (1,)), (1, ((1, 0, 0),), 5)),
+            ((1, (1,)), (1, (5,))),
+        ],
+        ids=["two-weights-one-row", "short-row", "long-row", "int-rows-pair", "int-rows", "rows-triple", "int-row"],
     )
     def test_waring_decomposition_pairs_of_other_shapes_refused(self, pairs):
         with pytest.raises(StructuralError, match="one weight per row, each row of length 3"):
             WaringDecomposition(pairs)
+
+    def test_coordinate_instance_of_non_sequences_refused(self):
+        with pytest.raises(StructuralError) as info:
+            CoordinateInstance(5, 5, 5)
+        assert str(info.value) == "cleared_slopes must be a sequence, got 5"
 
     @pytest.mark.parametrize(
         "terms",
@@ -1163,7 +1184,8 @@ class TestDiscriminantBridge:
             acc: sympoly.Poly = {}
             for i in range(7):
                 term = sympoly.mul(weight[i], sympoly.mul(lift[i], lift[i]))
-                term = sympoly.mul(term, sympoly.power(slope[i], p))
+                for _ in range(p):
+                    term = sympoly.mul(term, slope[i])
                 acc = sympoly.add(acc, term)
             sums.append(acc)
         cross = sympoly.mul(sums[0], sums[2])
@@ -1523,10 +1545,20 @@ class TestRoundTrips:
             assert line_x2() ** 2 * q == value
 
     def test_instance_size_validation(self):
-        with pytest.raises(StructuralError):
-            CoordinateInstance((0, 1), (0, 0), (1, 1))
-        with pytest.raises(StructuralError):
+        with pytest.raises(StructuralError, match="must have equal length"):
             CoordinateInstance((0, 1, 2, 3, 4, 5), (0,) * 5, (1,) * 6)
+
+    def test_five_terms_build(self):
+        # the instance takes any term count; the six- and seven-term readers check theirs
+        third, half = Fraction(1, 3), Fraction(1, 2)
+        inst = CoordinateInstance((0, 1, -2, third, 3), (1, -half, 2, 0, third), (2, -1, half, 5, -3))
+        expected: dict = {}
+        for h, k, w in zip(inst.slopes, inst.lifts, inst.weights):
+            line = {(1, 0, 0): Fraction(1), (0, 1, 0): h, (0, 0, 1): k}
+            expected = ref_add(expected, ref_scale(ref_product([line] * 4, 3), w))
+        assert inst.n == 5
+        assert inst.to_decomposition().value().terms == expected
+        assert tangency_defect(inst) == reference_tangency_defect(inst) != 0
 
 
 class TestDoubleLineQuartic:

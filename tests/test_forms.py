@@ -159,6 +159,15 @@ class TestPow:
         assert l**4 == square * square
         assert (l**4).terms == ref_product([l.terms] * 4, 3)
 
+    def test_power_multiplies_by_the_base(self, monkeypatch):
+        # a copy of the three-term base times the base: a square is one
+        # sympoly.mul, a fourth power three, of 3*3, 6*3 and 10*3 term pairs
+        calls = count_calls(monkeypatch, sympoly, "mul")
+        line = HomogeneousForm.linear((1, 2, 3))
+        assert len((line**2).poly) == 6 and len(calls) == 1
+        assert len((line**4).poly) == 15
+        assert [len(p) * len(q) for p, q in calls[1:]] == [9, 18, 30]
+
     def test_negative_power_rejected(self):
         for f in (X0, HomogeneousForm.linear((Fraction(1, 3), 0, 2)), HomogeneousForm.zero(3, 2)):
             with pytest.raises(StructuralError):
@@ -712,6 +721,23 @@ class TestInterpolate:
         with pytest.raises(StructuralError, match="one per point"):
             interpolate(points, values, 1)
 
+    @pytest.mark.parametrize(
+        "points, values, den",
+        [
+            ([(1, 0), (0, 1)], [0.5, 1], 1),
+            ([(1, 0), (0, 1)], [Fraction(1, 2), 1], 1),
+            ([(1, 0), (0, 1)], [1, 1], 0.5),
+            ([(1, 0), (0, 1)], [1, 1], Fraction(1, 2)),
+            ([(Fraction(1, 2), 0), (0, 1)], [1, 1], 1),
+            ([(1, 0), (0, 0.5)], [1, 1], 1),
+        ],
+        ids=["float-value", "Fraction-value", "float-den", "Fraction-den", "Fraction-point", "float-point"],
+    )
+    def test_non_int_inputs_refused(self, points, values, den):
+        # no float or Fraction goes into the int arithmetic, nor comes out of it
+        with pytest.raises(InvalidInputError, match="^expected int points, values and den, got "):
+            interpolate(points, values, den)
+
     def test_integer_values(self):
         # y0^2 - y1^2 from (1, 0), (1, 1), (1, -1), and a linear form from (1, 2), (3, 1)
         assert as_fractions(interpolate([(1, 0), (1, 1), (1, -1)], [1, 0, 0])) == [1, 0, -1]
@@ -758,6 +784,12 @@ class TestCoercion:
         # a Fraction coefficient is read into the pair over its denominator
         q = BinaryQuadratic.from_form(binary_form((1, Fraction(-4, 5), 0)))
         assert q.cleared == (5, (5, -4, 0))
+
+    @pytest.mark.parametrize("given", [(1,), 5], ids=["one-entry", "int"])
+    def test_binary_quadratic_of_a_non_pair_refused(self, given):
+        with pytest.raises(StructuralError) as info:
+            BinaryQuadratic(given)
+        assert str(info.value) == f"expected a (den, ints) pair, got {given!r}"
 
 
 def binary_form(coeffs) -> HomogeneousForm:

@@ -86,8 +86,8 @@ class TestConstruction:
             assert all(type(x) is Fraction for x in (q.a, q.b, q.c))
         inst = coordinate_instance()
         assert all(type(h) is Fraction for h in inst.slopes + inst.lifts + inst.weights)
-        with pytest.raises(StructuralError, match="6 or 7 terms"):
-            CoordinateInstance((0,), (1,), (1,))
+        with pytest.raises(StructuralError, match="must have equal length"):
+            CoordinateInstance((0,), (1, 2), (1,))
 
     def test_assignment_raises(self):
         q = Coerced(1, 2, 3)

@@ -23,7 +23,7 @@ from doubleline.engine import (
 )
 from doubleline.errors import InvalidInputError, PreconditionError, StructuralError
 from doubleline.forms import HomogeneousForm, conic_rank, divide_by_linear, parse_form
-from doubleline.linalg import weighted_moment_kernel
+from doubleline.linalg import moment_kernel, weighted_moment_kernel
 
 X0 = HomogeneousForm.linear((1, 0, 0))
 CONIC = parse_form("x0^2 + x1^2", 3)
@@ -142,6 +142,10 @@ REFUSALS = {
     "weighted-kernel-lengths": (
         lambda: weighted_moment_kernel((1, 2, 3), (1, 2), 1),
         StructuralError, "nodes and weights must have equal length",
+    ),
+    "moment-kernel-one-coordinate": (
+        lambda: moment_kernel([(1,)], (1,)),
+        StructuralError, "expected points of two coordinates, got [(1,)]",
     ),
 }
 

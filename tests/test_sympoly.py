@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 from conftest import (
-    count_calls,
+    monomials,
     packed_variable,
     ref_add,
     ref_mul,
@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from doubleline import sympoly
 from doubleline.errors import StructuralError
+from doubleline.forms import HomogeneousForm
 
 NVARS = 4
 
@@ -27,6 +28,13 @@ coefficients_st = st.one_of(
 exponents_st = st.tuples(*[st.integers(min_value=0, max_value=3)] * NVARS)
 tuple_polys_st = st.dictionaries(exponents_st, coefficients_st, max_size=6)
 int_polys_st = st.dictionaries(exponents_st, st.integers(-50, 50).filter(bool), max_size=6)
+# (degree, terms) of a ternary form of degree 0..2: the powers are ``**`` on
+# forms, whose one polynomial kernel is ``sympoly.mul`` by the base
+form_terms_st = st.integers(0, 2).flatmap(
+    lambda d: st.tuples(
+        st.just(d), st.dictionaries(st.sampled_from(monomials(3, d)), coefficients_st, max_size=4)
+    )
+)
 
 
 def pack(poly: dict) -> sympoly.Poly:
@@ -72,18 +80,19 @@ class TestAgainstReference:
         if all(type(c) is int for c in p.values()):
             assert all(type(c) is int for c in square.values())
 
-    @given(tuple_polys_st, st.integers(min_value=0, max_value=9))
-    def test_power(self, p, exponent):
-        expected = ref_product([ref(p)] * exponent, NVARS)
-        assert unpack(sympoly.power(pack(p), exponent), NVARS, sympoly.BITS) == expected
+    @given(form_terms_st, st.integers(min_value=0, max_value=9))
+    def test_power(self, case, exponent):
+        degree, terms = case
+        power = HomogeneousForm.from_terms(3, degree, terms) ** exponent
+        assert power.terms == ref_product([ref(terms)] * exponent, 3)
 
-    @given(tuple_polys_st)
-    def test_power_starts_from_p(self, p):
-        # the first power is p itself, in a new dict: changing it leaves p alone
-        packed = pack(p)
-        first = sympoly.power(packed, 1)
-        assert first == packed and first is not packed
-        assert sympoly.power(packed, 0) == {0: 1}
+    @given(form_terms_st)
+    def test_power_starts_from_p(self, case):
+        # the first power is the form itself over a new dict: changing it leaves the base alone
+        form = HomogeneousForm.from_terms(3, *case)
+        first = form**1
+        assert first == form and first.poly is not form.poly
+        assert (form**0).poly == {0: 1}
 
     @given(st.lists(coefficients_st, min_size=NVARS, max_size=NVARS))
     def test_linear_combination(self, coeffs):
@@ -190,28 +199,15 @@ class TestSquareAndCross:
         assert sympoly.square_and_cross(low, low, low) == (sympoly.mul(low, low),) * 2
 
 
-class TestPowerBySquaring:
-    def test_fourth_power_of_linear_form_squares_twice(self, monkeypatch):
-        # p*p then its square: 4*4 + 10*10 = 116 term pairs, where three
-        # products by p take 4*4 + 10*4 + 20*4 = 136
-        calls = count_calls(monkeypatch, sympoly, "mul")
-        form = linear_combination([1, 2, 3, 5], variables())
-        fourth = sympoly.power(form, 4)
-        assert sum(len(p) * len(q) for p, q in calls) == 116
-        assert len(calls) == 2 and len(fourth) == 35
-
-
 class TestExponentLimits:
     def test_largest_exponent(self):
-        x = packed_variable(1)
-        assert sympoly.power(x, sympoly.MAX_EXPONENT) == {
-            sympoly.MAX_EXPONENT << sympoly.BITS: 1
-        }
+        x = HomogeneousForm.variable(3, 1)
+        assert (x**sympoly.MAX_EXPONENT).poly == {sympoly.MAX_EXPONENT << sympoly.BITS: 1}
         assert sympoly.MAX_EXPONENT == 2**15 - 1
 
     def test_guard_bit_overflow_raises(self):
-        with pytest.raises(StructuralError):
-            sympoly.power(packed_variable(0), 2**15)
+        with pytest.raises(StructuralError, match="exponent above"):
+            HomogeneousForm.variable(3, 0) ** 2**15
 
     def test_direct_square_checks_the_guard_bit(self):
         # x1**(2**14) squared reaches 2**15 in x1's field, alone or beside a
@@ -224,13 +220,14 @@ class TestExponentLimits:
         assert sympoly.mul(low, low) == {2 * sympoly.monomial((0, 2**14 - 1)): 4}
 
     def test_negative_exponent_raises(self):
-        with pytest.raises(StructuralError):
-            sympoly.power(packed_variable(0), -2)
+        with pytest.raises(StructuralError, match="^negative exponent -2$"):
+            HomogeneousForm.variable(3, 0) ** -2
 
-    @pytest.mark.parametrize("nvars", [0, 1, 5, 21])
-    def test_zeroth_power_of_zero_is_one(self, nvars):
-        # the constant 1 in any number of variables has the key 0
-        assert sympoly.power({}, 0) == {sympoly.monomial((0,) * nvars): 1}
+    @pytest.mark.parametrize("degree", [0, 1, 5, 21])
+    def test_zeroth_power_of_zero_is_one(self, degree):
+        # the zero form of any degree to the 0th is the constant 1, whose key is 0
+        one = HomogeneousForm.zero(3, degree) ** 0
+        assert (one.degree, one.den, one.poly) == (0, 1, {sympoly.monomial((0, 0, 0)): 1})
 
     @pytest.mark.parametrize("nvars", [sympoly.MAX_VARS, sympoly.MAX_VARS + 1])
     def test_variable_count_is_capped(self, nvars):
