@@ -510,7 +510,7 @@ class BinaryQuadratic(Record):
     cleared: Cleared
 
     def __post_init__(self):
-        if not (isinstance(self.cleared, tuple | list) and len(self.cleared) == 2):
+        if not (isinstance(self.cleared, (tuple, list)) and len(self.cleared) == 2):
             raise StructuralError(f"expected a (den, ints) pair, got {self.cleared!r}")
         vars(self)["cleared"] = cleared(*self.cleared)
         if len(self.cleared[1]) != 3:
