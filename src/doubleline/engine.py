@@ -23,7 +23,7 @@ from collections import Counter
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from math import gcd, lcm, prod
 from operator import mul
 
@@ -53,8 +53,10 @@ from .linalg import (
     Cleared,
     IntVector,
     VandermondeSystem,
+    as_pair,
     clear_denominators,
     cleared,
+    int_rows,
     moment_kernel,
     normalize_vector,
     rank,
@@ -77,20 +79,23 @@ class WaringDecomposition(Record):
     nonzero dens) or as (weight, linear form) terms, cleared once when built."""
 
     pairs: tuple[Cleared, tuple[int, tuple[IntVector, ...]]]
+    _ROWS = "one weight per row, each row of length 3"
 
     def __post_init__(self):
-        # ((E, W), (D, rows)), or (weight, form) terms; an entry that is not a pair reads as (None, None)
-        given = [t if isinstance(t, tuple | list) and len(t) == 2 else (None, None) for t in self.pairs]
-        if not (len(given) == 2 and isinstance(given[0][1], tuple)):
-            if any(not isinstance(f, HomogeneousForm) or f.num_vars != 3 or f.degree != 1 for _, f in given):
-                raise StructuralError("decomposition terms must be linear forms in three variables")
-            given = clear_denominators([w for w, _ in given]), cleared_rows([f for _, f in given])
-        (wd, ws), (ld, rows) = given
-        rows = rows if isinstance(rows, (tuple, list)) else (None,)  # not a sequence: one bad row
-        if len(rows) != len(ws) or any(not isinstance(row, (tuple, list)) or len(row) != 3 for row in rows):
-            raise StructuralError("a decomposition needs one weight per row, each row of length 3")
-        ld, flat = cleared(ld, [x for row in rows for x in row])
-        vars(self)["pairs"] = cleared(wd, ws), (ld, tuple(flat[i : i + 3] for i in range(0, len(flat), 3)))
+        match self.pairs:
+            case [[wd, tuple() as ws], rows]:  # ((E, W), (D, rows)), any nonzero dens
+                ld, rows = as_pair(rows, self._ROWS)
+                rows = int_rows(rows, (3,), self._ROWS)
+                (ws,) = int_rows((ws,), (len(rows),), self._ROWS, (wd, ld))
+                ld, flat = cleared(ld, [*chain.from_iterable(rows)])
+                vars(self)["pairs"] = cleared(wd, ws), (ld, tuple(zip(*[iter(flat)] * 3)))
+            case [*terms]:  # (weight, form) terms, cleared as they are read
+                terms = [as_pair(term, "a (weight, form) term") for term in terms]
+                if not all(isinstance(f, HomogeneousForm) and (f.num_vars, f.degree) == (3, 1) for _, f in terms):
+                    raise StructuralError("decomposition terms must be linear forms in three variables")
+                vars(self)["pairs"] = clear_denominators([w for w, _ in terms]), cleared_rows([f for _, f in terms])
+            case _:
+                raise StructuralError(f"expected decomposition pairs or terms, got {self.pairs!r}")
 
     cleared_weights = property(lambda self: self.pairs[0])
     cleared_rows = property(lambda self: self.pairs[1])
@@ -132,15 +137,17 @@ class CoordinateInstance(Record):
     cleared_weights: Cleared
 
     def __post_init__(self):
+        pairs = []
         for name in self._fields:
-            try:  # a pair (den, tuple of ints), or rationals, none a tuple
-                given = tuple(vars(self)[name])
-            except TypeError:
-                raise StructuralError(f"{name} must be a sequence, got {vars(self)[name]!r}") from None
-            is_pair = len(given) == 2 and isinstance(given[1], tuple)
-            vars(self)[name] = cleared(*(given if is_pair else clear_denominators(given)))
-        if len(self.cleared_lifts[1]) != self.n or len(self.cleared_weights[1]) != self.n:
-            raise StructuralError("slopes, lifts and weights must have equal length")
+            match given := vars(self)[name]:
+                case [_, tuple()]:  # a (den, ints) pair
+                    pass
+                case [*rationals]:
+                    given = clear_denominators(rationals)
+            pairs.append(as_pair(given, "slopes, lifts and weights as (den, ints) pairs or rationals"))
+        dens, ints = zip(*pairs)
+        ints = int_rows(ints, None, "slopes, lifts and weights of equal length", dens)
+        vars(self).update(zip(self._fields, map(cleared, dens, ints)))
 
     @property
     def n(self) -> int:

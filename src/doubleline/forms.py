@@ -26,7 +26,8 @@ from typing import Mapping, Sequence
 from . import sympoly
 from .errors import DegenerateNodesError, InvalidInputError, StructuralError
 from .linalg import (
-    Cleared, IntVector, clear_denominators, cleared, format_rational, normalize_vector, rank, rational
+    Cleared, IntVector, as_pair, clear_denominators, cleared, format_rational, int_rows, normalize_vector, rank,
+    rational,
 )
 from .record import Record
 
@@ -97,8 +98,8 @@ class HomogeneousForm(Record):
 
     @classmethod
     def linear(cls, coeffs: Point) -> "HomogeneousForm":
-        if len(coeffs) not in (2, 3):
-            raise StructuralError(f"num_vars must be 2 or 3, got {len(coeffs)}")
+        if not isinstance(coeffs, Sequence) or len(coeffs) not in (2, 3):
+            raise StructuralError(f"expected two or three coefficients, got {coeffs!r}")
         den, nums = clear_denominators(coeffs)
         return cls(len(coeffs), 1, den, {u: c for u, c in zip(UNITS, nums) if c})
 
@@ -206,21 +207,17 @@ def power_sum(weights: Cleared, rows: tuple[int, Sequence[IntVector]], exponent:
     multinomial(exponent; m) * sum_i W_i * prod_j c_ij**m_j / (E * D**exponent).
     Each term adds its products of coefficient powers to every moment in one
     pass over the monomials; a binary form is a ternary one free of x2.
-    Raises StructuralError unless the rows are one or more, all of length 2 or all of 3, one weight each;
-    InvalidInputError for a float or a Fraction in either pair.
     """
-    ld, rows = rows
+    (wd, ws), (ld, rows) = as_pair(weights, "a (den, ints) pair"), as_pair(rows, "a (den, rows) pair")
+    rows = int_rows(rows, (2, 3), "rows all of length 2 or all of 3")
+    (ws,) = int_rows((ws,), (len(rows),), "one weight per row and an int power", (wd, ld, exponent))
     if not 0 <= exponent <= sympoly.MAX_EXPONENT:
         raise StructuralError(f"a power sum needs a power in 0..{sympoly.MAX_EXPONENT}")
-    wd, ws = weights
-    lengths = {len(row) for row in rows}
-    if lengths not in ({2}, {3}) or len(ws) != len(rows):
-        raise StructuralError("a power sum needs one weight per row and rows all of length 2 or all of 3")
-    (num_vars,) = lengths
+    num_vars = len(rows[0])
     table = _monomial_table(num_vars, exponent)
     monos = [m for m, _, _ in table]
     moments = [0] * len(table)
-    for w, (c0, c1, c2) in zip(ws, (row + (0, 0)[: 3 - len(row)] for row in rows)):
+    for w, (c0, c1, c2) in zip(ws, rows if num_vars == 3 else ((x, y, 0) for x, y in rows)):
         p0, p1, p2 = [w], [1], [1]  # w * c0**k, c1**k and c2**k for k = 0..exponent
         for _ in range(exponent):
             p0.append(p0[-1] * c0)
@@ -228,10 +225,7 @@ def power_sum(weights: Cleared, rows: tuple[int, Sequence[IntVector]], exponent:
             p2.append(p2[-1] * c2)
         moments = [s + p0[a] * p1[b] * p2[c] for s, (a, b, c) in zip(moments, monos)]
     poly = {key: multinomial * s for (_, key, multinomial), s in zip(table, moments) if s}
-    try:  # the form's gcd takes ints only
-        return HomogeneousForm(num_vars, exponent, wd * ld**exponent, poly)
-    except TypeError:
-        raise InvalidInputError(f"expected (den, ints) pairs, got {weights!r}, {(ld, rows)!r}") from None
+    return HomogeneousForm(num_vars, exponent, wd * ld**exponent, poly)
 
 
 def interpolate(
@@ -239,16 +233,13 @@ def interpolate(
 ) -> tuple[int, list[int]]:
     """Coefficients on y0^d, y0^(d-1)*y1, ..., y1^d of the binary form of degree
     d = len(points) - 1 taking ``values[k] / den`` at the integer ``points[k]``
-    (pairwise independent, else DegenerateNodesError), for int values and den
-    (else InvalidInputError): sum_k values[k] * prod_{m != k} [P_m, y] /
-    [P_m, P_k] / den, with [P, y] = a*y1 - b*y0 for P = (a, b), summed on
-    integers.  It returns one denominator, the lcm of the bracket products,
-    times den, and the ints over it.  The certificate builder's witnesses are
-    its one use; ``restrict`` expands by substitution."""
-    if len(values) != len(points):
-        raise StructuralError(f"expected {len(points)} values, one per point, got {len(values)}")
-    if not all(isinstance(x, int) for x in (den, *values, *(c for point in points for c in point))):
-        raise InvalidInputError(f"expected int points, values and den, got {points!r}, {values!r}, {den!r}")
+    (pairwise independent, else DegenerateNodesError): sum_k values[k] *
+    prod_{m != k} [P_m, y] / [P_m, P_k] / den, with [P, y] = a*y1 - b*y0 for
+    P = (a, b), summed on integers.  It returns one denominator, the lcm of the
+    bracket products, times den, and the ints over it.  The certificate
+    builder's witnesses are its one use; ``restrict`` expands by substitution."""
+    points = int_rows(points, (2,), "points of two coordinates")
+    (values,) = int_rows((values,), (len(points),), "values over a den, one per point", (den,))
     dens, terms = [], []
     for k, (ak, bk) in enumerate(points):
         term, dk = [1], 1
@@ -469,10 +460,8 @@ def restrict(f: HomogeneousForm, line: HomogeneousForm) -> HomogeneousForm:
     return HomogeneousForm(2, d, f.den * den**d, poly)
 
 
-def _plane_point(point: Point) -> tuple[Fraction, Fraction]:
-    if len(point) != 2:
-        raise StructuralError(f"expected a point of two coordinates, got {point!r}")
-    return rational(point[0]), rational(point[1])
+def _plane_point(point: Point) -> tuple[Fraction, ...]:
+    return tuple(map(rational, as_pair(point, "a point of two coordinates")))
 
 
 def embed_in_plane(line: HomogeneousForm, point: Point) -> tuple[Fraction, ...]:
@@ -510,11 +499,8 @@ class BinaryQuadratic(Record):
     cleared: Cleared
 
     def __post_init__(self):
-        if not (isinstance(self.cleared, (tuple, list)) and len(self.cleared) == 2):
-            raise StructuralError(f"expected a (den, ints) pair, got {self.cleared!r}")
-        vars(self)["cleared"] = cleared(*self.cleared)
-        if len(self.cleared[1]) != 3:
-            raise StructuralError(f"expected three coefficients, got {self.cleared[1]!r}")
+        den, ints = as_pair(self.cleared, "a (den, ints) pair")
+        vars(self)["cleared"] = cleared(den, *int_rows((ints,), (3,), "three coefficients over a den", (den,)))
 
     @classmethod
     def from_form(cls, q: HomogeneousForm) -> "BinaryQuadratic":

@@ -25,13 +25,16 @@ A rational is an int or a Fraction (``rational``, ``format_rational``); a
 vector of them is held as ints over one denominator (``clear_denominators``),
 canonically the ``Cleared`` pair (``cleared``).  Matrices are sequences of
 rows, all of one length; the public functions leave their arguments
-unchanged and return fresh objects.
+unchanged and return fresh objects.  ``as_pair`` and ``int_rows`` are the one
+shape and int-type check of the int rows and ``(den, ints)`` pairs any function
+takes from its caller; rationals go through ``clear_denominators`` instead.
 """
 
 from __future__ import annotations
 
 from decimal import Decimal
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm, prod
 from typing import Collection, Sequence
 
@@ -44,14 +47,40 @@ IntVector = tuple[int, ...]
 Cleared = tuple[int, IntVector]
 
 
-def cleared(den: int, ints: Sequence[int]) -> Cleared:
-    """The canonical pair of ``ints / den``; InvalidInputError for a zero den or a non-int."""
+def as_pair(pair: object, what: str) -> tuple:
+    """The two entries of ``pair``; StructuralError naming ``what`` unless it has exactly two."""
     try:
-        g = gcd(den, *ints)
+        first, second = pair
+    except (TypeError, ValueError):
+        raise StructuralError(f"expected {what}, got {pair!r}") from None
+    return first, second
+
+
+def int_rows(rows: object, widths: Collection[int] | None, what: str, scalars: Sequence = ()) -> tuple:
+    """``rows`` as a tuple: a nonempty sequence of sequences all of one length, in ``widths`` unless
+    None, else StructuralError naming ``what``; its entries and the ``scalars`` beside them (dens,
+    a power) ints, else InvalidInputError naming ``what``."""
+    try:
+        checked = tuple(rows)
+        (width,) = {*map(len, checked)}
+    except (TypeError, ValueError):
+        width = None
+    if width is None or widths is not None and width not in widths:
+        raise StructuralError(f"expected {what}, got {rows!r}")
+    try:  # gcd takes ints only; from 1 on it computes nothing, only checks each argument
+        gcd(1, *scalars, *chain.from_iterable(checked))
     except TypeError:
-        raise InvalidInputError(f"expected a (den, ints) pair of ints, got {(den, ints)!r}") from None
+        raise InvalidInputError(f"expected ints in {what}, got {(*scalars, *checked)!r}") from None
+    return checked
+
+
+def cleared(den: int, ints: Sequence[int]) -> Cleared:
+    """The canonical pair of ``ints / den``, checked ints; InvalidInputError for a zero den."""
+    g = gcd(den, *ints)
     if not den:
         raise InvalidInputError("a (den, ints) pair needs a nonzero den")
+    if g == 1 and den > 0:  # already canonical: no division
+        return den, tuple(ints)
     if den < 0:
         g = -g
     return den // g, tuple(x // g for x in ints)
@@ -149,20 +178,18 @@ def moment_kernel(points: Sequence[tuple[int, int]], degrees: Sequence[int]) -> 
     """RREF kernel bases of c |-> sum_i c_i (a_i x + b_i y)^d in closed form,
     one basis for each degree d in ``degrees``, in order.
 
-    The points (a_i, b_i) must be ints, else InvalidInputError, and nonzero and
-    pairwise non-proportional, else DegenerateNodesError.  Degree -1 imposes no
-    constraint (identity basis).  Each vector is ints of content 1 with a
-    positive leading entry, so scaling every point by one nonzero int, which
-    scales every bracket product of a degree by one positive constant, leaves
-    the basis unchanged.  The brackets are tabled once for all the degrees; the
-    formula and why it is the RREF basis are in the module docstring.
+    The points (a_i, b_i) must be nonzero and pairwise non-proportional, else
+    DegenerateNodesError.  Degree -1 imposes no constraint (identity basis).
+    Each vector is ints of content 1 with a positive leading entry, so scaling
+    every point by one nonzero int, which scales every bracket product of a
+    degree by one positive constant, leaves the basis unchanged.  The brackets
+    are tabled once for all the degrees; the formula and why it is the RREF
+    basis are in the module docstring.
     """
-    if any(degree < -1 for degree in degrees):
+    points = int_rows(points, (2,), "points of two coordinates")
+    (degrees,) = int_rows((degrees,), None, "degrees")
+    if min(degrees, default=-1) < -1:
         raise StructuralError("degree must be at least -1")
-    if any(len(point) != 2 for point in points):
-        raise StructuralError(f"expected points of two coordinates, got {points!r}")
-    if not all(isinstance(c, int) for point in points for c in point):
-        raise InvalidInputError(f"expected int points, got {points!r}")
     # col[i][j] = [P_j, P_i]; a column has its zero on the diagonal, and others only if degenerate
     col = [[aj * bi - bj * ai for aj, bj in points] for ai, bi in points]
     n = len(points)

@@ -81,6 +81,7 @@ from doubleline.linalg import VandermondeSystem, vandermonde_nullspace, weighted
 
 X2 = HomogeneousForm.variable(3, 2)
 SEVEN = tuple(range(7))
+TRIPLE = (1, HomogeneousForm.linear((1, 0, 0)), 3)  # a term with a third entry
 
 REFERENCE_LINES = [
     (2, (1, 0, 0)),
@@ -337,8 +338,8 @@ class TestValue:
         ],
     )
     def test_power_sum_refuses_non_int_pairs(self, weights, rows):
-        # a zero weight takes its row through the same int arithmetic as any other
-        with pytest.raises(InvalidInputError, match=r"expected \(den, ints\) pairs"):
+        # a zero weight takes its row through the same int check as any other
+        with pytest.raises(InvalidInputError, match="^expected ints in "):
             power_sum(weights, rows, 2)
 
     def test_value_expands_no_polynomial(self, monkeypatch):
@@ -1032,24 +1033,24 @@ class TestCoercion:
     def test_coordinate_instance_of_non_sequences_refused(self):
         with pytest.raises(StructuralError) as info:
             CoordinateInstance(5, 5, 5)
-        assert str(info.value) == "cleared_slopes must be a sequence, got 5"
+        assert str(info.value) == "expected slopes, lifts and weights as (den, ints) pairs or rationals, got 5"
 
     @pytest.mark.parametrize(
-        "terms",
+        "terms, message",
         [
-            ((1, (1, 0, 0)),),
-            [[1, [1, 0, 0]], [2, [0, 1, 0]]],
-            [[1, [1]], [1, [[1, 0, 0]]]],
-            (1,),
-            ((1, HomogeneousForm.linear((1, 0, 0)), 3),),
+            (((1, (1, 0, 0)),), "decomposition terms must be linear forms in three variables"),
+            ([[1, [1, 0, 0]], [2, [0, 1, 0]]], "decomposition terms must be linear forms in three variables"),
+            ([[1, [1]], [1, [[1, 0, 0]]]], "decomposition terms must be linear forms in three variables"),
+            ((1,), "expected a (weight, form) term, got 1"),
+            ((TRIPLE,), f"expected a (weight, form) term, got {TRIPLE!r}"),
         ],
         ids=["coefficient-tuple", "terms-as-lists", "pairs-as-lists", "bare-weight", "triple"],
     )
-    def test_terms_that_are_not_forms_refused(self, terms):
+    def test_terms_that_are_not_forms_refused(self, terms, message):
         # a term is a (weight, HomogeneousForm) pair; the canonical pairs are tuples
         with pytest.raises(StructuralError) as info:
             WaringDecomposition(terms)
-        assert str(info.value) == "decomposition terms must be linear forms in three variables"
+        assert str(info.value) == message
 
     def test_generate_tangent_instance(self, monkeypatch):
         built = [generate_tangent_instance(v, v[:3], seed=2).instance for v in self.VALUES]
@@ -1099,15 +1100,15 @@ class TestCoercion:
         [
             (lambda: CoordinateInstance((0, SEVEN), (1, (0,) * 7), (1, (1,) * 7)), "nonzero den"),
             (lambda: CoordinateInstance(SEVEN, (0,) * 7, (0, (1,) * 7)), "nonzero den"),
-            (lambda: CoordinateInstance((1, (0.5, *SEVEN[1:])), (0,) * 7, (1,) * 7), "pair of ints"),
-            (lambda: CoordinateInstance(SEVEN, (2.0, (0,) * 7), (1,) * 7), "pair of ints"),
+            (lambda: CoordinateInstance((1, (0.5, *SEVEN[1:])), (0,) * 7, (1,) * 7), "^expected ints in "),
+            (lambda: CoordinateInstance(SEVEN, (2.0, (0,) * 7), (1,) * 7), "^expected ints in "),
             (lambda: BinaryQuadratic((0, (1, 0, 1))), "nonzero den"),
-            (lambda: BinaryQuadratic((1, (1, 0.5, 0))), "pair of ints"),
-            (lambda: BinaryQuadratic((2, (1, Fraction(1, 2), 0))), "pair of ints"),
+            (lambda: BinaryQuadratic((1, (1, 0.5, 0))), "^expected ints in "),
+            (lambda: BinaryQuadratic((2, (1, Fraction(1, 2), 0))), "^expected ints in "),
             (lambda: WaringDecomposition(((0, (1,)), (1, ((1, 0, 0),)))), "nonzero den"),
             (lambda: WaringDecomposition(((1, (1,)), (0, ((1, 0, 0),)))), "nonzero den"),
-            (lambda: WaringDecomposition(((1, (0.5,)), (1, ((1, 0, 0),)))), "pair of ints"),
-            (lambda: WaringDecomposition(((1, (1,)), (1, ((1, Fraction(1, 2), 0),)))), "pair of ints"),
+            (lambda: WaringDecomposition(((1, (0.5,)), (1, ((1, 0, 0),)))), "^expected ints in "),
+            (lambda: WaringDecomposition(((1, (1,)), (1, ((1, Fraction(1, 2), 0),)))), "^expected ints in "),
         ],
         ids=[
             "instance-slopes-zero-den", "instance-weights-zero-den", "instance-float",
@@ -1545,7 +1546,7 @@ class TestRoundTrips:
             assert line_x2() ** 2 * q == value
 
     def test_instance_size_validation(self):
-        with pytest.raises(StructuralError, match="must have equal length"):
+        with pytest.raises(StructuralError, match="slopes, lifts and weights of equal length"):
             CoordinateInstance((0, 1, 2, 3, 4, 5), (0,) * 5, (1,) * 6)
 
     def test_five_terms_build(self):

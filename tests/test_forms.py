@@ -735,7 +735,7 @@ class TestInterpolate:
     )
     def test_non_int_inputs_refused(self, points, values, den):
         # no float or Fraction goes into the int arithmetic, nor comes out of it
-        with pytest.raises(InvalidInputError, match="^expected int points, values and den, got "):
+        with pytest.raises(InvalidInputError, match="^expected ints in "):
             interpolate(points, values, den)
 
     def test_integer_values(self):

@@ -211,7 +211,7 @@ class TestMomentKernel:
         ids=["Fraction", "integral-Fraction", "float"],
     )
     def test_non_int_points_refused(self, points):
-        with pytest.raises(InvalidInputError, match="expected int points"):
+        with pytest.raises(InvalidInputError, match="^expected ints in points of two coordinates"):
             moment_kernel(points, (0,))
 
     @pytest.mark.parametrize(
@@ -228,7 +228,7 @@ class TestMomentKernel:
     def test_non_int_points_refused_without_a_free_index(self, points, degrees):
         # no degree >= 0 leaves a free index, so no bracket reaches the lcm; the
         # int check runs first, before any bracket
-        with pytest.raises(InvalidInputError, match="expected int points"):
+        with pytest.raises(InvalidInputError, match="^expected ints in points of two coordinates"):
             moment_kernel(points, degrees)
         ints = [(2 * i + 1, i) for i in range(len(points))]
         expected = [max(len(points) - d - 1, 0) for d in degrees]

@@ -86,7 +86,7 @@ class TestConstruction:
             assert all(type(x) is Fraction for x in (q.a, q.b, q.c))
         inst = coordinate_instance()
         assert all(type(h) is Fraction for h in inst.slopes + inst.lifts + inst.weights)
-        with pytest.raises(StructuralError, match="must have equal length"):
+        with pytest.raises(StructuralError, match="slopes, lifts and weights of equal length"):
             CoordinateInstance((0,), (1, 2), (1,))
 
     def test_assignment_raises(self):

@@ -1,8 +1,10 @@
-"""The refusal table: the exception type and message of every raise site in
+"""The refusal tables: the exception type and message of every raise site in
 ``engine``, ``forms`` and ``linalg`` that refuses a shape or a domain and
 that no other test reaches, each called once with the smallest input that
-reaches it.  The two ``engine`` checks that cannot fire on any input are
-left out."""
+reaches it (the two ``engine`` checks that cannot fire on any input are left
+out); and the int rows and ``(den, ints)`` pairs that each function taking
+them passes through ``linalg.as_pair`` and ``linalg.int_rows``, against a
+non-sequence, a wrong width or count, a float and a Fraction."""
 
 from fractions import Fraction
 
@@ -12,6 +14,7 @@ from conftest import replace
 from doubleline.engine import (
     CoordinateInstance,
     DoubleLineQuartic,
+    WaringDecomposition,
     analyze,
     extract_cofactor,
     generate_tangent_instance,
@@ -22,12 +25,22 @@ from doubleline.engine import (
     verify_identity_slice,
 )
 from doubleline.errors import InvalidInputError, PreconditionError, StructuralError
-from doubleline.forms import HomogeneousForm, conic_rank, divide_by_linear, parse_form
+from doubleline.forms import (
+    BinaryQuadratic,
+    HomogeneousForm,
+    conic_rank,
+    divide_by_linear,
+    embed_in_plane,
+    interpolate,
+    parse_form,
+    power_sum,
+)
 from doubleline.linalg import moment_kernel, weighted_moment_kernel
 
 X0 = HomogeneousForm.linear((1, 0, 0))
 CONIC = parse_form("x0^2 + x1^2", 3)
 SEVEN = tuple(range(7))
+HALF = Fraction(1, 2)
 
 
 def certificate():
@@ -152,6 +165,185 @@ REFUSALS = {
 
 @pytest.mark.parametrize("call, error, message", REFUSALS.values(), ids=REFUSALS.keys())
 def test_refusal(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
+
+
+INT_ROWS_AND_PAIRS = {
+    # WaringDecomposition
+    "decomposition-not-a-sequence": (
+        lambda: WaringDecomposition(5),
+        StructuralError, "expected decomposition pairs or terms, got 5",
+    ),
+    "decomposition-rows-not-a-pair": (
+        lambda: WaringDecomposition(((1, (1,)), 5)),
+        StructuralError, "expected one weight per row, each row of length 3, got 5",
+    ),
+    "decomposition-short-row": (
+        lambda: WaringDecomposition(((1, (1,)), (1, ((1, 0),)))),
+        StructuralError, "expected one weight per row, each row of length 3, got ((1, 0),)",
+    ),
+    "decomposition-weight-count": (
+        lambda: WaringDecomposition(((1, (1, 1)), (1, ((1, 0, 0),)))),
+        StructuralError, "expected one weight per row, each row of length 3, got ((1, 1),)",
+    ),
+    "decomposition-float-weight": (
+        lambda: WaringDecomposition(((1, (0.5,)), (1, ((1, 0, 0),)))),
+        InvalidInputError, "expected ints in one weight per row, each row of length 3, got (1, 1, (0.5,))",
+    ),
+    "decomposition-Fraction-row": (
+        lambda: WaringDecomposition(((1, (1,)), (1, ((1, HALF, 0),)))),
+        InvalidInputError,
+        "expected ints in one weight per row, each row of length 3, got ((1, Fraction(1, 2), 0),)",
+    ),
+    # CoordinateInstance
+    "instance-not-a-sequence": (
+        lambda: CoordinateInstance(5, 5, 5),
+        StructuralError, "expected slopes, lifts and weights as (den, ints) pairs or rationals, got 5",
+    ),
+    "instance-lift-count": (
+        lambda: CoordinateInstance((1, SEVEN), (0,) * 6, (1,) * 7),
+        StructuralError,
+        "expected slopes, lifts and weights of equal length, got "
+        "((0, 1, 2, 3, 4, 5, 6), (0, 0, 0, 0, 0, 0), (1, 1, 1, 1, 1, 1, 1))",
+    ),
+    "instance-float-pair": (
+        lambda: CoordinateInstance((1, (0.5, 1)), (0, 0), (1, 1)),
+        InvalidInputError, "expected ints in slopes, lifts and weights of equal length, got (1, 1, 1, (0.5, 1), (0, 0), (1, 1))",
+    ),
+    "instance-Fraction-pair": (
+        lambda: CoordinateInstance((1, (HALF, 1)), (0, 0), (1, 1)),
+        InvalidInputError,
+        "expected ints in slopes, lifts and weights of equal length, got (1, 1, 1, (Fraction(1, 2), 1), (0, 0), (1, 1))",
+    ),
+    # BinaryQuadratic
+    "quadratic-ints-not-a-sequence": (
+        lambda: BinaryQuadratic((1, 5)),
+        StructuralError, "expected three coefficients over a den, got (5,)",
+    ),
+    "quadratic-two-coefficients": (
+        lambda: BinaryQuadratic((1, (1, 2))),
+        StructuralError, "expected three coefficients over a den, got ((1, 2),)",
+    ),
+    "quadratic-float": (
+        lambda: BinaryQuadratic((1, (1, 0.5, 0))),
+        InvalidInputError, "expected ints in three coefficients over a den, got (1, (1, 0.5, 0))",
+    ),
+    "quadratic-float-den": (
+        lambda: BinaryQuadratic((2.0, (1, 0, 1))),
+        InvalidInputError, "expected ints in three coefficients over a den, got (2.0, (1, 0, 1))",
+    ),
+    "quadratic-Fraction": (
+        lambda: BinaryQuadratic((1, (1, HALF, 0))),
+        InvalidInputError, "expected ints in three coefficients over a den, got (1, (1, Fraction(1, 2), 0))",
+    ),
+    # moment_kernel
+    "kernel-not-a-sequence": (
+        lambda: moment_kernel(5, (1,)),
+        StructuralError, "expected points of two coordinates, got 5",
+    ),
+    "kernel-point-not-a-sequence": (
+        lambda: moment_kernel([5, (1, 2)], (1,)),
+        StructuralError, "expected points of two coordinates, got [5, (1, 2)]",
+    ),
+    "kernel-float": (
+        lambda: moment_kernel([(0.5, 1), (1, 0)], (1,)),
+        InvalidInputError, "expected ints in points of two coordinates, got ((0.5, 1), (1, 0))",
+    ),
+    "kernel-Fraction": (
+        lambda: moment_kernel([(HALF, 1), (1, 0)], (1,)),
+        InvalidInputError, "expected ints in points of two coordinates, got ((Fraction(1, 2), 1), (1, 0))",
+    ),
+    "kernel-degrees-not-a-sequence": (
+        lambda: moment_kernel([(1, 0), (0, 1)], 5),
+        StructuralError, "expected degrees, got (5,)",
+    ),
+    "kernel-degree-one-half": (
+        lambda: moment_kernel([(1, 0), (0, 1)], (0.5,)),
+        InvalidInputError, "expected ints in degrees, got ((0.5,),)",
+    ),
+    "kernel-degree-three-halves": (
+        lambda: moment_kernel([(1, 0), (0, 1)], (1.5,)),
+        InvalidInputError, "expected ints in degrees, got ((1.5,),)",
+    ),
+    # interpolate
+    "interpolate-not-a-sequence": (
+        lambda: interpolate(5, [1]),
+        StructuralError, "expected points of two coordinates, got 5",
+    ),
+    "interpolate-point-not-a-sequence": (
+        lambda: interpolate([5, (0, 1)], [1, 1]),
+        StructuralError, "expected points of two coordinates, got [5, (0, 1)]",
+    ),
+    "interpolate-three-coordinates": (
+        lambda: interpolate([(1, 0, 0), (0, 1)], [1, 1]),
+        StructuralError, "expected points of two coordinates, got [(1, 0, 0), (0, 1)]",
+    ),
+    "interpolate-values-not-a-sequence": (
+        lambda: interpolate([(1, 0), (0, 1)], 5),
+        StructuralError, "expected values over a den, one per point, got (5,)",
+    ),
+    "interpolate-value-count": (
+        lambda: interpolate([(1, 0), (0, 1)], [1]),
+        StructuralError, "expected values over a den, one per point, got ([1],)",
+    ),
+    "interpolate-float": (
+        lambda: interpolate([(1, 0), (0, 1)], [0.5, 1]),
+        InvalidInputError, "expected ints in values over a den, one per point, got (1, [0.5, 1])",
+    ),
+    "interpolate-Fraction-den": (
+        lambda: interpolate([(1, 0), (0, 1)], [1, 1], HALF),
+        InvalidInputError, "expected ints in values over a den, one per point, got (Fraction(1, 2), [1, 1])",
+    ),
+    # power_sum
+    "power-sum-weights-not-a-pair": (
+        lambda: power_sum(5, (1, ((1, 0, 0),)), 2),
+        StructuralError, "expected a (den, ints) pair, got 5",
+    ),
+    "power-sum-rows-not-a-pair": (
+        lambda: power_sum((1, (1,)), 5, 2),
+        StructuralError, "expected a (den, rows) pair, got 5",
+    ),
+    "power-sum-row-not-a-sequence": (
+        lambda: power_sum((1, (1,)), (1, (5,)), 2),
+        StructuralError, "expected rows all of length 2 or all of 3, got (5,)",
+    ),
+    "power-sum-weight-count": (
+        lambda: power_sum((1, (1, 1)), (1, ((1, 0),)), 2),
+        StructuralError, "expected one weight per row and an int power, got ((1, 1),)",
+    ),
+    "power-sum-float": (
+        lambda: power_sum((1, (0.5,)), (1, ((1, 0),)), 2),
+        InvalidInputError, "expected ints in one weight per row and an int power, got (1, 1, 2, (0.5,))",
+    ),
+    "power-sum-Fraction": (
+        lambda: power_sum((1, (1,)), (1, ((HALF, 0),)), 2),
+        InvalidInputError, "expected ints in rows all of length 2 or all of 3, got ((Fraction(1, 2), 0),)",
+    ),
+    "power-sum-float-exponent": (
+        lambda: power_sum((1, (1,)), (1, ((1, 0),)), 2.0),
+        InvalidInputError, "expected ints in one weight per row and an int power, got (1, 1, 2.0, (1,))",
+    ),
+    # _plane_point, through its two callers
+    "plane-point-not-a-sequence": (
+        lambda: embed_in_plane(line_x2(), 5),
+        StructuralError, "expected a point of two coordinates, got 5",
+    ),
+    "polar-point-not-a-sequence": (
+        lambda: BinaryQuadratic((1, (1, 0, 1))).polar(5, (1, 0)),
+        StructuralError, "expected a point of two coordinates, got 5",
+    ),
+    # HomogeneousForm.linear, whose coefficients are rationals
+    "linear-not-a-sequence": (
+        lambda: HomogeneousForm.linear(5),
+        StructuralError, "expected two or three coefficients, got 5",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, error, message", INT_ROWS_AND_PAIRS.values(), ids=INT_ROWS_AND_PAIRS.keys())
+def test_int_rows_and_pairs_refused(call, error, message):
     with pytest.raises(error) as info:
         call()
     assert type(info.value) is error and str(info.value) == message
