@@ -534,6 +534,17 @@ def build_parser() -> argparse.ArgumentParser:
     # last, so that [--json] ends every command's usage line
     for p in parser.commands.values():
         p.add_argument("--json", action="store_true")
+        # _parse_exact's tables, from the actions above: its options (not -h/--help), the
+        # defaults, and (actions, required) pairs: an argv names from `required` to 1 of them
+        p.exact_options = {
+            s: a for s, a in p._option_string_actions.items()
+            if a.default is not argparse.SUPPRESS and a.nargs in (None, 0) and a.choices is None
+        }
+        p.exact_defaults = p._defaults | {
+            a.dest: a.default for a in p._actions if argparse.SUPPRESS not in (a.dest, a.default)
+        }
+        p.exact_groups = [({a}, True) for a in p._actions if a.required]
+        p.exact_groups += [(set(g._group_actions), g.required) for g in p._mutually_exclusive_groups]
     # argparse reads an argument that this matches as a value, not an option,
     # while no option of the parser looks like a negative number; its own
     # pattern takes one number (-1, -.5), this one a list too (-1,0,1)
@@ -547,11 +558,40 @@ def build_parser() -> argparse.ArgumentParser:
 _INPUT_ERRORS = (OSError, UnicodeDecodeError, InvalidInputError, DocumentError)
 
 
+def _parse_exact(parser: argparse.ArgumentParser, argv: Sequence[str]) -> argparse.Namespace | None:
+    """What ``parser.parse_args(argv[1:])`` returns, with the command, built without
+    argparse where each token is an option of the command written in full, used once,
+    as ``--name value``, ``--name=value`` or a bare flag; None where argparse must parse."""
+    namespace = argparse.Namespace(command=argv[0], **parser.exact_defaults)
+    seen = set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        name, eq, value = token.partition("=")
+        action = parser.exact_options.get(name)
+        if action is None or action in seen or eq and action.nargs == 0:
+            return None
+        if action.nargs == 0:
+            value = []
+        else:
+            value = value if eq else next(tokens, "-")  # no value left: falls back below
+            if value.startswith("-") and not eq or value == "--":
+                return None
+            try:  # the exceptions by which argparse's _get_value reports a bad value
+                value = (action.type or str)(value)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+        seen.add(action)
+        action(parser, namespace, value, name)
+    # argparse versions differ on a group option given its default object; no type here returns one
+    return namespace if all(r <= len(a & seen) <= 1 for a, r in parser.exact_groups) else None
+
+
 def parse_argv(argv: Sequence[str]) -> argparse.Namespace:
-    # build_parser().parse_args(argv), but a known command takes one argparse pass, not two
+    # build_parser().parse_args(argv), but a known command takes one argparse pass at most
     parser = build_parser()
     if argv and argv[0] in parser.commands:
-        return parser.commands[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+        sub = parser.commands[argv[0]]
+        return _parse_exact(sub, argv) or sub.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
     return parser.parse_args(argv)
 
 

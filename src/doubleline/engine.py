@@ -215,7 +215,10 @@ def power_kernel(restricted: FormTuple, degree: int) -> KernelBasis:
     For n such entries the dimension is max(n - 1 - degree, 0), and the basis
     is the closed-form RREF basis of ``linalg.moment_kernel``.
     """
-    shapes = {(f.num_vars, f.degree) if isinstance(f, HomogeneousForm) else None for f in restricted}
+    try:
+        shapes = {(f.num_vars, f.degree) if isinstance(f, HomogeneousForm) else None for f in restricted}
+    except TypeError:
+        shapes = None
     if shapes != {(2, 1)}:
         raise StructuralError("expected a nonempty tuple of binary linear forms")
     if degree < 0:
@@ -443,9 +446,10 @@ def verify_identity_slice(
     lemma their products are primitive too).  One walk over the unordered
     term pairs of the S_p's joint support forms both products.
     """
-    if len(slopes) != 7:
-        raise StructuralError(f"expected 7 slopes, got {len(slopes)}")
-    alpha_basis, beta_basis = vandermonde_nullspace(system := VandermondeSystem(tuple(slopes), (4, 3)))
+    system = VandermondeSystem(slopes, (4, 3))
+    if len(system.nodes) != 7:
+        raise StructuralError(f"expected 7 slopes, got {len(system.nodes)}")
+    alpha_basis, beta_basis = vandermonde_nullspace(system)
     den, nodes = system.cleared_nodes
     na = len(alpha_basis)
     keys = [sympoly.monomial((0,) * j + (1,)) for j in range(na + len(beta_basis))]
@@ -512,10 +516,11 @@ def six_term_vanishing_check(slopes: Sequence[Fraction | int]) -> SixTermVanishi
     integer moments M_0..M_4 do.  They share no code with
     ``moment_kernel``'s closed-form bracket products.
     """
-    if len(slopes) != 6:
-        raise StructuralError(f"expected 6 slopes, got {len(slopes)}")
+    system = VandermondeSystem(slopes, (4, 3))
+    if len(system.nodes) != 6:
+        raise StructuralError(f"expected 6 slopes, got {len(system.nodes)}")
     # six nodes at degree 4 leave one free index, so one annihilator
-    (alpha,), lifts = vandermonde_nullspace(system := VandermondeSystem(tuple(slopes), (4, 3)))
+    (alpha,), lifts = vandermonde_nullspace(system)
     all_nonzero = all(a != 0 for a in alpha)
 
     # the lifts are b / alpha for b in the degree-3 kernel B; with no zero
@@ -620,12 +625,12 @@ def generate_tangent_instance(
     construction, and the conic, which may be zero for special parameters,
     is derived by ``analyze`` (or read from ``TangentInstance.quartic``).
     """
-    system = VandermondeSystem(tuple(slopes), (4, 3))
+    system = VandermondeSystem(slopes, (4, 3))
     if len(system.nodes) != 7:
         raise StructuralError(f"expected 7 slopes, got {len(system.nodes)}")
-    if len(lift_params) != 3:
-        raise StructuralError("expected 3 lift parameters")
     pd, ps = clear_denominators(lift_params)
+    if len(ps) != 3:
+        raise StructuralError("expected 3 lift parameters")
     # on ints: the kernel bases (U, V) and B_j are integer, parameters cleared to P_j / pd;
     # weight i is s*U_i + t*V_i, lift i is sum_j P_j*B_j[i] / pd / weight i
     (us, vs), beta_basis = vandermonde_nullspace(system)

@@ -185,8 +185,11 @@ FormTuple = tuple[HomogeneousForm, ...]  # power_kernel's input, checked there; 
 
 def cleared_rows(forms: Sequence[HomogeneousForm]) -> tuple[int, tuple[IntVector, ...]]:
     """The common denominator D of linear forms and their coefficient rows
-    times D; a form of another degree raises StructuralError."""
-    den = lcm(*[f.den for f in forms])
+    times D; a form of another degree, or a non-sequence, raises StructuralError."""
+    try:
+        den = lcm(*[f.den for f in forms])
+    except TypeError:
+        raise StructuralError(f"expected a sequence of linear forms, got {forms!r}") from None
     return den, tuple([tuple([c * (den // f.den) for c in f.linear_ints()]) for f in forms])
 
 

@@ -36,7 +36,7 @@ from decimal import Decimal
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm, prod
-from typing import Collection, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .errors import DegenerateNodesError, InvalidInputError, StructuralError
 from .record import Record
@@ -97,12 +97,15 @@ def rational(x: Fraction | int) -> Fraction:
 
 def clear_denominators(values: Collection[Fraction | int]) -> tuple[int, IntVector]:
     """The lcm D of the denominators of ``values`` and the ints D * value, a pair
-    with gcd 1 (D = 1 for ints); InvalidInputError for a float or another non-rational."""
+    with gcd 1 (D = 1 for ints); InvalidInputError for a float or another non-rational,
+    StructuralError for a non-sequence."""
     try:
         den = lcm(*(x.denominator for x in values))
     except AttributeError:
         bad = next(x for x in values if not hasattr(x, "denominator"))
         raise InvalidInputError(f"expected an int or a Fraction, got {bad!r}") from None
+    except TypeError:
+        raise StructuralError(f"expected a sequence of rationals, got {values!r}") from None
     return den, tuple(x.numerator * (den // x.denominator) for x in values)
 
 
@@ -142,7 +145,10 @@ def _bareiss(work: list[list[int]], ncols: int) -> list[int]:
 
 def rank(rows: Sequence[Sequence[int]]) -> int:
     """Rank of the integer matrix with these rows (all of one length)."""
-    work = [list(row) for row in rows]
+    try:
+        work = [list(row) for row in rows]
+    except TypeError:
+        raise StructuralError(f"expected a sequence of rows, got {rows!r}") from None
     return len(_bareiss(work, len(work[0]) if work else 0))
 
 
@@ -218,12 +224,15 @@ def moment_kernel(points: Sequence[tuple[int, int]], degrees: Sequence[int]) -> 
 
 class VandermondeSystem(Record):
     """Moment constraints sum_i c_i h_i^d = 0 for 0 <= d <= p, one system for each p
-    in ``max_powers``, on the same nodes, cleared once, when built, to ``cleared_nodes``."""
+    in ``max_powers``, on the same nodes, cleared once, when built, to ``cleared_nodes``;
+    ``nodes`` is stored as a tuple."""
 
     nodes: tuple[Fraction | int, ...]
     max_powers: tuple[int, ...]
 
     def __post_init__(self):
+        if isinstance(self.nodes, Iterable):  # clear_denominators refuses the rest
+            vars(self)["nodes"] = tuple(self.nodes)
         vars(self)["cleared_nodes"] = clear_denominators(self.nodes)
 
 
@@ -258,11 +267,11 @@ def weighted_moment_kernel(
     each basis member is then b_i / weights_i, which requires every weight to
     be nonzero.
     """
-    hs = tuple(map(rational, nodes))
+    system = VandermondeSystem(nodes, (max_power,))
     ws = tuple(map(rational, weights))  # b / a stays exact for int kernel vectors b
-    if len(hs) != len(ws):
+    if len(system.nodes) != len(ws):
         raise StructuralError("nodes and weights must have equal length")
-    (raw,) = vandermonde_nullspace(VandermondeSystem(hs, (max_power,)))  # rejects repeated nodes first
+    (raw,) = vandermonde_nullspace(system)  # rejects repeated nodes first
     for i, a in enumerate(ws):
         if a == 0:
             raise InvalidInputError(f"weight {i} is zero")

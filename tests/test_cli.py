@@ -535,29 +535,39 @@ class TestParserReuse:
             assert built.count(f"doubleline {command}") == 1, command
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, passes",
         [
-            ["verify", str(FIXTURES / "example.json")],
-            ["theorem-check", "--trials", "1"],
-            ["identity-check", "--h=0,1,2,3,4,5,6"],
-            ["claim-check", "--h=0,1,2,3,4,5"],
-            ["example"],
+            # a positional, an abbreviation, a repeated option and a value
+            # with a leading minus as its own token: the command's parser
+            (["verify", str(FIXTURES / "example.json")], ["doubleline verify"]),
+            (["theorem-check", "--tr", "1"], ["doubleline theorem-check"]),
+            (["theorem-check", "--trials", "1", "--seed", "1", "--seed", "2"], ["doubleline theorem-check"]),
+            (["claim-check", "--h", "-1/2,0,1,2,3,4"], ["doubleline claim-check"]),
+            # whole options, each once: no argparse pass
+            (["theorem-check", "--trials", "1"], []),
+            (["identity-check", "--h=0,1,2,3,4,5,6"], []),
+            (["claim-check", "--h=0,1,2,3,4,5"], []),
+            (["example"], []),
         ],
-        ids=lambda argv: argv[0],
+        ids=[
+            "verify", "abbreviation", "repeated-option", "negative-value-token",
+            "theorem-check", "identity-check", "claim-check", "example",
+        ],
     )
-    def test_one_argparse_pass_per_command(self, monkeypatch, argv):
-        """A known command is parsed by its own parser alone, not by the full
-        parser and then again by the command's."""
-        passes = []
+    def test_one_argparse_pass_per_command(self, monkeypatch, argv, passes):
+        """A known command is never parsed by the full parser: an argv of whole
+        options, each given once, takes no argparse pass, and any other takes
+        one pass of the command's own parser."""
+        seen = []
         parse_known_args = argparse.ArgumentParser.parse_known_args
 
         def counting(parser, *args, **kwargs):
-            passes.append(parser.prog)
+            seen.append(parser.prog)
             return parse_known_args(parser, *args, **kwargs)
 
         monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
         assert run_cli(argv)[0] == 0
-        assert passes == [f"doubleline {argv[0]}"]
+        assert seen == passes
 
 
 class TestCommandTable:
@@ -1011,6 +1021,9 @@ PARSE_TOKENS = FUZZ_TOKENS + [
     "theorem-check", "claim-check", "--trials", "--tr", "--seed", "--se", "--nodes-range",
     "--no", "--random", "--ra", "--json", "--js", "--help", "--he", "--h=-1,0,1,2,3,4",
     "--seed=-1", "1", "0", "-1", "7", "frobnicate", "",
+    # whole options joined to their values, which the exact path takes
+    "--trials=1", "--seed=7", "--nodes-range=9", "--random=2", "--json=1",
+    "--h=0,1,2,3,4,5", "--h=0,1,2,3,4,5,6",
 ]
 _parse_token = st.one_of(st.sampled_from(PARSE_TOKENS), st.text(max_size=6))
 
@@ -1041,9 +1054,18 @@ class TestParseArgv:
     @example(argv=["--", "example"])
     @example(argv=["verify", "--help"])
     @example(argv=["claim-check", "--ra", "1", "--h=0,1,2,3,4,5"])
+    # one argv of each bench workload
+    @example(argv=["theorem-check", "--trials", "1", "--seed", "3735928559"])
+    @example(argv=["identity-check", "--h=-12,5/3,0,1/5,7,-1/2,11"])
+    @example(argv=["claim-check", "--random", "1", "--seed", "3735928559"])
+    @example(argv=["claim-check", "--h=-12,5/3,0,1/5,7,-1/2"])
+    @example(argv=["theorem-check", "--trials", "0"])  # the type refuses it
+    @example(argv=["theorem-check", "--seed", "1", "--seed", "2"])  # argparse keeps the last
+    @example(argv=["claim-check", "--random", "1", "--h=0,1,2,3,4,5"])  # mutually exclusive
     def test_dispatch_matches_the_full_parser(self, argv):
-        """Only parses: a known command goes to its own parser, any other argv
-        to the full one, and both give the same Namespace or the same exit."""
+        """Only parses: a known command is built by the exact path or goes to
+        its own parser, any other argv to the full one, and both give the
+        same Namespace or the same exit."""
         assert _parse_outcome(cli.parse_argv, argv) == _parse_outcome(
             cli.build_parser().parse_args, argv
         )

@@ -4,7 +4,9 @@ that no other test reaches, each called once with the smallest input that
 reaches it (the two ``engine`` checks that cannot fire on any input are left
 out); and the int rows and ``(den, ints)`` pairs that each function taking
 them passes through ``linalg.as_pair`` and ``linalg.int_rows``, against a
-non-sequence, a wrong width or count, a float and a Fraction."""
+non-sequence, a wrong width or count, a float and a Fraction.  A
+non-sequence given where a sequence of rationals, forms or rows is taken is
+refused at the first place that reads it, so several calls share a site."""
 
 from fractions import Fraction
 
@@ -17,6 +19,7 @@ from doubleline.engine import (
     WaringDecomposition,
     analyze,
     extract_cofactor,
+    generate_six_term_family,
     generate_tangent_instance,
     line_x2,
     power_kernel,
@@ -28,6 +31,7 @@ from doubleline.errors import InvalidInputError, PreconditionError, StructuralEr
 from doubleline.forms import (
     BinaryQuadratic,
     HomogeneousForm,
+    cleared_rows,
     conic_rank,
     divide_by_linear,
     embed_in_plane,
@@ -35,7 +39,7 @@ from doubleline.forms import (
     parse_form,
     power_sum,
 )
-from doubleline.linalg import moment_kernel, weighted_moment_kernel
+from doubleline.linalg import VandermondeSystem, moment_kernel, rank, weighted_moment_kernel
 
 X0 = HomogeneousForm.linear((1, 0, 0))
 CONIC = parse_form("x0^2 + x1^2", 3)
@@ -89,6 +93,26 @@ REFUSALS = {
     "tangent-instance-two-parameters": (
         lambda: generate_tangent_instance(SEVEN, (1, 2), seed=0),
         StructuralError, "expected 3 lift parameters",
+    ),
+    "identity-slice-not-a-sequence": (
+        lambda: verify_identity_slice(5),
+        StructuralError, "expected a sequence of rationals, got 5",
+    ),
+    "six-term-check-not-a-sequence": (
+        lambda: six_term_vanishing_check(5),
+        StructuralError, "expected a sequence of rationals, got 5",
+    ),
+    "tangent-instance-parameters-not-a-sequence": (
+        lambda: generate_tangent_instance(range(7), 5, seed=0),
+        StructuralError, "expected a sequence of rationals, got 5",
+    ),
+    "six-term-family-not-a-sequence": (
+        lambda: generate_six_term_family(5, seed=0),
+        StructuralError, "expected a sequence of rationals, got 5",
+    ),
+    "power-kernel-not-a-sequence": (
+        lambda: power_kernel(5, 1),
+        StructuralError, "expected a nonempty tuple of binary linear forms",
     ),
     # forms
     "from-terms-four-variables": (
@@ -151,6 +175,10 @@ REFUSALS = {
         lambda: conic_rank(X0),
         StructuralError, "expected a quadratic form in three variables",
     ),
+    "cleared-rows-not-a-sequence": (
+        lambda: cleared_rows(5),
+        StructuralError, "expected a sequence of linear forms, got 5",
+    ),
     # linalg
     "weighted-kernel-lengths": (
         lambda: weighted_moment_kernel((1, 2, 3), (1, 2), 1),
@@ -159,6 +187,18 @@ REFUSALS = {
     "moment-kernel-one-coordinate": (
         lambda: moment_kernel([(1,)], (1,)),
         StructuralError, "expected points of two coordinates, got [(1,)]",
+    ),
+    "vandermonde-system-not-a-sequence": (
+        lambda: VandermondeSystem(5, (4,)),
+        StructuralError, "expected a sequence of rationals, got 5",
+    ),
+    "weighted-kernel-not-a-sequence": (
+        lambda: weighted_moment_kernel(5, (1,), 1),
+        StructuralError, "expected a sequence of rationals, got 5",
+    ),
+    "rank-not-a-sequence": (
+        lambda: rank(5),
+        StructuralError, "expected a sequence of rows, got 5",
     ),
 }
 
