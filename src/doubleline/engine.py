@@ -414,6 +414,16 @@ class IdentitySliceReport(Record):
         return not self.residue
 
 
+# the packed keys of an identity slice's sums: cell 6k + m is a0**(6-k) * a1**k times the m-th
+# quadratic monomial of b0, b1, b2; the product of all seven weight polynomials has a0**(7-k) * a1**k
+_SLICE_KEYS = [
+    sympoly.monomial((6 - k, k, *b))
+    for k in range(7)
+    for b in ((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2))
+]
+_FULL_KEYS = [sympoly.monomial((7 - k, k)) for k in range(8)]
+
+
 def verify_identity_slice(
     slopes: Sequence[Fraction | int], perturb: bool = False
 ) -> IdentitySliceReport:
@@ -436,51 +446,60 @@ def verify_identity_slice(
     the zero test are exactly those of the expansion over the Fraction
     slopes.  The residue itself is the rescaled polynomial.
 
-    Each stage is one pass on ints.  Each beta_i**2 * prod_{j != i} alpha_j
-    is added pair by pair into s_0, s_1 and s_2, times 1, H_i and H_i**2.
+    The sums are dense tables.  With alpha_i = u_i*a0 + v_i*a1 and beta_i
+    linear in b0, b1, b2, each s_p has degree 6 in (a0, a1) and 2 in
+    (b0, b1, b2): at most 7 x 6 cells.  Each prod_{j != i} alpha_j is 7 ints,
+    a prefix product extended by the factors after i one linear factor at a
+    time, and each beta_i**2 is 6 ints; a cell of s_p is one dot product over
+    the seven terms, of the first's column with the second's times H_i**p.
     The two big products multiply primitive parts.  With g_p the gcd of
     s_p's coefficients and S_p = s_p / g_p, s_1 * s_1 is g_1**2 * (S_1 * S_1)
     and s_0 * s_2 is g_0 * g_2 * (S_0 * S_2): the same ints, so the residue
     and ``expanded_monomials`` are exactly those of the direct products,
     while the factors multiplied term by term are much shorter (by Gauss's
     lemma their products are primitive too).  One walk over the unordered
-    term pairs of the S_p's joint support forms both products.
+    term pairs of the S_p's joint support forms both products, and one pass
+    over their joint keys the residue.
     """
     system = VandermondeSystem(slopes, (4, 3))
     if len(system.nodes) != 7:
         raise StructuralError(f"expected 7 slopes, got {len(system.nodes)}")
     alpha_basis, beta_basis = vandermonde_nullspace(system)
     den, nodes = system.cleared_nodes
-    na = len(alpha_basis)
-    keys = [sympoly.monomial((0,) * j + (1,)) for j in range(na + len(beta_basis))]
 
-    # alpha_i and beta_i, straight from the kernel vectors' entries at index i
-    alphas = [{k: vec[i] for k, vec in zip(keys, alpha_basis) if vec[i]} for i in range(7)]
-    betas = [{k: vec[i] for k, vec in zip(keys[na:], beta_basis) if vec[i]} for i in range(7)]
+    # prod_{j != i} alpha_j, coefficient k at a0**(6-k) * a1**k; full ends as the product of all seven
+    factors, others, full = list(zip(*alpha_basis)), [], [1]
+    for i, (u, v) in enumerate(factors):
+        p = full
+        for x, y in factors[i + 1 :]:
+            p = [x * c + y * d for c, d in zip([*p, 0], [0, *p])]
+        others.append(p)
+        full = [u * c + v * d for c, d in zip([*full, 0], [0, *full])]
 
-    # products of all weight polynomials except one, via prefix/suffix arrays of at most six
-    one = {0: 1}
-    prefix, suffix = [one], [one]
-    for a, z in zip(alphas[:6], reversed(alphas[1:])):
-        prefix.append(sympoly.mul(prefix[-1], a))
-        suffix.append(sympoly.mul(suffix[-1], z))
+    # s_p = sum_i H_i**p * beta_i**2 * prod_{j != i} alpha_j cell by cell: the seven terms' products
+    # w_i at a cell, summed with weights 1, H_i and H_i**2
+    cols = list(zip(*[(x * x, 2 * x * y, 2 * x * z, y * y, 2 * y * z, z * z) for x, y, z in zip(*beta_basis)]))
+    squares = [h * h for h in nodes]
+    s0, s1, s2 = sums = [], [], []
+    for row in zip(*others):
+        for col in cols:
+            w = list(map(mul, row, col))
+            s0.append(sum(w))
+            s1.append(sum(map(mul, nodes, w)))
+            s2.append(sum(map(mul, squares, w)))
 
-    # s_p = sum_i H_i**p * beta_i**2 * prod_{j != i} alpha_j, all three in one pass per term
-    sums: tuple[sympoly.Poly, ...] = ({}, {}, {})
-    for i, (h, b) in enumerate(zip(nodes, betas)):
-        sympoly.add_product(sums, sympoly.mul(b, b), sympoly.mul(prefix[i], suffix[6 - i]), (1, h, h * h))
-
-    # each s_p as g_p times its primitive part (g_p = 1 for a zero s_p), dropping cancelled terms
-    g0, g1, g2 = gcds = [gcd(*s.values()) or 1 for s in sums]
-    parts = ({t: c // g for t, c in s.items() if c} for s, g in zip(sums, gcds))
+    # each s_p as g_p times its primitive part (g_p = 1 for a zero s_p), keeping nonzero cells
+    g0, g1, g2 = gcds = [gcd(*s) or 1 for s in sums]
+    parts = ({t: c // g for t, c in zip(_SLICE_KEYS, s) if c} for s, g in zip(sums, gcds))
     square, cross = sympoly.square_and_cross(*parts)
-    residue = sympoly.add(sympoly.scale(square, g1 * g1), sympoly.scale(cross, -g0 * g2))
+    g11, g02 = g1 * g1, g0 * g2
+    residue = {t: c for t in {**square, **cross} if (c := g11 * square.get(t, 0) - g02 * cross.get(t, 0))}
     if perturb:
-        full = sympoly.mul(prefix[6], alphas[6])  # the product of all seven weight polynomials
+        full = {t: c for t, c in zip(_FULL_KEYS, full) if c}
         residue = sympoly.add(residue, sympoly.scale(sympoly.mul(full, full), den * den))
 
     return IdentitySliceReport(
-        alpha_dim=na,
+        alpha_dim=len(alpha_basis),
         beta_dim=len(beta_basis),
         expanded_monomials=len(square) + len(cross),
         # each of the 21 differences H_i - H_j is D times h_i - h_j

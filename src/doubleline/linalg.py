@@ -95,11 +95,12 @@ def rational(x: Fraction | int) -> Fraction:
     raise InvalidInputError(f"expected an int or a Fraction, got {x!r}")
 
 
-def clear_denominators(values: Collection[Fraction | int]) -> tuple[int, IntVector]:
+def clear_denominators(values: Iterable[Fraction | int]) -> tuple[int, IntVector]:
     """The lcm D of the denominators of ``values`` and the ints D * value, a pair
     with gcd 1 (D = 1 for ints); InvalidInputError for a float or another non-rational,
-    StructuralError for a non-sequence."""
+    StructuralError for a non-iterable."""
     try:
+        values = tuple(values)  # read once: an iterator has no second pass
         den = lcm(*(x.denominator for x in values))
     except AttributeError:
         bad = next(x for x in values if not hasattr(x, "denominator"))
@@ -268,7 +269,10 @@ def weighted_moment_kernel(
     be nonzero.
     """
     system = VandermondeSystem(nodes, (max_power,))
-    ws = tuple(map(rational, weights))  # b / a stays exact for int kernel vectors b
+    try:
+        ws = tuple(map(rational, weights))  # b / a stays exact for int kernel vectors b
+    except TypeError:
+        raise StructuralError(f"expected a sequence of rationals, got {weights!r}") from None
     if len(system.nodes) != len(ws):
         raise StructuralError("nodes and weights must have equal length")
     (raw,) = vandermonde_nullspace(system)  # rejects repeated nodes first

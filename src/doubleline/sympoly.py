@@ -12,18 +12,16 @@ A monomial is one nonnegative int: variable i owns bits
 of two monomials is the sum of their keys and the constant monomial is 0.
 The top bit of each field is a guard bit: exponents stay below
 ``2**(BITS - 1)``, so the sum of two valid keys never carries into the next
-field, and every product (``mul``, ``add_product``, ``square_and_cross``)
-rejects a result whose guard bit is set.  At most
-``MAX_VARS`` variables exist; ``monomial``, the one maker of keys, enforces
-both bounds.  Coefficients are ints or Fractions, mixed freely; arithmetic
-is exact, and on int inputs every coefficient stays an int, which is much
-cheaper than Fraction arithmetic.
+field, and every product (``mul``, ``square_and_cross``) rejects a result
+whose guard bit is set.  At most ``MAX_VARS`` variables exist; ``monomial``,
+the one maker of keys, enforces both bounds.  Coefficients are ints or
+Fractions, mixed freely; arithmetic is exact, and on int inputs every
+coefficient stays an int, which is much cheaper than Fraction arithmetic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
 
 from .errors import StructuralError
 
@@ -85,39 +83,26 @@ def mul(p: Poly, q: Poly) -> Poly:
     return {t: c for t, c in out.items() if c}
 
 
-def add_product(targets: Sequence[Poly], p: Poly, q: Poly, factors: Sequence[Coefficient]) -> None:
-    """Add factors[k] * p * q into targets[k] in place, for every k, with no
-    product dict: each term pair's product is formed once and added into
-    every target.  Each target gets an entry, possibly zero, for every key of
-    the product, so drop zeros before reading a target as a Poly."""
-    pairs = [(t1 + t2, c1 * c2) for t1, c1 in p.items() for t2, c2 in q.items()]
-    if any(term & _GUARD for term, _ in pairs):
-        raise StructuralError(f"exponent above {MAX_EXPONENT} in a product")
-    for target, factor in zip(targets, factors):
-        get = target.get
-        for term, c in pairs:
-            target[term] = get(term, 0) + factor * c
-
-
 def square_and_cross(p0: Poly, p1: Poly, p2: Poly) -> tuple[Poly, Poly]:
     """(p1 * p1, p0 * p2) in new dicts, from one walk over the unordered pairs
     of the three operands' joint support: with a_k, b_k the coefficients of
     p_k at two terms, the square gets 2*a1*b1 and the cross product
     a0*b2 + b0*a2 at a pair of distinct terms, a1*a1 and a0*a2 at a term
-    paired with itself."""
+    paired with itself.  Both sums of a key share one [square, cross] cell,
+    so a pair costs one lookup."""
     support = [(t, p0.get(t, 0), p1.get(t, 0), p2.get(t, 0)) for t in {**p0, **p1, **p2}]
-    square: Poly = {}
-    cross: Poly = {}
-    sget, cget = square.get, cross.get
+    # a term paired with itself: distinct terms have distinct doubles, so each starts its own cell
+    cells = {t + t: [a1 * a1, a0 * a2] for t, a0, a1, a2 in support}
+    get = cells.get
     for k, (t1, a0, a1, a2) in enumerate(support):
-        term = t1 + t1
-        square[term] = sget(term, 0) + a1 * a1
-        cross[term] = cget(term, 0) + a0 * a2
         a1 += a1  # each cross term t1 + t2 of the square stands for two ordered pairs
         for t2, b0, b1, b2 in support[k + 1 :]:
-            term = t1 + t2
-            square[term] = sget(term, 0) + a1 * b1
-            cross[term] = cget(term, 0) + a0 * b2 + b0 * a2
-    if any(term & _GUARD for term in square):  # cross has the same keys
+            cell = get(term := t1 + t2)
+            if cell is None:
+                cells[term] = [a1 * b1, a0 * b2 + b0 * a2]
+            else:
+                cell[0] += a1 * b1
+                cell[1] += a0 * b2 + b0 * a2
+    if any(term & _GUARD for term in cells):
         raise StructuralError(f"exponent above {MAX_EXPONENT} in a product")
-    return {t: c for t, c in square.items() if c}, {t: c for t, c in cross.items() if c}
+    return {t: s for t, (s, _) in cells.items() if s}, {t: c for t, (_, c) in cells.items() if c}

@@ -17,6 +17,7 @@ from pathlib import Path
 from doubleline import cli, engine, forms, linalg, sympoly
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+TANGENT7 = str(BENCH.parent / "fixtures" / "tangent7.json")
 
 EXPECTED_SPANS = {
     "forms.conic_rank",
@@ -27,30 +28,37 @@ EXPECTED_SPANS = {
     "engine.tangency_certificate",
     "sympoly.add",
     "sympoly.mul",
+    "sympoly.square_and_cross",
 }
 
 
 MODULES = {"cli": cli, "engine": engine, "forms": forms, "linalg": linalg, "sympoly": sympoly}
 
 
-def _traced_calls(monkeypatch, *argvs):
-    """Recorder and per-span call counts of running ``argvs`` under the bench spans."""
+def _traced_calls(monkeypatch, *runs):
+    """Recorder and per-span call counts of running each ``(argv, exit code)``
+    of ``runs`` under the bench spans, checking its exit code."""
     monkeypatch.syspath_prepend(str(BENCH))
     spans = importlib.import_module("spans")
     recorder = spans.Recorder()
     with spans.installed(recorder, MODULES):
-        for argv in argvs:
+        for argv, code in runs:
             with redirect_stderr(io.StringIO()):
-                assert cli.main(argv, out=io.StringIO()) == 0
+                assert cli.main(argv, out=io.StringIO()) == code, argv
     return recorder, recorder.summary()[2]
 
 
 def test_traced_commands_record_the_bench_spans(monkeypatch):
+    # identity-check reaches sympoly only through square_and_cross; example
+    # reaches sympoly.mul, and verify against a line that does not divide the
+    # quartic (exit 1) reaches sympoly.add
     recorder, calls = _traced_calls(
         monkeypatch,
-        ["theorem-check", "--trials", "1"],
-        ["claim-check", "--h=0,1,2,3,4,5"],
-        ["identity-check", "--h=0,1,2,3,4,5,6"],
+        (["theorem-check", "--trials", "1"], 0),
+        (["claim-check", "--h=0,1,2,3,4,5"], 0),
+        (["identity-check", "--h=0,1,2,3,4,5,6"], 0),
+        (["example"], 0),
+        (["verify", "--line", "1,2,3", TANGENT7], 1),
     )
     assert EXPECTED_SPANS <= set(calls), EXPECTED_SPANS - set(calls)
     # no command calls linalg.rref, but the bench still wraps it by name and
@@ -65,7 +73,7 @@ def test_traced_commands_record_the_bench_spans(monkeypatch):
 def test_certificate_kernel_is_attributed_to_linalg(monkeypatch):
     # tangency_certificate calls moment_kernel through engine's import, not
     # through power_kernel, so its time is a linalg span, not engine self time
-    _, calls = _traced_calls(monkeypatch, ["theorem-check", "--trials", "1"])
+    _, calls = _traced_calls(monkeypatch, (["theorem-check", "--trials", "1"], 0))
     assert calls["linalg.moment_kernel"] >= 1
 
 

@@ -148,9 +148,17 @@ MIXED_SIGN_FRACTION_SLICES = [
 ][:8]
 
 
+# two slices of 30-digit numerators over 20-digit denominators
+LARGE_RATIONAL_SLICES = [
+    tuple(Fraction(rng.randrange(10**29, 10**30) * rng.choice((-1, 1)), rng.randrange(10**19, 10**20)) for _ in range(7))
+    for rng in (random.Random(4000), random.Random(4001))
+]
+
+
 def whole_product_residue(slopes, perturb):
     """The identity-slice residue and expanded-monomial count from whole
-    ``sympoly.mul`` products, combined by ``sympoly.add`` and ``scale``."""
+    ``sympoly.mul`` products, combined by ``sympoly.add`` and ``scale``, and
+    the primitive parts of the three sums."""
     alpha_basis, beta_basis = vandermonde_nullspace(system := VandermondeSystem(tuple(slopes), (4, 3)))
     den, nodes = system.cleared_nodes
     symbols = [packed_variable(j) for j in range(len(alpha_basis) + len(beta_basis))]
@@ -181,7 +189,7 @@ def whole_product_residue(slopes, perturb):
         for a in alphas:
             full = sympoly.mul(full, a)
         residue = sympoly.add(residue, sympoly.scale(sympoly.mul(full, full), den * den))
-    return len(minuend) + len(subtrahend), residue
+    return len(minuend) + len(subtrahend), residue, [p0, p1, p2]
 
 
 def fraction_identity_expansion(slopes):
@@ -1236,38 +1244,52 @@ class TestIdentitySlice:
             verify_identity_slice((0, 1, 2, 3, 4, 5, 5))
 
     def test_builds_only_the_products_it_reads(self, monkeypatch):
-        # six prefix and six suffix products and two per term, beta_i**2 and
-        # the other six weights: 26 muls; each term is added into the three
-        # sums by one add_product, and both big products are one walk; the
-        # perturbed control adds the product of all seven weight polynomials
-        # and its square, and nothing else
+        # the sums are dot products on ints and both big products are one
+        # walk, so a slice makes no sympoly.mul; the perturbed control adds
+        # the square of the product of all seven weight polynomials, and
+        # nothing else
         count, residue, perturbed = fraction_identity_expansion(range(7))
         calls = count_calls(monkeypatch, sympoly, "mul")
-        added = count_calls(monkeypatch, sympoly, "add_product")
         walks = count_calls(monkeypatch, sympoly, "square_and_cross")
         report = verify_identity_slice(tuple(range(7)))
-        assert (len(calls), len(added), len(walks)) == (26, 7, 1)
+        assert (len(calls), len(walks)) == (0, 1)
         assert report.is_zero and not residue
         assert report.expanded_monomials == count
         control = verify_identity_slice(tuple(range(7)), perturb=True)
-        assert (len(calls), len(added), len(walks)) == (26 + 28, 7 + 7, 1 + 1)
+        assert (len(calls), len(walks)) == (1, 1 + 1)
         assert calls[-1][0] is calls[-1][1]  # the full product's square
         assert not control.is_zero and perturbed
         assert control.expanded_monomials == count
 
     @pytest.mark.parametrize(
-        "slopes", ACCEPTANCE_SLICES + [sample_nodes(random.Random(3000 + k), 7) for k in range(20)]
+        "slopes",
+        ACCEPTANCE_SLICES + [sample_nodes(random.Random(3000 + k), 7) for k in range(20)] + LARGE_RATIONAL_SLICES,
     )
     @pytest.mark.parametrize("perturb", [False, True])
     def test_residue_is_the_whole_product_formula(self, slopes, perturb):
         # key for key the residue of whole sympoly.mul products, with the
         # primitive parts p_k of the sums s_k and their gcds g_k:
         # g1**2 * p1 * p1 - g0 * g2 * p0 * p2, plus the control's term
-        count, residue = whole_product_residue(slopes, perturb)
+        count, residue, _ = whole_product_residue(slopes, perturb)
         report = verify_identity_slice(slopes, perturb=perturb)
         assert report.residue == residue
+        assert all(type(c) is int for c in report.residue.values())
         assert report.expanded_monomials == count
         assert report.is_zero is not perturb
+
+    @pytest.mark.parametrize(
+        "slopes", ACCEPTANCE_SLICES + MIXED_SIGN_FRACTION_SLICES[:3] + LARGE_RATIONAL_SLICES
+    )
+    def test_sums_are_the_added_products(self, monkeypatch, slopes):
+        # the dot-product table holds what adding each H_i**p * beta_i**2 *
+        # prod_{j != i} alpha_j into s_p as whole sympoly products gives: the
+        # walk gets those sums' primitive parts key for key, int coefficients
+        # with no zero entry
+        walks = count_calls(monkeypatch, sympoly, "square_and_cross")
+        verify_identity_slice(slopes)
+        (parts,) = walks
+        assert list(parts) == whole_product_residue(slopes, False)[2]
+        assert all(type(c) is int and c for part in parts for c in part.values())
 
     @pytest.mark.parametrize("slopes", ACCEPTANCE_SLICES + MIXED_SIGN_FRACTION_SLICES)
     def test_node_difference_product_is_the_fraction_product(self, slopes):
@@ -1426,6 +1448,13 @@ class TestGenerators:
     def test_six_term_equal_pair_rejected(self):
         with pytest.raises(InvalidInputError):
             generate_six_term_family((1, 1), seed=0)
+
+    def test_iterators_are_read_once(self):
+        # the cleared values come from one pass: an iterator gives what its tuple gives
+        assert generate_six_term_family(iter((1, 2)), seed=0) == generate_six_term_family((1, 2), seed=0)
+        assert generate_tangent_instance(range(7), iter((1, 2, 3)), seed=0) == generate_tangent_instance(
+            range(7), (1, 2, 3), seed=0
+        )
 
     def test_six_term_deterministic(self):
         assert generate_six_term_family((0, 1), seed=5) == generate_six_term_family((0, 1), seed=5)

@@ -19,6 +19,7 @@ from doubleline import linalg
 from doubleline.errors import DegenerateNodesError, InvalidInputError, StructuralError
 from doubleline.linalg import (
     VandermondeSystem,
+    clear_denominators,
     moment_kernel,
     normalize_vector,
     rank,
@@ -382,3 +383,10 @@ class TestSolveAndNormalize:
         assert normalize_vector((0, 0)) == (0, 0)
         zeros = normalize_vector((0, 0, 0))
         assert zeros == (0, 0, 0) and all(type(x) is int for x in zeros)
+
+
+class TestClearDenominators:
+    @pytest.mark.parametrize("make", [list, tuple, iter, lambda v: (x for x in v)], ids=["list", "tuple", "iter", "generator"])
+    def test_values_are_read_once(self, make):
+        assert clear_denominators(make([1, 2])) == (1, (1, 2))
+        assert clear_denominators(make([Fraction(1, 2), Fraction(-2, 3), 5])) == (6, (3, -4, 30))

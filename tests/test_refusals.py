@@ -196,6 +196,10 @@ REFUSALS = {
         lambda: weighted_moment_kernel(5, (1,), 1),
         StructuralError, "expected a sequence of rationals, got 5",
     ),
+    "weighted-kernel-weights-not-a-sequence": (
+        lambda: weighted_moment_kernel((1, 2, 3), 5, 1),
+        StructuralError, "expected a sequence of rationals, got 5",
+    ),
     "rank-not-a-sequence": (
         lambda: rank(5),
         StructuralError, "expected a sequence of rows, got 5",

@@ -141,36 +141,38 @@ def operand_cases():
 
 
 class TestAddProduct:
+    """A scaled product added into a polynomial by ``add``, ``scale`` and
+    ``mul``, as the identity slice's perturbed control adds its square.  The
+    slice's sums, once added product by product, are dot products on ints;
+    ``test_engine.py::TestIdentitySlice::test_sums_are_the_added_products``
+    checks them against whole products."""
+
     @pytest.mark.parametrize("p, q, start", operand_cases())
     def test_matches_add_of_scaled_products(self, p, q, start):
-        factors = (1, -3, Fraction(5, 2))
-        targets = ({}, dict(start), dict(start))
-        sympoly.add_product(targets, p, q, factors)
-        product = sympoly.mul(p, q)
-        expected = [sympoly.add(t, sympoly.scale(product, f)) for t, f in zip(({}, start, start), factors)]
-        assert [{t: c for t, c in target.items() if c} for target in targets] == expected
-        # every key of the product reaches every target, even with a zero factor
-        zeros: tuple[sympoly.Poly, ...] = ({},)
-        sympoly.add_product(zeros, p, q, (0,))
-        assert set(zeros[0]) == {t1 + t2 for t1 in p for t2 in q}
-        assert not any(zeros[0].values())
+        # against the reference arithmetic on exponent tuples; a zero factor adds nothing
+        expected_product = ref_mul(unpack(p, NVARS, sympoly.BITS), unpack(q, NVARS, sympoly.BITS))
+        reference_start = unpack(start, NVARS, sympoly.BITS)
+        for factor in (1, -3, Fraction(5, 2)):
+            got = sympoly.add(start, sympoly.scale(sympoly.mul(p, q), factor))
+            expected = ref_add(reference_start, ref_scale(expected_product, factor))
+            assert unpack(got, NVARS, sympoly.BITS) == expected
+            assert all(got.values())
+        assert sympoly.add(start, sympoly.scale(sympoly.mul(p, q), 0)) == start
 
     def test_int_inputs_give_int_coefficients(self):
         rng = random.Random(7)
-        p, q = ({t: int(2 * c) for t, c in random_poly(rng, 6).items()} for _ in range(2))
-        targets: tuple[sympoly.Poly, ...] = ({}, {})
-        sympoly.add_product(targets, p, q, (1, 7))
-        assert all(type(c) is int for target in targets for c in target.values())
+        p, q, start = ({t: int(2 * c) for t, c in random_poly(rng, 6).items()} for _ in range(3))
+        got = sympoly.add(start, sympoly.scale(sympoly.mul(p, q), 7))
+        assert all(type(c) is int for c in got.values())
 
     def test_exponent_past_the_limit_raises_and_changes_nothing(self):
         high = {sympoly.monomial((0, 2**14)): 1, sympoly.monomial((1,)): 2}
         low = {sympoly.monomial((0, 2**14 - 1)): 3}
-        targets: tuple[sympoly.Poly, ...] = ({5: 1}, {})
+        start = {5: 1}
         with pytest.raises(StructuralError, match="exponent above"):
-            sympoly.add_product(targets, high, high, (1, 1))
-        assert targets == ({5: 1}, {})
-        sympoly.add_product(targets, low, low, (1, 1))
-        assert targets[1] == sympoly.mul(low, low)
+            sympoly.add(start, sympoly.scale(sympoly.mul(high, high), 1))
+        assert start == {5: 1}
+        assert sympoly.add({}, sympoly.scale(sympoly.mul(low, low), 1)) == {2 * next(iter(low)): 9}
 
 
 class TestSquareAndCross:
