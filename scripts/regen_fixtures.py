@@ -23,12 +23,13 @@ def render_fixture() -> str:
     inst = generated.instance
     assert not generated.quartic.cofactor.is_zero()
     assert tangency_defect(inst) == 0
+    (hd, hs), (kd, ks), (wd, ws) = inst.cleared_slopes, inst.cleared_lifts, inst.cleared_weights
     doc = DecompositionDocument(
         variables=("x0", "x1", "x2"),
         line=(Fraction(0), Fraction(0), Fraction(1)),
         terms=tuple(
-            (w, (Fraction(1), h, k))
-            for h, k, w in zip(inst.slopes, inst.lifts, inst.weights)
+            (Fraction(w, wd), (Fraction(1), Fraction(h, hd), Fraction(k, kd)))
+            for h, k, w in zip(hs, ks, ws)
         ),
     )
     return render_document(doc)

@@ -243,6 +243,10 @@ def _format_vector(values) -> str:
     return " ".join(map(format_rational, values))
 
 
+def _format_pair(pair) -> str:
+    return _format_vector(Fraction(x, pair[0]) for x in pair[1])
+
+
 def _add_analysis(report: RunReport, dec: WaringDecomposition, line: HomogeneousForm) -> AnalysisReport:
     report.add("input", f"{dec.n} {'pure' if dec.is_pure else 'weighted'} fourth-power terms")
     analysis = analyze(dec, line)
@@ -269,9 +273,9 @@ def _add_analysis(report: RunReport, dec: WaringDecomposition, line: Homogeneous
     cert = analysis.certificate
     if cert is not None:
         report.add("certificate-annihilator", _format_vector(cert.annihilator))
-        report.add("certificate-contact-vector", _format_vector(cert.contact_vector))
-        report.add("certificate-transversal-point", _format_vector(cert.transversal_point))
-        report.add("certificate-line-values", _format_vector(cert.line_values))
+        report.add("certificate-contact-vector", _format_pair(cert.cleared_contact))
+        report.add("certificate-transversal-point", _format_pair(cert.cleared_transversal))
+        report.add("certificate-line-values", _format_pair(cert.cleared_values))
         report.add("certificate-bridge", render_form(cert.bridge.to_form()))
         report.add("certificate-restricted-conic", render_form(cert.restricted_conic.to_form()))
         report.check("certificate-verified", True)

@@ -116,21 +116,10 @@ class WaringDecomposition(Record):
         return power_sum(*self.pairs, 4)
 
 
-def _fractions_of(field: str) -> property:
-    """A property reading the ``Cleared`` field ``field`` as Fractions, built when read."""
-
-    def read(self) -> tuple[Fraction, ...]:
-        den, ints = vars(self)[field]
-        return tuple(Fraction(x, den) for x in ints)
-
-    return property(read)
-
-
 class CoordinateInstance(Record):
     """Lines x0 + slope*x1 + lift*x2 with weights, each vector stored as its
     canonical pair ``(den, ints)`` and given either so (any nonzero den) or
-    as ints and Fractions; ``slopes``, ``lifts`` and ``weights`` build their
-    Fractions only when read."""
+    as ints and Fractions; the pairs are the only way to read it."""
 
     cleared_slopes: Cleared
     cleared_lifts: Cleared
@@ -152,10 +141,6 @@ class CoordinateInstance(Record):
     @property
     def n(self) -> int:
         return len(self.cleared_slopes[1])
-
-    slopes = _fractions_of("cleared_slopes")
-    lifts = _fractions_of("cleared_lifts")
-    weights = _fractions_of("cleared_weights")
 
     def to_decomposition(self) -> WaringDecomposition:
         """The decomposition of this instance, built on every call.  With the
@@ -248,7 +233,7 @@ class TangencyCertificate(Record):
     ``BinaryQuadratic`` holding one, so equal certificates have equal fields:
     ``cleared_points`` holds the points D * L_i = (p_i, r_i) over D, the other
     ``cleared_`` fields the weights, the contact vector, the transversal point
-    and the line values (the last three read as Fractions by properties), and
+    and the line values (``contact_vector`` reads the contact as Fractions), and
     ``bridge`` and ``restricted_conic`` (the cofactor's restriction, computed
     by ``analyze`` from the cofactor alone) their coefficients on y0^2,
     y0*y1, y1^2.  ``verify`` reads the ints and pairs as they are (any
@@ -275,9 +260,10 @@ class TangencyCertificate(Record):
     restricted_conic: BinaryQuadratic
     tangency_point: IntVector
 
-    contact_vector = _fractions_of("cleared_contact")
-    transversal_point = _fractions_of("cleared_transversal")
-    line_values = _fractions_of("cleared_values")
+    @property
+    def contact_vector(self) -> tuple[Fraction, ...]:
+        den, ints = self.cleared_contact
+        return tuple(Fraction(x, den) for x in ints)
 
     def verify(self) -> None:
         """Check every certified identity; raises TheoremViolationError.

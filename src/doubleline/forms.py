@@ -298,7 +298,7 @@ def render_form(f: HomogeneousForm) -> str:
 
 # [0-9], not \d: \d, int and Fraction also accept the other Unicode digits
 _TERM_RE = re.compile(
-    r"^(?:(?P<coeff>[0-9]+(?:/[0-9]+)?)(?:\*(?P<tail>.*))?|(?P<mono>x[0-9]+.*))$"
+    r"^(?:(?P<coeff>[0-9]+(?:/[0-9]+)?)(?:\*(?P<tail>.+))?|(?P<mono>x[0-9]+.*))$"
 )
 _FACTOR_RE = re.compile(r"^x(?P<idx>[0-9]+)(?:\^(?P<exp>[0-9]+))?$")
 

@@ -116,10 +116,12 @@ def format_rational(x: Fraction | int) -> str:
     return num if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"
 
 
-def _bareiss(work: list[list[int]], ncols: int) -> list[int]:
-    """Reduce integer rows in place to a fraction-free echelon form (Bareiss);
-    the pivot columns, one per nonzero row, are returned."""
-    nrows = len(work)
+def _bareiss(work: list[list[int]]) -> list[int]:
+    """Reduce integer rows, all of one length (else StructuralError), in place to a
+    fraction-free echelon form (Bareiss); the pivot columns, one per nonzero row, are returned."""
+    nrows, ncols = len(work), len(work[0]) if work else 0
+    if len({*map(len, work)}) > 1:
+        raise StructuralError(f"expected rows of one length, got rows of lengths {[*map(len, work)]}")
     pivot_cols: list[int] = []
     prev = 1
     r = 0
@@ -145,19 +147,23 @@ def _bareiss(work: list[list[int]], ncols: int) -> list[int]:
 
 
 def rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank of the integer matrix with these rows (all of one length)."""
+    """Rank of the integer matrix with these rows (all of one length, all ints)."""
     try:
         work = [list(row) for row in rows]
     except TypeError:
         raise StructuralError(f"expected a sequence of rows, got {rows!r}") from None
-    return len(_bareiss(work, len(work[0]) if work else 0))
+    try:  # as in int_rows: from 1 on, gcd only checks each argument
+        gcd(1, *chain.from_iterable(work))
+    except TypeError:
+        raise InvalidInputError(f"expected int entries, got {rows!r}") from None
+    return len(_bareiss(work))
 
 
 def rref(rows: Sequence[Sequence[Fraction | int]]) -> tuple[list[list[Fraction]], int, tuple[int, ...]]:
     """Reduced row echelon form (zero rows last), rank and pivot columns of
     the matrix with these rows (all of one length)."""
     work = [list(clear_denominators(row)[1]) for row in rows]
-    pivot_cols = _bareiss(work, len(work[0]) if work else 0)
+    pivot_cols = _bareiss(work)
     # Bareiss leaves the rows past the rank zero
     reduced = [[Fraction(x) for x in row] for row in work]
     for idx in range(len(pivot_cols) - 1, -1, -1):

@@ -5,9 +5,9 @@ field's default.  ``__init_subclass__`` reads them and the ``__post_init__``
 hook once.  A record is built by position or keyword, then runs the hook
 (which may coerce a field, or store an attribute derived from the fields,
 by writing ``vars(self)``); it refuses assignment and deletion, equals only
-a record of its own class with equal fields, and hashes its field tuple.
-Its ``__dict__`` holds the fields, the derived attributes and, when read,
-the package's one ``functools.cached_property``.
+a record of its own class with equal fields, and is hashable when its fields
+are (it hashes their tuple).  Its ``__dict__`` holds the fields, the derived
+attributes and, when read, the package's one ``functools.cached_property``.
 """
 
 

@@ -134,11 +134,22 @@ def reference_solve(rows: list[list[Fraction]], rhs) -> tuple[Fraction, ...] | N
     return tuple(x)
 
 
+def fractions(pair) -> tuple[Fraction, ...]:
+    """The Fractions ints / den of a ``(den, ints)`` pair."""
+    den, ints = pair
+    return tuple(Fraction(x, den) for x in ints)
+
+
+def instance_fractions(inst) -> tuple[tuple[Fraction, ...], ...]:
+    """A coordinate instance's slopes, lifts and weights, read from its pairs as Fractions."""
+    return tuple(map(fractions, (inst.cleared_slopes, inst.cleared_lifts, inst.cleared_weights)))
+
+
 def reference_tangency_defect(inst) -> Fraction:
     """The tangency defect s_1^2 - s_0 * s_2, with s_p = sum_i w_i * k_i^2 * h_i^p
     summed term by term in Fractions."""
     s0 = s1 = s2 = Fraction(0)
-    for h, k, w in zip(inst.slopes, inst.lifts, inst.weights):
+    for h, k, w in zip(*instance_fractions(inst)):
         base = w * k * k
         s0 += base
         s1 += base * h

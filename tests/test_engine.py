@@ -12,6 +12,8 @@ from conftest import (
     decomposition_terms,
     determinant,
     evaluate,
+    fractions,
+    instance_fractions,
     kills,
     monomials,
     nondegenerate_analysis,
@@ -363,7 +365,7 @@ class TestValue:
         inst = CoordinateInstance((0, 1, 2, 3, 4, 5), (1,) * 6, (1,) * 6)
         dec = inst.to_decomposition()
         assert inst.to_decomposition() == dec
-        assert dec == CoordinateInstance(inst.slopes, inst.lifts, inst.weights).to_decomposition()
+        assert dec == CoordinateInstance(*instance_fractions(inst)).to_decomposition()
 
 
 class TestExtractCofactor:
@@ -475,15 +477,16 @@ class TestKernelDescend:
 
     def test_contact_vector_reproduces_weights(self):
         inst = flagship_instance()
+        slopes, _, weights = instance_fractions(inst)
         cert = analyze(inst.to_decomposition(), line_x2()).certificate
         w_form = HomogeneousForm.linear(cert.contact_vector)
         # the restricted points are (p, r) / den, and w_form is linear
         den, points = cert.cleared_points
         descended = tuple(a * evaluate(w_form, p) / den for a, p in zip(cert.annihilator, points))
-        assert descended == inst.weights
+        assert descended == weights
         # the weights land in the degree-4 kernel: all moments d <= 4 vanish
         for d in range(5):
-            assert sum(w * h**d for w, h in zip(inst.weights, inst.slopes)) == 0
+            assert sum(w * h**d for w, h in zip(weights, slopes)) == 0
 
     def test_descends_to_lower_kernel_by_moment_sums(self):
         rng = random.Random(43)
@@ -630,7 +633,7 @@ class TestTangencyCertificate:
             bridge_rows = [
                 [c[i] * a * a, c[i] * a * b, c[i] * b * b] for i, (a, b) in enumerate(points)
             ]
-            rhs = [al * lv for al, lv in zip(weights, cert.line_values)]
+            rhs = [al * lv for al, lv in zip(weights, fractions(cert.cleared_values))]
             b_den, bridge = cert.bridge.cleared
             assert tuple(Fraction(b, b_den) for b in bridge) == reference_solve(bridge_rows, rhs)
 
@@ -762,8 +765,8 @@ class TestCertificateTamperingFractionalWeights(TestCertificateTampering):
 
     @pytest.fixture(scope="class")
     def certificate(self):
-        inst = flagship_instance()
-        scaled = CoordinateInstance(inst.slopes, inst.lifts, tuple(w / 7 for w in inst.weights))
+        slopes, lifts, weights = instance_fractions(flagship_instance())
+        scaled = CoordinateInstance(slopes, lifts, tuple(w / 7 for w in weights))
         cert = analyze(scaled.to_decomposition(), line_x2()).certificate
         assert cert.cleared_weights[0] == 7
         return cert
@@ -777,22 +780,23 @@ class TestIntegerInputs:
 
     def test_int_weights_give_an_exact_certificate(self):
         inst = generate_tangent_instance(range(7), (1, 2, -1), seed=1).instance
-        assert all(w.denominator == 1 for w in inst.weights)
+        assert inst.cleared_weights[0] == 1
         terms = tuple(
-            (int(w), HomogeneousForm.linear((1, h, k)))
-            for h, k, w in zip(inst.slopes, inst.lifts, inst.weights)
+            (int(w), HomogeneousForm.linear((1, h, k))) for h, k, w in zip(*instance_fractions(inst))
         )
         cert = analyze(WaringDecomposition(terms), line_x2()).certificate
         assert cert is not None
-        for field in (
-            cert.annihilator,
-            cert.contact_vector,
-            cert.transversal_point,
-            cert.line_values,
-            cert.tangency_point,
-        ):
+        for field in (cert.annihilator, cert.contact_vector, cert.tangency_point):
             assert all(type(x) in (int, Fraction) for x in field)
-        for pair in (cert.cleared_weights, cert.bridge.cleared, cert.restricted_conic.cleared):
+        pairs = (
+            cert.cleared_weights,
+            cert.cleared_contact,
+            cert.cleared_transversal,
+            cert.cleared_values,
+            cert.bridge.cleared,
+            cert.restricted_conic.cleared,
+        )
+        for pair in pairs:
             assert all(type(x) is int for x in (pair[0], *pair[1]))
         assert cert == analyze(inst.to_decomposition(), line_x2()).certificate
 
@@ -902,7 +906,8 @@ class TestCertificateOracle:
             inst = generate_tangent_instance(slopes, params, seed=trial).instance
             if trial % 2:  # weights of denominator up to 5
                 scale = random_fraction(rng) or Fraction(1, 5)
-                inst = CoordinateInstance(inst.slopes, inst.lifts, tuple(w * scale for w in inst.weights))
+                slopes, lifts, weights = instance_fractions(inst)
+                inst = CoordinateInstance(slopes, lifts, tuple(w * scale for w in weights))
             dec, line = moved(inst.to_decomposition(), pivot_change(rng, pivot))
             coeffs = line.linear_coefficients()
             assert max(i for i, c in enumerate(coeffs) if c) == pivot
@@ -930,8 +935,14 @@ class TestCertificateOracle:
         ]
         for den, ints in pairs:
             assert den > 0 and gcd(den, *ints) == 1
-        for name in ("contact_vector", "transversal_point", "line_values", "bridge"):
-            assert getattr(cert, name) == ref[name], name
+        read = {
+            "contact_vector": cert.contact_vector,
+            "transversal_point": fractions(cert.cleared_transversal),
+            "line_values": fractions(cert.cleared_values),
+            "bridge": cert.bridge,
+        }
+        for name, value in read.items():
+            assert value == ref[name], name
 
     @pytest.mark.parametrize("pivot", [0, 1, 2])
     @pytest.mark.parametrize("case", ["line restricts to zero", "two lines meet at one point"])
@@ -959,9 +970,9 @@ class TestCertificateOracle:
 
 
 class TestCoercion:
-    """Slopes, lifts and weights read back as Fractions whatever ints or
-    Fractions they are given as; an instance and a decomposition store them
-    as canonical pairs; a float is refused."""
+    """Slopes, lifts and weights given as ints or Fractions are stored, by an
+    instance and by a decomposition, as the canonical pairs of the same
+    rationals; a float is refused."""
 
     VALUES = (
         [3, -1, 0, 2, 5, -4, 1],
@@ -973,10 +984,10 @@ class TestCoercion:
         built = [CoordinateInstance(v, v[::-1], v) for v in self.VALUES]
         assert built[0] == built[1] == built[2]
         for inst in built:
-            for field in (inst.slopes, inst.lifts, inst.weights):
-                assert all(type(x) is Fraction for x in field)
+            for den, ints in (inst.cleared_slopes, inst.cleared_lifts, inst.cleared_weights):
+                assert all(type(x) is int for x in (den, *ints))
         given = Fraction(7, 3)
-        assert CoordinateInstance((given,) * 7, (0,) * 7, (1,) * 7).slopes[0] == given
+        assert CoordinateInstance((given,) * 7, (0,) * 7, (1,) * 7).cleared_slopes == (3, (7,) * 7)
 
     def test_instance_from_fractions_equals_instance_from_ints(self):
         # the same rationals as Fractions, as ints over a common den, and as a
@@ -993,8 +1004,9 @@ class TestCoercion:
         assert hash(from_fractions) == hash(from_ints) == hash(from_pairs)
         assert from_ints.cleared_lifts == (10, (5, -4, 0, 10, 7, -30, 2))
         for inst in (from_fractions, from_ints, from_pairs):
-            assert (inst.slopes, inst.lifts, inst.weights) == (tuple(slopes), tuple(lifts), tuple(weights))
-            assert all(type(x) is Fraction for x in inst.slopes + inst.lifts + inst.weights)
+            assert instance_fractions(inst) == (tuple(slopes), tuple(lifts), tuple(weights))
+            for den, ints in (inst.cleared_slopes, inst.cleared_lifts, inst.cleared_weights):
+                assert all(type(x) is int for x in (den, *ints))
 
     def test_waring_decomposition(self):
         line = HomogeneousForm.linear((1, 2, 3))
@@ -1013,8 +1025,9 @@ class TestCoercion:
             params = tuple(random_fraction(rng) for _ in range(3))
             inst = generate_tangent_instance(sample_nodes(rng, 7), params, seed=trial).instance
             dec = inst.to_decomposition()
-            lines = [HomogeneousForm.linear((1, h, k)) for h, k in zip(inst.slopes, inst.lifts)]
-            from_terms = WaringDecomposition(tuple(zip(inst.weights, lines)))
+            slopes, lifts, weights = instance_fractions(inst)
+            lines = [HomogeneousForm.linear((1, h, k)) for h, k in zip(slopes, lifts)]
+            from_terms = WaringDecomposition(tuple(zip(weights, lines)))
             assert dec == from_terms and hash(dec) == hash(from_terms)
             assert dec.cleared_rows == cleared_rows(lines)
             (wd, ws), (ld, rows) = dec.pairs
@@ -1063,12 +1076,12 @@ class TestCoercion:
     def test_generate_tangent_instance(self, monkeypatch):
         built = [generate_tangent_instance(v, v[:3], seed=2).instance for v in self.VALUES]
         assert built[0] == built[1] == built[2]
-        assert all(type(h) is Fraction for h in built[0].slopes)
+        assert built[0].cleared_slopes == (1, tuple(self.VALUES[0]))
         slopes = tuple(Fraction(h, 3) for h in self.VALUES[0])
         params = (Fraction(1, 2), Fraction(-3), Fraction(2, 7))
         cleared = count_clearings(monkeypatch)
         inst = generate_tangent_instance(slopes, params, seed=2).instance
-        assert inst.slopes == slopes and inst.cleared_slopes == (3, tuple(self.VALUES[0]))
+        assert inst.cleared_slopes == (3, tuple(self.VALUES[0]))
         # the parameters reach their one clearing as the given objects
         [passed] = [args[0] for args in cleared if len(args[0]) == 3]
         assert all(p is given for p, given in zip(passed, params))
@@ -1567,9 +1580,10 @@ class TestRoundTrips:
             n = 6 if trial % 2 == 0 else 7
             inst = moment_solution(rng, sample_nodes(rng, n))
             dec = inst.to_decomposition()
-            assert tuple(w for w, _ in decomposition_terms(dec)) == inst.weights
+            slopes, lifts, weights = instance_fractions(inst)
+            assert tuple(w for w, _ in decomposition_terms(dec)) == weights
             lines = [coeffs for _, coeffs in decomposition_terms(dec)]
-            assert lines == [(1, h, k) for h, k in zip(inst.slopes, inst.lifts)]
+            assert lines == [(1, h, k) for h, k in zip(slopes, lifts)]
             value = dec.value()
             q = extract_cofactor(value, line_x2())
             assert line_x2() ** 2 * q == value
@@ -1581,9 +1595,10 @@ class TestRoundTrips:
     def test_five_terms_build(self):
         # the instance takes any term count; the six- and seven-term readers check theirs
         third, half = Fraction(1, 3), Fraction(1, 2)
-        inst = CoordinateInstance((0, 1, -2, third, 3), (1, -half, 2, 0, third), (2, -1, half, 5, -3))
+        slopes, lifts, weights = (0, 1, -2, third, 3), (1, -half, 2, 0, third), (2, -1, half, 5, -3)
+        inst = CoordinateInstance(slopes, lifts, weights)
         expected: dict = {}
-        for h, k, w in zip(inst.slopes, inst.lifts, inst.weights):
+        for h, k, w in zip(slopes, lifts, weights):
             line = {(1, 0, 0): Fraction(1), (0, 1, 0): h, (0, 0, 1): k}
             expected = ref_add(expected, ref_scale(ref_product([line] * 4, 3), w))
         assert inst.n == 5

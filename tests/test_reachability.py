@@ -6,12 +6,11 @@ process ``build_parser`` and ``_node_pool`` may already be cached by earlier
 tests, and then they would not be entered.  A function is a module-level
 function of the package, or a method, property or cached property of one of
 its classes; nested functions are not counted.  Functions are keyed by code
-object, but each property and cached property is counted under its own
-class attribute name, by a getter wrapped around it in the subprocess: the
-properties that ``engine._fractions_of`` makes share one code object, so
-reading one of them would otherwise count them all.  The test fails both on
-a function that no command enters and that is not listed, and on a listed
-function that a command now enters.
+object, a property or cached property by its getter's, which is named by its
+class attribute.  Two properties sharing one getter, as a property factory
+makes them, would be counted as one, so the probe refuses them.  The test
+fails both on a function that no command enters and that is not listed, and
+on a listed function that a command now enters.
 """
 
 import json
@@ -63,10 +62,7 @@ UNREACHED = {
     "Record.__repr__": "pytest prints records on failure",
     "Record.__setattr__": "keeps records immutable",
     "Record.__init_subclass__": "runs when a class is defined, at import",
-    "_fractions_of": "makes the Fraction properties when their classes are defined, at import",
-    "CoordinateInstance.slopes": "scripts/regen_fixtures.py; tests",
-    "CoordinateInstance.lifts": "scripts/regen_fixtures.py; tests",
-    "CoordinateInstance.weights": "scripts/regen_fixtures.py; tests",
+    "TangencyCertificate.contact_vector": "acceptance criterion 5",
 }
 
 PROBE = r"""
@@ -76,48 +72,30 @@ import doubleline.cli
 from doubleline.cli import main
 
 
-read = set()
-
-
-def watch(cls, attr, prop):
-    # replace a property or cached property by one whose getter records its name
-    name, get = f"{cls.__qualname__}.{attr}", getattr(prop, "fget", None) or prop.func
-
-    def getter(self):
-        read.add(name)
-        return get(self)
-
-    if isinstance(prop, property):
-        setattr(cls, attr, property(getter))
-    else:
-        cached = functools.cached_property(getter)
-        setattr(cls, attr, cached)
-        cached.__set_name__(cls, attr)
-    return name
-
-
 def functions():
-    # code object -> qualified name, one code object can sit under two names;
-    # and the names of the watched properties
-    found, watched = {}, set()
+    # code object -> qualified name, one code object can sit under two names
+    # (an alias such as Record.__delattr__); a property's getter under one only
+    found = {}
     for name, module in list(sys.modules.items()):
         if name != "doubleline" and not name.startswith("doubleline."):
             continue
         for obj in vars(module).values():
             owned = isinstance(obj, type) and obj.__module__ == name
-            for attr, item in list(vars(obj).items()) if owned else [(None, obj)]:
+            for attr, item in vars(obj).items() if owned else [(None, obj)]:
                 if isinstance(item, (property, functools.cached_property)):
-                    watched.add(watch(obj, attr, item))
+                    getter, qualname = getattr(item, "fget", None) or item.func, f"{obj.__qualname__}.{attr}"
+                    if found.setdefault(getter.__code__, qualname) != qualname:
+                        raise SystemExit(f"{qualname} shares its getter with {found[getter.__code__]}")
                     continue
                 if isinstance(item, (staticmethod, classmethod)):
                     item = item.__func__
                 item = inspect.unwrap(item) if callable(item) else item
                 if isinstance(item, types.FunctionType) and item.__module__.startswith("doubleline"):
                     found.setdefault(item.__code__, item.__qualname__)
-    return found, watched
+    return found
 
 
-found, watched = functions()
+found = functions()
 entered = set()
 
 
@@ -134,7 +112,7 @@ for argv in json.loads(sys.argv[1]):
     except SystemExit as exc:
         codes.append(exc.code)
 sys.setprofile(None)
-unreached = {n for c, n in found.items() if c not in entered} | (watched - read)
+unreached = {n for c, n in found.items() if c not in entered}
 print(json.dumps({"codes": codes, "unreached": sorted(unreached)}))
 """
 

@@ -85,7 +85,8 @@ class TestConstruction:
         for q in (Coerced(1, 2, 3), Coerced(a=1, b=2, c=3)):
             assert all(type(x) is Fraction for x in (q.a, q.b, q.c))
         inst = coordinate_instance()
-        assert all(type(h) is Fraction for h in inst.slopes + inst.lifts + inst.weights)
+        pairs = (inst.cleared_slopes, inst.cleared_lifts, inst.cleared_weights)
+        assert pairs == ((1, SLOPES), (1, (1,) * 7), (1, (2,) * 7))
         with pytest.raises(StructuralError, match="slopes, lifts and weights of equal length"):
             CoordinateInstance((0,), (1, 2), (1,))
 
@@ -105,7 +106,7 @@ class TestValueSemantics:
         inst = coordinate_instance()
         assert inst == coordinate_instance() and not inst != coordinate_instance()
         assert inst != CoordinateInstance(SLOPES, (1,) * 7, (3,) * 7)
-        fields = (inst.slopes, inst.lifts, inst.weights)
+        fields = (inst.cleared_slopes, inst.cleared_lifts, inst.cleared_weights)
         assert inst != fields and fields != inst
         assert inst != Triple(*fields) and Triple(*fields) != inst
         assert inst.__eq__(fields) is NotImplemented

@@ -6,7 +6,8 @@ out); and the int rows and ``(den, ints)`` pairs that each function taking
 them passes through ``linalg.as_pair`` and ``linalg.int_rows``, against a
 non-sequence, a wrong width or count, a float and a Fraction.  A
 non-sequence given where a sequence of rationals, forms or rows is taken is
-refused at the first place that reads it, so several calls share a site."""
+refused at the first place that reads it, so several calls share a site, as
+do the malformed matrices of ``rank`` and ``rref``."""
 
 from fractions import Fraction
 
@@ -39,7 +40,7 @@ from doubleline.forms import (
     parse_form,
     power_sum,
 )
-from doubleline.linalg import VandermondeSystem, moment_kernel, rank, weighted_moment_kernel
+from doubleline.linalg import VandermondeSystem, moment_kernel, rank, rref, weighted_moment_kernel
 
 X0 = HomogeneousForm.linear((1, 0, 0))
 CONIC = parse_form("x0^2 + x1^2", 3)
@@ -155,6 +156,10 @@ REFUSALS = {
         lambda: parse_form("x3", 3),
         InvalidInputError, "variable x3 out of range",
     ),
+    "parse-bare-star": (
+        lambda: parse_form("2*", 3),
+        InvalidInputError, "bad term '2*'",
+    ),
     "parse-unequal-degrees": (
         lambda: parse_form("x0 + x1^2", 3),
         InvalidInputError, "terms of unequal degree",
@@ -203,6 +208,26 @@ REFUSALS = {
     "rank-not-a-sequence": (
         lambda: rank(5),
         StructuralError, "expected a sequence of rows, got 5",
+    ),
+    "rank-ragged": (
+        lambda: rank([[1, 2], [2, 4, 1]]),
+        StructuralError, "expected rows of one length, got rows of lengths [2, 3]",
+    ),
+    "rank-float": (
+        lambda: rank([[0.5, 1], [1, 3]]),
+        InvalidInputError, "expected int entries, got [[0.5, 1], [1, 3]]",
+    ),
+    "rank-Fraction": (
+        lambda: rank([[HALF, 1], [1, 3]]),
+        InvalidInputError, "expected int entries, got [[Fraction(1, 2), 1], [1, 3]]",
+    ),
+    "rank-str": (
+        lambda: rank([["a", "b"]]),
+        InvalidInputError, "expected int entries, got [['a', 'b']]",
+    ),
+    "rref-ragged": (
+        lambda: rref([[1, 2], [2, 4, 1]]),
+        StructuralError, "expected rows of one length, got rows of lengths [2, 3]",
     ),
 }
 
