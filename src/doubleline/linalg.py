@@ -155,7 +155,7 @@ def rank(rows: Sequence[Sequence[int]]) -> int:
     try:  # as in int_rows: from 1 on, gcd only checks each argument
         gcd(1, *chain.from_iterable(work))
     except TypeError:
-        raise InvalidInputError(f"expected int entries, got {rows!r}") from None
+        raise InvalidInputError(f"expected int entries, got {work!r}") from None
     return len(_bareiss(work))
 
 
